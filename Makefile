@@ -18,7 +18,7 @@ race:
 	go test -race ./internal/parallel/... ./internal/stream/... ./internal/cn/... \
 		./internal/cache/... ./internal/exec/... ./internal/lca/... ./internal/obs/... \
 		./internal/resilience/... ./internal/core/... ./internal/server/... \
-		./internal/analysis/... ./internal/plan/...
+		./internal/analysis/... ./internal/plan/... ./internal/shard/...
 
 lint:
 	go run ./cmd/kwslint ./...

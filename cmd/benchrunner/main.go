@@ -1,14 +1,15 @@
 // Command benchrunner regenerates every experiment in DESIGN.md's index
-// (E1-E26): the tutorial's worked examples with their expected values, and
-// summary statistics for the performance-shape experiments (whose timing
-// curves come from `go test -bench`). Output is the data behind
-// EXPERIMENTS.md.
+// (E1-E32 and E38): the tutorial's worked examples with their expected
+// values, and summary statistics for the performance-shape experiments
+// (whose timing curves come from `go test -bench`). Output is the data
+// behind EXPERIMENTS.md. System performance is measured by bench/ (see
+// BENCHMARK.json), not here.
 //
 // Usage:
 //
 //	benchrunner                # run all experiments
 //	benchrunner E5 E10         # run selected experiments
-//	benchrunner -performance   # measure executor efficiency, write BENCH_exec.json
+//	benchrunner -obs-overhead  # the verify.sh observability-overhead gate
 package main
 
 import (
@@ -35,42 +36,9 @@ func register(id, title string, run func() error) {
 }
 
 func main() {
-	performance := flag.Bool("performance", false,
-		"run the executor-efficiency workload (cache hit/miss/eviction, per-worker jobs) and write BENCH_exec.json")
 	obsGate := flag.Bool("obs-overhead", false,
 		"measure the observability suite's overhead vs obs-off and exit 1 when it exceeds the 5% budget (the verify.sh gate)")
-	bindGate := flag.Bool("bind-gate", false,
-		"measure the bind stage's share of a warm steady-state query and exit 1 when it exceeds the 35% budget (the verify.sh gate)")
-	shardGate := flag.Bool("shard-gate", false,
-		"run the exec workload through the shard coordinator at 1/2/4/8 shards and exit 1 unless every answer is byte-identical to the single engine (the verify.sh gate)")
 	flag.Parse()
-	if *shardGate {
-		doc, err := measureSharding()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shard-gate: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("shard-gate: %d queries byte-identical across %d shard arms\n", doc.Queries, len(doc.Arms))
-		printSharding(doc)
-		if flag.NArg() == 0 && !*performance && !*obsGate && !*bindGate {
-			return
-		}
-	}
-	if *bindGate {
-		share, err := warmBindShare()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bind-gate: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bind-gate: warm bind share %.1f%% (budget %.0f%%)\n", share, bindWarmShareBudgetPct)
-		if share > bindWarmShareBudgetPct {
-			fmt.Fprintf(os.Stderr, "bind-gate: %.1f%% exceeds the %.0f%% budget\n", share, bindWarmShareBudgetPct)
-			os.Exit(1)
-		}
-		if flag.NArg() == 0 && !*performance && !*obsGate {
-			return
-		}
-	}
 	if *obsGate {
 		o, err := measureObservability()
 		if err != nil {
@@ -82,15 +50,6 @@ func main() {
 			time.Duration(o.BaselineNS), time.Duration(o.FullNS), o.Rounds)
 		if o.OverheadPct > obsOverheadBudgetPct {
 			fmt.Fprintf(os.Stderr, "obs-overhead: %.2f%% exceeds the %.0f%% budget\n", o.OverheadPct, obsOverheadBudgetPct)
-			os.Exit(1)
-		}
-		if flag.NArg() == 0 && !*performance {
-			return
-		}
-	}
-	if *performance {
-		if err := writeExecPerformance("BENCH_exec.json"); err != nil {
-			fmt.Fprintf(os.Stderr, "performance: %v\n", err)
 			os.Exit(1)
 		}
 		if flag.NArg() == 0 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -102,11 +103,15 @@ func runE17() error {
 		FreeTables:    []string{"write", "cite"},
 	})
 	const k = 5
+	globalPipeline := func() []cn.Result {
+		rs, _ := cn.TopKGlobalPipelineCtx(context.Background(), ev, cns, k, nil) // Background never ends: no error
+		return rs
+	}
 	tN := timeIt(3, func() { cn.TopKNaive(ev, cns, k) })
 	tS := timeIt(3, func() { cn.TopKSparse(ev, cns, k) })
-	tG := timeIt(3, func() { cn.TopKGlobalPipeline(ev, cns, k) })
+	tG := timeIt(3, func() { globalPipeline() })
 	n := cn.TopKNaive(ev, cns, k)
-	gp := cn.TopKGlobalPipeline(ev, cns, k)
+	gp := globalPipeline()
 	fmt.Printf("   %d CNs; top-%d: naive %v  sparse %v  global-pipeline %v\n", len(cns), k, tN, tS, tG)
 	return firstErr(
 		expect(len(n) == len(gp), "strategies disagree on result count"),

@@ -49,7 +49,7 @@ func main() {
 	k := flag.Int("k", 10, "number of results")
 	doClean := flag.Bool("clean", false, "run noisy-channel query cleaning first")
 	snip := flag.Bool("snippets", false, "print snippets for XML results")
-	workers := flag.Int("workers", 1, "worker-pool size for cn/slca evaluation (>1 enables the parallel executor)")
+	workers := flag.Int("workers", 1, "worker-pool size for cn/slca evaluation (answers are identical at every size)")
 	shards := flag.Int("shards", 0, "shard the engine N ways and answer through the scatter-gather coordinator (0/1 = single engine; relational datasets only)")
 	deadline := flag.Duration("deadline", 0, "per-query time budget (0 = none); an expiring deadline returns the partial answer certified so far")
 	admit := flag.Int("admit", 0, "admission-control concurrency limit (0 = off; relevant with -serve under external load)")

@@ -1,6 +1,7 @@
 package cn
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -295,7 +296,10 @@ func TestTopKStrategiesAgree(t *testing.T) {
 	const k = 5
 	naive := TopKNaive(ev, cns, k)
 	sparse := TopKSparse(ev, cns, k)
-	gp := TopKGlobalPipeline(ev, cns, k)
+	gp, err := TopKGlobalPipelineCtx(context.Background(), ev, cns, k, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(naive) == 0 {
 		t.Fatalf("no results")
 	}
@@ -322,7 +326,10 @@ func TestTopKWithFewerResultsThanK(t *testing.T) {
 	ev, cns := widomEvaluator(t)
 	naive := TopKNaive(ev, cns, 50)
 	sparse := TopKSparse(ev, cns, 50)
-	gp := TopKGlobalPipeline(ev, cns, 50)
+	gp, err := TopKGlobalPipelineCtx(context.Background(), ev, cns, 50, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(naive) != len(sparse) || len(naive) != len(gp) {
 		t.Errorf("result counts differ: naive=%d sparse=%d gp=%d",
 			len(naive), len(sparse), len(gp))

@@ -38,80 +38,12 @@ func Enumerate(g *schemagraph.Graph, opts EnumerateOptions) []*CN {
 	return cns
 }
 
-// EnumerateCtx is Enumerate with cancellation checked at every frontier
-// expansion. A cancelled enumeration returns nil and ctx's error — a
-// partial CN set would silently change which answers exist, so the caller
-// gets nothing rather than a truncated search space.
+// EnumerateCtx is Enumerate with cancellation (and the fault injector's
+// enumerate stage) checked at every frontier expansion. A cancelled
+// enumeration returns nil and ctx's error — a partial CN set would
+// silently change which answers exist, so the caller gets nothing rather
+// than a truncated search space.
 func EnumerateCtx(ctx context.Context, g *schemagraph.Graph, opts EnumerateOptions) ([]*CN, error) {
-	levels, err := enumerateLevels(ctx, g, opts, opts.KeywordTables)
-	if err != nil {
-		return nil, err
-	}
-	var results []*CN
-	for _, lvl := range levels {
-		results = append(results, lvl...)
-	}
-	return results, nil
-}
-
-// Grown is one frontier expansion produced by Expand: a partial CN one
-// node larger than its parent, plus its canonical key (computed once, so
-// callers dedupe without re-canonicalizing).
-type Grown struct {
-	CN  *CN
-	Key string
-}
-
-// Expand is the enumeration primitive behind the parallel cold path
-// (internal/plan): it applies one breadth-first growth step to each
-// partial CN, returning per-partial child lists in the exact order the
-// serial enumerator would visit them — out[i] lists the one-node
-// extensions of partials[i], undeduplicated and unvalidated. Expanding
-// disjoint frontier slices concurrently and concatenating the outputs
-// in slice order therefore reproduces the serial visit order byte for
-// byte; the caller owns deduplication (by Grown.Key, first occurrence
-// wins) and validity filtering, exactly as enumerateLevels does.
-// Cancellation and the fault injector's enumerate stage are honored per
-// partial.
-func Expand(ctx context.Context, g *schemagraph.Graph, opts EnumerateOptions, partials []*CN) ([][]Grown, error) {
-	inj := resilience.From(ctx)
-	kw := map[string]bool{}
-	for _, t := range opts.KeywordTables {
-		kw[t] = true
-	}
-	free := map[string]bool{}
-	for _, t := range opts.FreeTables {
-		free[t] = true
-	}
-	out := make([][]Grown, len(partials))
-	for i, c := range partials {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := inj.At(ctx, resilience.StageEnumerate); err != nil {
-			return nil, err
-		}
-		children := growCN(g, c, kw, free)
-		gs := make([]Grown, len(children))
-		for j, child := range children {
-			gs[j] = Grown{CN: child, Key: child.Canonical()}
-		}
-		out[i] = gs
-	}
-	return out, nil
-}
-
-// Valid reports whether the CN is a complete candidate network: every
-// leaf is a keyword node. Partial CNs handed out by Expand fail this
-// until growth closes their free leaves; only valid CNs are emitted.
-func (c *CN) Valid() bool { return c.valid() }
-
-// enumerateLevels is the shared breadth-first core: grow partial CNs
-// level by level from the seed tables, deduplicate by canonical form,
-// and collect the valid CNs per size level. Cancellation (and the fault
-// injector's enumerate stage) is honored at every frontier expansion; a
-// cancelled run returns nil levels and the error.
-func enumerateLevels(ctx context.Context, g *schemagraph.Graph, opts EnumerateOptions, seeds []string) ([][]*CN, error) {
 	if opts.MaxSize <= 0 {
 		opts.MaxSize = 5
 	}
@@ -125,16 +57,14 @@ func enumerateLevels(ctx context.Context, g *schemagraph.Graph, opts EnumerateOp
 		free[t] = true
 	}
 
-	levels := make([][]*CN, opts.MaxSize)
-	emitted := 0
-	// emit records a valid CN; the caller supplies the canonical key it
-	// already computed for frontier dedupe (canonicalization is the
+	// emit records a valid CN and reports whether enumeration continues.
+	// Deduplication is the frontier's job (canonicalization is the
 	// enumeration hot spot, so it runs exactly once per grown partial).
+	var results []*CN
 	emit := func(c *CN) bool {
 		if c.valid() {
-			levels[c.Size()-1] = append(levels[c.Size()-1], c)
-			emitted++
-			if opts.MaxCNs > 0 && emitted >= opts.MaxCNs {
+			results = append(results, c)
+			if opts.MaxCNs > 0 && len(results) >= opts.MaxCNs {
 				return false
 			}
 		}
@@ -145,7 +75,7 @@ func enumerateLevels(ctx context.Context, g *schemagraph.Graph, opts EnumerateOp
 	// single keyword nodes, sorted for determinism. frontierSeen gates
 	// both the frontier and emission: every emitted CN enters the
 	// frontier, so one canonical-keyed set suffices.
-	kwTables := append([]string(nil), seeds...)
+	kwTables := append([]string(nil), opts.KeywordTables...)
 	sort.Strings(kwTables)
 	var frontier []*CN
 	frontierSeen := map[string]bool{}
@@ -159,7 +89,7 @@ func enumerateLevels(ctx context.Context, g *schemagraph.Graph, opts EnumerateOp
 		}
 		frontierSeen[c.Canonical()] = true
 		if !emit(c) {
-			return levels, nil
+			return results, nil
 		}
 		frontier = append(frontier, c)
 	}
@@ -183,7 +113,7 @@ func enumerateLevels(ctx context.Context, g *schemagraph.Graph, opts EnumerateOp
 				}
 				frontierSeen[key] = true
 				if !emit(grown) {
-					return levels, nil
+					return results, nil
 				}
 				next = append(next, grown)
 			}
@@ -193,7 +123,7 @@ func enumerateLevels(ctx context.Context, g *schemagraph.Graph, opts EnumerateOp
 			break
 		}
 	}
-	return levels, nil
+	return results, nil
 }
 
 // growCN returns all one-node extensions of c obeying the same-FK pruning

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"kwsearch/internal/invindex"
-	"kwsearch/internal/obs"
 	"kwsearch/internal/relstore"
 )
 
@@ -39,14 +38,7 @@ type Evaluator struct {
 // (normalized through the shared tokenizer), binding them through the
 // index in O(matched tuples) without a shared cache.
 func NewEvaluator(db *relstore.DB, ix *invindex.Index, terms []string) *Evaluator {
-	return NewEvaluatorTraced(db, ix, terms, nil)
-}
-
-// NewEvaluatorTraced is NewEvaluator with the binding work recorded as
-// child spans of sp (the caller's "bind" span); see Binder.BindTraced
-// for the span split. A nil sp costs nothing.
-func NewEvaluatorTraced(db *relstore.DB, ix *invindex.Index, terms []string, sp *obs.Span) *Evaluator {
-	return NewEvaluatorFrom(db, ix, bindTerms(db, ix, normalizeTerms(terms), nil, sp))
+	return NewEvaluatorFrom(db, ix, bindTerms(db, ix, normalizeTerms(terms), nil, nil))
 }
 
 // NewScanEvaluator prepares an evaluator over the full-scan reference
@@ -82,17 +74,13 @@ func (ev *Evaluator) TupleScore(tp *relstore.Tuple) float64 { return ev.src.Tupl
 // MaxNodeScore returns the best tuple score available in table's R^Q.
 func (ev *Evaluator) MaxNodeScore(table string) float64 { return ev.src.MaxNodeScore(table) }
 
-// Prewarm materializes the join lookup tables and free sets the given
+// PrewarmCtx materializes the join lookup tables and free sets the given
 // CNs will touch and seals the binding source, making subsequent
 // EvaluateCN calls read-only — required before evaluating from multiple
-// goroutines (the parallel package does this).
-func (ev *Evaluator) Prewarm(cns []*CN) {
-	_ = ev.PrewarmCtx(context.Background(), cns)
-}
-
-// PrewarmCtx is Prewarm with cancellation checked between CNs. A
-// cancelled prewarm returns ctx's error; the state built so far stays
-// valid (the next call resumes where this one stopped).
+// goroutines (exec.TopK and the parallel package do this). Cancellation
+// is checked between CNs: a cancelled prewarm returns ctx's error and
+// the state built so far stays valid (the next call resumes where this
+// one stopped).
 func (ev *Evaluator) PrewarmCtx(ctx context.Context, cns []*CN) error {
 	return ev.src.Prewarm(ctx, cns)
 }

@@ -6,7 +6,7 @@ import "kwsearch/internal/relstore"
 // the result space an Evaluator produces. A result's owner is the tuple
 // bound to its CN's node 0 — always a keyword node, because enumeration
 // seeds every CN with a single keyword node and grows it by attaching
-// (see enumerateLevels), so ownership is defined for every result under
+// (see EnumerateCtx), so ownership is defined for every result under
 // every semantics-preserving evaluation order. Each result has exactly
 // one owner, which gives partitions their load-bearing property: a
 // family of Partitions that tiles the tuple-ID space tiles the result

@@ -153,24 +153,6 @@ func (h *gpHeap) Pop() interface{} {
 	return it
 }
 
-// TopKGlobalPipeline interleaves the evaluation of all CNs: it repeatedly
-// advances the CN whose next driver tuple has the highest score upper
-// bound, producing only the joins needed to certify the top k (the Global
-// Pipeline of Hristidis et al. VLDB'03). Requires the monotone score.
-func TopKGlobalPipeline(ev *Evaluator, cns []*CN, k int) []Result {
-	return TopKGlobalPipelineTraced(ev, cns, k, nil)
-}
-
-// TopKGlobalPipelineTraced is TopKGlobalPipeline recording its work onto
-// sp (nil disables tracing): how many CNs entered the pipeline vs were
-// pruned outright (zero bound), how many driver tuples were advanced,
-// how many candidate rows the probes produced, and whether the k-th
-// score certified the answer before the heap drained.
-func TopKGlobalPipelineTraced(ev *Evaluator, cns []*CN, k int, sp *obs.Span) []Result {
-	rs, _ := TopKGlobalPipelineCtx(context.Background(), ev, cns, k, sp)
-	return rs
-}
-
 // certifiedPrefix returns the leading results whose scores strictly
 // dominate bound (epsilon-safe): exactly the prefix of the full top-k a
 // deadline-interrupted evaluation can still prove correct, because no
@@ -185,12 +167,21 @@ func certifiedPrefix(rs []Result, bound float64) []Result {
 	return rs[:i]
 }
 
-// TopKGlobalPipelineCtx is the context-first Global Pipeline:
-// cancellation and the fault injector (resilience.StagePipeline) are
+// TopKGlobalPipelineCtx interleaves the evaluation of all CNs: it
+// repeatedly advances the CN whose next driver tuple has the highest
+// score upper bound, producing only the joins needed to certify the top k
+// (the Global Pipeline of Hristidis et al. VLDB'03; slide 116 compares it
+// with TopKNaive and TopKSparse). Requires the monotone score.
+//
+// Cancellation and the fault injector (resilience.StagePipeline) are
 // checked at every driver-tuple advance. When ctx ends mid-evaluation it
 // returns the certified prefix of the top-k — the leading results whose
 // scores strictly dominate every remaining bound — together with ctx's
-// error, so callers can surface a sound partial answer.
+// error, so callers can surface a sound partial answer. sp (nil disables
+// tracing) records how many CNs entered the pipeline vs were pruned
+// outright (zero bound), how many driver tuples were advanced, how many
+// candidate rows the probes produced, and whether the k-th score
+// certified the answer before the heap drained.
 func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int, sp *obs.Span) ([]Result, error) {
 	inj := resilience.From(ctx)
 	h := &gpHeap{ev: ev}

@@ -13,7 +13,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -132,13 +131,10 @@ type Options struct {
 	// that query's Stats and Trace (trace nil unless Trace is set).
 	Observer QueryObserver
 	// Workers sets the worker-pool size for candidate-network and SLCA
-	// evaluation. 0 or 1 keeps the serial paths; >1 routes CN searches
-	// through the internal/exec cached executor and SLCA through the
-	// range-split parallel algorithm. SLCA answers are identical either
-	// way. CN scores are too, but among equal-score results at the k
-	// boundary the executor matches the exhaustive-evaluation reference
-	// order, while the serial Global Pipeline's early termination may
-	// surface a different subset of the tied results.
+	// evaluation (0 means 1). CN searches always run on the
+	// internal/exec cached executor with that many workers; SLCA uses
+	// the range-split algorithm above 1 and indexed-lookup-eager
+	// otherwise. Answers are byte-identical at every value.
 	Workers int
 }
 
@@ -212,21 +208,20 @@ type Engine struct {
 	// serve it with obs.Serve for live inspection.
 	Metrics *obs.Registry
 
-	// Exec is the concurrent cached execution layer used by CN searches
-	// when Options.Workers > 1. Populated by NewRelational.
+	// Exec is the concurrent cached execution layer every
+	// CandidateNetworks search runs on. Populated by NewRelational.
 	Exec *exec.Executor
 	// Binder is the shared keyword→tuple binding layer: R^Q sets are
 	// derived from posting lists with per-term bindings and join-column
-	// lookups cached across queries, shared between the serial CN path
-	// and the executor. Populated by NewRelational; nil on XML engines
-	// and hand-assembled engines (the serial path then falls back to a
-	// one-shot index-driven binding).
+	// lookups cached across queries, shared by the executor, the SPARK
+	// path and shard views. Populated by NewRelational; nil on XML
+	// engines.
 	Binder *cn.Binder
-	// Plans is the candidate-network plan cache, shared between the
-	// serial CN path and the executor: a query's compiled CN set depends
-	// only on the schema graph and the keyword→relation membership
-	// signature, so warm signatures skip enumeration entirely whichever
-	// path runs them. Populated by NewRelational; nil on XML engines.
+	// Plans is the candidate-network plan cache, shared the same way: a
+	// query's compiled CN set depends only on the schema graph and the
+	// keyword→relation membership signature, so warm signatures skip
+	// enumeration entirely. Populated by NewRelational; nil on XML
+	// engines.
 	Plans *plan.Cache
 	// lastExec points at an immutable snapshot of the most recent
 	// executor-backed search's stats. Each query publishes a fresh struct
@@ -238,13 +233,6 @@ type Engine struct {
 	// Response.Stats.Exec, which is never overwritten by later queries.
 	lastExec atomic.Pointer[exec.Stats]
 
-	// forceExec routes CN queries through the exec pool even at
-	// Workers <= 1. Shard views set it: at the top-k tie boundary the
-	// serial Global Pipeline may surface a different subset of
-	// equal-score results than the exhaustive reference order, and the
-	// cross-shard merge needs every shard in the reference order to stay
-	// byte-identical to the single-engine answer.
-	forceExec bool
 	// gate is the admission controller, nil unless Admit installed one.
 	gate *resilience.Gate
 	// slowlog is the tail-sampling slow-query log, nil unless SetSlowLog
@@ -294,7 +282,7 @@ func NewRelational(db *relstore.DB) *Engine {
 			e.FreeTables = append(e.FreeTables, name)
 		}
 	}
-	e.Plans = plan.New(plan.Options{Workers: runtime.GOMAXPROCS(0), Metrics: reg})
+	e.Plans = plan.New(plan.Options{Metrics: reg})
 	e.Binder = cn.NewBinder(db, ix, cn.BinderOptions{Metrics: reg})
 	e.Exec = exec.New(db, ix, exec.Options{
 		FreeTables: e.FreeTables, Metrics: reg, Plans: e.Plans, Binder: e.Binder,
@@ -315,12 +303,6 @@ func NewRelational(db *relstore.DB) *Engine {
 // The executor is private because the result cache's key carries no
 // partition identity; it reports into reg (one registry per shard gives
 // the coordinator per-shard attribution; nil gets a fresh private one).
-// Shard views force CN queries through the exec pool even at one
-// worker: among equal-score results at the k boundary the serial Global
-// Pipeline may keep a different subset of the ties than the exhaustive
-// reference order, and the cross-shard merge is byte-identical to the
-// single-engine answer only when every shard follows the reference
-// order.
 func (e *Engine) ShardView(keep cn.Partition, reg *obs.Registry) *Engine {
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -335,7 +317,6 @@ func (e *Engine) ShardView(keep cn.Partition, reg *obs.Registry) *Engine {
 		Metrics:    reg,
 		Binder:     e.Binder,
 		Plans:      e.Plans,
-		forceExec:  true,
 	}
 	sv.Exec = exec.New(e.DB, e.Index, exec.Options{
 		FreeTables: e.FreeTables,
@@ -420,95 +401,80 @@ func cnResults(rs []cn.Result) []Result {
 	return out
 }
 
+// searchCN answers a CandidateNetworks query on the exec worker pool —
+// the one evaluation path for that semantics. Workers <= 1 is a pool of
+// one worker, so the answer (ties at the k boundary included) is the
+// same at every pool size.
 func (e *Engine) searchCN(ctx context.Context, terms []string, opts Options, sp *obs.Span, st *Stats) ([]Result, error) {
 	if err := e.requireRelational(); err != nil {
 		return nil, err
 	}
-	if opts.Semantics == CandidateNetworks && (opts.Workers > 1 || e.forceExec) && e.Exec != nil {
-		lookupSpan(sp, terms, func(t string) int { return len(e.Exec.Postings(t)) })
-		rs, xst, err := e.Exec.TopK(ctx, exec.Query{
-			Terms: terms, K: opts.K, MaxCNSize: opts.MaxCNSize, Workers: opts.Workers,
-			Trace: sp,
-		})
-		snap := xst
-		e.lastExec.Store(&snap)
-		st.Exec = &xst
-		st.PlanSignature = xst.PlanKey
-		if err != nil {
-			// rs is the certified prefix (possibly empty); Query decides
-			// whether the error becomes a partial response.
-			return cnResults(rs), err
-		}
-		out := cnResults(rs)
-		rankSpan(sp, len(out))
-		return out, nil
+	workers := opts.Workers
+	if workers < 1 {
+		workers = 1
+	}
+	lookupSpan(sp, terms, func(t string) int { return len(e.Exec.Postings(t)) })
+	rs, xst, err := e.Exec.TopK(ctx, exec.Query{
+		Terms: terms, K: opts.K, MaxCNSize: opts.MaxCNSize, Workers: workers,
+		Trace: sp,
+	})
+	snap := xst
+	e.lastExec.Store(&snap)
+	st.Exec = &xst
+	st.PlanSignature = xst.PlanKey
+	if err != nil {
+		// rs is the certified prefix (possibly empty); Query decides
+		// whether the error becomes a partial response.
+		return cnResults(rs), err
+	}
+	out := cnResults(rs)
+	rankSpan(sp, len(out))
+	return out, nil
+}
+
+// searchSpark answers a SparkNetworks query: the shared binder and plan
+// cache feed SPARK's skyline sweep, whose non-monotonic score the exec
+// pool's bound pruning does not cover.
+func (e *Engine) searchSpark(ctx context.Context, terms []string, opts Options, sp *obs.Span, st *Stats) ([]Result, error) {
+	if err := e.requireRelational(); err != nil {
+		return nil, err
 	}
 	lookupSpan(sp, terms, func(t string) int { return len(e.Index.Postings(t)) })
 	bsp := sp.Child("bind")
-	var ev *cn.Evaluator
-	if e.Binder != nil {
-		ev = cn.NewEvaluatorFrom(e.DB, e.Index, e.Binder.BindTraced(terms, bsp))
-	} else {
-		// Hand-assembled engines without a binder pay a one-shot binding.
-		ev = cn.NewEvaluatorTraced(e.DB, e.Index, terms, bsp)
-	}
+	ev := cn.NewEvaluatorFrom(e.DB, e.Index, e.Binder.BindTraced(terms, bsp))
 	kwTables := ev.KeywordTables()
 	bsp.SetAttr("keyword_tables", len(kwTables))
 	bsp.End()
 	esp := sp.Child("enumerate")
-	eopts := cn.EnumerateOptions{
+	ps, planHit, err := e.Plans.Get(ctx, e.Schema, cn.EnumerateOptions{
 		MaxSize:       opts.MaxCNSize,
 		KeywordTables: kwTables,
 		FreeTables:    e.FreeTables,
-	}
-	var cns []*cn.CN
-	var err error
-	if e.Plans != nil {
-		var ps *plan.PlanSet
-		var planHit bool
-		ps, planHit, err = e.Plans.Get(ctx, e.Schema, eopts)
-		if err == nil {
-			cns = ps.CNs() // immutable, share-safe: evaluation is read-only
-			st.PlanSignature = ps.Key()
-			esp.SetAttr("plan_cached", planHit)
-		}
-	} else {
-		// Hand-assembled engines without a plan cache keep the direct path.
-		cns, err = cn.EnumerateCtx(ctx, e.Schema, eopts)
-	}
+	})
 	if err != nil {
 		esp.SetAttr("cancelled", true)
 		esp.End()
 		return nil, err
 	}
+	cns := ps.CNs() // immutable, share-safe: evaluation is read-only
+	st.PlanSignature = ps.Key()
+	esp.SetAttr("plan_cached", planHit)
 	esp.SetAttr("cns", len(cns))
 	esp.End()
-	if opts.Semantics == SparkNetworks {
-		// SPARK's skyline scorer is not context-aware; honor ctx at the
-		// stage boundary so an already-expired deadline costs nothing.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		vsp := sp.Child("evaluate")
-		scorer := spark.NewScorer(ev, e.Index)
-		rs, _ := spark.TopKSkyline(scorer, cns, opts.K)
-		vsp.SetAttr("cns", len(cns))
-		vsp.SetAttr("produced", len(rs))
-		vsp.End()
-		out := make([]Result, 0, len(rs))
-		for _, r := range rs {
-			out = append(out, Result{Score: r.SparkScore, Tuples: r.Tuples, CN: r.CN})
-		}
-		rankSpan(sp, len(out))
-		return out, nil
+	// SPARK's skyline scorer is not context-aware; honor ctx at the
+	// stage boundary so an already-expired deadline costs nothing.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	vsp := sp.Child("evaluate")
-	rs, err := cn.TopKGlobalPipelineCtx(ctx, ev, cns, opts.K, vsp)
+	rs, _ := spark.TopKSkyline(spark.NewScorer(ev, e.Index), cns, opts.K)
+	vsp.SetAttr("cns", len(cns))
+	vsp.SetAttr("produced", len(rs))
 	vsp.End()
-	if err != nil {
-		return cnResults(rs), err // certified prefix travels with the error
+	out := make([]Result, 0, len(rs))
+	for _, r := range rs {
+		out = append(out, Result{Score: r.SparkScore, Tuples: r.Tuples, CN: r.CN})
 	}
-	out := cnResults(rs)
 	rankSpan(sp, len(out))
 	return out, nil
 }

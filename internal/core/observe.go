@@ -35,8 +35,8 @@ type Stats struct {
 	Partial bool `json:"partial,omitempty"`
 	// Elapsed is the wall time of the whole pipeline.
 	Elapsed time.Duration `json:"elapsed_ns"`
-	// Exec holds the worker-pool execution stats when the query ran
-	// through internal/exec (CandidateNetworks with Workers > 1).
+	// Exec holds the worker-pool execution stats of a CandidateNetworks
+	// query (nil under every other semantics).
 	Exec *exec.Stats `json:"exec,omitempty"`
 	// PlanSignature is the plan-cache key the query compiled under
 	// (namespace + schema fingerprint + keyword→relation membership
@@ -74,8 +74,7 @@ type ShardStat struct {
 	Partial bool `json:"partial,omitempty"`
 	// Elapsed is this shard's wall time for its sub-query.
 	Elapsed time.Duration `json:"elapsed_ns"`
-	// Exec is this shard's executor stats, when its query ran through
-	// the pool (always, for shard views).
+	// Exec is this shard's executor stats.
 	Exec *exec.Stats `json:"exec,omitempty"`
 }
 
@@ -102,7 +101,7 @@ type Response struct {
 
 // Query runs one search request under ctx. Cancellation and deadlines
 // propagate into every evaluation stage (CN enumeration, the exec worker
-// pool, the serial pipelines, graph expansion, SLCA ranges):
+// pool, graph expansion, SLCA ranges):
 //
 //   - ctx cancelled → the error is returned (typically context.Canceled)
 //     and any partial work is discarded;
@@ -187,8 +186,10 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	var results []Result
 	var err error
 	switch opts.Semantics {
-	case CandidateNetworks, SparkNetworks:
+	case CandidateNetworks:
 		results, err = e.searchCN(ctx, terms, opts, root, &st)
+	case SparkNetworks:
+		results, err = e.searchSpark(ctx, terms, opts, root, &st)
 	case DistinctRoot:
 		results, err = e.searchBanks(ctx, terms, opts, root)
 	case SteinerTree:

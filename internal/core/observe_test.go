@@ -52,74 +52,56 @@ func TestQueryWithoutTraceHasNoTrace(t *testing.T) {
 	}
 }
 
-// TestTraceShapeGoldenSerial pins the exact span-tree shape of a seeded
-// serial CN query: the pipeline stages and their attribute keys must not
-// drift silently. Timings are excluded (Shape drops them), so the test
-// is deterministic.
-func TestTraceShapeGoldenSerial(t *testing.T) {
-	e := NewRelational(dataset.WidomBib())
-	resp, err := e.Query(context.Background(), Request{Query: "Widom XML", TopK: 5, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "" +
-		"query(keywords,results,semantics)\n" +
-		"  clean(cleaned,terms)\n" +
-		"  lookup(postings,terms)\n" +
-		"  bind(keyword_tables)\n" +
-		"    postings(built_terms,cached_terms,terms)\n" +
-		"    materialize(keyword_tables,matched_tuples)\n" +
-		"  enumerate(cns,plan_cached)\n" +
-		"  evaluate(certified_early,cns,driver_advances,pipelined,produced,pruned)\n" +
-		"  rank(results)\n"
-	if got := resp.Trace.Shape(); got != want {
-		t.Errorf("trace shape drifted:\n got:\n%s want:\n%s", got, want)
-	}
-}
-
-// TestTraceShapeGoldenParallel pins the shape of the executor-backed
-// path, including the per-worker child spans (the job assignment is
-// deterministic for a fixed dataset and worker count).
+// TestTraceShapeGoldenParallel pins the exact span-tree shape of a seeded CN
+// query at each pool size: the pipeline stages and their attribute keys
+// must not drift silently, and Workers 0 and 1 are the same pool of one.
+// Timings are excluded (Shape drops them) and the job assignment is
+// deterministic for a fixed dataset and worker count, so the test is too.
 func TestTraceShapeGoldenParallel(t *testing.T) {
-	e := NewRelational(dataset.WidomBib())
-	resp, err := e.Query(context.Background(), Request{Query: "Widom XML", TopK: 5, Workers: 2, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "" +
+	const head = "" +
 		"query(keywords,result_cache_hit,results,semantics)\n" +
 		"  clean(cleaned,terms)\n" +
-		"  lookup(postings,terms)\n" +
+		"  lookup(postings,terms)\n"
+	const stages = "" +
 		"  bind(keyword_tables)\n" +
 		"    postings(built_terms,cached_terms,terms)\n" +
 		"    materialize(keyword_tables,matched_tuples)\n" +
 		"  enumerate(cns,plan_cached)\n" +
-		"  evaluate(evaluated,prefix_reuses,skipped,workers)\n" +
-		"    worker-0(busy,evaluated,idle,jobs,prefix_reuses,skipped)\n" +
-		"    worker-1(busy,evaluated,idle,jobs,prefix_reuses,skipped)\n" +
-		"  rank(results)\n"
-	if got := resp.Trace.Shape(); got != want {
-		t.Errorf("trace shape drifted:\n got:\n%s want:\n%s", got, want)
-	}
-	if st := resp.Stats.Exec; st == nil {
-		t.Fatal("exec stats missing on executor path")
-	} else if len(st.WorkerBusy) != len(st.JobsPerWorker) || len(st.SkippedPerWorker) != len(st.JobsPerWorker) {
-		t.Fatalf("per-worker stats misaligned: %+v", st)
-	}
+		"  evaluate(evaluated,prefix_reuses,skipped,workers)\n"
+	const worker = "(busy,evaluated,idle,jobs,prefix_reuses,skipped)\n"
+	const tail = "  rank(results)\n"
+	for _, tc := range []struct {
+		workers int
+		spans   string
+	}{
+		{0, "    worker-0" + worker},
+		{1, "    worker-0" + worker},
+		{2, "    worker-0" + worker + "    worker-1" + worker},
+	} {
+		e := NewRelational(dataset.WidomBib())
+		req := Request{Query: "Widom XML", TopK: 5, Workers: tc.workers, Trace: true}
+		resp, err := e.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := resp.Trace.Shape(), head+stages+tc.spans+tail; got != want {
+			t.Errorf("workers=%d: trace shape drifted:\n got:\n%s want:\n%s", tc.workers, got, want)
+		}
+		if st := resp.Stats.Exec; st == nil {
+			t.Fatalf("workers=%d: exec stats missing", tc.workers)
+		} else if len(st.WorkerBusy) != len(st.JobsPerWorker) || len(st.SkippedPerWorker) != len(st.JobsPerWorker) {
+			t.Fatalf("workers=%d: per-worker stats misaligned: %+v", tc.workers, st)
+		}
 
-	// A repeat of the same query hits the result cache: the trace shrinks
-	// to the stages that actually ran.
-	resp2, err := e.Query(context.Background(), Request{Query: "Widom XML", TopK: 5, Workers: 2, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want2 := "" +
-		"query(keywords,result_cache_hit,results,semantics)\n" +
-		"  clean(cleaned,terms)\n" +
-		"  lookup(postings,terms)\n" +
-		"  rank(results)\n"
-	if got := resp2.Trace.Shape(); got != want2 {
-		t.Errorf("cached trace shape drifted:\n got:\n%s want:\n%s", got, want2)
+		// A repeat of the same query hits the result cache: the trace
+		// shrinks to the stages that actually ran.
+		resp2, err := e.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := resp2.Trace.Shape(), head+tail; got != want {
+			t.Errorf("workers=%d: cached trace shape drifted:\n got:\n%s want:\n%s", tc.workers, got, want)
+		}
 	}
 }
 

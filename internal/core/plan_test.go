@@ -45,7 +45,11 @@ func TestEnginePlanCacheWired(t *testing.T) {
 
 // TestSetPlanNamespaceIsolates: after re-namespacing, previously compiled
 // plans are invisible (a tenant can never read another tenant's plans),
-// so the same signature compiles again under the new namespace.
+// so the same signature compiles again under the new namespace. The
+// second query is a different one with the same {author, paper}
+// signature: a repeat would be answered by the result cache (whose key
+// rightly carries no namespace — the data is the same) before reaching
+// the plan cache.
 func TestSetPlanNamespaceIsolates(t *testing.T) {
 	e := NewRelational(dataset.DBLP(dataset.DefaultDBLPConfig()))
 	if _, err := e.Query(context.Background(), Request{Query: "wang search", TopK: 5}); err != nil {
@@ -57,7 +61,7 @@ func TestSetPlanNamespaceIsolates(t *testing.T) {
 	if got := e.Plans.Namespace(); got != "tenant-b" {
 		t.Fatalf("Namespace() = %q, want tenant-b", got)
 	}
-	if _, err := e.Query(context.Background(), Request{Query: "wang search", TopK: 5}); err != nil {
+	if _, err := e.Query(context.Background(), Request{Query: "chen database", TopK: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if e.Plans.Builds() != builds+1 {

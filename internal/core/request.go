@@ -54,7 +54,7 @@ type Request struct {
 	// set, rather than an error.
 	Deadline time.Duration
 	// Workers sets the worker-pool size for candidate-network and SLCA
-	// evaluation; see Options.Workers for the serial/parallel semantics.
+	// evaluation (0 means 1); see Options.Workers.
 	Workers int
 	// Trace enables per-query span collection (Response.Trace).
 	Trace bool
@@ -111,9 +111,7 @@ func (e *Engine) SetPlanNamespace(ns string) {
 		return
 	}
 	e.Plans = e.Plans.WithNamespace(ns)
-	if e.Exec != nil {
-		e.Exec.SetPlans(e.Plans)
-	}
+	e.Exec.SetPlans(e.Plans)
 }
 
 func badQuery(msg string) error {

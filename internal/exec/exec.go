@@ -51,9 +51,8 @@ type Options struct {
 	CacheShards int
 	// Plans is the candidate-network plan cache consulted before
 	// enumeration. Leave nil to have the executor build a private one
-	// (PlanCacheSize entries, cold compilation parallelized across
-	// Workers); core.NewRelational passes a cache shared with the
-	// engine's serial path so both hit the same compiled plans.
+	// (PlanCacheSize entries); core.NewRelational passes the engine's
+	// cache, which its SPARK path and shard views share.
 	Plans *plan.Cache
 	// PlanCacheSize bounds the private plan cache built when Plans is
 	// nil (0 = 128).
@@ -62,8 +61,8 @@ type Options struct {
 	// into R^Q tuple sets from posting lists, caching per-term bindings
 	// and join lookups across queries. Leave nil to have the executor
 	// build a private one (BindCacheSize terms); core.NewRelational
-	// passes a binder shared with the engine's serial path so both hit
-	// the same term bindings.
+	// passes the engine's binder, which its SPARK path and shard views
+	// share.
 	Binder *cn.Binder
 	// BindCacheSize bounds the private binder's per-term cache built
 	// when Binder is nil (0 = 1024).
@@ -107,7 +106,8 @@ type Query struct {
 	// MaxCNSize bounds candidate-network size (<=0 means 5).
 	MaxCNSize int
 	// Workers overrides the executor's pool size for this query (0 =
-	// executor default, 1 = serial in-process).
+	// executor default). TopK never runs more workers than the query has
+	// candidate networks; the answer is the same at every size.
 	Workers int
 	// Trace, when non-nil, receives child spans for the execution stages
 	// (enumerate, evaluate with one child per pool worker) plus attributes
@@ -226,7 +226,6 @@ func New(db *relstore.DB, ix *invindex.Index, opts Options) *Executor {
 		x.plans = plan.New(plan.Options{
 			Size:    opts.PlanCacheSize,
 			Shards:  opts.CacheShards,
-			Workers: opts.Workers,
 			Metrics: opts.Metrics,
 		})
 	}
@@ -395,9 +394,8 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	st.BindTermsBuilt = binding.TermsBuilt()
 
 	// The enumerate stage goes through the plan cache: warm signatures
-	// skip enumeration entirely, cold ones compile (in parallel when the
-	// cache was built with Workers > 1) and are cached for every later
-	// query with the same schema + membership signature.
+	// skip enumeration entirely, cold ones compile and are cached for
+	// every later query with the same schema + membership signature.
 	esp := sp.Child("enumerate")
 	ps, planHit, err := x.plans.Get(ctx, x.sg, cn.EnumerateOptions{
 		MaxSize:       q.MaxCNSize,
@@ -425,6 +423,13 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	jobs := make([]parallel.Job, len(cns))
 	for i, c := range cns {
 		jobs[i] = parallel.Decompose(c, ev)
+	}
+	// Workers beyond the job count would only ever hold empty slots, and
+	// the value arrives unvalidated from outside (POST /query "workers"):
+	// Assign and runPool size per-worker slices by it.
+	if q.Workers > len(jobs) {
+		q.Workers = len(jobs)
+		st.Workers = q.Workers
 	}
 	assignment := parallel.Assign(jobs, q.Workers)
 	for _, js := range assignment.Jobs {

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -241,5 +242,48 @@ func TestStatsShape(t *testing.T) {
 	postings, _ := x.CacheStats()
 	if postings.Entries == 0 {
 		t.Error("posting cache empty after a query")
+	}
+}
+
+// TestWorkersClampedToJobs: Query.Workers arrives unvalidated from
+// outside (POST /query "workers"), and parallel.Assign and runPool size
+// per-worker slices and maps by it, so TopK caps the pool at the number
+// of CN jobs — workers beyond that only ever hold empty slots. An absurd
+// pool size must return the byte-identical answer for about the memory
+// of a small pool. K exceeds the result count so every CN is evaluated
+// at every pool size (with pruning live, how many CNs a wide pool
+// evaluates before the k-th score exists depends on scheduling, and the
+// bytes with it). The sizes run in ascending order and the first
+// failure stops the test, so a regression fails at 1<<20 (≈360 MB
+// unclamped) and never reaches 1<<30.
+func TestWorkersClampedToJobs(t *testing.T) {
+	x := newTestExecutor(2)
+	q := Query{Terms: []string{"wang", "search"}, K: 1 << 20, MaxCNSize: 5}
+	want := renderResults(x.TopKSerial(q))
+	run := func(workers int) uint64 {
+		t.Helper()
+		x.InvalidateResults() // evaluate, don't replay the result cache
+		q.Workers = workers
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rs, st, err := x.TopK(context.Background(), q)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := renderResults(rs); got != want {
+			t.Fatalf("workers=%d: answer differs from serial\ngot:\n%swant:\n%s", workers, got, want)
+		}
+		if st.Workers > st.CNs || len(st.JobsPerWorker) != st.Workers {
+			t.Fatalf("workers=%d: pool of %d (%d job buckets) for %d CNs", workers, st.Workers, len(st.JobsPerWorker), st.CNs)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run(2) // warm the binder and plan cache out of the measurement
+	base := run(2)
+	for _, workers := range []int{1 << 20, 1 << 30} {
+		if got := run(workers); got > 2*base {
+			t.Fatalf("workers=%d allocated %d bytes, more than 2x the %d of workers=2", workers, got, base)
+		}
 	}
 }

@@ -7,6 +7,7 @@
 package parallel
 
 import (
+	"context"
 	"sort"
 	"sync"
 
@@ -188,7 +189,7 @@ func ExecuteDataParallel(ev *cn.Evaluator, jobs []Job, workers int) []cn.Result 
 	for _, j := range jobs {
 		all = append(all, j.CN)
 	}
-	ev.Prewarm(all)
+	_ = ev.PrewarmCtx(context.TODO(), all) // never cancelled: no error
 
 	var mu sync.Mutex
 	var out []cn.Result
@@ -239,7 +240,7 @@ func Execute(ev *cn.Evaluator, a Assignment) []cn.Result {
 			all = append(all, j.CN)
 		}
 	}
-	ev.Prewarm(all) // evaluation is read-only afterwards
+	_ = ev.PrewarmCtx(context.TODO(), all) // never cancelled: no error; evaluation is read-only afterwards
 	var mu sync.Mutex
 	var out []cn.Result
 	var wg sync.WaitGroup

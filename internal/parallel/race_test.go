@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -65,7 +66,9 @@ func TestConcurrentEvaluationAfterPrewarm(t *testing.T) {
 		t.Skip("stress test; skipped in -short")
 	}
 	ev, jobs, cns := setup(t)
-	ev.Prewarm(cns)
+	if err := ev.PrewarmCtx(context.Background(), cns); err != nil {
+		t.Fatal(err)
+	}
 
 	want := 0
 	for _, c := range cns {

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"kwsearch/internal/cn"
@@ -33,7 +32,7 @@ func dblpOpts() cn.EnumerateOptions {
 // instead of full enumeration.
 func BenchmarkPlanCacheWarm(b *testing.B) {
 	g := dblpGraph(b)
-	c := New(Options{Workers: 4})
+	c := New(Options{})
 	if _, _, err := c.Get(context.Background(), g, dblpOpts()); err != nil {
 		b.Fatal(err)
 	}
@@ -51,7 +50,7 @@ func BenchmarkPlanCacheWarm(b *testing.B) {
 // or first-seen signature pays.
 func BenchmarkPlanCacheCold(b *testing.B) {
 	g := dblpGraph(b)
-	c := New(Options{Workers: 4})
+	c := New(Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Invalidate()
@@ -61,25 +60,14 @@ func BenchmarkPlanCacheCold(b *testing.B) {
 	}
 }
 
-// BenchmarkEnumerate compares serial cn.EnumerateCtx against the
-// frontier-partitioned parallel cold path at several pool sizes.
+// BenchmarkEnumerate measures cn.EnumerateCtx alone, the work a cold
+// Get adds to the hit path.
 func BenchmarkEnumerate(b *testing.B) {
 	g := dblpGraph(b)
 	opts := dblpOpts()
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cn.EnumerateCtx(context.Background(), g, opts); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		if _, err := cn.EnumerateCtx(context.Background(), g, opts); err != nil {
+			b.Fatal(err)
 		}
-	})
-	for _, w := range []int{2, 3, 4} {
-		b.Run(fmt.Sprintf("parallel-%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := EnumerateParallel(context.Background(), g, opts, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -15,9 +15,7 @@
 // already guards this; the generation bump is the belt to that
 // suspender), and the namespace prefix keeps the cache per-tenant ready
 // without per-tenant capacity bookkeeping. Cold signatures are compiled
-// by EnumerateParallel, which partitions the breadth-first frontier by
-// root keyword table across a worker pool and merges byte-identically
-// to serial enumeration.
+// by cn.EnumerateCtx.
 package plan
 
 import (
@@ -39,10 +37,6 @@ type Options struct {
 	Size int
 	// Shards stripes the underlying LRU (0 = 8).
 	Shards int
-	// Workers is the cold-path enumeration pool size (0 = 1, serial).
-	// Parallel compilation only engages when a signature has at least
-	// two seed keyword tables to partition.
-	Workers int
 	// Namespace prefixes every key, isolating tenants that share one
 	// cache (and its capacity). Empty is the default namespace.
 	Namespace string
@@ -58,9 +52,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Shards <= 0 {
 		o.Shards = 8
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
 	}
 	return o
 }
@@ -204,7 +195,7 @@ func (c *Cache) Get(ctx context.Context, g *schemagraph.Graph, opts cn.Enumerate
 		return ps, true, nil
 	}
 	start := time.Now()
-	cns, err := EnumerateParallel(ctx, g, opts, c.opts.Workers)
+	cns, err := cn.EnumerateCtx(ctx, g, opts)
 	if err != nil {
 		return nil, false, err
 	}

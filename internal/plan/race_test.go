@@ -11,14 +11,13 @@ import (
 // TestConcurrentGetStress hammers one cache from many goroutines with
 // overlapping signatures, namespaces and interleaved invalidations —
 // meaningful under -race, where it guards the share-safe PlanSet
-// contract (one *PlanSet handed to many readers at once) and the
-// parallel cold path's disjoint-slot writes.
+// contract (one *PlanSet handed to many readers at once).
 func TestConcurrentGetStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short mode")
 	}
 	g := awpGraph(t)
-	c := New(Options{Workers: 4, Size: 16})
+	c := New(Options{Size: 16})
 	sigs := []cn.EnumerateOptions{
 		{MaxSize: 5, KeywordTables: []string{"author", "paper"}, FreeTables: []string{"write"}},
 		{MaxSize: 5, KeywordTables: []string{"author", "paper"}, FreeTables: []string{"write", "author", "paper"}},

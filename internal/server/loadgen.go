@@ -45,7 +45,7 @@ type SelfCheckConfig struct {
 	// Workload is the query mix, issued round-robin (default
 	// DBLPWorkload, which assumes the synthetic DBLP dataset).
 	Workload []QueryRequest
-	// HeavyQuery is the deadline-partial probe: a query whose serial
+	// HeavyQuery is the deadline-partial probe: a query whose
 	// evaluation takes far longer than its deadline, so the server must
 	// answer 200 with "partial": true and a certified prefix. The
 	// default assumes the synthetic DBLP dataset.

@@ -36,7 +36,8 @@ const statusClientClosedRequest = 499
 // Options tunes the server. The zero value is a working configuration.
 type Options struct {
 	// DefaultWorkers is the worker-pool size applied to requests that do
-	// not set "workers" themselves (0 = serial evaluation).
+	// not set "workers" themselves (0 means 1; CN answers are identical
+	// at every size).
 	DefaultWorkers int
 	// DefaultDeadline is applied to requests without "deadline_ms"
 	// (0 = no deadline).

@@ -22,6 +22,9 @@ go build ./...
 echo "==> go test ./..."
 go test $short ./...
 
+echo "==> bench module: go vet + go test (nested module, invisible to root ./...)"
+(cd bench && go vet ./... && go test $short ./...)
+
 echo "==> go test -race (concurrency-bearing packages)"
 go test -race $short ./internal/parallel/... ./internal/stream/... ./internal/cn/... \
     ./internal/cache/... ./internal/exec/... ./internal/lca/... ./internal/obs/... \
@@ -30,12 +33,6 @@ go test -race $short ./internal/parallel/... ./internal/stream/... ./internal/cn
 
 echo "==> observability overhead gate (E38 budget: 5%)"
 go run ./cmd/benchrunner -obs-overhead
-
-echo "==> warm bind share gate (E39 budget: 35%)"
-go run ./cmd/benchrunner -bind-gate
-
-echo "==> shard identity gate (E40: coordinator answers byte-identical to single engine)"
-go run ./cmd/benchrunner -shard-gate
 
 echo "==> kwslint -json ./... (report: kwslint.json)"
 go run ./cmd/kwslint -json ./... > kwslint.json
