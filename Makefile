@@ -15,7 +15,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/parallel/... ./internal/stream/... ./internal/cn/... \
+	go test -race ./internal/parallel/... ./internal/cn/... \
 		./internal/cache/... ./internal/exec/... ./internal/lca/... ./internal/obs/... \
 		./internal/resilience/... ./internal/core/... ./internal/server/... \
 		./internal/analysis/... ./internal/plan/... ./internal/shard/...

@@ -75,7 +75,7 @@ func run() int {
 	admit := flag.Int("admit", 8, "admission-control concurrency limit (0 = off)")
 	admitQueue := flag.Int("admit-queue", 16, "bounded admission queue depth used with -admit")
 	workers := flag.Int("workers", 1, "default worker-pool size for queries that don't set one")
-	shards := flag.Int("shards", 0, "shard the engine N ways and serve through the scatter-gather coordinator (0/1 = single engine; relational datasets only)")
+	shards := flag.Int("shards", 0, "split every candidate network into N owner-hash slices on the worker pool (0/1 = unsliced; relational datasets only)")
 	deadline := flag.Duration("deadline", 0, "default per-query time budget for queries that don't set one (0 = none)")
 	maxDeadline := flag.Duration("max-deadline", time.Minute, "ceiling clamped onto any requested per-query deadline (0 = no ceiling)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-drain budget after SIGTERM/SIGINT")
@@ -92,8 +92,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	// The serving seam is core.Searcher: a bare engine, or the
-	// scatter-gather coordinator over N shard views of it.
+	// The serving seam is core.Searcher: a bare engine, or the same
+	// engine behind a coordinator stamping the slice count.
 	var searcher core.Searcher = engine
 	if *shards > 1 {
 		coord, err := shard.New(engine, shard.Options{Shards: *shards})
@@ -132,7 +132,7 @@ func run() int {
 		return 1
 	}
 	if *shards > 1 {
-		fmt.Fprintf(os.Stderr, "kwsd: serving %s over %d shards on http://%s (POST /query, /batch; GET /healthz, /metrics)\n", *data, *shards, srv.Addr())
+		fmt.Fprintf(os.Stderr, "kwsd: serving %s in %d owner-hash slices on http://%s (POST /query, /batch; GET /healthz, /metrics)\n", *data, *shards, srv.Addr())
 	} else {
 		fmt.Fprintf(os.Stderr, "kwsd: serving %s on http://%s (POST /query, /batch; GET /healthz, /metrics)\n", *data, srv.Addr())
 	}

@@ -50,7 +50,7 @@ func main() {
 	doClean := flag.Bool("clean", false, "run noisy-channel query cleaning first")
 	snip := flag.Bool("snippets", false, "print snippets for XML results")
 	workers := flag.Int("workers", 1, "worker-pool size for cn/slca evaluation (answers are identical at every size)")
-	shards := flag.Int("shards", 0, "shard the engine N ways and answer through the scatter-gather coordinator (0/1 = single engine; relational datasets only)")
+	shards := flag.Int("shards", 0, "split every candidate network into N owner-hash slices on the worker pool (0/1 = unsliced; relational datasets only)")
 	deadline := flag.Duration("deadline", 0, "per-query time budget (0 = none); an expiring deadline returns the partial answer certified so far")
 	admit := flag.Int("admit", 0, "admission-control concurrency limit (0 = off; relevant with -serve under external load)")
 	admitQueue := flag.Int("admit-queue", 0, "bounded admission queue depth used with -admit")
@@ -75,8 +75,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// The searcher seam: a bare engine, or the scatter-gather coordinator
-	// over N shard views of it — every later step is identical.
+	// The searcher seam: a bare engine, or the same engine behind a
+	// coordinator stamping the slice count — every later step is identical.
 	var searcher core.Searcher = engine
 	if *shards > 1 {
 		coord, err := shard.New(engine, shard.Options{Shards: *shards})
@@ -268,13 +268,6 @@ func printText(reg *obs.Registry, resp *core.Response, snip, trace, stats bool) 
 		fmt.Printf("\ntrace (%s total):\n%s", resp.Stats.Elapsed, resp.Trace)
 	}
 	if stats {
-		if len(resp.Stats.Shards) > 0 {
-			fmt.Printf("\nsharding: %d shards, merge overhead %s\n", len(resp.Stats.Shards), resp.Stats.Merge)
-			for _, sh := range resp.Stats.Shards {
-				fmt.Printf("shard %d: results=%d pulled=%d partial=%v elapsed=%s\n",
-					sh.Shard, sh.Results, sh.Pulled, sh.Partial, sh.Elapsed)
-			}
-		}
 		if st := resp.Stats.Exec; st != nil {
 			fmt.Printf("\nexec: workers=%d cns=%d evaluated=%d skipped=%d prefix-reuses=%d result-cache-hit=%v plan-cache-hit=%v\n",
 				st.Workers, st.CNs, st.Evaluated, st.Skipped, st.PrefixReuses, st.ResultCacheHit, st.PlanCacheHit)

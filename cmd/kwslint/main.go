@@ -4,11 +4,10 @@
 //
 // Usage:
 //
-//	kwslint [-rules] [-json] [-fix] [-j N] [packages...]
+//	kwslint [-rules] [-json] [-fix] [packages...]
 //
 // Each package argument is a directory or a dir/... pattern; the default
-// is ./... from the current directory. Packages are analyzed in parallel
-// (-j caps the workers, default GOMAXPROCS). Diagnostics print one per
+// is ./... from the current directory. Diagnostics print one per
 // line as path:line:col: message (rule). A finding is suppressed by a
 // `//lint:ignore rule reason` comment on the same line or the line
 // directly above it.
@@ -57,7 +56,6 @@ func main() {
 	listRules := flag.Bool("rules", false, "list the rules and exit")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report on stdout")
 	applyFix := flag.Bool("fix", false, "apply suggested fixes in place, then re-analyze")
-	workers := flag.Int("j", 0, "max packages analyzed in parallel (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	ruleSet := rules.Default()
@@ -90,7 +88,7 @@ func main() {
 
 	ctx := context.Background()
 	start := time.Now()
-	results := analysis.AnalyzeDirs(ctx, ".", dirs, ruleSet, *workers)
+	results := analysis.AnalyzeDirs(ctx, ".", dirs, ruleSet)
 
 	fixedEdits := 0
 	if *applyFix {
@@ -112,7 +110,7 @@ func main() {
 		}
 		// Report against the repaired tree: fixed findings disappear,
 		// anything a fix could not address (or newly exposed) remains.
-		results = analysis.AnalyzeDirs(ctx, ".", dirs, ruleSet, *workers)
+		results = analysis.AnalyzeDirs(ctx, ".", dirs, ruleSet)
 	}
 
 	cwd, _ := os.Getwd()

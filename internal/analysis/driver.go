@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"context"
-	"runtime"
-	"sync"
-)
+import "context"
 
 // DirResult is the outcome of analyzing one package directory.
 type DirResult struct {
@@ -19,75 +15,32 @@ type DirResult struct {
 	Err error
 }
 
-// AnalyzeDirs loads and lints the given package directories with up to
-// workers goroutines and returns one result per directory, in input
-// order regardless of completion order, so output stays deterministic.
-//
-// Each worker owns a private Loader rooted at root: the stdlib loader's
-// import cache and file set are not safe for concurrent use, and
-// duplicating them per worker keeps packages fully independent — the
-// small redundant stdlib re-check is paid in parallel and is far smaller
-// than the per-package parse+typecheck it buys back. A cancelled ctx
-// stops scheduling new directories; directories never analyzed report
+// AnalyzeDirs loads and lints the given package directories one after
+// another through a single Loader rooted at root, so imports shared
+// between packages are type-checked once, and returns one result per
+// directory in input order. A load failure (the loader's included) is
+// reported on the directory it hit and does not stop the others; a
+// cancelled ctx stops the loop, and directories never analyzed report
 // ctx.Err().
-func AnalyzeDirs(ctx context.Context, root string, dirs []string, rules []Rule, workers int) []DirResult {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(dirs) {
-		workers = len(dirs)
-	}
+func AnalyzeDirs(ctx context.Context, root string, dirs []string, rules []Rule) []DirResult {
 	results := make([]DirResult, len(dirs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ld *Loader
-			for i := range jobs {
-				res := DirResult{Dir: dirs[i]}
-				if err := ctx.Err(); err != nil {
-					res.Err = err
-					results[i] = res
-					continue
-				}
-				if ld == nil {
-					l, err := NewLoader(root)
-					if err != nil {
-						res.Err = err
-						results[i] = res
-						continue
-					}
-					ld = l
-				}
-				pkg, err := ld.LoadDir(dirs[i])
-				if err != nil {
-					res.Err = err
-					results[i] = res
-					continue
-				}
-				res.Path = pkg.Path
-				res.Diags = Run(pkg, rules)
-				results[i] = res
-			}
-		}()
-	}
-	for i := range dirs {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			// Workers are parked on the jobs channel, not mid-package:
-			// stop feeding and mark everything unscheduled as cancelled.
-			for j := i; j < len(dirs); j++ {
-				results[j] = DirResult{Dir: dirs[j], Err: ctx.Err()}
-			}
-			close(jobs)
-			wg.Wait()
-			return results
+	ld, ldErr := NewLoader(root)
+	for i, dir := range dirs {
+		res := &results[i]
+		res.Dir = dir
+		if res.Err = ctx.Err(); res.Err != nil {
+			continue
 		}
+		if res.Err = ldErr; res.Err != nil {
+			continue
+		}
+		pkg, err := ld.LoadDir(dir)
+		if err != nil {
+			res.Err = err
+			continue
+		}
+		res.Path = pkg.Path
+		res.Diags = Run(pkg, rules)
 	}
-	close(jobs)
-	wg.Wait()
 	return results
 }

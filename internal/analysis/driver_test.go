@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -29,58 +28,14 @@ func driverModule(t testing.TB, n int) (string, []string) {
 	return root, dirs
 }
 
-// flattenMessages projects results to comparable (dir, diagnostics)
-// shape, dropping absolute positions.
-func flattenMessages(results []DirResult) [][]string {
-	out := make([][]string, len(results))
-	for i, r := range results {
-		msgs := []string{}
-		for _, d := range r.Diags {
-			msgs = append(msgs, fmt.Sprintf("%s:%d %s", filepath.Base(d.Pos.Filename), d.Pos.Line, d.Message))
-		}
-		out[i] = msgs
-	}
-	return out
-}
-
-// TestAnalyzeDirsParallelMatchesSerial pins the driver's core contract:
-// parallel workers with private loaders produce exactly the serial
-// result, in input order, regardless of completion order. Run under
-// -race this also exercises the per-worker isolation for real.
-func TestAnalyzeDirsParallelMatchesSerial(t *testing.T) {
-	root, dirs := driverModule(t, 9)
-	rule := []Rule{renameRule{from: "speling", to: "spelling"}}
-	ctx := context.Background()
-
-	serial := AnalyzeDirs(ctx, root, dirs, rule, 1)
-	parallel := AnalyzeDirs(ctx, root, dirs, rule, 4)
-
-	if len(serial) != len(dirs) || len(parallel) != len(dirs) {
-		t.Fatalf("result counts: serial %d, parallel %d, want %d", len(serial), len(parallel), len(dirs))
-	}
-	for i := range dirs {
-		if serial[i].Dir != dirs[i] || parallel[i].Dir != dirs[i] {
-			t.Fatalf("result %d out of input order: serial %s, parallel %s, want %s", i, serial[i].Dir, parallel[i].Dir, dirs[i])
-		}
-	}
-	if s, p := flattenMessages(serial), flattenMessages(parallel); !reflect.DeepEqual(s, p) {
-		t.Fatalf("parallel diagnostics diverge from serial:\nserial:   %v\nparallel: %v", s, p)
-	}
-	// Odd packages have two violations, even ones one: spot-check the
-	// diagnostics actually carry content.
-	if n := len(serial[1].Diags); n != 2 {
-		t.Fatalf("p1: got %d diagnostics, want 2", n)
-	}
-}
-
 // TestAnalyzeDirsLoadErrorIsPerDirectory: one broken package must not
-// poison its siblings.
+// poison its siblings, and results come back in input order.
 func TestAnalyzeDirsLoadErrorIsPerDirectory(t *testing.T) {
 	root, dirs := driverModule(t, 3)
 	brokenRoot := writeTestModule(t, map[string]string{"broken/b.go": "package broken\n\nfunc { nope\n"})
 	dirs = append(dirs, filepath.Join(brokenRoot, "broken"))
 
-	results := AnalyzeDirs(context.Background(), root, dirs, []Rule{renameRule{from: "speling", to: "spelling"}}, 2)
+	results := AnalyzeDirs(context.Background(), root, dirs, []Rule{renameRule{from: "speling", to: "spelling"}})
 	for i := 0; i < 3; i++ {
 		if results[i].Err != nil {
 			t.Errorf("healthy dir %s reported error: %v", dirs[i], results[i].Err)
@@ -92,6 +47,11 @@ func TestAnalyzeDirsLoadErrorIsPerDirectory(t *testing.T) {
 	if results[3].Err == nil {
 		t.Error("broken dir reported no error")
 	}
+	for i := range dirs {
+		if results[i].Dir != dirs[i] {
+			t.Errorf("result %d is for %s, want %s", i, results[i].Dir, dirs[i])
+		}
+	}
 }
 
 // TestAnalyzeDirsCancelledContext: a cancelled context stops scheduling;
@@ -102,7 +62,7 @@ func TestAnalyzeDirsCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	results := AnalyzeDirs(ctx, root, dirs, []Rule{renameRule{from: "speling", to: "spelling"}}, 2)
+	results := AnalyzeDirs(ctx, root, dirs, []Rule{renameRule{from: "speling", to: "spelling"}})
 	if len(results) != len(dirs) {
 		t.Fatalf("got %d results, want %d", len(results), len(dirs))
 	}

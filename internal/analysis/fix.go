@@ -11,9 +11,8 @@ import (
 // TextEdit is one byte-range replacement inside a single file: the
 // source in [Pos, End) is replaced by NewText. Pos == End inserts.
 // Rules build edits with token.Pos values; the framework resolves them
-// to file offsets when the diagnostic is reported, so fixes survive
-// crossing FileSet boundaries (the parallel driver gives every worker
-// its own FileSet).
+// to file offsets when the diagnostic is reported, so applying a fix
+// needs no access to the FileSet of the Loader that produced it.
 type TextEdit struct {
 	Pos     token.Pos
 	End     token.Pos

@@ -29,7 +29,7 @@ type Evaluator struct {
 	Terms []string
 
 	src BindSource
-	// keep, when non-nil, restricts evaluation to results whose owner
+	// keep, when non-nil, restricts EvaluatePrefix to bindings whose owner
 	// tuple (CN node 0's binding) it admits; see Restrict in partition.go.
 	keep Partition
 }
@@ -229,12 +229,6 @@ func (ev *Evaluator) evaluateFiltered(c *CN, fixed map[int]*relstore.Tuple) []Re
 				}
 				cands = kept
 			}
-		}
-		if node == 0 {
-			// The owner filter applies wherever node 0 lands in the BFS
-			// order — including fixed bindings, so a driver tuple outside
-			// the partition produces nothing here.
-			cands = ev.filterOwned(cands)
 		}
 		for _, tp := range cands {
 			if containsTuple(binding, tp) {

@@ -62,9 +62,10 @@ func (ev *Evaluator) EvaluatePrefix(c *CN, prior [][]*relstore.Tuple, n int) [][
 	if m == 0 {
 		bindings = nil
 		// The owner filter cuts the partition here, at the root of the
-		// prefix tree: every binding grown below it inherits the node-0
-		// restriction (prior bindings arriving with m > 0 were already
-		// filtered the same way when their first level was built).
+		// prefix tree — its only site: every binding grown below it
+		// inherits the node-0 restriction (prior bindings arriving with
+		// m > 0 were already filtered the same way when their first level
+		// was built).
 		for _, tp := range ev.filterOwned(ev.nodeSet(c.Nodes[0])) {
 			bindings = append(bindings, []*relstore.Tuple{tp})
 		}

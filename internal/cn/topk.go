@@ -24,10 +24,7 @@ func SortResults(rs []Result) {
 }
 
 // Less is SortResults' comparator as a standalone strict weak order —
-// the total order every top-k list in the system follows. The sharding
-// coordinator's cross-shard merge uses it directly: per-shard lists
-// arrive already in this order, so merging by Less reproduces the
-// sorted concatenation exactly.
+// the total order every top-k list in the system follows.
 func Less(a, b Result) bool {
 	if !fmath.Eq(a.Score, b.Score) {
 		return a.Score > b.Score
@@ -153,15 +150,22 @@ func (h *gpHeap) Pop() interface{} {
 	return it
 }
 
-// certifiedPrefix returns the leading results whose scores strictly
-// dominate bound (epsilon-safe): exactly the prefix of the full top-k a
-// deadline-interrupted evaluation can still prove correct, because no
-// unevaluated work can reach those scores. Results tied with bound are
-// dropped — a remaining CN could produce an equal-score twin that the
-// deterministic total order would rank ahead of them.
-func certifiedPrefix(rs []Result, bound float64) []Result {
+// Dominates reports score > bound by a genuine margin (epsilon-safe):
+// only then is dropping work bounded by bound provably harmless, ties
+// included.
+func Dominates(score, bound float64) bool {
+	return score > bound && !fmath.Eq(score, bound)
+}
+
+// CertifiedPrefix returns the leading results whose scores strictly
+// dominate bound: exactly the prefix of the full top-k an interrupted
+// evaluation can still prove correct when bound caps every score the
+// unevaluated work could reach. Results tied with bound are dropped — a
+// remaining CN could produce an equal-score twin that the deterministic
+// total order would rank ahead of them.
+func CertifiedPrefix(rs []Result, bound float64) []Result {
 	i := 0
-	for i < len(rs) && rs[i].Score > bound && !fmath.Eq(rs[i].Score, bound) {
+	for i < len(rs) && Dominates(rs[i].Score, bound) {
 		i++
 	}
 	return rs[:i]
@@ -197,14 +201,7 @@ func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int,
 				driver = n
 			}
 		}
-		src := ev.KeywordSet(c.Nodes[driver].Table)
-		if driver == 0 {
-			// When the driver is the owner node the partition prunes its
-			// tuples up front; other drivers stay unfiltered and the owner
-			// filter inside EvaluateCNWith discards foreign results.
-			src = ev.filterOwned(src)
-		}
-		tuples := append([]*relstore.Tuple(nil), src...)
+		tuples := append([]*relstore.Tuple(nil), ev.KeywordSet(c.Nodes[driver].Table)...)
 		sort.SliceStable(tuples, func(i, j int) bool {
 			return ev.TupleScore(tuples[i]) > ev.TupleScore(tuples[j])
 		})
@@ -245,7 +242,7 @@ func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int,
 		if err != nil {
 			// b is the max score any remaining work can reach, so the
 			// results strictly above it are final.
-			top = certifiedPrefix(top, b)
+			top = CertifiedPrefix(top, b)
 			sp.SetAttr("driver_advances", advances)
 			sp.SetAttr("produced", produced)
 			sp.SetAttr("certified_early", false)

@@ -112,49 +112,6 @@ func ParseSemantics(name string) (Semantics, error) {
 	return Auto, badQuery(fmt.Sprintf("core: unknown semantics %q", name))
 }
 
-// Options tunes a search.
-type Options struct {
-	// K bounds the result count (default 10).
-	K int
-	// Semantics selects the result definition (default CandidateNetworks
-	// for relational engines, SLCA for XML engines).
-	Semantics Semantics
-	// MaxCNSize bounds candidate-network size (default 5).
-	MaxCNSize int
-	// Clean runs noisy-channel query cleaning before searching.
-	Clean bool
-	// Trace enables per-query span collection: Query returns the span
-	// tree in Response.Trace (kwsearch -trace prints it). Search ignores
-	// the collected trace but still pays its (small) cost.
-	Trace bool
-	// Observer, when non-nil, is called at the end of every Query with
-	// that query's Stats and Trace (trace nil unless Trace is set).
-	Observer QueryObserver
-	// Workers sets the worker-pool size for candidate-network and SLCA
-	// evaluation (0 means 1). CN searches always run on the
-	// internal/exec cached executor with that many workers; SLCA uses
-	// the range-split algorithm above 1 and indexed-lookup-eager
-	// otherwise. Answers are byte-identical at every value.
-	Workers int
-}
-
-func (o Options) withDefaults(xml bool) Options {
-	if o.K <= 0 {
-		o.K = 10
-	}
-	if o.MaxCNSize <= 0 {
-		o.MaxCNSize = 5
-	}
-	if o.Semantics == Auto {
-		if xml {
-			o.Semantics = SLCA
-		} else {
-			o.Semantics = CandidateNetworks
-		}
-	}
-	return o
-}
-
 // Result is one search answer under any semantics.
 type Result struct {
 	Score float64
@@ -213,9 +170,8 @@ type Engine struct {
 	Exec *exec.Executor
 	// Binder is the shared keyword→tuple binding layer: R^Q sets are
 	// derived from posting lists with per-term bindings and join-column
-	// lookups cached across queries, shared by the executor, the SPARK
-	// path and shard views. Populated by NewRelational; nil on XML
-	// engines.
+	// lookups cached across queries, shared by the executor and the
+	// SPARK path. Populated by NewRelational; nil on XML engines.
 	Binder *cn.Binder
 	// Plans is the candidate-network plan cache, shared the same way: a
 	// query's compiled CN set depends only on the schema graph and the
@@ -253,8 +209,7 @@ func (e *Engine) ExecStats() exec.Stats {
 }
 
 // Registry returns the engine's metrics registry — the method form of
-// the Metrics field, required by the Searcher seam so the sharding
-// coordinator (whose registry is unexported) can satisfy it too.
+// the Metrics field, as the Searcher seam requires.
 func (e *Engine) Registry() *obs.Registry { return e.Metrics }
 
 // NewRelational builds an engine over a relational database.
@@ -289,44 +244,6 @@ func NewRelational(db *relstore.DB) *Engine {
 	})
 	registerQuerySLO(reg)
 	return e
-}
-
-// ShardView derives a shard engine from a relational engine: the same
-// physical database, index, schema graph, cleaner, plan cache and binder
-// (all concurrency-safe and partition-agnostic), with a private executor
-// restricted to the results keep admits. The restriction is logical —
-// no data is copied or moved — and applies at the CN owner node (node
-// 0), so the shard views of a disjoint, complete partition of the
-// tuple-ID space tile the result space exactly (see internal/cn's
-// partition.go and DESIGN.md's sharding layer).
-//
-// The executor is private because the result cache's key carries no
-// partition identity; it reports into reg (one registry per shard gives
-// the coordinator per-shard attribution; nil gets a fresh private one).
-func (e *Engine) ShardView(keep cn.Partition, reg *obs.Registry) *Engine {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	sv := &Engine{
-		DB:         e.DB,
-		Schema:     e.Schema,
-		Graph:      e.Graph,
-		Index:      e.Index,
-		Cleaner:    e.Cleaner,
-		FreeTables: e.FreeTables,
-		Metrics:    reg,
-		Binder:     e.Binder,
-		Plans:      e.Plans,
-	}
-	sv.Exec = exec.New(e.DB, e.Index, exec.Options{
-		FreeTables: e.FreeTables,
-		Metrics:    reg,
-		Plans:      e.Plans,
-		Binder:     e.Binder,
-		Partition:  keep,
-	})
-	registerQuerySLO(reg)
-	return sv
 }
 
 // DefaultSLOThreshold is the default query-latency objective the engine
@@ -403,20 +320,20 @@ func cnResults(rs []cn.Result) []Result {
 
 // searchCN answers a CandidateNetworks query on the exec worker pool —
 // the one evaluation path for that semantics. Workers <= 1 is a pool of
-// one worker, so the answer (ties at the k boundary included) is the
-// same at every pool size.
-func (e *Engine) searchCN(ctx context.Context, terms []string, opts Options, sp *obs.Span, st *Stats) ([]Result, error) {
+// one worker and Shards only slices each worker's jobs, so the answer
+// (ties at the k boundary included) is the same at every pool shape.
+func (e *Engine) searchCN(ctx context.Context, terms []string, req Request, sp *obs.Span, st *Stats) ([]Result, error) {
 	if err := e.requireRelational(); err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
+	workers := req.Workers
 	if workers < 1 {
 		workers = 1
 	}
 	lookupSpan(sp, terms, func(t string) int { return len(e.Exec.Postings(t)) })
 	rs, xst, err := e.Exec.TopK(ctx, exec.Query{
-		Terms: terms, K: opts.K, MaxCNSize: opts.MaxCNSize, Workers: workers,
-		Trace: sp,
+		Terms: terms, K: req.TopK, MaxCNSize: req.MaxCNSize, Workers: workers,
+		Shards: req.Shards, Trace: sp,
 	})
 	snap := xst
 	e.lastExec.Store(&snap)
@@ -435,7 +352,7 @@ func (e *Engine) searchCN(ctx context.Context, terms []string, opts Options, sp 
 // searchSpark answers a SparkNetworks query: the shared binder and plan
 // cache feed SPARK's skyline sweep, whose non-monotonic score the exec
 // pool's bound pruning does not cover.
-func (e *Engine) searchSpark(ctx context.Context, terms []string, opts Options, sp *obs.Span, st *Stats) ([]Result, error) {
+func (e *Engine) searchSpark(ctx context.Context, terms []string, req Request, sp *obs.Span, st *Stats) ([]Result, error) {
 	if err := e.requireRelational(); err != nil {
 		return nil, err
 	}
@@ -447,7 +364,7 @@ func (e *Engine) searchSpark(ctx context.Context, terms []string, opts Options, 
 	bsp.End()
 	esp := sp.Child("enumerate")
 	ps, planHit, err := e.Plans.Get(ctx, e.Schema, cn.EnumerateOptions{
-		MaxSize:       opts.MaxCNSize,
+		MaxSize:       req.MaxCNSize,
 		KeywordTables: kwTables,
 		FreeTables:    e.FreeTables,
 	})
@@ -467,7 +384,7 @@ func (e *Engine) searchSpark(ctx context.Context, terms []string, opts Options, 
 		return nil, err
 	}
 	vsp := sp.Child("evaluate")
-	rs, _ := spark.TopKSkyline(spark.NewScorer(ev, e.Index), cns, opts.K)
+	rs, _ := spark.TopKSkyline(spark.NewScorer(ev, e.Index), cns, req.TopK)
 	vsp.SetAttr("cns", len(cns))
 	vsp.SetAttr("produced", len(rs))
 	vsp.End()
@@ -518,7 +435,7 @@ func (e *Engine) groupsSpan(sp *obs.Span, terms []string) ([][]datagraph.NodeID,
 	return groups, ok
 }
 
-func (e *Engine) searchBanks(ctx context.Context, terms []string, opts Options, sp *obs.Span) ([]Result, error) {
+func (e *Engine) searchBanks(ctx context.Context, terms []string, req Request, sp *obs.Span) ([]Result, error) {
 	if err := e.requireRelational(); err != nil {
 		return nil, err
 	}
@@ -527,7 +444,7 @@ func (e *Engine) searchBanks(ctx context.Context, terms []string, opts Options, 
 		return nil, nil
 	}
 	xsp := sp.Child("expand")
-	answers, bst, err := banks.BackwardSearchCtx(ctx, e.Graph, groups, banks.Options{K: opts.K})
+	answers, bst, err := banks.BackwardSearchCtx(ctx, e.Graph, groups, banks.Options{K: req.TopK})
 	bst.Record(xsp)
 	if err != nil {
 		xsp.SetAttr("cancelled", true)
@@ -548,7 +465,7 @@ func (e *Engine) searchBanks(ctx context.Context, terms []string, opts Options, 
 	return out, nil
 }
 
-func (e *Engine) searchSteiner(ctx context.Context, terms []string, opts Options, sp *obs.Span) ([]Result, error) {
+func (e *Engine) searchSteiner(ctx context.Context, terms []string, sp *obs.Span) ([]Result, error) {
 	if err := e.requireRelational(); err != nil {
 		return nil, err
 	}
@@ -585,9 +502,9 @@ func (e *Engine) searchSteiner(ctx context.Context, terms []string, opts Options
 	return []Result{r}, nil
 }
 
-func (e *Engine) searchXML(ctx context.Context, terms []string, opts Options, sp *obs.Span) ([]Result, error) {
+func (e *Engine) searchXML(ctx context.Context, terms []string, req Request, sp *obs.Span) ([]Result, error) {
 	if e.XIndex == nil {
-		return nil, badQuery(fmt.Sprintf("core: semantics %v requires an XML engine", opts.Semantics))
+		return nil, badQuery(fmt.Sprintf("core: semantics %v requires an XML engine", req.Semantics))
 	}
 	// The serial LCA algorithms are not context-aware; honoring ctx at
 	// the stage boundary still stops an expired query before the scan.
@@ -598,12 +515,12 @@ func (e *Engine) searchXML(ctx context.Context, terms []string, opts Options, sp
 	var nodes []*xmltree.Node
 	var err error
 	switch {
-	case opts.Semantics == ELCA:
+	case req.Semantics == ELCA:
 		vsp.SetAttr("algorithm", "elca-stack")
 		nodes = lca.ELCAStackTraced(e.XIndex, terms, vsp)
-	case opts.Workers > 1:
+	case req.Workers > 1:
 		vsp.SetAttr("algorithm", "slca-parallel")
-		nodes, err = lca.SLCAParallelCtx(ctx, e.XIndex, terms, opts.Workers, vsp)
+		nodes, err = lca.SLCAParallelCtx(ctx, e.XIndex, terms, req.Workers, vsp)
 	default:
 		vsp.SetAttr("algorithm", "slca-ile")
 		nodes = lca.SLCATraced(e.XIndex, terms, vsp)
@@ -623,7 +540,7 @@ func (e *Engine) searchXML(ctx context.Context, terms []string, opts Options, sp
 	})
 	var out []Result
 	for i, n := range nodes {
-		if i >= opts.K {
+		if i >= req.TopK {
 			break
 		}
 		out = append(out, Result{Score: 1 / float64(1+len(xmltree.Subtree(n))), Node: n})

@@ -44,38 +44,13 @@ type Stats struct {
 	// enumerate stage. Slow-query exemplars carry it so latency outliers
 	// can be correlated with plan-cache churn.
 	PlanSignature string `json:"plan_signature,omitempty"`
-	// Shards is the per-shard breakdown when the query ran through the
-	// internal/shard coordinator: one entry per shard in shard order.
-	// Empty on single-engine queries.
-	Shards []ShardStat `json:"shards,omitempty"`
-	// Merge is the coordinator's merge overhead: the wall time between
-	// the slowest shard finishing and the merged response being ready.
-	// Zero on single-engine queries.
+	// Merge is always zero: owner-hash slices feed the pool's one top-k,
+	// so no merge step exists. The field stays because the repo benchmark
+	// (bench/layers.go) reads it.
 	Merge time.Duration `json:"merge_ns,omitempty"`
 	// Metrics is the delta of the engine's registry over this query:
 	// every counter incremented and histogram observed while it ran.
 	Metrics obs.Snapshot `json:"metrics"`
-}
-
-// ShardStat is one shard's view of a coordinated query (Stats.Shards).
-type ShardStat struct {
-	// Shard is the shard index (0-based).
-	Shard int `json:"shard"`
-	// Results is how many results this shard's sub-query returned (its
-	// local top-k length).
-	Results int `json:"results"`
-	// Pulled counts the results the k-way merge actually consumed from
-	// this shard — the merge-efficiency signal (the merge stops after k
-	// pops, so sum over shards ≤ k; a skewed workload pulls k from one
-	// shard and 0 from the rest).
-	Pulled int `json:"pulled"`
-	// Partial reports this shard's answer was a certified prefix (its
-	// deadline expired mid-evaluation).
-	Partial bool `json:"partial,omitempty"`
-	// Elapsed is this shard's wall time for its sub-query.
-	Elapsed time.Duration `json:"elapsed_ns"`
-	// Exec is this shard's executor stats.
-	Exec *exec.Stats `json:"exec,omitempty"`
 }
 
 // QueryObserver receives every Query's Stats and Trace as it completes.
@@ -115,7 +90,7 @@ type Response struct {
 //
 // Engines are safe for concurrent Query calls.
 func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
-	opts := req.options(e.Tree != nil)
+	req = req.withDefaults(e.Tree != nil)
 	if req.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, req.Deadline)
@@ -130,9 +105,9 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	// req.Trace alone — sampling never changes what the caller sees.
 	sampled := e.slowlog != nil
 	var root *obs.Span
-	if opts.Trace || sampled {
+	if req.Trace || sampled {
 		root = obs.StartSpan("query")
-		root.SetAttr("semantics", opts.Semantics.String())
+		root.SetAttr("semantics", req.Semantics.String())
 	}
 
 	if err := resilience.Inject(ctx, resilience.StageAdmit); err != nil {
@@ -170,9 +145,9 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	}
 
 	csp := root.Child("clean")
-	terms := e.Terms(req.Query, opts.Clean)
+	terms := e.Terms(req.Query, req.Clean)
 	csp.SetAttr("terms", len(terms))
-	csp.SetAttr("cleaned", opts.Clean)
+	csp.SetAttr("cleaned", req.Clean)
 	csp.End()
 	root.SetAttr("keywords", len(terms))
 	if len(terms) == 0 {
@@ -182,22 +157,22 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 
-	st := Stats{Semantics: opts.Semantics, Terms: terms}
+	st := Stats{Semantics: req.Semantics, Terms: terms}
 	var results []Result
 	var err error
-	switch opts.Semantics {
+	switch req.Semantics {
 	case CandidateNetworks:
-		results, err = e.searchCN(ctx, terms, opts, root, &st)
+		results, err = e.searchCN(ctx, terms, req, root, &st)
 	case SparkNetworks:
-		results, err = e.searchSpark(ctx, terms, opts, root, &st)
+		results, err = e.searchSpark(ctx, terms, req, root, &st)
 	case DistinctRoot:
-		results, err = e.searchBanks(ctx, terms, opts, root)
+		results, err = e.searchBanks(ctx, terms, req, root)
 	case SteinerTree:
-		results, err = e.searchSteiner(ctx, terms, opts, root)
+		results, err = e.searchSteiner(ctx, terms, root)
 	case SLCA, ELCA:
-		results, err = e.searchXML(ctx, terms, opts, root)
+		results, err = e.searchXML(ctx, terms, req, root)
 	default:
-		err = badQuery("core: unknown semantics " + opts.Semantics.String())
+		err = badQuery("core: unknown semantics " + req.Semantics.String())
 	}
 	partial := false
 	if err != nil {
@@ -247,12 +222,12 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 			obs.F("elapsed", st.Elapsed))
 	}
 	var trace *Trace
-	if opts.Trace {
+	if req.Trace {
 		trace = root
 	}
 	resp := &Response{Results: results, Partial: partial, Stats: st, Trace: trace}
-	if opts.Observer != nil {
-		opts.Observer(resp.Stats, resp.Trace)
+	if req.Observer != nil {
+		req.Observer(resp.Stats, resp.Trace)
 	}
 	return resp, nil
 }

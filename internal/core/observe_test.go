@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strconv"
 	"testing"
 	"time"
 
@@ -53,10 +54,11 @@ func TestQueryWithoutTraceHasNoTrace(t *testing.T) {
 }
 
 // TestTraceShapeGoldenParallel pins the exact span-tree shape of a seeded CN
-// query at each pool size: the pipeline stages and their attribute keys
-// must not drift silently, and Workers 0 and 1 are the same pool of one.
+// query at each pool shape: the pipeline stages and their attribute keys
+// must not drift silently, Workers 0 and 1 are the same pool of one, and
+// Shards multiplies the goroutines (worker-<g>, g = s·Workers + w).
 // Timings are excluded (Shape drops them) and the job assignment is
-// deterministic for a fixed dataset and worker count, so the test is too.
+// deterministic for a fixed dataset and pool shape, so the test is too.
 func TestTraceShapeGoldenParallel(t *testing.T) {
 	const head = "" +
 		"query(keywords,result_cache_hit,results,semantics)\n" +
@@ -71,26 +73,32 @@ func TestTraceShapeGoldenParallel(t *testing.T) {
 	const worker = "(busy,evaluated,idle,jobs,prefix_reuses,skipped)\n"
 	const tail = "  rank(results)\n"
 	for _, tc := range []struct {
-		workers int
-		spans   string
+		workers, shards int
+		goroutines      int
 	}{
-		{0, "    worker-0" + worker},
-		{1, "    worker-0" + worker},
-		{2, "    worker-0" + worker + "    worker-1" + worker},
+		{0, 0, 1},
+		{1, 1, 1},
+		{2, 1, 2},
+		{2, 2, 4},
 	} {
+		spans := ""
+		for g := 0; g < tc.goroutines; g++ {
+			spans += "    worker-" + strconv.Itoa(g) + worker
+		}
 		e := NewRelational(dataset.WidomBib())
-		req := Request{Query: "Widom XML", TopK: 5, Workers: tc.workers, Trace: true}
+		req := Request{Query: "Widom XML", TopK: 5, Workers: tc.workers, Shards: tc.shards, Trace: true}
 		resp, err := e.Query(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := resp.Trace.Shape(), head+stages+tc.spans+tail; got != want {
-			t.Errorf("workers=%d: trace shape drifted:\n got:\n%s want:\n%s", tc.workers, got, want)
+		if got, want := resp.Trace.Shape(), head+stages+spans+tail; got != want {
+			t.Errorf("workers=%d shards=%d: trace shape drifted:\n got:\n%s want:\n%s", tc.workers, tc.shards, got, want)
 		}
 		if st := resp.Stats.Exec; st == nil {
-			t.Fatalf("workers=%d: exec stats missing", tc.workers)
-		} else if len(st.WorkerBusy) != len(st.JobsPerWorker) || len(st.SkippedPerWorker) != len(st.JobsPerWorker) {
-			t.Fatalf("workers=%d: per-worker stats misaligned: %+v", tc.workers, st)
+			t.Fatalf("workers=%d shards=%d: exec stats missing", tc.workers, tc.shards)
+		} else if st.Workers != tc.goroutines || len(st.JobsPerWorker) != tc.goroutines ||
+			len(st.WorkerBusy) != tc.goroutines || len(st.SkippedPerWorker) != tc.goroutines {
+			t.Fatalf("workers=%d shards=%d: want %d goroutines in every per-worker stat: %+v", tc.workers, tc.shards, tc.goroutines, st)
 		}
 
 		// A repeat of the same query hits the result cache: the trace
@@ -100,7 +108,7 @@ func TestTraceShapeGoldenParallel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got, want := resp2.Trace.Shape(), head+tail; got != want {
-			t.Errorf("workers=%d: cached trace shape drifted:\n got:\n%s want:\n%s", tc.workers, got, want)
+			t.Errorf("workers=%d shards=%d: cached trace shape drifted:\n got:\n%s want:\n%s", tc.workers, tc.shards, got, want)
 		}
 	}
 }

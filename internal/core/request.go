@@ -1,10 +1,9 @@
 package core
 
 // This file is the context-first request surface of the engine: the
-// Request type consolidating the legacy Options knobs with per-query
-// deadlines, the typed sentinel errors callers branch on with errors.Is,
-// and per-engine admission control (Admit) backed by
-// internal/resilience.
+// Request type holding every per-query knob, the typed sentinel errors
+// callers branch on with errors.Is, and per-engine admission control
+// (Admit) backed by internal/resilience.
 
 import (
 	"errors"
@@ -54,27 +53,43 @@ type Request struct {
 	// set, rather than an error.
 	Deadline time.Duration
 	// Workers sets the worker-pool size for candidate-network and SLCA
-	// evaluation (0 means 1); see Options.Workers.
+	// evaluation (0 means 1). CN searches always run on the
+	// internal/exec cached executor with that many workers; SLCA uses
+	// the range-split algorithm above 1 and indexed-lookup-eager
+	// otherwise. Answers are byte-identical at every value.
 	Workers int
-	// Trace enables per-query span collection (Response.Trace).
+	// Shards splits every candidate network into that many owner-hash
+	// slices on the worker pool (<=1 means unsliced; see
+	// exec.Query.Shards). It is stamped by shard.Coordinator, never read
+	// from the wire, and ignored outside CN semantics. Answers are
+	// byte-identical at every value.
+	Shards int
+	// Trace enables per-query span collection: Query returns the span
+	// tree in Response.Trace (kwsearch -trace prints it).
 	Trace bool
 	// Observer, when non-nil, is called at the end of the query with its
 	// Stats and Trace (trace nil unless Trace is set).
 	Observer QueryObserver
 }
 
-// options lowers the request onto the legacy Options shape the search
-// stages still consume internally, applying defaults.
-func (r Request) options(xml bool) Options {
-	return Options{
-		K:         r.TopK,
-		Semantics: r.Semantics,
-		MaxCNSize: r.MaxCNSize,
-		Clean:     r.Clean,
-		Trace:     r.Trace,
-		Observer:  r.Observer,
-		Workers:   r.Workers,
-	}.withDefaults(xml)
+// withDefaults fills the defaulted fields in: TopK 10, MaxCNSize 5, and
+// Auto resolved to SLCA on an XML engine and CandidateNetworks on a
+// relational one.
+func (r Request) withDefaults(xml bool) Request {
+	if r.TopK <= 0 {
+		r.TopK = 10
+	}
+	if r.MaxCNSize <= 0 {
+		r.MaxCNSize = 5
+	}
+	if r.Semantics == Auto {
+		if xml {
+			r.Semantics = SLCA
+		} else {
+			r.Semantics = CandidateNetworks
+		}
+	}
+	return r
 }
 
 // Admit installs admission control on the engine: at most limit queries

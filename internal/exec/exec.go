@@ -10,7 +10,9 @@
 //     GOMAXPROCS-many goroutines using parallel.Assign's sharing-aware
 //     partitioning, with per-worker materialized-prefix reuse
 //     (cn.EvaluatePrefix keyed by cn.PrefixKey) so CNs placed together
-//     actually share their common join work;
+//     actually share their common join work, and optionally splits each
+//     worker's CNs into owner-hash slices (Query.Shards) — the
+//     tutorial's data-level parallelism beside its CN-level one;
 //   - sound top-k early termination: workers process their CNs in
 //     descending score-bound order, skip CNs whose bound cannot reach the
 //     shared k-th score, and a context cancellation path stops in-flight
@@ -20,7 +22,6 @@ package exec
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -52,7 +53,7 @@ type Options struct {
 	// Plans is the candidate-network plan cache consulted before
 	// enumeration. Leave nil to have the executor build a private one
 	// (PlanCacheSize entries); core.NewRelational passes the engine's
-	// cache, which its SPARK path and shard views share.
+	// cache, which its SPARK path shares.
 	Plans *plan.Cache
 	// PlanCacheSize bounds the private plan cache built when Plans is
 	// nil (0 = 128).
@@ -61,8 +62,7 @@ type Options struct {
 	// into R^Q tuple sets from posting lists, caching per-term bindings
 	// and join lookups across queries. Leave nil to have the executor
 	// build a private one (BindCacheSize terms); core.NewRelational
-	// passes the engine's binder, which its SPARK path and shard views
-	// share.
+	// passes the engine's binder, which its SPARK path shares.
 	Binder *cn.Binder
 	// BindCacheSize bounds the private binder's per-term cache built
 	// when Binder is nil (0 = 1024).
@@ -71,14 +71,6 @@ type Options struct {
 	// both cache counter sets (see Instrument). Leaving it nil costs one
 	// branch per counter event.
 	Metrics *obs.Registry
-	// Partition, when non-nil, restricts every evaluation to the results
-	// whose owner tuple (CN node 0's binding) it admits — the shard
-	// engines of internal/shard each run one executor with their slice of
-	// the tuple-ID space here. Partitioned executors must not share a
-	// result cache with differently-partitioned ones (the result-cache
-	// key carries no partition identity), which is why shard engines get
-	// private executors over the shared binder and plan cache.
-	Partition cn.Partition
 }
 
 func (o Options) withDefaults() Options {
@@ -109,6 +101,12 @@ type Query struct {
 	// executor default). TopK never runs more workers than the query has
 	// candidate networks; the answer is the same at every size.
 	Workers int
+	// Shards splits every candidate network into that many owner-hash
+	// slices (cn.OwnerSlice), each walked by its own goroutine per
+	// worker, so the pool runs Workers × Shards goroutines (<=1 means
+	// unsliced). The slices tile the result space and feed one top-k, so
+	// the answer is the same at every count.
+	Shards int
 	// Trace, when non-nil, receives child spans for the execution stages
 	// (enumerate, evaluate with one child per pool worker) plus attributes
 	// such as the result-cache outcome. Nil disables tracing at the cost
@@ -126,20 +124,25 @@ func (q Query) withDefaults(x *Executor) Query {
 	if q.Workers <= 0 {
 		q.Workers = x.opts.Workers
 	}
+	if q.Shards <= 0 {
+		q.Shards = 1
+	}
 	return q
 }
 
 // Stats describes how one TopK call was executed.
 type Stats struct {
-	// Workers is the pool size used.
+	// Workers is the number of pool goroutines used: the worker count
+	// times Query.Shards.
 	Workers int
-	// JobsPerWorker counts the CN jobs placed on each worker.
+	// JobsPerWorker counts the CN jobs placed on each pool goroutine
+	// (goroutine s·workers + w walks worker w's jobs through slice s).
 	JobsPerWorker []int
 	// CNs is the number of candidate networks enumerated.
 	CNs int
-	// Evaluated and Skipped partition the CNs into those actually joined
-	// and those pruned by the shared top-k bound (or abandoned after
-	// cancellation).
+	// Evaluated and Skipped partition the CN jobs (CNs × Query.Shards)
+	// into those actually joined and those pruned by the shared top-k
+	// bound (or abandoned after cancellation).
 	Evaluated int
 	Skipped   int
 	// PrefixReuses counts evaluation levels served from a worker's
@@ -167,15 +170,6 @@ type Stats struct {
 	// prefix of the full top-k rather than the whole answer. Partial
 	// answers are never cached.
 	Partial bool
-	// CertifiedBound is, for a Partial run, the highest score bound any
-	// abandoned CN could still reach: every returned result strictly
-	// dominates it, and no unevaluated work can exceed it. It is what the
-	// sharding coordinator needs to certify a cross-shard merge — the
-	// global prefix is cut at the maximum CertifiedBound over the partial
-	// shards. Clamped at 0 (scores are strictly positive, so the clamp
-	// never weakens the certificate) to keep the field JSON-safe; 0 on
-	// complete runs.
-	CertifiedBound float64
 	// WorkerBusy is, per pool worker, the time spent inside CN evaluation;
 	// WorkerIdle is the rest of that worker's wall time in the pool
 	// (waiting on the shared top-k lock, bound checks, scheduling). Both
@@ -332,8 +326,9 @@ func normTerms(terms []string) []string {
 	return out
 }
 
-// resultCacheKey identifies a query in the result cache. Worker count is
-// excluded deliberately: the answer is execution-plan independent.
+// resultCacheKey identifies a query in the result cache. Worker and
+// slice counts are excluded deliberately: the answer is execution-plan
+// independent.
 func resultCacheKey(terms []string, k, maxCN int) string {
 	return strings.Join(terms, " ") + "|k=" + strconv.Itoa(k) + "|cn=" + strconv.Itoa(maxCN)
 }
@@ -386,7 +381,7 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	// reduces to a cache probe).
 	bsp := sp.Child("bind")
 	binding := x.binder.BindTraced(terms, bsp)
-	ev := cn.NewEvaluatorFrom(x.db, x.ix, binding).Restrict(x.opts.Partition)
+	ev := cn.NewEvaluatorFrom(x.db, x.ix, binding)
 	kwTables := binding.KeywordTables()
 	bsp.SetAttr("keyword_tables", len(kwTables))
 	bsp.End()
@@ -429,11 +424,13 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	// Assign and runPool size per-worker slices by it.
 	if q.Workers > len(jobs) {
 		q.Workers = len(jobs)
-		st.Workers = q.Workers
 	}
+	st.Workers = q.Workers * q.Shards
 	assignment := parallel.Assign(jobs, q.Workers)
-	for _, js := range assignment.Jobs {
-		st.JobsPerWorker = append(st.JobsPerWorker, len(js))
+	for s := 0; s < q.Shards; s++ {
+		for _, js := range assignment.Jobs {
+			st.JobsPerWorker = append(st.JobsPerWorker, len(js))
+		}
 	}
 
 	if err := ev.PrewarmCtx(ctx, cns); err != nil {
@@ -442,8 +439,8 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	// Evaluation is read-only from here on.
 
 	vsp := sp.Child("evaluate")
-	vsp.SetAttr("workers", len(assignment.Jobs))
-	top, perWorker, abandonedBound, err := x.runPool(ctx, ev, assignment, q.K, vsp)
+	vsp.SetAttr("workers", st.Workers)
+	top, perWorker, err := x.runPool(ctx, ev, assignment, q.Shards, q.K, vsp)
 	for _, ws := range perWorker {
 		st.Evaluated += ws.Evaluated
 		st.Skipped += ws.Skipped
@@ -460,7 +457,6 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	x.reuses.Add(uint64(st.PrefixReuses))
 	if err != nil {
 		st.Partial = true
-		st.CertifiedBound = math.Max(0, abandonedBound)
 		vsp.SetAttr("partial", true)
 		vsp.SetAttr("certified", len(top))
 		vsp.End()
@@ -484,7 +480,7 @@ func (x *Executor) TopKSerial(q Query) []cn.Result {
 	if len(terms) == 0 {
 		return nil
 	}
-	ev := cn.NewScanEvaluator(x.db, x.ix, terms).Restrict(x.opts.Partition)
+	ev := cn.NewScanEvaluator(x.db, x.ix, terms)
 	cns := cn.Enumerate(x.sg, cn.EnumerateOptions{
 		MaxSize:       q.MaxCNSize,
 		KeywordTables: ev.KeywordTables(),

@@ -14,8 +14,9 @@ import (
 // contract: when a StageEval fault interrupts the pool after n job
 // boundaries, TopK returns exactly a prefix of the serial top-k (rendered
 // byte-for-byte), flags Stats.Partial, and surfaces the fault error. With
-// one worker the job order is deterministic, so every cut point n is
-// reproducible.
+// one worker and one slice the job order is deterministic, so every cut
+// point n is reproducible; at four slices the four goroutines race to
+// the injection site, and the prefix must hold wherever the cut lands.
 func TestInjectedFaultYieldsCertifiedPrefix(t *testing.T) {
 	boom := errors.New("injected eval fault")
 	// K is far above the result count so the internal certification never
@@ -24,22 +25,26 @@ func TestInjectedFaultYieldsCertifiedPrefix(t *testing.T) {
 	x := newTestExecutor(1)
 	serial := renderResults(x.TopKSerial(q))
 
-	// The fixture query enumerates 5 CNs, so these cut points interrupt
-	// after 0..4 completed jobs — every prefix the single worker can form.
-	for _, after := range []int{0, 1, 2, 3, 4} {
-		in := resilience.NewInjector(1).Arm(resilience.StageEval, resilience.Fault{Err: boom, After: after})
-		ctx := resilience.WithInjector(context.Background(), in)
-		x.InvalidateCaches()
-		rs, st, err := x.TopK(ctx, q)
-		if !errors.Is(err, boom) {
-			t.Fatalf("after=%d: err = %v, want injected fault", after, err)
-		}
-		if !st.Partial {
-			t.Fatalf("after=%d: Stats.Partial not set", after)
-		}
-		if got := renderResults(rs); !strings.HasPrefix(serial, got) {
-			t.Errorf("after=%d: partial answer is not a prefix of serial top-k\ngot:\n%sserial:\n%s",
-				after, got, serial)
+	// The fixture query enumerates 5 CNs, so each slice crosses 5 job
+	// boundaries: cut points 0 … 5·shards-1 interrupt after every number
+	// of completed jobs the pool can reach.
+	for _, shards := range []int{1, 4} {
+		q.Shards = shards
+		for after := 0; after < 5*shards; after++ {
+			in := resilience.NewInjector(1).Arm(resilience.StageEval, resilience.Fault{Err: boom, After: after})
+			ctx := resilience.WithInjector(context.Background(), in)
+			x.InvalidateCaches()
+			rs, st, err := x.TopK(ctx, q)
+			if !errors.Is(err, boom) {
+				t.Fatalf("shards=%d after=%d: err = %v, want injected fault", shards, after, err)
+			}
+			if !st.Partial {
+				t.Fatalf("shards=%d after=%d: Stats.Partial not set", shards, after)
+			}
+			if got := renderResults(rs); !strings.HasPrefix(serial, got) {
+				t.Errorf("shards=%d after=%d: partial answer is not a prefix of serial top-k\ngot:\n%sserial:\n%s",
+					shards, after, got, serial)
+			}
 		}
 	}
 
@@ -62,7 +67,13 @@ func TestInjectedFaultYieldsCertifiedPrefix(t *testing.T) {
 // deadline expires mid-run, and the certified prefix + typed error come
 // back quickly.
 func TestDeadlineMidEvaluationYieldsPartial(t *testing.T) {
-	q := Query{Terms: []string{"keyword", "search"}, K: 10000, MaxCNSize: 5, Workers: 2}
+	for _, shards := range []int{1, 4} {
+		deadlineMidEvaluation(t, shards)
+	}
+}
+
+func deadlineMidEvaluation(t *testing.T, shards int) {
+	q := Query{Terms: []string{"keyword", "search"}, K: 10000, MaxCNSize: 5, Workers: 2, Shards: shards}
 	x := newTestExecutor(2)
 	serial := renderResults(x.TopKSerial(q))
 
@@ -77,16 +88,16 @@ func TestDeadlineMidEvaluationYieldsPartial(t *testing.T) {
 	rs, st, err := x.TopK(ctx, q)
 	returned := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
+		t.Fatalf("shards=%d: err = %v, want DeadlineExceeded", shards, err)
 	}
 	if returned > 1500*time.Millisecond {
-		t.Errorf("TopK took %v to honor a 250ms deadline", returned)
+		t.Errorf("shards=%d: TopK took %v to honor a 250ms deadline", shards, returned)
 	}
 	if !st.Partial {
-		t.Error("Stats.Partial not set on deadline")
+		t.Errorf("shards=%d: Stats.Partial not set on deadline", shards)
 	}
 	if got := renderResults(rs); !strings.HasPrefix(serial, got) {
-		t.Errorf("deadline partial answer is not a prefix of serial top-k\ngot:\n%sserial:\n%s", got, serial)
+		t.Errorf("shards=%d: deadline partial answer is not a prefix of serial top-k\ngot:\n%sserial:\n%s", shards, got, serial)
 	}
 }
 

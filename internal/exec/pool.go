@@ -77,72 +77,56 @@ func (t *sharedTopK) snapshot() []cn.Result {
 	return append([]cn.Result(nil), t.rs...)
 }
 
-// dominates reports kth > bound by a genuine margin (epsilon-safe): only
-// then is dropping the CN provably harmless, ties included.
-func dominates(kth, bound float64) bool {
-	return kth > bound && !fmath.Eq(kth, bound)
-}
-
-// certifiedPrefix keeps the leading results whose scores strictly
-// dominate bound — the prefix of the full top-k an interrupted pool run
-// can still prove correct: every job abandoned by cancellation had a
-// bound at or below it, so no unevaluated CN can displace those entries.
-// Ties with bound are dropped (an abandoned CN could produce an
-// equal-score result the deterministic total order ranks ahead).
-func certifiedPrefix(rs []cn.Result, bound float64) []cn.Result {
-	i := 0
-	for i < len(rs) && dominates(rs[i].Score, bound) {
-		i++
-	}
-	return rs[:i]
-}
-
-// runPool executes the assigned jobs across one goroutine per worker.
-// Each worker processes its jobs in descending score-bound order,
-// maintains a materialized-prefix table keyed by cn.PrefixKey for
-// intra-worker join reuse, skips jobs whose bound is dominated by the
-// shared k-th score, and publishes a bound watermark; when every
-// watermark is dominated the pool context is cancelled, stopping
-// in-flight workers between prefix levels. The final top-k equals full
-// serial evaluation byte for byte (see package tests).
+// runPool executes the assigned jobs across len(a.Jobs) × shards
+// goroutines: goroutine g = s·workers + w walks worker w's jobs through
+// the evaluator restricted to owner slice s of shards (cn.OwnerSlice),
+// so one slice (shards == 1) is the plain worker pool. Each goroutine
+// processes its jobs in descending score-bound order, maintains a
+// materialized-prefix table keyed by cn.PrefixKey for join reuse within
+// its slice, skips jobs whose bound is dominated by the shared k-th
+// score, and publishes a bound watermark; when every watermark is
+// dominated the pool context is cancelled, stopping in-flight
+// goroutines between prefix levels. The owner slices tile the result
+// space and all feed one top-k under the total order cn.Less, so the
+// final top-k equals full serial evaluation byte for byte at every
+// worker and slice count (see package tests).
 //
-// When sp is non-nil every non-empty worker gets a child span
-// ("worker-<i>"), created in the launch loop before any goroutine starts
+// When sp is non-nil every goroutine with jobs gets a child span
+// ("worker-<g>"), created in the launch loop before any goroutine starts
 // so the span tree's shape depends only on the (deterministic) job
-// assignment. The returned slice holds one runStats per worker slot,
+// assignment. The returned slice holds one runStats per goroutine slot,
 // including empty ones.
 //
 // When parent ends (or a resilience.StageEval fault fires) mid-run the
-// pool drains its workers and returns the certified prefix of the top-k
-// together with the interrupting error: each worker records the highest
-// bound it walked away from, and only results strictly dominating the
-// maximum abandoned bound survive — a provable prefix of the serial
-// top-k. That maximum is returned as bound so callers (Stats.
-// CertifiedBound, and through it the cross-shard merge) can re-certify
-// the prefix after combining it with other partial answers; it is -Inf
-// when nothing was abandoned.
-func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, a parallel.Assignment, k int, sp *obs.Span) ([]cn.Result, []runStats, float64, error) {
+// pool drains its goroutines and returns the certified prefix of the
+// top-k together with the interrupting error: each goroutine records the
+// highest bound it walked away from, and only results strictly
+// dominating the maximum abandoned bound survive — a provable prefix of
+// the serial top-k, since a slice's abandoned bound caps every result
+// that slice could still have produced.
+func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, a parallel.Assignment, shards, k int, sp *obs.Span) ([]cn.Result, []runStats, error) {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
 	inj := resilience.From(parent)
 	workers := len(a.Jobs)
 	top := &sharedTopK{k: k}
-	marks := make([]atomic.Uint64, workers)
-	perWorker := make([]runStats, workers)
-	// abandoned[w] is the highest job bound worker w gave up on without a
-	// finished evaluation; written only by worker w, read after wg.Wait.
-	abandoned := make([]float64, workers)
-	for w := range abandoned {
-		abandoned[w] = math.Inf(-1)
+	marks := make([]atomic.Uint64, workers*shards)
+	perWorker := make([]runStats, workers*shards)
+	// abandoned[g] is the highest job bound goroutine g gave up on without
+	// a finished evaluation; written only by g, read after wg.Wait.
+	abandoned := make([]float64, workers*shards)
+	for g := range abandoned {
+		abandoned[g] = math.Inf(-1)
 	}
 	// injected holds the first StageEval fault error; it also fires the
-	// internal cancellation so the other workers stop at a job boundary.
+	// internal cancellation so the other goroutines stop at a job boundary.
 	var injMu sync.Mutex
 	var injErr error
 
-	// Per-worker job order: descending bound (deterministic tie-break by
-	// canonical CN string) so the skip check fires as early as possible.
+	// Per-worker job order, shared by the worker's slices: descending
+	// bound (deterministic tie-break by canonical CN string) so the skip
+	// check fires as early as possible.
 	ordered := make([][]parallel.Job, workers)
 	bounds := make([][]float64, workers)
 	for w, js := range a.Jobs {
@@ -158,25 +142,28 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, a parallel.
 		for i, j := range ordered[w] {
 			bounds[w][i] = ev.Bound(j.CN)
 		}
+		first := math.Inf(-1)
 		if len(bounds[w]) > 0 {
-			marks[w].Store(math.Float64bits(bounds[w][0]))
-		} else {
-			marks[w].Store(math.Float64bits(math.Inf(-1)))
+			first = bounds[w][0]
+		}
+		for s := 0; s < shards; s++ {
+			marks[s*workers+w].Store(math.Float64bits(first))
 		}
 	}
 
 	// tryCancel fires the internal cancellation when the shared k-th
-	// score dominates every worker's watermark: no unevaluated or
-	// in-flight CN can contribute a top-k result anymore. Watermarks are
-	// monotone non-increasing and kth is monotone non-decreasing, so a
-	// stale read can only delay cancellation, never make it unsound.
+	// score dominates every goroutine's watermark: no unevaluated or
+	// in-flight CN slice can contribute a top-k result anymore.
+	// Watermarks are monotone non-increasing and kth is monotone
+	// non-decreasing, so a stale read can only delay cancellation, never
+	// make it unsound.
 	tryCancel := func() {
 		kth := top.kth()
 		if math.IsInf(kth, -1) {
 			return
 		}
-		for w := range marks {
-			if !dominates(kth, math.Float64frombits(marks[w].Load())) {
+		for g := range marks {
+			if !cn.Dominates(kth, math.Float64frombits(marks[g].Load())) {
 				return
 			}
 		}
@@ -184,17 +171,19 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, a parallel.
 	}
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for g := 0; g < workers*shards; g++ {
+		s, w := g/workers, g%workers
 		if len(ordered[w]) == 0 {
 			continue
 		}
-		wsp := sp.Child("worker-" + strconv.Itoa(w))
+		sev := ev.Restrict(cn.OwnerSlice(s, shards))
+		wsp := sp.Child("worker-" + strconv.Itoa(g))
 		wsp.SetAttr("jobs", len(ordered[w]))
 		wg.Add(1)
-		go func(w int, wsp *obs.Span) {
+		go func(w, g int, wsp *obs.Span) {
 			defer wg.Done()
 			launched := time.Now()
-			st := &perWorker[w]
+			st := &perWorker[g]
 			prefixes := map[string][][]*relstore.Tuple{}
 			for ji, job := range ordered[w] {
 				stop := ctx.Err()
@@ -212,25 +201,25 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, a parallel.
 				if stop != nil {
 					st.Skipped += len(ordered[w]) - ji
 					// Jobs run in descending bound order, so the first
-					// unprocessed bound caps everything this worker leaves
-					// behind.
-					if bounds[w][ji] > abandoned[w] {
-						abandoned[w] = bounds[w][ji]
+					// unprocessed bound caps everything this goroutine
+					// leaves behind.
+					if bounds[w][ji] > abandoned[g] {
+						abandoned[g] = bounds[w][ji]
 					}
 					break
 				}
-				if dominates(top.kth(), bounds[w][ji]) {
+				if cn.Dominates(top.kth(), bounds[w][ji]) {
 					st.Skipped++
 				} else {
 					t0 := time.Now()
-					done := x.evalJob(ctx, ev, job.CN, prefixes, top, st)
+					done := x.evalJob(ctx, sev, job.CN, prefixes, top, st)
 					st.Busy += time.Since(t0)
 					if done {
 						tryCancel()
 					} else {
 						st.Skipped++ // abandoned mid-evaluation by cancellation
-						if bounds[w][ji] > abandoned[w] {
-							abandoned[w] = bounds[w][ji]
+						if bounds[w][ji] > abandoned[g] {
+							abandoned[g] = bounds[w][ji]
 						}
 					}
 				}
@@ -238,10 +227,10 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, a parallel.
 				if ji+1 < len(bounds[w]) {
 					next = bounds[w][ji+1]
 				}
-				marks[w].Store(math.Float64bits(next))
+				marks[g].Store(math.Float64bits(next))
 				tryCancel()
 			}
-			marks[w].Store(math.Float64bits(math.Inf(-1)))
+			marks[g].Store(math.Float64bits(math.Inf(-1)))
 			st.Wall = time.Since(launched)
 			wsp.SetAttr("evaluated", st.Evaluated)
 			wsp.SetAttr("skipped", st.Skipped)
@@ -249,7 +238,7 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, a parallel.
 			wsp.SetAttr("busy", st.Busy.Round(time.Microsecond))
 			wsp.SetAttr("idle", st.Idle().Round(time.Microsecond))
 			wsp.End()
-		}(w, wsp)
+		}(w, g, wsp)
 	}
 	wg.Wait()
 
@@ -264,9 +253,9 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, a parallel.
 				bound = b
 			}
 		}
-		return certifiedPrefix(top.snapshot(), bound), perWorker, bound, err
+		return cn.CertifiedPrefix(top.snapshot(), bound), perWorker, err
 	}
-	return top.snapshot(), perWorker, math.Inf(-1), nil
+	return top.snapshot(), perWorker, nil
 }
 
 // evalJob evaluates one CN with materialized-prefix reuse, checking ctx

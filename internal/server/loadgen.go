@@ -267,14 +267,11 @@ func SelfCheck(ctx context.Context, baseURL string, e core.Searcher, cfg SelfChe
 	// rather than cache luck:
 	//
 	//   - The probe runs BEFORE its full-answer reference. The reference
-	//     populates the executor's result cache on engines that route
-	//     references through the worker pool (the shard coordinator's
-	//     views always do), and a cache-warm probe completes inside any
-	//     deadline — a legitimate complete answer that would fail the
-	//     check for the wrong reason.
+	//     populates the executor's result cache, and a cache-warm probe
+	//     completes inside any deadline — a legitimate complete answer
+	//     that would fail the check for the wrong reason.
 	//   - A complete answer inside the budget is inconclusive, not a
-	//     violation: a fast engine (a warm shard fleet evaluates only
-	//     1/N of the data each) may simply beat the clock. The probe
+	//     violation: a fast engine may simply beat the clock. The probe
 	//     escalates — a distinct K per attempt dodges the result cache,
 	//     a larger CN budget multiplies the evaluation (and cold
 	//     plan-compile) work — and only fails if no attempt gets the

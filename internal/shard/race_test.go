@@ -10,8 +10,8 @@ import (
 )
 
 // TestCoordinatorChurnRace hammers the coordinator with concurrent
-// queries while an invalidation loop bumps every cache generation
-// across the deployment. The data never changes, so every answer —
+// sliced queries while an invalidation loop bumps every cache
+// generation of the engine it wraps. The data never changes, so every answer —
 // served from whatever mix of warm and freshly-invalidated caches the
 // race produces — must stay byte-identical to the reference. Run under
 // -race (verify.sh includes this package in the race gate).
@@ -51,11 +51,11 @@ func TestCoordinatorChurnRace(t *testing.T) {
 			}
 			switch i % 3 {
 			case 0:
-				coord.InvalidateCaches()
+				coord.Exec.InvalidateCaches()
 			case 1:
-				coord.InvalidateDataCaches()
+				coord.Exec.InvalidateDataCaches()
 			case 2:
-				coord.InvalidateResults()
+				coord.Exec.InvalidateResults()
 			}
 		}
 	}()

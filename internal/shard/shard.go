@@ -1,110 +1,36 @@
-// Package shard presents N shard engines as one logical engine: a
-// scatter-gather Coordinator implementing the same context-first query
-// contract (core.Searcher) as a single core.Engine, so every transport
-// — the HTTP server, the CLIs, the load generator — runs unchanged over
-// a partitioned deployment.
-//
-// The partition is logical, not physical: every shard view shares the
-// same relational store, inverted index, schema graph, plan cache and
-// binder (all concurrency-safe and partition-agnostic), and restricts
-// evaluation to the results it owns. Ownership hangs off the CN owner
-// node: the enumerator grows every candidate network from a keyword
-// node at position 0, so each result tree has a well-defined owner
-// tuple (the one bound to node 0), and shard s owns exactly the results
-// whose owner tuple hashes to s. Because every result has exactly one
-// owner, the shards' result sets are disjoint and their union is the
-// complete answer — the properties the cross-shard merge proof in
-// DESIGN.md's sharding layer rests on.
-//
-// Invalidation and generation bumps route through every shard: the
-// binder and plan cache are shared (one bump covers all views; repeated
-// bumps are harmless generation increments), while each shard's private
-// posting and result caches are flushed individually.
+// Package shard serves a relational engine with every candidate network
+// split into N owner-hash slices on the exec worker pool. A Coordinator
+// is the engine it wraps — same admission gate, registry, slow-query
+// log, plan namespace and caches — and only stamps the slice count on
+// each request; partitioning itself lives in cn.OwnerSlice and
+// exec.runPool, and the non-CN semantics ignore the count. Because the
+// slices tile the result space and share one top-k, the answer is
+// byte-identical to the unsliced engine's at every N.
 package shard
 
 import (
 	"context"
 	"fmt"
 
-	"kwsearch/internal/cn"
 	"kwsearch/internal/core"
-	"kwsearch/internal/obs"
-	"kwsearch/internal/relstore"
-	"kwsearch/internal/resilience"
 )
-
-// ShardOf maps a tuple ID to its owning shard among n via FNV-1a over
-// the ID's four little-endian bytes. FNV keeps the assignment stable
-// across runs and platforms (byte-identity tests and BENCH numbers
-// depend on that) while decorrelating it from insertion order, which
-// sequential IDs modulo n would not.
-func ShardOf(id relstore.TupleID, n int) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	v := uint32(id)
-	for i := 0; i < 4; i++ {
-		h ^= (v >> (8 * uint(i))) & 0xff
-		h *= prime32
-	}
-	return int(h % uint32(n))
-}
-
-// OwnedBy returns the partition predicate of shard s among n: it admits
-// the tuple IDs ShardOf assigns to s. One shard means no restriction
-// (nil), making the single-shard coordinator's engine view exactly the
-// base engine's exec path.
-func OwnedBy(s, n int) cn.Partition {
-	if n <= 1 {
-		return nil
-	}
-	return func(id relstore.TupleID) bool { return ShardOf(id, n) == s }
-}
 
 // Options configures a Coordinator.
 type Options struct {
-	// Shards is the shard count (<=0 means 1).
+	// Shards is the slice count (<=0 means 1).
 	Shards int
-	// Metrics is the coordinator's own registry, receiving the
-	// engine-level query metrics (query.elapsed_us, query.latency_us,
-	// shed/deadline/partial counters) for coordinated queries. Nil gets
-	// a fresh private one. Per-shard metrics live in each shard view's
-	// own registry (see Coordinator.ShardRegistry).
-	Metrics *obs.Registry
-	// ShardCtx, when non-nil, derives the context each shard sub-query
-	// runs under — the seam tests use to arm a resilience.Injector on
-	// one shard (a slow or failing shard) without touching the others.
-	ShardCtx func(ctx context.Context, shard int) context.Context
-	// Workers sets each shard sub-query's default worker-pool size when
-	// the request leaves Workers unset (<=0 means 1: with one goroutine
-	// per shard in flight, per-shard pools of 1 keep total parallelism
-	// equal to the shard count instead of multiplying by it).
-	Workers int
 }
 
-// Coordinator is one logical engine over N shard engines. Construct
-// with New; safe for concurrent Query calls. It implements
-// core.Searcher.
+// Coordinator is a core.Engine whose CN queries run at a fixed slice
+// count. Construct with New; safe for concurrent Query calls.
 type Coordinator struct {
-	base    *core.Engine
-	shards  []*core.Engine
-	metrics *obs.Registry
-	workers int
-
-	gate     *resilience.Gate
-	slowlog  *obs.SlowLog
-	shardCtx func(context.Context, int) context.Context
+	*core.Engine
+	shards int
 }
 
 var _ core.Searcher = (*Coordinator)(nil)
 
-// New builds a coordinator over base, deriving one shard view per
-// shard. The base engine stays fully usable — the coordinator delegates
-// the non-CN semantics (spark, banks, steiner) to it unpartitioned,
-// since their scoring is either non-monotone (spark's skyline) or
-// graph-global, where a per-shard merge has no soundness proof.
+// New wraps base, which stays fully usable on its own.
 func New(base *core.Engine, opts Options) (*Coordinator, error) {
 	if base == nil || base.DB == nil {
 		return nil, fmt.Errorf("shard: coordinator requires a relational engine")
@@ -113,132 +39,11 @@ func New(base *core.Engine, opts Options) (*Coordinator, error) {
 	if n <= 0 {
 		n = 1
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	c := &Coordinator{base: base, metrics: reg, workers: workers, shardCtx: opts.ShardCtx}
-	_ = reg.Windowed("query.latency_us")
-	reg.RegisterSLO("query_latency", obs.SLO{
-		Series:    "query.latency_us",
-		Threshold: float64(core.DefaultSLOThreshold.Microseconds()),
-		Objective: 0.99,
-	})
-	for s := 0; s < n; s++ {
-		c.shards = append(c.shards, base.ShardView(OwnedBy(s, n), obs.NewRegistry()))
-	}
-	return c, nil
+	return &Coordinator{Engine: base, shards: n}, nil
 }
 
-// Shards returns the shard count.
-func (c *Coordinator) Shards() int { return len(c.shards) }
-
-// Base returns the underlying unpartitioned engine.
-func (c *Coordinator) Base() *core.Engine { return c.base }
-
-// ShardRegistry returns shard s's private metrics registry — the
-// per-shard attribution surface (executor counters, cache hit rates,
-// admission outcomes for that shard alone).
-func (c *Coordinator) ShardRegistry(s int) *obs.Registry { return c.shards[s].Metrics }
-
-// Registry returns the coordinator's own metrics registry.
-func (c *Coordinator) Registry() *obs.Registry { return c.metrics }
-
-// Admit installs admission control at every level: the coordinator's
-// own gate (guarding coordinated CN queries), the base engine's
-// (guarding delegated non-CN queries) and each shard engine's, all at
-// the same limits. The shard gates feed the global one: a coordinated
-// query holds one coordinator slot and one slot per shard, and because
-// the coordinator admits at most limit queries concurrently, a shard
-// gate with the same limit can never shed a sub-query the coordinator
-// admitted — the hierarchy adds per-shard admission metrics without
-// spurious rejections. A non-positive limit removes every gate.
-func (c *Coordinator) Admit(limit, maxQueue int) {
-	if limit <= 0 {
-		c.gate = nil
-		c.base.Admit(0, 0)
-		for _, sh := range c.shards {
-			sh.Admit(0, 0)
-		}
-		return
-	}
-	g := resilience.NewGate(limit, maxQueue)
-	if c.metrics != nil {
-		g.Instrument(c.metrics)
-	}
-	c.gate = g
-	c.base.Admit(limit, maxQueue)
-	for _, sh := range c.shards {
-		sh.Admit(limit, maxQueue)
-	}
-}
-
-// Gate returns the coordinator's admission gate, nil unless Admit
-// installed one.
-func (c *Coordinator) Gate() *resilience.Gate { return c.gate }
-
-// SetSlowLog installs (or with nil removes) the slow-query log on the
-// coordinator and the base engine: coordinated queries are captured
-// here with their per-shard breakdown in Entry.Stats.Shards, delegated
-// non-CN queries by the base engine's own capture path. Shard engines
-// get no slowlog — their sub-queries are fragments of one logical
-// query, and capturing fragments would triple-count it.
-func (c *Coordinator) SetSlowLog(l *obs.SlowLog) {
-	c.slowlog = l
-	if l != nil && c.metrics != nil {
-		l.Instrument(c.metrics)
-	}
-	c.base.SetSlowLog(l)
-}
-
-// SlowLog returns the coordinator's slow-query log, nil unless
-// SetSlowLog installed one.
-func (c *Coordinator) SlowLog() *obs.SlowLog { return c.slowlog }
-
-// SetPlanNamespace re-namespaces the shared plan cache and propagates
-// the new handle to every shard engine's executor (the cache handle is
-// immutable; re-namespacing creates a new one, so each holder must be
-// re-pointed). Call during setup, before concurrent queries.
-func (c *Coordinator) SetPlanNamespace(ns string) {
-	c.base.SetPlanNamespace(ns)
-	for _, sh := range c.shards {
-		sh.Plans = c.base.Plans
-		if sh.Exec != nil {
-			sh.Exec.SetPlans(c.base.Plans)
-		}
-	}
-}
-
-// InvalidateCaches bumps every cache generation across the deployment:
-// the shared binder and plan cache (bumped once per executor holding
-// them — repeated generation bumps are harmless) and each shard's
-// private posting and result caches. Call after growing the index or
-// mutating the database.
-func (c *Coordinator) InvalidateCaches() {
-	c.base.Exec.InvalidateCaches()
-	for _, sh := range c.shards {
-		sh.Exec.InvalidateCaches()
-	}
-}
-
-// InvalidateDataCaches bumps the value-dependent caches (postings,
-// results, term bindings) across the deployment, keeping compiled
-// plans warm — the after-data-growth path.
-func (c *Coordinator) InvalidateDataCaches() {
-	c.base.Exec.InvalidateDataCaches()
-	for _, sh := range c.shards {
-		sh.Exec.InvalidateDataCaches()
-	}
-}
-
-// InvalidateResults bumps only the result caches across the deployment.
-func (c *Coordinator) InvalidateResults() {
-	c.base.Exec.InvalidateResults()
-	for _, sh := range c.shards {
-		sh.Exec.InvalidateResults()
-	}
+// Query runs req on the wrapped engine at the coordinator's slice count.
+func (c *Coordinator) Query(ctx context.Context, req core.Request) (*core.Response, error) {
+	req.Shards = c.shards
+	return c.Engine.Query(ctx, req)
 }

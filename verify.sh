@@ -26,7 +26,7 @@ echo "==> bench module: go vet + go test (nested module, invisible to root ./...
 (cd bench && go vet ./... && go test $short ./...)
 
 echo "==> go test -race (concurrency-bearing packages)"
-go test -race $short ./internal/parallel/... ./internal/stream/... ./internal/cn/... \
+go test -race $short ./internal/parallel/... ./internal/cn/... \
     ./internal/cache/... ./internal/exec/... ./internal/lca/... ./internal/obs/... \
     ./internal/resilience/... ./internal/core/... ./internal/server/... \
     ./internal/analysis/... ./internal/plan/... ./internal/shard/...
