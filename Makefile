@@ -1,12 +1,18 @@
 # Convenience targets; verify.sh is the canonical sequence.
 
-.PHONY: verify verify-short build test race lint lint-fix bench bench-plan obs-bench
+.PHONY: verify verify-short fmt-check build test race lint lint-fix bench bench-plan obs-bench
 
 verify:
 	./verify.sh
 
 verify-short:
 	./verify.sh -short
+
+# Same check as verify.sh's first step: gofmt -l must print nothing
+# (bench/.build is build output, not source).
+fmt-check:
+	@out=$$(find . -name '*.go' -not -path './bench/.build/*' -print0 | xargs -0 gofmt -l); \
+	if [ -n "$$out" ]; then echo "$$out"; echo "gofmt would rewrite the files above" >&2; exit 1; fi
 
 build:
 	go build ./...

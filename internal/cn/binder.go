@@ -43,11 +43,12 @@ func (o BinderOptions) withDefaults() BinderOptions {
 //   - per-(query terms, generation) merged products: the R^Q sets, term
 //     masks, scores and max-scores of a whole query, so a repeated
 //     query skips even the merge and ID sort;
-//   - join-column lookup maps, built once per engine instead of once
+//   - join indexes (JoinIndex: one CSR adjacency per directed schema
+//     join), built on first use once per generation instead of once
 //     per query and handed to bindings by reference.
 //
-// Invalidate bumps the term cache's generation and drops the lookup
-// maps, so after index or data growth the next Bind sees fresh state
+// Invalidate bumps the term cache's generation and drops the join
+// indexes, so after index or data growth the next Bind sees fresh state
 // while in-flight Bindings keep their consistent snapshot. A Binder is
 // safe for concurrent use; the Bindings it returns follow the
 // BindSource sealing contract.
@@ -58,8 +59,8 @@ type Binder struct {
 	merged *cache.Cache[*mergedBinding]
 	builds *obs.Counter
 
-	mu      sync.RWMutex
-	lookups map[lookupKey]map[relstore.Value][]*relstore.Tuple
+	mu    sync.RWMutex
+	joins map[JoinKey]*JoinIndex
 }
 
 // NewBinder builds a binder over one database + index pair. When
@@ -68,12 +69,12 @@ type Binder struct {
 func NewBinder(db *relstore.DB, ix *invindex.Index, opts BinderOptions) *Binder {
 	opts = opts.withDefaults()
 	b := &Binder{
-		db:      db,
-		ix:      ix,
-		terms:   cache.New[termBinding](opts.TermCacheSize, opts.CacheShards),
-		merged:  cache.New[*mergedBinding](opts.TermCacheSize, opts.CacheShards),
-		builds:  &obs.Counter{},
-		lookups: make(map[lookupKey]map[relstore.Value][]*relstore.Tuple),
+		db:     db,
+		ix:     ix,
+		terms:  cache.New[termBinding](opts.TermCacheSize, opts.CacheShards),
+		merged: cache.New[*mergedBinding](opts.TermCacheSize, opts.CacheShards),
+		builds: &obs.Counter{},
+		joins:  make(map[JoinKey]*JoinIndex),
 	}
 	if opts.Metrics != nil {
 		b.Instrument(opts.Metrics)
@@ -106,38 +107,36 @@ func (bd *Binder) BindTraced(terms []string, sp *obs.Span) *Binding {
 	return bindTerms(bd.db, bd.ix, normalizeTerms(terms), bd, sp)
 }
 
-// lookup returns the shared join map for table.column, building it on
+// join returns the shared index of the directed join k, building it on
 // first use. Concurrent first uses may build twice; the first writer
-// wins so every caller observes one canonical map.
-func (bd *Binder) lookup(table, column string) map[relstore.Value][]*relstore.Tuple {
-	key := lookupKey{table, column}
+// wins so every caller observes one canonical index.
+func (bd *Binder) join(k JoinKey) *JoinIndex {
 	bd.mu.RLock()
-	m, ok := bd.lookups[key]
+	ji, ok := bd.joins[k]
 	bd.mu.RUnlock()
 	if ok {
-		return m
+		return ji
 	}
-	built := buildLookup(bd.db, table, column)
+	built := buildJoinIndex(bd.db, k)
 	bd.mu.Lock()
-	if m, ok := bd.lookups[key]; ok {
-		bd.mu.Unlock()
-		return m
+	defer bd.mu.Unlock()
+	if ji, ok := bd.joins[k]; ok {
+		return ji
 	}
-	bd.lookups[key] = built
-	bd.mu.Unlock()
+	bd.joins[k] = built
 	return built
 }
 
 // Invalidate flushes the binder after index or data growth: the term
 // cache's generation is bumped (O(1); stale entries drop lazily) and the
-// join lookup maps are rebuilt on next use. In-flight Bindings are
+// join indexes are rebuilt on next use. In-flight Bindings are
 // unaffected — they hold their own references and stay internally
 // consistent.
 func (bd *Binder) Invalidate() {
 	bd.terms.Invalidate()
 	bd.merged.Invalidate()
 	bd.mu.Lock()
-	bd.lookups = make(map[lookupKey]map[relstore.Value][]*relstore.Tuple)
+	bd.joins = make(map[JoinKey]*JoinIndex)
 	bd.mu.Unlock()
 }
 

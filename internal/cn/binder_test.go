@@ -189,7 +189,7 @@ func TestBindingMatchesScanRandomCorpus(t *testing.T) {
 // TestBinderGenChurnRace hammers one binder from concurrent queries
 // while another goroutine keeps bumping the cache generation (the churn
 // a live write path would produce). Every query's answer must equal the
-// scan baseline — a stale R^Q slice or a torn lookup map would either
+// scan baseline — a stale R^Q slice or a torn join-index map would either
 // diverge or trip the race detector (internal/cn is in verify.sh's
 // -race gate).
 func TestBinderGenChurnRace(t *testing.T) {

@@ -2,6 +2,7 @@ package cn
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,16 +29,19 @@ type termRel struct {
 	weights []float64
 }
 
-// lookupKey addresses one join map.
-type lookupKey struct {
-	table, column string
-}
+// MaxTerms is the most query terms a Binding can tell apart: coverage
+// is a uint32 with one bit per term, so a 33rd term would shift out of
+// the mask and drop out of the AND. Callers taking queries from outside
+// reject longer ones (core.Engine.Query does, as ErrBadQuery).
+const MaxTerms = 32
 
 // mergedBinding is the immutable merged product of one query's term
 // bindings — everything in a Binding that depends only on (terms,
 // generation), not on which CNs later execute. It is what the Binder
 // caches per query term list, so a repeated query skips the merge and
 // sort entirely; all maps and slices are read-only after construction.
+// The keyword bitset is derived from it per Binding and deliberately not
+// held here (see keywordBits).
 type mergedBinding struct {
 	masks     map[relstore.TupleID]uint32
 	scores    map[relstore.TupleID]float64
@@ -54,19 +58,23 @@ type Binding struct {
 	db     *relstore.DB
 	ix     *invindex.Index
 	terms  []string
-	binder *Binder // non-nil when term bindings and lookups are shared
+	binder *Binder // non-nil when term bindings and join indexes are shared
 
 	masks     map[relstore.TupleID]uint32
 	scores    map[relstore.TupleID]float64
 	kwSets    map[string][]*relstore.Tuple
 	maxScores map[string]float64
 	kwTables  []string // sorted names of tables with a non-empty R^Q
+	// kw is the union of the R^Q sets as a bitset: the keyword/free
+	// partition test of the join loops.
+	kw TupleSet
 
-	// freeSets and lookups memoize the lazy accessors until sealed.
-	// lookups additionally caches maps fetched from the shared binder,
-	// so sealed concurrent evaluation reads plain maps without locking.
+	// freeSets and joins memoize the lazy accessors until sealed (the
+	// maps themselves are made on first write). joins additionally
+	// caches indexes fetched from the shared binder, so sealed
+	// concurrent evaluation reads a plain map without locking.
 	freeSets map[string][]*relstore.Tuple
-	lookups  map[lookupKey]map[relstore.Value][]*relstore.Tuple
+	joins    map[JoinKey]*JoinIndex
 	sealed   bool
 
 	cachedTerms, builtTerms int
@@ -85,18 +93,13 @@ func normalizeTerms(terms []string) []string {
 	return norm
 }
 
-func newBinding(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binder) *Binding {
+// newBinding wraps a merged product with fresh per-query state.
+func newBinding(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binder, mb *mergedBinding) *Binding {
 	return &Binding{
-		db:        db,
-		ix:        ix,
-		terms:     norm,
-		binder:    binder,
-		masks:     make(map[relstore.TupleID]uint32),
-		scores:    make(map[relstore.TupleID]float64),
-		kwSets:    make(map[string][]*relstore.Tuple),
-		maxScores: make(map[string]float64),
-		freeSets:  make(map[string][]*relstore.Tuple),
-		lookups:   make(map[lookupKey]map[relstore.Value][]*relstore.Tuple),
+		db: db, ix: ix, terms: norm, binder: binder,
+		masks: mb.masks, scores: mb.scores,
+		kwSets: mb.kwSets, maxScores: mb.maxScores, kwTables: mb.kwTables,
+		kw: keywordBits(db, mb.kwSets),
 	}
 }
 
@@ -150,10 +153,7 @@ func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binde
 	if binder != nil {
 		mergedKey = strings.Join(norm, "\x00")
 		if mb, ok := binder.merged.Get(mergedKey); ok {
-			b := newBinding(db, ix, norm, binder)
-			b.masks, b.scores = mb.masks, mb.scores
-			b.kwSets, b.maxScores = mb.kwSets, mb.maxScores
-			b.kwTables = mb.kwTables
+			b := newBinding(db, ix, norm, binder, mb)
 			b.cachedTerms = len(norm)
 			psp := sp.Child("postings")
 			psp.SetAttr("terms", len(norm))
@@ -168,65 +168,86 @@ func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binde
 		}
 	}
 
-	b := newBinding(db, ix, norm, binder)
 	psp := sp.Child("postings")
 	tbs := make([]termBinding, len(norm))
+	cached, built := 0, 0
 	for i, term := range norm {
 		if binder != nil {
 			if tb, ok := binder.terms.Get(term); ok {
 				tbs[i] = tb
-				b.cachedTerms++
+				cached++
 				continue
 			}
 		}
 		tbs[i] = buildTermBinding(db, ix, term)
-		b.builtTerms++
+		built++
 		if binder != nil {
 			binder.terms.Put(term, tbs[i])
 			binder.builds.Inc()
 		}
 	}
 	psp.SetAttr("terms", len(norm))
-	psp.SetAttr("cached_terms", b.cachedTerms)
-	psp.SetAttr("built_terms", b.builtTerms)
+	psp.SetAttr("cached_terms", cached)
+	psp.SetAttr("built_terms", built)
 	psp.End()
 
 	msp := sp.Child("materialize")
+	// Size the merge from the term bindings: the per-tuple maps would
+	// otherwise rehash their way up through every insert.
+	matched, perTable := 0, make(map[string]int)
+	for _, tb := range tbs {
+		for _, r := range tb.rels {
+			matched += len(r.tuples)
+			perTable[r.table] += len(r.tuples)
+		}
+	}
+	mb := &mergedBinding{
+		masks:     make(map[relstore.TupleID]uint32, matched),
+		scores:    make(map[relstore.TupleID]float64, matched),
+		kwSets:    make(map[string][]*relstore.Tuple, len(perTable)),
+		maxScores: make(map[string]float64, len(perTable)),
+		kwTables:  make([]string, 0, len(perTable)),
+	}
 	for ti, tb := range tbs {
 		bit := uint32(1) << uint(ti)
 		for _, r := range tb.rels {
-			for i, tp := range r.tuples {
-				if b.masks[tp.ID] == 0 {
-					b.kwSets[r.table] = append(b.kwSets[r.table], tp)
-				}
-				b.masks[tp.ID] |= bit
-				b.scores[tp.ID] += r.weights[i]
+			set := mb.kwSets[r.table]
+			if set == nil {
+				set = make([]*relstore.Tuple, 0, perTable[r.table])
 			}
+			for i, tp := range r.tuples {
+				m := mb.masks[tp.ID]
+				if m == 0 {
+					set = append(set, tp)
+				}
+				mb.masks[tp.ID] = m | bit
+				mb.scores[tp.ID] += r.weights[i]
+			}
+			mb.kwSets[r.table] = set
 		}
 	}
-	for table, set := range b.kwSets {
+	for table, set := range mb.kwSets {
 		// A tuple matching several terms was appended at its first term;
 		// restore global insertion order by ID (IDs rise with insertion).
-		sort.Slice(set, func(i, j int) bool { return set[i].ID < set[j].ID })
+		slices.SortFunc(set, func(a, b *relstore.Tuple) int { return int(a.ID) - int(b.ID) })
 		best := 0.0
 		for _, tp := range set {
-			if s := b.scores[tp.ID]; s > best {
+			if s := mb.scores[tp.ID]; s > best {
 				best = s
 			}
 		}
-		b.maxScores[table] = best
-		b.kwTables = append(b.kwTables, table)
+		mb.maxScores[table] = best
+		mb.kwTables = append(mb.kwTables, table)
 	}
-	sort.Strings(b.kwTables)
-	msp.SetAttr("matched_tuples", len(b.masks))
-	msp.SetAttr("keyword_tables", len(b.kwTables))
+	sort.Strings(mb.kwTables)
+	msp.SetAttr("matched_tuples", len(mb.masks))
+	msp.SetAttr("keyword_tables", len(mb.kwTables))
 	msp.End()
 	if binder != nil {
-		binder.merged.Put(mergedKey, &mergedBinding{
-			masks: b.masks, scores: b.scores,
-			kwSets: b.kwSets, maxScores: b.maxScores, kwTables: b.kwTables,
-		})
+		binder.merged.Put(mergedKey, mb)
 	}
+	b := newBinding(db, ix, norm, binder, mb)
+	b.cachedTerms, b.builtTerms = cached, built
 	return b
 }
 
@@ -238,38 +259,46 @@ func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binde
 // computation path.
 func NewScanBinding(db *relstore.DB, ix *invindex.Index, terms []string) *Binding {
 	norm := normalizeTerms(terms)
-	b := newBinding(db, ix, norm, nil)
+	mb := &mergedBinding{
+		masks:     make(map[relstore.TupleID]uint32),
+		scores:    make(map[relstore.TupleID]float64),
+		kwSets:    make(map[string][]*relstore.Tuple),
+		maxScores: make(map[string]float64),
+	}
 	for ti, term := range norm {
 		for _, doc := range ix.Docs(term) {
-			b.masks[relstore.TupleID(doc)] |= 1 << uint(ti)
+			mb.masks[relstore.TupleID(doc)] |= 1 << uint(ti)
 		}
 	}
+	freeSets := make(map[string][]*relstore.Tuple)
 	for _, name := range db.TableNames() {
 		t := db.Table(name)
 		var kw, free []*relstore.Tuple
 		for _, tp := range t.Tuples() {
-			if b.masks[tp.ID] != 0 {
+			if mb.masks[tp.ID] != 0 {
 				kw = append(kw, tp)
 			} else {
 				free = append(free, tp)
 			}
 		}
 		if len(kw) > 0 {
-			b.kwSets[name] = kw
-			b.kwTables = append(b.kwTables, name)
+			mb.kwSets[name] = kw
+			mb.kwTables = append(mb.kwTables, name)
 		}
-		b.freeSets[name] = free
+		freeSets[name] = free
 		best := 0.0
 		for _, tp := range kw {
 			s := ix.Score(norm, invindex.DocID(tp.ID))
-			b.scores[tp.ID] = s
+			mb.scores[tp.ID] = s
 			if s > best {
 				best = s
 			}
 		}
-		b.maxScores[name] = best
+		mb.maxScores[name] = best
 	}
-	sort.Strings(b.kwTables)
+	sort.Strings(mb.kwTables)
+	b := newBinding(db, ix, norm, nil, mb)
+	b.freeSets = freeSets
 	return b
 }
 
@@ -303,6 +332,9 @@ func (b *Binding) FreeSet(table string) []*relstore.Tuple {
 	}
 	fs := b.computeFreeSet(table)
 	if !b.sealed {
+		if b.freeSets == nil {
+			b.freeSets = make(map[string][]*relstore.Tuple)
+		}
 		b.freeSets[table] = fs
 	}
 	return fs
@@ -318,7 +350,7 @@ func (b *Binding) computeFreeSet(table string) []*relstore.Tuple {
 	}
 	var free []*relstore.Tuple
 	for _, tp := range t.Tuples() {
-		if b.masks[tp.ID] == 0 {
+		if !b.kw.Has(tp.ID) {
 			free = append(free, tp)
 		}
 	}
@@ -341,49 +373,37 @@ func (b *Binding) TupleScore(tp *relstore.Tuple) float64 {
 // TermMask returns the query-term bitmask of tuple id (0 = free tuple).
 func (b *Binding) TermMask(id relstore.TupleID) uint32 { return b.masks[id] }
 
-// Lookup returns the join map value→tuples for table.column. Maps come
-// from the shared binder when one backs this binding (built once per
-// engine, not per query) and are memoized locally until sealed so
+// KeywordBits returns the union of every R^Q as a bitset over tuple
+// IDs. Shared; do not mutate.
+func (b *Binding) KeywordBits() TupleSet { return b.kw }
+
+// Join returns the index of one directed schema join. Indexes come from
+// the shared binder when one backs this binding (built once per
+// generation, not per query) and are memoized locally until sealed so
 // sealed concurrent evaluation never takes the binder's lock.
-func (b *Binding) Lookup(table, column string) map[relstore.Value][]*relstore.Tuple {
-	key := lookupKey{table, column}
-	if m, ok := b.lookups[key]; ok {
-		return m
+func (b *Binding) Join(k JoinKey) *JoinIndex {
+	if ji, ok := b.joins[k]; ok {
+		return ji
 	}
-	var m map[relstore.Value][]*relstore.Tuple
+	var ji *JoinIndex
 	if b.binder != nil {
-		m = b.binder.lookup(table, column)
+		ji = b.binder.join(k)
 	} else {
-		m = buildLookup(b.db, table, column)
+		ji = buildJoinIndex(b.db, k)
 	}
 	if !b.sealed {
-		b.lookups[key] = m
-	}
-	return m
-}
-
-// buildLookup materializes the value→tuples join map for table.column.
-func buildLookup(db *relstore.DB, table, column string) map[relstore.Value][]*relstore.Tuple {
-	m := make(map[relstore.Value][]*relstore.Tuple)
-	t := db.Table(table)
-	if t == nil {
-		return m
-	}
-	ci := t.ColumnIndex(column)
-	if ci >= 0 {
-		for _, tp := range t.Tuples() {
-			v := tp.Values[ci]
-			if !v.IsNull() {
-				m[v] = append(m[v], tp)
-			}
+		if b.joins == nil {
+			b.joins = make(map[JoinKey]*JoinIndex)
 		}
+		b.joins[k] = ji
 	}
-	return m
+	return ji
 }
 
-// Prewarm materializes every free set and join lookup the given CNs can
-// touch, then seals the binding (see BindSource). The posting lists are
-// touched too, preserving the old contract that sorts them in place
+// Prewarm materializes every free set and join index the given CNs can
+// touch — both directions of every edge, since a search may start at
+// any node — then seals the binding (see BindSource). The posting lists
+// are touched too, preserving the old contract that sorts them in place
 // before any concurrent reader exists.
 func (b *Binding) Prewarm(ctx context.Context, cns []*CN) error {
 	for _, term := range b.terms {
@@ -398,9 +418,8 @@ func (b *Binding) Prewarm(ctx context.Context, cns []*CN) error {
 				b.FreeSet(n.Table)
 			}
 		}
-		for _, e := range c.Edges {
-			b.Lookup(e.Via.From, e.Via.FromCol)
-			b.Lookup(e.Via.To, e.Via.ToCol)
+		for _, k := range c.program().joins {
+			b.Join(k)
 		}
 	}
 	b.sealed = true

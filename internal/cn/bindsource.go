@@ -17,7 +17,7 @@ import (
 // A BindSource is a snapshot: its keyword sets, scores and masks are
 // fixed at construction and never change, even if the underlying index
 // is invalidated afterwards — in-flight queries keep a consistent view.
-// The lazy accessors (FreeSet, Lookup) may memoize on first use; Prewarm
+// The lazy accessors (FreeSet, Join) may memoize on first use; Prewarm
 // materializes everything the given CNs can touch and then seals the
 // source, after which it is read-only and safe for concurrent use. This
 // is the type-level form of the old "read-only after Prewarm"
@@ -49,11 +49,14 @@ type BindSource interface {
 	// TermMask returns the bitmask of query terms tuple id contains
 	// (bit i set ⇔ the tuple matches Terms()[i]); 0 for free tuples.
 	TermMask(id relstore.TupleID) uint32
-	// Lookup returns the join map value→tuples for a table column. May
-	// materialize lazily on first use; the map and its slices are
-	// shared and must not be mutated.
-	Lookup(table, column string) map[relstore.Value][]*relstore.Tuple
-	// Prewarm materializes every free set and join lookup the given CNs
+	// KeywordBits returns the union of every R^Q as a bitset over tuple
+	// IDs: Has(id) ⇔ TermMask(id) != 0. Shared; must not be mutated.
+	KeywordBits() TupleSet
+	// Join returns the index of one directed schema join. May
+	// materialize lazily on first use; the index is shared and
+	// immutable.
+	Join(k JoinKey) *JoinIndex
+	// Prewarm materializes every free set and join index the given CNs
 	// can touch, then seals the source: afterwards it is read-only and
 	// safe for concurrent evaluation. Cancellation returns ctx's error
 	// with the source unsealed; the state built so far stays valid and

@@ -8,6 +8,7 @@ package cn
 import (
 	"sort"
 	"strings"
+	"sync"
 
 	"kwsearch/internal/schemagraph"
 )
@@ -34,10 +35,19 @@ type EdgeSpec struct {
 	Via  schemagraph.Edge
 }
 
-// CN is one candidate network: a tree over tuple sets.
+// CN is one candidate network: a tree over tuple sets. Nodes and Edges
+// must not change once Canonical, PrefixKey or an Evaluator has seen the
+// CN: its canonical string and its evaluation program (program.go) are
+// derived once and memoised, which is what lets the immutable CNs of a
+// plan.PlanSet be shared by every query on every goroutine.
 type CN struct {
 	Nodes []NodeSpec
 	Edges []EdgeSpec
+
+	canonOnce sync.Once
+	canon     string
+	progOnce  sync.Once
+	prog      *program
 }
 
 // Size returns the number of tuple sets.
@@ -69,7 +79,7 @@ func (c *CN) adjacency() [][]int {
 	for i, d := range deg {
 		start := len(backing)
 		backing = backing[:start+d]
-		adj[i] = backing[start:start : start+d]
+		adj[i] = backing[start : start : start+d]
 	}
 	for ei, e := range c.Edges {
 		adj[e.A] = append(adj[e.A], ei)
@@ -154,7 +164,16 @@ func edgeLabel(e schemagraph.Edge) string {
 // cannot distinguish the two orientations — such schemas do not occur in
 // practice (self-references use distinct columns, like cite.citing and
 // cite.cited, which the Via label distinguishes).
+//
+// The string is computed on first use and memoised: the sort order of
+// every top-k list (Less) and of the pool's job queues asks for it
+// again per comparison.
 func (c *CN) Canonical() string {
+	c.canonOnce.Do(func() { c.canon = c.canonical() })
+	return c.canon
+}
+
+func (c *CN) canonical() string {
 	if len(c.Nodes) == 1 {
 		return c.Nodes[0].String()
 	}

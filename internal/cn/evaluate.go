@@ -18,7 +18,7 @@ type Result struct {
 
 // Evaluator executes candidate networks against a database. All binding
 // state — the per-relation keyword (R^Q) and free (R^{}) tuple sets,
-// term masks, tuple scores and join-column lookups — comes from its
+// term masks, tuple scores and join indexes — comes from its
 // BindSource, so the same evaluation machinery runs over a one-shot
 // index-driven binding (NewEvaluator), the full-scan reference binding
 // (NewScanEvaluator) or a Binding served by the shared generation-aware
@@ -74,8 +74,9 @@ func (ev *Evaluator) TupleScore(tp *relstore.Tuple) float64 { return ev.src.Tupl
 // MaxNodeScore returns the best tuple score available in table's R^Q.
 func (ev *Evaluator) MaxNodeScore(table string) float64 { return ev.src.MaxNodeScore(table) }
 
-// PrewarmCtx materializes the join lookup tables and free sets the given
-// CNs will touch and seals the binding source, making subsequent
+// PrewarmCtx resolves the join indexes and free sets the given CNs will
+// touch (compiling the CNs' evaluation programs on the way, all before
+// any goroutine starts) and seals the binding source, making subsequent
 // EvaluateCN calls read-only — required before evaluating from multiple
 // goroutines (exec.TopK and the parallel package do this). Cancellation
 // is checked between CNs: a cancelled prewarm returns ctx's error and
@@ -91,54 +92,6 @@ func (ev *Evaluator) nodeSet(n NodeSpec) []*relstore.Tuple {
 		return ev.src.FreeSet(n.Table)
 	}
 	return ev.src.KeywordSet(n.Table)
-}
-
-// joinCandidates returns the tuples of CN node `to` that join with tuple tp
-// bound to node `from` via edge e.
-func (ev *Evaluator) joinCandidates(c *CN, e EdgeSpec, from int, tp *relstore.Tuple) []*relstore.Tuple {
-	to := e.A
-	if to == from {
-		to = e.B
-	}
-	toSpec := c.Nodes[to]
-	fromTable := ev.DB.Table(c.Nodes[from].Table)
-
-	var fromCol, toCol string
-	if e.Via.From == c.Nodes[from].Table && (e.Via.To == toSpec.Table) {
-		fromCol, toCol = e.Via.FromCol, e.Via.ToCol
-	} else {
-		fromCol, toCol = e.Via.ToCol, e.Via.FromCol
-	}
-	// Self-referencing edges (cite) need orientation by node position: the
-	// node attached later is always EdgeSpec.B, and Via is stored from the
-	// perspective of growing A->B; when from==e.B the roles reverse.
-	if e.Via.From == e.Via.To {
-		if from == e.A {
-			fromCol, toCol = e.Via.FromCol, e.Via.ToCol
-		} else {
-			fromCol, toCol = e.Via.ToCol, e.Via.FromCol
-		}
-	}
-
-	v := fromTable.Value(tp, fromCol)
-	if v.IsNull() {
-		return nil
-	}
-	cands := ev.src.Lookup(toSpec.Table, toCol)[v]
-	if len(cands) == 0 {
-		return nil
-	}
-	// Filter by membership in the node's tuple set: keyword nodes take
-	// matching tuples, free nodes take the complement (the DISCOVER
-	// partition keeps CN result sets disjoint).
-	var out []*relstore.Tuple
-	for _, cand := range cands {
-		inKW := ev.src.TermMask(cand.ID) != 0
-		if inKW != toSpec.Free {
-			out = append(out, cand)
-		}
-	}
-	return out
 }
 
 // allTermsMask is the bitmask with one bit per query term.
@@ -168,123 +121,155 @@ func (ev *Evaluator) EvaluateCNBound(c *CN, fixed map[int]*relstore.Tuple) []Res
 	return ev.evaluateFiltered(c, fixed)
 }
 
-func (ev *Evaluator) evaluateFiltered(c *CN, fixed map[int]*relstore.Tuple) []Result {
-	if len(c.Nodes) == 0 {
-		return nil
-	}
-	start := 0
-	for n := range fixed {
-		start = n
-		break
-	}
-	// Order nodes BFS from start so each subsequent node joins an
-	// already-bound one.
-	adj := c.adjacency()
-	order := []int{start}
-	via := map[int]EdgeSpec{}
-	parent := map[int]int{start: -1}
-	for qi := 0; qi < len(order); qi++ {
-		n := order[qi]
-		for _, ei := range adj[n] {
-			e := c.Edges[ei]
-			other := e.A
-			if other == n {
-				other = e.B
-			}
-			if _, seen := parent[other]; seen {
-				continue
-			}
-			parent[other] = n
-			via[other] = e
-			order = append(order, other)
-		}
-	}
+// unbound marks a CN node without a tuple in a search row.
+const unbound relstore.TupleID = -1
 
-	binding := make([]*relstore.Tuple, len(c.Nodes))
-	var out []Result
-	var rec func(oi int)
-	rec = func(oi int) {
-		if oi == len(order) {
-			if r, ok := ev.finishRow(c, binding); ok {
-				out = append(out, r)
-			}
-			return
-		}
-		node := order[oi]
-		var cands []*relstore.Tuple
-		if oi == 0 {
-			if tp, ok := fixed[node]; ok {
-				cands = []*relstore.Tuple{tp}
-			} else {
-				cands = ev.nodeSet(c.Nodes[node])
-			}
-		} else {
-			cands = ev.joinCandidates(c, via[node], parent[node], binding[parent[node]])
-			if want, ok := fixed[node]; ok {
-				var kept []*relstore.Tuple
-				for _, tp := range cands {
-					if tp.ID == want.ID {
-						kept = append(kept, tp)
-					}
-				}
-				cands = kept
-			}
-		}
-		for _, tp := range cands {
-			if containsTuple(binding, tp) {
-				continue // a tuple may appear once per result tree
-			}
-			binding[node] = tp
-			rec(oi + 1)
-			binding[node] = nil
-		}
-	}
-	rec(0)
-	return out
+// search is one depth-first evaluation of a CN: the compiled search
+// order with its join indexes resolved, the row being grown, and the
+// tuples the caller pinned.
+type search struct {
+	ev    *Evaluator
+	c     *CN
+	order []step
+	joins []*JoinIndex       // joins[oi] attaches order[oi].node; nil at 0
+	kw    TupleSet           // the keyword/free partition
+	row   []relstore.TupleID // indexed by CN node; unbound where open
+	pin   []relstore.TupleID // nil, or per node the one admissible tuple
+	masks []uint32           // finish's scratch
+	out   []Result
 }
 
-func containsTuple(binding []*relstore.Tuple, tp *relstore.Tuple) bool {
-	for _, b := range binding {
-		if b != nil && b.ID == tp.ID {
+// evaluateFiltered searches c depth-first from the lowest pinned node
+// (node 0 without pins), following the same compiled steps and join
+// indexes as the level-wise EvaluatePrefix with the partition test
+// inline — a different traversal of the same join graph, which is what
+// keeps it an oracle for the other.
+func (ev *Evaluator) evaluateFiltered(c *CN, fixed map[int]*relstore.Tuple) []Result {
+	n := len(c.Nodes)
+	if n == 0 {
+		return nil
+	}
+	s := search{
+		ev: ev, c: c, kw: ev.src.KeywordBits(),
+		row: openRow(n), masks: make([]uint32, n),
+	}
+	start := 0
+	if len(fixed) > 0 {
+		s.pin = openRow(n)
+		start = n
+		for node, tp := range fixed {
+			s.pin[node] = tp.ID
+			if node < start {
+				start = node
+			}
+		}
+	}
+	s.order = c.program().search[start]
+	s.joins = make([]*JoinIndex, len(s.order))
+	for oi := 1; oi < len(s.order); oi++ {
+		s.joins[oi] = ev.src.Join(s.order[oi].join)
+	}
+
+	if s.pin != nil {
+		s.bind(0, s.pin[start])
+	} else {
+		for _, tp := range ev.nodeSet(c.Nodes[start]) {
+			s.bind(0, tp.ID)
+		}
+	}
+	return s.out
+}
+
+// openRow returns a search row of n nodes, none bound.
+func openRow(n int) []relstore.TupleID {
+	row := make([]relstore.TupleID, n)
+	for i := range row {
+		row[i] = unbound
+	}
+	return row
+}
+
+// bind puts id at the node of order[oi] and searches on from there.
+func (s *search) bind(oi int, id relstore.TupleID) {
+	node := s.order[oi].node
+	s.row[node] = id
+	s.extend(oi + 1)
+	s.row[node] = unbound
+}
+
+func (s *search) extend(oi int) {
+	if oi == len(s.order) {
+		if r, ok := s.ev.finishRow(s.c, s.row, s.kw, s.masks); ok {
+			s.out = append(s.out, r)
+		}
+		return
+	}
+	st := s.order[oi]
+	for _, cand := range s.joins[oi].Targets(s.row[st.parent]) {
+		// Keyword nodes take matching tuples, free nodes the complement
+		// (the DISCOVER partition keeps CN result sets disjoint); a
+		// tuple may appear once per result tree.
+		if s.kw.Has(cand) == st.free || containsID(s.row, cand) {
+			continue
+		}
+		if s.pin != nil && s.pin[st.node] != unbound && s.pin[st.node] != cand {
+			continue
+		}
+		s.bind(oi, cand)
+	}
+}
+
+func containsID(row []relstore.TupleID, id relstore.TupleID) bool {
+	for _, b := range row {
+		if b == id {
 			return true
 		}
 	}
 	return false
 }
 
-// finishRow checks totality (all terms covered) and minimality (every leaf
-// contributes a needed term), then scores the row.
-func (ev *Evaluator) finishRow(c *CN, binding []*relstore.Tuple) (Result, bool) {
+// finishRow checks totality (all terms covered) and minimality (every
+// leaf contributes a needed term) on the tuple IDs of one complete row,
+// and only for a row that passes both resolves the tuples and scores
+// them. kw is the source's keyword bitset and masks a scratch slice of
+// len(row), both hoisted out of the callers' row loops.
+func (ev *Evaluator) finishRow(c *CN, row []relstore.TupleID, kw TupleSet, masks []uint32) (Result, bool) {
 	all := ev.allTermsMask()
 	var cover uint32
-	for _, tp := range binding {
-		cover |= ev.src.TermMask(tp.ID)
+	for i, id := range row {
+		masks[i] = 0
+		if kw.Has(id) { // free tuples have mask 0 without a probe
+			masks[i] = ev.src.TermMask(id)
+		}
+		cover |= masks[i]
 	}
 	if cover != all {
 		return Result{}, false
 	}
 	// Minimality: dropping any keyword leaf must lose some term.
-	for _, li := range c.leaves() {
-		if len(c.Nodes) == 1 {
-			break
-		}
-		var rest uint32
-		for i, tp := range binding {
-			if i == li {
-				continue
+	if len(row) > 1 {
+		for _, li := range c.program().leaves {
+			var rest uint32
+			for i, m := range masks {
+				if i != li {
+					rest |= m
+				}
 			}
-			rest |= ev.src.TermMask(tp.ID)
-		}
-		if rest == all {
-			return Result{}, false
+			if rest == all {
+				return Result{}, false
+			}
 		}
 	}
+	tuples := make([]*relstore.Tuple, len(row))
 	score := 0.0
-	for _, tp := range binding {
-		score += ev.src.TupleScore(tp)
+	for i, id := range row {
+		tuples[i] = ev.DB.TupleByID(id)
+		// A free tuple scores an exact 0.0, and x+0.0 == x bit for bit
+		// for these non-negative sums, so skipping it changes nothing.
+		if kw.Has(id) {
+			score += ev.src.TupleScore(tuples[i])
+		}
 	}
 	score /= float64(len(c.Nodes))
-	tuples := make([]*relstore.Tuple, len(binding))
-	copy(tuples, binding)
 	return Result{CN: c, Tuples: tuples, Score: score}, true
 }

@@ -44,7 +44,7 @@ func OwnerSlice(s, n int) Partition {
 }
 
 // Restrict returns a copy of ev whose EvaluatePrefix produces only the
-// bindings whose owner tuple (the binding of CN node 0) satisfies keep.
+// rows whose owner tuple (the binding of CN node 0) satisfies keep.
 // A nil keep returns ev unchanged. The restricted evaluator shares all
 // binding state with ev — the filter applies at the node-0 candidate
 // set, never to join candidates of other nodes, so non-owner nodes
@@ -60,20 +60,4 @@ func (ev *Evaluator) Restrict(keep Partition) *Evaluator {
 	cp := *ev
 	cp.keep = keep
 	return &cp
-}
-
-// filterOwned returns the subset of tps the partition owns; without a
-// partition it returns tps unchanged (no copy — callers must not
-// mutate the returned slice either way).
-func (ev *Evaluator) filterOwned(tps []*relstore.Tuple) []*relstore.Tuple {
-	if ev.keep == nil {
-		return tps
-	}
-	out := make([]*relstore.Tuple, 0, len(tps))
-	for _, tp := range tps {
-		if ev.keep(tp.ID) {
-			out = append(out, tp)
-		}
-	}
-	return out
 }

@@ -1,8 +1,7 @@
 package cn
 
 import (
-	"strconv"
-	"strings"
+	"context"
 
 	"kwsearch/internal/relstore"
 )
@@ -28,92 +27,136 @@ func (c *CN) PrefixKey(n int) string {
 	if n <= 0 || n > len(c.Nodes) {
 		return ""
 	}
-	var b strings.Builder
-	b.WriteString(c.Nodes[0].String())
-	for j := 1; j < n; j++ {
-		e := c.Edges[j-1]
-		parent := e.A
-		if parent == j {
-			parent = e.B
-		}
-		b.WriteByte('|')
-		b.WriteString(strings.Join([]string{
-			strconv.Itoa(parent), edgeLabel(e.Via), c.Nodes[j].String(),
-		}, ":"))
-	}
-	return b.String()
+	return c.program().prefix[n]
 }
+
+// Rows is one materialized prefix level: every join-consistent partial
+// binding of a CN's first Width nodes, laid end to end in one flat
+// pointer-free slice — row i is IDs[i*Width:(i+1)*Width], with CN node
+// j's tuple at offset j. A level costs a handful of allocations however
+// many rows it holds, and nothing in it is a pointer the collector has
+// to trace. The zero Rows is "no level yet"; a level with Width > 0 and
+// no IDs is a prefix that joins to nothing.
+type Rows struct {
+	Width int
+	IDs   []relstore.TupleID
+}
+
+// Len returns the number of rows.
+func (r Rows) Len() int {
+	if r.Width == 0 {
+		return 0
+	}
+	return len(r.IDs) / r.Width
+}
+
+// Row returns row i. The slice aliases the level; do not mutate it.
+func (r Rows) Row(i int) []relstore.TupleID {
+	return r.IDs[i*r.Width : (i+1)*r.Width : (i+1)*r.Width]
+}
+
+// pollEvery is how much join work (parent rows plus candidates scanned)
+// a row loop does between two looks at its context: a few thousand
+// rows, so a deadline lands inside a level of any size within
+// microseconds of work, and ctx.Err's lock is paid once per slice.
+const pollEvery = 4096
 
 // EvaluatePrefix returns every join-consistent partial binding of the
-// first n nodes of c, extending prior (bindings over the first m nodes,
-// m < n; nil means start from node 0). Each returned binding is a fresh
-// slice of length n with Tuples[i] bound to CN node i; bindings never
-// repeat a tuple (the joining-tree constraint). Callers evaluating from
-// multiple goroutines must Prewarm first, as with EvaluateCN.
-func (ev *Evaluator) EvaluatePrefix(c *CN, prior [][]*relstore.Tuple, n int) [][]*relstore.Tuple {
+// first n nodes of c, extending prior (the level over the first
+// prior.Width nodes; the zero Rows means start from node 0). Rows never
+// repeat a tuple (the joining-tree constraint), and they come in the
+// order of prior with each row's extensions in the target table's
+// insertion order — the order the row-at-a-time evaluator always
+// produced, which is why answers stay byte-identical. A context that
+// ends inside a level abandons it: the error is ctx's and no rows are
+// returned. Callers evaluating from multiple goroutines must Prewarm
+// first, as with EvaluateCN.
+func (ev *Evaluator) EvaluatePrefix(ctx context.Context, c *CN, prior Rows, n int) (Rows, error) {
 	if n <= 0 || n > len(c.Nodes) {
-		return nil
+		return Rows{}, nil
 	}
-	m := 0
-	bindings := prior
-	if len(prior) > 0 {
-		m = len(prior[0])
+	if prior.Width >= n {
+		return prior, nil
 	}
-	if m == 0 {
-		bindings = nil
+	rows := prior
+	if rows.Width == 0 {
 		// The owner filter cuts the partition here, at the root of the
-		// prefix tree — its only site: every binding grown below it
-		// inherits the node-0 restriction (prior bindings arriving with
-		// m > 0 were already filtered the same way when their first level
-		// was built).
-		for _, tp := range ev.filterOwned(ev.nodeSet(c.Nodes[0])) {
-			bindings = append(bindings, []*relstore.Tuple{tp})
-		}
-		m = 1
-	}
-	for j := m; j < n; j++ {
-		// Edge j-1 attaches node j to an earlier node (the enumerator's
-		// growth invariant); its other endpoint is the join parent.
-		e := c.Edges[j-1]
-		parent := e.A
-		if parent == j {
-			parent = e.B
-		}
-		var next [][]*relstore.Tuple
-		for _, b := range bindings {
-			for _, tp := range ev.joinCandidates(c, e, parent, b[parent]) {
-				if containsTuple(b, tp) {
-					continue
-				}
-				nb := make([]*relstore.Tuple, j+1)
-				copy(nb, b)
-				nb[j] = tp
-				next = append(next, nb)
+		// prefix tree — its only site: every row grown below it inherits
+		// the node-0 restriction (a prior level arriving with Width > 0
+		// was filtered the same way when its first level was built).
+		set := ev.nodeSet(c.Nodes[0])
+		rows = Rows{Width: 1, IDs: make([]relstore.TupleID, 0, len(set))}
+		for _, tp := range set {
+			if ev.keep == nil || ev.keep(tp.ID) {
+				rows.IDs = append(rows.IDs, tp.ID)
 			}
 		}
-		bindings = next
-		if len(bindings) == 0 {
-			return nil
+	}
+	kw := ev.src.KeywordBits()
+	for _, st := range c.program().grow[rows.Width-1 : n-1] {
+		if len(rows.IDs) == 0 {
+			return Rows{Width: n}, nil
+		}
+		var err error
+		if rows, err = extendRows(ctx, rows, st, ev.src.Join(st.join), kw); err != nil {
+			return Rows{}, err
 		}
 	}
-	return bindings
+	return rows, nil
 }
 
-// BindingResults filters complete bindings of c (length == len(c.Nodes),
+// extendRows grows every row of prior by one node: st's join followed
+// from the row's parent tuple, filtered by the keyword/free partition
+// (keyword nodes take matching tuples, free nodes the complement — the
+// DISCOVER partition keeps CN result sets disjoint).
+func extendRows(ctx context.Context, prior Rows, st step, ji *JoinIndex, kw TupleSet) (Rows, error) {
+	w := prior.Width
+	// Room for one extension per row: most joins here fan out around
+	// one, and a fan-out of zero wastes only untouched capacity.
+	next := make([]relstore.TupleID, 0, len(prior.IDs)+len(prior.IDs)/w)
+	budget := 0
+	for lo := 0; lo < len(prior.IDs); lo += w {
+		row := prior.IDs[lo : lo+w]
+		cands := ji.Targets(row[st.parent])
+		if budget -= len(cands) + 1; budget < 0 {
+			if err := ctx.Err(); err != nil {
+				return Rows{}, err
+			}
+			budget = pollEvery
+		}
+		for _, cand := range cands {
+			if kw.Has(cand) == st.free || containsID(row, cand) {
+				continue
+			}
+			next = append(append(next, row...), cand)
+		}
+	}
+	return Rows{Width: w + 1, IDs: next}, nil
+}
+
+// BindingResults filters a complete level of c (Width == len(c.Nodes),
 // as produced by EvaluatePrefix) through the totality and minimality
 // checks and scores the survivors — the finishing step EvaluateCN applies
 // to its own search tree. EvaluatePrefix + BindingResults produce exactly
 // EvaluateCN's result set (possibly in a different order; SortResults
-// normalizes).
-func (ev *Evaluator) BindingResults(c *CN, bindings [][]*relstore.Tuple) []Result {
+// normalizes). Only surviving rows are turned into tuples. A context
+// that ends inside the loop abandons it with ctx's error.
+func (ev *Evaluator) BindingResults(ctx context.Context, c *CN, rows Rows) ([]Result, error) {
+	if rows.Width != len(c.Nodes) {
+		return nil, nil
+	}
+	kw := ev.src.KeywordBits()
+	masks := make([]uint32, rows.Width)
 	var out []Result
-	for _, b := range bindings {
-		if len(b) != len(c.Nodes) {
-			continue
+	for i, n := 0, rows.Len(); i < n; i++ {
+		if i%pollEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
-		if r, ok := ev.finishRow(c, b); ok {
+		if r, ok := ev.finishRow(c, rows.Row(i), kw, masks); ok {
 			out = append(out, r)
 		}
 	}
-	return out
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package cn
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -44,12 +45,25 @@ func sigSet(rs []Result) map[string]int {
 // intermediate prefix depth.
 func TestEvaluatePrefixMatchesEvaluateCN(t *testing.T) {
 	ev, cns := prefixSetup(t)
+	ctx := context.Background()
+	// finish runs rows through BindingResults; neither step can fail
+	// under a background context.
+	finish := func(c *CN, prior Rows) map[string]int {
+		rows, err := ev.EvaluatePrefix(ctx, c, prior, len(c.Nodes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := ev.BindingResults(ctx, c, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sigSet(rs)
+	}
 	for ci, c := range cns {
 		want := sigSet(ev.EvaluateCN(c))
 
 		// One shot: materialize the full binding set, then finish.
-		full := ev.EvaluatePrefix(c, nil, len(c.Nodes))
-		got := sigSet(ev.BindingResults(c, full))
+		got := finish(c, Rows{})
 		if len(got) != len(want) {
 			t.Fatalf("CN %d (%s): prefix path %d distinct results, want %d", ci, c, len(got), len(want))
 		}
@@ -62,9 +76,14 @@ func TestEvaluatePrefixMatchesEvaluateCN(t *testing.T) {
 		// Resumed: stop at every intermediate depth and continue from it,
 		// as the executor's per-worker prefix cache does.
 		for depth := 1; depth < len(c.Nodes); depth++ {
-			mid := ev.EvaluatePrefix(c, nil, depth)
-			rest := ev.EvaluatePrefix(c, mid, len(c.Nodes))
-			got := sigSet(ev.BindingResults(c, rest))
+			mid, err := ev.EvaluatePrefix(ctx, c, Rows{}, depth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mid.Width != depth {
+				t.Fatalf("CN %d: level of depth %d has width %d", ci, depth, mid.Width)
+			}
+			got := finish(c, mid)
 			for sig, n := range want {
 				if got[sig] != n {
 					t.Fatalf("CN %d resumed at depth %d: result %q count %d, want %d", ci, depth, sig, got[sig], n)
@@ -109,5 +128,61 @@ func TestPrefixKeyOrderSensitive(t *testing.T) {
 	c := cns[0]
 	if c.PrefixKey(0) != "" || c.PrefixKey(len(c.Nodes)+1) != "" {
 		t.Fatal("out-of-range PrefixKey should be empty")
+	}
+}
+
+// TestLevelAllocsDoNotGrowWithRows pins the flat level layout by count:
+// extending a level is one presized slice plus the odd regrowth however
+// many rows come out of it (the row-at-a-time evaluator allocated one
+// slice per row plus one per parent tuple), and finishing a level
+// allocates for the rows that survive totality and minimality — their
+// Tuples, the growing result slice — not for the ones that fail.
+func TestLevelAllocsDoNotGrowWithRows(t *testing.T) {
+	ev, cns := prefixSetup(t)
+	ctx := context.Background()
+	if err := ev.PrewarmCtx(ctx, cns); err != nil {
+		t.Fatal(err)
+	}
+	bigLevels, rejected := 0, 0
+	for ci, c := range cns {
+		var rows Rows
+		for d := 1; d <= len(c.Nodes); d++ {
+			prior := rows
+			var err error
+			if rows, err = ev.EvaluatePrefix(ctx, c, prior, d); err != nil {
+				t.Fatal(err)
+			}
+			if rows.Len() < 1000 {
+				continue
+			}
+			bigLevels++
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := ev.EvaluatePrefix(ctx, c, prior, d); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 8 {
+				t.Errorf("CN %d (%s) depth %d: %.0f allocations for %d rows, want a handful", ci, c, d, allocs, rows.Len())
+			}
+		}
+		rs, err := ev.BindingResults(ctx, c, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rejected += rows.Len() - len(rs)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := ev.BindingResults(ctx, c, rows); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// One Tuples slice per survivor, the result slice's doublings
+		// (log2 of at most a few thousand) and the mask scratch.
+		if limit := float64(len(rs) + 16); allocs > limit {
+			t.Errorf("CN %d (%s): finishing %d rows (%d survive) made %.0f allocations, want <= %.0f",
+				ci, c, rows.Len(), len(rs), allocs, limit)
+		}
+	}
+	if bigLevels == 0 || rejected < 1000 {
+		t.Fatalf("fixture lost its shape: %d levels of >= 1000 rows, %d rejected rows", bigLevels, rejected)
 	}
 }

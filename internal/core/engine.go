@@ -169,8 +169,8 @@ type Engine struct {
 	// CandidateNetworks search runs on. Populated by NewRelational.
 	Exec *exec.Executor
 	// Binder is the shared keyword→tuple binding layer: R^Q sets are
-	// derived from posting lists with per-term bindings and join-column
-	// lookups cached across queries, shared by the executor and the
+	// derived from posting lists with per-term bindings and join
+	// indexes cached across queries, shared by the executor and the
 	// SPARK path. Populated by NewRelational; nil on XML engines.
 	Binder *cn.Binder
 	// Plans is the candidate-network plan cache, shared the same way: a

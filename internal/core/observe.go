@@ -9,8 +9,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
+	"kwsearch/internal/cn"
 	"kwsearch/internal/exec"
 	"kwsearch/internal/obs"
 	"kwsearch/internal/resilience"
@@ -153,6 +155,15 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	if len(terms) == 0 {
 		root.End()
 		err := badQuery("core: empty query")
+		e.capture(ctx, req, root, nil, obs.OutcomeError, err.Error(), time.Since(start), lg)
+		return nil, err
+	}
+
+	// Candidate-network coverage is one mask bit per term; a term past
+	// the mask's width would silently drop out of the AND.
+	if (req.Semantics == CandidateNetworks || req.Semantics == SparkNetworks) && len(terms) > cn.MaxTerms {
+		root.End()
+		err := badQuery(fmt.Sprintf("core: %d keywords, candidate networks take at most %d", len(terms), cn.MaxTerms))
 		e.capture(ctx, req, root, nil, obs.OutcomeError, err.Error(), time.Since(start), lg)
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"kwsearch/internal/cn"
 	"kwsearch/internal/dataset"
 	"kwsearch/internal/resilience"
 )
@@ -190,5 +191,34 @@ func TestBadQueryTyped(t *testing.T) {
 	}
 	if _, err := rel.Query(context.Background(), Request{Query: "widom", Semantics: SLCA}); !errors.Is(err, ErrBadQuery) {
 		t.Errorf("semantics mismatch err = %v, want ErrBadQuery", err)
+	}
+}
+
+// TestTooManyKeywordsIsBadQuery pins the coverage-mask bugfix: term
+// masks hold 32 bits, so a 33rd keyword used to shift out of the mask
+// and silently drop out of the AND — "adaptive"×32 + "ziyang" answered
+// with ten results, none containing ziyang, where "adaptive ziyang" has
+// none. Such a query is now refused; 32 keywords still work and still
+// mean AND.
+func TestTooManyKeywordsIsBadQuery(t *testing.T) {
+	rel := NewRelational(dataset.DBLP(dataset.DefaultDBLPConfig()))
+	ctx := context.Background()
+	pair, err := rel.Query(ctx, Request{Query: "adaptive ziyang", Semantics: CandidateNetworks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sem := range []Semantics{CandidateNetworks, SparkNetworks} {
+		full := strings.Repeat("adaptive ", cn.MaxTerms-1) + "ziyang"
+		resp, err := rel.Query(ctx, Request{Query: full, Semantics: sem})
+		if err != nil {
+			t.Fatalf("%v, %d keywords: %v", sem, cn.MaxTerms, err)
+		}
+		if len(resp.Results) != len(pair.Results) {
+			t.Errorf("%v, %d keywords: %d results, want the %d of the two-keyword AND",
+				sem, cn.MaxTerms, len(resp.Results), len(pair.Results))
+		}
+		if _, err := rel.Query(ctx, Request{Query: "adaptive " + full, Semantics: sem}); !errors.Is(err, ErrBadQuery) {
+			t.Errorf("%v, %d keywords: err = %v, want ErrBadQuery", sem, cn.MaxTerms+1, err)
+		}
 	}
 }

@@ -60,7 +60,7 @@ type Options struct {
 	PlanCacheSize int
 	// Binder is the shared keyword-binding layer that turns query terms
 	// into R^Q tuple sets from posting lists, caching per-term bindings
-	// and join lookups across queries. Leave nil to have the executor
+	// and join indexes across queries. Leave nil to have the executor
 	// build a private one (BindCacheSize terms); core.NewRelational
 	// passes the engine's binder, which its SPARK path shares.
 	Binder *cn.Binder
@@ -274,7 +274,7 @@ func (x *Executor) InvalidateCaches() {
 }
 
 // InvalidateDataCaches bumps only the value-dependent caches (postings,
-// results and the binder's term bindings + join lookups), keeping
+// results and the binder's term bindings + join indexes), keeping
 // compiled plans warm. Call it after data growth under a fixed schema.
 func (x *Executor) InvalidateDataCaches() {
 	x.postings.Invalidate()

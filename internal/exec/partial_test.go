@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"kwsearch/internal/dataset"
+	"kwsearch/internal/invindex"
 	"kwsearch/internal/resilience"
 )
 
@@ -98,6 +100,55 @@ func deadlineMidEvaluation(t *testing.T, shards int) {
 	}
 	if got := renderResults(rs); !strings.HasPrefix(serial, got) {
 		t.Errorf("shards=%d: deadline partial answer is not a prefix of serial top-k\ngot:\n%sserial:\n%s", shards, got, serial)
+	}
+}
+
+// TestDeadlineLandsInsideJoinLevel drives a deadline into one prefix
+// level, not between two: "search www" joins through the conference
+// hub, so at ×2 nearly all of its time is a single CN's level
+// extensions on one worker — with ctx checked only between levels the
+// pool returned when that level was done, deadline or not. The row
+// loops poll ctx, so the query comes back on time with the certified
+// prefix, the abandoned job's bound charged to the certificate.
+func TestDeadlineLandsInsideJoinLevel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the hub query to completion first")
+	}
+	cfg := dataset.DefaultDBLPConfig()
+	cfg.Authors, cfg.Papers, cfg.Conferences = 2*cfg.Authors, 2*cfg.Papers, 2*cfg.Conferences
+	db := dataset.DBLP(cfg)
+	x := New(db, invindex.FromDB(db), Options{Workers: 2, FreeTables: []string{"write", "cite"}})
+	q := Query{Terms: []string{"search", "www"}, K: 10, MaxCNSize: 5}
+
+	start := time.Now()
+	rs, _, err := x.TopK(context.Background(), q)
+	full := time.Since(start)
+	if err != nil || len(rs) == 0 {
+		t.Fatalf("undeadlined run: %d results, err = %v", len(rs), err)
+	}
+	want := renderResults(rs)
+	x.InvalidateResults()
+
+	// Everything but the joins is warm now, so a twentieth of the full
+	// time is far more than bind + plan + prewarm need and far less than
+	// the first hub level does.
+	deadline := full / 20
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start = time.Now()
+	rs, st, err := x.TopK(ctx, q)
+	returned := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v after %v, want DeadlineExceeded (full run %v)", err, returned, full)
+	}
+	if returned > deadline+100*time.Millisecond {
+		t.Errorf("TopK took %v to honor a %v deadline (full run %v)", returned, deadline, full)
+	}
+	if !st.Partial {
+		t.Error("Stats.Partial not set on deadline")
+	}
+	if got := renderResults(rs); !strings.HasPrefix(want, got) {
+		t.Errorf("partial answer is not a prefix of the full one\ngot:\n%sfull:\n%s", got, want)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"kwsearch/internal/fmath"
 	"kwsearch/internal/obs"
 	"kwsearch/internal/parallel"
-	"kwsearch/internal/relstore"
 	"kwsearch/internal/resilience"
 )
 
@@ -86,7 +85,8 @@ func (t *sharedTopK) snapshot() []cn.Result {
 // its slice, skips jobs whose bound is dominated by the shared k-th
 // score, and publishes a bound watermark; when every watermark is
 // dominated the pool context is cancelled, stopping in-flight
-// goroutines between prefix levels. The owner slices tile the result
+// goroutines between prefix levels or, through the row loops' context
+// polls, inside one. The owner slices tile the result
 // space and all feed one top-k under the total order cn.Less, so the
 // final top-k equals full serial evaluation byte for byte at every
 // worker and slice count (see package tests).
@@ -184,7 +184,7 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, a parallel.
 			defer wg.Done()
 			launched := time.Now()
 			st := &perWorker[g]
-			prefixes := map[string][][]*relstore.Tuple{}
+			prefixes := map[string]cn.Rows{}
 			for ji, job := range ordered[w] {
 				stop := ctx.Err()
 				if stop == nil {
@@ -258,36 +258,41 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, a parallel.
 	return top.snapshot(), perWorker, nil
 }
 
-// evalJob evaluates one CN with materialized-prefix reuse, checking ctx
-// between prefix levels. It returns false when cancellation interrupted
-// the evaluation (results discarded — they are provably below the k-th
-// score whenever the internal cancellation fired).
-func (x *Executor) evalJob(ctx context.Context, ev *cn.Evaluator, c *cn.CN, prefixes map[string][][]*relstore.Tuple, top *sharedTopK, st *runStats) bool {
+// evalJob evaluates one CN with materialized-prefix reuse. It returns
+// false when cancellation interrupted the evaluation — between levels
+// or inside one, the row loops poll ctx — with the results discarded
+// (they are provably below the k-th score whenever the internal
+// cancellation fired; otherwise runPool charges the job's bound to the
+// certificate). Only completed levels enter the prefix table.
+func (x *Executor) evalJob(ctx context.Context, ev *cn.Evaluator, c *cn.CN, prefixes map[string]cn.Rows, top *sharedTopK, st *runStats) bool {
 	n := len(c.Nodes)
-	start := 0
-	var bindings [][]*relstore.Tuple
+	var rows cn.Rows
 	for d := n - 1; d >= 1; d-- {
-		if bs, ok := prefixes[c.PrefixKey(d)]; ok {
-			bindings, start = bs, d
+		if r, ok := prefixes[c.PrefixKey(d)]; ok {
+			rows = r
 			st.PrefixReuses++
 			break
 		}
 	}
 	// A cached-but-empty prefix proves the CN joins to nothing.
-	dead := start > 0 && len(bindings) == 0
-	for d := start + 1; d <= n && !dead; d++ {
-		if ctx.Err() != nil {
+	dead := rows.Width > 0 && rows.Len() == 0
+	for d := rows.Width + 1; d <= n && !dead; d++ {
+		var err error
+		if rows, err = ev.EvaluatePrefix(ctx, c, rows, d); err != nil {
 			return false
 		}
-		bindings = ev.EvaluatePrefix(c, bindings, d)
 		if d < n {
-			prefixes[c.PrefixKey(d)] = bindings
+			prefixes[c.PrefixKey(d)] = rows
 		}
-		dead = len(bindings) == 0
+		dead = rows.Len() == 0
+	}
+	if !dead {
+		rs, err := ev.BindingResults(ctx, c, rows)
+		if err != nil {
+			return false
+		}
+		top.add(rs)
 	}
 	st.Evaluated++
-	if !dead {
-		top.add(ev.BindingResults(c, bindings))
-	}
 	return true
 }

@@ -392,9 +392,6 @@ func overloadBurst(ctx context.Context, client *http.Client, baseURL string, e c
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		// A per-attempt K keeps the burst query out of the result cache,
-		// so every attempt pays full evaluation and overlaps for real.
-		heavy := QueryRequest{Query: "keyword search", TopK: 10000 - attempt, Workers: 2}
 		n := 2*(gate.Limit()+gate.MaxQueue()) + 8 // ≥2× capacity
 		statuses := make([]int, n)
 		errs := make([]error, n)
@@ -406,6 +403,12 @@ func overloadBurst(ctx context.Context, client *http.Client, baseURL string, e c
 				defer wg.Done()
 				//lint:ignore ctxdrop start-gun barrier: closed unconditionally right after the spawn loop, never blocks past it
 				<-startGun
+				// A K of its own keeps every query of every burst out of
+				// the result cache: each pays full evaluation, so the
+				// burst overlaps for real however fast one evaluation
+				// is (a shared K let the first finisher's cached answer
+				// serve the rest before the gate ever filled).
+				heavy := QueryRequest{Query: "keyword search", TopK: 10000 - attempt*n - i, Workers: 2}
 				resp, _, err := postQuery(ctx, client, baseURL, heavy)
 				statuses[i], errs[i] = resp.Status, err
 			}(i)

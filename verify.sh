@@ -13,6 +13,14 @@ if [[ "${1:-}" == "-short" ]]; then
     short="-short"
 fi
 
+echo "==> gofmt -l (any file listed fails; bench/.build is build output)"
+unformatted=$(find . -name '*.go' -not -path './bench/.build/*' -print0 | xargs -0 gofmt -l)
+if [[ -n "$unformatted" ]]; then
+    echo "$unformatted"
+    echo "verify: gofmt would rewrite the files above" >&2
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
