@@ -1,6 +1,6 @@
 # Convenience targets; verify.sh is the canonical sequence.
 
-.PHONY: verify verify-short fmt-check build test race lint lint-fix bench bench-plan obs-bench
+.PHONY: verify verify-short fmt-check build test race fuzz-smoke lint lint-fix bench bench-plan obs-bench
 
 verify:
 	./verify.sh
@@ -21,10 +21,15 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/parallel/... ./internal/cn/... \
+	go test -race ./internal/cn/... \
 		./internal/cache/... ./internal/exec/... ./internal/lca/... ./internal/obs/... \
 		./internal/resilience/... ./internal/core/... ./internal/server/... \
 		./internal/analysis/... ./internal/plan/... ./internal/shard/...
+
+# Same step as verify.sh: ten seconds of generated corpora, queries, pool
+# sizes and job sizes against the serial oracle.
+fuzz-smoke:
+	go test -run '^$$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
 
 lint:
 	go run ./cmd/kwslint ./...

@@ -2,7 +2,6 @@
 // dataset into a warm engine and serves it over HTTP.
 //
 //	kwsd -addr :8791 -data dblp -admit 8 -admit-queue 16
-//	kwsd -addr :8791 -data dblp -shards 4
 //
 // Endpoints:
 //
@@ -49,7 +48,6 @@ import (
 	"kwsearch/internal/dataset"
 	"kwsearch/internal/obs"
 	"kwsearch/internal/server"
-	"kwsearch/internal/shard"
 )
 
 // buildLogger maps the -log-level flag onto a stderr structured logger;
@@ -75,7 +73,6 @@ func run() int {
 	admit := flag.Int("admit", 8, "admission-control concurrency limit (0 = off)")
 	admitQueue := flag.Int("admit-queue", 16, "bounded admission queue depth used with -admit")
 	workers := flag.Int("workers", 1, "default worker-pool size for queries that don't set one")
-	shards := flag.Int("shards", 0, "split every candidate network into N owner-hash slices on the worker pool (0/1 = unsliced; relational datasets only)")
 	deadline := flag.Duration("deadline", 0, "default per-query time budget for queries that don't set one (0 = none)")
 	maxDeadline := flag.Duration("max-deadline", time.Minute, "ceiling clamped onto any requested per-query deadline (0 = no ceiling)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-drain budget after SIGTERM/SIGINT")
@@ -92,19 +89,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	// The serving seam is core.Searcher: a bare engine, or the same
-	// engine behind a coordinator stamping the slice count.
-	var searcher core.Searcher = engine
-	if *shards > 1 {
-		coord, err := shard.New(engine, shard.Options{Shards: *shards})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		searcher = coord
-	}
 	if *admit > 0 {
-		searcher.Admit(*admit, *admitQueue)
+		engine.Admit(*admit, *admitQueue)
 	}
 	logger, err := buildLogger(*logLevel)
 	if err != nil {
@@ -115,7 +101,7 @@ func run() int {
 	if *slowlogCap > 0 {
 		slowlog = obs.NewSlowLog(*slowlogCap, time.Duration(*slowlogMS)*time.Millisecond)
 	}
-	srv := server.New(searcher, server.Options{
+	srv := server.New(engine, server.Options{
 		DefaultWorkers:  *workers,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
@@ -124,18 +110,14 @@ func run() int {
 	})
 
 	if *selfcheck {
-		return runSelfCheck(srv, searcher, *clients, *perClient)
+		return runSelfCheck(srv, engine, *clients, *perClient)
 	}
 
 	if err := srv.Start(*addr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	if *shards > 1 {
-		fmt.Fprintf(os.Stderr, "kwsd: serving %s in %d owner-hash slices on http://%s (POST /query, /batch; GET /healthz, /metrics)\n", *data, *shards, srv.Addr())
-	} else {
-		fmt.Fprintf(os.Stderr, "kwsd: serving %s on http://%s (POST /query, /batch; GET /healthz, /metrics)\n", *data, srv.Addr())
-	}
+	fmt.Fprintf(os.Stderr, "kwsd: serving %s on http://%s (POST /query, /batch; GET /healthz, /metrics)\n", *data, srv.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)

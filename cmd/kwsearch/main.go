@@ -11,7 +11,6 @@
 //	kwsearch -data dblp -json keyword search | jq .stats
 //	kwsearch -data dblp -serve localhost:6060 keyword search
 //	kwsearch -data dblp -n 16 -admit 1 keyword search
-//	kwsearch -data dblp -shards 4 -stats keyword search
 //
 // -n runs the query that many times concurrently against the shared
 // engine; combined with -admit it demonstrates load shedding from the
@@ -39,7 +38,6 @@ import (
 	"kwsearch/internal/core"
 	"kwsearch/internal/dataset"
 	"kwsearch/internal/obs"
-	"kwsearch/internal/shard"
 	"kwsearch/internal/snippet"
 )
 
@@ -50,7 +48,6 @@ func main() {
 	doClean := flag.Bool("clean", false, "run noisy-channel query cleaning first")
 	snip := flag.Bool("snippets", false, "print snippets for XML results")
 	workers := flag.Int("workers", 1, "worker-pool size for cn/slca evaluation (answers are identical at every size)")
-	shards := flag.Int("shards", 0, "split every candidate network into N owner-hash slices on the worker pool (0/1 = unsliced; relational datasets only)")
 	deadline := flag.Duration("deadline", 0, "per-query time budget (0 = none); an expiring deadline returns the partial answer certified so far")
 	admit := flag.Int("admit", 0, "admission-control concurrency limit (0 = off; relevant with -serve under external load)")
 	admitQueue := flag.Int("admit-queue", 0, "bounded admission queue depth used with -admit")
@@ -75,17 +72,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// The searcher seam: a bare engine, or the same engine behind a
-	// coordinator stamping the slice count — every later step is identical.
-	var searcher core.Searcher = engine
-	if *shards > 1 {
-		coord, err := shard.New(engine, shard.Options{Shards: *shards})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		searcher = coord
-	}
 	semantics, err := core.ParseSemantics(*sem)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -96,7 +82,7 @@ func main() {
 		fmt.Printf("cleaned query: %s\n", engine.Cleaner.Clean(query))
 	}
 	if *admit > 0 {
-		searcher.Admit(*admit, *admitQueue)
+		engine.Admit(*admit, *admitQueue)
 	}
 	logger, err := buildLogger(*logLevel)
 	if err != nil {
@@ -106,7 +92,7 @@ func main() {
 	var slowlog *obs.SlowLog
 	if *slowlogCap > 0 {
 		slowlog = obs.NewSlowLog(*slowlogCap, time.Duration(*slowlogMS)*time.Millisecond)
-		searcher.SetSlowLog(slowlog)
+		engine.SetSlowLog(slowlog)
 	}
 	ctx := obs.WithLogger(context.Background(), logger)
 	req := core.Request{
@@ -114,7 +100,7 @@ func main() {
 		Workers: *workers, Deadline: *deadline,
 		Trace: *trace || *jsonOut,
 	}
-	resp, err := runQueries(ctx, searcher, req, *concurrent)
+	resp, err := runQueries(ctx, engine, req, *concurrent)
 	printSlowLog(slowlog)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -132,11 +118,11 @@ func main() {
 	if *jsonOut {
 		emitJSON(query, resp)
 	} else {
-		printText(searcher.Registry(), resp, *snip, *trace, *stats)
+		printText(engine.Registry(), resp, *snip, *trace, *stats)
 	}
 
 	if *serve != "" {
-		srv, err := obs.ServeWith(*serve, searcher.Registry(), slowlog)
+		srv, err := obs.ServeWith(*serve, engine.Registry(), slowlog)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -269,8 +255,8 @@ func printText(reg *obs.Registry, resp *core.Response, snip, trace, stats bool) 
 	}
 	if stats {
 		if st := resp.Stats.Exec; st != nil {
-			fmt.Printf("\nexec: workers=%d cns=%d evaluated=%d skipped=%d prefix-reuses=%d result-cache-hit=%v plan-cache-hit=%v\n",
-				st.Workers, st.CNs, st.Evaluated, st.Skipped, st.PrefixReuses, st.ResultCacheHit, st.PlanCacheHit)
+			fmt.Printf("\nexec: workers=%d cns=%d jobs=%d evaluated=%d skipped=%d prefix-reuses=%d result-cache-hit=%v plan-cache-hit=%v\n",
+				st.Workers, st.CNs, st.Jobs, st.Evaluated, st.Skipped, st.PrefixReuses, st.ResultCacheHit, st.PlanCacheHit)
 			if len(st.JobsPerWorker) > 0 {
 				fmt.Printf("exec: jobs per worker %v\n", st.JobsPerWorker)
 			}

@@ -92,14 +92,10 @@ func (bd *Binder) Instrument(reg *obs.Registry) {
 	bd.builds = reg.Attach("bind.builds", bd.builds)
 }
 
-// Bind builds the binding for a query's terms (normalized internally),
-// serving per-term work from the cache where current.
-func (bd *Binder) Bind(terms []string) *Binding {
-	return bd.BindTraced(terms, nil)
-}
-
-// BindTraced is Bind with the work recorded as child spans of sp (the
-// caller's "bind" span): "postings" covers the per-term cache probes and
+// BindTraced builds the binding for a query's terms (normalized
+// internally), serving per-term work from the cache where current. The
+// work is recorded as child spans of sp (the caller's "bind" span):
+// "postings" covers the per-term cache probes and
 // posting-list walks (attrs terms/cached_terms/built_terms), and
 // "materialize" the merge into per-table R^Q sets and max-scores (attrs
 // matched_tuples/keyword_tables). A nil sp costs nothing.

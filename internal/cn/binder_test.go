@@ -15,71 +15,6 @@ import (
 	"kwsearch/internal/schemagraph"
 )
 
-// corpusVocab is small on purpose: terms collide across tables and
-// tuples, exercising multi-term tuples, multi-table terms and the
-// ID-sort/dedup path of the merge.
-var corpusVocab = []string{
-	"query", "keyword", "search", "database", "join", "index",
-	"graph", "rank", "tuple", "stream", "cache", "widom",
-}
-
-// randomCorpusDB builds a random bibliography-shaped database: nEnt
-// entity tables (id key + text column) chained by link tables, with
-// random text drawn from corpusVocab. It returns the DB and the link
-// (free) table names.
-func randomCorpusDB(rng *rand.Rand, nEnt int) (*relstore.DB, []string) {
-	db := relstore.NewDB()
-	for i := 0; i < nEnt; i++ {
-		db.MustCreateTable(&relstore.TableSchema{
-			Name: fmt.Sprintf("ent%d", i),
-			Columns: []relstore.Column{
-				{Name: "id", Type: relstore.KindInt},
-				{Name: "txt", Type: relstore.KindString, Text: true},
-			},
-			Key: "id",
-		})
-	}
-	var free []string
-	for i := 1; i < nEnt; i++ {
-		name := fmt.Sprintf("link%d", i)
-		free = append(free, name)
-		db.MustCreateTable(&relstore.TableSchema{
-			Name: name,
-			Columns: []relstore.Column{
-				{Name: "a", Type: relstore.KindInt},
-				{Name: "b", Type: relstore.KindInt},
-			},
-			ForeignKeys: []relstore.ForeignKey{
-				{Column: "a", RefTable: fmt.Sprintf("ent%d", i-1), RefColumn: "id"},
-				{Column: "b", RefTable: fmt.Sprintf("ent%d", i), RefColumn: "id"},
-			},
-		})
-	}
-	rows := make([]int, nEnt)
-	for i := 0; i < nEnt; i++ {
-		rows[i] = 5 + rng.Intn(25)
-		for r := 0; r < rows[i]; r++ {
-			words := make([]string, 1+rng.Intn(3))
-			for w := range words {
-				words[w] = corpusVocab[rng.Intn(len(corpusVocab))]
-			}
-			db.MustInsert(fmt.Sprintf("ent%d", i), map[string]relstore.Value{
-				"id":  relstore.Int(int64(r)),
-				"txt": relstore.String(strings.Join(words, " ")),
-			})
-		}
-	}
-	for i := 1; i < nEnt; i++ {
-		for r := 0; r < 10+rng.Intn(30); r++ {
-			db.MustInsert(fmt.Sprintf("link%d", i), map[string]relstore.Value{
-				"a": relstore.Int(int64(rng.Intn(rows[i-1]))),
-				"b": relstore.Int(int64(rng.Intn(rows[i]))),
-			})
-		}
-	}
-	return db, free
-}
-
 // assertBindingsEqual compares two BindSources bit-for-bit over every
 // observable: table membership, set contents and order, masks, scores
 // and max-scores.
@@ -147,18 +82,18 @@ func renderBinderResults(rs []Result) string {
 func TestBindingMatchesScanRandomCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 25; trial++ {
-		db, freeTables := randomCorpusDB(rng, 2+rng.Intn(3))
+		db, freeTables := dataset.RandomCorpus(rng, 2+rng.Intn(3))
 		ix := invindex.FromDB(db)
 		binder := NewBinder(db, ix, BinderOptions{})
 		for q := 0; q < 4; q++ {
 			terms := make([]string, 1+rng.Intn(3))
 			for i := range terms {
-				terms[i] = corpusVocab[rng.Intn(len(corpusVocab))]
+				terms[i] = dataset.CorpusVocab[rng.Intn(len(dataset.CorpusVocab))]
 			}
 			label := fmt.Sprintf("trial %d %v", trial, terms)
 			scan := NewScanBinding(db, ix, terms)
 			oneShot := bindTerms(db, ix, normalizeTerms(terms), nil, nil)
-			cold := binder.Bind(terms)
+			cold := binder.BindTraced(terms, nil)
 			builds := binder.Builds()
 			warm := binder.BindTraced(terms, nil)
 			// The count that replaces the old warm-bind-share timing gate:
@@ -228,7 +163,7 @@ func TestBinderGenChurnRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				ev := NewEvaluatorFrom(db, ix, binder.Bind(terms))
+				ev := NewEvaluatorFrom(db, ix, binder.BindTraced(terms, nil))
 				if got := renderBinderResults(TopKNaive(ev, cns, 10)); got != want {
 					select {
 					case errs <- got:
@@ -254,11 +189,11 @@ func TestBinderGenChurnRace(t *testing.T) {
 // binder keeps serving cached bindings until Invalidate, and the first
 // Bind after Invalidate sees the new data.
 func TestBinderInvalidateSeesNewData(t *testing.T) {
-	db, _ := randomCorpusDB(rand.New(rand.NewSource(3)), 2)
+	db, _ := dataset.RandomCorpus(rand.New(rand.NewSource(3)), 2)
 	ix := invindex.FromDB(db)
 	binder := NewBinder(db, ix, BinderOptions{})
 
-	before := binder.Bind([]string{"widom"})
+	before := binder.BindTraced([]string{"widom"}, nil)
 	n := len(before.KeywordSet("ent0"))
 
 	tp := db.MustInsert("ent0", map[string]relstore.Value{
@@ -267,7 +202,7 @@ func TestBinderInvalidateSeesNewData(t *testing.T) {
 	})
 	ix.Add(invindex.DocID(tp.ID), "widom widom")
 
-	stale := binder.Bind([]string{"widom"})
+	stale := binder.BindTraced([]string{"widom"}, nil)
 	if got := len(stale.KeywordSet("ent0")); got != n {
 		t.Fatalf("pre-invalidate bind saw %d matches, want cached %d", got, n)
 	}
@@ -277,7 +212,7 @@ func TestBinderInvalidateSeesNewData(t *testing.T) {
 	if binder.Gen() != gen+1 {
 		t.Fatalf("Gen = %d after Invalidate, want %d", binder.Gen(), gen+1)
 	}
-	fresh := binder.Bind([]string{"widom"})
+	fresh := binder.BindTraced([]string{"widom"}, nil)
 	if got := len(fresh.KeywordSet("ent0")); got != n+1 {
 		t.Fatalf("post-invalidate bind saw %d matches, want %d", got, n+1)
 	}
@@ -307,7 +242,7 @@ func TestTupleScoreZeroFastPath(t *testing.T) {
 	db := dataset.WidomBib()
 	ix := invindex.FromDB(db)
 	terms := []string{"Widom", "XML"}
-	b := NewBinder(db, ix, BinderOptions{}).Bind(terms)
+	b := NewBinder(db, ix, BinderOptions{}).BindTraced(terms, nil)
 	checked := 0
 	for _, name := range db.TableNames() {
 		for _, tp := range db.Table(name).Tuples() {

@@ -29,9 +29,6 @@ type Evaluator struct {
 	Terms []string
 
 	src BindSource
-	// keep, when non-nil, restricts EvaluatePrefix to bindings whose owner
-	// tuple (CN node 0's binding) it admits; see Restrict in partition.go.
-	keep Partition
 }
 
 // NewEvaluator prepares an evaluator for the given query terms
@@ -53,9 +50,6 @@ func NewScanEvaluator(db *relstore.DB, ix *invindex.Index, terms []string) *Eval
 func NewEvaluatorFrom(db *relstore.DB, ix *invindex.Index, src BindSource) *Evaluator {
 	return &Evaluator{DB: db, Index: ix, Terms: src.Terms(), src: src}
 }
-
-// Source returns the evaluator's binding source.
-func (ev *Evaluator) Source() BindSource { return ev.src }
 
 // KeywordTables returns the tables with a non-empty R^Q, sorted — the input
 // Enumerate needs.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"kwsearch/internal/dataset"
 	"kwsearch/internal/relstore"
 	"kwsearch/internal/schemagraph"
 )
@@ -61,7 +62,7 @@ func bothWays(e schemagraph.Edge) []JoinKey {
 func TestJoinIndexMatchesBruteForceRandomCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 25; trial++ {
-		db, _ := randomCorpusDB(rng, 2+rng.Intn(3))
+		db, _ := dataset.RandomCorpus(rng, 2+rng.Intn(3))
 		for _, e := range schemagraph.FromDB(db).Edges() {
 			for _, k := range bothWays(e) {
 				assertJoinIndex(t, db, k, fmt.Sprintf("trial %d", trial))

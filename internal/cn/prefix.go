@@ -8,12 +8,13 @@ import (
 
 // Prefix evaluation: the enumerator grows every CN by attaching node j to
 // an earlier node via edge j-1, so the first n nodes of a CN always form
-// a connected sub-tree — the "construction-order prefix" that
-// parallel.Decompose names with Canonical strings. The internal/exec
-// worker pool materializes these prefixes once per worker and extends
-// them level by level, which is how CNs sharing a prefix (slide 132's
-// sharing-aware partitioning) actually reuse each other's work at
-// evaluation time, not just in the cost model.
+// a connected sub-tree — the "construction-order prefix". The
+// internal/exec worker pool materializes these prefixes once per
+// goroutine and root range and extends them level by level, which is how
+// CNs sharing a prefix (slide 132's shared execution graph) actually
+// reuse each other's work at evaluation time. Node 0 is always a keyword
+// node, because enumeration seeds every CN with one and grows it by
+// attaching (see EnumerateCtx).
 
 // PrefixKey identifies the construction-order prefix of c's first n
 // nodes: node specs and attaching edges in growth order. Unlike
@@ -61,9 +62,30 @@ func (r Rows) Row(i int) []relstore.TupleID {
 // microseconds of work, and ctx.Err's lock is paid once per slice.
 const pollEvery = 4096
 
+// RootCount returns the size of c's root set: the tuple set of node 0.
+func (ev *Evaluator) RootCount(c *CN) int { return len(ev.nodeSet(c.Nodes[0])) }
+
+// Roots returns rows [lo, hi) of c's first level, one root-set tuple per
+// row in set order (hi is clamped to the set). Every row EvaluatePrefix
+// grows descends from exactly one root and levels keep their parents'
+// order, so ranges that tile [0, RootCount(c)) extend independently and
+// their levels, laid end to end in range order, are the unsplit level.
+func (ev *Evaluator) Roots(c *CN, lo, hi int) Rows {
+	set := ev.nodeSet(c.Nodes[0])
+	hi = min(hi, len(set))
+	rows := Rows{Width: 1}
+	if lo < hi {
+		rows.IDs = make([]relstore.TupleID, hi-lo)
+		for i, tp := range set[lo:hi] {
+			rows.IDs[i] = tp.ID
+		}
+	}
+	return rows
+}
+
 // EvaluatePrefix returns every join-consistent partial binding of the
 // first n nodes of c, extending prior (the level over the first
-// prior.Width nodes; the zero Rows means start from node 0). Rows never
+// prior.Width nodes; the zero Rows means start from all of Roots). Rows never
 // repeat a tuple (the joining-tree constraint), and they come in the
 // order of prior with each row's extensions in the target table's
 // insertion order — the order the row-at-a-time evaluator always
@@ -80,17 +102,7 @@ func (ev *Evaluator) EvaluatePrefix(ctx context.Context, c *CN, prior Rows, n in
 	}
 	rows := prior
 	if rows.Width == 0 {
-		// The owner filter cuts the partition here, at the root of the
-		// prefix tree — its only site: every row grown below it inherits
-		// the node-0 restriction (a prior level arriving with Width > 0
-		// was filtered the same way when its first level was built).
-		set := ev.nodeSet(c.Nodes[0])
-		rows = Rows{Width: 1, IDs: make([]relstore.TupleID, 0, len(set))}
-		for _, tp := range set {
-			if ev.keep == nil || ev.keep(tp.ID) {
-				rows.IDs = append(rows.IDs, tp.ID)
-			}
-		}
+		rows = ev.Roots(c, 0, ev.RootCount(c))
 	}
 	kw := ev.src.KeywordBits()
 	for _, st := range c.program().grow[rows.Width-1 : n-1] {

@@ -3,10 +3,12 @@ package cn
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"kwsearch/internal/dataset"
 	"kwsearch/internal/invindex"
+	"kwsearch/internal/relstore"
 	"kwsearch/internal/schemagraph"
 )
 
@@ -184,5 +186,43 @@ func TestLevelAllocsDoNotGrowWithRows(t *testing.T) {
 	}
 	if bigLevels == 0 || rejected < 1000 {
 		t.Fatalf("fixture lost its shape: %d levels of >= 1000 rows, %d rejected rows", bigLevels, rejected)
+	}
+}
+
+// TestRootRangesTile pins the property the exec pool's job queue rests
+// on: cut a CN's root set into contiguous ranges of any size, grow each
+// range on its own, and the levels laid end to end in range order are
+// the unsplit level, ID for ID, at every depth.
+func TestRootRangesTile(t *testing.T) {
+	ev, cns := prefixSetup(t)
+	ctx := context.Background()
+	for ci, c := range cns {
+		n := ev.RootCount(c)
+		if whole := ev.Roots(c, 0, n+5); whole.Len() != n {
+			t.Fatalf("CN %d: Roots clamped to %d rows, want %d", ci, whole.Len(), n)
+		}
+		for depth := 1; depth <= len(c.Nodes); depth++ {
+			want, err := ev.EvaluatePrefix(ctx, c, Rows{}, depth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, per := range []int{1, 7, 64, max(n, 1)} {
+				var got []relstore.TupleID
+				for lo := 0; lo < n; lo += per {
+					rows, err := ev.EvaluatePrefix(ctx, c, ev.Roots(c, lo, lo+per), depth)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rows.Width != depth {
+						t.Fatalf("CN %d depth %d roots [%d,%d): width %d", ci, depth, lo, lo+per, rows.Width)
+					}
+					got = append(got, rows.IDs...)
+				}
+				if !slices.Equal(got, want.IDs) {
+					t.Fatalf("CN %d (%s) depth %d, %d roots per range: %d IDs, want %d, or in another order",
+						ci, c, depth, per, len(got), len(want.IDs))
+				}
+			}
+		}
 	}
 }

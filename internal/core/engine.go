@@ -320,8 +320,8 @@ func cnResults(rs []cn.Result) []Result {
 
 // searchCN answers a CandidateNetworks query on the exec worker pool —
 // the one evaluation path for that semantics. Workers <= 1 is a pool of
-// one worker and Shards only slices each worker's jobs, so the answer
-// (ties at the k boundary included) is the same at every pool shape.
+// one goroutine draining the same queue, so the answer (ties at the k
+// boundary included) is the same at every pool size.
 func (e *Engine) searchCN(ctx context.Context, terms []string, req Request, sp *obs.Span, st *Stats) ([]Result, error) {
 	if err := e.requireRelational(); err != nil {
 		return nil, err
@@ -332,8 +332,7 @@ func (e *Engine) searchCN(ctx context.Context, terms []string, req Request, sp *
 	}
 	lookupSpan(sp, terms, func(t string) int { return len(e.Exec.Postings(t)) })
 	rs, xst, err := e.Exec.TopK(ctx, exec.Query{
-		Terms: terms, K: req.TopK, MaxCNSize: req.MaxCNSize, Workers: workers,
-		Shards: req.Shards, Trace: sp,
+		Terms: terms, K: req.TopK, MaxCNSize: req.MaxCNSize, Workers: workers, Trace: sp,
 	})
 	snap := xst
 	e.lastExec.Store(&snap)

@@ -53,28 +53,27 @@ func zipfTermPairs(e *Engine, seed int64, n int) []string {
 
 // TestAnswerIdenticalAtEveryPoolSize: over 300 seeded Zipf term pairs on
 // the ×1 DBLP corpus, the engine's answer is byte-identical at Workers 0,
-// 1, 2 and 4 crossed with Shards 1, 2 and 4 and equal to the exhaustive
-// reference Exec.TopKSerial — there is one evaluation path and the owner
-// slices tile the result space into one top-k, so the pool shape can
-// never pick which of several equal-score tuples survive the k boundary. When Workers <= 1
-// still ran the serial Global Pipeline, 53 of these 300 queries (seed 1;
-// "database keyword" is the first, "keyword search" another) returned the
-// same score bits over different tuples at both 0 and 1.
+// 1, 2 and 4 and equal to the exhaustive reference Exec.TopKSerial —
+// there is one evaluation path and one queue feeding one top-k, so the
+// pool size can never pick which of several equal-score tuples survive
+// the k boundary (internal/exec sweeps the same pairs over the job size
+// as well). When Workers <= 1 still ran the serial Global Pipeline, 53 of
+// these 300 queries (seed 1; "database keyword" is the first, "keyword
+// search" another) returned the same score bits over different tuples at
+// both 0 and 1.
 func TestAnswerIdenticalAtEveryPoolSize(t *testing.T) {
 	e := NewRelational(dataset.DBLP(dataset.DefaultDBLPConfig()))
 	for _, q := range zipfTermPairs(e, 1, 300) {
 		serial := e.Exec.TopKSerial(exec.Query{Terms: e.Terms(q, false), K: 10, MaxCNSize: 5})
 		want := renderCN(cnResults(serial))
 		for _, workers := range []int{0, 1, 2, 4} {
-			for _, shards := range []int{1, 2, 4} {
-				e.Exec.InvalidateResults() // evaluate, don't replay the previous pool shape's answer
-				resp, err := e.Query(context.Background(), Request{Query: q, TopK: 10, MaxCNSize: 5, Workers: workers, Shards: shards})
-				if err != nil {
-					t.Fatalf("%q workers=%d shards=%d: %v", q, workers, shards, err)
-				}
-				if got := renderCN(resp.Results); got != want {
-					t.Fatalf("%q workers=%d shards=%d: answer differs from TopKSerial\ngot:\n%swant:\n%s", q, workers, shards, got, want)
-				}
+			e.Exec.InvalidateResults() // evaluate, don't replay the previous pool size's answer
+			resp, err := e.Query(context.Background(), Request{Query: q, TopK: 10, MaxCNSize: 5, Workers: workers})
+			if err != nil {
+				t.Fatalf("%q workers=%d: %v", q, workers, err)
+			}
+			if got := renderCN(resp.Results); got != want {
+				t.Fatalf("%q workers=%d: answer differs from TopKSerial\ngot:\n%swant:\n%s", q, workers, got, want)
 			}
 		}
 	}

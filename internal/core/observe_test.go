@@ -54,11 +54,12 @@ func TestQueryWithoutTraceHasNoTrace(t *testing.T) {
 }
 
 // TestTraceShapeGoldenParallel pins the exact span-tree shape of a seeded CN
-// query at each pool shape: the pipeline stages and their attribute keys
+// query at each pool size: the pipeline stages and their attribute keys
 // must not drift silently, Workers 0 and 1 are the same pool of one, and
-// Shards multiplies the goroutines (worker-<g>, g = s·Workers + w).
-// Timings are excluded (Shape drops them) and the job assignment is
-// deterministic for a fixed dataset and pool shape, so the test is too.
+// every goroutine launched gets one worker-<g> span (the fixture query
+// has 5 jobs, so Workers 4 launches 4). Timings are excluded (Shape
+// drops them) and the goroutine count depends only on the pool size and
+// the job count, so the test is deterministic.
 func TestTraceShapeGoldenParallel(t *testing.T) {
 	const head = "" +
 		"query(keywords,result_cache_hit,results,semantics)\n" +
@@ -72,43 +73,43 @@ func TestTraceShapeGoldenParallel(t *testing.T) {
 		"  evaluate(evaluated,prefix_reuses,skipped,workers)\n"
 	const worker = "(busy,evaluated,idle,jobs,prefix_reuses,skipped)\n"
 	const tail = "  rank(results)\n"
-	for _, tc := range []struct {
-		workers, shards int
-		goroutines      int
-	}{
-		{0, 0, 1},
-		{1, 1, 1},
-		{2, 1, 2},
-		{2, 2, 4},
+	for _, tc := range []struct{ workers, goroutines int }{
+		{0, 1},
+		{1, 1},
+		{2, 2},
+		{4, 4},
 	} {
 		spans := ""
 		for g := 0; g < tc.goroutines; g++ {
 			spans += "    worker-" + strconv.Itoa(g) + worker
 		}
 		e := NewRelational(dataset.WidomBib())
-		req := Request{Query: "Widom XML", TopK: 5, Workers: tc.workers, Shards: tc.shards, Trace: true}
+		req := Request{Query: "Widom XML", TopK: 5, Workers: tc.workers, Trace: true}
 		resp, err := e.Query(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := resp.Trace.Shape(), head+stages+spans+tail; got != want {
-			t.Errorf("workers=%d shards=%d: trace shape drifted:\n got:\n%s want:\n%s", tc.workers, tc.shards, got, want)
+			t.Errorf("workers=%d: trace shape drifted:\n got:\n%s want:\n%s", tc.workers, got, want)
 		}
 		if st := resp.Stats.Exec; st == nil {
-			t.Fatalf("workers=%d shards=%d: exec stats missing", tc.workers, tc.shards)
+			t.Fatalf("workers=%d: exec stats missing", tc.workers)
 		} else if st.Workers != tc.goroutines || len(st.JobsPerWorker) != tc.goroutines ||
-			len(st.WorkerBusy) != tc.goroutines || len(st.SkippedPerWorker) != tc.goroutines {
-			t.Fatalf("workers=%d shards=%d: want %d goroutines in every per-worker stat: %+v", tc.workers, tc.shards, tc.goroutines, st)
+			len(st.WorkerBusy) != tc.goroutines || len(st.WorkerIdle) != tc.goroutines {
+			t.Fatalf("workers=%d: want %d goroutines in every per-worker stat: %+v", tc.workers, tc.goroutines, st)
 		}
 
 		// A repeat of the same query hits the result cache: the trace
-		// shrinks to the stages that actually ran.
+		// shrinks to the stages that actually ran, and no pool did.
 		resp2, err := e.Query(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := resp2.Trace.Shape(), head+tail; got != want {
-			t.Errorf("workers=%d shards=%d: cached trace shape drifted:\n got:\n%s want:\n%s", tc.workers, tc.shards, got, want)
+			t.Errorf("workers=%d: cached trace shape drifted:\n got:\n%s want:\n%s", tc.workers, got, want)
+		}
+		if st := resp2.Stats.Exec; st == nil || !st.ResultCacheHit || st.Workers != 0 {
+			t.Errorf("workers=%d: result-cache hit reports %+v, want no goroutines", tc.workers, st)
 		}
 	}
 }

@@ -58,12 +58,6 @@ type Request struct {
 	// the range-split algorithm above 1 and indexed-lookup-eager
 	// otherwise. Answers are byte-identical at every value.
 	Workers int
-	// Shards splits every candidate network into that many owner-hash
-	// slices on the worker pool (<=1 means unsliced; see
-	// exec.Query.Shards). It is stamped by shard.Coordinator, never read
-	// from the wire, and ignored outside CN semantics. Answers are
-	// byte-identical at every value.
-	Shards int
 	// Trace enables per-query span collection: Query returns the span
 	// tree in Response.Trace (kwsearch -trace prints it).
 	Trace bool

@@ -10,9 +10,9 @@ import (
 // Searcher is the serving-layer seam over one logical engine: the
 // context-first query contract plus the operational knobs the HTTP
 // server, the load generator and the CLIs wire up. *Engine implements
-// it directly; *shard.Coordinator embeds an engine and only stamps its
-// slice count on each request, so every transport runs unchanged
-// against either.
+// it directly; *shard.Coordinator embeds an engine and only multiplies
+// each request's pool size, so every transport runs unchanged against
+// either.
 type Searcher interface {
 	// Query runs one search request under ctx; see Engine.Query for the
 	// cancellation, deadline-partial and typed-error contract every

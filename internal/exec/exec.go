@@ -6,18 +6,18 @@
 //   - a sharded, generation-aware LRU cache (internal/cache) for
 //     term→posting lookups shared across queries and for whole-query
 //     top-k result sets;
-//   - a worker pool that fans candidate networks out across
-//     GOMAXPROCS-many goroutines using parallel.Assign's sharing-aware
-//     partitioning, with per-worker materialized-prefix reuse
-//     (cn.EvaluatePrefix keyed by cn.PrefixKey) so CNs placed together
-//     actually share their common join work, and optionally splits each
-//     worker's CNs into owner-hash slices (Query.Shards) — the
-//     tutorial's data-level parallelism beside its CN-level one;
-//   - sound top-k early termination: workers process their CNs in
-//     descending score-bound order, skip CNs whose bound cannot reach the
-//     shared k-th score, and a context cancellation path stops in-flight
-//     workers the moment every remaining bound is dominated. The
-//     returned top-k is byte-identical to full serial evaluation.
+//   - a worker pool over one queue of jobs — each candidate network cut
+//     into ranges of 1 024 node-0 tuples, in descending score-bound
+//     order — from which up to GOMAXPROCS-many goroutines claim the next
+//     job: the tutorial's CN-level and data-level parallelism as one
+//     schedule, with per-goroutine materialized-prefix reuse
+//     (cn.EvaluatePrefix keyed by cn.PrefixKey and root range) so jobs
+//     sharing a prefix share its join work;
+//   - sound top-k early termination: the first claimed job whose bound
+//     cannot reach the shared k-th score ends the queue, and a context
+//     cancellation path stops in-flight goroutines the moment every
+//     remaining bound is dominated. The returned top-k is byte-identical
+//     to full serial evaluation.
 package exec
 
 import (
@@ -31,7 +31,6 @@ import (
 	"kwsearch/internal/cn"
 	"kwsearch/internal/invindex"
 	"kwsearch/internal/obs"
-	"kwsearch/internal/parallel"
 	"kwsearch/internal/plan"
 	"kwsearch/internal/relstore"
 	"kwsearch/internal/schemagraph"
@@ -98,15 +97,9 @@ type Query struct {
 	// MaxCNSize bounds candidate-network size (<=0 means 5).
 	MaxCNSize int
 	// Workers overrides the executor's pool size for this query (0 =
-	// executor default). TopK never runs more workers than the query has
-	// candidate networks; the answer is the same at every size.
+	// executor default). TopK never runs more goroutines than the query
+	// has jobs; the answer is the same at every size.
 	Workers int
-	// Shards splits every candidate network into that many owner-hash
-	// slices (cn.OwnerSlice), each walked by its own goroutine per
-	// worker, so the pool runs Workers × Shards goroutines (<=1 means
-	// unsliced). The slices tile the result space and feed one top-k, so
-	// the answer is the same at every count.
-	Shards int
 	// Trace, when non-nil, receives child spans for the execution stages
 	// (enumerate, evaluate with one child per pool worker) plus attributes
 	// such as the result-cache outcome. Nil disables tracing at the cost
@@ -124,25 +117,26 @@ func (q Query) withDefaults(x *Executor) Query {
 	if q.Workers <= 0 {
 		q.Workers = x.opts.Workers
 	}
-	if q.Shards <= 0 {
-		q.Shards = 1
-	}
 	return q
 }
 
 // Stats describes how one TopK call was executed.
 type Stats struct {
-	// Workers is the number of pool goroutines used: the worker count
-	// times Query.Shards.
+	// Workers is the number of pool goroutines launched: 0 when the
+	// pool never ran (result-cache hit, a term without postings, an
+	// empty plan).
 	Workers int
-	// JobsPerWorker counts the CN jobs placed on each pool goroutine
-	// (goroutine s·workers + w walks worker w's jobs through slice s).
+	// JobsPerWorker counts the CN jobs each pool goroutine claimed from
+	// the queue; jobs left on it when a dominated bound ended the queue
+	// or the run was interrupted were claimed by none.
 	JobsPerWorker []int
 	// CNs is the number of candidate networks enumerated.
 	CNs int
-	// Evaluated and Skipped partition the CN jobs (CNs × Query.Shards)
-	// into those actually joined and those pruned by the shared top-k
-	// bound (or abandoned after cancellation).
+	// Jobs is the length of the queue: every CN cut into root ranges.
+	Jobs int
+	// Evaluated and Skipped partition the CN jobs into those actually
+	// joined and those pruned by the shared top-k bound (or abandoned
+	// after cancellation): Evaluated + Skipped == Jobs.
 	Evaluated int
 	Skipped   int
 	// PrefixReuses counts evaluation levels served from a worker's
@@ -176,8 +170,6 @@ type Stats struct {
 	// are indexed like JobsPerWorker.
 	WorkerBusy []time.Duration
 	WorkerIdle []time.Duration
-	// SkippedPerWorker splits Skipped by pool worker.
-	SkippedPerWorker []int
 }
 
 // Executor is a reusable, concurrency-safe execution layer over one
@@ -193,6 +185,9 @@ type Executor struct {
 	results  *cache.Cache[[]cn.Result]
 	plans    *plan.Cache
 	binder   *cn.Binder
+	// jobRoots is the queue's job size, rootsPerJob outside the package
+	// tests (which sweep it to show the answer does not depend on it).
+	jobRoots int
 
 	evaluated *obs.Counter
 	skipped   *obs.Counter
@@ -209,6 +204,7 @@ func New(db *relstore.DB, ix *invindex.Index, opts Options) *Executor {
 		ix:        ix,
 		sg:        schemagraph.FromDB(db),
 		opts:      opts,
+		jobRoots:  rootsPerJob,
 		postings:  cache.New[[]invindex.Posting](opts.PostingCacheSize, opts.CacheShards),
 		results:   cache.New[[]cn.Result](opts.ResultCacheSize, opts.CacheShards),
 		evaluated: &obs.Counter{},
@@ -295,17 +291,6 @@ func (x *Executor) CacheStats() (postings, results cache.Stats) {
 	return x.postings.Stats(), x.results.Stats()
 }
 
-// Plans returns the executor's plan cache (shared with the engine when
-// core.NewRelational wired it).
-func (x *Executor) Plans() *plan.Cache { return x.plans }
-
-// Binder returns the executor's binding layer (shared with the engine
-// when core.NewRelational wired it).
-func (x *Executor) Binder() *cn.Binder { return x.binder }
-
-// BinderStats returns the binder's term-cache counters.
-func (x *Executor) BinderStats() cache.Stats { return x.binder.Stats() }
-
 // SetPlans replaces the executor's plan cache handle — used by
 // core.Engine.SetPlanNamespace to re-namespace a shared cache. Call
 // before concurrent use; the executor does not synchronize the swap.
@@ -326,9 +311,8 @@ func normTerms(terms []string) []string {
 	return out
 }
 
-// resultCacheKey identifies a query in the result cache. Worker and
-// slice counts are excluded deliberately: the answer is execution-plan
-// independent.
+// resultCacheKey identifies a query in the result cache. The pool size
+// is excluded deliberately: the answer does not depend on the schedule.
 func resultCacheKey(terms []string, k, maxCN int) string {
 	return strings.Join(terms, " ") + "|k=" + strconv.Itoa(k) + "|cn=" + strconv.Itoa(maxCN)
 }
@@ -348,7 +332,7 @@ func copyResults(rs []cn.Result) []cn.Result {
 func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error) {
 	q = q.withDefaults(x)
 	sp := q.Trace
-	st := Stats{Workers: q.Workers}
+	var st Stats
 	terms := normTerms(q.Terms)
 	if len(terms) == 0 {
 		return nil, st, nil
@@ -415,40 +399,29 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 		return nil, st, nil
 	}
 
-	jobs := make([]parallel.Job, len(cns))
-	for i, c := range cns {
-		jobs[i] = parallel.Decompose(c, ev)
-	}
-	// Workers beyond the job count would only ever hold empty slots, and
-	// the value arrives unvalidated from outside (POST /query "workers"):
-	// Assign and runPool size per-worker slices by it.
-	if q.Workers > len(jobs) {
-		q.Workers = len(jobs)
-	}
-	st.Workers = q.Workers * q.Shards
-	assignment := parallel.Assign(jobs, q.Workers)
-	for s := 0; s < q.Shards; s++ {
-		for _, js := range assignment.Jobs {
-			st.JobsPerWorker = append(st.JobsPerWorker, len(js))
-		}
-	}
-
 	if err := ev.PrewarmCtx(ctx, cns); err != nil {
 		return nil, st, err
 	}
 	// Evaluation is read-only from here on.
 
+	jobs := buildQueue(ev, cns, x.jobRoots)
+	st.Jobs = len(jobs)
+	// Goroutines beyond the job count would find the queue drained, and
+	// the value arrives unvalidated from outside (POST /query "workers"):
+	// runPool sizes per-goroutine state by it.
+	st.Workers = min(q.Workers, len(jobs))
+
 	vsp := sp.Child("evaluate")
 	vsp.SetAttr("workers", st.Workers)
-	top, perWorker, err := x.runPool(ctx, ev, assignment, q.Shards, q.K, vsp)
+	top, perWorker, err := x.runPool(ctx, ev, jobs, st.Workers, q.K, vsp)
 	for _, ws := range perWorker {
+		st.JobsPerWorker = append(st.JobsPerWorker, ws.Claimed)
 		st.Evaluated += ws.Evaluated
-		st.Skipped += ws.Skipped
 		st.PrefixReuses += ws.PrefixReuses
 		st.WorkerBusy = append(st.WorkerBusy, ws.Busy)
 		st.WorkerIdle = append(st.WorkerIdle, ws.Idle())
-		st.SkippedPerWorker = append(st.SkippedPerWorker, ws.Skipped)
 	}
+	st.Skipped = st.Jobs - st.Evaluated
 	vsp.SetAttr("evaluated", st.Evaluated)
 	vsp.SetAttr("skipped", st.Skipped)
 	vsp.SetAttr("prefix_reuses", st.PrefixReuses)

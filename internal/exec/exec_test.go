@@ -81,9 +81,9 @@ func TestTopKMatchesSerialByteIdentical(t *testing.T) {
 				t.Errorf("%v workers=%d: parallel answer differs from serial\ngot:\n%swant:\n%s",
 					q.Terms, workers, got, want)
 			}
-			if !st.ResultCacheHit && st.CNs > 0 && st.Evaluated+st.Skipped != st.CNs {
-				t.Errorf("%v workers=%d: evaluated %d + skipped %d != CNs %d",
-					q.Terms, workers, st.Evaluated, st.Skipped, st.CNs)
+			if st.Evaluated+st.Skipped != st.Jobs || (!st.ResultCacheHit && st.Jobs < st.CNs) {
+				t.Errorf("%v workers=%d: evaluated %d + skipped %d, %d jobs, %d CNs",
+					q.Terms, workers, st.Evaluated, st.Skipped, st.Jobs, st.CNs)
 			}
 		}
 	}
@@ -152,6 +152,9 @@ func TestResultCache(t *testing.T) {
 	if !st2.ResultCacheHit {
 		t.Error("second identical query missed the result cache")
 	}
+	if st2.Workers != 0 || st2.Jobs != 0 || len(st2.JobsPerWorker) != 0 {
+		t.Errorf("result-cache hit reports a pool that never ran: %+v", st2)
+	}
 	if got := renderResults(rs2); got != want {
 		t.Errorf("cached answer differs:\ngot:\n%swant:\n%s", got, want)
 	}
@@ -180,8 +183,8 @@ func TestNoPostingsFastPath(t *testing.T) {
 	if err != nil || rs != nil {
 		t.Fatalf("want nil results, got %v (err %v)", rs, err)
 	}
-	if st.CNs != 0 {
-		t.Errorf("fast path enumerated %d CNs", st.CNs)
+	if st.CNs != 0 || st.Workers != 0 {
+		t.Errorf("fast path enumerated %d CNs on %d workers", st.CNs, st.Workers)
 	}
 	if _, st2, _ := x.TopK(context.Background(), q); !st2.ResultCacheHit {
 		t.Error("empty answer was not cached")
@@ -217,23 +220,30 @@ func TestContextCancelled(t *testing.T) {
 	}
 }
 
-// TestStatsShape: JobsPerWorker covers every enumerated CN exactly once
-// and the lifetime counters advance.
+// TestStatsShape: the stats report the goroutines launched, every job
+// is evaluated or skipped, no goroutine claims a job twice, and the
+// lifetime counters advance. At one root per job the queue is far longer
+// than the CN list and a dominated bound ends it early, so some jobs are
+// claimed by nobody.
 func TestStatsShape(t *testing.T) {
 	x := newTestExecutor(4)
+	x.jobRoots = 1
 	_, st, err := x.TopK(context.Background(), Query{Terms: []string{"keyword", "search"}, K: 10, MaxCNSize: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Workers != 4 || len(st.JobsPerWorker) != 4 {
-		t.Fatalf("want 4 workers, got %d with %d job buckets", st.Workers, len(st.JobsPerWorker))
+	if st.Workers != 4 || len(st.JobsPerWorker) != 4 || len(st.WorkerBusy) != 4 || len(st.WorkerIdle) != 4 {
+		t.Fatalf("want 4 workers in every per-worker stat: %+v", st)
 	}
-	total := 0
+	claimed := 0
 	for _, n := range st.JobsPerWorker {
-		total += n
+		claimed += n
 	}
-	if total != st.CNs {
-		t.Errorf("jobs per worker sum %d != %d CNs", total, st.CNs)
+	if st.Jobs <= st.CNs || st.Evaluated+st.Skipped != st.Jobs || claimed < st.Evaluated || claimed > st.Jobs {
+		t.Errorf("%d CNs, %d jobs, %d claimed, %d evaluated, %d skipped", st.CNs, st.Jobs, claimed, st.Evaluated, st.Skipped)
+	}
+	if st.Skipped == 0 || claimed == st.Jobs {
+		t.Errorf("k=10 over %d one-root jobs should end the queue early: %d claimed, %d skipped", st.Jobs, claimed, st.Skipped)
 	}
 	ev, sk, _ := x.CounterTotals()
 	if int(ev) != st.Evaluated || int(sk) != st.Skipped {
@@ -246,16 +256,15 @@ func TestStatsShape(t *testing.T) {
 }
 
 // TestWorkersClampedToJobs: Query.Workers arrives unvalidated from
-// outside (POST /query "workers"), and parallel.Assign and runPool size
-// per-worker slices and maps by it, so TopK caps the pool at the number
-// of CN jobs — workers beyond that only ever hold empty slots. An absurd
-// pool size must return the byte-identical answer for about the memory
-// of a small pool. K exceeds the result count so every CN is evaluated
-// at every pool size (with pruning live, how many CNs a wide pool
-// evaluates before the k-th score exists depends on scheduling, and the
-// bytes with it). The sizes run in ascending order and the first
-// failure stops the test, so a regression fails at 1<<20 (≈360 MB
-// unclamped) and never reaches 1<<30.
+// outside (POST /query "workers"), and runPool sizes per-goroutine state
+// by it, so TopK never launches more goroutines than the queue has jobs
+// — the rest would find it drained. An absurd pool size must return the
+// byte-identical answer for about the memory of a small pool. K exceeds
+// the result count so every job is evaluated at every pool size (with
+// pruning live, how many jobs a wide pool evaluates before the k-th
+// score exists depends on scheduling, and the bytes with it). The sizes
+// run in ascending order and the first failure stops the test, so a
+// regression fails at 1<<20 and never reaches 1<<30.
 func TestWorkersClampedToJobs(t *testing.T) {
 	x := newTestExecutor(2)
 	q := Query{Terms: []string{"wang", "search"}, K: 1 << 20, MaxCNSize: 5}
@@ -274,8 +283,8 @@ func TestWorkersClampedToJobs(t *testing.T) {
 		if got := renderResults(rs); got != want {
 			t.Fatalf("workers=%d: answer differs from serial\ngot:\n%swant:\n%s", workers, got, want)
 		}
-		if st.Workers > st.CNs || len(st.JobsPerWorker) != st.Workers {
-			t.Fatalf("workers=%d: pool of %d (%d job buckets) for %d CNs", workers, st.Workers, len(st.JobsPerWorker), st.CNs)
+		if st.Workers != min(workers, st.Jobs) || len(st.JobsPerWorker) != st.Workers {
+			t.Fatalf("workers=%d: pool of %d (%d job buckets) for %d jobs", workers, st.Workers, len(st.JobsPerWorker), st.Jobs)
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}

@@ -13,39 +13,47 @@ import (
 )
 
 // TestInjectedFaultYieldsCertifiedPrefix pins the partial-results
-// contract: when a StageEval fault interrupts the pool after n job
-// boundaries, TopK returns exactly a prefix of the serial top-k (rendered
-// byte-for-byte), flags Stats.Partial, and surfaces the fault error. With
-// one worker and one slice the job order is deterministic, so every cut
-// point n is reproducible; at four slices the four goroutines race to
-// the injection site, and the prefix must hold wherever the cut lands.
+// contract: when a StageEval fault interrupts the pool at its n-th job
+// claim, TopK returns exactly a prefix of the serial top-k (rendered
+// byte-for-byte), flags Stats.Partial, and surfaces the fault error.
+// With one goroutine the claim order is the queue order, so every cut
+// point n is reproducible; at four the goroutines race to the injection
+// site, and the prefix must hold wherever the cut lands. At 64 roots per
+// job the fixture's 5 CNs make 60 jobs, so cuts fall between the ranges
+// of one CN as well as between CNs.
 func TestInjectedFaultYieldsCertifiedPrefix(t *testing.T) {
 	boom := errors.New("injected eval fault")
 	// K is far above the result count so the internal certification never
 	// cancels the pool first: every cut point reaches its injection site.
-	q := Query{Terms: []string{"keyword", "search"}, K: 10000, MaxCNSize: 5, Workers: 1}
+	q := Query{Terms: []string{"keyword", "search"}, K: 10000, MaxCNSize: 5}
 	x := newTestExecutor(1)
+	x.jobRoots = 64
 	serial := renderResults(x.TopKSerial(q))
+	_, full, err := x.TopK(context.Background(), q)
+	if err != nil || full.Jobs <= full.CNs {
+		t.Fatalf("fixture: %d jobs for %d CNs, err = %v", full.Jobs, full.CNs, err)
+	}
+	x.InvalidateResults() // the interrupted runs below must leave the cache empty
 
-	// The fixture query enumerates 5 CNs, so each slice crosses 5 job
-	// boundaries: cut points 0 … 5·shards-1 interrupt after every number
-	// of completed jobs the pool can reach.
-	for _, shards := range []int{1, 4} {
-		q.Shards = shards
-		for after := 0; after < 5*shards; after++ {
+	for _, workers := range []int{1, 4} {
+		q.Workers = workers
+		for after := 0; after < full.Jobs; after++ {
 			in := resilience.NewInjector(1).Arm(resilience.StageEval, resilience.Fault{Err: boom, After: after})
 			ctx := resilience.WithInjector(context.Background(), in)
-			x.InvalidateCaches()
 			rs, st, err := x.TopK(ctx, q)
 			if !errors.Is(err, boom) {
-				t.Fatalf("shards=%d after=%d: err = %v, want injected fault", shards, after, err)
+				t.Fatalf("workers=%d after=%d: err = %v, want injected fault", workers, after, err)
 			}
-			if !st.Partial {
-				t.Fatalf("shards=%d after=%d: Stats.Partial not set", shards, after)
+			if !st.Partial || st.Evaluated+st.Skipped != st.Jobs || st.Skipped == 0 {
+				t.Fatalf("workers=%d after=%d: partial=%v, evaluated %d + skipped %d of %d jobs",
+					workers, after, st.Partial, st.Evaluated, st.Skipped, st.Jobs)
+			}
+			if workers == 1 && st.Evaluated != after {
+				t.Fatalf("after=%d: one goroutine evaluated %d jobs before the fault", after, st.Evaluated)
 			}
 			if got := renderResults(rs); !strings.HasPrefix(serial, got) {
-				t.Errorf("shards=%d after=%d: partial answer is not a prefix of serial top-k\ngot:\n%sserial:\n%s",
-					shards, after, got, serial)
+				t.Errorf("workers=%d after=%d: partial answer is not a prefix of serial top-k\ngot:\n%sserial:\n%s",
+					workers, after, got, serial)
 			}
 		}
 	}
@@ -65,41 +73,45 @@ func TestInjectedFaultYieldsCertifiedPrefix(t *testing.T) {
 }
 
 // TestDeadlineMidEvaluationYieldsPartial drives a real deadline into the
-// pool: injected per-job delays make evaluation slow enough that the
-// deadline expires mid-run, and the certified prefix + typed error come
-// back quickly.
+// pool at every job index: the first n claims run free, then every claim
+// sleeps far past the deadline, which therefore expires with n to n+pool
+// jobs done, and the certified prefix + typed error come back quickly.
 func TestDeadlineMidEvaluationYieldsPartial(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		deadlineMidEvaluation(t, shards)
-	}
-}
-
-func deadlineMidEvaluation(t *testing.T, shards int) {
-	q := Query{Terms: []string{"keyword", "search"}, K: 10000, MaxCNSize: 5, Workers: 2, Shards: shards}
+	q := Query{Terms: []string{"keyword", "search"}, K: 10000, MaxCNSize: 5}
 	x := newTestExecutor(2)
+	x.jobRoots = 512
 	serial := renderResults(x.TopKSerial(q))
-
-	// The first two evaluations per stage-hit run free, then every job
-	// boundary sleeps far past the deadline: the 250ms budget is generous
-	// for enumerate+prewarm (so the deadline provably lands mid-pool) and
-	// hopeless against the 2s sleeps.
-	in := resilience.NewInjector(1).Arm(resilience.StageEval, resilience.Fault{Delay: 2 * time.Second, After: 2})
-	ctx, cancel := context.WithTimeout(resilience.WithInjector(context.Background(), in), 250*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	rs, st, err := x.TopK(ctx, q)
-	returned := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("shards=%d: err = %v, want DeadlineExceeded", shards, err)
+	_, full, err := x.TopK(context.Background(), q) // also warms plan and binder
+	if err != nil || full.Jobs <= full.CNs {
+		t.Fatalf("fixture: %d jobs for %d CNs, err = %v", full.Jobs, full.CNs, err)
 	}
-	if returned > 1500*time.Millisecond {
-		t.Errorf("shards=%d: TopK took %v to honor a 250ms deadline", shards, returned)
-	}
-	if !st.Partial {
-		t.Errorf("shards=%d: Stats.Partial not set on deadline", shards)
-	}
-	if got := renderResults(rs); !strings.HasPrefix(serial, got) {
-		t.Errorf("shards=%d: deadline partial answer is not a prefix of serial top-k\ngot:\n%sserial:\n%s", shards, got, serial)
+	x.InvalidateResults()
+	for _, workers := range []int{1, 4} {
+		q.Workers = workers
+		for after := 0; after < full.Jobs; after++ {
+			// The 150ms budget is generous for the warm bind + plan + prewarm
+			// and the free jobs (so the deadline provably lands mid-pool)
+			// and hopeless against the 2s sleeps.
+			in := resilience.NewInjector(1).Arm(resilience.StageEval, resilience.Fault{Delay: 2 * time.Second, After: after})
+			ctx, cancel := context.WithTimeout(resilience.WithInjector(context.Background(), in), 150*time.Millisecond)
+			start := time.Now()
+			rs, st, err := x.TopK(ctx, q)
+			returned := time.Since(start)
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("workers=%d after=%d: err = %v, want DeadlineExceeded", workers, after, err)
+			}
+			if returned > 1500*time.Millisecond {
+				t.Errorf("workers=%d after=%d: TopK took %v to honor a 150ms deadline", workers, after, returned)
+			}
+			if !st.Partial || st.Evaluated < after || st.Evaluated+st.Skipped != st.Jobs {
+				t.Errorf("workers=%d after=%d: partial=%v, evaluated %d + skipped %d of %d jobs",
+					workers, after, st.Partial, st.Evaluated, st.Skipped, st.Jobs)
+			}
+			if got := renderResults(rs); !strings.HasPrefix(serial, got) {
+				t.Errorf("workers=%d after=%d: deadline partial answer is not a prefix of serial top-k\ngot:\n%sserial:\n%s", workers, after, got, serial)
+			}
+		}
 	}
 }
 

@@ -4,12 +4,14 @@
 // estimates, and jobs are partitioned across cores either naively (largest
 // job to the lightest core) or sharing-aware (largest job to the core
 // where its shared prefixes are already materialized).
+//
+// The package is experiment-only: it is E19's cost-model comparison of
+// the two placements. Queries are scheduled by internal/exec's job
+// queue, which needs no cost estimate.
 package parallel
 
 import (
-	"context"
 	"sort"
-	"sync"
 
 	"kwsearch/internal/cn"
 	"kwsearch/internal/fmath"
@@ -80,38 +82,16 @@ func sortJobsByCost(jobs []Job) []Job {
 	// Equal-cost jobs tie-break on the canonical CN string: with a plain
 	// stable sort, worker placement of equal-cost jobs depends on the
 	// caller's input order, which silently changes which prefixes are
-	// co-located (and thus how much shared-prefix reuse the executor
-	// gets) between runs. The canonical tie-break makes Assign a pure
-	// function of the job *set*. Costs and canonical keys are memoized
-	// up front: recomputing them inside the comparator made Assign a
-	// measurable slice of both the per-query and the cold-plan profiles.
-	costs := make([]float64, len(jobs))
-	keys := make([]string, len(jobs))
-	idx := make([]int, len(jobs))
-	for i, j := range jobs {
-		costs[i] = j.Cost()
-		keys[i] = j.CN.Canonical()
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if !fmath.Eq(costs[idx[a]], costs[idx[b]]) {
-			return costs[idx[a]] > costs[idx[b]]
+	// co-located between runs. The canonical tie-break makes both
+	// partitioners pure functions of the job *set*.
+	out := append([]Job(nil), jobs...)
+	sort.SliceStable(out, func(a, b int) bool {
+		if ca, cb := out[a].Cost(), out[b].Cost(); !fmath.Eq(ca, cb) {
+			return ca > cb
 		}
-		return keys[idx[a]] < keys[idx[b]]
+		return out[a].CN.Canonical() < out[b].CN.Canonical()
 	})
-	out := make([]Job, len(jobs))
-	for i, j := range idx {
-		out[i] = jobs[j]
-	}
 	return out
-}
-
-// Assign is the canonical partitioning entry point of the execution
-// layer: sharing-aware placement (slide 132) with the deterministic
-// equal-cost tie-break, so the same job set always lands on the same
-// workers regardless of enumeration order.
-func Assign(jobs []Job, workers int) Assignment {
-	return SharingAwarePartition(jobs, workers)
 }
 
 // NaivePartition assigns the largest job to the currently lightest core
@@ -174,92 +154,4 @@ func SharingAwarePartition(jobs []Job, workers int) Assignment {
 		}
 	}
 	return a
-}
-
-// ExecuteDataParallel evaluates every CN with data-level parallelism
-// (slide 133's remedy for extremely skewed CN costs): each CN's driver
-// keyword-node tuple list is split into `workers` chunks, and workers
-// evaluate disjoint driver ranges of every CN, so even a single dominant
-// CN spreads across cores. Results match Execute's.
-func ExecuteDataParallel(ev *cn.Evaluator, jobs []Job, workers int) []cn.Result {
-	if workers < 1 {
-		workers = 1
-	}
-	var all []*cn.CN
-	for _, j := range jobs {
-		all = append(all, j.CN)
-	}
-	_ = ev.PrewarmCtx(context.TODO(), all) // never cancelled: no error
-
-	var mu sync.Mutex
-	var out []cn.Result
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var local []cn.Result
-			for _, j := range jobs {
-				driver := driverNode(j.CN)
-				if driver < 0 {
-					if w == 0 {
-						local = append(local, ev.EvaluateCN(j.CN)...)
-					}
-					continue
-				}
-				set := ev.KeywordSet(j.CN.Nodes[driver].Table)
-				for i := w; i < len(set); i += workers {
-					local = append(local, ev.EvaluateCNWith(j.CN, driver, set[i])...)
-				}
-			}
-			mu.Lock()
-			out = append(out, local...)
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	return out
-}
-
-// driverNode picks the first keyword node of c, or -1.
-func driverNode(c *cn.CN) int {
-	kw := c.KeywordNodes()
-	if len(kw) == 0 {
-		return -1
-	}
-	return kw[0]
-}
-
-// Execute evaluates the assigned CNs with one goroutine per worker and
-// merges their results — the actual parallel evaluation behind E19's
-// wall-clock measurements.
-func Execute(ev *cn.Evaluator, a Assignment) []cn.Result {
-	var all []*cn.CN
-	for _, jobs := range a.Jobs {
-		for _, j := range jobs {
-			all = append(all, j.CN)
-		}
-	}
-	_ = ev.PrewarmCtx(context.TODO(), all) // never cancelled: no error; evaluation is read-only afterwards
-	var mu sync.Mutex
-	var out []cn.Result
-	var wg sync.WaitGroup
-	for _, jobs := range a.Jobs {
-		if len(jobs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(jobs []Job) {
-			defer wg.Done()
-			var local []cn.Result
-			for _, j := range jobs {
-				local = append(local, ev.EvaluateCN(j.CN)...)
-			}
-			mu.Lock()
-			out = append(out, local...)
-			mu.Unlock()
-		}(jobs)
-	}
-	wg.Wait()
-	return out
 }

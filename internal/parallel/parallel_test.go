@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"sort"
 	"testing"
 
 	"kwsearch/internal/cn"
@@ -104,34 +103,6 @@ func TestSharingAwareNoWorse(t *testing.T) {
 	}
 }
 
-func TestExecuteMatchesSequential(t *testing.T) {
-	ev, jobs, cns := setup(t)
-	var want []float64
-	for _, c := range cns {
-		for _, r := range ev.EvaluateCN(c) {
-			want = append(want, r.Score)
-		}
-	}
-	sort.Float64s(want)
-	for _, workers := range []int{1, 4} {
-		a := SharingAwarePartition(jobs, workers)
-		got := Execute(ev, a)
-		scores := make([]float64, len(got))
-		for i, r := range got {
-			scores[i] = r.Score
-		}
-		sort.Float64s(scores)
-		if len(scores) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(scores), len(want))
-		}
-		for i := range want {
-			if scores[i] != want[i] {
-				t.Fatalf("workers=%d: result scores differ", workers)
-			}
-		}
-	}
-}
-
 func TestSingleWorkerDegenerate(t *testing.T) {
 	_, jobs, _ := setup(t)
 	a := NaivePartition(jobs, 0) // clamps to 1
@@ -147,47 +118,20 @@ func TestSingleWorkerDegenerate(t *testing.T) {
 	}
 }
 
-func TestExecuteDataParallelMatchesSequential(t *testing.T) {
-	ev, jobs, cns := setup(t)
-	var want []float64
-	for _, c := range cns {
-		for _, r := range ev.EvaluateCN(c) {
-			want = append(want, r.Score)
-		}
-	}
-	sort.Float64s(want)
-	for _, workers := range []int{1, 3, 8} {
-		got := ExecuteDataParallel(ev, jobs, workers)
-		scores := make([]float64, len(got))
-		for i, r := range got {
-			scores[i] = r.Score
-		}
-		sort.Float64s(scores)
-		if len(scores) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(scores), len(want))
-		}
-		for i := range want {
-			if scores[i] != want[i] {
-				t.Fatalf("workers=%d: result scores differ", workers)
-			}
-		}
-	}
-}
-
 // TestAssignDeterministicUnderPermutation is the equal-cost tie-break
-// fix: Assign must produce identical worker placement for any input
-// permutation of the same job set, so shared-prefix co-location (and
-// everything downstream that keys off it) is stable across runs.
+// fix: SharingAwarePartition must produce identical worker placement for
+// any input permutation of the same job set, so shared-prefix
+// co-location is stable across runs.
 func TestAssignDeterministicUnderPermutation(t *testing.T) {
 	_, jobs, _ := setup(t)
-	ref := Assign(jobs, 4)
+	ref := SharingAwarePartition(jobs, 4)
 	refKeys := assignmentKeys(ref)
 
 	// A few deterministic permutations, including reversal (which flips
 	// the relative order of every equal-cost pair).
 	perms := [][]Job{reversed(jobs), rotated(jobs, 1), rotated(jobs, len(jobs)/2)}
 	for pi, perm := range perms {
-		got := Assign(perm, 4)
+		got := SharingAwarePartition(perm, 4)
 		if got.Makespan() != ref.Makespan() {
 			t.Fatalf("perm %d: makespan %v != %v", pi, got.Makespan(), ref.Makespan())
 		}

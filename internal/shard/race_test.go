@@ -7,17 +7,19 @@ import (
 	"testing"
 
 	"kwsearch/internal/core"
+	"kwsearch/internal/dataset"
 )
 
 // TestCoordinatorChurnRace hammers the coordinator with concurrent
-// sliced queries while an invalidation loop bumps every cache
+// four-goroutine queries while an invalidation loop bumps every cache
 // generation of the engine it wraps. The data never changes, so every answer —
 // served from whatever mix of warm and freshly-invalidated caches the
 // race produces — must stay byte-identical to the reference. Run under
 // -race (verify.sh includes this package in the race gate).
 func TestCoordinatorChurnRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	engine := core.NewRelational(randomCorpusDB(rng, 3))
+	db, _ := dataset.RandomCorpus(rng, 3)
+	engine := core.NewRelational(db)
 	coord, err := New(engine, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)

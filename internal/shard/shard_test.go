@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -10,70 +9,9 @@ import (
 	"testing"
 
 	"kwsearch/internal/core"
+	"kwsearch/internal/dataset"
 	"kwsearch/internal/exec"
-	"kwsearch/internal/relstore"
 )
-
-// corpusVocab is small on purpose: terms collide across tables and
-// tuples, so queries hit multiple tables and produce cross-shard result
-// sets with plenty of near-ties for the merge's tie-break to resolve.
-var corpusVocab = []string{
-	"query", "keyword", "search", "database", "join", "index",
-	"graph", "rank", "tuple", "stream", "cache", "widom",
-}
-
-// randomCorpusDB builds a random bibliography-shaped database: nEnt
-// entity tables (id key + text column) chained by link tables, with
-// random text drawn from corpusVocab.
-func randomCorpusDB(rng *rand.Rand, nEnt int) *relstore.DB {
-	db := relstore.NewDB()
-	for i := 0; i < nEnt; i++ {
-		db.MustCreateTable(&relstore.TableSchema{
-			Name: fmt.Sprintf("ent%d", i),
-			Columns: []relstore.Column{
-				{Name: "id", Type: relstore.KindInt},
-				{Name: "txt", Type: relstore.KindString, Text: true},
-			},
-			Key: "id",
-		})
-	}
-	for i := 1; i < nEnt; i++ {
-		db.MustCreateTable(&relstore.TableSchema{
-			Name: fmt.Sprintf("link%d", i),
-			Columns: []relstore.Column{
-				{Name: "a", Type: relstore.KindInt},
-				{Name: "b", Type: relstore.KindInt},
-			},
-			ForeignKeys: []relstore.ForeignKey{
-				{Column: "a", RefTable: fmt.Sprintf("ent%d", i-1), RefColumn: "id"},
-				{Column: "b", RefTable: fmt.Sprintf("ent%d", i), RefColumn: "id"},
-			},
-		})
-	}
-	rows := make([]int, nEnt)
-	for i := 0; i < nEnt; i++ {
-		rows[i] = 5 + rng.Intn(25)
-		for r := 0; r < rows[i]; r++ {
-			words := make([]string, 1+rng.Intn(3))
-			for w := range words {
-				words[w] = corpusVocab[rng.Intn(len(corpusVocab))]
-			}
-			db.MustInsert(fmt.Sprintf("ent%d", i), map[string]relstore.Value{
-				"id":  relstore.Int(int64(r)),
-				"txt": relstore.String(strings.Join(words, " ")),
-			})
-		}
-	}
-	for i := 1; i < nEnt; i++ {
-		for r := 0; r < 10+rng.Intn(30); r++ {
-			db.MustInsert(fmt.Sprintf("link%d", i), map[string]relstore.Value{
-				"a": relstore.Int(int64(rng.Intn(rows[i-1]))),
-				"b": relstore.Int(int64(rng.Intn(rows[i]))),
-			})
-		}
-	}
-	return db
-}
 
 // renderCore serializes a response's results bit-exactly: canonical CN,
 // tuple IDs in CN node order, and the raw float64 bits of the score.
@@ -95,25 +33,25 @@ func renderCore(results []core.Result) string {
 
 // TestCoordinatorMatchesSerialRandomCorpus is the acceptance-criteria
 // check: across a randomized multi-schema corpus, the coordinator's
-// answer at every slice count must be byte-identical (order, score
-// bits, bindings) to the 1-slice coordinator, the unsliced engine's
-// pool path, and the full serial oracle. The coordinator shares the
-// engine's result cache, whose key ignores the slice count, so the
-// cache is dropped before each count — otherwise every N after the
+// answer at every shard count must be byte-identical (order, score
+// bits, bindings) to the bare engine's pool path and the full serial
+// oracle, on a pool of (at most) that many goroutines. The coordinator
+// shares the engine's result cache, whose key ignores the pool size, so
+// the cache is dropped before each count — otherwise every N after the
 // first would replay the pool's answer and the test would pass
-// vacuously.
+// vacuously. (internal/exec sweeps the same corpora over the job size.)
 func TestCoordinatorMatchesSerialRandomCorpus(t *testing.T) {
 	const seeds = 25
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		db := randomCorpusDB(rng, 2+seed%3)
+		db, _ := dataset.RandomCorpus(rng, 2+seed%3)
 		engine := core.NewRelational(db)
 
 		var queries []string
 		for q := 0; q < 2; q++ {
 			terms := make([]string, 1+rng.Intn(3))
 			for i := range terms {
-				terms[i] = corpusVocab[rng.Intn(len(corpusVocab))]
+				terms[i] = dataset.CorpusVocab[rng.Intn(len(dataset.CorpusVocab))]
 			}
 			queries = append(queries, strings.Join(terms, " "))
 		}
@@ -162,6 +100,9 @@ func TestCoordinatorMatchesSerialRandomCorpus(t *testing.T) {
 				if resp.Stats.Exec == nil || resp.Stats.Exec.ResultCacheHit {
 					t.Fatalf("seed %d %q shards=%d: answer replayed from the result cache, nothing was evaluated", seed, q, n)
 				}
+				if st := resp.Stats.Exec; st.Workers != min(n, st.Jobs) {
+					t.Fatalf("seed %d %q shards=%d: %d goroutines for %d jobs", seed, q, n, st.Workers, st.Jobs)
+				}
 				if got := renderCore(resp.Results); got != want {
 					t.Errorf("seed %d %q shards=%d: answer differs from single engine\ngot:\n%swant:\n%s",
 						seed, q, n, got, want)
@@ -171,11 +112,12 @@ func TestCoordinatorMatchesSerialRandomCorpus(t *testing.T) {
 	}
 }
 
-// TestCoordinatorDelegatesNonCN pins that the slice count is ignored
-// outside CN semantics: the answer is the base engine's.
+// TestCoordinatorDelegatesNonCN pins that the shard count changes
+// nothing outside CN semantics: the answer is the base engine's.
 func TestCoordinatorDelegatesNonCN(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	engine := core.NewRelational(randomCorpusDB(rng, 3))
+	db, _ := dataset.RandomCorpus(rng, 3)
+	engine := core.NewRelational(db)
 	coord, err := New(engine, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)

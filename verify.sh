@@ -34,10 +34,13 @@ echo "==> bench module: go vet + go test (nested module, invisible to root ./...
 (cd bench && go vet ./... && go test $short ./...)
 
 echo "==> go test -race (concurrency-bearing packages)"
-go test -race $short ./internal/parallel/... ./internal/cn/... \
+go test -race $short ./internal/cn/... \
     ./internal/cache/... ./internal/exec/... ./internal/lca/... ./internal/obs/... \
     ./internal/resilience/... ./internal/core/... ./internal/server/... \
     ./internal/analysis/... ./internal/plan/... ./internal/shard/...
+
+echo "==> fuzz smoke (10s): pool == TopKSerial on generated corpora"
+go test -run '^$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
 
 echo "==> observability overhead gate (E38 budget: 5%)"
 go run ./cmd/benchrunner -obs-overhead
