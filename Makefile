@@ -21,15 +21,17 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/cn/... \
+	go test -race ./internal/cn/... ./internal/invindex/... \
 		./internal/cache/... ./internal/exec/... ./internal/lca/... ./internal/obs/... \
 		./internal/resilience/... ./internal/core/... ./internal/server/... \
 		./internal/analysis/... ./internal/plan/... ./internal/shard/...
 
-# Same step as verify.sh: ten seconds of generated corpora, queries, pool
-# sizes and job sizes against the serial oracle.
+# Same steps as verify.sh: ten seconds of generated corpora, queries, pool
+# sizes and job sizes against the serial oracle, then five of generated
+# foreign-key columns against Table.SelectEq.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
+	go test -run '^$$' -fuzz FuzzJoinIndexMatchesSelectEq -fuzztime 5s ./internal/cn/
 
 lint:
 	go run ./cmd/kwslint ./...

@@ -169,15 +169,20 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return e.val, true
 }
 
-// Put stores key→val at the current generation, evicting the least
-// recently used entry of the shard when it is full. As in Get, the
-// generation is read under the shard lock so the stale/evicted split of
-// the eviction counters is exact.
-func (c *Cache[V]) Put(key string, val V) {
+// Put stores key→val as a value of generation gen — Gen() as the caller
+// read it before computing val — evicting the least recently used entry
+// of the shard when it is full. A value whose generation has lapsed by
+// now was computed from state an Invalidate has since declared dead, and
+// is dropped instead of being served as current. The comparison runs
+// under the shard lock, as in Get; an Invalidate landing after it leaves
+// an entry stamped gen, which Get then treats as stale.
+func (c *Cache[V]) Put(gen uint64, key string, val V) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	gen := c.gen.Load()
+	if gen != c.gen.Load() {
+		return
+	}
 	if e, ok := s.entries[key]; ok {
 		e.val = val
 		e.gen = gen
@@ -207,11 +212,12 @@ func (c *Cache[V]) Put(key string, val V) {
 // the same key may compute twice (last write wins) — acceptable for the
 // idempotent lookups this cache serves.
 func (c *Cache[V]) GetOrCompute(key string, compute func() V) V {
+	gen := c.Gen()
 	if v, ok := c.Get(key); ok {
 		return v
 	}
 	v := compute()
-	c.Put(key, v)
+	c.Put(gen, key, v)
 	return v
 }
 
@@ -221,9 +227,9 @@ func (c *Cache[V]) Invalidate() {
 	c.gen.Add(1)
 }
 
-// Gen returns the current generation counter. Consumers that snapshot
-// derived state (e.g. a binder's materialized tuple sets) can compare
-// generations to detect an Invalidate between two observations.
+// Gen returns the current generation counter: read it before computing
+// a value and hand it to Put, so a value an Invalidate overtook is
+// never stored as current.
 func (c *Cache[V]) Gen() uint64 { return c.gen.Load() }
 
 // Len returns the number of live entries, including not-yet-collected

@@ -29,7 +29,7 @@ func TestConcurrentGetPutEvict(t *testing.T) {
 				// Deliberately overlapping key space across goroutines.
 				key := fmt.Sprintf("key-%d", (g*31+i)%(capacity*2))
 				if i%3 == 0 {
-					c.Put(key, i)
+					c.Put(c.Gen(), key, i)
 				} else {
 					c.Get(key)
 				}
@@ -74,7 +74,7 @@ func TestConcurrentInvalidate(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				key := fmt.Sprintf("k%d", i%50)
-				c.Put(key, g)
+				c.Put(c.Gen(), key, g)
 				c.Get(key)
 				if i%100 == 0 {
 					c.Invalidate()
@@ -128,7 +128,7 @@ func TestConcurrentCounterConsistency(t *testing.T) {
 				key := fmt.Sprintf("key-%d", (g*17+i)%keys)
 				switch i % 5 {
 				case 0, 1:
-					c.Put(key, i)
+					c.Put(c.Gen(), key, i)
 					myPuts++
 				case 4:
 					if g == 0 && i%249 == 4 {

@@ -1,7 +1,7 @@
 package cn
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"kwsearch/internal/cache"
 	"kwsearch/internal/invindex"
@@ -9,25 +9,18 @@ import (
 	"kwsearch/internal/relstore"
 )
 
+// The binder's two caches (per term, per whole query) each hold
+// bindCacheSize entries over bindCacheShards lock stripes.
+const (
+	bindCacheSize   = 1024
+	bindCacheShards = 16
+)
+
 // BinderOptions configures a Binder.
 type BinderOptions struct {
-	// TermCacheSize bounds the per-term binding cache (entries; 0 = 1024).
-	TermCacheSize int
-	// CacheShards stripes the term cache (0 = 16).
-	CacheShards int
 	// Metrics, when non-nil, receives the binder's counters: the term
 	// cache under "cache.bind.*" and the build counter as "bind.builds".
 	Metrics *obs.Registry
-}
-
-func (o BinderOptions) withDefaults() BinderOptions {
-	if o.TermCacheSize <= 0 {
-		o.TermCacheSize = 1024
-	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = 16
-	}
-	return o
 }
 
 // Binder is the shared, generation-aware keyword-binding layer: it turns
@@ -45,37 +38,33 @@ func (o BinderOptions) withDefaults() BinderOptions {
 //     query skips even the merge and ID sort;
 //   - join indexes (JoinIndex: one CSR adjacency per directed schema
 //     join), built on first use once per generation instead of once
-//     per query and handed to bindings by reference.
+//     per query: every binding of a generation shares one joinTable.
 //
-// Invalidate bumps the term cache's generation and drops the join
-// indexes, so after index or data growth the next Bind sees fresh state
+// Invalidate bumps the caches' generations and starts an empty join
+// table, so after index or data growth the next Bind sees fresh state
 // while in-flight Bindings keep their consistent snapshot. A Binder is
-// safe for concurrent use; the Bindings it returns follow the
-// BindSource sealing contract.
+// safe for concurrent use, and so is every Binding it returns.
 type Binder struct {
 	db     *relstore.DB
 	ix     *invindex.Index
 	terms  *cache.Cache[termBinding]
 	merged *cache.Cache[*mergedBinding]
+	joins  atomic.Pointer[joinTable]
 	builds *obs.Counter
-
-	mu    sync.RWMutex
-	joins map[JoinKey]*JoinIndex
 }
 
 // NewBinder builds a binder over one database + index pair. When
 // opts.Metrics is set the binder instruments itself (see
 // BinderOptions.Metrics); do not call Instrument again.
 func NewBinder(db *relstore.DB, ix *invindex.Index, opts BinderOptions) *Binder {
-	opts = opts.withDefaults()
 	b := &Binder{
 		db:     db,
 		ix:     ix,
-		terms:  cache.New[termBinding](opts.TermCacheSize, opts.CacheShards),
-		merged: cache.New[*mergedBinding](opts.TermCacheSize, opts.CacheShards),
+		terms:  cache.New[termBinding](bindCacheSize, bindCacheShards),
+		merged: cache.New[*mergedBinding](bindCacheSize, bindCacheShards),
 		builds: &obs.Counter{},
-		joins:  make(map[JoinKey]*JoinIndex),
 	}
+	b.joins.Store(newJoinTable(db))
 	if opts.Metrics != nil {
 		b.Instrument(opts.Metrics)
 	}
@@ -103,37 +92,15 @@ func (bd *Binder) BindTraced(terms []string, sp *obs.Span) *Binding {
 	return bindTerms(bd.db, bd.ix, normalizeTerms(terms), bd, sp)
 }
 
-// join returns the shared index of the directed join k, building it on
-// first use. Concurrent first uses may build twice; the first writer
-// wins so every caller observes one canonical index.
-func (bd *Binder) join(k JoinKey) *JoinIndex {
-	bd.mu.RLock()
-	ji, ok := bd.joins[k]
-	bd.mu.RUnlock()
-	if ok {
-		return ji
-	}
-	built := buildJoinIndex(bd.db, k)
-	bd.mu.Lock()
-	defer bd.mu.Unlock()
-	if ji, ok := bd.joins[k]; ok {
-		return ji
-	}
-	bd.joins[k] = built
-	return built
-}
-
-// Invalidate flushes the binder after index or data growth: the term
-// cache's generation is bumped (O(1); stale entries drop lazily) and the
-// join indexes are rebuilt on next use. In-flight Bindings are
-// unaffected — they hold their own references and stay internally
-// consistent.
+// Invalidate flushes the binder after index or data growth: later binds
+// get an empty join table (indexes are rebuilt on first use) and the
+// caches' generations are bumped (O(1); stale entries drop lazily).
+// In-flight Bindings are unaffected — they hold their own references,
+// the old join table included, and stay internally consistent.
 func (bd *Binder) Invalidate() {
+	bd.joins.Store(newJoinTable(bd.db))
 	bd.terms.Invalidate()
 	bd.merged.Invalidate()
-	bd.mu.Lock()
-	bd.joins = make(map[JoinKey]*JoinIndex)
-	bd.mu.Unlock()
 }
 
 // Stats returns the term cache's counters.

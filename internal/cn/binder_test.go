@@ -15,10 +15,10 @@ import (
 	"kwsearch/internal/schemagraph"
 )
 
-// assertBindingsEqual compares two BindSources bit-for-bit over every
-// observable: table membership, set contents and order, masks, scores
-// and max-scores.
-func assertBindingsEqual(t *testing.T, db *relstore.DB, want, got BindSource, label string) {
+// assertBindingsEqual compares two Bindings bit-for-bit over every
+// observable: table membership, set contents and order, the
+// keyword/free partition, masks, scores and max-scores.
+func assertBindingsEqual(t *testing.T, db *relstore.DB, want, got *Binding, label string) {
 	t.Helper()
 	w, g := want.KeywordTables(), got.KeywordTables()
 	if fmt.Sprint(w) != fmt.Sprint(g) {
@@ -36,9 +36,6 @@ func assertBindingsEqual(t *testing.T, db *relstore.DB, want, got BindSource, la
 		if w, g := ids(want.KeywordSet(name)), ids(got.KeywordSet(name)); w != g {
 			t.Fatalf("%s: R^Q(%s) = [%s], want [%s]", label, name, g, w)
 		}
-		if w, g := ids(want.FreeSet(name)), ids(got.FreeSet(name)); w != g {
-			t.Fatalf("%s: R^{}(%s) = [%s], want [%s]", label, name, g, w)
-		}
 		wm, gm := want.MaxNodeScore(name), got.MaxNodeScore(name)
 		if math.Float64bits(wm) != math.Float64bits(gm) {
 			t.Fatalf("%s: max score (%s) = %v, want %v", label, name, gm, wm)
@@ -46,6 +43,9 @@ func assertBindingsEqual(t *testing.T, db *relstore.DB, want, got BindSource, la
 		for _, tp := range db.Table(name).Tuples() {
 			if want.TermMask(tp.ID) != got.TermMask(tp.ID) {
 				t.Fatalf("%s: mask(%d) = %b, want %b", label, tp.ID, got.TermMask(tp.ID), want.TermMask(tp.ID))
+			}
+			if w, g := want.KeywordBits().Has(tp.ID), got.KeywordBits().Has(tp.ID); w != g || g != (got.TermMask(tp.ID) != 0) {
+				t.Fatalf("%s: KeywordBits(%d) = %v, want %v (mask %b)", label, tp.ID, g, w, got.TermMask(tp.ID))
 			}
 			ws, gs := want.TupleScore(tp), got.TupleScore(tp)
 			if math.Float64bits(ws) != math.Float64bits(gs) {
@@ -130,7 +130,7 @@ func TestBindingMatchesScanRandomCorpus(t *testing.T) {
 func TestBinderGenChurnRace(t *testing.T) {
 	db := dataset.WidomBib()
 	ix := invindex.FromDB(db)
-	binder := NewBinder(db, ix, BinderOptions{TermCacheSize: 8})
+	binder := NewBinder(db, ix, BinderOptions{})
 	terms := []string{"Widom", "XML"}
 	sg := schemagraph.FromDB(db)
 	scan := NewScanBinding(db, ix, terms)

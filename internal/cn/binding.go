@@ -1,7 +1,6 @@
 package cn
 
 import (
-	"context"
 	"slices"
 	"sort"
 	"strings"
@@ -52,13 +51,14 @@ type mergedBinding struct {
 
 // Binding is one query's keyword→tuple binding: the R^Q sets, term
 // masks, tuple scores and max-scores, built either from posting lists
-// (bindTerms) or by full table scans (NewScanBinding). It implements
-// BindSource; see that interface for the snapshot and sealing contract.
+// (bindTerms) or by full table scans (NewScanBinding). It is a snapshot
+// and immutable once its constructor returns: nothing it holds changes,
+// even if the index is invalidated afterwards, so in-flight queries keep
+// a consistent view and any number of goroutines may evaluate over one
+// binding with no warm-up step. The free sets R^{} are not held: a free
+// tuple is one outside KeywordBits.
 type Binding struct {
-	db     *relstore.DB
-	ix     *invindex.Index
-	terms  []string
-	binder *Binder // non-nil when term bindings and join indexes are shared
+	terms []string
 
 	masks     map[relstore.TupleID]uint32
 	scores    map[relstore.TupleID]float64
@@ -68,14 +68,9 @@ type Binding struct {
 	// kw is the union of the R^Q sets as a bitset: the keyword/free
 	// partition test of the join loops.
 	kw TupleSet
-
-	// freeSets and joins memoize the lazy accessors until sealed (the
-	// maps themselves are made on first write). joins additionally
-	// caches indexes fetched from the shared binder, so sealed
-	// concurrent evaluation reads a plain map without locking.
-	freeSets map[string][]*relstore.Tuple
-	joins    map[JoinKey]*JoinIndex
-	sealed   bool
+	// joins is the generation's join table (synchronised; see joinTable),
+	// shared with the binder's other bindings or private to this one.
+	joins *joinTable
 
 	cachedTerms, builtTerms int
 }
@@ -93,13 +88,15 @@ func normalizeTerms(terms []string) []string {
 	return norm
 }
 
-// newBinding wraps a merged product with fresh per-query state.
-func newBinding(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binder, mb *mergedBinding) *Binding {
+// newBinding wraps a merged product for one query; cached and built
+// split the terms by where their bindings came from.
+func newBinding(db *relstore.DB, norm []string, mb *mergedBinding, joins *joinTable, cached, built int) *Binding {
 	return &Binding{
-		db: db, ix: ix, terms: norm, binder: binder,
+		terms: norm,
 		masks: mb.masks, scores: mb.scores,
 		kwSets: mb.kwSets, maxScores: mb.maxScores, kwTables: mb.kwTables,
-		kw: keywordBits(db, mb.kwSets),
+		kw:    keywordBits(db, mb.kwSets),
+		joins: joins, cachedTerms: cached, builtTerms: built,
 	}
 }
 
@@ -148,24 +145,31 @@ func buildTermBinding(db *relstore.DB, ix *invindex.Index, term string) termBind
 func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binder, sp *obs.Span) *Binding {
 	// A repeat of the whole query (same normalized term list, current
 	// generation) reuses the merged product outright: the binding wraps
-	// the cached immutable maps with fresh lazy state.
+	// the cached immutable maps.
 	var mergedKey string
+	var joins *joinTable
+	var termGen, mergedGen uint64
 	if binder != nil {
+		// The generations and the join table are read before anything is
+		// computed, so what this bind stores or shares belongs to the
+		// generation it started in.
+		termGen, mergedGen = binder.terms.Gen(), binder.merged.Gen()
+		joins = binder.joins.Load()
 		mergedKey = strings.Join(norm, "\x00")
 		if mb, ok := binder.merged.Get(mergedKey); ok {
-			b := newBinding(db, ix, norm, binder, mb)
-			b.cachedTerms = len(norm)
 			psp := sp.Child("postings")
 			psp.SetAttr("terms", len(norm))
-			psp.SetAttr("cached_terms", b.cachedTerms)
+			psp.SetAttr("cached_terms", len(norm))
 			psp.SetAttr("built_terms", 0)
 			psp.End()
 			msp := sp.Child("materialize")
-			msp.SetAttr("matched_tuples", len(b.masks))
-			msp.SetAttr("keyword_tables", len(b.kwTables))
+			msp.SetAttr("matched_tuples", len(mb.masks))
+			msp.SetAttr("keyword_tables", len(mb.kwTables))
 			msp.End()
-			return b
+			return newBinding(db, norm, mb, joins, len(norm), 0)
 		}
+	} else {
+		joins = newJoinTable(db)
 	}
 
 	psp := sp.Child("postings")
@@ -182,7 +186,7 @@ func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binde
 		tbs[i] = buildTermBinding(db, ix, term)
 		built++
 		if binder != nil {
-			binder.terms.Put(term, tbs[i])
+			binder.terms.Put(termGen, term, tbs[i])
 			binder.builds.Inc()
 		}
 	}
@@ -244,15 +248,13 @@ func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binde
 	msp.SetAttr("keyword_tables", len(mb.kwTables))
 	msp.End()
 	if binder != nil {
-		binder.merged.Put(mergedKey, mb)
+		binder.merged.Put(mergedGen, mergedKey, mb)
 	}
-	b := newBinding(db, ix, norm, binder, mb)
-	b.cachedTerms, b.builtTerms = cached, built
-	return b
+	return newBinding(db, norm, mb, joins, cached, built)
 }
 
 // NewScanBinding builds a Binding the pre-binder way: one full scan of
-// every table, partitioning tuples into R^Q/R^{} and scoring matches
+// every table, collecting the tuples that match a term and scoring them
 // through Index.Score. It is the reference implementation the
 // index-driven path is asserted byte-identical against (and the oracle
 // exec.TopKSerial evaluates with), deliberately kept as an independent
@@ -270,36 +272,28 @@ func NewScanBinding(db *relstore.DB, ix *invindex.Index, terms []string) *Bindin
 			mb.masks[relstore.TupleID(doc)] |= 1 << uint(ti)
 		}
 	}
-	freeSets := make(map[string][]*relstore.Tuple)
 	for _, name := range db.TableNames() {
-		t := db.Table(name)
-		var kw, free []*relstore.Tuple
-		for _, tp := range t.Tuples() {
-			if mb.masks[tp.ID] != 0 {
-				kw = append(kw, tp)
-			} else {
-				free = append(free, tp)
-			}
-		}
-		if len(kw) > 0 {
-			mb.kwSets[name] = kw
-			mb.kwTables = append(mb.kwTables, name)
-		}
-		freeSets[name] = free
+		var kw []*relstore.Tuple
 		best := 0.0
-		for _, tp := range kw {
+		for _, tp := range db.Table(name).Tuples() {
+			if mb.masks[tp.ID] == 0 {
+				continue
+			}
+			kw = append(kw, tp)
 			s := ix.Score(norm, invindex.DocID(tp.ID))
 			mb.scores[tp.ID] = s
 			if s > best {
 				best = s
 			}
 		}
+		if len(kw) > 0 {
+			mb.kwSets[name] = kw
+			mb.kwTables = append(mb.kwTables, name)
+		}
 		mb.maxScores[name] = best
 	}
 	sort.Strings(mb.kwTables)
-	b := newBinding(db, ix, norm, nil, mb)
-	b.freeSets = freeSets
-	return b
+	return newBinding(db, norm, mb, newJoinTable(db), 0, 0)
 }
 
 // Terms returns the normalized query terms. Shared; do not mutate.
@@ -321,42 +315,6 @@ func (b *Binding) KeywordTables() []string {
 // KeywordSet returns R^Q for a table, in insertion (ascending ID) order.
 func (b *Binding) KeywordSet(table string) []*relstore.Tuple { return b.kwSets[table] }
 
-// FreeSet returns R^{} for a table, materialized lazily: a table with no
-// matching tuple reuses the table's own tuple slice (for text-less link
-// tables — the common free fillers — this makes R^{} engine-lifetime
-// state, not per-query work), a matched table pays one complement scan,
-// memoized until the binding is sealed.
-func (b *Binding) FreeSet(table string) []*relstore.Tuple {
-	if fs, ok := b.freeSets[table]; ok {
-		return fs
-	}
-	fs := b.computeFreeSet(table)
-	if !b.sealed {
-		if b.freeSets == nil {
-			b.freeSets = make(map[string][]*relstore.Tuple)
-		}
-		b.freeSets[table] = fs
-	}
-	return fs
-}
-
-func (b *Binding) computeFreeSet(table string) []*relstore.Tuple {
-	t := b.db.Table(table)
-	if t == nil {
-		return nil
-	}
-	if len(b.kwSets[table]) == 0 {
-		return t.Tuples() // nothing matched: R^{} is the whole table
-	}
-	var free []*relstore.Tuple
-	for _, tp := range t.Tuples() {
-		if !b.kw.Has(tp.ID) {
-			free = append(free, tp)
-		}
-	}
-	return free
-}
-
 // MaxNodeScore returns the best tuple score available in table's R^Q.
 func (b *Binding) MaxNodeScore(table string) float64 { return b.maxScores[table] }
 
@@ -370,58 +328,15 @@ func (b *Binding) TupleScore(tp *relstore.Tuple) float64 {
 	return b.scores[tp.ID] // zero value is the exact score of a free tuple
 }
 
-// TermMask returns the query-term bitmask of tuple id (0 = free tuple).
+// TermMask returns the query-term bitmask of tuple id: bit i is set when
+// the tuple matches Terms()[i]; 0 for a free tuple.
 func (b *Binding) TermMask(id relstore.TupleID) uint32 { return b.masks[id] }
 
 // KeywordBits returns the union of every R^Q as a bitset over tuple
-// IDs. Shared; do not mutate.
+// IDs: Has(id) ⇔ TermMask(id) != 0. Shared; do not mutate.
 func (b *Binding) KeywordBits() TupleSet { return b.kw }
 
-// Join returns the index of one directed schema join. Indexes come from
-// the shared binder when one backs this binding (built once per
-// generation, not per query) and are memoized locally until sealed so
-// sealed concurrent evaluation never takes the binder's lock.
-func (b *Binding) Join(k JoinKey) *JoinIndex {
-	if ji, ok := b.joins[k]; ok {
-		return ji
-	}
-	var ji *JoinIndex
-	if b.binder != nil {
-		ji = b.binder.join(k)
-	} else {
-		ji = buildJoinIndex(b.db, k)
-	}
-	if !b.sealed {
-		if b.joins == nil {
-			b.joins = make(map[JoinKey]*JoinIndex)
-		}
-		b.joins[k] = ji
-	}
-	return ji
-}
-
-// Prewarm materializes every free set and join index the given CNs can
-// touch — both directions of every edge, since a search may start at
-// any node — then seals the binding (see BindSource). The posting lists
-// are touched too, preserving the old contract that sorts them in place
-// before any concurrent reader exists.
-func (b *Binding) Prewarm(ctx context.Context, cns []*CN) error {
-	for _, term := range b.terms {
-		b.ix.Postings(term)
-	}
-	for _, c := range cns {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for _, n := range c.Nodes {
-			if n.Free {
-				b.FreeSet(n.Table)
-			}
-		}
-		for _, k := range c.program().joins {
-			b.Join(k)
-		}
-	}
-	b.sealed = true
-	return nil
-}
+// Join returns the index of one directed schema join, built on first
+// use and shared by every binding on the same join table. The index is
+// immutable; the lookup is safe from any number of goroutines.
+func (b *Binding) Join(k JoinKey) *JoinIndex { return b.joins.get(k) }

@@ -1,8 +1,6 @@
 package cn
 
 import (
-	"context"
-
 	"kwsearch/internal/invindex"
 	"kwsearch/internal/relstore"
 )
@@ -17,18 +15,19 @@ type Result struct {
 }
 
 // Evaluator executes candidate networks against a database. All binding
-// state — the per-relation keyword (R^Q) and free (R^{}) tuple sets,
-// term masks, tuple scores and join indexes — comes from its
-// BindSource, so the same evaluation machinery runs over a one-shot
-// index-driven binding (NewEvaluator), the full-scan reference binding
+// state — the per-relation keyword sets R^Q, the keyword/free partition,
+// term masks, tuple scores and join indexes — comes from its Binding,
+// so the same evaluation machinery runs over a one-shot index-driven
+// binding (NewEvaluator), the full-scan reference binding
 // (NewScanEvaluator) or a Binding served by the shared generation-aware
-// Binder (NewEvaluatorFrom).
+// Binder (NewEvaluatorFrom). A Binding is immutable, so one evaluator
+// may be used from any number of goroutines at once.
 type Evaluator struct {
 	DB    *relstore.DB
 	Index *invindex.Index
 	Terms []string
 
-	src BindSource
+	src *Binding
 }
 
 // NewEvaluator prepares an evaluator for the given query terms
@@ -45,9 +44,9 @@ func NewScanEvaluator(db *relstore.DB, ix *invindex.Index, terms []string) *Eval
 	return NewEvaluatorFrom(db, ix, NewScanBinding(db, ix, terms))
 }
 
-// NewEvaluatorFrom wraps an existing binding source — the constructor
+// NewEvaluatorFrom wraps an existing binding — the constructor
 // exec.TopK and core.Engine use to consume the shared Binder.
-func NewEvaluatorFrom(db *relstore.DB, ix *invindex.Index, src BindSource) *Evaluator {
+func NewEvaluatorFrom(db *relstore.DB, ix *invindex.Index, src *Binding) *Evaluator {
 	return &Evaluator{DB: db, Index: ix, Terms: src.Terms(), src: src}
 }
 
@@ -58,9 +57,6 @@ func (ev *Evaluator) KeywordTables() []string { return ev.src.KeywordTables() }
 // KeywordSet returns R^Q for a table.
 func (ev *Evaluator) KeywordSet(table string) []*relstore.Tuple { return ev.src.KeywordSet(table) }
 
-// FreeSet returns R^{} (tuples matching no query term) for a table.
-func (ev *Evaluator) FreeSet(table string) []*relstore.Tuple { return ev.src.FreeSet(table) }
-
 // TupleScore is the IR score of one tuple for the query (exactly 0 for
 // tuples matching no term; see Binding.TupleScore).
 func (ev *Evaluator) TupleScore(tp *relstore.Tuple) float64 { return ev.src.TupleScore(tp) }
@@ -68,24 +64,10 @@ func (ev *Evaluator) TupleScore(tp *relstore.Tuple) float64 { return ev.src.Tupl
 // MaxNodeScore returns the best tuple score available in table's R^Q.
 func (ev *Evaluator) MaxNodeScore(table string) float64 { return ev.src.MaxNodeScore(table) }
 
-// PrewarmCtx resolves the join indexes and free sets the given CNs will
-// touch (compiling the CNs' evaluation programs on the way, all before
-// any goroutine starts) and seals the binding source, making subsequent
-// EvaluateCN calls read-only — required before evaluating from multiple
-// goroutines (exec.TopK and the parallel package do this). Cancellation
-// is checked between CNs: a cancelled prewarm returns ctx's error and
-// the state built so far stays valid (the next call resumes where this
-// one stopped).
-func (ev *Evaluator) PrewarmCtx(ctx context.Context, cns []*CN) error {
-	return ev.src.Prewarm(ctx, cns)
-}
-
-// nodeSet returns the tuple set (keyword or free) for CN node n.
-func (ev *Evaluator) nodeSet(n NodeSpec) []*relstore.Tuple {
-	if n.Free {
-		return ev.src.FreeSet(n.Table)
-	}
-	return ev.src.KeywordSet(n.Table)
+// rootSet returns the tuples a search of c starts from: R^Q of node 0,
+// which enumeration always makes a keyword node (see prefix.go).
+func (ev *Evaluator) rootSet(c *CN) []*relstore.Tuple {
+	return ev.src.KeywordSet(c.Nodes[0].Table)
 }
 
 // allTermsMask is the bitmask with one bit per query term.
@@ -167,7 +149,7 @@ func (ev *Evaluator) evaluateFiltered(c *CN, fixed map[int]*relstore.Tuple) []Re
 	if s.pin != nil {
 		s.bind(0, s.pin[start])
 	} else {
-		for _, tp := range ev.nodeSet(c.Nodes[start]) {
+		for _, tp := range ev.rootSet(c) {
 			s.bind(0, tp.ID)
 		}
 	}

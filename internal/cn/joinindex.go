@@ -3,6 +3,7 @@ package cn
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"kwsearch/internal/relstore"
 )
@@ -15,7 +16,7 @@ import (
 // comparison, no pointer for the collector to trace. Tuples of other
 // tables, NULL join values and values without a referent all get
 // zero-width rows. An index is immutable once built and shared by
-// reference between the Binder and every Binding of its generation.
+// reference, through its joinTable, by every Binding of its generation.
 //
 // Size: 4 bytes per tuple of the database plus 4 bytes per joining
 // pair, which for a foreign key into a key column is at most the
@@ -79,6 +80,41 @@ func buildJoinIndex(db *relstore.DB, k JoinKey) *JoinIndex {
 		}
 	}
 	return ji
+}
+
+// joinTable owns the join indexes of one database generation: built on
+// first use, then shared by reference. The Binder hands its current
+// table to every binding it makes (and swaps in an empty one on
+// Invalidate); the one-shot and scan bindings get a private one.
+type joinTable struct {
+	db *relstore.DB
+
+	mu    sync.RWMutex
+	joins map[JoinKey]*JoinIndex
+}
+
+func newJoinTable(db *relstore.DB) *joinTable {
+	return &joinTable{db: db, joins: make(map[JoinKey]*JoinIndex)}
+}
+
+// get returns the index of the directed join k, building it on first
+// use. Concurrent first uses may build twice; the first writer wins so
+// every caller observes one canonical index.
+func (jt *joinTable) get(k JoinKey) *JoinIndex {
+	jt.mu.RLock()
+	ji, ok := jt.joins[k]
+	jt.mu.RUnlock()
+	if ok {
+		return ji
+	}
+	built := buildJoinIndex(jt.db, k)
+	jt.mu.Lock()
+	defer jt.mu.Unlock()
+	if ji, ok := jt.joins[k]; ok {
+		return ji
+	}
+	jt.joins[k] = built
+	return built
 }
 
 // TupleSet is a dense bitset over tuple IDs.

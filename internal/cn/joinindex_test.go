@@ -163,3 +163,73 @@ func TestJoinIndexHandCases(t *testing.T) {
 		t.Errorf("tuple inserted after the build joins %v", got)
 	}
 }
+
+// fkCorpus decodes fuzz bytes into a two-table database whose foreign
+// key columns hold whatever the bytes say. Four bytes make one row: the
+// first picks the table (so the tables' tuple IDs interleave), the rest
+// are column values, where a multiple of 5 is NULL and anything else a
+// small integer — small enough that values repeat, large enough that
+// many reference no existing key. emp.boss references emp.id (a
+// self-reference), emp.dept a key and emp.floor a non-key column.
+func fkCorpus(data []byte) *relstore.DB {
+	db := relstore.NewDB()
+	db.MustCreateTable(&relstore.TableSchema{
+		Name: "dept",
+		Columns: []relstore.Column{
+			{Name: "id", Type: relstore.KindInt},
+			{Name: "floor", Type: relstore.KindInt},
+		},
+		Key: "id",
+	})
+	db.MustCreateTable(&relstore.TableSchema{
+		Name: "emp",
+		Columns: []relstore.Column{
+			{Name: "id", Type: relstore.KindInt},
+			{Name: "boss", Type: relstore.KindInt},
+			{Name: "dept", Type: relstore.KindInt},
+			{Name: "floor", Type: relstore.KindInt},
+		},
+		Key: "id",
+	})
+	val := func(b byte) relstore.Value {
+		if b%5 == 0 {
+			return relstore.Null()
+		}
+		return relstore.Int(int64(b % 13))
+	}
+	var depts, emps int64
+	for ; len(data) >= 4; data = data[4:] {
+		if data[0]%3 == 0 {
+			depts++
+			db.MustInsert("dept", map[string]relstore.Value{"id": relstore.Int(depts), "floor": val(data[1])})
+		} else {
+			emps++
+			db.MustInsert("emp", map[string]relstore.Value{
+				"id": relstore.Int(emps), "boss": val(data[1]), "dept": val(data[2]), "floor": val(data[3]),
+			})
+		}
+	}
+	return db
+}
+
+// FuzzJoinIndexMatchesSelectEq checks the CSR join index against
+// Table.SelectEq on generated foreign-key columns — NULLs, dangling
+// values, repeated non-key referents and a self-reference — in both
+// directions of every join.
+func FuzzJoinIndexMatchesSelectEq(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 3, 0, 0, 1, 1, 1, 3, 1, 5, 7, 4, 3, 3, 0, 0, 2, 2, 12, 3})
+	f.Add([]byte("\x01\x01\x01\x01\x01\x01\x01\x01\x01\x02\x00\x00")) // one boss chain, no departments
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db := fkCorpus(data)
+		for _, e := range []schemagraph.Edge{
+			{From: "emp", FromCol: "boss", To: "emp", ToCol: "id"},
+			{From: "emp", FromCol: "dept", To: "dept", ToCol: "id"},
+			{From: "emp", FromCol: "floor", To: "dept", ToCol: "floor"},
+		} {
+			for _, k := range bothWays(e) {
+				assertJoinIndex(t, db, k, "fuzz")
+			}
+		}
+	})
+}

@@ -63,7 +63,7 @@ func (r Rows) Row(i int) []relstore.TupleID {
 const pollEvery = 4096
 
 // RootCount returns the size of c's root set: the tuple set of node 0.
-func (ev *Evaluator) RootCount(c *CN) int { return len(ev.nodeSet(c.Nodes[0])) }
+func (ev *Evaluator) RootCount(c *CN) int { return len(ev.rootSet(c)) }
 
 // Roots returns rows [lo, hi) of c's first level, one root-set tuple per
 // row in set order (hi is clamped to the set). Every row EvaluatePrefix
@@ -71,7 +71,7 @@ func (ev *Evaluator) RootCount(c *CN) int { return len(ev.nodeSet(c.Nodes[0])) }
 // order, so ranges that tile [0, RootCount(c)) extend independently and
 // their levels, laid end to end in range order, are the unsplit level.
 func (ev *Evaluator) Roots(c *CN, lo, hi int) Rows {
-	set := ev.nodeSet(c.Nodes[0])
+	set := ev.rootSet(c)
 	hi = min(hi, len(set))
 	rows := Rows{Width: 1}
 	if lo < hi {
@@ -91,8 +91,7 @@ func (ev *Evaluator) Roots(c *CN, lo, hi int) Rows {
 // insertion order — the order the row-at-a-time evaluator always
 // produced, which is why answers stay byte-identical. A context that
 // ends inside a level abandons it: the error is ctx's and no rows are
-// returned. Callers evaluating from multiple goroutines must Prewarm
-// first, as with EvaluateCN.
+// returned.
 func (ev *Evaluator) EvaluatePrefix(ctx context.Context, c *CN, prior Rows, n int) (Rows, error) {
 	if n <= 0 || n > len(c.Nodes) {
 		return Rows{}, nil

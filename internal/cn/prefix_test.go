@@ -142,9 +142,6 @@ func TestPrefixKeyOrderSensitive(t *testing.T) {
 func TestLevelAllocsDoNotGrowWithRows(t *testing.T) {
 	ev, cns := prefixSetup(t)
 	ctx := context.Background()
-	if err := ev.PrewarmCtx(ctx, cns); err != nil {
-		t.Fatal(err)
-	}
 	bigLevels, rejected := 0, 0
 	for ci, c := range cns {
 		var rows Rows

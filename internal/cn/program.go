@@ -38,8 +38,6 @@ type program struct {
 	// joins an already bound one, whichever node the caller pinned.
 	search [][]step
 	leaves []int
-	// joins lists both directions of every edge: what Prewarm resolves.
-	joins []JoinKey
 	// prefix[d] is PrefixKey(d) for 0 <= d <= len(Nodes).
 	prefix []string
 }
@@ -80,10 +78,6 @@ func (c *CN) compile() *program {
 	if n == 0 {
 		return p
 	}
-	for _, e := range c.Edges {
-		p.joins = append(p.joins, c.joinKey(e, e.A), c.joinKey(e, e.B))
-	}
-
 	var b strings.Builder
 	b.WriteString(c.Nodes[0].String())
 	p.prefix[1] = b.String()

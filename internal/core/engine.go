@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"kwsearch/internal/banks"
@@ -179,33 +178,12 @@ type Engine struct {
 	// enumeration entirely. Populated by NewRelational; nil on XML
 	// engines.
 	Plans *plan.Cache
-	// lastExec points at an immutable snapshot of the most recent
-	// executor-backed search's stats. Each query publishes a fresh struct
-	// with one atomic pointer store, so concurrent readers always see one
-	// query's stats whole — never a merge of two queries' fields (the
-	// previous exported mutable field invited exactly that: unsynchronized
-	// readers racing a writer could observe a half-updated struct). Read
-	// it through ExecStats; per-query stats are better taken from
-	// Response.Stats.Exec, which is never overwritten by later queries.
-	lastExec atomic.Pointer[exec.Stats]
-
 	// gate is the admission controller, nil unless Admit installed one.
 	gate *resilience.Gate
 	// slowlog is the tail-sampling slow-query log, nil unless SetSlowLog
 	// installed one. With it installed, every query runs a cheap trace
 	// and slow/errored/shed/partial queries are retained as exemplars.
 	slowlog *obs.SlowLog
-}
-
-// ExecStats returns the stats snapshot of the most recent
-// executor-backed search (the zero Stats before any ran), safe under
-// concurrent Query calls: the snapshot is immutable and swapped with one
-// atomic store, so it is always one query's stats whole.
-func (e *Engine) ExecStats() exec.Stats {
-	if st := e.lastExec.Load(); st != nil {
-		return *st
-	}
-	return exec.Stats{}
 }
 
 // Registry returns the engine's metrics registry — the method form of
@@ -334,8 +312,6 @@ func (e *Engine) searchCN(ctx context.Context, terms []string, req Request, sp *
 	rs, xst, err := e.Exec.TopK(ctx, exec.Query{
 		Terms: terms, K: req.TopK, MaxCNSize: req.MaxCNSize, Workers: workers, Trace: sp,
 	})
-	snap := xst
-	e.lastExec.Store(&snap)
 	st.Exec = &xst
 	st.PlanSignature = xst.PlanKey
 	if err != nil {

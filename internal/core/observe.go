@@ -1,10 +1,10 @@
 package core
 
 // This file is the observability surface of the engine: per-query Stats,
-// the span-tree Trace, the QueryObserver callback, and the context-first
-// Query entry point that instruments the whole pipeline (admit → clean →
-// lookup → enumerate/expand → evaluate → rank) on top of the engine's
-// metrics registry.
+// the span-tree Trace, and the context-first Query entry point that
+// instruments the whole pipeline (admit → clean → lookup →
+// enumerate/expand → evaluate → rank) on top of the engine's metrics
+// registry.
 
 import (
 	"context"
@@ -41,8 +41,8 @@ type Stats struct {
 	// query (nil under every other semantics).
 	Exec *exec.Stats `json:"exec,omitempty"`
 	// PlanSignature is the plan-cache key the query compiled under
-	// (namespace + schema fingerprint + keyword→relation membership
-	// signature + size bounds); "" when the query never reached the
+	// (schema fingerprint + keyword→relation membership signature +
+	// size bounds); "" when the query never reached the
 	// enumerate stage. Slow-query exemplars carry it so latency outliers
 	// can be correlated with plan-cache churn.
 	PlanSignature string `json:"plan_signature,omitempty"`
@@ -54,11 +54,6 @@ type Stats struct {
 	// every counter incremented and histogram observed while it ran.
 	Metrics obs.Snapshot `json:"metrics"`
 }
-
-// QueryObserver receives every Query's Stats and Trace as it completes.
-// The trace is nil unless Request.Trace was set. Set it in
-// Request.Observer; it runs on the querying goroutine.
-type QueryObserver func(Stats, *Trace)
 
 // Response bundles a query's results with its observability artifacts.
 type Response struct {
@@ -236,11 +231,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	if req.Trace {
 		trace = root
 	}
-	resp := &Response{Results: results, Partial: partial, Stats: st, Trace: trace}
-	if req.Observer != nil {
-		req.Observer(resp.Stats, resp.Trace)
-	}
-	return resp, nil
+	return &Response{Results: results, Partial: partial, Stats: st, Trace: trace}, nil
 }
 
 // SetSlowLog installs (or, with nil, removes) the tail-sampling
@@ -259,14 +250,6 @@ func (e *Engine) SetSlowLog(l *obs.SlowLog) {
 // SlowLog returns the engine's slow-query log, nil unless SetSlowLog
 // installed one.
 func (e *Engine) SlowLog() *obs.SlowLog { return e.slowlog }
-
-// planNamespace is the tenant namespace exemplars and log lines carry.
-func (e *Engine) planNamespace() string {
-	if e.Plans == nil {
-		return ""
-	}
-	return e.Plans.Namespace()
-}
 
 // rejectOutcome classifies an admission failure for the slowlog.
 func rejectOutcome(err error) obs.Outcome {
@@ -293,7 +276,6 @@ func (e *Engine) capture(ctx context.Context, req Request, root *obs.Span, st *S
 	}
 	entry := obs.Entry{
 		RequestID:    obs.RequestIDFrom(ctx),
-		Namespace:    e.planNamespace(),
 		KeywordsHash: obs.KeywordsHash(req.Query),
 		Outcome:      outcome,
 		Duration:     elapsed,
@@ -315,9 +297,6 @@ func (e *Engine) capture(ctx context.Context, req Request, root *obs.Span, st *S
 		}
 		if entry.RequestID != "" {
 			fields = append(fields, obs.F("request_id", entry.RequestID))
-		}
-		if entry.Namespace != "" {
-			fields = append(fields, obs.F("namespace", entry.Namespace))
 		}
 		if entry.PlanSignature != "" {
 			fields = append(fields, obs.F("plan_signature", entry.PlanSignature))

@@ -42,29 +42,3 @@ func TestEnginePlanCacheWired(t *testing.T) {
 		t.Fatalf("plan-cached queries returned no results (%d, %d)", len(cold.Results), len(warm.Results))
 	}
 }
-
-// TestSetPlanNamespaceIsolates: after re-namespacing, previously compiled
-// plans are invisible (a tenant can never read another tenant's plans),
-// so the same signature compiles again under the new namespace. The
-// second query is a different one with the same {author, paper}
-// signature: a repeat would be answered by the result cache (whose key
-// rightly carries no namespace — the data is the same) before reaching
-// the plan cache.
-func TestSetPlanNamespaceIsolates(t *testing.T) {
-	e := NewRelational(dataset.DBLP(dataset.DefaultDBLPConfig()))
-	if _, err := e.Query(context.Background(), Request{Query: "wang search", TopK: 5}); err != nil {
-		t.Fatal(err)
-	}
-	builds := e.Plans.Builds()
-
-	e.SetPlanNamespace("tenant-b")
-	if got := e.Plans.Namespace(); got != "tenant-b" {
-		t.Fatalf("Namespace() = %q, want tenant-b", got)
-	}
-	if _, err := e.Query(context.Background(), Request{Query: "chen database", TopK: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if e.Plans.Builds() != builds+1 {
-		t.Fatalf("namespaced query reused a cross-tenant plan: %d builds, want %d", e.Plans.Builds(), builds+1)
-	}
-}

@@ -61,9 +61,6 @@ type Request struct {
 	// Trace enables per-query span collection: Query returns the span
 	// tree in Response.Trace (kwsearch -trace prints it).
 	Trace bool
-	// Observer, when non-nil, is called at the end of the query with its
-	// Stats and Trace (trace nil unless Trace is set).
-	Observer QueryObserver
 }
 
 // withDefaults fills the defaulted fields in: TopK 10, MaxCNSize 5, and
@@ -107,21 +104,6 @@ func (e *Engine) Admit(limit, maxQueue int) {
 // Gate returns the engine's admission gate, nil unless Admit installed
 // one.
 func (e *Engine) Gate() *resilience.Gate { return e.gate }
-
-// SetPlanNamespace re-namespaces the engine's plan cache: every plan
-// key the engine (and its executor) derives from here on is prefixed
-// with ns, so engines serving different tenants over one shared cache
-// can never read each other's compiled plans. Storage, capacity and
-// counters stay shared. Call during setup, before concurrent queries;
-// the swap is not synchronized. No-op on engines without a plan cache
-// (XML engines).
-func (e *Engine) SetPlanNamespace(ns string) {
-	if e.Plans == nil {
-		return
-	}
-	e.Plans = e.Plans.WithNamespace(ns)
-	e.Exec.SetPlans(e.Plans)
-}
 
 func badQuery(msg string) error {
 	return fmt.Errorf("%s: %w", msg, ErrBadQuery)

@@ -30,8 +30,6 @@ type Searcher interface {
 	SetSlowLog(l *obs.SlowLog)
 	// SlowLog returns the slow-query log, nil unless installed.
 	SlowLog() *obs.SlowLog
-	// SetPlanNamespace re-namespaces the plan cache (tenant isolation).
-	SetPlanNamespace(ns string)
 }
 
 var _ Searcher = (*Engine)(nil)

@@ -37,35 +37,32 @@ import (
 	"kwsearch/internal/text"
 )
 
+// The executor's caches are sized for the serving engine: postingCacheSize
+// term→posting entries, resultCacheSize whole-query answers, both over
+// cacheShards lock stripes.
+const (
+	postingCacheSize = 4096
+	resultCacheSize  = 256
+	cacheShards      = 16
+)
+
 // Options configures an Executor.
 type Options struct {
 	// Workers is the default worker-pool size (0 = GOMAXPROCS).
 	Workers int
 	// FreeTables are the relations allowed as free tuple sets in CNs.
 	FreeTables []string
-	// PostingCacheSize bounds the term→posting cache (entries; 0 = 4096).
-	PostingCacheSize int
-	// ResultCacheSize bounds the whole-query result cache (0 = 256).
-	ResultCacheSize int
-	// CacheShards stripes both caches (0 = 16).
-	CacheShards int
 	// Plans is the candidate-network plan cache consulted before
-	// enumeration. Leave nil to have the executor build a private one
-	// (PlanCacheSize entries); core.NewRelational passes the engine's
-	// cache, which its SPARK path shares.
+	// enumeration. Leave nil to have the executor build a private one;
+	// core.NewRelational passes the engine's cache, which its SPARK path
+	// shares.
 	Plans *plan.Cache
-	// PlanCacheSize bounds the private plan cache built when Plans is
-	// nil (0 = 128).
-	PlanCacheSize int
 	// Binder is the shared keyword-binding layer that turns query terms
 	// into R^Q tuple sets from posting lists, caching per-term bindings
 	// and join indexes across queries. Leave nil to have the executor
-	// build a private one (BindCacheSize terms); core.NewRelational
-	// passes the engine's binder, which its SPARK path shares.
+	// build a private one; core.NewRelational passes the engine's
+	// binder, which its SPARK path shares.
 	Binder *cn.Binder
-	// BindCacheSize bounds the private binder's per-term cache built
-	// when Binder is nil (0 = 1024).
-	BindCacheSize int
 	// Metrics, when non-nil, receives the executor's lifetime counters and
 	// both cache counter sets (see Instrument). Leaving it nil costs one
 	// branch per counter event.
@@ -75,15 +72,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.PostingCacheSize <= 0 {
-		o.PostingCacheSize = 4096
-	}
-	if o.ResultCacheSize <= 0 {
-		o.ResultCacheSize = 256
-	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = 16
 	}
 	return o
 }
@@ -154,8 +142,8 @@ type Stats struct {
 	// bind stage a merge of cached slices).
 	BindTermsCached int
 	BindTermsBuilt  int
-	// PlanKey is the plan-cache key the query compiled under (namespace +
-	// schema fingerprint + membership signature + size bounds) — the join
+	// PlanKey is the plan-cache key the query compiled under (schema
+	// fingerprint + membership signature + size bounds) — the join
 	// key between a query exemplar and plan-cache churn. Empty when the
 	// query never reached the enumerate stage.
 	PlanKey string
@@ -205,27 +193,19 @@ func New(db *relstore.DB, ix *invindex.Index, opts Options) *Executor {
 		sg:        schemagraph.FromDB(db),
 		opts:      opts,
 		jobRoots:  rootsPerJob,
-		postings:  cache.New[[]invindex.Posting](opts.PostingCacheSize, opts.CacheShards),
-		results:   cache.New[[]cn.Result](opts.ResultCacheSize, opts.CacheShards),
+		postings:  cache.New[[]invindex.Posting](postingCacheSize, cacheShards),
+		results:   cache.New[[]cn.Result](resultCacheSize, cacheShards),
 		evaluated: &obs.Counter{},
 		skipped:   &obs.Counter{},
 		reuses:    &obs.Counter{},
 	}
 	x.plans = opts.Plans
 	if x.plans == nil {
-		x.plans = plan.New(plan.Options{
-			Size:    opts.PlanCacheSize,
-			Shards:  opts.CacheShards,
-			Metrics: opts.Metrics,
-		})
+		x.plans = plan.New(plan.Options{Metrics: opts.Metrics})
 	}
 	x.binder = opts.Binder
 	if x.binder == nil {
-		x.binder = cn.NewBinder(db, ix, cn.BinderOptions{
-			TermCacheSize: opts.BindCacheSize,
-			CacheShards:   opts.CacheShards,
-			Metrics:       opts.Metrics,
-		})
+		x.binder = cn.NewBinder(db, ix, cn.BinderOptions{Metrics: opts.Metrics})
 	}
 	if opts.Metrics != nil {
 		x.Instrument(opts.Metrics)
@@ -291,15 +271,6 @@ func (x *Executor) CacheStats() (postings, results cache.Stats) {
 	return x.postings.Stats(), x.results.Stats()
 }
 
-// SetPlans replaces the executor's plan cache handle — used by
-// core.Engine.SetPlanNamespace to re-namespace a shared cache. Call
-// before concurrent use; the executor does not synchronize the swap.
-func (x *Executor) SetPlans(p *plan.Cache) {
-	if p != nil {
-		x.plans = p
-	}
-}
-
 // normTerms normalizes and drops empty tokens.
 func normTerms(terms []string) []string {
 	var out []string
@@ -325,10 +296,10 @@ func copyResults(rs []cn.Result) []cn.Result {
 // TopK answers q with the worker pool, consulting the result cache
 // first. The returned slice is the caller's to keep. Cancelling ctx (or
 // an armed resilience.Injector stage firing) aborts the evaluation and
-// returns the interrupting error; when the pool was already running, the
-// certified prefix of the top-k comes back with it (Stats.Partial set)
-// so callers can serve a sound partial answer. Interrupted runs are
-// never cached.
+// returns the interrupting error; once the plan exists the pool runs, and
+// the certified prefix of the top-k (empty when ctx had already ended)
+// comes back with the error (Stats.Partial set) so callers can serve a
+// sound partial answer. Interrupted runs are never cached.
 func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error) {
 	q = q.withDefaults(x)
 	sp := q.Trace
@@ -339,6 +310,9 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	}
 
 	key := resultCacheKey(terms, q.K, q.MaxCNSize)
+	// Read before anything the answer is computed from, so an answer an
+	// InvalidateCaches overtakes is not stored as current.
+	gen := x.results.Gen()
 	if rs, ok := x.results.Get(key); ok {
 		st.ResultCacheHit = true
 		sp.SetAttr("result_cache_hit", true)
@@ -351,7 +325,7 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	// the evaluator (a full-database scan) outright.
 	for _, t := range terms {
 		if len(x.Postings(t)) == 0 {
-			x.results.Put(key, nil)
+			x.results.Put(gen, key, nil)
 			sp.SetAttr("empty_term", t)
 			return nil, st, nil
 		}
@@ -395,14 +369,9 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	esp.SetAttr("plan_cached", planHit)
 	esp.End()
 	if len(cns) == 0 {
-		x.results.Put(key, nil)
+		x.results.Put(gen, key, nil)
 		return nil, st, nil
 	}
-
-	if err := ev.PrewarmCtx(ctx, cns); err != nil {
-		return nil, st, err
-	}
-	// Evaluation is read-only from here on.
 
 	jobs := buildQueue(ev, cns, x.jobRoots)
 	st.Jobs = len(jobs)
@@ -437,7 +406,7 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	}
 	vsp.End()
 
-	x.results.Put(key, copyResults(top))
+	x.results.Put(gen, key, copyResults(top))
 	return top, st, nil
 }
 

@@ -10,8 +10,8 @@ import (
 
 // TestConcurrentTopKStress hammers one executor from many goroutines with
 // overlapping queries and worker counts — meaningful under -race, where it
-// guards the shared caches, the pool's watermarks, and the evaluator's
-// read-only-after-Prewarm contract.
+// guards the shared caches, the pool's watermarks, and the binding's
+// shared join table.
 func TestConcurrentTopKStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short mode")

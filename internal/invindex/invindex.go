@@ -6,6 +6,7 @@ package invindex
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"kwsearch/internal/obs"
@@ -59,7 +60,11 @@ func New() *Index {
 }
 
 // Add tokenizes content and indexes it under doc. Calling Add twice with
-// the same doc extends that document.
+// the same doc extends that document. Every posting list stays in
+// ascending Doc order with one posting per document, so readers never
+// sort: documents normally arrive once each in increasing order and are
+// appended; an out-of-order or repeated doc pays a binary search and,
+// when new to the list, an insert.
 func (ix *Index) Add(doc DocID, content string) {
 	toks := text.Tokenize(content)
 	if _, seen := ix.docLen[doc]; !seen {
@@ -73,22 +78,17 @@ func (ix *Index) Add(doc DocID, content string) {
 	}
 	for t, c := range counts {
 		list := ix.postings[t]
-		// Merge with an existing posting if this doc was added before.
-		// Docs are normally added once each in increasing order, so the
-		// backward scan usually stops at the first comparison; out-of-order
-		// re-adds pay a full scan, which correctness requires.
-		merged := false
-		for i := len(list) - 1; i >= 0; i-- {
-			if list[i].Doc == doc {
-				list[i].TF += c
-				merged = true
-				break
-			}
+		if n := len(list); n == 0 || list[n-1].Doc < doc {
+			ix.postings[t] = append(list, Posting{Doc: doc, TF: c})
+			continue
 		}
-		if !merged {
-			list = append(list, Posting{Doc: doc, TF: c})
+		// The last posting is at or past doc, so i is in range.
+		i := sort.Search(len(list), func(i int) bool { return list[i].Doc >= doc })
+		if list[i].Doc == doc {
+			list[i].TF += c
+		} else {
+			ix.postings[t] = slices.Insert(list, i, Posting{Doc: doc, TF: c})
 		}
-		ix.postings[t] = list
 	}
 }
 
@@ -120,13 +120,12 @@ func (ix *Index) AvgDocLen() float64 {
 	return float64(ix.totalLen) / float64(ix.numDocs)
 }
 
-// Postings returns the posting list of term, sorted by DocID. The slice is
-// shared; callers must not mutate it.
+// Postings returns the posting list of term, ascending by DocID (Add
+// keeps it so). It is a lookup that writes nothing but its counters, so
+// concurrent readers need no warm-up. The slice is shared; callers must
+// not mutate it.
 func (ix *Index) Postings(term string) []Posting {
 	list := ix.postings[text.Normalize(term)]
-	if !sort.SliceIsSorted(list, func(i, j int) bool { return list[i].Doc < list[j].Doc }) {
-		sort.Slice(list, func(i, j int) bool { return list[i].Doc < list[j].Doc })
-	}
 	ix.lookups.Inc()
 	ix.postingsScanned.Add(uint64(len(list)))
 	return list

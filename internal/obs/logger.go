@@ -3,7 +3,7 @@ package obs
 // This file is the structured-logging half of the observability layer: a
 // leveled JSON line logger cheap enough to leave on in the serving path,
 // carried through the pipeline by context so every stage logs with the
-// request's fields (request id, namespace, keyword hash, deadline)
+// request's fields (request id, keyword hash, deadline)
 // without threading a logger parameter through every signature.
 //
 // Design constraints, in order: a disabled level must cost one integer

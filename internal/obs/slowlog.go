@@ -56,8 +56,6 @@ type Entry struct {
 	// RequestID is the serving layer's id for the request ("" for
 	// requests that never passed through the HTTP front end).
 	RequestID string `json:"request_id,omitempty"`
-	// Namespace is the tenant / plan-cache namespace.
-	Namespace string `json:"namespace,omitempty"`
 	// Keywords is the query's term list as typed (post-cleaning).
 	Keywords []string `json:"keywords,omitempty"`
 	// KeywordsHash is the FNV-64a hash of the joined keywords — the
@@ -234,7 +232,6 @@ type slowlogItem struct {
 	Seq           uint64      `json:"seq"`
 	Time          string      `json:"time"`
 	RequestID     string      `json:"request_id,omitempty"`
-	Namespace     string      `json:"namespace,omitempty"`
 	Keywords      []string    `json:"keywords,omitempty"`
 	KeywordsHash  string      `json:"keywords_hash,omitempty"`
 	Outcome       Outcome     `json:"outcome"`
@@ -260,7 +257,6 @@ func (l *SlowLog) Handler() http.Handler {
 				Seq:           e.Seq,
 				Time:          e.Time.UTC().Format(time.RFC3339Nano),
 				RequestID:     e.RequestID,
-				Namespace:     e.Namespace,
 				Keywords:      e.Keywords,
 				KeywordsHash:  e.KeywordsHash,
 				Outcome:       e.Outcome,

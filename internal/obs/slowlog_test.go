@@ -140,12 +140,11 @@ func TestSlowLogHandler(t *testing.T) {
 	sp.End()
 	l.Record(Entry{
 		RequestID:     "r-9",
-		Namespace:     "tenant-b",
 		Keywords:      []string{"john", "smith"},
 		KeywordsHash:  "deadbeef",
 		Outcome:       OutcomeSlow,
 		Duration:      30 * time.Millisecond,
-		PlanSignature: "ns=tenant-b|fp=1",
+		PlanSignature: "fp=1",
 		Trace:         sp,
 		Stats:         map[string]int{"results": 3},
 	})

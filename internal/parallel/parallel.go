@@ -50,7 +50,8 @@ func Decompose(c *cn.CN, ev *cn.Evaluator) Job {
 		}
 		size := float64(len(ev.KeywordSet(c.Nodes[i].Table)))
 		if c.Nodes[i].Free {
-			size = float64(len(ev.FreeSet(c.Nodes[i].Table)))
+			// R^{} is the table without its R^Q.
+			size = float64(ev.DB.Table(c.Nodes[i].Table).Len()) - size
 		}
 		cum += 1 + size
 		j.Prefixes = append(j.Prefixes, sub.Canonical())

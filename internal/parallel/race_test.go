@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"sync"
 	"testing"
 )
@@ -55,41 +54,4 @@ func TestConcurrentDecomposeDeterministic(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestConcurrentEvaluationAfterPrewarm stresses the Prewarm contract:
-// after one Prewarm, EvaluateCN from many goroutines must be read-only;
-// under -race it verifies there is no lazy cache write left on the
-// evaluation path.
-func TestConcurrentEvaluationAfterPrewarm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stress test; skipped in -short")
-	}
-	ev, _, cns := setup(t)
-	if err := ev.PrewarmCtx(context.Background(), cns); err != nil {
-		t.Fatal(err)
-	}
-
-	want := 0
-	for _, c := range cns {
-		want += len(ev.EvaluateCN(c))
-	}
-
-	const goroutines = 8
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got := 0
-			for _, c := range cns {
-				got += len(ev.EvaluateCN(c))
-			}
-			if got != want {
-				t.Errorf("concurrent evaluation produced %d results, want %d", got, want)
-			}
-		}()
-	}
-	wg.Wait()
-
 }

@@ -7,15 +7,13 @@
 // query-to-SQL translation and EMBANKS as a precomputable structure,
 // and both argue for compiling once and reusing.
 //
-// A compiled plan is keyed by (namespace, schema-graph fingerprint,
+// A compiled plan is keyed by (schema-graph fingerprint,
 // keyword→relation membership signature, MaxSize, MaxCNs) and stored in
 // the sharded generation-aware LRU of internal/cache: warm queries skip
-// enumeration entirely, Invalidate bumps the generation so a schema
+// enumeration entirely, and Invalidate bumps the generation so a schema
 // change can never serve a stale plan (the fingerprint in the key
 // already guards this; the generation bump is the belt to that
-// suspender), and the namespace prefix keeps the cache per-tenant ready
-// without per-tenant capacity bookkeeping. Cold signatures are compiled
-// by cn.EnumerateCtx.
+// suspender). Cold signatures are compiled by cn.EnumerateCtx.
 package plan
 
 import (
@@ -31,37 +29,27 @@ import (
 	"kwsearch/internal/schemagraph"
 )
 
-// Options tunes a plan cache. The zero value is a working configuration.
+// A plan cache holds cacheSize plans over cacheShards lock stripes.
+const (
+	cacheSize   = 128
+	cacheShards = 8
+)
+
+// Options configures a plan cache. The zero value is a working
+// configuration.
 type Options struct {
-	// Size bounds the number of cached plans (0 = 128).
-	Size int
-	// Shards stripes the underlying LRU (0 = 8).
-	Shards int
-	// Namespace prefixes every key, isolating tenants that share one
-	// cache (and its capacity). Empty is the default namespace.
-	Namespace string
 	// Metrics, when non-nil, receives the cache counters under "plan.*"
 	// (hits, misses, evictions, stale, builds) and the cold-path build
 	// time histogram "plan.build_us".
 	Metrics *obs.Registry
 }
 
-func (o Options) withDefaults() Options {
-	if o.Size <= 0 {
-		o.Size = 128
-	}
-	if o.Shards <= 0 {
-		o.Shards = 8
-	}
-	return o
-}
-
 // PlanSet is one compiled candidate-network set. It is immutable and
 // share-safe: the same *PlanSet is handed to every query that hits its
 // key, possibly on many goroutines at once, so neither the slice nor
 // the CNs it points to may be mutated — evaluation layers treat CNs as
-// read-only, which is exactly the contract (internal/exec decomposes,
-// prewarms and joins against them without writing).
+// read-only, which is exactly the contract (internal/exec queues and
+// joins against them without writing).
 type PlanSet struct {
 	cns []*cn.CN
 	key string
@@ -75,26 +63,13 @@ func (p *PlanSet) CNs() []*cn.CN { return p.cns }
 // Len returns the number of candidate networks in the plan.
 func (p *PlanSet) Len() int { return len(p.cns) }
 
-// Key returns the cache key the plan was compiled under, rendered
-// printable for diagnostics (Stats.PlanKey, slowlog exemplars): the
-// NUL namespace separator of the storage key would otherwise leak into
-// JSON output as an escaped zero byte.
-func (p *PlanSet) Key() string {
-	ns, rest, ok := strings.Cut(p.key, "\x00")
-	if !ok {
-		return p.key
-	}
-	if ns == "" {
-		return rest
-	}
-	return "ns=" + ns + "|" + rest
-}
+// Key returns the cache key the plan was compiled under — printable, so
+// diagnostics (Stats.PlanKey, slowlog exemplars) carry it as is.
+func (p *PlanSet) Key() string { return p.key }
 
-// Cache is a concurrency-safe plan cache. Construct with New; handles
-// derived with WithNamespace share the same storage and counters.
+// Cache is a concurrency-safe plan cache. Construct with New.
 type Cache struct {
 	lru    *cache.Cache[*PlanSet]
-	opts   Options
 	builds *obs.Counter
 	// buildUS is nil unless Options.Metrics was set; recording build
 	// times is only useful where something can read them.
@@ -103,10 +78,8 @@ type Cache struct {
 
 // New builds a plan cache.
 func New(opts Options) *Cache {
-	opts = opts.withDefaults()
 	c := &Cache{
-		lru:    cache.New[*PlanSet](opts.Size, opts.Shards),
-		opts:   opts,
+		lru:    cache.New[*PlanSet](cacheSize, cacheShards),
 		builds: &obs.Counter{},
 	}
 	if opts.Metrics != nil {
@@ -116,18 +89,6 @@ func New(opts Options) *Cache {
 	}
 	return c
 }
-
-// WithNamespace returns a handle on the same cache whose keys are
-// prefixed with ns — tenants share capacity and counters but can never
-// read each other's plans. The receiver is unchanged.
-func (c *Cache) WithNamespace(ns string) *Cache {
-	nc := *c
-	nc.opts.Namespace = ns
-	return &nc
-}
-
-// Namespace returns the handle's key prefix.
-func (c *Cache) Namespace() string { return c.opts.Namespace }
 
 // normTables sorts, deduplicates and filters a table list down to the
 // tables the graph actually has — two option bundles that differ only
@@ -151,14 +112,14 @@ func normTables(g *schemagraph.Graph, tables []string) []string {
 	return out[:n]
 }
 
-// Key derives the cache key of an enumeration request: namespace,
-// schema-graph fingerprint, keyword→relation membership signature (the
-// sorted keyword and free table sets — enumeration never sees keyword
-// values), and the MaxSize/MaxCNs bounds, normalized the way
-// cn.EnumerateCtx normalizes them. The membership signature comes from
-// the bind layer — cn.BindSource.KeywordTables() is the producer — so
-// distinct queries matching the same relations share one compiled plan.
-func Key(namespace string, g *schemagraph.Graph, opts cn.EnumerateOptions) string {
+// Key derives the cache key of an enumeration request: schema-graph
+// fingerprint, keyword→relation membership signature (the sorted
+// keyword and free table sets — enumeration never sees keyword values),
+// and the MaxSize/MaxCNs bounds, normalized the way cn.EnumerateCtx
+// normalizes them. The membership signature comes from the bind layer —
+// cn.Binding.KeywordTables() is the producer — so distinct queries
+// matching the same relations share one compiled plan.
+func Key(g *schemagraph.Graph, opts cn.EnumerateOptions) string {
 	maxSize := opts.MaxSize
 	if maxSize <= 0 {
 		maxSize = 5
@@ -168,8 +129,6 @@ func Key(namespace string, g *schemagraph.Graph, opts cn.EnumerateOptions) strin
 		maxCNs = 0
 	}
 	var b strings.Builder
-	b.WriteString(namespace)
-	b.WriteByte('\x00')
 	b.WriteString(g.Fingerprint())
 	b.WriteString("|kw=")
 	b.WriteString(strings.Join(normTables(g, opts.KeywordTables), ","))
@@ -190,7 +149,8 @@ func Key(namespace string, g *schemagraph.Graph, opts cn.EnumerateOptions) strin
 // the last write wins, so the duplicated work is bounded by the number
 // of simultaneously cold callers.
 func (c *Cache) Get(ctx context.Context, g *schemagraph.Graph, opts cn.EnumerateOptions) (*PlanSet, bool, error) {
-	key := Key(c.opts.Namespace, g, opts)
+	key := Key(g, opts)
+	gen := c.lru.Gen()
 	if ps, ok := c.lru.Get(key); ok {
 		return ps, true, nil
 	}
@@ -202,7 +162,7 @@ func (c *Cache) Get(ctx context.Context, g *schemagraph.Graph, opts cn.Enumerate
 	c.builds.Inc()
 	c.buildUS.Observe(float64(time.Since(start).Microseconds()))
 	ps := &PlanSet{cns: cns, key: key}
-	c.lru.Put(key, ps)
+	c.lru.Put(gen, key, ps)
 	return ps, false, nil
 }
 

@@ -90,14 +90,14 @@ func TestCacheHitMiss(t *testing.T) {
 // default of 5.
 func TestKeyNormalization(t *testing.T) {
 	g := awpGraph(t)
-	base := Key("", g, awpOpts())
+	base := Key(g, awpOpts())
 	same := []cn.EnumerateOptions{
 		{MaxSize: 5, KeywordTables: []string{"paper", "author"}, FreeTables: []string{"write"}},
 		{MaxSize: 5, KeywordTables: []string{"author", "author", "paper"}, FreeTables: []string{"write", "nosuch"}},
 		{MaxSize: 0, KeywordTables: []string{"author", "paper"}, FreeTables: []string{"write"}},
 	}
 	for i, o := range same {
-		if got := Key("", g, o); got != base {
+		if got := Key(g, o); got != base {
 			t.Errorf("variant %d: key %q != base %q", i, got, base)
 		}
 	}
@@ -108,12 +108,9 @@ func TestKeyNormalization(t *testing.T) {
 		{MaxSize: 5, MaxCNs: 3, KeywordTables: []string{"author", "paper"}, FreeTables: []string{"write"}},
 	}
 	for i, o := range diff {
-		if got := Key("", g, o); got == base {
+		if got := Key(g, o); got == base {
 			t.Errorf("variant %d: key unexpectedly equals base", i)
 		}
-	}
-	if Key("tenant-a", g, awpOpts()) == base {
-		t.Error("namespaced key equals default-namespace key")
 	}
 }
 
@@ -180,33 +177,6 @@ func TestSchemaChangeNeverServesStalePlan(t *testing.T) {
 	}
 	if render(ps1.CNs()) == render(ps2.CNs()) {
 		t.Error("schema change did not alter the compiled plan (test is vacuous)")
-	}
-}
-
-// TestNamespaceIsolation checks that WithNamespace handles share storage
-// and counters but never each other's plans.
-func TestNamespaceIsolation(t *testing.T) {
-	g := awpGraph(t)
-	c := New(Options{})
-	a, b := c.WithNamespace("tenant-a"), c.WithNamespace("tenant-b")
-	if a.Namespace() != "tenant-a" || c.Namespace() != "" {
-		t.Fatalf("namespaces: a=%q base=%q", a.Namespace(), c.Namespace())
-	}
-	if _, hit, err := a.Get(context.Background(), g, awpOpts()); err != nil || hit {
-		t.Fatalf("tenant-a first Get: hit=%v err=%v", hit, err)
-	}
-	if _, hit, err := b.Get(context.Background(), g, awpOpts()); err != nil || hit {
-		t.Fatalf("tenant-b saw tenant-a's plan: hit=%v err=%v", hit, err)
-	}
-	if _, hit, err := a.Get(context.Background(), g, awpOpts()); err != nil || !hit {
-		t.Fatalf("tenant-a lost its own plan: hit=%v err=%v", hit, err)
-	}
-	// Shared storage: both builds landed in one LRU, one build counter.
-	if st := c.Stats(); st.Entries != 2 {
-		t.Errorf("shared entries = %d, want 2", st.Entries)
-	}
-	if c.Builds() != 2 {
-		t.Errorf("shared Builds() = %d, want 2", c.Builds())
 	}
 }
 
@@ -308,7 +278,7 @@ func randomMembership(rng *rand.Rand, g *schemagraph.Graph) cn.EnumerateOptions 
 // schema mutation never serves a stale plan.
 func TestPropertyCachedPlanEqualsFreshEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	c := New(Options{Size: 64})
+	c := New(Options{})
 	for trial := 0; trial < 60; trial++ {
 		g := randomSchema(rng, 3+rng.Intn(6))
 		opts := randomMembership(rng, g)

@@ -9,7 +9,7 @@ import (
 )
 
 // TestConcurrentGetStress hammers one cache from many goroutines with
-// overlapping signatures, namespaces and interleaved invalidations —
+// overlapping signatures and interleaved invalidations —
 // meaningful under -race, where it guards the share-safe PlanSet
 // contract (one *PlanSet handed to many readers at once).
 func TestConcurrentGetStress(t *testing.T) {
@@ -17,7 +17,7 @@ func TestConcurrentGetStress(t *testing.T) {
 		t.Skip("stress test skipped in -short mode")
 	}
 	g := awpGraph(t)
-	c := New(Options{Size: 16})
+	c := New(Options{})
 	sigs := []cn.EnumerateOptions{
 		{MaxSize: 5, KeywordTables: []string{"author", "paper"}, FreeTables: []string{"write"}},
 		{MaxSize: 5, KeywordTables: []string{"author", "paper"}, FreeTables: []string{"write", "author", "paper"}},
@@ -38,13 +38,9 @@ func TestConcurrentGetStress(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			h := c
-			if w%2 == 1 {
-				h = c.WithNamespace("tenant-b")
-			}
 			for i := 0; i < 40; i++ {
 				si := (w + i) % len(sigs)
-				ps, _, err := h.Get(context.Background(), g, sigs[si])
+				ps, _, err := c.Get(context.Background(), g, sigs[si])
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return

@@ -59,7 +59,7 @@ func TestRequestIDAdoptedFromClient(t *testing.T) {
 func TestAccessLogLine(t *testing.T) {
 	var buf bytes.Buffer
 	lg := obs.NewLogger(&buf, obs.LevelInfo)
-	_, ts := newTestServer(t, nil, Options{Logger: lg, PlanNamespace: "tenant-obs"})
+	_, ts := newTestServer(t, nil, Options{Logger: lg})
 
 	_, httpResp := post(t, ts.URL, QueryRequest{Query: "keyword search"})
 	id := httpResp.Header.Get("X-Request-Id")
@@ -67,7 +67,6 @@ func TestAccessLogLine(t *testing.T) {
 	for _, want := range []string{
 		`"msg":"request"`,
 		`"request_id":"` + id + `"`,
-		`"namespace":"tenant-obs"`,
 		`"route":"/query"`,
 		`"status":200`,
 		`"keywords_hash":"` + obs.KeywordsHash("keyword search") + `"`,

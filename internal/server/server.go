@@ -53,18 +53,11 @@ type Options struct {
 	// (and so every request). Tests use it to carry a fault injector
 	// into the pipeline; production leaves it nil.
 	BaseContext func() context.Context
-	// PlanNamespace, when non-empty, re-namespaces the engine's
-	// candidate-network plan cache (core.Engine.SetPlanNamespace) before
-	// serving: daemons that point several tenants' engines at one shared
-	// plan cache isolate their compiled plans by giving each server a
-	// distinct namespace. The plan.* hit/miss/build metrics remain
-	// visible on /metrics either way.
-	PlanNamespace string
 	// Logger, when non-nil, is the server's structured logger. Every
-	// request gets a derived logger carrying the request id (and plan
-	// namespace), placed in the request context so the engine's debug
-	// and slowlog-capture lines join up with the serving layer's, and
-	// one access-log info line is emitted per request.
+	// request gets a derived logger carrying the request id, placed in
+	// the request context so the engine's debug and slowlog-capture
+	// lines join up with the serving layer's, and one access-log info
+	// line is emitted per request.
 	Logger *obs.Logger
 	// SlowLog, when non-nil, is installed on the engine
 	// (core.Engine.SetSlowLog) so every served query is tail-sampled,
@@ -116,9 +109,6 @@ type Server struct {
 // its admission gate (when installed via Admit) sheds load for every
 // client at once.
 func New(engine core.Searcher, opts Options) *Server {
-	if ns := opts.PlanNamespace; ns != "" {
-		engine.SetPlanNamespace(ns)
-	}
 	if opts.SlowLog != nil {
 		engine.SetSlowLog(opts.SlowLog)
 	}
@@ -270,7 +260,7 @@ func (s *Server) newRequestID() string {
 // withObs wraps a handler with the serving layer's observability
 // middleware: it assigns (or adopts, from X-Request-Id) a request id,
 // echoes it on the response, derives a per-request logger carrying the
-// id and plan namespace into the request context — so engine debug
+// id into the request context — so engine debug
 // lines and slowlog exemplars join up with the access log — and emits
 // one structured access-log line per request with the route, status,
 // response size, elapsed time and the keywords hash(es) the handler
@@ -287,11 +277,7 @@ func (s *Server) withObs(route string, next http.HandlerFunc) http.HandlerFunc {
 		ctx = context.WithValue(ctx, accessInfoKey{}, ai)
 		lg := s.logger
 		if lg != nil {
-			fields := []obs.Field{obs.F("request_id", id)}
-			if ns := s.opts.PlanNamespace; ns != "" {
-				fields = append(fields, obs.F("namespace", ns))
-			}
-			lg = lg.With(fields...)
+			lg = lg.With(obs.F("request_id", id))
 			ctx = obs.WithLogger(ctx, lg)
 		}
 		w.Header().Set("X-Request-Id", id)
@@ -484,11 +470,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			subID := parentID + "#" + strconv.Itoa(i)
 			ctx = obs.WithRequestID(ctx, subID)
 			if s.logger != nil {
-				fields := []obs.Field{obs.F("request_id", subID)}
-				if ns := s.opts.PlanNamespace; ns != "" {
-					fields = append(fields, obs.F("namespace", ns))
-				}
-				ctx = obs.WithLogger(ctx, s.logger.With(fields...))
+				ctx = obs.WithLogger(ctx, s.logger.With(obs.F("request_id", subID)))
 			}
 			out.Responses[i] = s.execute(ctx, q)
 		}(i, q)

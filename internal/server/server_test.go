@@ -389,24 +389,3 @@ func TestDrainFinishesInFlight(t *testing.T) {
 		t.Fatal("connection accepted after Drain")
 	}
 }
-
-// TestPlanNamespaceOption: a server constructed with PlanNamespace
-// re-namespaces the engine's plan cache before serving, so two servers
-// over one shared cache can never exchange compiled plans, and queries
-// still succeed under the namespaced keys.
-func TestPlanNamespaceOption(t *testing.T) {
-	e, ts := newTestServer(t, nil, Options{PlanNamespace: "tenant-a"})
-	if got := e.Plans.Namespace(); got != "tenant-a" {
-		t.Fatalf("engine plan namespace = %q, want tenant-a", got)
-	}
-	resp, httpResp := post(t, ts.URL, QueryRequest{Query: "keyword search", Workers: 2})
-	if httpResp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d (%s)", httpResp.StatusCode, resp.Error)
-	}
-	if len(resp.Results) == 0 {
-		t.Fatal("no results under a plan namespace")
-	}
-	if e.Plans.Builds() == 0 {
-		t.Fatal("namespaced query did not reach the plan cache")
-	}
-}

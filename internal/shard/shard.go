@@ -1,6 +1,6 @@
 // Package shard is what is left of the sharding layer: a Coordinator is
-// the engine it wraps — same admission gate, registry, slow-query log,
-// plan namespace and caches — and only multiplies each request's pool
+// the engine it wraps — same admission gate, registry, slow-query log
+// and caches — and only multiplies each request's pool
 // size by its shard count, the goroutine count Workers × Shards used to
 // give, over the exec pool's one job queue. It survives because the
 // frozen benchmark (bench/) builds against New and Options.Shards; no

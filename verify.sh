@@ -34,13 +34,16 @@ echo "==> bench module: go vet + go test (nested module, invisible to root ./...
 (cd bench && go vet ./... && go test $short ./...)
 
 echo "==> go test -race (concurrency-bearing packages)"
-go test -race $short ./internal/cn/... \
+go test -race $short ./internal/cn/... ./internal/invindex/... \
     ./internal/cache/... ./internal/exec/... ./internal/lca/... ./internal/obs/... \
     ./internal/resilience/... ./internal/core/... ./internal/server/... \
     ./internal/analysis/... ./internal/plan/... ./internal/shard/...
 
 echo "==> fuzz smoke (10s): pool == TopKSerial on generated corpora"
 go test -run '^$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
+
+echo "==> fuzz smoke (5s): join index == Table.SelectEq on generated foreign keys"
+go test -run '^$' -fuzz FuzzJoinIndexMatchesSelectEq -fuzztime 5s ./internal/cn/
 
 echo "==> observability overhead gate (E38 budget: 5%)"
 go run ./cmd/benchrunner -obs-overhead
