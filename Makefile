@@ -27,11 +27,13 @@ race:
 		./internal/analysis/... ./internal/plan/... ./internal/shard/...
 
 # Same steps as verify.sh: ten seconds of generated corpora, queries, pool
-# sizes and job sizes against the serial oracle, then five of generated
-# foreign-key columns against Table.SelectEq.
+# sizes and job sizes against the serial oracle, five of generated
+# foreign-key columns against Table.SelectEq, then five of arbitrary
+# /query and /batch bodies against the wire's status contract.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
 	go test -run '^$$' -fuzz FuzzJoinIndexMatchesSelectEq -fuzztime 5s ./internal/cn/
+	go test -run '^$$' -fuzz FuzzServeQuery -fuzztime 5s ./internal/server/
 
 lint:
 	go run ./cmd/kwslint ./...

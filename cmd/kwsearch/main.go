@@ -275,8 +275,9 @@ type jsonResult struct {
 }
 
 // jsonOutput is the -json payload: the query, ranked results, the
-// engine-level stats (terms, timings, executor and cache counters), and
-// the span tree when tracing ran.
+// engine-level stats (terms, timings and the executor's per-query
+// counts), and the span tree when tracing ran. The engine-wide registry
+// is not in it; -stats prints that snapshot.
 type jsonOutput struct {
 	Query   string       `json:"query"`
 	Results []jsonResult `json:"results"`

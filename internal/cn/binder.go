@@ -9,8 +9,8 @@ import (
 	"kwsearch/internal/relstore"
 )
 
-// The binder's two caches (per term, per whole query) each hold
-// bindCacheSize entries over bindCacheShards lock stripes.
+// The binder's term cache holds bindCacheSize entries over
+// bindCacheShards lock stripes.
 const (
 	bindCacheSize   = 1024
 	bindCacheShards = 16
@@ -33,22 +33,20 @@ type BinderOptions struct {
 //     reused by every later query containing the term (the
 //     Hristidis-et-al. VLDB'03 move: R^Q comes from the inverted index,
 //     never from scanning relations);
-//   - per-(query terms, generation) merged products: the R^Q sets, term
-//     masks, scores and max-scores of a whole query, so a repeated
-//     query skips even the merge and ID sort;
 //   - join indexes (JoinIndex: one CSR adjacency per directed schema
 //     join), built on first use once per generation instead of once
 //     per query: every binding of a generation shares one joinTable.
 //
-// Invalidate bumps the caches' generations and starts an empty join
-// table, so after index or data growth the next Bind sees fresh state
-// while in-flight Bindings keep their consistent snapshot. A Binder is
-// safe for concurrent use, and so is every Binding it returns.
+// Each Bind merges the query's cached term bindings into a fresh
+// Binding; nothing per whole query is retained. Invalidate bumps the
+// term cache's generation and starts an empty join table, so after
+// index or data growth the next Bind sees fresh state while in-flight
+// Bindings keep their consistent snapshot. A Binder is safe for
+// concurrent use, and so is every Binding it returns.
 type Binder struct {
 	db     *relstore.DB
 	ix     *invindex.Index
 	terms  *cache.Cache[termBinding]
-	merged *cache.Cache[*mergedBinding]
 	joins  atomic.Pointer[joinTable]
 	builds *obs.Counter
 }
@@ -61,7 +59,6 @@ func NewBinder(db *relstore.DB, ix *invindex.Index, opts BinderOptions) *Binder 
 		db:     db,
 		ix:     ix,
 		terms:  cache.New[termBinding](bindCacheSize, bindCacheShards),
-		merged: cache.New[*mergedBinding](bindCacheSize, bindCacheShards),
 		builds: &obs.Counter{},
 	}
 	b.joins.Store(newJoinTable(db))
@@ -72,12 +69,11 @@ func NewBinder(db *relstore.DB, ix *invindex.Index, opts BinderOptions) *Binder 
 }
 
 // Instrument surfaces the binder's counters in reg: the term cache as
-// "cache.bind.*", the merged whole-query cache as "cache.bindq.*" and
-// the term-binding build counter as "bind.builds". Call once, before
-// concurrent use (NewBinder does, when BinderOptions.Metrics is set).
+// "cache.bind.*" and the term-binding build counter as "bind.builds".
+// Call once, before concurrent use (NewBinder does, when
+// BinderOptions.Metrics is set).
 func (bd *Binder) Instrument(reg *obs.Registry) {
 	bd.terms.Instrument(reg, "cache.bind")
-	bd.merged.Instrument(reg, "cache.bindq")
 	bd.builds = reg.Attach("bind.builds", bd.builds)
 }
 
@@ -94,20 +90,22 @@ func (bd *Binder) BindTraced(terms []string, sp *obs.Span) *Binding {
 
 // Invalidate flushes the binder after index or data growth: later binds
 // get an empty join table (indexes are rebuilt on first use) and the
-// caches' generations are bumped (O(1); stale entries drop lazily).
+// term cache's generation is bumped (O(1); stale entries drop lazily).
 // In-flight Bindings are unaffected — they hold their own references,
 // the old join table included, and stay internally consistent.
 func (bd *Binder) Invalidate() {
 	bd.joins.Store(newJoinTable(bd.db))
 	bd.terms.Invalidate()
-	bd.merged.Invalidate()
 }
 
 // Stats returns the term cache's counters.
 func (bd *Binder) Stats() cache.Stats { return bd.terms.Stats() }
 
-// MergedStats returns the whole-query merged-binding cache's counters.
-func (bd *Binder) MergedStats() cache.Stats { return bd.merged.Stats() }
+// MergedStats returns the zero cache.Stats: the binder keeps no
+// whole-query cache, every Bind merges from the term cache. The method
+// stays, with its signature, because the repository benchmark (bench/)
+// reads it.
+func (bd *Binder) MergedStats() cache.Stats { return cache.Stats{} }
 
 // Builds returns the lifetime count of term bindings built (cache
 // misses that did the posting-list walk).

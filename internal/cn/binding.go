@@ -3,7 +3,6 @@ package cn
 import (
 	"slices"
 	"sort"
-	"strings"
 
 	"kwsearch/internal/invindex"
 	"kwsearch/internal/obs"
@@ -33,21 +32,6 @@ type termRel struct {
 // the mask and drop out of the AND. Callers taking queries from outside
 // reject longer ones (core.Engine.Query does, as ErrBadQuery).
 const MaxTerms = 32
-
-// mergedBinding is the immutable merged product of one query's term
-// bindings — everything in a Binding that depends only on (terms,
-// generation), not on which CNs later execute. It is what the Binder
-// caches per query term list, so a repeated query skips the merge and
-// sort entirely; all maps and slices are read-only after construction.
-// The keyword bitset is derived from it per Binding and deliberately not
-// held here (see keywordBits).
-type mergedBinding struct {
-	masks     map[relstore.TupleID]uint32
-	scores    map[relstore.TupleID]float64
-	kwSets    map[string][]*relstore.Tuple
-	maxScores map[string]float64
-	kwTables  []string
-}
 
 // Binding is one query's keyword→tuple binding: the R^Q sets, term
 // masks, tuple scores and max-scores, built either from posting lists
@@ -86,18 +70,6 @@ func normalizeTerms(terms []string) []string {
 		}
 	}
 	return norm
-}
-
-// newBinding wraps a merged product for one query; cached and built
-// split the terms by where their bindings came from.
-func newBinding(db *relstore.DB, norm []string, mb *mergedBinding, joins *joinTable, cached, built int) *Binding {
-	return &Binding{
-		terms: norm,
-		masks: mb.masks, scores: mb.scores,
-		kwSets: mb.kwSets, maxScores: mb.maxScores, kwTables: mb.kwTables,
-		kw:    keywordBits(db, mb.kwSets),
-		joins: joins, cachedTerms: cached, builtTerms: built,
-	}
 }
 
 // buildTermBinding derives one term's binding by walking its posting
@@ -143,56 +115,38 @@ func buildTermBinding(db *relstore.DB, ix *invindex.Index, term string) termBind
 // reported it: "postings" covers fetching per-term bindings (cache
 // probes + posting walks), "materialize" the merge into per-table sets.
 func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binder, sp *obs.Span) *Binding {
-	// A repeat of the whole query (same normalized term list, current
-	// generation) reuses the merged product outright: the binding wraps
-	// the cached immutable maps.
-	var mergedKey string
-	var joins *joinTable
-	var termGen, mergedGen uint64
+	b := &Binding{terms: norm}
+	var termGen uint64
 	if binder != nil {
-		// The generations and the join table are read before anything is
+		// The generation and the join table are read before anything is
 		// computed, so what this bind stores or shares belongs to the
 		// generation it started in.
-		termGen, mergedGen = binder.terms.Gen(), binder.merged.Gen()
-		joins = binder.joins.Load()
-		mergedKey = strings.Join(norm, "\x00")
-		if mb, ok := binder.merged.Get(mergedKey); ok {
-			psp := sp.Child("postings")
-			psp.SetAttr("terms", len(norm))
-			psp.SetAttr("cached_terms", len(norm))
-			psp.SetAttr("built_terms", 0)
-			psp.End()
-			msp := sp.Child("materialize")
-			msp.SetAttr("matched_tuples", len(mb.masks))
-			msp.SetAttr("keyword_tables", len(mb.kwTables))
-			msp.End()
-			return newBinding(db, norm, mb, joins, len(norm), 0)
-		}
+		termGen = binder.terms.Gen()
+		b.joins = binder.joins.Load()
 	} else {
-		joins = newJoinTable(db)
+		b.joins = newJoinTable(db)
 	}
 
 	psp := sp.Child("postings")
 	tbs := make([]termBinding, len(norm))
-	cached, built := 0, 0
 	for i, term := range norm {
 		if binder != nil {
 			if tb, ok := binder.terms.Get(term); ok {
 				tbs[i] = tb
-				cached++
+				b.cachedTerms++
 				continue
 			}
 		}
 		tbs[i] = buildTermBinding(db, ix, term)
-		built++
+		b.builtTerms++
 		if binder != nil {
 			binder.terms.Put(termGen, term, tbs[i])
 			binder.builds.Inc()
 		}
 	}
 	psp.SetAttr("terms", len(norm))
-	psp.SetAttr("cached_terms", cached)
-	psp.SetAttr("built_terms", built)
+	psp.SetAttr("cached_terms", b.cachedTerms)
+	psp.SetAttr("built_terms", b.builtTerms)
 	psp.End()
 
 	msp := sp.Child("materialize")
@@ -205,52 +159,49 @@ func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binde
 			perTable[r.table] += len(r.tuples)
 		}
 	}
-	mb := &mergedBinding{
-		masks:     make(map[relstore.TupleID]uint32, matched),
-		scores:    make(map[relstore.TupleID]float64, matched),
-		kwSets:    make(map[string][]*relstore.Tuple, len(perTable)),
-		maxScores: make(map[string]float64, len(perTable)),
-		kwTables:  make([]string, 0, len(perTable)),
-	}
+	b.masks = make(map[relstore.TupleID]uint32, matched)
+	b.scores = make(map[relstore.TupleID]float64, matched)
+	b.kwSets = make(map[string][]*relstore.Tuple, len(perTable))
+	b.maxScores = make(map[string]float64, len(perTable))
+	b.kwTables = make([]string, 0, len(perTable))
+	b.kw = newTupleSet(db)
 	for ti, tb := range tbs {
 		bit := uint32(1) << uint(ti)
 		for _, r := range tb.rels {
-			set := mb.kwSets[r.table]
+			set := b.kwSets[r.table]
 			if set == nil {
 				set = make([]*relstore.Tuple, 0, perTable[r.table])
 			}
 			for i, tp := range r.tuples {
-				m := mb.masks[tp.ID]
+				m := b.masks[tp.ID]
 				if m == 0 {
 					set = append(set, tp)
+					b.kw.add(tp.ID)
 				}
-				mb.masks[tp.ID] = m | bit
-				mb.scores[tp.ID] += r.weights[i]
+				b.masks[tp.ID] = m | bit
+				b.scores[tp.ID] += r.weights[i]
 			}
-			mb.kwSets[r.table] = set
+			b.kwSets[r.table] = set
 		}
 	}
-	for table, set := range mb.kwSets {
+	for table, set := range b.kwSets {
 		// A tuple matching several terms was appended at its first term;
 		// restore global insertion order by ID (IDs rise with insertion).
-		slices.SortFunc(set, func(a, b *relstore.Tuple) int { return int(a.ID) - int(b.ID) })
+		slices.SortFunc(set, func(x, y *relstore.Tuple) int { return int(x.ID) - int(y.ID) })
 		best := 0.0
 		for _, tp := range set {
-			if s := mb.scores[tp.ID]; s > best {
+			if s := b.scores[tp.ID]; s > best {
 				best = s
 			}
 		}
-		mb.maxScores[table] = best
-		mb.kwTables = append(mb.kwTables, table)
+		b.maxScores[table] = best
+		b.kwTables = append(b.kwTables, table)
 	}
-	sort.Strings(mb.kwTables)
-	msp.SetAttr("matched_tuples", len(mb.masks))
-	msp.SetAttr("keyword_tables", len(mb.kwTables))
+	sort.Strings(b.kwTables)
+	msp.SetAttr("matched_tuples", len(b.masks))
+	msp.SetAttr("keyword_tables", len(b.kwTables))
 	msp.End()
-	if binder != nil {
-		binder.merged.Put(mergedGen, mergedKey, mb)
-	}
-	return newBinding(db, norm, mb, joins, cached, built)
+	return b
 }
 
 // NewScanBinding builds a Binding the pre-binder way: one full scan of
@@ -261,39 +212,43 @@ func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binde
 // computation path.
 func NewScanBinding(db *relstore.DB, ix *invindex.Index, terms []string) *Binding {
 	norm := normalizeTerms(terms)
-	mb := &mergedBinding{
+	b := &Binding{
+		terms:     norm,
 		masks:     make(map[relstore.TupleID]uint32),
 		scores:    make(map[relstore.TupleID]float64),
 		kwSets:    make(map[string][]*relstore.Tuple),
 		maxScores: make(map[string]float64),
+		kw:        newTupleSet(db),
+		joins:     newJoinTable(db),
 	}
 	for ti, term := range norm {
 		for _, doc := range ix.Docs(term) {
-			mb.masks[relstore.TupleID(doc)] |= 1 << uint(ti)
+			b.masks[relstore.TupleID(doc)] |= 1 << uint(ti)
 		}
 	}
 	for _, name := range db.TableNames() {
 		var kw []*relstore.Tuple
 		best := 0.0
 		for _, tp := range db.Table(name).Tuples() {
-			if mb.masks[tp.ID] == 0 {
+			if b.masks[tp.ID] == 0 {
 				continue
 			}
 			kw = append(kw, tp)
+			b.kw.add(tp.ID)
 			s := ix.Score(norm, invindex.DocID(tp.ID))
-			mb.scores[tp.ID] = s
+			b.scores[tp.ID] = s
 			if s > best {
 				best = s
 			}
 		}
 		if len(kw) > 0 {
-			mb.kwSets[name] = kw
-			mb.kwTables = append(mb.kwTables, name)
+			b.kwSets[name] = kw
+			b.kwTables = append(b.kwTables, name)
 		}
-		mb.maxScores[name] = best
+		b.maxScores[name] = best
 	}
-	sort.Strings(mb.kwTables)
-	return newBinding(db, norm, mb, newJoinTable(db), 0, 0)
+	sort.Strings(b.kwTables)
+	return b
 }
 
 // Terms returns the normalized query terms. Shared; do not mutate.
@@ -301,7 +256,8 @@ func (b *Binding) Terms() []string { return b.terms }
 
 // TermsCached and TermsBuilt split the query's terms by whether their
 // bindings came from the shared binder cache or were built fresh from
-// posting lists (always "built" for scan and one-shot bindings).
+// posting lists (always "built" for one-shot bindings; both 0 for a
+// scan binding).
 func (b *Binding) TermsCached() int { return b.cachedTerms }
 
 // TermsBuilt reports the terms whose bindings were built on this call.

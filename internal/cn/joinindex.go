@@ -128,17 +128,6 @@ func (s TupleSet) Has(id relstore.TupleID) bool {
 
 func (s TupleSet) add(id relstore.TupleID) { s[uint(id)>>6] |= 1 << (uint(id) & 63) }
 
-// keywordBits collects the R^Q sets of one binding into a TupleSet over
-// db's tuple IDs: O(matched tuples) to fill, NumTuples/8 bytes to hold —
-// which is why it lives in the per-query Binding and not in the cached
-// merged product, where a thousand retained copies would outweigh the
-// sets themselves.
-func keywordBits(db *relstore.DB, kwSets map[string][]*relstore.Tuple) TupleSet {
-	s := make(TupleSet, (db.NumTuples()+63)/64)
-	for _, set := range kwSets {
-		for _, tp := range set {
-			s.add(tp.ID)
-		}
-	}
-	return s
-}
+// newTupleSet returns an empty TupleSet over db's tuple IDs: NumTuples/8
+// bytes, allocated per Binding.
+func newTupleSet(db *relstore.DB) TupleSet { return make(TupleSet, (db.NumTuples()+63)/64) }

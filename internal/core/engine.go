@@ -272,15 +272,13 @@ func (e *Engine) requireRelational() error {
 	return nil
 }
 
-// lookupSpan resolves every term's postings (through lookup, which may be
-// cache-backed) under a "lookup" child span recording the term and total
-// posting counts. The resolution itself warms whatever cache backs
-// lookup, so the work is part of the pipeline, not tracing overhead.
-func lookupSpan(sp *obs.Span, terms []string, lookup func(string) int) {
+// lookupSpan resolves every term's postings in the index under a
+// "lookup" child span recording the term and total posting counts.
+func (e *Engine) lookupSpan(sp *obs.Span, terms []string) {
 	lsp := sp.Child("lookup")
 	total := 0
 	for _, t := range terms {
-		total += lookup(t)
+		total += len(e.Index.Postings(t))
 	}
 	lsp.SetAttr("terms", len(terms))
 	lsp.SetAttr("postings", total)
@@ -308,7 +306,7 @@ func (e *Engine) searchCN(ctx context.Context, terms []string, req Request, sp *
 	if workers < 1 {
 		workers = 1
 	}
-	lookupSpan(sp, terms, func(t string) int { return len(e.Exec.Postings(t)) })
+	e.lookupSpan(sp, terms)
 	rs, xst, err := e.Exec.TopK(ctx, exec.Query{
 		Terms: terms, K: req.TopK, MaxCNSize: req.MaxCNSize, Workers: workers, Trace: sp,
 	})
@@ -331,7 +329,7 @@ func (e *Engine) searchSpark(ctx context.Context, terms []string, req Request, s
 	if err := e.requireRelational(); err != nil {
 		return nil, err
 	}
-	lookupSpan(sp, terms, func(t string) int { return len(e.Index.Postings(t)) })
+	e.lookupSpan(sp, terms)
 	bsp := sp.Child("bind")
 	ev := cn.NewEvaluatorFrom(e.DB, e.Index, e.Binder.BindTraced(terms, bsp))
 	kwTables := ev.KeywordTables()

@@ -50,9 +50,6 @@ type Stats struct {
 	// so no merge step exists. The field stays because the repo benchmark
 	// (bench/layers.go) reads it.
 	Merge time.Duration `json:"merge_ns,omitempty"`
-	// Metrics is the delta of the engine's registry over this query:
-	// every counter incremented and histogram observed while it ran.
-	Metrics obs.Snapshot `json:"metrics"`
 }
 
 // Response bundles a query's results with its observability artifacts.
@@ -136,11 +133,6 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		defer release()
 	}
 
-	var before obs.Snapshot
-	if e.Metrics != nil {
-		before = e.Metrics.Snapshot()
-	}
-
 	csp := root.Child("clean")
 	terms := e.Terms(req.Query, req.Clean)
 	csp.SetAttr("terms", len(terms))
@@ -213,7 +205,6 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 			e.Metrics.Counter("query.deadline").Inc()
 			e.Metrics.Counter("query.partial").Inc()
 		}
-		st.Metrics = e.Metrics.Snapshot().Sub(before)
 	}
 	if outcome, ok := e.slowlog.Classify(st.Elapsed, false, partial); ok {
 		e.capture(ctx, req, root, &st, outcome, "", st.Elapsed, lg)

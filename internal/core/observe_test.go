@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,8 +27,14 @@ func TestQueryStats(t *testing.T) {
 	if len(st.Terms) != 2 || st.Results != len(resp.Results) || st.Elapsed <= 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.Metrics.Counters["invindex.lookups"] == 0 {
-		t.Errorf("metrics delta missing index lookups: %v", st.Metrics.Counters)
+	// Stats carries no registry delta (an engine-wide registry differenced
+	// around one query would count every concurrent query's events too);
+	// the work lands in the engine's registry.
+	if got := e.Metrics.Snapshot().Counters["invindex.lookups"]; got == 0 {
+		t.Error("engine registry missing index lookups")
+	}
+	if b, err := json.Marshal(st); err != nil || strings.Contains(string(b), `"metrics"`) {
+		t.Errorf("stats JSON = %s (err %v), want no metrics key", b, err)
 	}
 	if resp.Trace == nil {
 		t.Fatal("trace requested but nil")
@@ -127,4 +135,25 @@ func TestTraceShapeXML(t *testing.T) {
 	if err := resp.Trace.WellFormed(time.Second); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestResultCacheHitAllocs pins the cost of the hit path by a count: a
+// repeated CN query answered from the result cache makes no registry
+// snapshot and allocates little besides its response.
+func TestResultCacheHitAllocs(t *testing.T) {
+	e := NewRelational(dataset.DBLP(dataset.DefaultDBLPConfig()))
+	req := Request{Query: "keyword search", Workers: 2}
+	if _, err := e.Query(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		resp, err := e.Query(context.Background(), req)
+		if err != nil || !resp.Stats.Exec.ResultCacheHit {
+			t.Fatalf("repeat missed the result cache (err %v)", err)
+		}
+	})
+	if allocs > 40 {
+		t.Errorf("result-cache hit allocates %.0f times, want <= 40", allocs)
+	}
+	t.Logf("result-cache hit: %.0f allocs", allocs)
 }

@@ -3,9 +3,8 @@
 // Sudarshan) and Mragyati (Sarda & Jain) argue a keyword-search engine
 // needs before it can serve real traffic. It combines
 //
-//   - a sharded, generation-aware LRU cache (internal/cache) for
-//     term→posting lookups shared across queries and for whole-query
-//     top-k result sets;
+//   - a sharded, generation-aware LRU cache (internal/cache) of
+//     whole-query top-k result sets;
 //   - a worker pool over one queue of jobs — each candidate network cut
 //     into ranges of 1 024 node-0 tuples, in descending score-bound
 //     order — from which up to GOMAXPROCS-many goroutines claim the next
@@ -37,13 +36,11 @@ import (
 	"kwsearch/internal/text"
 )
 
-// The executor's caches are sized for the serving engine: postingCacheSize
-// term→posting entries, resultCacheSize whole-query answers, both over
-// cacheShards lock stripes.
+// The executor's result cache holds resultCacheSize whole-query answers
+// over cacheShards lock stripes.
 const (
-	postingCacheSize = 4096
-	resultCacheSize  = 256
-	cacheShards      = 16
+	resultCacheSize = 256
+	cacheShards     = 16
 )
 
 // Options configures an Executor.
@@ -64,7 +61,7 @@ type Options struct {
 	// binder, which its SPARK path shares.
 	Binder *cn.Binder
 	// Metrics, when non-nil, receives the executor's lifetime counters and
-	// both cache counter sets (see Instrument). Leaving it nil costs one
+	// the result cache's counters (see Instrument). Leaving it nil costs one
 	// branch per counter event.
 	Metrics *obs.Registry
 }
@@ -169,10 +166,9 @@ type Executor struct {
 	sg   *schemagraph.Graph
 	opts Options
 
-	postings *cache.Cache[[]invindex.Posting]
-	results  *cache.Cache[[]cn.Result]
-	plans    *plan.Cache
-	binder   *cn.Binder
+	results *cache.Cache[[]cn.Result]
+	plans   *plan.Cache
+	binder  *cn.Binder
 	// jobRoots is the queue's job size, rootsPerJob outside the package
 	// tests (which sweep it to show the answer does not depend on it).
 	jobRoots int
@@ -193,7 +189,6 @@ func New(db *relstore.DB, ix *invindex.Index, opts Options) *Executor {
 		sg:        schemagraph.FromDB(db),
 		opts:      opts,
 		jobRoots:  rootsPerJob,
-		postings:  cache.New[[]invindex.Posting](postingCacheSize, cacheShards),
 		results:   cache.New[[]cn.Result](resultCacheSize, cacheShards),
 		evaluated: &obs.Counter{},
 		skipped:   &obs.Counter{},
@@ -214,61 +209,55 @@ func New(db *relstore.DB, ix *invindex.Index, opts Options) *Executor {
 }
 
 // Instrument surfaces the executor's lifetime counters in reg as
-// "exec.evaluated", "exec.skipped" and "exec.prefix_reuses", and both
-// cache counter sets under "cache.postings.*" and "cache.results.*".
+// "exec.evaluated", "exec.skipped" and "exec.prefix_reuses", and the
+// result cache's counters under "cache.results.*".
 // Call before concurrent use (New does, when Options.Metrics is set).
 func (x *Executor) Instrument(reg *obs.Registry) {
 	x.evaluated = reg.Attach("exec.evaluated", x.evaluated)
 	x.skipped = reg.Attach("exec.skipped", x.skipped)
 	x.reuses = reg.Attach("exec.prefix_reuses", x.reuses)
-	x.postings.Instrument(reg, "cache.postings")
 	x.results.Instrument(reg, "cache.results")
 }
 
-// Postings is the cached term→posting lookup: the first access per term
-// goes to the index, later ones (from any query) hit the sharded cache.
-func (x *Executor) Postings(term string) []invindex.Posting {
-	norm := text.Normalize(term)
-	if norm == "" {
-		return nil
-	}
-	return x.postings.GetOrCompute(norm, func() []invindex.Posting {
-		return x.ix.Postings(norm)
-	})
-}
+// Postings returns term's posting list straight from the index, which
+// needs no cache in front of it: Index.Postings is a read-only map
+// lookup. The method stays, with its signature, because the repository
+// benchmark (bench/) reads it.
+func (x *Executor) Postings(term string) []invindex.Posting { return x.ix.Postings(term) }
 
-// InvalidateCaches bumps every cache generation — postings, results,
-// term bindings and compiled plans. Call after growing the index or
+// InvalidateCaches bumps every cache generation — results, term
+// bindings and compiled plans. Call after growing the index or
 // mutating the database (a schema change also changes the plan keys'
 // fingerprint, but the gen bump reclaims the dead entries' LRU capacity
 // immediately).
 func (x *Executor) InvalidateCaches() {
-	x.postings.Invalidate()
 	x.results.Invalidate()
 	x.binder.Invalidate()
 	x.plans.Invalidate()
 }
 
-// InvalidateDataCaches bumps only the value-dependent caches (postings,
-// results and the binder's term bindings + join indexes), keeping
-// compiled plans warm. Call it after data growth under a fixed schema.
+// InvalidateDataCaches bumps only the value-dependent caches (results
+// and the binder's term bindings + join indexes), keeping compiled plans
+// warm. Call it after data growth under a fixed schema.
 func (x *Executor) InvalidateDataCaches() {
-	x.postings.Invalidate()
 	x.results.Invalidate()
 	x.binder.Invalidate()
 }
 
 // InvalidateResults bumps only the result cache. Benchmarks use it to
 // measure the warm steady state of a serving engine — distinct queries
-// over unchanged data, where postings, term bindings and plans are all
+// over unchanged data, where term bindings and plans are all
 // legitimately warm and only the whole-answer cache misses.
 func (x *Executor) InvalidateResults() {
 	x.results.Invalidate()
 }
 
-// CacheStats returns the posting- and result-cache counters.
+// CacheStats returns the result cache's counters as results; postings
+// is always the zero cache.Stats, since no posting cache exists. The
+// two-value signature stays because the repository benchmark (bench/)
+// reads it.
 func (x *Executor) CacheStats() (postings, results cache.Stats) {
-	return x.postings.Stats(), x.results.Stats()
+	return cache.Stats{}, x.results.Stats()
 }
 
 // normTerms normalizes and drops empty tokens.
@@ -320,11 +309,10 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	}
 	sp.SetAttr("result_cache_hit", false)
 
-	// AND-semantics fast path via the posting cache: a term with no
-	// postings at all makes total coverage impossible, so skip building
-	// the evaluator (a full-database scan) outright.
+	// AND-semantics fast path: a term with no postings at all makes
+	// total coverage impossible, so skip binding and planning outright.
 	for _, t := range terms {
-		if len(x.Postings(t)) == 0 {
+		if len(x.ix.Postings(t)) == 0 {
 			x.results.Put(gen, key, nil)
 			sp.SetAttr("empty_term", t)
 			return nil, st, nil

@@ -1,17 +1,13 @@
 package obs
 
-// Regression tests for the documented Histogram quantile edge cases and
-// the Snapshot.Sub semantics — the histogram-hardening satellite.
+// Regression tests for the documented Histogram quantile edge cases.
 // TestHistogramNaNObserveDropped fails against the pre-fix Observe (a
 // single NaN CAS-accumulated into the running sum poisoned every later
-// Sum), and TestSnapshotSubWindowed fails against the pre-fix Sub
-// (histogram Count/Sum were carried cumulatively, so "delta around one
-// request" silently reported since-boot totals).
+// Sum).
 
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func TestHistogramEmptyQuantiles(t *testing.T) {
@@ -80,58 +76,5 @@ func TestHistogramNaNObserveDropped(t *testing.T) {
 	}
 	if math.IsNaN(h.Quantile(0.5)) {
 		t.Error("NaN observation poisoned quantiles")
-	}
-}
-
-func TestSnapshotSubHistogramDeltas(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("lat")
-	h.Observe(10)
-	h.Observe(20)
-	before := reg.Snapshot()
-	h.Observe(30)
-	delta := reg.Snapshot().Sub(before)
-
-	d := delta.Histograms["lat"]
-	if d.Count != 1 {
-		t.Errorf("delta count = %d, want 1 (pre-fix carried cumulative 3)", d.Count)
-	}
-	if math.Abs(d.Sum-30) > 1e-9 {
-		t.Errorf("delta sum = %v, want 30", d.Sum)
-	}
-	// Quantiles are documented as carried from the later snapshot (the
-	// snapshot retains no bucket history): they describe the cumulative
-	// distribution, not the interval.
-	if d.P50 == 0 {
-		t.Error("delta quantiles should carry the later snapshot's values")
-	}
-}
-
-func TestSnapshotSubWindowed(t *testing.T) {
-	reg := NewRegistry()
-	clk := newTickClock(time.Unix(7_000_000, 0))
-	w := reg.Windowed("lat").WithClock(clk.Now)
-	reg.RegisterSLO("lat_slo", SLO{Series: "lat", Threshold: 4, Objective: 0.5})
-	w.Observe(1)
-	before := reg.Snapshot()
-	w.Observe(100)
-	delta := reg.Snapshot().Sub(before)
-
-	// Windowed series are already time-scoped: Sub carries the later
-	// snapshot's view (both observations are inside the window), never a
-	// window-minus-window subtraction.
-	win, ok := delta.Windows["lat"]
-	if !ok {
-		t.Fatal("windows dropped by Sub")
-	}
-	if win.Last1m.Count != 2 {
-		t.Errorf("windowed count after Sub = %d, want 2 (later snapshot)", win.Last1m.Count)
-	}
-	slo, ok := delta.SLOs["lat_slo"]
-	if !ok {
-		t.Fatal("SLOs dropped by Sub")
-	}
-	if slo.BurnRate1m != 1.0 { // 1 of 2 bad, budget 0.5 → burn 1.0
-		t.Errorf("burn after Sub = %v, want 1.0", slo.BurnRate1m)
 	}
 }

@@ -6,8 +6,8 @@
 // The package is stdlib-only and designed so instrumented hot paths pay
 // roughly one atomic add per event: counters are plain atomics, every
 // metric and span method is safe on a nil receiver (disabled
-// instrumentation degrades to a nil check), and the registry lock is
-// only taken when a metric is first created or a snapshot is read.
+// instrumentation degrades to a nil check), and the registry's write
+// lock is only taken when a metric is first created.
 // EMBANKS (Gupta & Sudarshan) motivates exactly this cost accounting —
 // node/edge I/O counts that explain, not just time, a keyword-search
 // engine's behaviour.
@@ -181,8 +181,9 @@ type HistogramSnapshot struct {
 }
 
 // Registry is a named collection of metrics. Lookup-or-create methods
-// take a short write lock; the returned metric pointers are stable, so
-// hot paths should hold on to them rather than re-resolve by name.
+// find an existing name under the read lock and take the write lock only
+// to create one; the returned metric pointers are stable, so hot paths
+// should hold on to them rather than re-resolve by name.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
@@ -209,14 +210,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return lookupOrCreate(r, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Attach registers an existing counter under name, so components that
@@ -242,14 +236,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lookupOrCreate(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the histogram registered under name with
@@ -258,14 +245,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram(nil)
-		r.hists[name] = h
-	}
-	return h
+	return lookupOrCreate(r, r.hists, name, func() *Histogram { return NewHistogram(nil) })
 }
 
 // Windowed returns the windowed histogram registered under name with
@@ -275,14 +255,28 @@ func (r *Registry) Windowed(name string) *WindowedHistogram {
 	if r == nil {
 		return nil
 	}
+	return lookupOrCreate(r, r.windows, name, func() *WindowedHistogram { return NewWindowedHistogram(nil, 0, 0) })
+}
+
+// lookupOrCreate returns m[name], read under r's read lock so concurrent
+// lookups of an existing metric never serialise; only a miss takes the
+// write lock, and re-checks m under it so racing creators agree on one
+// metric.
+func lookupOrCreate[M any](r *Registry, m map[string]*M, name string, create func() *M) *M {
+	r.mu.RLock()
+	v, ok := m[name]
+	r.mu.RUnlock()
+	if ok {
+		return v
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	w, ok := r.windows[name]
-	if !ok {
-		w = NewWindowedHistogram(nil, 0, 0)
-		r.windows[name] = w
+	if v, ok := m[name]; ok {
+		return v
 	}
-	return w
+	v = create()
+	m[name] = v
+	return v
 }
 
 // RegisterSLO derives burn-rate gauges named name from the windowed
@@ -304,8 +298,7 @@ type Snapshot struct {
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 	// Windows holds the 1m/5m views of every windowed series; SLOs the
-	// burn-rate gauges derived from them. Both are already time-scoped,
-	// so Sub carries them from the later snapshot unchanged.
+	// burn-rate gauges derived from them.
 	Windows map[string]WindowSnapshot `json:"windows,omitempty"`
 	SLOs    map[string]SLOSnapshot    `json:"slos,omitempty"`
 }
@@ -358,46 +351,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Sub returns the difference s - earlier: the per-query delta a caller
-// gets by snapshotting around one request. Semantics per section
-// (documented contract, pinned by tests):
-//
-//   - counters: numeric difference, zero deltas omitted;
-//   - gauges: carried from s unchanged (a gauge is a level, not a flow
-//     — "in-flight was 3" minus "in-flight was 5" has no meaning);
-//   - histograms: Count and Sum are differenced (both are cumulative);
-//     the quantiles are carried from s, because bucket-level history is
-//     not retained in a snapshot — they describe the distribution up to
-//     s, not the interval;
-//   - windowed series and SLO burn rates: carried from s unchanged.
-//     They are already time-scoped by construction, so subtracting two
-//     of them would double-apply a window; the later snapshot is the
-//     well-defined interval view.
-func (s Snapshot) Sub(earlier Snapshot) Snapshot {
-	out := Snapshot{
-		Counters: map[string]uint64{},
-		Gauges:   s.Gauges,
-		Windows:  s.Windows,
-		SLOs:     s.SLOs,
-	}
-	for name, v := range s.Counters {
-		d := v - earlier.Counters[name]
-		if d != 0 {
-			out.Counters[name] = d
-		}
-	}
-	if len(s.Histograms) > 0 {
-		out.Histograms = make(map[string]HistogramSnapshot, len(s.Histograms))
-		for name, h := range s.Histograms {
-			prev := earlier.Histograms[name]
-			h.Count -= prev.Count
-			h.Sum -= prev.Sum
-			out.Histograms[name] = h
-		}
-	}
-	return out
 }
 
 // String renders the snapshot sorted by metric name, one per line —

@@ -24,7 +24,7 @@ import (
 
 // DBLPWorkload is the default self-check workload over the synthetic
 // DBLP dataset: repeated and distinct queries, so the executor's result
-// cache sees hits and distinct terms exercise the posting cache — the
+// cache sees hits and distinct terms exercise the binder's term cache — the
 // same mix the executor benchmarks use.
 func DBLPWorkload() []QueryRequest {
 	return []QueryRequest{

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -315,7 +316,9 @@ func (s *Server) toRequest(q QueryRequest) (core.Request, error) {
 	if q.DeadlineMS < 0 {
 		return core.Request{}, fmt.Errorf("server: negative deadline_ms %d: %w", q.DeadlineMS, core.ErrBadQuery)
 	}
-	deadline := time.Duration(q.DeadlineMS) * time.Millisecond
+	// Saturate rather than overflow: past ≈292 years the product wraps
+	// negative, and a negative deadline would escape MaxDeadline below.
+	deadline := time.Duration(min(q.DeadlineMS, int64(math.MaxInt64/time.Millisecond))) * time.Millisecond
 	if deadline == 0 {
 		deadline = s.opts.DefaultDeadline
 	}

@@ -45,6 +45,9 @@ go test -run '^$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
 echo "==> fuzz smoke (5s): join index == Table.SelectEq on generated foreign keys"
 go test -run '^$' -fuzz FuzzJoinIndexMatchesSelectEq -fuzztime 5s ./internal/cn/
 
+echo "==> fuzz smoke (5s): /query and /batch decoders answer every body with a wire status"
+go test -run '^$' -fuzz FuzzServeQuery -fuzztime 5s ./internal/server/
+
 echo "==> observability overhead gate (E38 budget: 5%)"
 go run ./cmd/benchrunner -obs-overhead
 
