@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"kwsearch/internal/community"
@@ -116,7 +117,8 @@ func runE30() error {
 	})
 	batch := 0
 	for _, c := range cns {
-		batch += len(ev.EvaluateCN(c))
+		rs, _ := ev.EvaluateCN(context.Background(), c) // Background never ends: no error
+		batch += len(rs)
 	}
 	m := stream.NewMesh(db, terms, cns)
 	emitted := 0

@@ -14,7 +14,6 @@ import (
 	"kwsearch/internal/lca"
 	"kwsearch/internal/parallel"
 	"kwsearch/internal/schemagraph"
-	"kwsearch/internal/spark"
 	"kwsearch/internal/xmltree"
 )
 
@@ -22,7 +21,6 @@ func init() {
 	register("E15", "slide 140 — ELCA: IndexStack-style vs one-pass DIL-style scan", runE15)
 	register("E16", "slides 113-114, 123 — BANKS I vs BANKS II vs BLINKS work", runE16)
 	register("E17", "slide 116 — DISCOVER top-k: Naive vs Sparse vs Global Pipeline", runE17)
-	register("E18", "slide 117 — SPARK: naive vs skyline-sweep vs block-pipeline probes", runE18)
 	register("E19", "slides 129-133 — parallel CN computing: naive vs sharing-aware makespan", runE19)
 	register("E20", "slides 112, 138 — SLCA: indexed-lookup-eager vs scan-eager crossover", runE20)
 	register("E23", "slides 121-122 — hub proximity index: space and query time vs Dijkstra", runE23)
@@ -116,40 +114,6 @@ func runE17() error {
 	return firstErr(
 		expect(len(n) == len(gp), "strategies disagree on result count"),
 		expect(len(n) > 0 && approxEqual(n[0].Score, gp[0].Score), "top-1 scores differ"),
-	)
-}
-
-func runE18() error {
-	db := dataset.DBLP(dataset.DefaultDBLPConfig())
-	ix := invindex.FromDB(db)
-	ev := cn.NewEvaluator(db, ix, []string{"keyword", "search"})
-	g := schemagraph.FromDB(db)
-	cns := cn.Enumerate(g, cn.EnumerateOptions{
-		MaxSize:       4,
-		KeywordTables: ev.KeywordTables(),
-		FreeTables:    []string{"write", "cite"},
-	})
-	s := spark.NewScorer(ev, ix)
-	const k = 1
-	nav, nStats := spark.TopKNaive(s, cns, k)
-	sky, sStats := spark.TopKSkyline(s, cns, k)
-	blk, bStats := spark.TopKBlockPipeline(s, cns, k, 8)
-	full := 0
-	for _, c := range cns {
-		p := 1
-		for _, n := range c.KeywordNodes() {
-			p *= len(ev.KeywordSet(c.Nodes[n].Table))
-		}
-		full += p
-	}
-	fmt.Printf("   combination space %d; probes: naive(full eval) n/a, skyline %d, block %d\n",
-		full, sStats.Probes, bStats.Probes)
-	fmt.Printf("   combos considered: naive %d results, skyline %d, block %d\n",
-		nStats.Combinations, sStats.Combinations, bStats.Combinations)
-	return firstErr(
-		expect(len(nav) == len(sky) && len(nav) == len(blk), "result counts differ"),
-		expect(len(nav) == 0 || approxEqual(nav[0].SparkScore, sky[0].SparkScore), "skyline top-1 differs"),
-		expect(sStats.Probes*2 < full, "skyline did not terminate early (%d of %d)", sStats.Probes, full),
 	)
 }
 

@@ -30,7 +30,7 @@ func Default() []analysis.Rule {
 			"internal/server", "cmd/kwsd",
 			"internal/analysis", "cmd/kwslint",
 			"internal/plan", "internal/obs",
-			"internal/shard",
+			"internal/shard", "internal/spark",
 		}},
 		FloatEq{Packages: []string{"internal/rank", "internal/cn", "internal/banks"}},
 		DocComment{Only: []string{"internal/"}},

@@ -2,6 +2,7 @@ package cn
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -203,11 +204,43 @@ func TestEvaluatorTupleSets(t *testing.T) {
 	}
 }
 
+// mustEvaluate runs EvaluateCN under a context that never ends.
+func mustEvaluate(t *testing.T, ev *Evaluator, c *CN) []Result {
+	t.Helper()
+	rs, err := ev.EvaluateCN(context.Background(), c)
+	if err != nil {
+		t.Fatalf("EvaluateCN(%s): %v", c, err)
+	}
+	return rs
+}
+
+// TestEvaluateCNHonoursCancelledContext: the depth-first evaluator
+// checks ctx before any join work, so an already-cancelled context
+// yields ctx's error and no results even for a CN with answers.
+func TestEvaluateCNHonoursCancelledContext(t *testing.T) {
+	ev, cns := widomEvaluator(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	answered := 0
+	for _, c := range cns {
+		if len(mustEvaluate(t, ev, c)) > 0 {
+			answered++
+		}
+		rs, err := ev.EvaluateCN(ctx, c)
+		if !errors.Is(err, context.Canceled) || rs != nil {
+			t.Fatalf("EvaluateCN(%s) under a cancelled ctx = %d results, %v; want none, context.Canceled", c, len(rs), err)
+		}
+	}
+	if answered == 0 {
+		t.Fatal("fixture lost its shape: no CN has an answer")
+	}
+}
+
 func TestEvaluateCNProducesJoinTrees(t *testing.T) {
 	ev, cns := widomEvaluator(t)
 	total := 0
 	for _, c := range cns {
-		rs := ev.EvaluateCN(c)
+		rs := mustEvaluate(t, ev, c)
 		total += len(rs)
 		for _, r := range rs {
 			if len(r.Tuples) != c.Size() {
@@ -236,12 +269,12 @@ func TestEvaluateCNProducesJoinTrees(t *testing.T) {
 	}
 	for _, c := range cns {
 		if c.Size() == 1 {
-			if n := len(ev.EvaluateCN(c)); n != 0 {
+			if n := len(mustEvaluate(t, ev, c)); n != 0 {
 				t.Errorf("singleton CN %s yielded %d results, want 0", c, n)
 			}
 		}
 		if c.Size() == 3 {
-			rs := ev.EvaluateCN(c)
+			rs := mustEvaluate(t, ev, c)
 			if len(rs) != 1 {
 				t.Errorf("A-W-P yielded %d results, want 1 (Widom's XML streams)", len(rs))
 			}
@@ -260,7 +293,7 @@ func TestMinimalityRejectsRedundantLeaves(t *testing.T) {
 		if c.Size() != 5 {
 			continue
 		}
-		for _, r := range ev.EvaluateCN(c) {
+		for _, r := range mustEvaluate(t, ev, c) {
 			for _, li := range c.leaves() {
 				cover := map[string]bool{}
 				for i, tp := range r.Tuples {
@@ -380,7 +413,7 @@ func TestSelfLoopEdgeOrientation(t *testing.T) {
 	})
 	var results []Result
 	for _, c := range cns {
-		results = append(results, ev.EvaluateCN(c)...)
+		results = append(results, mustEvaluate(t, ev, c)...)
 	}
 	if len(results) != 1 {
 		t.Fatalf("results = %d, want exactly 1 (A cites B)", len(results))
@@ -416,7 +449,7 @@ func TestSelfLoopEdgeOrientation(t *testing.T) {
 	ev2 := NewEvaluator(db, ix, []string{"keyword", "xml"})
 	total := 0
 	for _, c := range cns {
-		total += len(ev2.EvaluateCN(c))
+		total += len(mustEvaluate(t, ev2, c))
 	}
 	if total != 1 {
 		t.Fatalf("reversed-term query results = %d, want 1", total)

@@ -1,6 +1,8 @@
 package cn
 
 import (
+	"context"
+
 	"kwsearch/internal/invindex"
 	"kwsearch/internal/relstore"
 )
@@ -78,23 +80,17 @@ func (ev *Evaluator) allTermsMask() uint32 {
 // EvaluateCN produces every total and minimal joining tree of tuples for c:
 // total = the bound tuples jointly contain every query term; minimal =
 // removing any leaf tuple breaks coverage (the MTJNT semantics of
-// DISCOVER).
-func (ev *Evaluator) EvaluateCN(c *CN) []Result {
-	return ev.evaluateFiltered(c, nil)
+// DISCOVER). A context that ends mid-search abandons it: the error is
+// ctx's and no results are returned.
+func (ev *Evaluator) EvaluateCN(ctx context.Context, c *CN) ([]Result, error) {
+	return ev.evaluate(ctx, c, 0, ev.rootSet(c))
 }
 
 // EvaluateCNWith produces the results of c in which CN node driverIdx is
-// bound to the given tuple — the primitive the pipelined top-k strategies
-// use.
+// bound to the given tuple — the global pipeline's primitive.
 func (ev *Evaluator) EvaluateCNWith(c *CN, driverIdx int, tp *relstore.Tuple) []Result {
-	return ev.EvaluateCNBound(c, map[int]*relstore.Tuple{driverIdx: tp})
-}
-
-// EvaluateCNBound produces the results of c under the given fixed node
-// bindings (node index -> tuple). SPARK's probe step fixes every keyword
-// node and asks whether connecting free tuples exist.
-func (ev *Evaluator) EvaluateCNBound(c *CN, fixed map[int]*relstore.Tuple) []Result {
-	return ev.evaluateFiltered(c, fixed)
+	rs, _ := ev.evaluate(context.Background(), c, driverIdx, []*relstore.Tuple{tp}) // Background never ends: no error
+	return rs
 }
 
 // unbound marks a CN node without a tuple in a search row.
@@ -102,58 +98,47 @@ const unbound relstore.TupleID = -1
 
 // search is one depth-first evaluation of a CN: the compiled search
 // order with its join indexes resolved, the row being grown, and the
-// tuples the caller pinned.
+// context it polls.
 type search struct {
-	ev    *Evaluator
-	c     *CN
-	order []step
-	joins []*JoinIndex       // joins[oi] attaches order[oi].node; nil at 0
-	kw    TupleSet           // the keyword/free partition
-	row   []relstore.TupleID // indexed by CN node; unbound where open
-	pin   []relstore.TupleID // nil, or per node the one admissible tuple
-	masks []uint32           // finish's scratch
-	out   []Result
+	ev     *Evaluator
+	c      *CN
+	order  []step
+	joins  []*JoinIndex       // joins[oi] attaches order[oi].node; nil at 0
+	kw     TupleSet           // the keyword/free partition
+	row    []relstore.TupleID // indexed by CN node; unbound where open
+	masks  []uint32           // finish's scratch
+	out    []Result
+	ctx    context.Context
+	budget int   // join work left before the next ctx poll
+	err    error // ctx's error once a poll saw it end
 }
 
-// evaluateFiltered searches c depth-first from the lowest pinned node
-// (node 0 without pins), following the same compiled steps and join
-// indexes as the level-wise EvaluatePrefix with the partition test
-// inline — a different traversal of the same join graph, which is what
-// keeps it an oracle for the other.
-func (ev *Evaluator) evaluateFiltered(c *CN, fixed map[int]*relstore.Tuple) []Result {
-	n := len(c.Nodes)
-	if n == 0 {
-		return nil
+// evaluate searches c depth-first with node start bound to each of roots
+// in turn, following the same compiled steps and join indexes as the
+// level-wise EvaluatePrefix with the partition test inline — a different
+// traversal of the same join graph, which is what keeps it an oracle for
+// the other.
+func (ev *Evaluator) evaluate(ctx context.Context, c *CN, start int, roots []*relstore.Tuple) ([]Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	n := len(c.Nodes)
 	s := search{
 		ev: ev, c: c, kw: ev.src.KeywordBits(),
 		row: openRow(n), masks: make([]uint32, n),
-	}
-	start := 0
-	if len(fixed) > 0 {
-		s.pin = openRow(n)
-		start = n
-		for node, tp := range fixed {
-			s.pin[node] = tp.ID
-			if node < start {
-				start = node
-			}
-		}
+		ctx: ctx, budget: pollEvery,
 	}
 	s.order = c.program().search[start]
 	s.joins = make([]*JoinIndex, len(s.order))
 	for oi := 1; oi < len(s.order); oi++ {
 		s.joins[oi] = ev.src.Join(s.order[oi].join)
 	}
-
-	if s.pin != nil {
-		s.bind(0, s.pin[start])
-	} else {
-		for _, tp := range ev.rootSet(c) {
-			s.bind(0, tp.ID)
+	for _, tp := range roots {
+		if s.bind(0, tp.ID); s.err != nil {
+			return nil, s.err
 		}
 	}
-	return s.out
+	return s.out, nil
 }
 
 // openRow returns a search row of n nodes, none bound.
@@ -181,17 +166,23 @@ func (s *search) extend(oi int) {
 		return
 	}
 	st := s.order[oi]
-	for _, cand := range s.joins[oi].Targets(s.row[st.parent]) {
+	cands := s.joins[oi].Targets(s.row[st.parent])
+	if s.budget -= len(cands) + 1; s.budget < 0 {
+		if s.err = s.ctx.Err(); s.err != nil {
+			return
+		}
+		s.budget = pollEvery
+	}
+	for _, cand := range cands {
 		// Keyword nodes take matching tuples, free nodes the complement
 		// (the DISCOVER partition keeps CN result sets disjoint); a
 		// tuple may appear once per result tree.
 		if s.kw.Has(cand) == st.free || containsID(s.row, cand) {
 			continue
 		}
-		if s.pin != nil && s.pin[st.node] != unbound && s.pin[st.node] != cand {
-			continue
+		if s.bind(oi, cand); s.err != nil {
+			return
 		}
-		s.bind(oi, cand)
 	}
 }
 

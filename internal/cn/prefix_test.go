@@ -62,7 +62,7 @@ func TestEvaluatePrefixMatchesEvaluateCN(t *testing.T) {
 		return sigSet(rs)
 	}
 	for ci, c := range cns {
-		want := sigSet(ev.EvaluateCN(c))
+		want := sigSet(mustEvaluate(t, ev, c))
 
 		// One shot: materialize the full binding set, then finish.
 		got := finish(c, Rows{})

@@ -34,7 +34,7 @@ func TestConcurrentEvaluationOnFreshBinding(t *testing.T) {
 	want := make([]map[string]int, len(cns))
 	total := 0
 	for i, c := range cns {
-		want[i] = sigSet(oracle.EvaluateCN(c))
+		want[i] = sigSet(mustEvaluate(t, oracle, c))
 		total += len(want[i])
 	}
 	if len(cns) < 4 || total == 0 {
@@ -57,17 +57,18 @@ func TestConcurrentEvaluationOnFreshBinding(t *testing.T) {
 				defer wg.Done()
 				for i, c := range cns {
 					var rs []Result
+					var err error
 					if g%2 == 0 {
-						rs = ev.EvaluateCN(c)
+						rs, err = ev.EvaluateCN(ctx, c)
 					} else {
-						rows, err := ev.EvaluatePrefix(ctx, c, Rows{}, len(c.Nodes))
-						if err == nil {
+						var rows Rows
+						if rows, err = ev.EvaluatePrefix(ctx, c, Rows{}, len(c.Nodes)); err == nil {
 							rs, err = ev.BindingResults(ctx, c, rows)
 						}
-						if err != nil {
-							t.Errorf("%s goroutine %d CN %d: %v", name, g, i, err)
-							return
-						}
+					}
+					if err != nil {
+						t.Errorf("%s goroutine %d CN %d: %v", name, g, i, err)
+						return
 					}
 					got := sigSet(rs)
 					if len(got) != len(want[i]) {

@@ -66,7 +66,8 @@ func resultKey(r Result) string {
 func TopKNaive(ev *Evaluator, cns []*CN, k int) []Result {
 	var all []Result
 	for _, c := range cns {
-		all = append(all, ev.EvaluateCN(c)...)
+		rs, _ := ev.EvaluateCN(context.Background(), c) // Background never ends: no error
+		all = append(all, rs...)
 	}
 	SortResults(all)
 	if len(all) > k {
@@ -105,7 +106,8 @@ func TopKSparse(ev *Evaluator, cns []*CN, k int) []Result {
 		if len(top) >= k && top[k-1].Score >= ev.Bound(c) {
 			break
 		}
-		top = append(top, ev.EvaluateCN(c)...)
+		rs, _ := ev.EvaluateCN(context.Background(), c) // Background never ends: no error
+		top = append(top, rs...)
 		SortResults(top)
 		if len(top) > k {
 			top = top[:k]

@@ -323,8 +323,10 @@ func (e *Engine) searchCN(ctx context.Context, terms []string, req Request, sp *
 }
 
 // searchSpark answers a SparkNetworks query: the shared binder and plan
-// cache feed SPARK's skyline sweep, whose non-monotonic score the exec
-// pool's bound pruning does not cover.
+// cache feed spark.TopK, which evaluates every CN exactly because the
+// exec pool's bound pruning does not cover SPARK's non-monotonic score.
+// An interrupted query has no certified prefix: it returns no results
+// and ctx's error.
 func (e *Engine) searchSpark(ctx context.Context, terms []string, req Request, sp *obs.Span, st *Stats) ([]Result, error) {
 	if err := e.requireRelational(); err != nil {
 		return nil, err
@@ -351,22 +353,18 @@ func (e *Engine) searchSpark(ctx context.Context, terms []string, req Request, s
 	esp.SetAttr("plan_cached", planHit)
 	esp.SetAttr("cns", len(cns))
 	esp.End()
-	// SPARK's skyline scorer is not context-aware; honor ctx at the
-	// stage boundary so an already-expired deadline costs nothing.
-	if err := ctx.Err(); err != nil {
+	vsp := sp.Child("evaluate")
+	rs, err := spark.TopK(ctx, spark.NewScorer(ev, e.Index), cns, req.TopK)
+	vsp.SetAttr("cns", len(cns))
+	if err != nil {
+		vsp.SetAttr("cancelled", true)
+		vsp.End()
 		return nil, err
 	}
-	vsp := sp.Child("evaluate")
-	rs, _ := spark.TopKSkyline(spark.NewScorer(ev, e.Index), cns, req.TopK)
-	vsp.SetAttr("cns", len(cns))
 	vsp.SetAttr("produced", len(rs))
 	vsp.End()
-	out := make([]Result, 0, len(rs))
-	for _, r := range rs {
-		out = append(out, Result{Score: r.SparkScore, Tuples: r.Tuples, CN: r.CN})
-	}
-	rankSpan(sp, len(out))
-	return out, nil
+	rankSpan(sp, len(rs))
+	return cnResults(rs), nil
 }
 
 // rankSpan emits the terminal "rank" stage span: result conversion and

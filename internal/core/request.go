@@ -50,7 +50,9 @@ type Request struct {
 	// whatever deadline the caller's context already carries — the
 	// earlier one wins. When it expires mid-evaluation the engine
 	// returns the best answer certified so far with Response.Partial
-	// set, rather than an error.
+	// set, rather than an error. SPARK, SLCA and Steiner answers are
+	// all-or-nothing: an interrupted query of those semantics is an
+	// empty partial answer.
 	Deadline time.Duration
 	// Workers sets the worker-pool size for candidate-network and SLCA
 	// evaluation (0 means 1). CN searches always run on the

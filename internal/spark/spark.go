@@ -1,43 +1,17 @@
-// Package spark implements SPARK's top-k keyword query processing over
+// Package spark implements SPARK's keyword query processing over
 // candidate networks (Luo et al. SIGMOD'07, slide 117): the non-monotonic
-// virtual-document score and the Skyline-Sweeping and Block-Pipeline
-// algorithms that remain correct under it, against a naive full-evaluation
-// baseline.
+// virtual-document score, applied to every result of an exact evaluation
+// of the CNs.
 package spark
 
 import (
-	"container/heap"
+	"context"
 	"math"
-	"sort"
-
-	"kwsearch/internal/fmath"
 
 	"kwsearch/internal/cn"
 	"kwsearch/internal/invindex"
 	"kwsearch/internal/relstore"
 )
-
-// ubHeap is a max-heap of frontier entries ordered by upper bound; both
-// top-k strategies pop their best pending combination from it.
-type ubEntry struct {
-	cnIdx int
-	pos   []int
-	ub    float64
-}
-
-type ubHeap []ubEntry
-
-func (h ubHeap) Len() int            { return len(h) }
-func (h ubHeap) Less(i, j int) bool  { return h[i].ub > h[j].ub }
-func (h ubHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *ubHeap) Push(x interface{}) { *h = append(*h, x.(ubEntry)) }
-func (h *ubHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
 
 // Scorer computes the SPARK score of joining trees. The score treats the
 // result's tuples as one virtual document: per-term frequencies add up
@@ -48,22 +22,16 @@ type Scorer struct {
 	ix *invindex.Index
 	// SizePenalty s: results are scaled by 1/(1 + s·(size-1)).
 	SizePenalty float64
-	// MaxCombinations budgets the pipelined strategies: when a sweep has
-	// considered this many combinations it stops and returns the current
-	// top-k, which may then be approximate. Large multi-node CNs over
-	// flat score distributions make the WATF bound loose, and the
-	// combination space is the product of the keyword-set sizes; the
-	// budget keeps worst-case queries interactive. 0 means unlimited.
-	MaxCombinations int
 }
 
 // NewScorer wraps a CN evaluator with SPARK scoring.
 func NewScorer(ev *cn.Evaluator, ix *invindex.Index) *Scorer {
-	return &Scorer{ev: ev, ix: ix, SizePenalty: 0.2, MaxCombinations: 1 << 20}
+	return &Scorer{ev: ev, ix: ix, SizePenalty: 0.2}
 }
 
 // damp is SPARK's w(tf) = 1 + ln(1 + ln(tf)) for tf >= 1, else 0. It is
-// concave and subadditive on tf >= 1, which makes WATF a sound upper bound.
+// concave and subadditive on tf >= 1, so a virtual document scores at
+// most the sum of its tuples' own scores.
 func damp(tf int) float64 {
 	if tf < 1 {
 		return 0
@@ -97,184 +65,26 @@ func (s *Scorer) Score(r cn.Result) float64 {
 	return s.ScoreA(r.Tuples) * s.SizeNorm(len(r.Tuples))
 }
 
-// WATF is the per-tuple upper-bound contribution w(tf_t(tuple))·idf_t
-// summed over terms: by subadditivity of w, ScoreA(T) <= Σ WATF(tᵢ) over
-// T's keyword tuples — the bound Skyline-Sweeping and Block-Pipeline order
-// their lists by.
-func (s *Scorer) WATF(tp *relstore.Tuple) float64 {
-	total := 0.0
-	for _, term := range s.ev.Terms {
-		total += damp(s.ix.TF(term, invindex.DocID(tp.ID))) * s.ix.IDF(term)
-	}
-	return total
-}
-
-// Result pairs a joining tree with its SPARK score.
-type Result struct {
-	cn.Result
-	SparkScore float64
-}
-
-// Stats counts the work a strategy performed, for E18.
-type Stats struct {
-	// Probes counts EvaluateCNBound calls (the expensive join checks).
-	Probes int
-	// Combinations counts candidate keyword-tuple combinations considered.
-	Combinations int
-}
-
-func sortSpark(rs []Result) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		if !fmath.Eq(rs[i].SparkScore, rs[j].SparkScore) {
-			return rs[i].SparkScore > rs[j].SparkScore
-		}
-		return len(rs[i].Tuples) < len(rs[j].Tuples)
-	})
-}
-
-// TopKNaive fully evaluates every CN and sorts by SPARK score.
-func TopKNaive(s *Scorer, cns []*cn.CN, k int) ([]Result, Stats) {
-	var stats Stats
-	var all []Result
+// TopK evaluates every CN exactly, replaces each result's Score with
+// its SPARK score and keeps the best k under cn.SortResults' total
+// order. The score is not monotone in the tuple scores, so no CN is cut
+// by a bound. A context that ends mid-evaluation abandons the query: the
+// error is ctx's and no results are returned.
+func TopK(ctx context.Context, s *Scorer, cns []*cn.CN, k int) ([]cn.Result, error) {
+	var all []cn.Result
 	for _, c := range cns {
-		stats.Probes++
-		for _, r := range s.ev.EvaluateCN(c) {
-			stats.Combinations++
-			all = append(all, Result{Result: r, SparkScore: s.Score(r)})
+		rs, err := s.ev.EvaluateCN(ctx, c)
+		if err != nil {
+			return nil, err
 		}
+		for i := range rs {
+			rs[i].Score = s.Score(rs[i])
+		}
+		all = append(all, rs...)
 	}
-	sortSpark(all)
+	cn.SortResults(all)
 	if len(all) > k {
 		all = all[:k]
 	}
-	return all, stats
-}
-
-// lists returns, per keyword node of c, that node's R^Q sorted by
-// descending WATF.
-func (s *Scorer) lists(c *cn.CN) (nodes []int, lists [][]*relstore.Tuple, watf [][]float64) {
-	nodes = c.KeywordNodes()
-	lists = make([][]*relstore.Tuple, len(nodes))
-	watf = make([][]float64, len(nodes))
-	for i, n := range nodes {
-		set := append([]*relstore.Tuple(nil), s.ev.KeywordSet(c.Nodes[n].Table)...)
-		sort.SliceStable(set, func(a, b int) bool { return s.WATF(set[a]) > s.WATF(set[b]) })
-		lists[i] = set
-		watf[i] = make([]float64, len(set))
-		for j, tp := range set {
-			watf[i][j] = s.WATF(tp)
-		}
-	}
-	return nodes, lists, watf
-}
-
-func (s *Scorer) comboUB(c *cn.CN, watf [][]float64, pos []int) float64 {
-	ub := 0.0
-	for i, p := range pos {
-		if p >= len(watf[i]) {
-			return -1
-		}
-		ub += watf[i][p]
-	}
-	return ub * s.SizeNorm(c.Size())
-}
-
-// probe evaluates the CN with all keyword nodes fixed to the combination's
-// tuples, returning scored results.
-func (s *Scorer) probe(c *cn.CN, nodes []int, lists [][]*relstore.Tuple, pos []int, stats *Stats) []Result {
-	fixed := map[int]*relstore.Tuple{}
-	seen := map[relstore.TupleID]bool{}
-	for i, n := range nodes {
-		tp := lists[i][pos[i]]
-		if seen[tp.ID] {
-			return nil // a tuple cannot be bound to two nodes
-		}
-		seen[tp.ID] = true
-		fixed[n] = tp
-	}
-	stats.Probes++
-	var out []Result
-	for _, r := range s.ev.EvaluateCNBound(c, fixed) {
-		out = append(out, Result{Result: r, SparkScore: s.Score(r)})
-	}
-	return out
-}
-
-// TopKSkyline is Skyline-Sweeping: explore combinations of keyword-node
-// tuples in a best-first frontier ordered by the WATF upper bound; each
-// popped combination is probed and its +1 successors enqueued. Stops when
-// the k-th score dominates the best pending bound.
-func TopKSkyline(s *Scorer, cns []*cn.CN, k int) ([]Result, Stats) {
-	var stats Stats
-	frontier := &ubHeap{}
-	seen := map[string]bool{}
-
-	type cnState struct {
-		c     *cn.CN
-		nodes []int
-		lists [][]*relstore.Tuple
-		watf  [][]float64
-	}
-	states := make([]cnState, len(cns))
-	push := func(ci int, pos []int) {
-		st := states[ci]
-		key := comboKey(ci, pos)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		ub := s.comboUB(st.c, st.watf, pos)
-		if ub < 0 {
-			return
-		}
-		heap.Push(frontier, ubEntry{cnIdx: ci, pos: pos, ub: ub})
-	}
-	for ci, c := range cns {
-		nodes, lists, watf := s.lists(c)
-		states[ci] = cnState{c: c, nodes: nodes, lists: lists, watf: watf}
-		empty := false
-		for _, l := range lists {
-			if len(l) == 0 {
-				empty = true
-			}
-		}
-		if len(nodes) == 0 || empty {
-			continue
-		}
-		push(ci, make([]int, len(nodes)))
-	}
-
-	var top []Result
-	for frontier.Len() > 0 {
-		if s.MaxCombinations > 0 && stats.Combinations >= s.MaxCombinations {
-			break
-		}
-		e := heap.Pop(frontier).(ubEntry)
-		if len(top) >= k && top[k-1].SparkScore >= e.ub {
-			break
-		}
-		st := states[e.cnIdx]
-		stats.Combinations++
-		top = append(top, s.probe(st.c, st.nodes, st.lists, e.pos, &stats)...)
-		sortSpark(top)
-		if len(top) > k {
-			top = top[:k]
-		}
-		// Successors: advance each dimension by one.
-		for i := range e.pos {
-			next := append([]int(nil), e.pos...)
-			next[i]++
-			push(e.cnIdx, next)
-		}
-	}
-	return top, stats
-}
-
-func comboKey(ci int, pos []int) string {
-	key := make([]byte, 0, 4+4*len(pos))
-	key = append(key, byte(ci), byte(ci>>8), ':')
-	for _, p := range pos {
-		key = append(key, byte(p), byte(p>>8), byte(p>>16), ',')
-	}
-	return string(key)
+	return all, nil
 }

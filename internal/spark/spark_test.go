@@ -1,7 +1,7 @@
 package spark
 
 import (
-	"math"
+	"context"
 	"testing"
 
 	"kwsearch/internal/cn"
@@ -43,8 +43,8 @@ func TestDampProperties(t *testing.T) {
 		}
 		prev = d
 	}
-	// Subadditive on tf >= 1: damp(a+b) <= damp(a)+damp(b) — the property
-	// that makes WATF a sound upper bound.
+	// Subadditive on tf >= 1: damp(a+b) <= damp(a)+damp(b), so a virtual
+	// document never outscores its tuples scored apart.
 	for a := 1; a < 40; a++ {
 		for b := 1; b < 40; b++ {
 			if damp(a+b) > damp(a)+damp(b)+1e-12 {
@@ -56,7 +56,7 @@ func TestDampProperties(t *testing.T) {
 
 func TestScoreIsNonMonotonic(t *testing.T) {
 	// Two tuples matching the same term: the virtual-document score is
-	// less than the sum of their individual WATFs (slide 117's reason
+	// less than the sum of their individual scores (slide 117's reason
 	// monotone top-k machinery breaks for SPARK).
 	s, _ := setup(t, []string{"keyword"}, 5)
 	set := s.ev.KeywordSet("paper")
@@ -65,108 +65,19 @@ func TestScoreIsNonMonotonic(t *testing.T) {
 	}
 	a, b := set[0], set[1]
 	joint := s.ScoreA([]*relstore.Tuple{a, b})
-	sum := s.WATF(a) + s.WATF(b)
+	sum := s.ScoreA([]*relstore.Tuple{a}) + s.ScoreA([]*relstore.Tuple{b})
 	if !(joint < sum) {
-		t.Errorf("ScoreA(joint)=%v should be < WATF sum=%v", joint, sum)
+		t.Errorf("ScoreA(joint)=%v should be < per-tuple sum=%v", joint, sum)
 	}
 	if joint <= 0 {
 		t.Errorf("joint score must be positive")
 	}
 }
 
-func TestWATFBoundSound(t *testing.T) {
-	// For every actual result, the SPARK score must not exceed the WATF
-	// bound of its keyword tuples.
-	s, cns := setup(t, []string{"keyword", "search"}, 7)
-	for _, c := range cns {
-		for _, r := range s.ev.EvaluateCN(c) {
-			score := s.Score(r)
-			bound := 0.0
-			for i, n := range c.Nodes {
-				if !n.Free {
-					bound += s.WATF(r.Tuples[i])
-				}
-			}
-			bound *= s.SizeNorm(c.Size())
-			if score > bound+1e-9 {
-				t.Fatalf("score %v exceeds bound %v for %s", score, bound, c)
-			}
-		}
-	}
-}
-
-func scores(rs []Result) []float64 {
-	out := make([]float64, len(rs))
-	for i, r := range rs {
-		out[i] = r.SparkScore
-	}
-	return out
-}
-
-func sameScores(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
-func TestStrategiesAgree(t *testing.T) {
-	for _, seed := range []int64{3, 7, 11, 19} {
-		s, cns := setup(t, []string{"keyword", "search"}, seed)
-		const k = 5
-		naive, _ := TopKNaive(s, cns, k)
-		sky, _ := TopKSkyline(s, cns, k)
-		blk, _ := TopKBlockPipeline(s, cns, k, 4)
-		ns, ss, bs := scores(naive), scores(sky), scores(blk)
-		if !sameScores(ns, ss) {
-			t.Errorf("seed %d: skyline differs from naive:\n%v\n%v", seed, ns, ss)
-		}
-		if !sameScores(ns, bs) {
-			t.Errorf("seed %d: block-pipeline differs from naive:\n%v\n%v", seed, ns, bs)
-		}
-		// Scores descend.
-		for i := 1; i < len(ns); i++ {
-			if ns[i] > ns[i-1] {
-				t.Errorf("seed %d: scores not sorted: %v", seed, ns)
-			}
-		}
-	}
-}
-
-func TestPipelinesTerminateEarly(t *testing.T) {
-	// The E18 shape: when results are plentiful, the bound lets the
-	// pipelines certify top-1 after probing a small fraction of the
-	// keyword-tuple cross product.
-	s, cns := setup(t, []string{"keyword", "search"}, 13)
-	full := 0
-	for _, c := range cns {
-		p := 1
-		for _, n := range c.KeywordNodes() {
-			p *= len(s.ev.KeywordSet(c.Nodes[n].Table))
-		}
-		full += p
-	}
-	_, sStats := TopKSkyline(s, cns, 1)
-	_, bStats := TopKBlockPipeline(s, cns, 1, 4)
-	if sStats.Probes*4 >= full {
-		t.Errorf("skyline probed %d of %d combinations — no early termination", sStats.Probes, full)
-	}
-	if bStats.Probes*4 >= full {
-		t.Errorf("block-pipeline probed %d of %d combinations — no early termination", bStats.Probes, full)
-	}
-}
-
 func TestEmptyQueryAndNoMatches(t *testing.T) {
 	s, cns := setup(t, []string{"zzzznomatch"}, 5)
-	if got, _ := TopKSkyline(s, cns, 3); len(got) != 0 {
-		t.Errorf("no-match query returned %v", got)
-	}
-	if got, _ := TopKBlockPipeline(s, cns, 3, 4); len(got) != 0 {
-		t.Errorf("no-match query returned %v", got)
+	got, err := TopK(context.Background(), s, cns, 3)
+	if err != nil || len(got) != 0 {
+		t.Errorf("no-match query returned %v, %v", got, err)
 	}
 }

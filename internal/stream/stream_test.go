@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -60,7 +61,11 @@ func batchResults(t *testing.T, db *relstore.DB, cns []*cn.CN, terms []string) m
 	ev := cn.NewEvaluator(db, ix, terms)
 	out := map[string]bool{}
 	for _, c := range cns {
-		for _, r := range ev.EvaluateCN(c) {
+		rs, err := ev.EvaluateCN(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
 			out[resultKey(r)] = true
 		}
 	}
