@@ -24,7 +24,7 @@ race:
 	go test -race ./internal/cn/... ./internal/invindex/... \
 		./internal/cache/... ./internal/exec/... ./internal/lca/... ./internal/obs/... \
 		./internal/resilience/... ./internal/core/... ./internal/server/... \
-		./internal/analysis/... ./internal/plan/... ./internal/shard/...
+		./internal/plan/... ./internal/shard/...
 
 # Same steps as verify.sh: ten seconds of generated corpora, queries, pool
 # sizes and job sizes against the serial oracle, five of generated

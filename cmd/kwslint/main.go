@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	kwslint [-rules] [-json] [-fix] [packages...]
+//	kwslint [-rules] [-fix] [packages...]
 //
 // Each package argument is a directory or a dir/... pattern; the default
 // is ./... from the current directory. Diagnostics print one per
@@ -12,49 +12,26 @@
 // `//lint:ignore rule reason` comment on the same line or the line
 // directly above it.
 //
-// -json writes a machine-readable report to stdout (human diagnostics
-// move to stderr so both audiences can consume one run). -fix applies
-// every suggested fix in place, then re-analyzes so the exit status and
-// report reflect the repaired tree; a second -fix run is a no-op.
+// -fix applies every suggested fix in place, then re-analyzes so the
+// exit status and report reflect the repaired tree; a second -fix run is
+// a no-op.
 //
 // Exit status: 0 clean, 1 diagnostics remain, 2 usage or load failure.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"kwsearch/internal/analysis"
 	"kwsearch/internal/analysis/rules"
 )
 
-// jsonReport is the -json output document. The schema is versioned so
-// downstream tooling (CI annotators, the benchrunner) can detect drift.
-type jsonReport struct {
-	Version     int              `json:"version"`
-	Packages    int              `json:"packages"`
-	DurationMS  int64            `json:"duration_ms"`
-	Fixed       int              `json:"fixed_edits,omitempty"`
-	Diagnostics []jsonDiagnostic `json:"diagnostics"`
-}
-
-type jsonDiagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-	Fixable bool   `json:"fixable"`
-}
-
 func main() {
 	listRules := flag.Bool("rules", false, "list the rules and exit")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report on stdout")
 	applyFix := flag.Bool("fix", false, "apply suggested fixes in place, then re-analyze")
 	flag.Parse()
 
@@ -87,7 +64,6 @@ func main() {
 	}
 
 	ctx := context.Background()
-	start := time.Now()
 	results := analysis.AnalyzeDirs(ctx, ".", dirs, ruleSet)
 
 	fixedEdits := 0
@@ -114,13 +90,8 @@ func main() {
 	}
 
 	cwd, _ := os.Getwd()
-	humanOut := os.Stdout
-	if *jsonOut {
-		humanOut = os.Stderr
-	}
-
 	loadFailed := false
-	report := jsonReport{Version: 1, Packages: len(dirs), Diagnostics: []jsonDiagnostic{}}
+	found := 0
 	for _, res := range results {
 		if res.Err != nil {
 			fmt.Fprintf(os.Stderr, "kwslint: %s: %v\n", res.Dir, res.Err)
@@ -133,36 +104,18 @@ func main() {
 			if rel, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && len(rel) < len(d.Pos.Filename) {
 				d.Pos.Filename = rel
 			}
-			fmt.Fprintln(humanOut, d)
-			report.Diagnostics = append(report.Diagnostics, jsonDiagnostic{
-				File:    d.Pos.Filename,
-				Line:    d.Pos.Line,
-				Col:     d.Pos.Column,
-				Rule:    d.Rule,
-				Message: d.Message,
-				Fixable: d.Fix != nil,
-			})
-		}
-	}
-	report.DurationMS = time.Since(start).Milliseconds()
-	report.Fixed = fixedEdits
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintln(os.Stderr, "kwslint:", err)
-			os.Exit(2)
+			fmt.Println(d)
+			found++
 		}
 	}
 	if *applyFix && fixedEdits > 0 {
-		fmt.Fprintf(humanOut, "kwslint: applied %d fix edit(s)\n", fixedEdits)
+		fmt.Printf("kwslint: applied %d fix edit(s)\n", fixedEdits)
 	}
 
 	switch {
 	case loadFailed:
 		os.Exit(2)
-	case len(report.Diagnostics) > 0:
+	case found > 0:
 		os.Exit(1)
 	}
 }

@@ -61,11 +61,10 @@ type Pass struct {
 	// Info carries the type-checker's results for expressions in Files.
 	Info *types.Info
 
-	rule      string
-	diags     *[]Diagnostic
-	ignores   []ignoreDirective
-	reported  map[string]bool
-	summaries *Summaries
+	rule     string
+	diags    *[]Diagnostic
+	ignores  []ignoreDirective
+	reported map[string]bool
 }
 
 // ignoreDirective is one parsed `//lint:ignore rules reason` comment: it
@@ -141,7 +140,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 }
 
 // ReportfFix is Reportf with a suggested fix attached: kwslint -fix
-// applies fix's edits, and the JSON output marks the finding fixable.
+// applies fix's edits.
 func (p *Pass) ReportfFix(pos token.Pos, fix *SuggestedFix, format string, args ...interface{}) {
 	p.report(pos, fix, format, args...)
 }
@@ -177,8 +176,8 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 }
 
 // IsTestFile reports whether the file containing pos is a _test.go file.
-// Most rules skip test code: tests may legitimately compare exact floats,
-// use package-level rand, or spawn short-lived goroutines.
+// Most rules skip test code: tests may legitimately compare exact floats
+// or block on channels without a context.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }

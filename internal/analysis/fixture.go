@@ -14,7 +14,7 @@ var wantRe = regexp.MustCompile(`"([^"]*)"`)
 // the diagnostics against `// want "substring"` expectation comments in
 // the fixture files:
 //
-//	x := rand.Intn(3) // want "seeded"
+//	return a == b // want "epsilon"
 //
 // expects a diagnostic on that line whose message (or rule name)
 // contains the quoted text; several quoted strings in one comment expect

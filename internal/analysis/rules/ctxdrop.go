@@ -2,16 +2,17 @@ package rules
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"kwsearch/internal/analysis"
 )
 
-// CtxDrop is the dataflow companion to CtxFirst: where CtxFirst asks
-// "does this function take and touch a context at all", CtxDrop asks
-// "does every path that blocks or admits work actually consult it
-// first". It runs a forward must-analysis over the function's CFG with
-// the abstract domain {ctx consulted on every path? yes/no} and flags:
+// CtxDrop is the path-sensitive companion to CtxFirst: where CtxFirst
+// asks "does this function take and touch a context at all", CtxDrop
+// asks "does every path that blocks or admits work actually consult it
+// first". It walks the function's statements carrying the must-fact
+// "ctx consulted on every path so far" (see consultWalk) and flags:
 //
 //   - fast paths: a channel send/receive reached by a path on which the
 //     context was never consulted, in a function that does consult it
@@ -24,9 +25,7 @@ import (
 //
 // A channel operation inside a select that also has a ctx.Done() case is
 // the cancellation idiom itself and never flagged. "Consult" means
-// calling ctx.Err/Done/Deadline/Value or passing ctx to another call
-// (including one whose package-local summary shows it consults its own
-// context parameter).
+// calling ctx.Err/Done/Deadline/Value or passing ctx to another call.
 type CtxDrop struct{}
 
 // Name implements analysis.Rule.
@@ -102,15 +101,6 @@ func (c *ctxObj) refersTo(p *analysis.Pass, id *ast.Ident) bool {
 	return id.Name == c.name
 }
 
-// consultFact is the must-analysis domain: consulted is true only when
-// every path from entry to this point consulted the context.
-type consultFact bool
-
-func (f consultFact) Equal(o analysis.Fact) bool { return f == o.(consultFact) }
-func (f consultFact) Join(o analysis.Fact) analysis.Fact {
-	return consultFact(bool(f) && bool(o.(consultFact)))
-}
-
 func (r CtxDrop) checkBody(p *analysis.Pass, ctx *ctxObj, body *ast.BlockStmt) {
 	// Precondition: the body (or the function it belongs to) consults
 	// ctx somewhere. A function that ignores its context entirely is
@@ -119,31 +109,16 @@ func (r CtxDrop) checkBody(p *analysis.Pass, ctx *ctxObj, body *ast.BlockStmt) {
 		return
 	}
 	guarded := guardedChannelOps(p, ctx, body)
-	cfg := analysis.NewCFG(body)
-	transfer := func(n ast.Node, in analysis.Fact) analysis.Fact {
-		if bool(in.(consultFact)) {
-			return in
-		}
-		if r.nodeConsults(p, ctx, n) {
-			return consultFact(true)
-		}
-		return in
-	}
-	sol := analysis.Forward(cfg, consultFact(false), transfer)
+	w := &consultWalk{p: p, ctx: ctx, r: r, open: map[ast.Node]bool{}, gotos: map[string]pathFact{}}
+	w.stmt(body, open)
 
-	// Fast paths: channel ops reachable with consulted == false.
+	// Fast paths: channel ops reached on a path that never consulted ctx.
 	for _, op := range channelOps(p, ctx, body) {
-		if guarded[op.node] {
+		if guarded[op.node] || !w.open[op.node] {
 			continue
 		}
-		fact, ok := sol.Before(op.node)
-		if !ok {
-			continue // unreachable or inside a nested literal
-		}
-		if !bool(fact.(consultFact)) {
-			p.Reportf(op.node.Pos(), "%s on a path that never consulted %s: a cancelled caller can still %s; check %s.Err() before the fast path",
-				op.what, ctx.name, op.verb, ctx.name)
-		}
+		p.Reportf(op.node.Pos(), "%s on a path that never consulted %s: a cancelled caller can still %s; check %s.Err() before the fast path",
+			op.what, ctx.name, op.verb, ctx.name)
 	}
 
 	// Loops: a communicating loop must consult ctx every iteration.
@@ -321,4 +296,216 @@ func (r CtxDrop) consultsAnywhere(p *analysis.Pass, ctx *ctxObj, body ast.Node) 
 		return true
 	})
 	return found
+}
+
+// pathFact is the structured walk's state at one program point: whether
+// every path reaching it consulted ctx, or no path reaches it at all.
+type pathFact uint8
+
+const (
+	dead      pathFact = iota // no path reaches this point
+	open                      // some path reaches it without consulting ctx
+	consulted                 // every path reaching it consulted ctx
+)
+
+// and joins the facts of paths meeting at one point: consulted only if
+// every live path consulted.
+func (f pathFact) and(g pathFact) pathFact {
+	switch {
+	case f == dead:
+		return g
+	case g == dead:
+		return f
+	}
+	return min(f, g)
+}
+
+// consultWalk carries the must-fact "ctx consulted on every path so far"
+// through a body's statements in source order and records each channel
+// operation reached while the fact is open. Loops are read once: only
+// the header decides the fact inside and after them, since facts only
+// grow along a path and a back edge can therefore add nothing.
+type consultWalk struct {
+	p   *analysis.Pass
+	ctx *ctxObj
+	r   CtxDrop
+	// open holds the channel operations reached on an unconsulted path.
+	open map[ast.Node]bool
+	// targets are the enclosing breakable statements, innermost last.
+	targets []breakTarget
+	// gotos joins the facts at goto statements, by label.
+	gotos map[string]pathFact
+	// through is the fact at a fallthrough, for the next case clause.
+	through pathFact
+	// label names the statement about to be walked, if it is labeled.
+	label string
+}
+
+// breakTarget is one enclosing for, range, switch or select, with the
+// join of the facts at the breaks that leave it.
+type breakTarget struct {
+	label string
+	fact  pathFact
+}
+
+// node applies one simple statement or expression: its channel ops see
+// the incoming fact, and a consult in it makes the outgoing fact true.
+func (w *consultWalk) node(n ast.Node, in pathFact) pathFact {
+	if n == nil || in != open {
+		return in
+	}
+	analysis.WalkShallow(n, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.SendStmt:
+			w.open[m] = true
+		case *ast.UnaryExpr:
+			if m.Op == token.ARROW {
+				w.open[m] = true
+			}
+		}
+		return true
+	})
+	if w.r.nodeConsults(w.p, w.ctx, n) {
+		return consulted
+	}
+	return open
+}
+
+func (w *consultWalk) stmts(list []ast.Stmt, in pathFact) pathFact {
+	for _, s := range list {
+		in = w.stmt(s, in)
+	}
+	return in
+}
+
+// stmt walks s from the fact in and returns the fact after it.
+func (w *consultWalk) stmt(s ast.Stmt, in pathFact) pathFact {
+	label := w.label
+	w.label = ""
+	switch s := s.(type) {
+	case nil:
+		return in
+	case *ast.BlockStmt:
+		return w.stmts(s.List, in)
+	case *ast.LabeledStmt:
+		w.label = s.Label.Name
+		return w.stmt(s.Stmt, in.and(w.gotos[s.Label.Name]))
+	case *ast.IfStmt:
+		cond := w.node(s.Cond, w.stmt(s.Init, in))
+		return w.stmt(s.Body, cond).and(w.stmt(s.Else, cond))
+	case *ast.ForStmt:
+		head := w.node(s.Cond, w.stmt(s.Init, in))
+		breaks := w.breakable(label, func() { w.stmt(s.Body, head) })
+		w.stmt(s.Post, head)
+		if s.Cond == nil {
+			return breaks // only a break leaves a loop without a condition
+		}
+		return head
+	case *ast.RangeStmt:
+		head := w.node(s.Value, w.node(s.Key, w.node(s.X, in)))
+		w.breakable(label, func() { w.stmt(s.Body, head) })
+		return head
+	case *ast.SwitchStmt:
+		return w.clauses(label, s.Body, w.node(s.Tag, w.stmt(s.Init, in)))
+	case *ast.TypeSwitchStmt:
+		return w.clauses(label, s.Body, w.stmt(s.Assign, w.stmt(s.Init, in)))
+	case *ast.SelectStmt:
+		after := dead
+		breaks := w.breakable(label, func() {
+			for _, c := range s.Body.List {
+				cc := c.(*ast.CommClause)
+				after = after.and(w.stmts(cc.Body, w.stmt(cc.Comm, in)))
+			}
+		})
+		return after.and(breaks)
+	case *ast.ReturnStmt:
+		w.node(s, in)
+		return dead
+	case *ast.BranchStmt:
+		switch s.Tok {
+		case token.BREAK:
+			for i := len(w.targets) - 1; i >= 0; i-- {
+				if t := &w.targets[i]; s.Label == nil || t.label == s.Label.Name {
+					t.fact = t.fact.and(in)
+					break
+				}
+			}
+		case token.GOTO:
+			w.gotos[s.Label.Name] = w.gotos[s.Label.Name].and(in)
+		case token.FALLTHROUGH:
+			w.through = in
+		}
+		// break, goto and fallthrough handed the fact on above; continue's
+		// is already in the loop header's.
+		return dead
+	case *ast.ExprStmt:
+		out := w.node(s, in)
+		if isNoReturnCall(s.X) {
+			return dead
+		}
+		return out
+	}
+	return w.node(s, in)
+}
+
+// breakable runs walk with a break target for the statement labeled
+// label on the stack and returns the join of the facts at its breaks.
+func (w *consultWalk) breakable(label string, walk func()) pathFact {
+	w.targets = append(w.targets, breakTarget{label: label})
+	walk()
+	t := w.targets[len(w.targets)-1]
+	w.targets = w.targets[:len(w.targets)-1]
+	return t.fact
+}
+
+// clauses walks the case clauses of a switch or type switch, each from
+// the head fact joined with a fallthrough from the clause before. The
+// fact after it joins every clause end, its breaks and, without a
+// default, the head itself.
+func (w *consultWalk) clauses(label string, body *ast.BlockStmt, head pathFact) pathFact {
+	after := dead
+	hasDefault := false
+	breaks := w.breakable(label, func() {
+		for _, c := range body.List {
+			cc := c.(*ast.CaseClause)
+			hasDefault = hasDefault || cc.List == nil
+			f := head.and(w.through)
+			w.through = dead
+			for _, e := range cc.List {
+				f = w.node(e, f)
+			}
+			after = after.and(w.stmts(cc.Body, f))
+		}
+	})
+	if !hasDefault {
+		after = after.and(head)
+	}
+	return after.and(breaks)
+}
+
+// isNoReturnCall reports whether e is a call that never returns:
+// panic(...), os.Exit(...), log.Fatal*(...), runtime.Goexit().
+func isNoReturnCall(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return fun.Name == "panic"
+	case *ast.SelectorExpr:
+		id, ok := fun.X.(*ast.Ident)
+		if !ok {
+			return false
+		}
+		switch {
+		case id.Name == "os" && fun.Sel.Name == "Exit":
+			return true
+		case id.Name == "log" && (fun.Sel.Name == "Fatal" || fun.Sel.Name == "Fatalf" || fun.Sel.Name == "Fatalln"):
+			return true
+		case id.Name == "runtime" && fun.Sel.Name == "Goexit":
+			return true
+		}
+	}
+	return false
 }

@@ -1,8 +1,8 @@
 // Package rules holds the kwslint rule set: engine-specific static
-// checks for determinism (map iteration, random seeding, float
-// comparisons), concurrency hygiene (goroutine joins, lock copies) and
-// API documentation. Each rule lives in its own file with a golden
-// fixture under testdata/src/<rule>/.
+// checks for context plumbing (ctx-first, ctxdrop), ranking determinism
+// (float comparisons), concurrency and error hygiene (atomic Set(Load()),
+// sentinel comparisons) and API documentation. Each rule lives in its
+// own file with a golden fixture under testdata/src/<rule>/.
 package rules
 
 import (
@@ -19,11 +19,6 @@ import (
 // library packages under internal/.
 func Default() []analysis.Rule {
 	return []analysis.Rule{
-		MapRange{},
-		Rand{},
-		Goroutine{},
-		MutexValue{},
-		SpanLeak{},
 		CtxFirst{Packages: []string{
 			"internal/exec", "internal/cn", "internal/lca",
 			"internal/banks", "internal/steiner", "internal/core",
@@ -36,9 +31,7 @@ func Default() []analysis.Rule {
 		DocComment{Only: []string{"internal/"}},
 		AtomicSetLoad{},
 		CtxDrop{},
-		LockHold{},
 		ErrSentinel{},
-		WgAdd{},
 	}
 }
 
@@ -63,16 +56,6 @@ func importsPath(file *ast.File, path string) bool {
 		}
 	}
 	return false
-}
-
-// fileOf returns the *ast.File of the pass containing pos.
-func fileOf(p *analysis.Pass, node ast.Node) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= node.Pos() && node.Pos() <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }
 
 // pathMatches reports whether the pass's package path contains any of

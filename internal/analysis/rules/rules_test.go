@@ -12,20 +12,12 @@ func fixture(t *testing.T, dir string, rules ...analysis.Rule) {
 	analysis.RunFixtureTest(t, filepath.Join("testdata", "src", dir), rules)
 }
 
-func TestMapRangeFixture(t *testing.T)   { fixture(t, "maprange", MapRange{}) }
-func TestRandFixture(t *testing.T)       { fixture(t, "rand", Rand{}) }
-func TestGoroutineFixture(t *testing.T)  { fixture(t, "goroutine", Goroutine{}) }
-func TestMutexValueFixture(t *testing.T) { fixture(t, "mutexval", MutexValue{}) }
-func TestFloatEqFixture(t *testing.T)    { fixture(t, "floateq", FloatEq{}) }
-func TestDocCommentFixture(t *testing.T) { fixture(t, "doccomment", DocComment{}) }
-func TestSpanLeakFixture(t *testing.T)   { fixture(t, "spanleak", SpanLeak{}) }
-func TestCtxFirstFixture(t *testing.T)   { fixture(t, "ctxfirst", CtxFirst{}) }
-
+func TestFloatEqFixture(t *testing.T)       { fixture(t, "floateq", FloatEq{}) }
+func TestDocCommentFixture(t *testing.T)    { fixture(t, "doccomment", DocComment{}) }
+func TestCtxFirstFixture(t *testing.T)      { fixture(t, "ctxfirst", CtxFirst{}) }
 func TestAtomicSetLoadFixture(t *testing.T) { fixture(t, "atomicsetload", AtomicSetLoad{}) }
 func TestCtxDropFixture(t *testing.T)       { fixture(t, "ctxdrop", CtxDrop{}) }
-func TestLockHoldFixture(t *testing.T)      { fixture(t, "lockhold", LockHold{}) }
 func TestErrSentinelFixture(t *testing.T)   { fixture(t, "errsentinel", ErrSentinel{}) }
-func TestWgAddFixture(t *testing.T)         { fixture(t, "wgadd", WgAdd{}) }
 
 // TestSuppression runs the FULL default rule set over a fixture whose
 // violations all carry //lint:ignore directives: the only expected
@@ -49,9 +41,7 @@ func (r *recorder) Errorf(format string, args ...interface{}) { r.errors++ }
 // pin rule behavior.
 func TestFixtureFailsWhenRuleDisabled(t *testing.T) {
 	for _, dir := range []string{
-		"maprange", "rand", "goroutine", "mutexval", "floateq", "doccomment",
-		"spanleak", "ctxfirst",
-		"atomicsetload", "ctxdrop", "lockhold", "errsentinel", "wgadd",
+		"floateq", "doccomment", "ctxfirst", "atomicsetload", "ctxdrop", "errsentinel",
 	} {
 		rec := &recorder{TB: t}
 		analysis.RunFixtureTest(rec, filepath.Join("testdata", "src", dir), nil)
@@ -66,19 +56,12 @@ func TestFixtureFailsWhenRuleDisabled(t *testing.T) {
 // every site.
 func TestRuleNamesStable(t *testing.T) {
 	want := map[string]bool{
-		"nondeterministic-map-range":  true,
-		"unseeded-or-global-rand":     true,
-		"goroutine-without-waitgroup": true,
-		"mutex-by-value":              true,
-		"float-equality":              true,
-		"missing-doc-comment":         true,
-		"span-leak":                   true,
-		"ctx-first":                   true,
-		"atomicsetload":               true,
-		"ctxdrop":                     true,
-		"lockhold":                    true,
-		"errsentinel":                 true,
-		"wgadd":                       true,
+		"ctx-first":           true,
+		"float-equality":      true,
+		"missing-doc-comment": true,
+		"atomicsetload":       true,
+		"ctxdrop":             true,
+		"errsentinel":         true,
 	}
 	got := Default()
 	if len(got) != len(want) {

@@ -1,39 +1,43 @@
 // Package fixture proves the //lint:ignore suppression directive: every
 // violation below carries a directive, so running the full default rule
 // set over this package must produce no diagnostics at all — except the
-// deliberately malformed directive at the bottom, which must be reported
-// rather than silently swallowed.
+// ones marked want: a directive naming the wrong rule, one naming a rule
+// that no longer exists, and a malformed directive, which must be
+// reported rather than silently swallowed.
 package fixture
 
-import "math/rand"
+import "errors"
 
-//lint:ignore unseeded-or-global-rand directive on the line above suppresses
-var fromGlobal = rand.Intn(10)
+var errStop = errors.New("stop")
+
+var lo, hi = 0.1, 0.2
+
+//lint:ignore float-equality directive on the line above suppresses
+var same = lo == hi
 
 // inline demonstrates a same-line directive.
-func inline() int {
-	return rand.Intn(3) //lint:ignore unseeded-or-global-rand same-line directive suppresses
+func inline(err error) bool {
+	return err == errStop //lint:ignore errsentinel same-line directive suppresses
 }
 
-// multiRule demonstrates suppressing one rule of several with a
+// multiRule demonstrates suppressing two rules on one line with a
 // comma-separated list.
-func multiRule(m map[string]int, a, b float64) []string {
-	var out []string
-	//lint:ignore nondeterministic-map-range,float-equality comma list covers both rules
-	for k := range m {
-		out = append(out, k)
-	}
-	//lint:ignore float-equality exact comparison is intentional here
-	if a == b {
-		return nil
-	}
-	return out
+func multiRule(err error, a, b float64) bool {
+	//lint:ignore errsentinel,float-equality comma list covers both rules
+	return err == errStop && a == b
 }
 
 // otherRule checks that a directive naming a different rule does NOT
 // suppress; this finding must still surface.
 func otherRule(a, b float64) bool {
-	//lint:ignore nondeterministic-map-range wrong rule name, does not apply
+	//lint:ignore errsentinel wrong rule name, does not apply
+	return a == b // want "epsilon"
+}
+
+// staleRule checks that a directive naming a deleted rule suppresses
+// nothing: the name matches no rule, so the finding still surfaces.
+func staleRule(a, b float64) bool {
+	//lint:ignore nondeterministic-map-range the rule is gone, does not apply
 	return a == b // want "epsilon"
 }
 

@@ -37,7 +37,7 @@ echo "==> go test -race (concurrency-bearing packages)"
 go test -race $short ./internal/cn/... ./internal/invindex/... \
     ./internal/cache/... ./internal/exec/... ./internal/lca/... ./internal/obs/... \
     ./internal/resilience/... ./internal/core/... ./internal/server/... \
-    ./internal/analysis/... ./internal/plan/... ./internal/shard/...
+    ./internal/plan/... ./internal/shard/...
 
 echo "==> fuzz smoke (10s): pool == TopKSerial on generated corpora"
 go test -run '^$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
@@ -51,7 +51,7 @@ go test -run '^$' -fuzz FuzzServeQuery -fuzztime 5s ./internal/server/
 echo "==> observability overhead gate (E38 budget: 5%)"
 go run ./cmd/benchrunner -obs-overhead
 
-echo "==> kwslint -json ./... (report: kwslint.json)"
-go run ./cmd/kwslint -json ./... > kwslint.json
+echo "==> kwslint ./..."
+go run ./cmd/kwslint ./...
 
 echo "verify: OK"
