@@ -34,6 +34,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
 	go test -run '^$$' -fuzz FuzzJoinIndexMatchesSelectEq -fuzztime 5s ./internal/cn/
 	go test -run '^$$' -fuzz FuzzServeQuery -fuzztime 5s ./internal/server/
+	go test -run '^$$' -fuzz FuzzAppendJSONValue -fuzztime 5s ./internal/obs/
 
 lint:
 	go run ./cmd/kwslint ./...

@@ -36,16 +36,19 @@ type EdgeSpec struct {
 }
 
 // CN is one candidate network: a tree over tuple sets. Nodes and Edges
-// must not change once Canonical, PrefixKey or an Evaluator has seen the
-// CN: its canonical string and its evaluation program (program.go) are
-// derived once and memoised, which is what lets the immutable CNs of a
-// plan.PlanSet be shared by every query on every goroutine.
+// must not change once String, Canonical, PrefixKey or an Evaluator has
+// seen the CN: its rendered and canonical strings and its evaluation
+// program (program.go) are derived once and memoised, which is what lets
+// the immutable CNs of a plan.PlanSet be shared by every query on every
+// goroutine.
 type CN struct {
 	Nodes []NodeSpec
 	Edges []EdgeSpec
 
 	canonOnce sync.Once
 	canon     string
+	strOnce   sync.Once
+	str       string
 	progOnce  sync.Once
 	prog      *program
 }
@@ -106,7 +109,14 @@ func (c *CN) leaves() []int {
 
 // String renders a compact linear form, e.g.
 // "author^Q ⋈ write^{} ⋈ paper^Q" for path CNs and a nested form otherwise.
+// Like Canonical it is computed on first use and memoised: every served
+// result's text names its CN.
 func (c *CN) String() string {
+	c.strOnce.Do(func() { c.str = c.render() })
+	return c.str
+}
+
+func (c *CN) render() string {
 	if len(c.Nodes) == 1 {
 		return c.Nodes[0].String()
 	}

@@ -87,3 +87,37 @@ func TestConcurrentEvaluationOnFreshBinding(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// TestConcurrentStringOnSharedCN renders each enumerated CN from eight
+// goroutines at once, the way every served answer of a plan-cached CN
+// names it. String is memoised on first use, so under -race this finds
+// an unsynchronised write, and every goroutine must read the text a
+// fresh clone renders.
+func TestConcurrentStringOnSharedCN(t *testing.T) {
+	cns := Enumerate(awpGraph(t), EnumerateOptions{
+		MaxSize:       5,
+		KeywordTables: []string{"author", "paper"},
+		FreeTables:    []string{"write", "author", "paper"},
+	})
+	if len(cns) < 4 {
+		t.Fatalf("fixture lost its shape: %d CNs", len(cns))
+	}
+	want := make([]string, len(cns))
+	for i, c := range cns {
+		want[i] = c.clone().String()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i, c := range cns {
+				if got := c.String(); got != want[i] {
+					t.Errorf("goroutine %d CN %d: String() = %q, want %q", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

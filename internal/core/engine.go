@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -129,11 +130,25 @@ type Result struct {
 func (r Result) String() string {
 	switch {
 	case r.CN != nil:
-		parts := make([]string, len(r.Tuples))
+		// Every served answer is rendered here, so the text is built
+		// in one buffer: "%.3f  table#id ⋈ …  via CN".
+		via := r.CN.String()
+		var num [32]byte
+		var b strings.Builder
+		b.Grow(len(via) + 16 + 24*len(r.Tuples))
+		b.Write(strconv.AppendFloat(num[:0], r.Score, 'f', 3, 64))
+		b.WriteString("  ")
 		for i, tp := range r.Tuples {
-			parts[i] = fmt.Sprintf("%s#%d", tp.Table, tp.ID)
+			if i > 0 {
+				b.WriteString(" ⋈ ")
+			}
+			b.WriteString(tp.Table)
+			b.WriteByte('#')
+			b.Write(strconv.AppendInt(num[:0], int64(tp.ID), 10))
 		}
-		return fmt.Sprintf("%.3f  %s  via %s", r.Score, strings.Join(parts, " ⋈ "), r.CN)
+		b.WriteString("  via ")
+		b.WriteString(via)
+		return b.String()
 	case r.Root != nil:
 		return fmt.Sprintf("cost %.2f  root %s#%d", r.Cost, r.Root.Table, r.Root.ID)
 	case r.Node != nil:
@@ -273,8 +288,12 @@ func (e *Engine) requireRelational() error {
 }
 
 // lookupSpan resolves every term's postings in the index under a
-// "lookup" child span recording the term and total posting counts.
+// "lookup" child span recording the term and total posting counts. The
+// walk exists only for those attributes, so an untraced query skips it.
 func (e *Engine) lookupSpan(sp *obs.Span, terms []string) {
+	if sp == nil {
+		return
+	}
 	lsp := sp.Child("lookup")
 	total := 0
 	for _, t := range terms {

@@ -185,7 +185,7 @@ func (l *Logger) log(level Level, msg string, fields []Field) {
 	b.WriteString(`","level":"`)
 	b.WriteString(level.String())
 	b.WriteString(`","msg":`)
-	appendJSONValue(&b, msg)
+	appendJSONString(&b, msg)
 	// Bound fields first, call fields after: at equal keys the call site
 	// wins, because later duplicate keys shadow earlier ones in every
 	// mainstream JSON decoder.
@@ -203,12 +203,12 @@ func (l *Logger) log(level Level, msg string, fields []Field) {
 
 func appendField(b *strings.Builder, f Field) {
 	b.WriteByte(',')
-	appendJSONValue(b, f.Key)
+	appendJSONString(b, f.Key)
 	b.WriteByte(':')
 	switch v := f.Value.(type) {
 	// The common scalar field types encode without reflection.
 	case string:
-		appendJSONValue(b, v)
+		appendJSONString(b, v)
 	case int:
 		b.WriteString(strconv.Itoa(v))
 	case int64:
@@ -218,10 +218,26 @@ func appendField(b *strings.Builder, f Field) {
 	case bool:
 		b.WriteString(strconv.FormatBool(v))
 	case time.Duration:
-		appendJSONValue(b, v.String())
+		appendJSONString(b, v.String())
 	default:
 		appendJSONValue(b, v)
 	}
+}
+
+// appendJSONString writes s exactly as json.Marshal(s) would. A string of
+// printable ASCII without '"', '\' or the HTML-escaped '<', '>', '&' is
+// emitted verbatim between quotes — request ids, routes, keys, durations
+// — and only the rest pays for json.Marshal.
+func appendJSONString(b *strings.Builder, s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			appendJSONValue(b, s)
+			return
+		}
+	}
+	b.WriteByte('"')
+	b.WriteString(s)
+	b.WriteByte('"')
 }
 
 // appendJSONValue writes v's JSON encoding, degrading to a quoted %v

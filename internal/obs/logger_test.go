@@ -230,3 +230,34 @@ func TestLoggerEnabledGuard(t *testing.T) {
 		t.Errorf("Level() = %v", lg.Level())
 	}
 }
+
+// FuzzAppendJSONValue pins the log's string fast path: for every string,
+// appendJSONString — and appendJSONValue, which the other field types
+// take — must write exactly json.Marshal's bytes, so no log line changes
+// whichever path a field takes. The seeds sit on both sides of the
+// verbatim test: HTML-escaped bytes, quote and backslash, control bytes,
+// DEL, U+2028/U+2029, invalid UTF-8, and Korean and Japanese text.
+func FuzzAppendJSONValue(f *testing.F) {
+	for _, s := range []string{
+		"", "request", "/query", "1a2b3c-42", "12.5µs", "1.5ms",
+		"<", ">", "&", "a<b>&c", `"`, `\`, `say "hi" \ bye`,
+		"\x00", "\t", "\n", "\r\n", "\x1f", "\x7f", " ~",
+		"\u2028", "\u2029", "line\u2028sep",
+		"\xff", "\xc3\x28", "\xed\xa0\x80", "ok\x80",
+		"키워드 검색", "データベース検索", "검색 <b>&</b>",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var str, val strings.Builder
+		appendJSONString(&str, s)
+		appendJSONValue(&val, s)
+		if str.String() != string(want) || val.String() != string(want) {
+			t.Fatalf("%q: appendJSONString %s, appendJSONValue %s, json.Marshal %s", s, str.String(), val.String(), want)
+		}
+	})
+}

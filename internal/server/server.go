@@ -552,13 +552,12 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
 	s.writeJSON(w, status, QueryResponse{Status: status, Error: msg, Code: code})
 }
 
-// writeJSON renders v with the mapped status, counting the outcome class
-// in the registry ("server.status.<code>").
+// writeJSON renders v as compact JSON with the mapped status, counting
+// the outcome class in the registry ("server.status.<code>"). Bodies are
+// for programs; indenting them cost a tenth of a served hit's CPU.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	s.reg.Counter(fmt.Sprintf("server.status.%d", status)).Inc()
+	s.reg.Counter("server.status." + strconv.Itoa(status)).Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

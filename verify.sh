@@ -48,6 +48,9 @@ go test -run '^$' -fuzz FuzzJoinIndexMatchesSelectEq -fuzztime 5s ./internal/cn/
 echo "==> fuzz smoke (5s): /query and /batch decoders answer every body with a wire status"
 go test -run '^$' -fuzz FuzzServeQuery -fuzztime 5s ./internal/server/
 
+echo "==> fuzz smoke (5s): log strings encode exactly as json.Marshal"
+go test -run '^$' -fuzz FuzzAppendJSONValue -fuzztime 5s ./internal/obs/
+
 echo "==> observability overhead gate (E38 budget: 5%)"
 go run ./cmd/benchrunner -obs-overhead
 
