@@ -35,6 +35,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzJoinIndexMatchesSelectEq -fuzztime 5s ./internal/cn/
 	go test -run '^$$' -fuzz FuzzServeQuery -fuzztime 5s ./internal/server/
 	go test -run '^$$' -fuzz FuzzAppendJSONValue -fuzztime 5s ./internal/obs/
+	go test -run '^$$' -fuzz '^FuzzHistogram$$' -fuzztime 5s ./internal/obs/
 
 lint:
 	go run ./cmd/kwslint ./...

@@ -77,13 +77,13 @@ func runE11() error {
 func runE12() error {
 	ix := xmltree.NewIndex(dataset.ConfDemoXML())
 	slca := func(ix *xmltree.Index, terms []string) []*xmltree.Node {
-		return lca.SLCA(ix, terms)
+		return lca.SLCA(ix, terms, nil)
 	}
 	broken := func(ix2 *xmltree.Index, terms []string) []*xmltree.Node {
 		if len(terms) >= 3 {
 			return ix2.Tree().NodesByLabel("demo")
 		}
-		return lca.SLCA(ix2, terms)
+		return lca.SLCA(ix2, terms, nil)
 	}
 	vGood := eval.CheckQueryConsistency(slca, ix, []string{"paper", "mark"}, "sigmod")
 	vBad := eval.CheckQueryConsistency(broken, ix, []string{"paper", "mark"}, "sigmod")

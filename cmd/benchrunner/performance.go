@@ -41,9 +41,9 @@ func runE15() error {
 		ix := xmltree.NewIndex(tr)
 		terms := []string{"k0", "k1"}
 		a := lca.ELCA(ix, terms)
-		b := lca.ELCAStack(ix, terms)
+		b := lca.ELCAStack(ix, terms, nil)
 		tIndexed := timeIt(5, func() { lca.ELCA(ix, terms) })
-		tScan := timeIt(5, func() { lca.ELCAStack(ix, terms) })
+		tScan := timeIt(5, func() { lca.ELCAStack(ix, terms, nil) })
 		fmt.Printf("   |Smin|=%-4d |Smax|=2000: indexed %-10v scan %-10v (results %d=%d)\n",
 			smin, tIndexed, tScan, len(a), len(b))
 		if len(a) != len(b) {
@@ -148,10 +148,10 @@ func runE20() error {
 		tr := dataset.KeywordTree(4, 5, map[string]int{"k0": smin, "k1": 2000}, 2)
 		ix := xmltree.NewIndex(tr)
 		terms := []string{"k0", "k1"}
-		tILE := timeIt(5, func() { lca.SLCA(ix, terms) })
+		tILE := timeIt(5, func() { lca.SLCA(ix, terms, nil) })
 		tScan := timeIt(5, func() { lca.SLCAScan(ix, terms) })
 		tMulti := timeIt(5, func() { lca.SLCAMultiway(ix, terms) })
-		a, b := lca.SLCA(ix, terms), lca.SLCAScan(ix, terms)
+		a, b := lca.SLCA(ix, terms, nil), lca.SLCAScan(ix, terms)
 		fmt.Printf("   |Smin|=%-5d: ILE %-10v scan %-10v multiway %-10v (results %d=%d)\n",
 			smin, tILE, tScan, tMulti, len(a), len(b))
 		if len(a) != len(b) {

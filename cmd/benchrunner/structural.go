@@ -98,7 +98,7 @@ func runE4() error {
 	ix := xmltree.NewIndex(dataset.ConfXML())
 	terms := []string{"keyword", "mark"}
 	cas := lca.CommonAncestors(ix, terms)
-	slcas := lca.SLCA(ix, terms)
+	slcas := lca.SLCA(ix, terms, nil)
 	fmt.Printf("   CAs:  %s\n", nodeLabels(cas))
 	fmt.Printf("   SLCA: %s\n", nodeLabels(slcas))
 	return firstErr(

@@ -122,7 +122,7 @@ func main() {
 	}
 
 	if *serve != "" {
-		srv, err := obs.ServeWith(*serve, engine.Registry(), slowlog)
+		srv, err := obs.Serve(*serve, engine.Registry(), slowlog)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

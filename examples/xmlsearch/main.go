@@ -22,11 +22,11 @@ func main() {
 	terms := []string{"paper", "mark"}
 	fmt.Printf("Q = %v on the conf document\n", terms)
 	fmt.Println("SLCA results:")
-	for _, n := range lca.SLCA(ix, terms) {
+	for _, n := range lca.SLCA(ix, terms, nil) {
 		fmt.Printf("  %s (%s)\n", n.LabelPath(), n.Dewey)
 	}
 	fmt.Println("ELCA results:")
-	for _, n := range lca.ELCAStack(ix, terms) {
+	for _, n := range lca.ELCAStack(ix, terms, nil) {
 		fmt.Printf("  %s (%s)\n", n.LabelPath(), n.Dewey)
 	}
 
@@ -34,7 +34,7 @@ func main() {
 	cats := xseek.Classify(conf)
 	qa := xseek.AnalyzeQuery(conf, terms)
 	fmt.Printf("\nXSeek: return labels %v, predicates %v\n", qa.ReturnLabels, qa.Predicates)
-	for _, r := range lca.SLCA(ix, terms) {
+	for _, r := range lca.SLCA(ix, terms, nil) {
 		for _, rn := range xseek.InferReturnNodes(conf, cats, qa, r) {
 			kind := "implicit entity"
 			if rn.Explicit {

@@ -176,7 +176,7 @@ type Engine struct {
 	// Metrics is the engine's metrics registry: the inverted index, the
 	// execution layer and its caches surface their counters here, and
 	// Query records per-query histograms. Populated by the constructors;
-	// serve it with obs.Serve for live inspection.
+	// serve it with obs.Serve or internal/server for live inspection.
 	Metrics *obs.Registry
 
 	// Exec is the concurrent cached execution layer every
@@ -246,12 +246,10 @@ func NewRelational(db *relstore.DB) *Engine {
 const DefaultSLOThreshold = 100 * time.Millisecond
 
 // registerQuerySLO installs the engine-level latency SLO over the
-// windowed query.latency_us series: 99% of queries under
-// DefaultSLOThreshold.
+// query.elapsed_us histogram: 99% of queries under DefaultSLOThreshold.
 func registerQuerySLO(reg *obs.Registry) {
-	_ = reg.Windowed("query.latency_us") // create the series eagerly
 	reg.RegisterSLO("query_latency", obs.SLO{
-		Series:    "query.latency_us",
+		Series:    "query.elapsed_us",
 		Threshold: float64(DefaultSLOThreshold.Microseconds()),
 		Objective: 0.99,
 	})
@@ -507,13 +505,13 @@ func (e *Engine) searchXML(ctx context.Context, terms []string, req Request, sp 
 	switch {
 	case req.Semantics == ELCA:
 		vsp.SetAttr("algorithm", "elca-stack")
-		nodes = lca.ELCAStackTraced(e.XIndex, terms, vsp)
+		nodes = lca.ELCAStack(e.XIndex, terms, vsp)
 	case req.Workers > 1:
 		vsp.SetAttr("algorithm", "slca-parallel")
-		nodes, err = lca.SLCAParallelCtx(ctx, e.XIndex, terms, req.Workers, vsp)
+		nodes, err = lca.SLCAParallel(ctx, e.XIndex, terms, req.Workers, vsp)
 	default:
 		vsp.SetAttr("algorithm", "slca-ile")
-		nodes = lca.SLCATraced(e.XIndex, terms, vsp)
+		nodes = lca.SLCA(e.XIndex, terms, vsp)
 	}
 	vsp.End()
 	if err != nil {

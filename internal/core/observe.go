@@ -91,6 +91,11 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		defer cancel()
 	}
 	start := time.Now()
+	if e.Metrics != nil {
+		// One query.elapsed_us observation per call, whatever the
+		// outcome: shed, failed, partial or complete.
+		defer e.observeElapsed(start)
+	}
 	lg := obs.FromContext(ctx)
 
 	// Tail sampling: with a slow-query log installed every query runs a
@@ -117,15 +122,9 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		release, err := e.gate.Acquire(ctx)
 		asp.End()
 		if err != nil {
+			// The gate counts the outcome as admission.shed or
+			// admission.deadline.
 			asp.SetAttr("rejected", true)
-			if e.Metrics != nil {
-				switch {
-				case errors.Is(err, ErrOverloaded):
-					e.Metrics.Counter("query.shed").Inc()
-				case errors.Is(err, ErrDeadlineExceeded):
-					e.Metrics.Counter("query.deadline").Inc()
-				}
-			}
 			root.End()
 			e.captureRejected(ctx, req, root, err, time.Since(start), lg)
 			return nil, err
@@ -197,14 +196,8 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		root.SetAttr("partial", true)
 	}
 	root.End()
-	if e.Metrics != nil {
-		us := float64(st.Elapsed.Microseconds())
-		e.Metrics.Histogram("query.elapsed_us").Observe(us)
-		e.Metrics.Windowed("query.latency_us").Observe(us)
-		if partial {
-			e.Metrics.Counter("query.deadline").Inc()
-			e.Metrics.Counter("query.partial").Inc()
-		}
+	if partial && e.Metrics != nil {
+		e.Metrics.Counter("query.partial").Inc()
 	}
 	if outcome, ok := e.slowlog.Classify(st.Elapsed, false, partial); ok {
 		e.capture(ctx, req, root, &st, outcome, "", st.Elapsed, lg)
@@ -223,6 +216,11 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		trace = root
 	}
 	return &Response{Results: results, Partial: partial, Stats: st, Trace: trace}, nil
+}
+
+// observeElapsed records one Query call's wall time in query.elapsed_us.
+func (e *Engine) observeElapsed(start time.Time) {
+	e.Metrics.Histogram("query.elapsed_us").Observe(float64(time.Since(start).Microseconds()))
 }
 
 // SetSlowLog installs (or, with nil, removes) the tail-sampling

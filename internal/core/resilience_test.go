@@ -155,8 +155,8 @@ func TestAdmissionShedsExcessQueries(t *testing.T) {
 	if _, err := e.Query(context.Background(), Request{Query: "Widom XML"}); !errors.Is(err, ErrOverloaded) {
 		t.Errorf("second query err = %v, want ErrOverloaded", err)
 	}
-	if got := e.Metrics.Snapshot().Counters["query.shed"]; got != 1 {
-		t.Errorf("query.shed = %d, want 1", got)
+	if got := e.Metrics.Snapshot().Counters["admission.shed"]; got != 1 {
+		t.Errorf("admission.shed = %d, want 1", got)
 	}
 
 	cancel()

@@ -9,6 +9,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -168,15 +170,38 @@ func TestQueryWindowedLatencyRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := e.Metrics.Snapshot()
-	win, ok := s.Windows["query.latency_us"]
+	h, ok := s.Histograms["query.elapsed_us"]
 	if !ok {
-		t.Fatal("windowed latency series missing")
+		t.Fatal("query latency histogram missing")
 	}
-	if win.Last1m.Count != 1 || win.Last5m.Count != 1 {
-		t.Errorf("windowed counts = %+v", win)
+	if h.Count != 1 || h.Last1m.Count != 1 || h.Last5m.Count != 1 {
+		t.Errorf("lifetime/1m/5m counts = %d/%d/%d, want 1 each", h.Count, h.Last1m.Count, h.Last5m.Count)
 	}
-	if _, ok := s.SLOs["query_latency"]; !ok {
-		t.Error("query_latency SLO missing from snapshot")
+	if slo, ok := s.SLOs["query_latency"]; !ok || slo.Series != "query.elapsed_us" {
+		t.Errorf("query_latency SLO = %+v, %v; want it over query.elapsed_us", slo, ok)
+	}
+}
+
+// TestQueryLatencySLOBoundary: queries at 70ms under the 100ms objective
+// burn no budget, and 101ms queries count as bad. The default SLO
+// threshold is a default bucket bound, so the accounting is exact.
+func TestQueryLatencySLOBoundary(t *testing.T) {
+	thr := float64(DefaultSLOThreshold.Microseconds())
+	if i := sort.SearchFloat64s(obs.DefaultBuckets, thr); i == len(obs.DefaultBuckets) || obs.DefaultBuckets[i] != thr {
+		t.Fatalf("DefaultSLOThreshold %vµs is not a default bucket bound %v", thr, obs.DefaultBuckets)
+	}
+	e := NewRelational(dataset.WidomBib())
+	h := e.Metrics.Histogram("query.elapsed_us")
+	for i := 0; i < 100; i++ {
+		h.Observe(float64((70 * time.Millisecond).Microseconds()))
+	}
+	if slo := e.Metrics.Snapshot().SLOs["query_latency"]; slo.BurnRate1m != 0 || slo.BurnRate5m != 0 {
+		t.Errorf("100 queries at 70ms: burn %v / %v, want 0", slo.BurnRate1m, slo.BurnRate5m)
+	}
+	h.Observe(float64((101 * time.Millisecond).Microseconds()))
+	want := (1.0 / 101) / (1 - 0.99)
+	if slo := e.Metrics.Snapshot().SLOs["query_latency"]; math.Abs(slo.BurnRate1m-want) > 1e-9 {
+		t.Errorf("one 101ms query of 101: burn %v, want %v", slo.BurnRate1m, want)
 	}
 }
 

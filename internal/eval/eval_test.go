@@ -11,14 +11,14 @@ import (
 
 // slcaEngine adapts the SLCA search to the Engine interface.
 func slcaEngine(ix *xmltree.Index, terms []string) []*xmltree.Node {
-	return lca.SLCA(ix, terms)
+	return lca.SLCA(ix, terms, nil)
 }
 
 // brokenEngine deliberately violates query consistency (the slide-109
 // pathology): for the larger query it returns subtrees that do NOT contain
 // the added keyword.
 func brokenEngine(ix *xmltree.Index, terms []string) []*xmltree.Node {
-	res := lca.SLCA(ix, terms)
+	res := lca.SLCA(ix, terms, nil)
 	if len(terms) < 3 {
 		return res
 	}
@@ -98,7 +98,7 @@ func TestDataAxioms(t *testing.T) {
 		if ix.Tree().Len() > before.Tree().Len() {
 			return nil // drops everything once data is added
 		}
-		return lca.SLCA(ix, terms)
+		return lca.SLCA(ix, terms, nil)
 	}
 	if v := CheckDataMonotonicity(shrinker, before, after, terms); len(v) == 0 {
 		t.Errorf("shrinking engine not caught")
@@ -108,9 +108,9 @@ func TestDataAxioms(t *testing.T) {
 		if ix.Tree().Len() > before.Tree().Len() {
 			// Returns the old name node, which was not a result before and
 			// does not touch the inserted data.
-			return append(lca.SLCA(ix, terms), ix.Tree().NodesByLabel("name")...)
+			return append(lca.SLCA(ix, terms, nil), ix.Tree().NodesByLabel("name")...)
 		}
-		return lca.SLCA(ix, terms)
+		return lca.SLCA(ix, terms, nil)
 	}
 	if v := CheckDataConsistency(inventor, before, after, terms); len(v) == 0 {
 		t.Errorf("inventing engine not caught")

@@ -18,7 +18,7 @@ func TestSLCAParallelCtxCancelled(t *testing.T) {
 	ix := xmltree.NewIndex(tr)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ns, err := SLCAParallelCtx(ctx, ix, []string{"k0", "k1"}, 4, nil)
+	ns, err := SLCAParallel(ctx, ix, []string{"k0", "k1"}, 4, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
@@ -40,7 +40,7 @@ func TestSLCAParallelCtxInjectedFault(t *testing.T) {
 		ix := xmltree.NewIndex(tr)
 		in := resilience.NewInjector(1).Arm(resilience.StageSLCARange, resilience.Fault{Err: boom})
 		ctx := resilience.WithInjector(context.Background(), in)
-		ns, err := SLCAParallelCtx(ctx, ix, []string{"k0", "k1"}, 4, nil)
+		ns, err := SLCAParallel(ctx, ix, []string{"k0", "k1"}, 4, nil)
 		if !errors.Is(err, boom) {
 			t.Errorf("%s: err = %v, want injected fault", name, err)
 		}
@@ -50,13 +50,13 @@ func TestSLCAParallelCtxInjectedFault(t *testing.T) {
 	}
 }
 
-// TestSLCAParallelCtxMatchesSerialWhenUninterrupted: the ctx variant with
-// a live context is the same algorithm.
+// TestSLCAParallelCtxMatchesSerialWhenUninterrupted: with a live context
+// SLCAParallel returns exactly serial SLCA's answer.
 func TestSLCAParallelCtxMatchesSerialWhenUninterrupted(t *testing.T) {
 	tr := dataset.KeywordTree(4, 5, map[string]int{"k0": 300, "k1": 2000}, 3)
 	ix := xmltree.NewIndex(tr)
-	want := SLCA(ix, []string{"k0", "k1"})
-	got, err := SLCAParallelCtx(context.Background(), ix, []string{"k0", "k1"}, 4, nil)
+	want := SLCA(ix, []string{"k0", "k1"}, nil)
+	got, err := SLCAParallel(context.Background(), ix, []string{"k0", "k1"}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

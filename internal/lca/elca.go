@@ -7,24 +7,17 @@ import (
 	"kwsearch/internal/xmltree"
 )
 
-// ELCAStackTraced is ELCAStack recording its work onto sp (nil disables
-// tracing): per-term posting-list sizes and the result count.
-func ELCAStackTraced(ix *xmltree.Index, terms []string, sp *obs.Span) []*xmltree.Node {
-	lists := lookupLists(ix, terms)
-	recordListSizes(sp, lists)
-	out := ELCAStack(ix, terms)
-	sp.SetAttr("elcas", len(out))
-	return out
-}
-
 // ELCAStack computes the Exclusive LCAs in one pass over the merged match
 // stream with a path stack — the DIL-style semantics of XRank (Guo et al.
 // SIGMOD'03): a node is an ELCA if its subtree covers every keyword using
 // only witnesses that are not inside an all-keyword descendant.
-// O(d·Σ|Sᵢ|) after the merge.
-func ELCAStack(ix *xmltree.Index, terms []string) []*xmltree.Node {
+// O(d·Σ|Sᵢ|) after the merge. It records its work onto sp (nil disables
+// tracing): per-term posting-list sizes and the result count.
+func ELCAStack(ix *xmltree.Index, terms []string, sp *obs.Span) []*xmltree.Node {
 	lists := lookupLists(ix, terms)
+	recordListSizes(sp, lists)
 	if lists == nil {
+		sp.SetAttr("elcas", 0)
 		return nil
 	}
 	full := (uint32(1) << uint(len(terms))) - 1
@@ -102,6 +95,7 @@ func ELCAStack(ix *xmltree.Index, terms []string) []*xmltree.Node {
 		pop()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	sp.SetAttr("elcas", len(out))
 	return out
 }
 

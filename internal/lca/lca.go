@@ -141,15 +141,11 @@ func anchorCandidate(v *xmltree.Node, lists [][]*xmltree.Node, skip int) xmltree
 
 // SLCA computes the smallest LCAs with the Indexed-Lookup-Eager strategy:
 // anchor on the shortest list, binary-search the others —
-// O(k·d·|Smin|·log|Smax|), the complexity slide 138 quotes.
-func SLCA(ix *xmltree.Index, terms []string) []*xmltree.Node {
-	return SLCATraced(ix, terms, nil)
-}
-
-// SLCATraced is SLCA recording its work onto sp (nil disables tracing):
-// per-term posting-list sizes, the anchor count (shortest list), and the
-// candidate count before minimalization.
-func SLCATraced(ix *xmltree.Index, terms []string, sp *obs.Span) []*xmltree.Node {
+// O(k·d·|Smin|·log|Smax|), the complexity slide 138 quotes. It records
+// its work onto sp (nil disables tracing): per-term posting-list sizes,
+// the anchor count (shortest list), and the candidate count before
+// minimalization.
+func SLCA(ix *xmltree.Index, terms []string, sp *obs.Span) []*xmltree.Node {
 	lists := lookupLists(ix, terms)
 	if lists == nil {
 		sp.SetAttr("anchors", 0)

@@ -44,7 +44,7 @@ func TestSlide33SLCA(t *testing.T) {
 		t.Fatalf("CAs = %s,%s", cas[0].Label, cas[1].Label)
 	}
 
-	slca := SLCA(ix, terms)
+	slca := SLCA(ix, terms, nil)
 	if len(slca) != 1 || slca[0].Label != "paper" {
 		t.Fatalf("SLCA = %v", ids(slca))
 	}
@@ -58,7 +58,7 @@ func TestSlide33SLCA(t *testing.T) {
 // the SLCAs are the two author nodes themselves.
 func TestSlide33BothPapers(t *testing.T) {
 	ix := xmltree.NewIndex(dataset.ConfXML())
-	slca := SLCA(ix, []string{"mark"})
+	slca := SLCA(ix, []string{"mark"}, nil)
 	if len(slca) != 2 {
 		t.Fatalf("SLCA = %v", ids(slca))
 	}
@@ -71,13 +71,13 @@ func TestSlide33BothPapers(t *testing.T) {
 
 func TestNoMatchTerms(t *testing.T) {
 	ix := xmltree.NewIndex(dataset.ConfXML())
-	if got := SLCA(ix, []string{"keyword", "nosuch"}); got != nil {
+	if got := SLCA(ix, []string{"keyword", "nosuch"}, nil); got != nil {
 		t.Errorf("SLCA with unmatched term = %v", ids(got))
 	}
 	if got := ELCA(ix, []string{"nosuch"}); got != nil {
 		t.Errorf("ELCA with unmatched term = %v", ids(got))
 	}
-	if got := SLCA(ix, nil); got != nil {
+	if got := SLCA(ix, nil, nil); got != nil {
 		t.Errorf("SLCA with empty query = %v", ids(got))
 	}
 }
@@ -96,11 +96,11 @@ func TestELCAIncludesAncestorWithOwnWitness(t *testing.T) {
 	ix := xmltree.NewIndex(b.Freeze())
 	terms := []string{"keyword", "mark"}
 
-	slca := SLCA(ix, terms)
+	slca := SLCA(ix, terms, nil)
 	if len(slca) != 1 || slca[0].Label != "paper" {
 		t.Fatalf("SLCA = %v", ids(slca))
 	}
-	elca := ELCAStack(ix, terms)
+	elca := ELCAStack(ix, terms, nil)
 	if len(elca) != 2 {
 		t.Fatalf("ELCA = %v, want paper and conf", ids(elca))
 	}
@@ -128,7 +128,7 @@ func TestELCAExclusionSemantics(t *testing.T) {
 	terms := []string{"k1", "k2"}
 
 	for name, fn := range map[string]func(*xmltree.Index, []string) []*xmltree.Node{
-		"stack": ELCAStack, "indexed": ELCA, "brute": ELCABrute,
+		"stack": elcaStack, "indexed": ELCA, "brute": ELCABrute,
 	} {
 		got := fn(ix, terms)
 		if len(got) != 1 || got[0].Label != "d" {
@@ -136,6 +136,9 @@ func TestELCAExclusionSemantics(t *testing.T) {
 		}
 	}
 }
+
+// elcaStack is untraced ELCAStack in the candidates-function shape.
+func elcaStack(ix *xmltree.Index, terms []string) []*xmltree.Node { return ELCAStack(ix, terms, nil) }
 
 func randomTreeIndex(seed int64) *xmltree.Index {
 	rng := rand.New(rand.NewSource(seed))
@@ -163,7 +166,7 @@ func TestSLCAAlgorithmsAgree(t *testing.T) {
 		ix := randomTreeIndex(seed)
 		for _, terms := range [][]string{{"k0", "k1"}, {"k0", "k1", "k2"}, {"k2"}} {
 			want := SLCABrute(ix, terms)
-			if !sameNodes(SLCA(ix, terms), want) {
+			if !sameNodes(SLCA(ix, terms, nil), want) {
 				return false
 			}
 			if !sameNodes(SLCAScan(ix, terms), want) {
@@ -187,7 +190,7 @@ func TestELCAAlgorithmsAgree(t *testing.T) {
 		ix := randomTreeIndex(seed)
 		for _, terms := range [][]string{{"k0", "k1"}, {"k0", "k1", "k2"}} {
 			want := ELCABrute(ix, terms)
-			if !sameNodes(ELCAStack(ix, terms), want) {
+			if !sameNodes(ELCAStack(ix, terms, nil), want) {
 				return false
 			}
 			if !sameNodes(ELCA(ix, terms), want) {
@@ -221,12 +224,12 @@ func TestAlgorithmsAgreeOnKeywordTree(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("no SLCAs in benchmark tree")
 	}
-	if !sameNodes(SLCA(ix, terms), want) || !sameNodes(SLCAScan(ix, terms), want) ||
+	if !sameNodes(SLCA(ix, terms, nil), want) || !sameNodes(SLCAScan(ix, terms), want) ||
 		!sameNodes(SLCAMultiway(ix, terms), want) {
 		t.Fatal("SLCA variants disagree on benchmark tree")
 	}
 	wantE := ELCABrute(ix, terms)
-	if !sameNodes(ELCAStack(ix, terms), wantE) || !sameNodes(ELCA(ix, terms), wantE) {
+	if !sameNodes(ELCAStack(ix, terms, nil), wantE) || !sameNodes(ELCA(ix, terms), wantE) {
 		t.Fatal("ELCA variants disagree on benchmark tree")
 	}
 }
@@ -259,7 +262,7 @@ func TestTopKRanksTighterResultsFirst(t *testing.T) {
 		t.Errorf("scores = %v / %v", got[0].Score, got[1].Score)
 	}
 	// k caps output; ELCA semantics pluggable.
-	if topped := TopK(ix, terms, 1, ELCAStack); len(topped) != 1 {
+	if topped := TopK(ix, terms, 1, elcaStack); len(topped) != 1 {
 		t.Errorf("k cap ignored: %d", len(topped))
 	}
 	if none := TopK(ix, []string{"absent"}, 3, nil); none != nil {

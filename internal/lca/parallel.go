@@ -29,27 +29,20 @@ const slcaParallelMinAnchors = 64
 // (an ancestor produced in one range with a descendant candidate in the
 // next is pruned exactly as in the serial merge). Results are identical
 // to SLCA for every worker count.
-func SLCAParallel(ix *xmltree.Index, terms []string, workers int) []*xmltree.Node {
-	return SLCAParallelTraced(ix, terms, workers, nil)
-}
-
-// SLCAParallelTraced is SLCAParallel recording its work onto sp (nil
-// disables tracing): list sizes, the anchor count, and one child span per
-// range worker carrying that range's bounds and candidate count. Child
-// spans are created in the launch loop, before any goroutine starts, so
-// the span tree's shape is deterministic for a given worker count.
-func SLCAParallelTraced(ix *xmltree.Index, terms []string, workers int, sp *obs.Span) []*xmltree.Node {
-	ns, _ := SLCAParallelCtx(context.Background(), ix, terms, workers, sp)
-	return ns
-}
-
-// SLCAParallelCtx is the context-first parallel SLCA: each range worker
-// checks cancellation every slcaCtxCheckStride anchors and consults the
-// fault injector (resilience.StageSLCARange) once per range. A cancelled
-// computation returns nil and the interrupting error — SLCA minimality
-// is a global property, so a subset of the candidates could wrongly keep
-// an ancestor whose descendant match was never produced.
-func SLCAParallelCtx(ctx context.Context, ix *xmltree.Index, terms []string, workers int, sp *obs.Span) ([]*xmltree.Node, error) {
+//
+// Each range worker checks cancellation every slcaCtxCheckStride anchors
+// and consults the fault injector (resilience.StageSLCARange) once per
+// range. A cancelled computation returns nil and the interrupting error
+// — SLCA minimality is a global property, so a subset of the candidates
+// could wrongly keep an ancestor whose descendant match was never
+// produced.
+//
+// It records its work onto sp (nil disables tracing): list sizes, the
+// anchor count, and one child span per range worker carrying that
+// range's bounds and candidate count. Child spans are created in the
+// launch loop, before any goroutine starts, so the span tree's shape is
+// deterministic for a given worker count.
+func SLCAParallel(ctx context.Context, ix *xmltree.Index, terms []string, workers int, sp *obs.Span) ([]*xmltree.Node, error) {
 	lists := lookupLists(ix, terms)
 	if lists == nil {
 		sp.SetAttr("anchors", 0)
@@ -81,7 +74,7 @@ func SLCAParallelCtx(ctx context.Context, ix *xmltree.Index, terms []string, wor
 		}
 		child := sp.Child("slca-serial")
 		defer child.End()
-		return SLCATraced(ix, terms, child), nil
+		return SLCA(ix, terms, child), nil
 	}
 	sp.SetAttr("serial_fallback", false)
 	sp.SetAttr("ranges", workers)

@@ -1,6 +1,7 @@
 package lca
 
 import (
+	"context"
 	"testing"
 
 	"kwsearch/internal/dataset"
@@ -20,9 +21,12 @@ func TestSLCAParallelMatchesSerial(t *testing.T) {
 		tr := dataset.KeywordTree(4, 5, counts, 3)
 		ix := xmltree.NewIndex(tr)
 		terms := []string{"k0", "k1"}
-		want := SLCA(ix, terms)
+		want := SLCA(ix, terms, nil)
 		for _, workers := range []int{0, 1, 2, 3, 4, 8, 64} {
-			got := SLCAParallel(ix, terms, workers)
+			got, err := SLCAParallel(context.Background(), ix, terms, workers, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(got) != len(want) {
 				t.Fatalf("counts=%v workers=%d: %d results, want %d", counts, workers, len(got), len(want))
 			}
@@ -46,8 +50,11 @@ func TestSLCAParallelBoundaries(t *testing.T) {
 	tr := dataset.KeywordTree(3, 6, map[string]int{"k0": 500, "k1": 1}, 9)
 	ix := xmltree.NewIndex(tr)
 	terms := []string{"k0", "k1"}
-	want := SLCA(ix, terms)
-	got := SLCAParallel(ix, terms, 7) // worker count that does not divide 500
+	want := SLCA(ix, terms, nil)
+	got, err := SLCAParallel(context.Background(), ix, terms, 7, nil) // worker count that does not divide 500
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(want) {
 		t.Fatalf("boundary merge broke: %d results, want %d", len(got), len(want))
 	}
@@ -57,7 +64,7 @@ func TestSLCAParallelBoundaries(t *testing.T) {
 		}
 	}
 	// No-match terms short-circuit identically.
-	if SLCAParallel(ix, []string{"k0", "absent"}, 4) != nil {
+	if got, _ := SLCAParallel(context.Background(), ix, []string{"k0", "absent"}, 4, nil); got != nil {
 		t.Fatal("missing term should yield nil")
 	}
 }

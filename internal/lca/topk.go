@@ -14,16 +14,18 @@ type ScoredResult struct {
 }
 
 // TopK returns the k best results under the given ?LCA semantics
-// (use SLCA or ELCAStack as the candidates function), ranked by a
+// (nil candidates means untraced SLCA), ranked by a
 // content-over-compactness score: Σ per-term log inverse element frequency
 // divided by the summed root-to-witness path lengths — the default XML
 // ranking the top-k engines of slide 137 optimize for (Chen &
 // Papakonstantinou ICDE'10 target exactly this kind of scored retrieval).
 func TopK(ix *xmltree.Index, terms []string, k int, candidates func(*xmltree.Index, []string) []*xmltree.Node) []ScoredResult {
+	var nodes []*xmltree.Node
 	if candidates == nil {
-		candidates = SLCA
+		nodes = SLCA(ix, terms, nil)
+	} else {
+		nodes = candidates(ix, terms)
 	}
-	nodes := candidates(ix, terms)
 	if len(nodes) == 0 {
 		return nil
 	}

@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -249,14 +248,6 @@ func appendJSONValue(b *strings.Builder, v interface{}) {
 		data, _ = json.Marshal(fmt.Sprintf("%v", v))
 	}
 	b.Write(data)
-}
-
-// SortedFields returns a copy of fields sorted by key — tests use it to
-// compare field sets order-independently.
-func SortedFields(fields []Field) []Field {
-	out := append([]Field(nil), fields...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }
 
 // Context plumbing. Two separate keys: the logger (which handlers derive

@@ -50,7 +50,7 @@ func TestNilSafety(t *testing.T) {
 	sp.SetAttr("k", 1)
 	sp.Child("c").End()
 	sp.End()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil metrics must read as zero")
 	}
 	if sp.String() != "" || sp.Shape() != "" || sp.Name() != "" {
@@ -198,14 +198,14 @@ func TestRegistryConcurrent(t *testing.T) {
 
 	// Lookups of one existing name take the read lock only, and every
 	// goroutine gets the registered metric, not a fresh one.
-	want := [4]any{r.Counter("c0"), r.Gauge("g"), r.Histogram("h"), r.Windowed("w")}
-	got := make([][4]any, 8)
+	want := [3]any{r.Counter("c0"), r.Gauge("g"), r.Histogram("h")}
+	got := make([][3]any, 8)
 	for g := range got {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				got[g] = [4]any{r.Counter("c0"), r.Gauge("g"), r.Histogram("h"), r.Windowed("w")}
+				got[g] = [3]any{r.Counter("c0"), r.Gauge("g"), r.Histogram("h")}
 			}
 		}(g)
 	}
@@ -220,7 +220,7 @@ func TestRegistryConcurrent(t *testing.T) {
 func TestServe(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("served").Add(3)
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := Serve("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}

@@ -10,11 +10,16 @@ package obs
 // Mapping:
 //   - counters  → "<name>_total" with TYPE counter;
 //   - gauges    → "<name>" with TYPE gauge;
-//   - histograms→ summary-style series: "<name>{quantile="0.5|0.95|0.99"}"
-//     plus "<name>_sum" / "<name>_count";
-//   - windowed  → the same summary series with a window="1m|5m" label;
+//   - histograms→ the lifetime view as a summary:
+//     "<name>{quantile="0.5|0.95|0.99"}" plus the monotonic
+//     "<name>_sum" / "<name>_count"; the 1m and 5m views as gauges,
+//     since their counts fall as slots age out:
+//     "<name>_window{window="1m|5m",quantile=...}" and
+//     "<name>_window_observations{window=...}";
 //   - SLOs      → "slo_burn_rate{slo="<name>",window=...}" gauges plus
 //     threshold/objective info gauges.
+//
+// Every metric name gets exactly one TYPE line.
 //
 // Metric names are sanitized (dots → underscores, invalid runes → '_')
 // and prefixed "kwsearch_"; output is sorted by name so scrapes are
@@ -22,7 +27,6 @@ package obs
 
 import (
 	"io"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -94,21 +98,15 @@ func (p *promWriter) sample(name, labels string, v string) {
 	}
 }
 
-// summarySeries emits one summary-style block (quantiles + sum + count)
-// under name with extra labels (may be "").
-func (p *promWriter) summarySeries(name, extraLabels string, h HistogramSnapshot) {
-	quantile := func(q, v string) {
-		labels := `quantile="` + q + `"`
-		if extraLabels != "" {
-			labels = extraLabels + "," + labels
-		}
-		p.sample(name, labels, v)
+// quantiles emits s's p50/p95/p99 under name, each labelled with its
+// quantile after labels (which may be "").
+func (p *promWriter) quantiles(name, labels string, s Summary) {
+	if labels != "" {
+		labels += ","
 	}
-	quantile("0.5", promFloat(h.P50))
-	quantile("0.95", promFloat(h.P95))
-	quantile("0.99", promFloat(h.P99))
-	p.sample(name+"_sum", extraLabels, promFloat(h.Sum))
-	p.sample(name+"_count", extraLabels, strconv.FormatUint(h.Count, 10))
+	p.sample(name, labels+`quantile="0.5"`, promFloat(s.P50))
+	p.sample(name, labels+`quantile="0.95"`, promFloat(s.P95))
+	p.sample(name, labels+`quantile="0.99"`, promFloat(s.P99))
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -136,16 +134,17 @@ func WritePromText(w io.Writer, s Snapshot) (int, error) {
 		p.sample(pn, "", strconv.FormatInt(s.Gauges[name], 10))
 	}
 	for _, name := range sortedKeys(s.Histograms) {
-		pn := promName(name)
+		pn, h := promName(name), s.Histograms[name]
 		p.typeLine(pn, "summary")
-		p.summarySeries(pn, "", s.Histograms[name])
-	}
-	for _, name := range sortedKeys(s.Windows) {
-		pn := promName(name)
-		p.typeLine(pn, "summary")
-		win := s.Windows[name]
-		p.summarySeries(pn, `window="1m"`, win.Last1m)
-		p.summarySeries(pn, `window="5m"`, win.Last5m)
+		p.quantiles(pn, "", h.Summary)
+		p.sample(pn+"_sum", "", promFloat(h.Sum))
+		p.sample(pn+"_count", "", strconv.FormatUint(h.Count, 10))
+		p.typeLine(pn+"_window", "gauge")
+		p.quantiles(pn+"_window", `window="1m"`, h.Last1m)
+		p.quantiles(pn+"_window", `window="5m"`, h.Last5m)
+		p.typeLine(pn+"_window_observations", "gauge")
+		p.sample(pn+"_window_observations", `window="1m"`, strconv.FormatUint(h.Last1m.Count, 10))
+		p.sample(pn+"_window_observations", `window="5m"`, strconv.FormatUint(h.Last5m.Count, 10))
 	}
 	if len(s.SLOs) > 0 {
 		burn := promNamePrefix + "slo_burn_rate"
@@ -172,12 +171,3 @@ func WritePromText(w io.Writer, s Snapshot) (int, error) {
 
 // promContentType is the exposition format content type scrapers expect.
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// PromHandler serves reg's snapshot in Prometheus text format — the
-// /metrics/prom endpoint.
-func PromHandler(reg *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", promContentType)
-		_, _ = WritePromText(w, reg.Snapshot())
-	})
-}

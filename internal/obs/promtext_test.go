@@ -76,13 +76,11 @@ func parsePromText(t *testing.T, text string) (map[string]float64, map[string]st
 			t.Fatalf("line %d: duplicate sample %q", ln+1, key)
 		}
 		samples[key] = v
-		// Samples must follow their family's TYPE line. Summary series
-		// share the family name with _sum/_count suffixes.
+		// Samples must follow their family's TYPE line. Only a summary's
+		// _sum/_count series share its family name.
 		family := strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")
-		if _, ok := types[name]; !ok {
-			if _, ok := types[family]; !ok {
-				t.Fatalf("line %d: sample %q precedes its TYPE line", ln+1, name)
-			}
+		if _, ok := types[name]; !ok && types[family] != "summary" {
+			t.Fatalf("line %d: sample %q precedes its TYPE line", ln+1, name)
 		}
 	}
 	return samples, types
@@ -96,9 +94,9 @@ func promFixture() *Registry {
 	for i := 1; i <= 100; i++ {
 		reg.Histogram("query.elapsed_us").Observe(float64(i))
 	}
-	w := reg.Windowed("server.latency_us").WithClock(fixedClock(time.Unix(9_000_000, 0)))
+	h := reg.Histogram("server.latency_us").WithClock(fixedClock(time.Unix(9_000_000, 0)))
 	for i := 0; i < 50; i++ {
-		w.Observe(200)
+		h.Observe(200)
 	}
 	reg.RegisterSLO("query_latency", SLO{Series: "server.latency_us", Threshold: 1024, Objective: 0.99})
 	return reg
@@ -135,12 +133,32 @@ func TestPromTextGrammarAndContent(t *testing.T) {
 	if v := samples[`kwsearch_query_elapsed_us{quantile="0.5"}`]; v <= 0 {
 		t.Errorf("p50 sample = %v", v)
 	}
-	if v := samples[`kwsearch_server_latency_us_count{window="1m"}`]; v != 50 {
+	// The lifetime view is the summary; the 1m/5m views, whose counts
+	// fall as slots age out, are gauges under their own names.
+	if types["kwsearch_server_latency_us"] != "summary" {
+		t.Errorf("lifetime TYPE = %q, want summary", types["kwsearch_server_latency_us"])
+	}
+	if v := samples[`kwsearch_server_latency_us_count`]; v != 50 {
+		t.Errorf("lifetime count = %v, want 50", v)
+	}
+	for _, name := range []string{"kwsearch_server_latency_us_window", "kwsearch_server_latency_us_window_observations"} {
+		if types[name] != "gauge" {
+			t.Errorf("%s TYPE = %q, want gauge", name, types[name])
+		}
+	}
+	if v := samples[`kwsearch_server_latency_us_window_observations{window="1m"}`]; v != 50 {
 		t.Errorf("windowed 1m count = %v, want 50", v)
 	}
-	if v := samples[`kwsearch_server_latency_us{window="5m",quantile="0.99"}`]; v <= 0 {
+	if v := samples[`kwsearch_server_latency_us_window{window="5m",quantile="0.99"}`]; v <= 0 {
 		t.Errorf("windowed p99 = %v", v)
 	}
+	for key := range samples {
+		if strings.Contains(key, "window=") && !strings.Contains(key, "_window") && !strings.HasPrefix(key, "kwsearch_slo_") {
+			t.Errorf("windowed sample %q rendered under a summary family", key)
+		}
+	}
+	// Exactly one TYPE line per name: parsePromText rejects a second one
+	// and a sample without its own (bar a summary's _sum/_count).
 	if v, ok := samples[`kwsearch_slo_burn_rate{slo="query_latency",window="1m"}`]; !ok || v != 0 {
 		t.Errorf("burn rate sample = %v, ok=%v (all observations under threshold)", v, ok)
 	}
@@ -195,7 +213,7 @@ func TestPromLabelEscaping(t *testing.T) {
 
 func TestPromHandlerEndToEnd(t *testing.T) {
 	reg := promFixture()
-	srv, err := Serve("127.0.0.1:0", reg)
+	srv, err := Serve("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

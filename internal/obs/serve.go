@@ -7,24 +7,18 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 )
 
 // Handler returns the observability mux for reg, for callers that mount
-// the endpoints on their own server (cmd/kwsd does):
+// the endpoints on their own server (internal/server does):
 //
-//	/metrics      — JSON Snapshot of reg (windows and SLO burn included)
-//	/metrics/prom — Prometheus text exposition of the same snapshot
-//	/debug/vars   — the process's expvar page (reg is also published
-//	                there under "kwsearch" on first call)
-//	/debug/pprof  — the standard pprof index, profiles included
-func Handler(reg *Registry) http.Handler { return HandlerWith(reg, nil) }
-
-// HandlerWith is Handler plus the slow-query log endpoint: when slowlog
-// is non-nil, /debug/slowlog serves its retained exemplars.
-func HandlerWith(reg *Registry, slowlog *SlowLog) http.Handler {
-	publishExpvar(reg)
+//	/metrics        — JSON Snapshot of reg (windows and SLO burn included)
+//	/metrics/prom   — Prometheus text exposition of the same snapshot
+//	/debug/slowlog  — slowlog's retained exemplars, when slowlog is non-nil
+//	/debug/vars     — the standard library's expvar page
+//	/debug/pprof    — the standard pprof index, profiles included
+func Handler(reg *Registry, slowlog *SlowLog) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -32,7 +26,10 @@ func HandlerWith(reg *Registry, slowlog *SlowLog) http.Handler {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(reg.Snapshot())
 	})
-	mux.Handle("/metrics/prom", PromHandler(reg))
+	mux.HandleFunc("/metrics/prom", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", promContentType)
+		_, _ = WritePromText(w, reg.Snapshot())
+	})
 	if slowlog != nil {
 		mux.Handle("/debug/slowlog", slowlog.Handler())
 	}
@@ -51,19 +48,15 @@ func HandlerWith(reg *Registry, slowlog *SlowLog) http.Handler {
 // errors synchronously and can read the chosen port from Addr when addr
 // ends in ":0"), then serves in a background goroutine. Stop it with
 // (*Server).Shutdown for a graceful drain, or Close to abort.
-func Serve(addr string, reg *Registry) (*Server, error) { return ServeWith(addr, reg, nil) }
-
-// ServeWith is Serve with a slow-query log mounted at /debug/slowlog
-// (when non-nil).
 //
 //lint:ignore ctx-first server lifetime is managed by Shutdown/Close, not a context
-func ServeWith(addr string, reg *Registry, slowlog *SlowLog) (*Server, error) {
+func Serve(addr string, reg *Registry, slowlog *SlowLog) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	srv := &Server{
-		http: &http.Server{Handler: HandlerWith(reg, slowlog), ReadHeaderTimeout: 5 * time.Second},
+		http: &http.Server{Handler: Handler(reg, slowlog), ReadHeaderTimeout: 5 * time.Second},
 		ln:   ln,
 		done: make(chan error, 1),
 	}
@@ -105,26 +98,4 @@ func (s *Server) Close() error {
 	err := s.http.Close()
 	<-s.done
 	return err
-}
-
-// expvarCur is the registry /debug/vars reflects; Handler publishes the
-// expvar Func once and swaps the target on later calls, since
-// expvar.Publish panics on duplicate names.
-var (
-	expvarMu  sync.Mutex
-	expvarCur *Registry
-)
-
-func publishExpvar(reg *Registry) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	first := expvarCur == nil
-	expvarCur = reg
-	if first {
-		expvar.Publish("kwsearch", expvar.Func(func() interface{} {
-			expvarMu.Lock()
-			defer expvarMu.Unlock()
-			return expvarCur.Snapshot()
-		}))
-	}
 }

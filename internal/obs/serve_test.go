@@ -31,7 +31,7 @@ func startStreaming(t *testing.T, addr string, seconds int) io.ReadCloser {
 // completion with an intact body. The pre-fix Close-based teardown reset
 // the connection and the body read failed.
 func TestShutdownWaitsForInFlight(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", NewRegistry())
+	srv, err := Serve("127.0.0.1:0", NewRegistry(), nil)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestShutdownWaitsForInFlight(t *testing.T) {
 // ctx expires before in-flight requests finish, Shutdown hard-closes and
 // returns the ctx error instead of hanging.
 func TestShutdownFallsBackToHardClose(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", NewRegistry())
+	srv, err := Serve("127.0.0.1:0", NewRegistry(), nil)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}

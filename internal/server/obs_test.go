@@ -3,16 +3,19 @@ package server
 // Tests for the serving layer's observability surface: request ids and
 // the access log, the per-request logger reaching the engine, the
 // Prometheus exposition and slowlog endpoints, readiness during drain,
-// and the windowed server-latency SLO.
+// the server-latency SLO and the registry's instrument inventory.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +24,7 @@ import (
 	"kwsearch/internal/core"
 	"kwsearch/internal/dataset"
 	"kwsearch/internal/obs"
+	"kwsearch/internal/resilience"
 )
 
 func TestRequestIDAssignedAndEchoed(t *testing.T) {
@@ -138,7 +142,7 @@ func TestMetricsPromServedAndGrammatical(t *testing.T) {
 	}
 	for _, want := range []string{
 		"kwsearch_server_requests_total ",
-		`kwsearch_server_latency_win_us{window="1m",quantile="0.5"}`,
+		`kwsearch_server_latency_us_window{window="1m",quantile="0.5"}`,
 		`kwsearch_slo_burn_rate{slo="server_latency",window="1m"}`,
 		`kwsearch_slo_burn_rate{slo="query_latency",window="5m"}`,
 	} {
@@ -293,15 +297,129 @@ func TestServerLatencySLORegistered(t *testing.T) {
 	e, ts := newTestServer(t, nil, Options{})
 	post(t, ts.URL, QueryRequest{Query: "keyword search"})
 	s := e.Metrics.Snapshot()
-	win, ok := s.Windows["server.latency_win_us"]
-	if !ok || win.Last1m.Count == 0 {
-		t.Fatalf("windowed server latency missing or empty: %+v", win)
+	h, ok := s.Histograms["server.latency_us"]
+	if !ok || h.Last1m.Count == 0 {
+		t.Fatalf("windowed server latency missing or empty: %+v", h)
 	}
 	slo, ok := s.SLOs["server_latency"]
 	if !ok {
 		t.Fatal("server_latency SLO missing from snapshot")
 	}
-	if slo.Threshold != float64(core.DefaultSLOThreshold.Microseconds()) || slo.Objective != 0.99 {
+	if slo.Series != "server.latency_us" || slo.Threshold != float64(core.DefaultSLOThreshold.Microseconds()) || slo.Objective != 0.99 {
 		t.Errorf("SLO = %+v", slo)
 	}
+}
+
+// TestMetricInventory pins the registry a served engine carries, wired
+// as kwsd wires it (admission gate, slowlog, info access log): the exact
+// set of instrument names, one latency observation per query in each of
+// query.elapsed_us and server.latency_us, and one count per admission
+// outcome. A new or removed instrument is a deliberate diff here and in
+// DESIGN.md's instrument table.
+func TestMetricInventory(t *testing.T) {
+	in := resilience.NewInjector(1).Arm(resilience.StageEval, resilience.Fault{Delay: 2 * time.Second})
+	e := core.NewRelational(dataset.DBLP(dataset.DefaultDBLPConfig()))
+	e.Admit(1, 0)
+	s := New(e, Options{
+		Logger:  obs.NewLogger(io.Discard, obs.LevelInfo),
+		SlowLog: obs.NewSlowLog(64, core.DefaultSLOThreshold),
+	})
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.BaseContext = func(net.Listener) context.Context {
+		return resilience.WithInjector(context.Background(), in)
+	}
+	ts.Start()
+	defer ts.Close()
+	counter := func(name string) uint64 { return e.Metrics.Snapshot().Counters[name] }
+	want := func(q QueryRequest, status int) QueryResponse {
+		t.Helper()
+		resp, httpResp := post(t, ts.URL, q)
+		if httpResp.StatusCode != status {
+			t.Fatalf("%+v: status %d, want %d (%s)", q, httpResp.StatusCode, status, resp.Error)
+		}
+		return resp
+	}
+
+	// One miss parks on the only admission slot; a query arriving then
+	// is shed. The parked miss then completes normally.
+	_, done := parkQuery(t, ts, in)
+	shed := counter("admission.shed")
+	want(QueryRequest{Query: "keyword search"}, http.StatusTooManyRequests)
+	in.Disarm(resilience.StageEval)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := counter("admission.shed") - shed; got != 1 {
+		t.Errorf("one shed query moved admission.shed by %d, want 1", got)
+	}
+
+	misses := []string{"keyword search", "xml query", "database systems"}
+	for _, q := range misses {
+		want(QueryRequest{Query: q}, http.StatusOK)
+	}
+	const hits = 4
+	cached := counter("cache.results.hits")
+	for i := 0; i < hits; i++ {
+		want(QueryRequest{Query: misses[0]}, http.StatusOK)
+	}
+	if got := counter("cache.results.hits") - cached; got != hits {
+		t.Fatalf("%d repeats hit the result cache %d times", hits, got)
+	}
+	n, m := 1+len(misses), hits // the parked query is a miss too
+
+	partial, deadline := counter("query.partial"), counter("admission.deadline")
+	if resp := want(QueryRequest{Query: "keyword search", TopK: 10000, MaxCNSize: 6, DeadlineMS: 1}, http.StatusOK); !resp.Partial {
+		t.Fatal("deadline did not produce a partial response")
+	}
+	if got := counter("query.partial") - partial; got != 1 {
+		t.Errorf("one partial query moved query.partial by %d, want 1", got)
+	}
+	if got := counter("admission.deadline") - deadline; got != 0 {
+		t.Errorf("a mid-evaluation deadline moved admission.deadline by %d, want 0", got)
+	}
+
+	snap := e.Metrics.Snapshot()
+	for _, name := range []string{"query.elapsed_us", "server.latency_us"} {
+		h := snap.Histograms[name]
+		if w := uint64(n + m + 2); h.Count != w || h.Last1m.Count != w {
+			t.Errorf("%s: lifetime count %d, 1m count %d; want %d each (one per query)", name, h.Count, h.Last1m.Count, w)
+		}
+	}
+
+	inventory := map[string][]string{
+		"counter": {
+			"admission.admitted", "admission.deadline", "admission.shed",
+			"bind.builds",
+			"cache.bind.evictions", "cache.bind.hits", "cache.bind.misses", "cache.bind.stale",
+			"cache.results.evictions", "cache.results.hits", "cache.results.misses", "cache.results.stale",
+			"exec.evaluated", "exec.prefix_reuses", "exec.skipped",
+			"invindex.intersect_gallop", "invindex.intersect_merge", "invindex.lookups", "invindex.postings_scanned",
+			"plan.builds", "plan.evictions", "plan.hits", "plan.misses", "plan.stale",
+			"query.partial",
+			"server.batches", "server.requests", "server.status.200", "server.status.429",
+			"slowlog.captured", "slowlog.evicted",
+		},
+		"gauge":     {"admission.queued", "server.inflight"},
+		"histogram": {"admission.wait_us", "plan.build_us", "query.elapsed_us", "server.latency_us"},
+		"slo":       {"query_latency", "server_latency"},
+	}
+	for kind, names := range map[string][]string{
+		"counter":   sortedNames(snap.Counters),
+		"gauge":     sortedNames(snap.Gauges),
+		"histogram": sortedNames(snap.Histograms),
+		"slo":       sortedNames(snap.SLOs),
+	} {
+		if fmt.Sprint(names) != fmt.Sprint(inventory[kind]) {
+			t.Errorf("%s names:\n got %q\nwant %q", kind, names, inventory[kind])
+		}
+	}
+}
+
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

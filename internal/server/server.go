@@ -86,11 +86,10 @@ type Server struct {
 	logger *obs.Logger
 
 	// Serving-path metrics, registered in the engine's registry.
-	requests   *obs.Counter
-	batches    *obs.Counter
-	inflight   *obs.Gauge
-	latency    *obs.Histogram
-	latencyWin *obs.WindowedHistogram
+	requests *obs.Counter
+	batches  *obs.Counter
+	inflight *obs.Gauge
+	latency  *obs.Histogram
 
 	// Request-id generation: a per-process prefix (start time, base36)
 	// plus a monotonic counter, so ids are unique across restarts and
@@ -115,22 +114,21 @@ func New(engine core.Searcher, opts Options) *Server {
 	}
 	reg := engine.Registry()
 	s := &Server{
-		engine:     engine,
-		reg:        reg,
-		opts:       opts.withDefaults(),
-		mux:        http.NewServeMux(),
-		logger:     opts.Logger,
-		requests:   reg.Counter("server.requests"),
-		batches:    reg.Counter("server.batches"),
-		inflight:   reg.Gauge("server.inflight"),
-		latency:    reg.Histogram("server.latency_us"),
-		latencyWin: reg.Windowed("server.latency_win_us"),
-		idPrefix:   strconv.FormatInt(time.Now().UnixNano(), 36),
+		engine:   engine,
+		reg:      reg,
+		opts:     opts.withDefaults(),
+		mux:      http.NewServeMux(),
+		logger:   opts.Logger,
+		requests: reg.Counter("server.requests"),
+		batches:  reg.Counter("server.batches"),
+		inflight: reg.Gauge("server.inflight"),
+		latency:  reg.Histogram("server.latency_us"),
+		idPrefix: strconv.FormatInt(time.Now().UnixNano(), 36),
 	}
 	// The server-level SLO mirrors the engine's query SLO but over wall
 	// time as the client saw it (decode + admission + evaluation).
 	reg.RegisterSLO("server_latency", obs.SLO{
-		Series:    "server.latency_win_us",
+		Series:    "server.latency_us",
 		Threshold: float64(core.DefaultSLOThreshold.Microseconds()),
 		Objective: 0.99,
 	})
@@ -138,7 +136,7 @@ func New(engine core.Searcher, opts Options) *Server {
 	s.mux.HandleFunc("/batch", s.withObs("/batch", s.handleBatch))
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/readyz", s.handleReady)
-	obsMux := obs.HandlerWith(reg, opts.SlowLog)
+	obsMux := obs.Handler(reg, opts.SlowLog)
 	s.mux.Handle("/metrics", obsMux)
 	s.mux.Handle("/metrics/prom", obsMux)
 	s.mux.Handle("/debug/", obsMux)
@@ -265,7 +263,8 @@ func (s *Server) newRequestID() string {
 // lines and slowlog exemplars join up with the access log — and emits
 // one structured access-log line per request with the route, status,
 // response size, elapsed time and the keywords hash(es) the handler
-// recorded while decoding.
+// recorded while decoding. The elapsed time is also the request's one
+// observation in server.latency_us, whatever its route and status.
 func (s *Server) withObs(route string, next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -284,13 +283,15 @@ func (s *Server) withObs(route string, next http.HandlerFunc) http.HandlerFunc {
 		w.Header().Set("X-Request-Id", id)
 		sw := &statusRecorder{ResponseWriter: w}
 		next(sw, r.WithContext(ctx))
+		elapsed := time.Since(start)
+		s.latency.Observe(float64(elapsed.Microseconds()))
 		if lg.Enabled(obs.LevelInfo) {
 			fields := []obs.Field{
 				obs.F("route", route),
 				obs.F("method", r.Method),
 				obs.F("status", sw.status),
 				obs.F("bytes", sw.bytes),
-				obs.F("elapsed", time.Since(start)),
+				obs.F("elapsed", elapsed),
 			}
 			ai.mu.Lock()
 			switch len(ai.hashes) {
@@ -406,7 +407,6 @@ func errorResponse(query string, err error) QueryResponse {
 
 // handleQuery is POST /query: one JSON query in, one JSON response out.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	s.requests.Inc()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -424,7 +424,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// with it — the earlier one wins.
 	resp := s.execute(r.Context(), q)
 	s.writeResponse(w, resp)
-	s.observeLatency(time.Since(start))
 }
 
 // handleBatch is POST /batch: up to MaxBatch queries fanned out
@@ -432,7 +431,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // one oversized batch cannot monopolize the engine — the gate sheds its
 // excess exactly as it would shed independent clients.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	s.batches.Inc()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -480,15 +478,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	s.writeJSON(w, http.StatusOK, out)
-	s.observeLatency(time.Since(start))
-}
-
-// observeLatency records one request's wall time in both the cumulative
-// histogram and the rolling windowed series behind the server SLO.
-func (s *Server) observeLatency(d time.Duration) {
-	us := float64(d.Microseconds())
-	s.latency.Observe(us)
-	s.latencyWin.Observe(us)
 }
 
 // handleHealth is GET /healthz: 200 while serving, 503 once draining

@@ -51,6 +51,9 @@ go test -run '^$' -fuzz FuzzServeQuery -fuzztime 5s ./internal/server/
 echo "==> fuzz smoke (5s): log strings encode exactly as json.Marshal"
 go test -run '^$' -fuzz FuzzAppendJSONValue -fuzztime 5s ./internal/obs/
 
+echo "==> fuzz smoke (5s): histogram lifetime row and windows == a brute-force tally"
+go test -run '^$' -fuzz '^FuzzHistogram$' -fuzztime 5s ./internal/obs/
+
 echo "==> observability overhead gate (E38 budget: 5%)"
 go run ./cmd/benchrunner -obs-overhead
 
