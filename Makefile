@@ -27,9 +27,13 @@ race:
 		./internal/plan/... ./internal/shard/...
 
 # Same steps as verify.sh: ten seconds of generated corpora, queries, pool
-# sizes and job sizes against the serial oracle, five of generated
-# foreign-key columns against Table.SelectEq, then five of arbitrary
-# /query and /batch bodies against the wire's status contract.
+# sizes and job sizes against the serial oracle (FuzzPoolMatchesSerial),
+# then five seconds each of generated foreign-key columns against
+# Table.SelectEq (FuzzJoinIndexMatchesSelectEq), arbitrary /query and
+# /batch bodies against the wire's status contract (FuzzServeQuery), log
+# strings against json.Marshal (FuzzAppendJSONValue), and histogram
+# observations against a brute-force tally of the lifetime row, every
+# window and BadFraction (FuzzHistogram).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
 	go test -run '^$$' -fuzz FuzzJoinIndexMatchesSelectEq -fuzztime 5s ./internal/cn/

@@ -22,6 +22,7 @@ import (
 
 	"kwsearch/internal/core"
 	"kwsearch/internal/dataset"
+	"kwsearch/internal/exec"
 	"kwsearch/internal/obs"
 )
 
@@ -88,10 +89,15 @@ func obsWorkload(ctx context.Context, e *core.Engine) (time.Duration, error) {
 	return total, nil
 }
 
-// obsQuery times one warm-plan steady-state query (value caches
-// flushed, compiled plan kept).
+// obsQuery times one warm-plan steady-state query: before the timer
+// starts, e gets a fresh executor sharing only its plan cache, so the
+// result and term-binding caches are cold and the compiled plan warm.
+// Its counters land in e.Metrics (a registry keeps the first counter
+// registered under each name).
 func obsQuery(ctx context.Context, e *core.Engine, query string) (time.Duration, error) {
-	e.Exec.InvalidateDataCaches()
+	e.Exec = exec.New(e.DB, e.Index, exec.Options{
+		FreeTables: e.FreeTables, Plans: e.Plans, Metrics: e.Metrics,
+	})
 	req := core.Request{Query: query, TopK: 10, MaxCNSize: 5, Workers: 4}
 	start := time.Now()
 	_, err := e.Query(ctx, req)

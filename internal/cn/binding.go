@@ -12,9 +12,9 @@ import (
 
 // termBinding is the index-derived binding of one query term: for each
 // relation with matches, the matching tuples (ascending tuple ID — the
-// posting-list order) and their TF·IDF weights. It depends only on
-// (term, index generation), which is what makes it shareable across
-// queries in the Binder's cache.
+// posting-list order) and their TF·IDF weights. It depends only on the
+// term (a Binder's index never changes), which is what makes it
+// shareable across queries in the Binder's cache.
 type termBinding struct {
 	rels []termRel
 }
@@ -35,12 +35,10 @@ const MaxTerms = 32
 
 // Binding is one query's keyword→tuple binding: the R^Q sets, term
 // masks, tuple scores and max-scores, built either from posting lists
-// (bindTerms) or by full table scans (NewScanBinding). It is a snapshot
-// and immutable once its constructor returns: nothing it holds changes,
-// even if the index is invalidated afterwards, so in-flight queries keep
-// a consistent view and any number of goroutines may evaluate over one
-// binding with no warm-up step. The free sets R^{} are not held: a free
-// tuple is one outside KeywordBits.
+// (bindTerms) or by full table scans (NewScanBinding). It is immutable
+// once its constructor returns, so any number of goroutines may evaluate
+// over one binding with no warm-up step. The free sets R^{} are not
+// held: a free tuple is one outside KeywordBits.
 type Binding struct {
 	terms []string
 
@@ -52,8 +50,8 @@ type Binding struct {
 	// kw is the union of the R^Q sets as a bitset: the keyword/free
 	// partition test of the join loops.
 	kw TupleSet
-	// joins is the generation's join table (synchronised; see joinTable),
-	// shared with the binder's other bindings or private to this one.
+	// joins is the join table (synchronised; see joinTable), shared with
+	// the binder's other bindings or private to this one.
 	joins *joinTable
 
 	cachedTerms, builtTerms int
@@ -116,13 +114,8 @@ func buildTermBinding(db *relstore.DB, ix *invindex.Index, term string) termBind
 // probes + posting walks), "materialize" the merge into per-table sets.
 func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binder, sp *obs.Span) *Binding {
 	b := &Binding{terms: norm}
-	var termGen uint64
 	if binder != nil {
-		// The generation and the join table are read before anything is
-		// computed, so what this bind stores or shares belongs to the
-		// generation it started in.
-		termGen = binder.terms.Gen()
-		b.joins = binder.joins.Load()
+		b.joins = binder.joins
 	} else {
 		b.joins = newJoinTable(db)
 	}
@@ -140,7 +133,7 @@ func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binde
 		tbs[i] = buildTermBinding(db, ix, term)
 		b.builtTerms++
 		if binder != nil {
-			binder.terms.Put(termGen, term, tbs[i])
+			binder.terms.Put(term, tbs[i])
 			binder.builds.Inc()
 		}
 	}

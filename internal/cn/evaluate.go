@@ -21,7 +21,7 @@ type Result struct {
 // term masks, tuple scores and join indexes — comes from its Binding,
 // so the same evaluation machinery runs over a one-shot index-driven
 // binding (NewEvaluator), the full-scan reference binding
-// (NewScanEvaluator) or a Binding served by the shared generation-aware
+// (NewScanEvaluator) or a Binding served by the shared caching
 // Binder (NewEvaluatorFrom). A Binding is immutable, so one evaluator
 // may be used from any number of goroutines at once.
 type Evaluator struct {

@@ -16,7 +16,7 @@ import (
 // comparison, no pointer for the collector to trace. Tuples of other
 // tables, NULL join values and values without a referent all get
 // zero-width rows. An index is immutable once built and shared by
-// reference, through its joinTable, by every Binding of its generation.
+// reference, through its joinTable, by every Binding that table serves.
 //
 // Size: 4 bytes per tuple of the database plus 4 bytes per joining
 // pair, which for a foreign key into a key column is at most the
@@ -82,10 +82,9 @@ func buildJoinIndex(db *relstore.DB, k JoinKey) *JoinIndex {
 	return ji
 }
 
-// joinTable owns the join indexes of one database generation: built on
-// first use, then shared by reference. The Binder hands its current
-// table to every binding it makes (and swaps in an empty one on
-// Invalidate); the one-shot and scan bindings get a private one.
+// joinTable owns the join indexes of one database: built on first use,
+// then shared by reference. A Binder hands its one table to every
+// binding it makes; the one-shot and scan bindings get a private one.
 type joinTable struct {
 	db *relstore.DB
 

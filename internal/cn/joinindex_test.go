@@ -157,7 +157,7 @@ func TestJoinIndexHandCases(t *testing.T) {
 	}
 
 	// A tuple inserted after the build lies beyond the index: it joins
-	// nothing until the binder's next generation rebuilds.
+	// nothing (a Binder's database must not change once it is built).
 	emp(6, relstore.Int(1), relstore.Int(3))
 	if got := reports.Targets(byKey(6)); len(got) != 0 {
 		t.Errorf("tuple inserted after the build joins %v", got)

@@ -225,7 +225,6 @@ func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int,
 
 	advances, produced, certified := 0, 0, false
 	var top []Result
-	seen := map[string]bool{}
 	for h.Len() > 0 {
 		st := h.states[0]
 		b := st.bound(ev)
@@ -255,18 +254,12 @@ func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int,
 		st.pos++
 		advances++
 		heap.Fix(h, 0)
-		for _, r := range ev.EvaluateCNWith(st.cn, st.driver, tp) {
-			// The same result can be produced through different driver
-			// tuples of the same CN only if the driver appears twice,
-			// which the binding forbids; dedupe defensively anyway.
-			key := st.cn.Canonical() + "|" + resultKey(r)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			produced++
-			top = append(top, r)
-		}
+		// Every state advances its own CN (plan CNs are canonically
+		// distinct) through each driver tuple once, and every result binds
+		// tp at the driver, so no result is produced twice.
+		rs := ev.EvaluateCNWith(st.cn, st.driver, tp)
+		produced += len(rs)
+		top = append(top, rs...)
 		SortResults(top)
 		if len(top) > k {
 			top = top[:k]

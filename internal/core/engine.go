@@ -205,7 +205,10 @@ type Engine struct {
 // the Metrics field, as the Searcher seam requires.
 func (e *Engine) Registry() *obs.Registry { return e.Metrics }
 
-// NewRelational builds an engine over a relational database.
+// NewRelational builds an engine over a relational database, which must
+// not change afterwards: the engine indexes it once and caches results,
+// term bindings, join indexes and plans that are never recomputed. To
+// serve new data, build a new engine.
 func NewRelational(db *relstore.DB) *Engine {
 	ix := invindex.FromDB(db)
 	reg := obs.NewRegistry()

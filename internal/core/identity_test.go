@@ -6,10 +6,21 @@ import (
 	"sort"
 	"testing"
 
+	"kwsearch/internal/cn"
 	"kwsearch/internal/dataset"
 	"kwsearch/internal/exec"
+	"kwsearch/internal/plan"
 	"kwsearch/internal/relstore"
 )
+
+// freshExec gives e a new executor over its snapshot that shares the
+// binder and plan cache given (nil builds a private one), so e's next
+// CN query is evaluated instead of replayed from the result cache.
+func freshExec(e *Engine, binder *cn.Binder, plans *plan.Cache) {
+	e.Exec = exec.New(e.DB, e.Index, exec.Options{
+		FreeTables: e.FreeTables, Metrics: e.Metrics, Binder: binder, Plans: plans,
+	})
+}
 
 // zipfTermPairs draws n distinct two-keyword queries, each term Zipf(1.2)
 // over the author/paper vocabulary ranked by document frequency — the
@@ -60,21 +71,38 @@ func zipfTermPairs(e *Engine, seed int64, n int) []string {
 // as well). When Workers <= 1 still ran the serial Global Pipeline, 53 of
 // these 300 queries (seed 1; "database keyword" is the first, "keyword
 // search" another) returned the same score bits over different tuples at
-// both 0 and 1.
+// both 0 and 1. Last, the same query repeated on the same engine is a
+// result-cache hit, and the cached answer is byte-identical to its
+// recomputation.
 func TestAnswerIdenticalAtEveryPoolSize(t *testing.T) {
 	e := NewRelational(dataset.DBLP(dataset.DefaultDBLPConfig()))
 	for _, q := range zipfTermPairs(e, 1, 300) {
 		serial := e.Exec.TopKSerial(exec.Query{Terms: e.Terms(q, false), K: 10, MaxCNSize: 5})
 		want := renderCN(cnResults(serial))
+		req := Request{Query: q, TopK: 10, MaxCNSize: 5}
 		for _, workers := range []int{0, 1, 2, 4} {
-			e.Exec.InvalidateResults() // evaluate, don't replay the previous pool size's answer
-			resp, err := e.Query(context.Background(), Request{Query: q, TopK: 10, MaxCNSize: 5, Workers: workers})
+			freshExec(e, e.Binder, e.Plans) // evaluate, don't replay the previous pool size's answer
+			req.Workers = workers
+			resp, err := e.Query(context.Background(), req)
 			if err != nil {
 				t.Fatalf("%q workers=%d: %v", q, workers, err)
+			}
+			if resp.Stats.Exec.ResultCacheHit {
+				t.Fatalf("%q workers=%d: answer replayed from the result cache", q, workers)
 			}
 			if got := renderCN(resp.Results); got != want {
 				t.Fatalf("%q workers=%d: answer differs from TopKSerial\ngot:\n%swant:\n%s", q, workers, got, want)
 			}
+		}
+		resp, err := e.Query(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%q repeated: %v", q, err)
+		}
+		if !resp.Stats.Exec.ResultCacheHit {
+			t.Fatalf("%q repeated: missed the result cache", q)
+		}
+		if got := renderCN(resp.Results); got != want {
+			t.Fatalf("%q repeated: cached answer differs from TopKSerial\ngot:\n%swant:\n%s", q, got, want)
 		}
 	}
 }

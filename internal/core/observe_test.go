@@ -157,3 +157,44 @@ func TestResultCacheHitAllocs(t *testing.T) {
 	}
 	t.Logf("result-cache hit: %.0f allocs", allocs)
 }
+
+// TestResultCacheMissAllocs pins the cost of the miss path by a count:
+// distinct logged CN queries on one worker, each a result-cache miss
+// whose bind and plan are warm, because a second executor sharing the
+// engine's binder and plan cache ran them first. The bound is the
+// measured mean rounded up to the next 10; like every pin it only
+// tightens.
+func TestResultCacheMissAllocs(t *testing.T) {
+	e := NewRelational(dataset.DBLP(dataset.DefaultDBLPConfig()))
+	log := dataset.QueryLog(e.DB, 100, 1)
+	reqs := make([]Request, len(log))
+	for i, le := range log {
+		reqs[i] = Request{Query: strings.Join(le.Terms, " "), Semantics: CandidateNetworks, Workers: 1}
+	}
+	miss := e.Exec
+	freshExec(e, e.Binder, e.Plans)
+	for _, req := range reqs {
+		if _, err := e.Query(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Exec = miss
+
+	i := 0
+	allocs := testing.AllocsPerRun(len(reqs)-1, func() {
+		req := reqs[i]
+		i++
+		resp, err := e.Query(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%q: %v", req.Query, err)
+		}
+		if st := resp.Stats.Exec; st.ResultCacheHit || st.BindTermsBuilt != 0 || !st.PlanCacheHit {
+			t.Fatalf("%q: result hit %v, %d terms built, plan hit %v; want a miss with warm bind and plan",
+				req.Query, st.ResultCacheHit, st.BindTermsBuilt, st.PlanCacheHit)
+		}
+	})
+	if allocs > 2660 {
+		t.Errorf("result-cache miss allocates %.0f times, want <= 2660", allocs)
+	}
+	t.Logf("result-cache miss: %.0f allocs", allocs)
+}

@@ -3,8 +3,8 @@
 // Sudarshan) and Mragyati (Sarda & Jain) argue a keyword-search engine
 // needs before it can serve real traffic. It combines
 //
-//   - a sharded, generation-aware LRU cache (internal/cache) of
-//     whole-query top-k result sets;
+//   - a sharded LRU cache (internal/cache) of whole-query top-k result
+//     sets;
 //   - a worker pool over one queue of jobs — each candidate network cut
 //     into ranges of 1 024 node-0 tuples, in descending score-bound
 //     order — from which up to GOMAXPROCS-many goroutines claim the next
@@ -17,6 +17,11 @@
 //     cancellation path stops in-flight goroutines the moment every
 //     remaining bound is dominated. The returned top-k is byte-identical
 //     to full serial evaluation.
+//
+// An Executor serves one snapshot: its database and index must not
+// change after New, since nothing it caches is ever recomputed. Serving
+// new data takes a new Executor (and a new Binder and plan cache, if
+// they are shared).
 package exec
 
 import (
@@ -60,8 +65,10 @@ type Options struct {
 	// build a private one; core.NewRelational passes the engine's
 	// binder, which its SPARK path shares.
 	Binder *cn.Binder
-	// Metrics, when non-nil, receives the executor's lifetime counters and
-	// the result cache's counters (see Instrument). Leaving it nil costs one
+	// Metrics, when non-nil, receives the executor's lifetime counters
+	// ("exec.evaluated", "exec.skipped", "exec.prefix_reuses") and the
+	// result cache's counters ("cache.results.*"), plus those of the
+	// binder and plan cache it builds itself. Leaving it nil costs one
 	// branch per counter event.
 	Metrics *obs.Registry
 }
@@ -178,9 +185,10 @@ type Executor struct {
 	reuses    *obs.Counter
 }
 
-// New builds an executor. FreeTables defaults to the text-free link
-// relations when left nil (matching core.NewRelational's policy is the
-// caller's concern).
+// New builds an executor over db and ix, which must not change
+// afterwards (see the package doc). FreeTables defaults to the text-free
+// link relations when left nil (matching core.NewRelational's policy is
+// the caller's concern).
 func New(db *relstore.DB, ix *invindex.Index, opts Options) *Executor {
 	opts = opts.withDefaults()
 	x := &Executor{
@@ -202,21 +210,13 @@ func New(db *relstore.DB, ix *invindex.Index, opts Options) *Executor {
 	if x.binder == nil {
 		x.binder = cn.NewBinder(db, ix, cn.BinderOptions{Metrics: opts.Metrics})
 	}
-	if opts.Metrics != nil {
-		x.Instrument(opts.Metrics)
+	if reg := opts.Metrics; reg != nil {
+		x.evaluated = reg.Attach("exec.evaluated", x.evaluated)
+		x.skipped = reg.Attach("exec.skipped", x.skipped)
+		x.reuses = reg.Attach("exec.prefix_reuses", x.reuses)
+		x.results.Instrument(reg, "cache.results")
 	}
 	return x
-}
-
-// Instrument surfaces the executor's lifetime counters in reg as
-// "exec.evaluated", "exec.skipped" and "exec.prefix_reuses", and the
-// result cache's counters under "cache.results.*".
-// Call before concurrent use (New does, when Options.Metrics is set).
-func (x *Executor) Instrument(reg *obs.Registry) {
-	x.evaluated = reg.Attach("exec.evaluated", x.evaluated)
-	x.skipped = reg.Attach("exec.skipped", x.skipped)
-	x.reuses = reg.Attach("exec.prefix_reuses", x.reuses)
-	x.results.Instrument(reg, "cache.results")
 }
 
 // Postings returns term's posting list straight from the index, which
@@ -224,33 +224,6 @@ func (x *Executor) Instrument(reg *obs.Registry) {
 // lookup. The method stays, with its signature, because the repository
 // benchmark (bench/) reads it.
 func (x *Executor) Postings(term string) []invindex.Posting { return x.ix.Postings(term) }
-
-// InvalidateCaches bumps every cache generation — results, term
-// bindings and compiled plans. Call after growing the index or
-// mutating the database (a schema change also changes the plan keys'
-// fingerprint, but the gen bump reclaims the dead entries' LRU capacity
-// immediately).
-func (x *Executor) InvalidateCaches() {
-	x.results.Invalidate()
-	x.binder.Invalidate()
-	x.plans.Invalidate()
-}
-
-// InvalidateDataCaches bumps only the value-dependent caches (results
-// and the binder's term bindings + join indexes), keeping compiled plans
-// warm. Call it after data growth under a fixed schema.
-func (x *Executor) InvalidateDataCaches() {
-	x.results.Invalidate()
-	x.binder.Invalidate()
-}
-
-// InvalidateResults bumps only the result cache. Benchmarks use it to
-// measure the warm steady state of a serving engine — distinct queries
-// over unchanged data, where term bindings and plans are all
-// legitimately warm and only the whole-answer cache misses.
-func (x *Executor) InvalidateResults() {
-	x.results.Invalidate()
-}
 
 // CacheStats returns the result cache's counters as results; postings
 // is always the zero cache.Stats, since no posting cache exists. The
@@ -299,9 +272,6 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	}
 
 	key := resultCacheKey(terms, q.K, q.MaxCNSize)
-	// Read before anything the answer is computed from, so an answer an
-	// InvalidateCaches overtakes is not stored as current.
-	gen := x.results.Gen()
 	if rs, ok := x.results.Get(key); ok {
 		st.ResultCacheHit = true
 		sp.SetAttr("result_cache_hit", true)
@@ -313,7 +283,7 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	// total coverage impossible, so skip binding and planning outright.
 	for _, t := range terms {
 		if len(x.ix.Postings(t)) == 0 {
-			x.results.Put(gen, key, nil)
+			x.results.Put(key, nil)
 			sp.SetAttr("empty_term", t)
 			return nil, st, nil
 		}
@@ -357,7 +327,7 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	esp.SetAttr("plan_cached", planHit)
 	esp.End()
 	if len(cns) == 0 {
-		x.results.Put(gen, key, nil)
+		x.results.Put(key, nil)
 		return nil, st, nil
 	}
 
@@ -394,7 +364,7 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	}
 	vsp.End()
 
-	x.results.Put(gen, key, copyResults(top))
+	x.results.Put(key, copyResults(top))
 	return top, st, nil
 }
 
@@ -417,10 +387,4 @@ func (x *Executor) TopKSerial(q Query) []cn.Result {
 		FreeTables:    x.opts.FreeTables,
 	})
 	return cn.TopKNaive(ev, cns, q.K)
-}
-
-// CounterTotals returns the lifetime evaluated/skipped/prefix-reuse
-// counters (across all TopK calls).
-func (x *Executor) CounterTotals() (evaluated, skipped, prefixReuses uint64) {
-	return x.evaluated.Value(), x.skipped.Value(), x.reuses.Value()
 }

@@ -14,6 +14,7 @@ import (
 	"kwsearch/internal/cn"
 	"kwsearch/internal/dataset"
 	"kwsearch/internal/invindex"
+	"kwsearch/internal/plan"
 	"kwsearch/internal/relstore"
 )
 
@@ -38,6 +39,17 @@ func newTestExecutor(workers int) *Executor {
 		Workers:    workers,
 		FreeTables: []string{"write", "cite"},
 	})
+}
+
+// fresh returns a new executor over x's snapshot with x's options and
+// job size, sharing the binder and plan cache given (nil builds a
+// private one). Its result cache is empty, so its next TopK evaluates.
+func fresh(x *Executor, binder *cn.Binder, plans *plan.Cache) *Executor {
+	opts := x.opts
+	opts.Binder, opts.Plans = binder, plans
+	y := New(x.db, x.ix, opts)
+	y.jobRoots = x.jobRoots
+	return y
 }
 
 // renderResults serializes results bit-exactly: canonical CN, tuple IDs in
@@ -98,9 +110,10 @@ func TestTopKMatchesSerialByteIdentical(t *testing.T) {
 func TestParallelBeatsSerial(t *testing.T) {
 	q := Query{Terms: []string{"keyword", "search"}, K: 10, MaxCNSize: 5, Workers: 4}
 
-	best := func(f func()) time.Duration {
+	best := func(prep, f func()) time.Duration {
 		d := time.Duration(math.MaxInt64)
 		for i := 0; i < 3; i++ {
+			prep()
 			start := time.Now()
 			f()
 			if e := time.Since(start); e < d {
@@ -114,10 +127,12 @@ func TestParallelBeatsSerial(t *testing.T) {
 	// Warm once outside timing so both sides measure steady-state work.
 	x.TopKSerial(q)
 
-	serial := best(func() { x.TopKSerial(q) })
+	serial := best(func() {}, func() { x.TopKSerial(q) })
+	var y *Executor
 	parallel := best(func() {
-		x.InvalidateCaches() // no result-cache replays in the timed region
-		if _, _, err := x.TopK(context.Background(), q); err != nil {
+		y = fresh(x, nil, nil) // no cache replays in the timed region
+	}, func() {
+		if _, _, err := y.TopK(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -129,7 +144,8 @@ func TestParallelBeatsSerial(t *testing.T) {
 
 // TestResultCache checks the whole-query cache: a repeated query is served
 // from cache with the identical answer, caller mutation cannot corrupt the
-// cached copy, and InvalidateCaches forces re-execution.
+// cached copy, and an executor sharing the binder and plans but not the
+// result cache re-executes to the same answer.
 func TestResultCache(t *testing.T) {
 	x := newTestExecutor(2)
 	q := Query{Terms: []string{"keyword", "search"}, K: 5, MaxCNSize: 4}
@@ -160,17 +176,16 @@ func TestResultCache(t *testing.T) {
 		t.Errorf("cached answer differs:\ngot:\n%swant:\n%s", got, want)
 	}
 
-	x.InvalidateCaches()
-	_, st3, err := x.TopK(context.Background(), q)
+	rs3, st3, err := fresh(x, x.binder, x.plans).TopK(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3.ResultCacheHit {
-		t.Error("query after InvalidateCaches still hit the result cache")
+	if st3.ResultCacheHit || !st3.PlanCacheHit {
+		t.Errorf("executor sharing only binder and plans: result hit %v, plan hit %v; want a miss and a hit",
+			st3.ResultCacheHit, st3.PlanCacheHit)
 	}
-	_, results := x.CacheStats()
-	if results.Stale == 0 {
-		t.Error("expected a stale result-cache entry after invalidation")
+	if got := renderResults(rs3); got != want {
+		t.Errorf("re-executed answer differs:\ngot:\n%swant:\n%s", got, want)
 	}
 }
 
@@ -246,8 +261,7 @@ func TestStatsShape(t *testing.T) {
 	if st.Skipped == 0 || claimed == st.Jobs {
 		t.Errorf("k=10 over %d one-root jobs should end the queue early: %d claimed, %d skipped", st.Jobs, claimed, st.Skipped)
 	}
-	ev, sk, _ := x.CounterTotals()
-	if int(ev) != st.Evaluated || int(sk) != st.Skipped {
+	if ev, sk := x.evaluated.Value(), x.skipped.Value(); int(ev) != st.Evaluated || int(sk) != st.Skipped {
 		t.Errorf("lifetime counters (%d,%d) disagree with per-call stats (%d,%d)", ev, sk, st.Evaluated, st.Skipped)
 	}
 	// No posting cache exists: the postings half of CacheStats reads zero.
@@ -272,11 +286,11 @@ func TestWorkersClampedToJobs(t *testing.T) {
 	want := renderResults(x.TopKSerial(q))
 	run := func(workers int) uint64 {
 		t.Helper()
-		x.InvalidateResults() // evaluate, don't replay the result cache
+		y := fresh(x, x.binder, x.plans) // evaluate, don't replay the result cache
 		q.Workers = workers
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		rs, st, err := x.TopK(context.Background(), q)
+		rs, st, err := y.TopK(context.Background(), q)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -33,7 +33,7 @@ func TestInjectedFaultYieldsCertifiedPrefix(t *testing.T) {
 	if err != nil || full.Jobs <= full.CNs {
 		t.Fatalf("fixture: %d jobs for %d CNs, err = %v", full.Jobs, full.CNs, err)
 	}
-	x.InvalidateResults() // the interrupted runs below must leave the cache empty
+	x = fresh(x, x.binder, x.plans) // the interrupted runs below must leave the cache empty
 
 	for _, workers := range []int{1, 4} {
 		q.Workers = workers
@@ -85,7 +85,7 @@ func TestDeadlineMidEvaluationYieldsPartial(t *testing.T) {
 	if err != nil || full.Jobs <= full.CNs {
 		t.Fatalf("fixture: %d jobs for %d CNs, err = %v", full.Jobs, full.CNs, err)
 	}
-	x.InvalidateResults()
+	x = fresh(x, x.binder, x.plans)
 	for _, workers := range []int{1, 4} {
 		q.Workers = workers
 		for after := 0; after < full.Jobs; after++ {
@@ -139,7 +139,7 @@ func TestDeadlineLandsInsideJoinLevel(t *testing.T) {
 		t.Fatalf("undeadlined run: %d results, err = %v", len(rs), err)
 	}
 	want := renderResults(rs)
-	x.InvalidateResults()
+	x = fresh(x, x.binder, x.plans)
 
 	// Everything but the joins is warm now, so a twentieth of the full
 	// time is far more than bind + plan + prewarm need and far less than

@@ -7,8 +7,9 @@ import (
 
 // TestPlanCacheHitStat pins the Stats.PlanCacheHit wiring: the first
 // execution of a signature compiles (no hit), a later execution of the
-// same signature reuses the compiled plan even after the value-dependent
-// caches are flushed, and a full InvalidateCaches forces a recompile.
+// same signature on an executor that shares only the plan cache reuses
+// the compiled plan, and an executor with its own plan cache compiles
+// again.
 func TestPlanCacheHitStat(t *testing.T) {
 	x := newTestExecutor(2)
 	q := Query{Terms: []string{"keyword", "search"}, K: 5, MaxCNSize: 5}
@@ -21,13 +22,13 @@ func TestPlanCacheHitStat(t *testing.T) {
 		t.Fatal("cold executor claims a plan-cache hit")
 	}
 
-	x.InvalidateDataCaches() // drops postings + results, keeps plans
+	x = fresh(x, nil, x.plans) // cold results and bindings, warm plans
 	_, st, err = x.TopK(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.ResultCacheHit {
-		t.Fatal("result cache survived InvalidateDataCaches")
+		t.Fatal("a fresh executor hit the result cache")
 	}
 	if !st.PlanCacheHit {
 		t.Fatal("warm executor missed the plan cache")
@@ -44,12 +45,11 @@ func TestPlanCacheHitStat(t *testing.T) {
 		t.Fatal("same-signature query missed the plan cache")
 	}
 
-	x.InvalidateCaches() // schema-level flush includes plans
-	_, st, err = x.TopK(context.Background(), q)
+	_, st, err = fresh(x, nil, nil).TopK(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.PlanCacheHit {
-		t.Fatal("plan survived InvalidateCaches")
+		t.Fatal("an executor with its own plan cache hit a plan")
 	}
 }

@@ -22,7 +22,7 @@ const wholeSet = math.MaxInt
 func poolMatchesSerial(t *testing.T, x *Executor, q Query, workers, per int, want string) Stats {
 	t.Helper()
 	x.jobRoots = per
-	x.InvalidateResults() // evaluate, don't replay the previous schedule's answer
+	x = fresh(x, x.binder, x.plans) // evaluate, don't replay the previous schedule's answer
 	q.Workers = workers
 	rs, st, err := x.TopK(context.Background(), q)
 	if err != nil {

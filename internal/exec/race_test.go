@@ -45,9 +45,6 @@ func TestConcurrentTopKStress(t *testing.T) {
 					t.Errorf("goroutine %d query %d: concurrent answer differs from serial", g, qi)
 					return
 				}
-				if i%4 == 3 && g == 0 {
-					x.InvalidateCaches() // interleave invalidation with queries
-				}
 			}
 		}(g)
 	}
@@ -67,7 +64,7 @@ func TestCancellationMidEvaluation(t *testing.T) {
 	want := renderResults(x.TopKSerial(q))
 
 	for trial := 0; trial < 30; trial++ {
-		x.InvalidateCaches() // force real evaluation every trial
+		x := fresh(x, nil, nil) // force real evaluation every trial
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan struct{})
 		go func() {

@@ -45,15 +45,16 @@ func BenchmarkPlanCacheWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanCacheCold measures a full compile per iteration (the
-// generation bump forces a rebuild), i.e. the miss path a schema change
-// or first-seen signature pays.
+// BenchmarkPlanCacheCold measures a full compile per iteration (each
+// Get goes to a fresh, untimed cache), i.e. the miss path a schema
+// change or first-seen signature pays.
 func BenchmarkPlanCacheCold(b *testing.B) {
 	g := dblpGraph(b)
-	c := New(Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Invalidate()
+		b.StopTimer()
+		c := New(Options{})
+		b.StartTimer()
 		if _, _, err := c.Get(context.Background(), g, dblpOpts()); err != nil {
 			b.Fatal(err)
 		}

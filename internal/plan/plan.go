@@ -9,11 +9,10 @@
 //
 // A compiled plan is keyed by (schema-graph fingerprint,
 // keyword→relation membership signature, MaxSize, MaxCNs) and stored in
-// the sharded generation-aware LRU of internal/cache: warm queries skip
-// enumeration entirely, and Invalidate bumps the generation so a schema
-// change can never serve a stale plan (the fingerprint in the key
-// already guards this; the generation bump is the belt to that
-// suspender). Cold signatures are compiled by cn.EnumerateCtx.
+// the sharded LRU of internal/cache: warm queries skip enumeration
+// entirely, and since the fingerprint is part of the key a changed
+// schema can never be served another schema's plan. Cold signatures are
+// compiled by cn.EnumerateCtx.
 package plan
 
 import (
@@ -39,7 +38,7 @@ const (
 // configuration.
 type Options struct {
 	// Metrics, when non-nil, receives the cache counters under "plan.*"
-	// (hits, misses, evictions, stale, builds) and the cold-path build
+	// (hits, misses, evictions, builds) and the cold-path build
 	// time histogram "plan.build_us".
 	Metrics *obs.Registry
 }
@@ -150,7 +149,6 @@ func Key(g *schemagraph.Graph, opts cn.EnumerateOptions) string {
 // of simultaneously cold callers.
 func (c *Cache) Get(ctx context.Context, g *schemagraph.Graph, opts cn.EnumerateOptions) (*PlanSet, bool, error) {
 	key := Key(g, opts)
-	gen := c.lru.Gen()
 	if ps, ok := c.lru.Get(key); ok {
 		return ps, true, nil
 	}
@@ -162,19 +160,12 @@ func (c *Cache) Get(ctx context.Context, g *schemagraph.Graph, opts cn.Enumerate
 	c.builds.Inc()
 	c.buildUS.Observe(float64(time.Since(start).Microseconds()))
 	ps := &PlanSet{cns: cns, key: key}
-	c.lru.Put(gen, key, ps)
+	c.lru.Put(key, ps)
 	return ps, false, nil
 }
 
-// Invalidate bumps the cache generation: every cached plan becomes
-// stale and is dropped lazily on next access. Call after any schema
-// change (the fingerprint key already isolates schema versions; the
-// bump additionally stops a dead schema's plans from occupying LRU
-// capacity) — internal/exec wires this into InvalidateCaches.
-func (c *Cache) Invalidate() { c.lru.Invalidate() }
-
 // Stats returns the underlying LRU counters (hits, misses, evictions,
-// stale, live entries).
+// live entries).
 func (c *Cache) Stats() cache.Stats { return c.lru.Stats() }
 
 // Builds returns the number of cold compilations performed.

@@ -114,32 +114,10 @@ func TestKeyNormalization(t *testing.T) {
 	}
 }
 
-// TestInvalidateDropsPlans checks generation-bump invalidation: after
-// Invalidate the next Get recompiles rather than serving the stale
-// entry.
-func TestInvalidateDropsPlans(t *testing.T) {
-	g := awpGraph(t)
-	c := New(Options{})
-	if _, _, err := c.Get(context.Background(), g, awpOpts()); err != nil {
-		t.Fatal(err)
-	}
-	c.Invalidate()
-	_, hit, err := c.Get(context.Background(), g, awpOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Error("Get hit a stale plan after Invalidate")
-	}
-	if c.Builds() != 2 {
-		t.Errorf("Builds() = %d, want 2", c.Builds())
-	}
-}
-
 // TestSchemaChangeNeverServesStalePlan mutates the schema (a new Graph,
 // as every schema change produces — Graph is immutable) and checks the
 // fingerprint in the key forces a fresh compile whose output matches the
-// new schema, with or without the accompanying generation bump.
+// new schema.
 func TestSchemaChangeNeverServesStalePlan(t *testing.T) {
 	g := awpGraph(t)
 	c := New(Options{})
@@ -273,9 +251,7 @@ func randomMembership(rng *rand.Rand, g *schemagraph.Graph) cn.EnumerateOptions 
 // TestPropertyCachedPlanEqualsFreshEnumeration is the package's central
 // property: over randomized schema graphs and membership signatures, the
 // cached PlanSet is byte-identical to fresh EnumerateCtx output (same
-// CNs, same order), on the
-// build and on every subsequent hit, and a generation bump after a
-// schema mutation never serves a stale plan.
+// CNs, same order), on the build and on every subsequent hit.
 func TestPropertyCachedPlanEqualsFreshEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := New(Options{})
@@ -303,22 +279,6 @@ func TestPropertyCachedPlanEqualsFreshEnumeration(t *testing.T) {
 		}
 		if !hit || render(warm.CNs()) != render(want) {
 			t.Fatalf("trial %d: warm plan differs (hit=%v)", trial, hit)
-		}
-		if trial%10 == 9 {
-			// Schema "mutation": invalidate, then confirm the same request
-			// recompiles to the identical plan rather than serving a stale
-			// generation.
-			c.Invalidate()
-			again, hit, err := c.Get(context.Background(), g, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hit {
-				t.Fatalf("trial %d: hit across a generation bump", trial)
-			}
-			if render(again.CNs()) != render(want) {
-				t.Fatalf("trial %d: recompiled plan differs", trial)
-			}
 		}
 	}
 }

@@ -9,8 +9,7 @@ import (
 )
 
 // TestConcurrentGetStress hammers one cache from many goroutines with
-// overlapping signatures and interleaved invalidations —
-// meaningful under -race, where it guards the share-safe PlanSet
+// overlapping signatures — meaningful under -race, where it guards the share-safe PlanSet
 // contract (one *PlanSet handed to many readers at once).
 func TestConcurrentGetStress(t *testing.T) {
 	if testing.Short() {
@@ -48,9 +47,6 @@ func TestConcurrentGetStress(t *testing.T) {
 				if render(ps.CNs()) != want[si] {
 					t.Errorf("worker %d sig %d: plan differs from serial enumeration", w, si)
 					return
-				}
-				if w == 0 && i%16 == 15 {
-					c.Invalidate() // interleave generation bumps with reads
 				}
 			}
 		}(w)

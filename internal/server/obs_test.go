@@ -390,11 +390,11 @@ func TestMetricInventory(t *testing.T) {
 		"counter": {
 			"admission.admitted", "admission.deadline", "admission.shed",
 			"bind.builds",
-			"cache.bind.evictions", "cache.bind.hits", "cache.bind.misses", "cache.bind.stale",
-			"cache.results.evictions", "cache.results.hits", "cache.results.misses", "cache.results.stale",
+			"cache.bind.evictions", "cache.bind.hits", "cache.bind.misses",
+			"cache.results.evictions", "cache.results.hits", "cache.results.misses",
 			"exec.evaluated", "exec.prefix_reuses", "exec.skipped",
 			"invindex.intersect_gallop", "invindex.intersect_merge", "invindex.lookups", "invindex.postings_scanned",
-			"plan.builds", "plan.evictions", "plan.hits", "plan.misses", "plan.stale",
+			"plan.builds", "plan.evictions", "plan.hits", "plan.misses",
 			"query.partial",
 			"server.batches", "server.requests", "server.status.200", "server.status.429",
 			"slowlog.captured", "slowlog.evicted",

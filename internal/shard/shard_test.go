@@ -37,7 +37,8 @@ func renderCore(results []core.Result) string {
 // bits, bindings) to the bare engine's pool path and the full serial
 // oracle, on a pool of (at most) that many goroutines. The coordinator
 // shares the engine's result cache, whose key ignores the pool size, so
-// the cache is dropped before each count — otherwise every N after the
+// each count runs on a fresh executor sharing the engine's binder and
+// plan cache — otherwise every N after the
 // first would replay the pool's answer and the test would pass
 // vacuously. (internal/exec sweeps the same corpora over the job size.)
 func TestCoordinatorMatchesSerialRandomCorpus(t *testing.T) {
@@ -92,7 +93,9 @@ func TestCoordinatorMatchesSerialRandomCorpus(t *testing.T) {
 			}
 
 			for _, n := range []int{1, 2, 4, 8} {
-				engine.Exec.InvalidateResults()
+				engine.Exec = exec.New(engine.DB, engine.Index, exec.Options{
+					FreeTables: engine.FreeTables, Metrics: engine.Metrics, Binder: engine.Binder, Plans: engine.Plans,
+				})
 				resp, err := coords[n].Query(context.Background(), core.Request{Query: q, TopK: 10, MaxCNSize: 5})
 				if err != nil {
 					t.Fatalf("seed %d %q shards=%d: %v", seed, q, n, err)
