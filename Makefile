@@ -29,7 +29,8 @@ race:
 # Same steps as verify.sh: ten seconds of generated corpora, queries, pool
 # sizes and job sizes against the serial oracle (FuzzPoolMatchesSerial),
 # then five seconds each of generated foreign-key columns against
-# Table.SelectEq (FuzzJoinIndexMatchesSelectEq), arbitrary /query and
+# Table.SelectEq (FuzzJoinIndexMatchesSelectEq), batched result streams
+# through cn.Top against SortResults (FuzzTopKMatchesSort), arbitrary /query and
 # /batch bodies against the wire's status contract (FuzzServeQuery), log
 # strings against json.Marshal (FuzzAppendJSONValue), and histogram
 # observations against a brute-force tally of the lifetime row, every
@@ -37,6 +38,7 @@ race:
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
 	go test -run '^$$' -fuzz FuzzJoinIndexMatchesSelectEq -fuzztime 5s ./internal/cn/
+	go test -run '^$$' -fuzz FuzzTopKMatchesSort -fuzztime 5s ./internal/cn/
 	go test -run '^$$' -fuzz FuzzServeQuery -fuzztime 5s ./internal/server/
 	go test -run '^$$' -fuzz FuzzAppendJSONValue -fuzztime 5s ./internal/obs/
 	go test -run '^$$' -fuzz '^FuzzHistogram$$' -fuzztime 5s ./internal/obs/

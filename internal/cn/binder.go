@@ -73,7 +73,7 @@ func NewBinder(db *relstore.DB, ix *invindex.Index, opts BinderOptions) *Binder 
 // "materialize" the merge into per-table R^Q sets and max-scores (attrs
 // matched_tuples/keyword_tables). A nil sp costs nothing.
 func (bd *Binder) BindTraced(terms []string, sp *obs.Span) *Binding {
-	return bindTerms(bd.db, bd.ix, normalizeTerms(terms), bd, sp)
+	return bindTerms(bd.db, bd.ix, NormalizeTerms(terms), bd, sp)
 }
 
 // Stats returns the term cache's counters.

@@ -55,10 +55,10 @@ func assertBindingsEqual(t *testing.T, db *relstore.DB, want, got *Binding, labe
 	}
 }
 
-// renderBinderResults serializes results bit-exactly (canonical CN,
+// renderResults serializes results bit-exactly (canonical CN,
 // tuple IDs, raw score bits): two lists render equal iff they are
 // byte-identical answers.
-func renderBinderResults(rs []Result) string {
+func renderResults(rs []Result) string {
 	var b strings.Builder
 	for _, r := range rs {
 		b.WriteString(r.CN.Canonical())
@@ -92,7 +92,7 @@ func TestBindingMatchesScanRandomCorpus(t *testing.T) {
 			}
 			label := fmt.Sprintf("trial %d %v", trial, terms)
 			scan := NewScanBinding(db, ix, terms)
-			oneShot := bindTerms(db, ix, normalizeTerms(terms), nil, nil)
+			oneShot := bindTerms(db, ix, NormalizeTerms(terms), nil, nil)
 			cold := binder.BindTraced(terms, nil)
 			builds := binder.Builds()
 			warm := binder.BindTraced(terms, nil)
@@ -112,8 +112,8 @@ func TestBindingMatchesScanRandomCorpus(t *testing.T) {
 				KeywordTables: scan.KeywordTables(),
 				FreeTables:    freeTables,
 			})
-			wantRs := renderBinderResults(TopKNaive(NewScanEvaluator(db, ix, terms), cns, 10))
-			gotRs := renderBinderResults(TopKNaive(NewEvaluatorFrom(db, ix, warm), cns, 10))
+			wantRs := renderResults(TopKNaive(NewScanEvaluator(db, ix, terms), cns, 10))
+			gotRs := renderResults(TopKNaive(NewEvaluatorFrom(db, ix, warm), cns, 10))
 			if wantRs != gotRs {
 				t.Fatalf("%s: top-k differs\ngot:\n%swant:\n%s", label, gotRs, wantRs)
 			}
@@ -138,7 +138,7 @@ func TestBinderGenChurnRace(t *testing.T) {
 		KeywordTables: scan.KeywordTables(),
 		FreeTables:    []string{"write"},
 	})
-	want := renderBinderResults(TopKNaive(NewScanEvaluator(db, ix, terms), cns, 10))
+	want := renderResults(TopKNaive(NewScanEvaluator(db, ix, terms), cns, 10))
 
 	const workers, iters = 4, 50
 	var wg sync.WaitGroup
@@ -149,7 +149,7 @@ func TestBinderGenChurnRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				ev := NewEvaluatorFrom(db, ix, binder.BindTraced(terms, nil))
-				if got := renderBinderResults(TopKNaive(ev, cns, 10)); got != want {
+				if got := renderResults(TopKNaive(ev, cns, 10)); got != want {
 					select {
 					case errs <- got:
 					default:

@@ -57,10 +57,11 @@ type Binding struct {
 	cachedTerms, builtTerms int
 }
 
-// normalizeTerms applies the shared tokenizer normalization and drops
+// NormalizeTerms applies the shared tokenizer normalization and drops
 // empty tokens, preserving order (and duplicates — coverage masks give
-// each occurrence its own bit, as the scan path always has).
-func normalizeTerms(terms []string) []string {
+// each occurrence its own bit, as the scan path always has). The binder,
+// the evaluators and internal/exec all normalize query terms with it.
+func NormalizeTerms(terms []string) []string {
 	norm := make([]string, 0, len(terms))
 	for _, t := range terms {
 		if n := text.Normalize(t); n != "" {
@@ -204,7 +205,7 @@ func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binde
 // exec.TopKSerial evaluates with), deliberately kept as an independent
 // computation path.
 func NewScanBinding(db *relstore.DB, ix *invindex.Index, terms []string) *Binding {
-	norm := normalizeTerms(terms)
+	norm := NormalizeTerms(terms)
 	b := &Binding{
 		terms:     norm,
 		masks:     make(map[relstore.TupleID]uint32),

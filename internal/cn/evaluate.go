@@ -36,7 +36,7 @@ type Evaluator struct {
 // (normalized through the shared tokenizer), binding them through the
 // index in O(matched tuples) without a shared cache.
 func NewEvaluator(db *relstore.DB, ix *invindex.Index, terms []string) *Evaluator {
-	return NewEvaluatorFrom(db, ix, bindTerms(db, ix, normalizeTerms(terms), nil, nil))
+	return NewEvaluatorFrom(db, ix, bindTerms(db, ix, NormalizeTerms(terms), nil, nil))
 }
 
 // NewScanEvaluator prepares an evaluator over the full-scan reference

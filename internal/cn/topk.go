@@ -1,10 +1,14 @@
 package cn
 
 import (
+	"bytes"
 	"container/heap"
 	"context"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"kwsearch/internal/fmath"
 	"kwsearch/internal/obs"
@@ -24,7 +28,9 @@ func SortResults(rs []Result) {
 }
 
 // Less is SortResults' comparator as a standalone strict weak order —
-// the total order every top-k list in the system follows.
+// the total order every top-k list in the system follows. Sorted tuple
+// IDs compare bytewise as decimals each followed by a comma ("10," sorts
+// before "9,"), rendered into stack buffers: Less allocates nothing.
 func Less(a, b Result) bool {
 	if !fmath.Eq(a.Score, b.Score) {
 		return a.Score > b.Score
@@ -32,8 +38,9 @@ func Less(a, b Result) bool {
 	if len(a.Tuples) != len(b.Tuples) {
 		return len(a.Tuples) < len(b.Tuples)
 	}
-	if ka, kb := resultKey(a), resultKey(b); ka != kb {
-		return ka < kb
+	var ba, bb [64]byte
+	if c := bytes.Compare(appendIDKey(ba[:0], a), appendIDKey(bb[:0], b)); c != 0 {
+		return c < 0
 	}
 	if ca, cb := a.CN.Canonical(), b.CN.Canonical(); ca != cb {
 		return ca < cb
@@ -46,17 +53,68 @@ func Less(a, b Result) bool {
 	return false
 }
 
-func resultKey(r Result) string {
-	ids := make([]int, len(r.Tuples))
-	for i, tp := range r.Tuples {
-		ids[i] = int(tp.ID)
+// appendIDKey appends r's tuple IDs, sorted, each in decimal followed
+// by a comma.
+func appendIDKey(dst []byte, r Result) []byte {
+	var buf [8]relstore.TupleID
+	ids := buf[:0]
+	for _, tp := range r.Tuples {
+		ids = append(ids, tp.ID)
 	}
-	sort.Ints(ids)
-	key := ""
+	slices.Sort(ids)
 	for _, id := range ids {
-		key += strconv.Itoa(id) + ","
+		dst = strconv.AppendInt(dst, int64(id), 10)
+		dst = append(dst, ',')
 	}
-	return key
+	return dst
+}
+
+// Top is a bounded top-k list under Less, safe for concurrent use: Add
+// keeps exactly the K results that SortResults followed by truncation to
+// K would keep, in the same order, so the K-th score never falls. The
+// Sparse and Global Pipeline strategies, SPARK and the internal/exec
+// worker pool all accumulate their answers in one.
+type Top struct {
+	K  int
+	mu sync.Mutex
+	rs []Result
+}
+
+// Add inserts each result at its place under Less, after any it ties
+// with (as the stable SortResults would), and drops whatever falls past
+// the K-th place.
+func (t *Top) Add(rs ...Result) {
+	if t.K <= 0 {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, r := range rs {
+		n := len(t.rs)
+		if n == t.K && !Less(r, t.rs[n-1]) {
+			continue
+		}
+		t.rs = slices.Insert(t.rs, sort.Search(n, func(i int) bool { return Less(r, t.rs[i]) }), r)
+		t.rs = t.rs[:min(n+1, t.K)]
+	}
+}
+
+// Kth returns the current K-th best score, or -Inf while fewer than K
+// results are held (nothing may be pruned before that).
+func (t *Top) Kth() float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.K <= 0 || len(t.rs) < t.K {
+		return math.Inf(-1)
+	}
+	return t.rs[t.K-1].Score
+}
+
+// Results returns a copy of the held results, best first.
+func (t *Top) Results() []Result {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]Result(nil), t.rs...)
 }
 
 // TopKNaive evaluates every CN fully, then sorts — the baseline of
@@ -101,19 +159,15 @@ func TopKSparse(ev *Evaluator, cns []*CN, k int) []Result {
 	sort.SliceStable(order, func(i, j int) bool {
 		return ev.Bound(order[i]) > ev.Bound(order[j])
 	})
-	var top []Result
+	top := &Top{K: k}
 	for _, c := range order {
-		if len(top) >= k && top[k-1].Score >= ev.Bound(c) {
+		if Dominates(top.Kth(), ev.Bound(c)) {
 			break
 		}
 		rs, _ := ev.EvaluateCN(context.Background(), c) // Background never ends: no error
-		top = append(top, rs...)
-		SortResults(top)
-		if len(top) > k {
-			top = top[:k]
-		}
+		top.Add(rs...)
 	}
-	return top
+	return top.Results()
 }
 
 // gpState is the per-CN cursor of the global pipeline: the driver node's
@@ -224,7 +278,7 @@ func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int,
 	sp.SetAttr("pruned", len(cns)-h.Len())
 
 	advances, produced, certified := 0, 0, false
-	var top []Result
+	top := &Top{K: k}
 	for h.Len() > 0 {
 		st := h.states[0]
 		b := st.bound(ev)
@@ -232,7 +286,7 @@ func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int,
 			heap.Pop(h)
 			continue
 		}
-		if len(top) >= k && top[k-1].Score >= b {
+		if Dominates(top.Kth(), b) {
 			certified = true
 			break
 		}
@@ -243,12 +297,11 @@ func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int,
 		if err != nil {
 			// b is the max score any remaining work can reach, so the
 			// results strictly above it are final.
-			top = CertifiedPrefix(top, b)
 			sp.SetAttr("driver_advances", advances)
 			sp.SetAttr("produced", produced)
 			sp.SetAttr("certified_early", false)
 			sp.SetAttr("partial", true)
-			return top, err
+			return CertifiedPrefix(top.Results(), b), err
 		}
 		tp := st.tuples[st.pos]
 		st.pos++
@@ -259,14 +312,10 @@ func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int,
 		// tp at the driver, so no result is produced twice.
 		rs := ev.EvaluateCNWith(st.cn, st.driver, tp)
 		produced += len(rs)
-		top = append(top, rs...)
-		SortResults(top)
-		if len(top) > k {
-			top = top[:k]
-		}
+		top.Add(rs...)
 	}
 	sp.SetAttr("driver_advances", advances)
 	sp.SetAttr("produced", produced)
 	sp.SetAttr("certified_early", certified)
-	return top, nil
+	return top.Results(), nil
 }

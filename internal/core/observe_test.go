@@ -161,9 +161,8 @@ func TestResultCacheHitAllocs(t *testing.T) {
 // TestResultCacheMissAllocs pins the cost of the miss path by a count:
 // distinct logged CN queries on one worker, each a result-cache miss
 // whose bind and plan are warm, because a second executor sharing the
-// engine's binder and plan cache ran them first. The bound is the
-// measured mean rounded up to the next 10; like every pin it only
-// tightens.
+// engine's binder and plan cache ran them first. The bound is about
+// 1.1× the measured mean of 181; like every pin it only tightens.
 func TestResultCacheMissAllocs(t *testing.T) {
 	e := NewRelational(dataset.DBLP(dataset.DefaultDBLPConfig()))
 	log := dataset.QueryLog(e.DB, 100, 1)
@@ -193,8 +192,8 @@ func TestResultCacheMissAllocs(t *testing.T) {
 				req.Query, st.ResultCacheHit, st.BindTermsBuilt, st.PlanCacheHit)
 		}
 	})
-	if allocs > 2660 {
-		t.Errorf("result-cache miss allocates %.0f times, want <= 2660", allocs)
+	if allocs > 200 {
+		t.Errorf("result-cache miss allocates %.0f times, want <= 200", allocs)
 	}
 	t.Logf("result-cache miss: %.0f allocs", allocs)
 }

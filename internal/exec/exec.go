@@ -12,11 +12,12 @@
 //     schedule, with per-goroutine materialized-prefix reuse
 //     (cn.EvaluatePrefix keyed by cn.PrefixKey and root range) so jobs
 //     sharing a prefix share its join work;
-//   - sound top-k early termination: the first claimed job whose bound
-//     cannot reach the shared k-th score ends the queue, and a context
-//     cancellation path stops in-flight goroutines the moment every
-//     remaining bound is dominated. The returned top-k is byte-identical
-//     to full serial evaluation.
+//   - sound top-k early termination over one bounded cn.Top shared by
+//     the goroutines: the first claimed job whose bound cannot reach its
+//     k-th score ends the queue, and a context cancellation path stops
+//     in-flight goroutines the moment every remaining bound is
+//     dominated. The returned top-k is byte-identical to full serial
+//     evaluation.
 //
 // An Executor serves one snapshot: its database and index must not
 // change after New, since nothing it caches is ever recomputed. Serving
@@ -38,7 +39,6 @@ import (
 	"kwsearch/internal/plan"
 	"kwsearch/internal/relstore"
 	"kwsearch/internal/schemagraph"
-	"kwsearch/internal/text"
 )
 
 // The executor's result cache holds resultCacheSize whole-query answers
@@ -233,17 +233,6 @@ func (x *Executor) CacheStats() (postings, results cache.Stats) {
 	return cache.Stats{}, x.results.Stats()
 }
 
-// normTerms normalizes and drops empty tokens.
-func normTerms(terms []string) []string {
-	var out []string
-	for _, t := range terms {
-		if n := text.Normalize(t); n != "" {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // resultCacheKey identifies a query in the result cache. The pool size
 // is excluded deliberately: the answer does not depend on the schedule.
 func resultCacheKey(terms []string, k, maxCN int) string {
@@ -266,7 +255,7 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	q = q.withDefaults(x)
 	sp := q.Trace
 	var st Stats
-	terms := normTerms(q.Terms)
+	terms := cn.NormalizeTerms(q.Terms)
 	if len(terms) == 0 {
 		return nil, st, nil
 	}
@@ -376,7 +365,7 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 // binder-vs-scan equivalence check as well.
 func (x *Executor) TopKSerial(q Query) []cn.Result {
 	q = q.withDefaults(x)
-	terms := normTerms(q.Terms)
+	terms := cn.NormalizeTerms(q.Terms)
 	if len(terms) == 0 {
 		return nil
 	}

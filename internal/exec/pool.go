@@ -39,46 +39,6 @@ func (s runStats) Idle() time.Duration {
 	return s.Wall - s.Busy
 }
 
-// sharedTopK is the workers' common accumulator: adds re-sort with the
-// deterministic cn.SortResults order and truncate to k, so the k-th score
-// is monotone non-decreasing over the run — the property the pruning and
-// cancellation logic rely on.
-type sharedTopK struct {
-	mu sync.Mutex
-	k  int
-	rs []cn.Result
-}
-
-func (t *sharedTopK) add(rs []cn.Result) {
-	if len(rs) == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rs = append(t.rs, rs...)
-	cn.SortResults(t.rs)
-	if len(t.rs) > t.k {
-		t.rs = t.rs[:t.k]
-	}
-}
-
-// kth returns the current k-th best score, or -Inf while the top-k is
-// not yet full (nothing may be pruned before that).
-func (t *sharedTopK) kth() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.rs) < t.k {
-		return math.Inf(-1)
-	}
-	return t.rs[t.k-1].Score
-}
-
-func (t *sharedTopK) snapshot() []cn.Result {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]cn.Result(nil), t.rs...)
-}
-
 // rootsPerJob is how many node-0 tuples one job covers. Jobs of 64 roots
 // cost cn_pool throughput against 1 024 (more queue traffic and shorter
 // prefix levels per allocation) and nothing measured gains from larger
@@ -131,15 +91,15 @@ func buildQueue(ev *cn.Evaluator, cns []*cn.CN, per int) []job {
 // more would find the queue drained). A goroutine claims the next job
 // from an atomic cursor, grows it level by level from its root range —
 // reusing the levels it already materialized for the same prefix and
-// range — and adds the results to the one shared top-k. The first
+// range — and adds the results to the one shared cn.Top. The first
 // claimed job whose bound the shared k-th score dominates ends the queue
 // for everyone, since every later bound is no higher; and when the k-th
 // score dominates every goroutine's current bound plus the queue head,
 // the pool context is cancelled, stopping in-flight goroutines between
 // prefix levels or, through the row loops' context polls, inside one.
-// The jobs tile the result space and all feed one top-k under the total
-// order cn.Less, so the final top-k equals full serial evaluation byte
-// for byte at every pool and job size (see package tests).
+// The jobs tile the result space and all feed that one bounded list
+// under the total order cn.Less, so the final top-k equals full serial
+// evaluation byte for byte at every pool and job size (package tests).
 //
 // When sp is non-nil every goroutine gets a child span ("worker-<g>"),
 // created in the launch loop before any goroutine starts so the span
@@ -157,7 +117,7 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, jobs []job,
 	defer cancel()
 
 	inj := resilience.From(parent)
-	top := &sharedTopK{k: k}
+	top := &cn.Top{K: k}
 	stats := make([]runStats, workers)
 	// next is the queue's cursor: the index of the first unclaimed job
 	// (at or past len(jobs) once the queue is drained or ended).
@@ -193,7 +153,7 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, jobs []job,
 	// non-decreasing, so a stale read can only delay cancellation, never
 	// make it unsound.
 	tryCancel := func() {
-		kth := top.kth()
+		kth := top.Kth()
 		if math.IsInf(kth, -1) || !cn.Dominates(kth, head()) {
 			return
 		}
@@ -233,7 +193,7 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, jobs []job,
 					}
 				}
 				if stop == nil {
-					if cn.Dominates(top.kth(), j.bound) {
+					if cn.Dominates(top.Kth(), j.bound) {
 						next.Store(int64(len(jobs))) // every later bound is no higher
 						break
 					}
@@ -271,9 +231,9 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, jobs []job,
 		err = fault
 	}
 	if err != nil {
-		return cn.CertifiedPrefix(top.snapshot(), lost), stats, err
+		return cn.CertifiedPrefix(top.Results(), lost), stats, err
 	}
-	return top.snapshot(), stats, nil
+	return top.Results(), stats, nil
 }
 
 // evalJob evaluates one job with materialized-prefix reuse. It returns
@@ -282,7 +242,7 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, jobs []job,
 // (they are provably below the k-th score whenever the internal
 // cancellation fired; otherwise runPool charges the job's bound to the
 // certificate). Only completed levels enter the prefix table.
-func (x *Executor) evalJob(ctx context.Context, ev *cn.Evaluator, j job, prefixes map[prefixKey]cn.Rows, top *sharedTopK, st *runStats) bool {
+func (x *Executor) evalJob(ctx context.Context, ev *cn.Evaluator, j job, prefixes map[prefixKey]cn.Rows, top *cn.Top, st *runStats) bool {
 	c, n := j.c, len(j.c.Nodes)
 	var rows cn.Rows
 	for d := n - 1; d >= 1; d-- {
@@ -313,7 +273,7 @@ func (x *Executor) evalJob(ctx context.Context, ev *cn.Evaluator, j job, prefixe
 		if err != nil {
 			return false
 		}
-		top.add(rs)
+		top.Add(rs...)
 	}
 	st.Evaluated++
 	return true

@@ -66,12 +66,12 @@ func (s *Scorer) Score(r cn.Result) float64 {
 }
 
 // TopK evaluates every CN exactly, replaces each result's Score with
-// its SPARK score and keeps the best k under cn.SortResults' total
+// its SPARK score and keeps the best k in a cn.Top, under cn.Less' total
 // order. The score is not monotone in the tuple scores, so no CN is cut
 // by a bound. A context that ends mid-evaluation abandons the query: the
 // error is ctx's and no results are returned.
 func TopK(ctx context.Context, s *Scorer, cns []*cn.CN, k int) ([]cn.Result, error) {
-	var all []cn.Result
+	top := &cn.Top{K: k}
 	for _, c := range cns {
 		rs, err := s.ev.EvaluateCN(ctx, c)
 		if err != nil {
@@ -80,11 +80,7 @@ func TopK(ctx context.Context, s *Scorer, cns []*cn.CN, k int) ([]cn.Result, err
 		for i := range rs {
 			rs[i].Score = s.Score(rs[i])
 		}
-		all = append(all, rs...)
+		top.Add(rs...)
 	}
-	cn.SortResults(all)
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all, nil
+	return top.Results(), nil
 }
