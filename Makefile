@@ -28,7 +28,10 @@ race:
 
 # Same steps as verify.sh: ten seconds of generated corpora, queries, pool
 # sizes and job sizes against the serial oracle (FuzzPoolMatchesSerial),
-# then five seconds each of generated foreign-key columns against
+# then five seconds each of the level-wise and tiled root-range kernels
+# against the depth-first search on generated corpora with a
+# self-referencing foreign key and hub joins (FuzzKernelsAgree),
+# generated foreign-key columns against
 # Table.SelectEq (FuzzJoinIndexMatchesSelectEq), batched result streams
 # through cn.Top against SortResults (FuzzTopKMatchesSort), arbitrary /query and
 # /batch bodies against the wire's status contract (FuzzServeQuery), log
@@ -37,6 +40,7 @@ race:
 # window and BadFraction (FuzzHistogram).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
+	go test -run '^$$' -fuzz FuzzKernelsAgree -fuzztime 5s ./internal/cn/
 	go test -run '^$$' -fuzz FuzzJoinIndexMatchesSelectEq -fuzztime 5s ./internal/cn/
 	go test -run '^$$' -fuzz FuzzTopKMatchesSort -fuzztime 5s ./internal/cn/
 	go test -run '^$$' -fuzz FuzzServeQuery -fuzztime 5s ./internal/server/

@@ -540,12 +540,12 @@ func dblpX10() (*relstore.DB, *invindex.Index) {
 	return db, invindex.FromDB(db)
 }
 
-// BenchmarkEvaluatePrefix times the join kernel alone on ×10 DBLP: every
-// candidate network of one query grown level by level through the join
-// indexes and finished, with no prefix reuse, no bound pruning and no
-// pool — what allocs/op and B/op say about the flat levels is not
-// diluted by anything else.
-func BenchmarkEvaluatePrefix(b *testing.B) {
+// BenchmarkEvaluateCN times the served join kernel alone on ×10 DBLP:
+// every candidate network of one query searched depth-first through the
+// join indexes and finished, with no bound pruning and no pool — what
+// allocs/op and B/op say about the search is not diluted by anything
+// else.
+func BenchmarkEvaluateCN(b *testing.B) {
 	db, ix := dblpX10()
 	ev := cn.NewEvaluator(db, ix, []string{"keyword", "search"})
 	cns := cn.Enumerate(schemagraph.FromDB(db), cn.EnumerateOptions{
@@ -559,11 +559,7 @@ func BenchmarkEvaluatePrefix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		results := 0
 		for _, c := range cns {
-			rows, err := ev.EvaluatePrefix(ctx, c, cn.Rows{}, len(c.Nodes))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rs, err := ev.BindingResults(ctx, c, rows)
+			rs, err := ev.EvaluateCN(ctx, c)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -255,8 +255,8 @@ func printText(reg *obs.Registry, resp *core.Response, snip, trace, stats bool) 
 	}
 	if stats {
 		if st := resp.Stats.Exec; st != nil {
-			fmt.Printf("\nexec: workers=%d cns=%d jobs=%d evaluated=%d skipped=%d prefix-reuses=%d result-cache-hit=%v plan-cache-hit=%v\n",
-				st.Workers, st.CNs, st.Jobs, st.Evaluated, st.Skipped, st.PrefixReuses, st.ResultCacheHit, st.PlanCacheHit)
+			fmt.Printf("\nexec: workers=%d cns=%d jobs=%d evaluated=%d skipped=%d result-cache-hit=%v plan-cache-hit=%v\n",
+				st.Workers, st.CNs, st.Jobs, st.Evaluated, st.Skipped, st.ResultCacheHit, st.PlanCacheHit)
 			if len(st.JobsPerWorker) > 0 {
 				fmt.Printf("exec: jobs per worker %v\n", st.JobsPerWorker)
 			}

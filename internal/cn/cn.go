@@ -36,10 +36,10 @@ type EdgeSpec struct {
 }
 
 // CN is one candidate network: a tree over tuple sets. Nodes and Edges
-// must not change once String, Canonical, PrefixKey or an Evaluator has
-// seen the CN: its rendered and canonical strings and its evaluation
-// program (program.go) are derived once and memoised, which is what lets
-// the immutable CNs of a plan.PlanSet be shared by every query on every
+// must not change once String, Canonical or an Evaluator has seen the
+// CN: its rendered and canonical strings and its evaluation program
+// (program.go) are derived once and memoised, which is what lets the
+// immutable CNs of a plan.PlanSet be shared by every query on every
 // goroutine.
 type CN struct {
 	Nodes []NodeSpec

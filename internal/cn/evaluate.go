@@ -86,6 +86,17 @@ func (ev *Evaluator) EvaluateCN(ctx context.Context, c *CN) ([]Result, error) {
 	return ev.evaluate(ctx, c, 0, ev.rootSet(c))
 }
 
+// EvaluateRoots produces the results of c whose node-0 tuple is one of
+// [lo, hi) of c's root set (hi is clamped to RootCount(c)) — the
+// exec pool's unit of work. The search visits roots in set order and
+// keeps no state between them, so ranges that tile [0, RootCount(c))
+// produce, laid end to end in range order, exactly EvaluateCN's results
+// in EvaluateCN's order.
+func (ev *Evaluator) EvaluateRoots(ctx context.Context, c *CN, lo, hi int) ([]Result, error) {
+	set := ev.rootSet(c)
+	return ev.evaluate(ctx, c, 0, set[min(lo, len(set)):min(hi, len(set))])
+}
+
 // EvaluateCNWith produces the results of c in which CN node driverIdx is
 // bound to the given tuple — the global pipeline's primitive.
 func (ev *Evaluator) EvaluateCNWith(c *CN, driverIdx int, tp *relstore.Tuple) []Result {
@@ -115,9 +126,9 @@ type search struct {
 
 // evaluate searches c depth-first with node start bound to each of roots
 // in turn, following the same compiled steps and join indexes as the
-// level-wise EvaluatePrefix with the partition test inline — a different
-// traversal of the same join graph, which is what keeps it an oracle for
-// the other.
+// level-wise EvaluateLevels with the partition test inline — a different
+// traversal of the same join graph, which is what lets each check the
+// other. It holds one row, however many partial bindings the CN has.
 func (ev *Evaluator) evaluate(ctx context.Context, c *CN, start int, roots []*relstore.Tuple) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

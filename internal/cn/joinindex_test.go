@@ -170,7 +170,9 @@ func TestJoinIndexHandCases(t *testing.T) {
 // are column values, where a multiple of 5 is NULL and anything else a
 // small integer — small enough that values repeat, large enough that
 // many reference no existing key. emp.boss references emp.id (a
-// self-reference), emp.dept a key and emp.floor a non-key column.
+// self-reference), emp.dept a key and emp.floor a non-key column. Each
+// row's txt is the CorpusVocab word the first byte picks, so the
+// kernel fuzz has keywords to query.
 func fkCorpus(data []byte) *relstore.DB {
 	db := relstore.NewDB()
 	db.MustCreateTable(&relstore.TableSchema{
@@ -178,6 +180,7 @@ func fkCorpus(data []byte) *relstore.DB {
 		Columns: []relstore.Column{
 			{Name: "id", Type: relstore.KindInt},
 			{Name: "floor", Type: relstore.KindInt},
+			{Name: "txt", Type: relstore.KindString, Text: true},
 		},
 		Key: "id",
 	})
@@ -188,6 +191,7 @@ func fkCorpus(data []byte) *relstore.DB {
 			{Name: "boss", Type: relstore.KindInt},
 			{Name: "dept", Type: relstore.KindInt},
 			{Name: "floor", Type: relstore.KindInt},
+			{Name: "txt", Type: relstore.KindString, Text: true},
 		},
 		Key: "id",
 	})
@@ -199,13 +203,14 @@ func fkCorpus(data []byte) *relstore.DB {
 	}
 	var depts, emps int64
 	for ; len(data) >= 4; data = data[4:] {
+		txt := relstore.String(dataset.CorpusVocab[int(data[0]/3)%len(dataset.CorpusVocab)])
 		if data[0]%3 == 0 {
 			depts++
-			db.MustInsert("dept", map[string]relstore.Value{"id": relstore.Int(depts), "floor": val(data[1])})
+			db.MustInsert("dept", map[string]relstore.Value{"id": relstore.Int(depts), "floor": val(data[1]), "txt": txt})
 		} else {
 			emps++
 			db.MustInsert("emp", map[string]relstore.Value{
-				"id": relstore.Int(emps), "boss": val(data[1]), "dept": val(data[2]), "floor": val(data[3]),
+				"id": relstore.Int(emps), "boss": val(data[1]), "dept": val(data[2]), "floor": val(data[3]), "txt": txt,
 			})
 		}
 	}

@@ -3,7 +3,6 @@ package cn
 import (
 	"context"
 	"fmt"
-	"slices"
 	"testing"
 
 	"kwsearch/internal/dataset"
@@ -41,185 +40,205 @@ func sigSet(rs []Result) map[string]int {
 	return m
 }
 
-// TestEvaluatePrefixMatchesEvaluateCN asserts the level-order prefix
-// materialization path produces exactly EvaluateCN's result multiset for
-// every enumerated CN, both in one shot and when resumed from every
-// intermediate prefix depth.
-func TestEvaluatePrefixMatchesEvaluateCN(t *testing.T) {
-	ev, cns := prefixSetup(t)
-	ctx := context.Background()
-	// finish runs rows through BindingResults; neither step can fail
-	// under a background context.
-	finish := func(c *CN, prior Rows) map[string]int {
-		rows, err := ev.EvaluatePrefix(ctx, c, prior, len(c.Nodes))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := ev.BindingResults(ctx, c, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sigSet(rs)
+// sortedRender renders rs bit-exactly after SortResults on a copy.
+func sortedRender(rs []Result) string {
+	rs = append([]Result(nil), rs...)
+	SortResults(rs)
+	return renderResults(rs)
+}
+
+// mustEvaluateLevels runs EvaluateLevels under a context that never ends.
+func mustEvaluateLevels(t *testing.T, ev *Evaluator, c *CN) []Result {
+	t.Helper()
+	rs, err := ev.EvaluateLevels(context.Background(), c)
+	if err != nil {
+		t.Fatalf("EvaluateLevels(%s): %v", c, err)
 	}
+	return rs
+}
+
+// tileRoots evaluates c as consecutive root ranges whose sizes cycle
+// through sizes, and returns the ranges' results laid end to end.
+func tileRoots(t *testing.T, ev *Evaluator, c *CN, sizes []int) []Result {
+	t.Helper()
+	var got []Result
+	for lo, i := 0, 0; lo < ev.RootCount(c); i++ {
+		hi := lo + sizes[i%len(sizes)]
+		rs, err := ev.EvaluateRoots(context.Background(), c, lo, hi)
+		if err != nil {
+			t.Fatalf("EvaluateRoots(%s, %d, %d): %v", c, lo, hi, err)
+		}
+		got = append(got, rs...)
+		lo = hi
+	}
+	return got
+}
+
+// TestEvaluateLevelsMatchesEvaluateCN asserts the two traversals of the
+// same join graph — the level-wise reference and the served depth-first
+// search — produce the same results for every enumerated CN, score bits,
+// CN and tuple IDs, once SortResults puts them in one order.
+func TestEvaluateLevelsMatchesEvaluateCN(t *testing.T) {
+	ev, cns := prefixSetup(t)
+	total := 0
 	for ci, c := range cns {
-		want := sigSet(mustEvaluate(t, ev, c))
-
-		// One shot: materialize the full binding set, then finish.
-		got := finish(c, Rows{})
-		if len(got) != len(want) {
-			t.Fatalf("CN %d (%s): prefix path %d distinct results, want %d", ci, c, len(got), len(want))
+		want := mustEvaluate(t, ev, c)
+		total += len(want)
+		if got, want := sortedRender(mustEvaluateLevels(t, ev, c)), sortedRender(want); got != want {
+			t.Fatalf("CN %d (%s): EvaluateLevels differs from EvaluateCN\ngot:\n%swant:\n%s", ci, c, got, want)
 		}
-		for sig, n := range want {
-			if got[sig] != n {
-				t.Fatalf("CN %d (%s): result %q count %d, want %d", ci, c, sig, got[sig], n)
-			}
-		}
-
-		// Resumed: stop at every intermediate depth and continue from it,
-		// as the executor's per-worker prefix cache does.
-		for depth := 1; depth < len(c.Nodes); depth++ {
-			mid, err := ev.EvaluatePrefix(ctx, c, Rows{}, depth)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mid.Width != depth {
-				t.Fatalf("CN %d: level of depth %d has width %d", ci, depth, mid.Width)
-			}
-			got := finish(c, mid)
-			for sig, n := range want {
-				if got[sig] != n {
-					t.Fatalf("CN %d resumed at depth %d: result %q count %d, want %d", ci, depth, sig, got[sig], n)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("CN %d resumed at depth %d: %d results, want %d", ci, depth, len(got), len(want))
-			}
-		}
+	}
+	if total == 0 {
+		t.Fatal("fixture lost its shape: no results")
 	}
 }
 
-// TestPrefixKeyOrderSensitive pins the property the executor's binding
-// cache relies on: PrefixKey distinguishes mirrored growth orders that
-// Canonical (correctly) identifies.
-func TestPrefixKeyOrderSensitive(t *testing.T) {
-	_, cns := prefixSetup(t)
-	// Find two distinct CNs whose full canonicals differ but whose
-	// size-1 prefixes start from different tables; their PrefixKeys must
-	// differ even when prefix canonicals collide across mirror orders.
-	keys := map[string]string{} // PrefixKey -> canonical of first prefix holder
-	for _, c := range cns {
-		for n := 1; n <= len(c.Nodes); n++ {
-			pk := c.PrefixKey(n)
-			if pk == "" {
-				t.Fatalf("empty PrefixKey for %s at %d", c, n)
-			}
-			sub := &CN{Nodes: append([]NodeSpec(nil), c.Nodes[:n]...)}
-			for _, e := range c.Edges {
-				if e.A < n && e.B < n {
-					sub.Edges = append(sub.Edges, e)
-				}
-			}
-			canon := sub.Canonical()
-			if prev, ok := keys[pk]; ok && prev != canon {
-				t.Fatalf("PrefixKey %q maps to two canonicals: %q vs %q", pk, prev, canon)
-			}
-			keys[pk] = canon
-		}
+// completeRows counts the join-consistent bindings of all of c's nodes:
+// the rows the search takes to totality and minimality, survivors or
+// not.
+func completeRows(t *testing.T, ev *Evaluator, c *CN) int {
+	t.Helper()
+	ids := make([]relstore.TupleID, ev.RootCount(c))
+	for i, tp := range ev.rootSet(c) {
+		ids[i] = tp.ID
 	}
-	// Degenerate arguments.
-	c := cns[0]
-	if c.PrefixKey(0) != "" || c.PrefixKey(len(c.Nodes)+1) != "" {
-		t.Fatal("out-of-range PrefixKey should be empty")
-	}
-}
-
-// TestLevelAllocsDoNotGrowWithRows pins the flat level layout by count:
-// extending a level is one presized slice plus the odd regrowth however
-// many rows come out of it (the row-at-a-time evaluator allocated one
-// slice per row plus one per parent tuple), and finishing a level
-// allocates for the rows that survive totality and minimality — their
-// Tuples, the growing result slice — not for the ones that fail.
-func TestLevelAllocsDoNotGrowWithRows(t *testing.T) {
-	ev, cns := prefixSetup(t)
-	ctx := context.Background()
-	bigLevels, rejected := 0, 0
-	for ci, c := range cns {
-		var rows Rows
-		for d := 1; d <= len(c.Nodes); d++ {
-			prior := rows
-			var err error
-			if rows, err = ev.EvaluatePrefix(ctx, c, prior, d); err != nil {
-				t.Fatal(err)
-			}
-			if rows.Len() < 1000 {
-				continue
-			}
-			bigLevels++
-			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := ev.EvaluatePrefix(ctx, c, prior, d); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs > 8 {
-				t.Errorf("CN %d (%s) depth %d: %.0f allocations for %d rows, want a handful", ci, c, d, allocs, rows.Len())
-			}
-		}
-		rs, err := ev.BindingResults(ctx, c, rows)
-		if err != nil {
+	w := 1
+	for _, st := range c.program().grow {
+		var err error
+		if ids, err = extendLevel(context.Background(), ids, w, st, ev.src.Join(st.join), ev.src.KeywordBits()); err != nil {
 			t.Fatal(err)
 		}
-		rejected += rows.Len() - len(rs)
+		w++
+	}
+	return len(ids) / w
+}
+
+// TestEvaluateCNAllocsDoNotGrowWithRows pins the served kernel's
+// allocations by count: the search holds one row and a few slices
+// sized by the CN, and allocates for the rows that survive totality and
+// minimality — their Tuples, the growing result slice — not for the
+// partial bindings it walks or the complete rows it rejects.
+func TestEvaluateCNAllocsDoNotGrowWithRows(t *testing.T) {
+	ev, cns := prefixSetup(t)
+	ctx := context.Background()
+	rejected := 0
+	for ci, c := range cns {
+		rs := mustEvaluate(t, ev, c)
+		rows := completeRows(t, ev, c)
+		rejected += rows - len(rs)
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := ev.BindingResults(ctx, c, rows); err != nil {
+			if _, err := ev.EvaluateCN(ctx, c); err != nil {
 				t.Fatal(err)
 			}
 		})
 		// One Tuples slice per survivor, the result slice's doublings
-		// (log2 of at most a few thousand) and the mask scratch.
+		// (log2 of at most a few thousand) and the search's scratch.
 		if limit := float64(len(rs) + 16); allocs > limit {
-			t.Errorf("CN %d (%s): finishing %d rows (%d survive) made %.0f allocations, want <= %.0f",
-				ci, c, rows.Len(), len(rs), allocs, limit)
+			t.Errorf("CN %d (%s): searching %d complete rows (%d survive) made %.0f allocations, want <= %.0f",
+				ci, c, rows, len(rs), allocs, limit)
 		}
 	}
-	if bigLevels == 0 || rejected < 1000 {
-		t.Fatalf("fixture lost its shape: %d levels of >= 1000 rows, %d rejected rows", bigLevels, rejected)
+	if rejected < 1000 {
+		t.Fatalf("fixture lost its shape: %d rejected rows", rejected)
 	}
 }
 
 // TestRootRangesTile pins the property the exec pool's job queue rests
-// on: cut a CN's root set into contiguous ranges of any size, grow each
-// range on its own, and the levels laid end to end in range order are
-// the unsplit level, ID for ID, at every depth.
+// on: cut a CN's root set into contiguous ranges of any size, search
+// each range on its own, and the results laid end to end in range order
+// are EvaluateCN's, in EvaluateCN's order; a range past the end of the
+// root set is clamped.
 func TestRootRangesTile(t *testing.T) {
 	ev, cns := prefixSetup(t)
 	ctx := context.Background()
 	for ci, c := range cns {
 		n := ev.RootCount(c)
-		if whole := ev.Roots(c, 0, n+5); whole.Len() != n {
-			t.Fatalf("CN %d: Roots clamped to %d rows, want %d", ci, whole.Len(), n)
+		want := renderResults(mustEvaluate(t, ev, c))
+		for _, per := range []int{1, 7, 64, max(n, 1)} {
+			if got := renderResults(tileRoots(t, ev, c, []int{per})); got != want {
+				t.Fatalf("CN %d (%s), %d roots per range: tiled results differ from EvaluateCN", ci, c, per)
+			}
 		}
-		for depth := 1; depth <= len(c.Nodes); depth++ {
-			want, err := ev.EvaluatePrefix(ctx, c, Rows{}, depth)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, per := range []int{1, 7, 64, max(n, 1)} {
-				var got []relstore.TupleID
-				for lo := 0; lo < n; lo += per {
-					rows, err := ev.EvaluatePrefix(ctx, c, ev.Roots(c, lo, lo+per), depth)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if rows.Width != depth {
-						t.Fatalf("CN %d depth %d roots [%d,%d): width %d", ci, depth, lo, lo+per, rows.Width)
-					}
-					got = append(got, rows.IDs...)
-				}
-				if !slices.Equal(got, want.IDs) {
-					t.Fatalf("CN %d (%s) depth %d, %d roots per range: %d IDs, want %d, or in another order",
-						ci, c, depth, per, len(got), len(want.IDs))
-				}
-			}
+		if rs, err := ev.EvaluateRoots(ctx, c, 0, n+5); err != nil || renderResults(rs) != want {
+			t.Fatalf("CN %d (%s): EvaluateRoots past the root set = %d results, %v", ci, c, len(rs), err)
+		}
+		if rs, err := ev.EvaluateRoots(ctx, c, n, n+5); err != nil || len(rs) != 0 {
+			t.Fatalf("CN %d (%s): EvaluateRoots beyond the root set = %d results, %v", ci, c, len(rs), err)
 		}
 	}
+}
+
+// kernelCorpus is fkCorpus under its schema graph: emp.boss -> emp.id
+// (a self-reference), emp.dept -> dept.id and emp.floor -> dept.floor,
+// whose repeated non-key values make every department on a floor a hub
+// for the employees on it. Only the first 16 rows are read: on dense
+// joins a 5-node CN's bindings grow with the fifth power of the rows,
+// and the level-wise kernel holds all of them.
+func kernelCorpus(data []byte) (*relstore.DB, *schemagraph.Graph) {
+	g, err := schemagraph.New([]string{"dept", "emp"}, []schemagraph.Edge{
+		{From: "emp", FromCol: "boss", To: "emp", ToCol: "id"},
+		{From: "emp", FromCol: "dept", To: "dept", ToCol: "id"},
+		{From: "emp", FromCol: "floor", To: "dept", ToCol: "floor"},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return fkCorpus(data[:min(len(data), 4*16)]), g
+}
+
+// hubRows is a kernelCorpus input of n rows whose first byte steps by
+// mul (table and word), bosses among emps 1–4 and floors 1–2, so a few
+// tuples are hubs of the self-reference and of the floor join.
+func hubRows(n, mul int) []byte {
+	var data []byte
+	for r := 0; r < n; r++ {
+		data = append(data, byte(r*mul+1), byte(1+r%4), byte(1+r%3), byte(1+r%2))
+	}
+	return data
+}
+
+// FuzzKernelsAgree checks the two join kernels against each other on
+// generated corpora with a self-referencing foreign key and hub joins:
+// for every enumerated CN of up to five nodes of a 1–2 term query
+// (five, because no shorter CN here can bind one tuple twice),
+// EvaluateLevels equals EvaluateCN after SortResults, and EvaluateRoots
+// over a fuzzed tiling of the root set equals EvaluateCN in order —
+// score bits, CN and tuple IDs.
+func FuzzKernelsAgree(f *testing.F) {
+	f.Add(hubRows(16, 1), uint8(0), uint8(5), []byte{0})       // "query search", one-root ranges
+	f.Add(hubRows(16, 5), uint8(2), uint8(9), []byte{2, 0, 5}) // "search join", ranges of 3, 1, 6
+	f.Add(hubRows(16, 7), uint8(1), uint8(0), []byte{})        // "keyword", one range
+	// Emps 2 ("search") and 3 ("join") report to emp 1 ("query"), which
+	// is on the floor of dept 1: emp^Q -> emp^{} -> dept^{} <- emp^{} <-
+	// emp^Q binds emp 1 twice unless the joining-tree check drops the
+	// row.
+	f.Add(append([]byte{1, 2, 3, 1, 0, 1, 0, 0, 7, 1, 2, 2, 13, 1, 2, 2}, hubRows(12, 5)...), uint8(2), uint8(9), []byte{1, 4})
+	f.Fuzz(func(t *testing.T, data []byte, t1, t2 uint8, tiling []byte) {
+		db, g := kernelCorpus(data)
+		terms := []string{dataset.CorpusVocab[int(t1)%len(dataset.CorpusVocab)]}
+		if t2%2 == 1 {
+			terms = append(terms, dataset.CorpusVocab[int(t2/2)%len(dataset.CorpusVocab)])
+		}
+		ev := NewEvaluator(db, invindex.FromDB(db), terms)
+		sizes := []int{1 << 30} // no tiling bytes: one range
+		if len(tiling) > 0 {
+			sizes = sizes[:0]
+			for _, b := range tiling {
+				sizes = append(sizes, 1+int(b)%9)
+			}
+		}
+		for _, c := range Enumerate(g, EnumerateOptions{
+			MaxSize:       5,
+			KeywordTables: ev.KeywordTables(),
+			FreeTables:    []string{"dept", "emp"},
+		}) {
+			want := mustEvaluate(t, ev, c)
+			if got, want := sortedRender(mustEvaluateLevels(t, ev, c)), sortedRender(want); got != want {
+				t.Fatalf("%v %s: EvaluateLevels differs from EvaluateCN\ngot:\n%swant:\n%s", terms, c, got, want)
+			}
+			if got, want := renderResults(tileRoots(t, ev, c, sizes)), renderResults(want); got != want {
+				t.Fatalf("%v %s: EvaluateRoots over ranges of %v differs from EvaluateCN\ngot:\n%swant:\n%s", terms, c, sizes, got, want)
+			}
+		}
+	})
 }

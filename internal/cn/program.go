@@ -1,10 +1,5 @@
 package cn
 
-import (
-	"strconv"
-	"strings"
-)
-
 // JoinKey names one directed schema join: a tuple of FromTable joins
 // the tuples of ToTable whose ToCol equals its FromCol. Direction is the
 // direction of traversal, not of the foreign key: a CN edge over
@@ -25,10 +20,10 @@ type step struct {
 
 // program is everything about a CN that evaluation would otherwise
 // re-derive per call, per level or per row: which way each edge's
-// columns face, the growth-order steps the level-wise evaluator follows,
-// the search order of the depth-first one, the leaves minimality
-// checks, and the PrefixKey strings the pool's prefix tables are keyed
-// by. It depends on the CN alone and is shared by every query.
+// columns face, the growth-order steps the level-wise reference
+// evaluator follows, the search order of the depth-first one and the
+// leaves minimality checks. It depends on the CN alone and is shared by
+// every query.
 type program struct {
 	// grow[j-1] attaches node j to an earlier node over edge j-1 — the
 	// enumerator's growth invariant (see prefix.go).
@@ -38,8 +33,6 @@ type program struct {
 	// joins an already bound one, whichever node the caller pinned.
 	search [][]step
 	leaves []int
-	// prefix[d] is PrefixKey(d) for 0 <= d <= len(Nodes).
-	prefix []string
 }
 
 // program returns c's evaluation program, compiling it on first use.
@@ -74,13 +67,7 @@ func (c *CN) joinKey(e EdgeSpec, from int) JoinKey {
 
 func (c *CN) compile() *program {
 	n := len(c.Nodes)
-	p := &program{leaves: c.leaves(), prefix: make([]string, n+1)}
-	if n == 0 {
-		return p
-	}
-	var b strings.Builder
-	b.WriteString(c.Nodes[0].String())
-	p.prefix[1] = b.String()
+	p := &program{leaves: c.leaves()}
 	for j := 1; j < n && j-1 < len(c.Edges); j++ {
 		e := c.Edges[j-1]
 		parent := e.A
@@ -90,13 +77,6 @@ func (c *CN) compile() *program {
 		p.grow = append(p.grow, step{
 			node: j, parent: parent, join: c.joinKey(e, parent), free: c.Nodes[j].Free,
 		})
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(parent))
-		b.WriteByte(':')
-		b.WriteString(edgeLabel(e.Via))
-		b.WriteByte(':')
-		b.WriteString(c.Nodes[j].String())
-		p.prefix[j+1] = b.String()
 	}
 
 	adj := c.adjacency()

@@ -12,7 +12,7 @@ import (
 
 // TestConcurrentEvaluationOnFreshBinding evaluates every CN from eight
 // goroutines at once — depth-first (EvaluateCN) on the even ones,
-// level-wise (EvaluatePrefix + BindingResults) on the odd — over an
+// level-wise (EvaluateLevels) on the odd — over an
 // evaluator nothing has touched since its binding was built, binder-backed
 // and scan-backed. A binding is immutable and its join table
 // synchronised, so there is no warm-up call to forget: under -race this
@@ -61,10 +61,7 @@ func TestConcurrentEvaluationOnFreshBinding(t *testing.T) {
 					if g%2 == 0 {
 						rs, err = ev.EvaluateCN(ctx, c)
 					} else {
-						var rows Rows
-						if rows, err = ev.EvaluatePrefix(ctx, c, Rows{}, len(c.Nodes)); err == nil {
-							rs, err = ev.BindingResults(ctx, c, rows)
-						}
+						rs, err = ev.EvaluateLevels(ctx, c)
 					}
 					if err != nil {
 						t.Errorf("%s goroutine %d CN %d: %v", name, g, i, err)

@@ -72,8 +72,8 @@ func TestTraceShapeGoldenParallel(t *testing.T) {
 		"    postings(built_terms,cached_terms,terms)\n" +
 		"    materialize(keyword_tables,matched_tuples)\n" +
 		"  enumerate(cns,plan_cached)\n" +
-		"  evaluate(evaluated,prefix_reuses,skipped,workers)\n"
-	const worker = "(busy,evaluated,idle,jobs,prefix_reuses,skipped)\n"
+		"  evaluate(evaluated,skipped,workers)\n"
+	const worker = "(busy,evaluated,idle,jobs,skipped)\n"
 	const tail = "  rank(results)\n"
 	for _, tc := range []struct{ workers, goroutines int }{
 		{0, 1},
@@ -162,7 +162,7 @@ func TestResultCacheHitAllocs(t *testing.T) {
 // distinct logged CN queries on one worker, each a result-cache miss
 // whose bind and plan are warm, because a second executor sharing the
 // engine's binder and plan cache ran them first. The bound is about
-// 1.1× the measured mean of 181; like every pin it only tightens.
+// 1.1× the measured mean of 169; like every pin it only tightens.
 func TestResultCacheMissAllocs(t *testing.T) {
 	e := NewRelational(dataset.DBLP(dataset.DefaultDBLPConfig()))
 	log := dataset.QueryLog(e.DB, 100, 1)
@@ -192,8 +192,8 @@ func TestResultCacheMissAllocs(t *testing.T) {
 				req.Query, st.ResultCacheHit, st.BindTermsBuilt, st.PlanCacheHit)
 		}
 	})
-	if allocs > 200 {
-		t.Errorf("result-cache miss allocates %.0f times, want <= 200", allocs)
+	if allocs > 186 {
+		t.Errorf("result-cache miss allocates %.0f times, want <= 186", allocs)
 	}
 	t.Logf("result-cache miss: %.0f allocs", allocs)
 }

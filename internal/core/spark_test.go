@@ -12,8 +12,8 @@ import (
 
 // sparkOracle answers a SparkNetworks query without the served path's
 // binder or depth-first evaluator: the full-scan binding, every CN of
-// the engine's plan through the level kernel (EvaluatePrefix +
-// BindingResults), each result rescored with the SPARK score, then
+// the engine's plan through the level kernel (EvaluateLevels), each
+// result rescored with the SPARK score, then
 // cn.SortResults and truncation to k.
 func sparkOracle(t *testing.T, e *Engine, q string, k, maxCNSize int) []Result {
 	t.Helper()
@@ -30,11 +30,7 @@ func sparkOracle(t *testing.T, e *Engine, q string, k, maxCNSize int) []Result {
 	s := spark.NewScorer(ev, e.Index)
 	var all []cn.Result
 	for _, c := range ps.CNs() {
-		rows, err := ev.EvaluatePrefix(ctx, c, cn.Rows{}, len(c.Nodes))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := ev.BindingResults(ctx, c, rows)
+		rs, err := ev.EvaluateLevels(ctx, c)
 		if err != nil {
 			t.Fatal(err)
 		}

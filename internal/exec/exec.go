@@ -8,10 +8,10 @@
 //   - a worker pool over one queue of jobs — each candidate network cut
 //     into ranges of 1 024 node-0 tuples, in descending score-bound
 //     order — from which up to GOMAXPROCS-many goroutines claim the next
-//     job: the tutorial's CN-level and data-level parallelism as one
-//     schedule, with per-goroutine materialized-prefix reuse
-//     (cn.EvaluatePrefix keyed by cn.PrefixKey and root range) so jobs
-//     sharing a prefix share its join work;
+//     job and search it depth-first (cn.Evaluator.EvaluateRoots): the
+//     tutorial's CN-level and data-level parallelism as one schedule,
+//     with one search row per goroutine however many partial bindings a
+//     job's joins produce;
 //   - sound top-k early termination over one bounded cn.Top shared by
 //     the goroutines: the first claimed job whose bound cannot reach its
 //     k-th score ends the queue, and a context cancellation path stops
@@ -66,10 +66,9 @@ type Options struct {
 	// binder, which its SPARK path shares.
 	Binder *cn.Binder
 	// Metrics, when non-nil, receives the executor's lifetime counters
-	// ("exec.evaluated", "exec.skipped", "exec.prefix_reuses") and the
-	// result cache's counters ("cache.results.*"), plus those of the
-	// binder and plan cache it builds itself. Leaving it nil costs one
-	// branch per counter event.
+	// ("exec.evaluated", "exec.skipped") and the result cache's counters
+	// ("cache.results.*"), plus those of the binder and plan cache it
+	// builds itself. Leaving it nil costs one branch per counter event.
 	Metrics *obs.Registry
 }
 
@@ -131,8 +130,9 @@ type Stats struct {
 	// after cancellation): Evaluated + Skipped == Jobs.
 	Evaluated int
 	Skipped   int
-	// PrefixReuses counts evaluation levels served from a worker's
-	// materialized-prefix table instead of being recomputed.
+	// PrefixReuses always reads 0: the pool searches each job
+	// depth-first and keeps no table of evaluated prefixes. The field
+	// stays because the repository benchmark (bench/) reads it.
 	PrefixReuses int
 	// ResultCacheHit reports that the whole answer came from the result
 	// cache and nothing below it ran.
@@ -182,7 +182,6 @@ type Executor struct {
 
 	evaluated *obs.Counter
 	skipped   *obs.Counter
-	reuses    *obs.Counter
 }
 
 // New builds an executor over db and ix, which must not change
@@ -200,7 +199,6 @@ func New(db *relstore.DB, ix *invindex.Index, opts Options) *Executor {
 		results:   cache.New[[]cn.Result](resultCacheSize, cacheShards),
 		evaluated: &obs.Counter{},
 		skipped:   &obs.Counter{},
-		reuses:    &obs.Counter{},
 	}
 	x.plans = opts.Plans
 	if x.plans == nil {
@@ -213,7 +211,6 @@ func New(db *relstore.DB, ix *invindex.Index, opts Options) *Executor {
 	if reg := opts.Metrics; reg != nil {
 		x.evaluated = reg.Attach("exec.evaluated", x.evaluated)
 		x.skipped = reg.Attach("exec.skipped", x.skipped)
-		x.reuses = reg.Attach("exec.prefix_reuses", x.reuses)
 		x.results.Instrument(reg, "cache.results")
 	}
 	return x
@@ -333,17 +330,14 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	for _, ws := range perWorker {
 		st.JobsPerWorker = append(st.JobsPerWorker, ws.Claimed)
 		st.Evaluated += ws.Evaluated
-		st.PrefixReuses += ws.PrefixReuses
 		st.WorkerBusy = append(st.WorkerBusy, ws.Busy)
 		st.WorkerIdle = append(st.WorkerIdle, ws.Idle())
 	}
 	st.Skipped = st.Jobs - st.Evaluated
 	vsp.SetAttr("evaluated", st.Evaluated)
 	vsp.SetAttr("skipped", st.Skipped)
-	vsp.SetAttr("prefix_reuses", st.PrefixReuses)
 	x.evaluated.Add(uint64(st.Evaluated))
 	x.skipped.Add(uint64(st.Skipped))
-	x.reuses.Add(uint64(st.PrefixReuses))
 	if err != nil {
 		st.Partial = true
 		vsp.SetAttr("partial", true)
@@ -360,9 +354,13 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 // TopKSerial is the reference path: full evaluation of every CN on the
 // calling goroutine, no bound pruning, no caches — binding included,
 // which comes from the full-scan reference binding rather than the
-// binder. The worker pool's answer is asserted byte-identical to this
+// binder — with the level-wise cn.EvaluateLevels rather than the pool's
+// depth-first search, then SortResults and truncation rather than
+// cn.Top. The worker pool's answer is asserted byte-identical to this
 // in the package tests, making every such test a continuous
-// binder-vs-scan equivalence check as well.
+// binder-vs-scan and search-vs-levels equivalence check as well.
+//
+//lint:ignore ctx-first serial reference oracle, kept signature-stable for the repository benchmark (bench/)
 func (x *Executor) TopKSerial(q Query) []cn.Result {
 	q = q.withDefaults(x)
 	terms := cn.NormalizeTerms(q.Terms)
@@ -375,5 +373,11 @@ func (x *Executor) TopKSerial(q Query) []cn.Result {
 		KeywordTables: ev.KeywordTables(),
 		FreeTables:    x.opts.FreeTables,
 	})
-	return cn.TopKNaive(ev, cns, q.K)
+	var all []cn.Result
+	for _, c := range cns {
+		rs, _ := ev.EvaluateLevels(context.Background(), c) // Background never ends: no error
+		all = append(all, rs...)
+	}
+	cn.SortResults(all)
+	return all[:min(q.K, len(all))]
 }

@@ -311,3 +311,37 @@ func TestWorkersClampedToJobs(t *testing.T) {
 		}
 	}
 }
+
+// TestHubQueryAllocBytes pins what the pool allocates on the hub query:
+// "search www" joins through the conference hub, so its CNs walk
+// millions of partial bindings to return ten results. Binder and plan
+// are warm and the executor fresh, so the measurement is the pool's:
+// the depth-first search holds one row per goroutine, and the query
+// allocates about 30 kB at Workers 1 and 2, where the level-wise pool it
+// replaced materialized every level and allocated 315 MB. The ceiling is
+// about 1.5× the measurement; like every pin it only tightens.
+func TestHubQueryAllocBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("evaluates the hub query")
+	}
+	x := newTestExecutor(1)
+	q := Query{Terms: []string{"search", "www"}, K: 10, MaxCNSize: 5}
+	if _, _, err := x.TopK(context.Background(), q); err != nil { // warm binder and plan
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		y := fresh(x, x.binder, x.plans)
+		q.Workers = workers
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rs, st, err := y.TopK(context.Background(), q)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(rs) == 0 || st.ResultCacheHit || !st.PlanCacheHit || st.BindTermsBuilt != 0 {
+			t.Fatalf("workers=%d: %d results, err %v, stats %+v; want a warm evaluated answer", workers, len(rs), err, st)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		if limit := uint64(45 << 10); got > limit {
+			t.Errorf("workers=%d: the hub query allocated %d bytes, want <= %d", workers, got, limit)
+		}
+	}
+}

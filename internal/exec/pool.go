@@ -21,9 +21,8 @@ import (
 // evaluate to the end it found dominated or gave up on when the run was
 // interrupted.
 type runStats struct {
-	Claimed      int
-	Evaluated    int
-	PrefixReuses int
+	Claimed   int
+	Evaluated int
 	// Busy is the time spent inside evalJob; Wall is the worker's total
 	// time in the pool (launch to exit).
 	Busy time.Duration
@@ -40,28 +39,19 @@ func (s runStats) Idle() time.Duration {
 }
 
 // rootsPerJob is how many node-0 tuples one job covers. Jobs of 64 roots
-// cost cn_pool throughput against 1 024 (more queue traffic and shorter
-// prefix levels per allocation) and nothing measured gains from larger
-// ones: only keyword sets beyond this size are split at all.
+// cost cn_pool throughput against 1 024 (more queue traffic) and nothing
+// measured gains from larger ones: only keyword sets beyond this size
+// are split at all.
 const rootsPerJob = 1024
 
 // job is one unit of pool work: the results of CN c whose node-0 tuple
-// is one of rows [lo, hi) of c's root set (cn.Evaluator.Roots). The
+// is one of [lo, hi) of c's root set (cn.Evaluator.EvaluateRoots). The
 // ranges of one CN tile its root set, so its jobs' results are pairwise
 // disjoint and together exactly the CN's.
 type job struct {
 	c      *cn.CN
 	lo, hi int
 	bound  float64 // ev.Bound(c): caps every score the job can produce
-}
-
-// prefixKey names a materialized level in a goroutine's prefix table:
-// the construction-order prefix and the root range it was grown from.
-// CNs sharing a PrefixKey share node 0, hence the root set and its
-// ranges, so equal keys mean equal rows.
-type prefixKey struct {
-	prefix string
-	lo     int
 }
 
 // buildQueue orders the plan's CNs by descending score bound
@@ -89,14 +79,13 @@ func buildQueue(ev *cn.Evaluator, cns []*cn.CN, per int) []job {
 // runPool drains one queue of jobs, in descending bound order, with
 // workers goroutines (the caller passes min(Query.Workers, len(jobs)):
 // more would find the queue drained). A goroutine claims the next job
-// from an atomic cursor, grows it level by level from its root range —
-// reusing the levels it already materialized for the same prefix and
-// range — and adds the results to the one shared cn.Top. The first
+// from an atomic cursor, searches it depth-first over its root range
+// and adds the results to the one shared cn.Top. The first
 // claimed job whose bound the shared k-th score dominates ends the queue
 // for everyone, since every later bound is no higher; and when the k-th
 // score dominates every goroutine's current bound plus the queue head,
-// the pool context is cancelled, stopping in-flight goroutines between
-// prefix levels or, through the row loops' context polls, inside one.
+// the pool context is cancelled, stopping in-flight goroutines at their
+// next claim or, through the search's context polls, inside a job.
 // The jobs tile the result space and all feed that one bounded list
 // under the total order cn.Less, so the final top-k equals full serial
 // evaluation byte for byte at every pool and job size (package tests).
@@ -173,7 +162,6 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, jobs []job,
 			defer wg.Done()
 			launched := time.Now()
 			st := &stats[g]
-			prefixes := map[prefixKey]cn.Rows{}
 			for {
 				ji := next.Add(1) - 1
 				if ji >= int64(len(jobs)) {
@@ -198,7 +186,7 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, jobs []job,
 						break
 					}
 					t0 := time.Now()
-					done := x.evalJob(ctx, ev, j, prefixes, top, st)
+					done := evalJob(ctx, ev, j, top, st)
 					st.Busy += time.Since(t0)
 					if done {
 						marks[g].Store(math.Float64bits(head()))
@@ -218,7 +206,6 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, jobs []job,
 			wsp.SetAttr("jobs", st.Claimed)
 			wsp.SetAttr("evaluated", st.Evaluated)
 			wsp.SetAttr("skipped", st.Claimed-st.Evaluated)
-			wsp.SetAttr("prefix_reuses", st.PrefixReuses)
 			wsp.SetAttr("busy", st.Busy.Round(time.Microsecond))
 			wsp.SetAttr("idle", st.Idle().Round(time.Microsecond))
 			wsp.End()
@@ -236,45 +223,17 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, jobs []job,
 	return top.Results(), stats, nil
 }
 
-// evalJob evaluates one job with materialized-prefix reuse. It returns
-// false when cancellation interrupted the evaluation — between levels
-// or inside one, the row loops poll ctx — with the results discarded
-// (they are provably below the k-th score whenever the internal
-// cancellation fired; otherwise runPool charges the job's bound to the
-// certificate). Only completed levels enter the prefix table.
-func (x *Executor) evalJob(ctx context.Context, ev *cn.Evaluator, j job, prefixes map[prefixKey]cn.Rows, top *cn.Top, st *runStats) bool {
-	c, n := j.c, len(j.c.Nodes)
-	var rows cn.Rows
-	for d := n - 1; d >= 1; d-- {
-		if r, ok := prefixes[prefixKey{c.PrefixKey(d), j.lo}]; ok {
-			rows = r
-			st.PrefixReuses++
-			break
-		}
+// evalJob evaluates one job with the depth-first search over its root
+// range. It returns false when cancellation interrupted the search, with
+// the results discarded (they are provably below the k-th score
+// whenever the internal cancellation fired; otherwise runPool charges
+// the job's bound to the certificate).
+func evalJob(ctx context.Context, ev *cn.Evaluator, j job, top *cn.Top, st *runStats) bool {
+	rs, err := ev.EvaluateRoots(ctx, j.c, j.lo, j.hi)
+	if err != nil {
+		return false
 	}
-	// A cached-but-empty prefix proves the job joins to nothing.
-	dead := rows.Width > 0 && rows.Len() == 0
-	for d := rows.Width + 1; d <= n && !dead; d++ {
-		if d == 1 {
-			rows = ev.Roots(c, j.lo, j.hi)
-		} else {
-			var err error
-			if rows, err = ev.EvaluatePrefix(ctx, c, rows, d); err != nil {
-				return false
-			}
-		}
-		if d < n {
-			prefixes[prefixKey{c.PrefixKey(d), j.lo}] = rows
-		}
-		dead = rows.Len() == 0
-	}
-	if !dead {
-		rs, err := ev.BindingResults(ctx, c, rows)
-		if err != nil {
-			return false
-		}
-		top.Add(rs...)
-	}
+	top.Add(rs...)
 	st.Evaluated++
 	return true
 }

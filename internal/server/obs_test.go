@@ -392,7 +392,7 @@ func TestMetricInventory(t *testing.T) {
 			"bind.builds",
 			"cache.bind.evictions", "cache.bind.hits", "cache.bind.misses",
 			"cache.results.evictions", "cache.results.hits", "cache.results.misses",
-			"exec.evaluated", "exec.prefix_reuses", "exec.skipped",
+			"exec.evaluated", "exec.skipped",
 			"invindex.intersect_gallop", "invindex.intersect_merge", "invindex.lookups", "invindex.postings_scanned",
 			"plan.builds", "plan.evictions", "plan.hits", "plan.misses",
 			"query.partial",

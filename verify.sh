@@ -42,6 +42,9 @@ go test -race $short ./internal/cn/... ./internal/invindex/... \
 echo "==> fuzz smoke (10s): pool == TopKSerial on generated corpora"
 go test -run '^$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
 
+echo "==> fuzz smoke (5s): EvaluateLevels and tiled EvaluateRoots == EvaluateCN on generated self-referencing corpora"
+go test -run '^$' -fuzz FuzzKernelsAgree -fuzztime 5s ./internal/cn/
+
 echo "==> fuzz smoke (5s): join index == Table.SelectEq on generated foreign keys"
 go test -run '^$' -fuzz FuzzJoinIndexMatchesSelectEq -fuzztime 5s ./internal/cn/
 
