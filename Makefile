@@ -32,7 +32,9 @@ race:
 # against the depth-first search on generated corpora with a
 # self-referencing foreign key and hub joins (FuzzKernelsAgree),
 # generated foreign-key columns against
-# Table.SelectEq (FuzzJoinIndexMatchesSelectEq), batched result streams
+# Table.SelectEq (FuzzJoinIndexMatchesSelectEq), compiled bindings
+# against the full-scan binding on generated corpora and 1–4 term
+# queries (FuzzBinderMatchesScan), batched result streams
 # through cn.Top against SortResults (FuzzTopKMatchesSort), arbitrary /query and
 # /batch bodies against the wire's status contract (FuzzServeQuery), log
 # strings against json.Marshal (FuzzAppendJSONValue), and histogram
@@ -42,6 +44,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
 	go test -run '^$$' -fuzz FuzzKernelsAgree -fuzztime 5s ./internal/cn/
 	go test -run '^$$' -fuzz FuzzJoinIndexMatchesSelectEq -fuzztime 5s ./internal/cn/
+	go test -run '^$$' -fuzz FuzzBinderMatchesScan -fuzztime 5s ./internal/cn/
 	go test -run '^$$' -fuzz FuzzTopKMatchesSort -fuzztime 5s ./internal/cn/
 	go test -run '^$$' -fuzz FuzzServeQuery -fuzztime 5s ./internal/server/
 	go test -run '^$$' -fuzz FuzzAppendJSONValue -fuzztime 5s ./internal/obs/

@@ -351,7 +351,8 @@ func BenchmarkAblationBLINKSBlocks(b *testing.B) {
 
 // freshExec builds a new executor over db and ix with b's timer stopped.
 // Its result cache is empty, so its first TopK evaluates instead of
-// replaying; its binder and plan cache are cold unless opts shares them.
+// replaying; its binder and plan cache are its own unless opts shares
+// them.
 func freshExec(b *testing.B, db *relstore.DB, ix *invindex.Index, opts exec.Options) *exec.Executor {
 	b.StopTimer()
 	defer b.StartTimer()
@@ -435,8 +436,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 // of it installed. Budget: the full arm within 5% of off
 // (benchstat-comparable; benchrunner -obs-overhead gates the same pair
 // in verify.sh). Both arms run in the warm-plan steady state: each
-// iteration gets a fresh executor sharing only the engine's plan cache,
-// so real evaluation is being priced, not cache replays.
+// iteration gets a fresh executor sharing the engine's binder and plan
+// cache, so real evaluation is being priced, not cache replays.
 func BenchmarkObsSuiteOverhead(b *testing.B) {
 	db := dataset.DBLP(dataset.DefaultDBLPConfig())
 	req := core.Request{Query: "keyword search", TopK: 10, MaxCNSize: 5, Workers: 4}
@@ -448,7 +449,7 @@ func BenchmarkObsSuiteOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e.Exec = freshExec(b, e.DB, e.Index, exec.Options{
-				FreeTables: e.FreeTables, Plans: e.Plans, Metrics: e.Metrics,
+				FreeTables: e.FreeTables, Binder: e.Binder, Plans: e.Plans, Metrics: e.Metrics,
 			})
 			if _, err := e.Query(ctx, req); err != nil {
 				b.Fatal(err)
@@ -579,7 +580,7 @@ func BenchmarkTopK(b *testing.B) {
 	db, ix := dblpX10()
 	opts := exec.Options{
 		FreeTables: []string{"write", "cite"},
-		Binder:     cn.NewBinder(db, ix, cn.BinderOptions{}),
+		Binder:     cn.NewBinder(db, ix),
 		Plans:      plan.New(plan.Options{}),
 	}
 	for _, w := range []int{1, 2} {

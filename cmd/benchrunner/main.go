@@ -45,9 +45,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "obs-overhead: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("obs-overhead: %.2f%% (budget %.0f%%), baseline %s vs full %s, %d rounds\n",
+		fmt.Printf("obs-overhead: %.2f%% (budget %.0f%%), baseline %s vs full %s, %d rounds, median of %d engine builds\n",
 			o.OverheadPct, obsOverheadBudgetPct,
-			time.Duration(o.BaselineNS), time.Duration(o.FullNS), o.Rounds)
+			time.Duration(o.BaselineNS), time.Duration(o.FullNS), o.Rounds, obsBuilds)
 		if o.OverheadPct > obsOverheadBudgetPct {
 			fmt.Fprintf(os.Stderr, "obs-overhead: %.2f%% exceeds the %.0f%% budget\n", o.OverheadPct, obsOverheadBudgetPct)
 			os.Exit(1)

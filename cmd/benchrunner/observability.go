@@ -7,16 +7,19 @@ package main
 // installed. Pairing is per query — each workload query runs on both
 // arms back-to-back, the minimum per (query, arm) survives across
 // rounds, and the overhead is the ratio of the per-arm sums of minima —
-// so a load spike on a shared box must persist across every round of a
-// ~4ms window to bias the comparison. The 5% budget is enforced by
-// verify.sh via the -obs-overhead gate.
+// so a load spike on a shared box must persist across every round to
+// bias the comparison; the reading is the median over obsBuilds engine
+// builds. The 5% budget is enforced by verify.sh via the -obs-overhead
+// gate.
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"strings"
 	"time"
 
@@ -24,6 +27,7 @@ import (
 	"kwsearch/internal/dataset"
 	"kwsearch/internal/exec"
 	"kwsearch/internal/obs"
+	"kwsearch/internal/relstore"
 )
 
 func init() {
@@ -34,22 +38,22 @@ func init() {
 // at most this much over the obs-off baseline.
 const obsOverheadBudgetPct = 5.0
 
-// execQueries is the probe workload: repeated queries (whole-query
-// result-cache hits), distinct queries sharing a keyword→relation
-// membership signature (plan-cache hits) and queries whose signatures
-// differ (plan-cache misses), so the overhead is priced across every
-// cache outcome.
+// execQueries is the probe workload: ten CN queries over three
+// keyword→relation membership signatures. Each probe runs on a fresh
+// executor sharing the engine's binder and plan cache, which the
+// warm-up compiled, so every probe prices a result-cache miss with a
+// warm plan; a repeated query only weighs twice in the sums.
 var execQueries = [][]string{
-	{"keyword", "search"},     // cold: signature {paper}
-	{"wang", "search"},        // cold: signature {author, paper}
-	{"keyword", "search"},     // repeat: whole-query result-cache hit
-	{"keyword", "database"},   // distinct query, same {paper} signature: plan hit
-	{"query", "optimization"}, // another {paper} signature: plan hit
-	{"wang", "database"},      // {author, paper} again: plan hit
-	{"sigmod", "ranking"},     // cold: signature {conference, paper}
-	{"keyword", "search"},     // repeat: result-cache hit
-	{"chen", "xml"},           // {author, paper} again: plan hit
-	{"query", "optimization"}, // repeat: result-cache hit
+	{"keyword", "search"},     // signature {paper}
+	{"wang", "search"},        // signature {author, paper}
+	{"keyword", "search"},     // repeat
+	{"keyword", "database"},   // {paper}
+	{"query", "optimization"}, // {paper}
+	{"wang", "database"},      // {author, paper}
+	{"sigmod", "ranking"},     // signature {conference, paper}
+	{"keyword", "search"},     // repeat
+	{"chen", "xml"},           // {author, paper}
+	{"query", "optimization"}, // repeat
 }
 
 // obsOverhead is one overhead measurement.
@@ -63,7 +67,7 @@ type obsOverhead struct {
 	// readings past the whole budget under a concurrently running test
 	// suite.
 	OverheadPct float64
-	Rounds      int
+	Rounds      int // per engine build
 	// BaselineNS / FullNS are the per-arm sums of per-query minima.
 	BaselineNS int64
 	FullNS     int64
@@ -75,28 +79,14 @@ type obsOverhead struct {
 	PromScrapeBytes int
 }
 
-// obsWorkload runs the shared executor workload once through
-// Engine.Query in the warm-plan steady state and returns its wall time.
-func obsWorkload(ctx context.Context, e *core.Engine) (time.Duration, error) {
-	total := time.Duration(0)
-	for _, terms := range execQueries {
-		d, err := obsQuery(ctx, e, strings.Join(terms, " "))
-		if err != nil {
-			return 0, err
-		}
-		total += d
-	}
-	return total, nil
-}
-
 // obsQuery times one warm-plan steady-state query: before the timer
-// starts, e gets a fresh executor sharing only its plan cache, so the
-// result and term-binding caches are cold and the compiled plan warm.
-// Its counters land in e.Metrics (a registry keeps the first counter
-// registered under each name).
+// starts, e gets a fresh executor sharing its binder and plan cache, so
+// the result cache is cold and the compiled plan warm. Its counters
+// land in e.Metrics (a registry keeps the first counter registered
+// under each name).
 func obsQuery(ctx context.Context, e *core.Engine, query string) (time.Duration, error) {
 	e.Exec = exec.New(e.DB, e.Index, exec.Options{
-		FreeTables: e.FreeTables, Plans: e.Plans, Metrics: e.Metrics,
+		FreeTables: e.FreeTables, Binder: e.Binder, Plans: e.Plans, Metrics: e.Metrics,
 	})
 	req := core.Request{Query: query, TopK: 10, MaxCNSize: 5, Workers: 4}
 	start := time.Now()
@@ -104,48 +94,73 @@ func obsQuery(ctx context.Context, e *core.Engine, query string) (time.Duration,
 	return time.Since(start), err
 }
 
+// obsBuilds engines are built and priced in turn, and the gate reads
+// the median: where the heap places one build moves its reading by
+// several percent either way (below −8 % in one of 100 A/A builds).
+const obsBuilds = 5
+
 // measureObservability prices the full suite against obs-off and
-// collects the block's evidence counters.
+// returns the median build's measurement and evidence counters.
 func measureObservability() (obsOverhead, error) {
 	db := dataset.DBLP(dataset.DefaultDBLPConfig())
+	runs := make([]obsOverhead, obsBuilds)
+	for i := range runs {
+		o, err := measureObsBuild(db, int64(i))
+		if err != nil {
+			return obsOverhead{}, err
+		}
+		runs[i] = o
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].OverheadPct < runs[j].OverheadPct })
+	return runs[len(runs)/2], nil
+}
+
+// measureObsBuild prices the suite on one engine built over db, with
+// round orders drawn from seed.
+func measureObsBuild(db *relstore.DB, seed int64) (obsOverhead, error) {
 	off := core.NewRelational(db)
-	full := core.NewRelational(db)
+	// The arms share one snapshot and differ in the suite alone: with
+	// an engine each, A/A runs (no suite on either arm) read −7 to +14 %.
+	fullEngine := *off
+	full := &fullEngine
 	sl := obs.NewSlowLog(64, core.DefaultSLOThreshold)
 	full.SetSlowLog(sl)
 	fullCtx := obs.WithLogger(context.Background(), obs.NewLogger(io.Discard, obs.LevelInfo))
 	fullCtx = obs.WithRequestID(fullCtx, "bench-obs")
 
-	// Warm both engines (plan compilation out of the timing).
-	if _, err := obsWorkload(context.Background(), off); err != nil {
-		return obsOverhead{}, err
-	}
-	if _, err := obsWorkload(fullCtx, full); err != nil {
-		return obsOverhead{}, err
+	// Warm the shared plan cache (plan compilation out of the timing).
+	for _, terms := range execQueries {
+		if _, err := obsQuery(fullCtx, full, strings.Join(terms, " ")); err != nil {
+			return obsOverhead{}, err
+		}
 	}
 
 	// Noise controls, at per-query granularity: the garbage collector is
 	// parked for the whole probe with one explicit collection between
 	// rounds (so a pause cannot land inside a timed region), each query's
-	// two arms run back-to-back (pinning every comparison to one ~4ms
-	// thermal state, not one per 40ms workload), the leading arm
-	// alternates per (round, query) so drift taxes both arms equally, and
-	// the per-arm time is the sum of per-query minima across rounds —
-	// interference only ever adds time, so each minimum is the cleanest
-	// observation of that query on that arm. Coarser pairings (whole-workload
-	// best-of, median of per-round ratios) both swung past the 5%
-	// budget when go test ./... saturated the box.
+	// two arms run back-to-back (pinning every comparison to one ~0.3ms
+	// thermal state, not one per workload), the leading arm alternates
+	// per (round, query) so drift taxes both arms equally, each round
+	// shuffles the query order (a fixed order replays one heap layout per
+	// query: A/A −15 to +11 %), and the per-arm time is the sum of
+	// per-query minima across rounds — interference only ever adds time,
+	// so each minimum is the cleanest observation of that query on that
+	// arm. Coarser pairings (whole-workload best-of, median of per-round
+	// ratios) both swung past the 5% budget when go test ./... saturated
+	// the box.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const rounds = 10
+	const rounds = 100
 	const far = time.Duration(1<<63 - 1)
 	minOff := make([]time.Duration, len(execQueries))
 	minFull := make([]time.Duration, len(execQueries))
 	for i := range minOff {
 		minOff[i], minFull[i] = far, far
 	}
+	rng := rand.New(rand.NewSource(seed))
 	for r := 0; r < rounds; r++ {
 		runtime.GC() // collect outside the timed regions, not inside them
-		for qi, terms := range execQueries {
-			q := strings.Join(terms, " ")
+		for _, qi := range rng.Perm(len(execQueries)) {
+			q := strings.Join(execQueries[qi], " ")
 			var tOff, tFull time.Duration
 			var errOff, errFull error
 			if (r+qi)%2 == 0 {
@@ -200,8 +215,8 @@ func runE38() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("   suite overhead %.2f%% (budget %.0f%%): baseline %v vs full %v, per-query minima over %d rounds\n",
-		o.OverheadPct, obsOverheadBudgetPct, time.Duration(o.BaselineNS), time.Duration(o.FullNS), o.Rounds)
+	fmt.Printf("   suite overhead %.2f%% (budget %.0f%%): baseline %v vs full %v, per-query minima over %d rounds, median of %d engine builds\n",
+		o.OverheadPct, obsOverheadBudgetPct, time.Duration(o.BaselineNS), time.Duration(o.FullNS), o.Rounds, obsBuilds)
 	fmt.Printf("   slowlog captured %d exemplar(s); /metrics/prom scrape %d bytes\n",
 		o.SlowlogCaptured, o.PromScrapeBytes)
 	// The ≤5% budget itself is enforced by `benchrunner -obs-overhead`

@@ -5,86 +5,77 @@ import (
 	"kwsearch/internal/invindex"
 	"kwsearch/internal/obs"
 	"kwsearch/internal/relstore"
+	"kwsearch/internal/schemagraph"
 )
-
-// The binder's term cache holds bindCacheSize entries over
-// bindCacheShards lock stripes.
-const (
-	bindCacheSize   = 1024
-	bindCacheShards = 16
-)
-
-// BinderOptions configures a Binder.
-type BinderOptions struct {
-	// Metrics, when non-nil, receives the binder's counters: the term
-	// cache under "cache.bind.*" and the build counter as "bind.builds".
-	Metrics *obs.Registry
-}
 
 // Binder is the shared keyword-binding layer: it turns query terms into
 // Bindings (the per-query R^Q sets, scores and join state an Evaluator
-// consumes) while caching the expensive parts across queries —
+// consumes) from structures compiled once, in NewBinder, for the one
+// snapshot it serves —
 //
-//   - per-term bindings: each term's matching tuples and TF·IDF
-//     weights, derived from its posting list in O(postings) and reused
-//     by every later query containing the term (the Hristidis-et-al.
-//     VLDB'03 move: R^Q comes from the inverted index, never from
-//     scanning relations);
+//   - per-term bindings: each vocabulary term's matching tuples and
+//     TF·IDF weights, derived from its posting list (the Hristidis et
+//     al. move: R^Q comes from a master index, never from scanning
+//     relations);
 //   - join indexes (JoinIndex: one CSR adjacency per directed schema
-//     join), built on first use once per binder instead of once per
-//     query: every binding it makes shares its one joinTable.
+//     join), both directions of every foreign key.
 //
-// Each Bind merges the query's cached term bindings into a fresh
-// Binding; nothing per whole query is retained. A Binder is safe for
-// concurrent use, and so is every Binding it returns.
+// Each Bind merges the query's term bindings into a fresh Binding.
+// Nothing is built, cached or locked after NewBinder returns, so a
+// Binder is safe for concurrent use, and so is every Binding it returns.
 type Binder struct {
-	db     *relstore.DB
-	ix     *invindex.Index
-	terms  *cache.Cache[termBinding]
-	joins  *joinTable
-	builds *obs.Counter
+	db    *relstore.DB
+	ix    *invindex.Index
+	terms map[string]termBinding
+	joins map[JoinKey]*JoinIndex
 }
 
-// NewBinder builds a binder over one database + index pair, which must
-// not change afterwards: cached term bindings and join indexes are
-// never recomputed, so serving new data takes a new binder. When
-// opts.Metrics is set the binder's counters are registered there (see
-// BinderOptions.Metrics).
-func NewBinder(db *relstore.DB, ix *invindex.Index, opts BinderOptions) *Binder {
-	b := &Binder{
-		db:     db,
-		ix:     ix,
-		terms:  cache.New[termBinding](bindCacheSize, bindCacheShards),
-		joins:  newJoinTable(db),
-		builds: &obs.Counter{},
+// NewBinder compiles a binder over one database + index pair, which must
+// not change afterwards: serving new data takes a new binder.
+func NewBinder(db *relstore.DB, ix *invindex.Index) *Binder {
+	return newBinder(db, ix, schemagraph.FromDB(db).Edges())
+}
+
+// newBinder compiles a binder whose join indexes cover both directions
+// of the given edges: the schema's foreign keys for NewBinder, or the
+// edges of a hand-built schema graph in the tests.
+func newBinder(db *relstore.DB, ix *invindex.Index, edges []schemagraph.Edge) *Binder {
+	vocab := ix.Terms()
+	bd := &Binder{
+		db:    db,
+		ix:    ix,
+		terms: make(map[string]termBinding, len(vocab)),
+		joins: make(map[JoinKey]*JoinIndex, 2*len(edges)),
 	}
-	if opts.Metrics != nil {
-		b.terms.Instrument(opts.Metrics, "cache.bind")
-		b.builds = opts.Metrics.Attach("bind.builds", b.builds)
+	for _, term := range vocab {
+		bd.terms[term] = buildTermBinding(db, ix, term)
 	}
-	return b
+	for _, e := range edges {
+		for _, k := range []JoinKey{
+			{FromTable: e.From, FromCol: e.FromCol, ToTable: e.To, ToCol: e.ToCol},
+			{FromTable: e.To, FromCol: e.ToCol, ToTable: e.From, ToCol: e.FromCol},
+		} {
+			bd.joins[k] = buildJoinIndex(db, k)
+		}
+	}
+	return bd
 }
 
 // BindTraced builds the binding for a query's terms (normalized
-// internally), serving each term's binding from the cache when present.
-// The work is recorded as child spans of sp (the caller's "bind" span):
-// "postings" covers the per-term cache probes and
-// posting-list walks (attrs terms/cached_terms/built_terms), and
-// "materialize" the merge into per-table R^Q sets and max-scores (attrs
-// matched_tuples/keyword_tables). A nil sp costs nothing.
+// internally) by merging their compiled term bindings, and sets the
+// matched_tuples attribute of sp (the caller's "bind" span; nil costs
+// nothing).
 func (bd *Binder) BindTraced(terms []string, sp *obs.Span) *Binding {
-	return bindTerms(bd.db, bd.ix, NormalizeTerms(terms), bd, sp)
+	return bindTerms(bd, NormalizeTerms(terms), sp)
 }
 
-// Stats returns the term cache's counters.
-func (bd *Binder) Stats() cache.Stats { return bd.terms.Stats() }
+// Stats, MergedStats and Builds read zero: the binder keeps no cache and
+// builds nothing after NewBinder. The methods stay, with their
+// signatures, because the repository benchmark (bench/) reads them.
+func (bd *Binder) Stats() cache.Stats { return cache.Stats{} }
 
-// MergedStats returns the zero cache.Stats: the binder keeps no
-// whole-query cache, every Bind merges from the term cache. The method
-// stays, with its signature, because the repository benchmark (bench/)
-// reads it.
+// MergedStats returns the zero cache.Stats (see Stats).
 func (bd *Binder) MergedStats() cache.Stats { return cache.Stats{} }
 
-// Builds returns the lifetime count of term bindings built (cache
-// misses that did the posting-list walk).
-func (bd *Binder) Builds() uint64 { return bd.builds.Value() }
+// Builds returns 0 (see Stats).
+func (bd *Binder) Builds() uint64 { return 0 }

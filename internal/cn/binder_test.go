@@ -75,36 +75,23 @@ func renderResults(rs []Result) string {
 
 // TestBindingMatchesScanRandomCorpus is the acceptance check for the
 // index-driven binder: over a randomized corpus of schemas, data and
-// queries, the cold one-shot binding, the cold shared-binder binding and
-// the warm (fully cached) shared-binder binding must all be bit-equal to
-// the full-scan reference — and so must the complete top-k answers
+// queries, the binding a compiled binder serves must be bit-equal to the
+// full-scan reference — and so must the complete top-k answers
 // evaluated through them.
 func TestBindingMatchesScanRandomCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 25; trial++ {
 		db, freeTables := dataset.RandomCorpus(rng, 2+rng.Intn(3))
-		ix := invindex.FromDB(db)
-		binder := NewBinder(db, ix, BinderOptions{})
+		binder := NewBinder(db, invindex.FromDB(db))
 		for q := 0; q < 4; q++ {
 			terms := make([]string, 1+rng.Intn(3))
 			for i := range terms {
 				terms[i] = dataset.CorpusVocab[rng.Intn(len(dataset.CorpusVocab))]
 			}
 			label := fmt.Sprintf("trial %d %v", trial, terms)
-			scan := NewScanBinding(db, ix, terms)
-			oneShot := bindTerms(db, ix, NormalizeTerms(terms), nil, nil)
-			cold := binder.BindTraced(terms, nil)
-			builds := binder.Builds()
-			warm := binder.BindTraced(terms, nil)
-			// The count that replaces the old warm-bind-share timing gate:
-			// a repeated bind builds nothing, so its cost is cache probes.
-			if warm.TermsCached() != len(terms) || warm.TermsBuilt() != 0 || binder.Builds() != builds {
-				t.Fatalf("%s: warm bind built %d terms (cached %d, binder builds %d -> %d), want all %d cached",
-					label, warm.TermsBuilt(), warm.TermsCached(), builds, binder.Builds(), len(terms))
-			}
-			assertBindingsEqual(t, db, scan, oneShot, label+" one-shot")
-			assertBindingsEqual(t, db, scan, cold, label+" cold-binder")
-			assertBindingsEqual(t, db, scan, warm, label+" warm-binder")
+			scan := NewScanBinding(binder, terms)
+			got := binder.BindTraced(terms, nil)
+			assertBindingsEqual(t, db, scan, got, label)
 
 			sg := schemagraph.FromDB(db)
 			cns := Enumerate(sg, EnumerateOptions{
@@ -112,8 +99,8 @@ func TestBindingMatchesScanRandomCorpus(t *testing.T) {
 				KeywordTables: scan.KeywordTables(),
 				FreeTables:    freeTables,
 			})
-			wantRs := renderResults(TopKNaive(NewScanEvaluator(db, ix, terms), cns, 10))
-			gotRs := renderResults(TopKNaive(NewEvaluatorFrom(db, ix, warm), cns, 10))
+			wantRs := renderResults(TopKNaive(NewScanEvaluator(binder, terms), cns, 10))
+			gotRs := renderResults(TopKNaive(NewEvaluatorFrom(db, binder.ix, got), cns, 10))
 			if wantRs != gotRs {
 				t.Fatalf("%s: top-k differs\ngot:\n%swant:\n%s", label, gotRs, wantRs)
 			}
@@ -121,24 +108,50 @@ func TestBindingMatchesScanRandomCorpus(t *testing.T) {
 	}
 }
 
-// TestBinderGenChurnRace hammers one cold binder from concurrent
-// queries, so first term-binding builds and first join-index builds
-// race each other. Every query's answer must equal the scan baseline — a
-// torn R^Q slice or join-index map would either diverge or trip the race
-// detector (internal/cn is in verify.sh's -race gate).
-func TestBinderGenChurnRace(t *testing.T) {
+// FuzzBinderMatchesScan checks the compiled binder against the full-scan
+// reference on generated corpora and 1–4 term queries, out-of-vocabulary
+// and repeated terms included: R^Q, masks, score bits and KeywordBits
+// must agree.
+func FuzzBinderMatchesScan(f *testing.F) {
+	f.Add(int64(1), uint8(2), []byte{0})
+	f.Add(int64(2), uint8(3), []byte{4, 4})     // one term twice
+	f.Add(int64(3), uint8(4), []byte{8, 3, 12}) // an unknown term between two known ones
+	f.Add(int64(4), uint8(2), []byte{3, 7, 11, 15})
+	f.Fuzz(func(t *testing.T, seed int64, nEnt uint8, picks []byte) {
+		db, _ := dataset.RandomCorpus(rand.New(rand.NewSource(seed)), 1+int(nEnt)%4)
+		if len(picks) == 0 {
+			picks = []byte{0}
+		}
+		var terms []string
+		for _, p := range picks[:min(len(picks), 4)] {
+			if p%4 == 3 {
+				terms = append(terms, "nosuchterm")
+				continue
+			}
+			terms = append(terms, dataset.CorpusVocab[int(p/4)%len(dataset.CorpusVocab)])
+		}
+		binder := NewBinder(db, invindex.FromDB(db))
+		assertBindingsEqual(t, db, NewScanBinding(binder, terms), binder.BindTraced(terms, nil), fmt.Sprint(terms))
+	})
+}
+
+// TestConcurrentBindsOnSharedBinder binds and evaluates one query from
+// concurrent goroutines over one shared binder. Every answer must equal
+// the scan baseline, and under -race (internal/cn is in verify.sh's
+// -race gate) a write left on the bind path would be reported.
+func TestConcurrentBindsOnSharedBinder(t *testing.T) {
 	db := dataset.WidomBib()
 	ix := invindex.FromDB(db)
-	binder := NewBinder(db, ix, BinderOptions{})
+	binder := NewBinder(db, ix)
 	terms := []string{"Widom", "XML"}
 	sg := schemagraph.FromDB(db)
-	scan := NewScanBinding(db, ix, terms)
+	scan := NewScanBinding(binder, terms)
 	cns := Enumerate(sg, EnumerateOptions{
 		MaxSize:       5,
 		KeywordTables: scan.KeywordTables(),
 		FreeTables:    []string{"write"},
 	})
-	want := renderResults(TopKNaive(NewScanEvaluator(db, ix, terms), cns, 10))
+	want := renderResults(TopKNaive(NewScanEvaluator(binder, terms), cns, 10))
 
 	const workers, iters = 4, 50
 	var wg sync.WaitGroup
@@ -176,7 +189,7 @@ func TestTupleScoreZeroFastPath(t *testing.T) {
 	db := dataset.WidomBib()
 	ix := invindex.FromDB(db)
 	terms := []string{"Widom", "XML"}
-	b := NewBinder(db, ix, BinderOptions{}).BindTraced(terms, nil)
+	b := NewBinder(db, ix).BindTraced(terms, nil)
 	checked := 0
 	for _, name := range db.TableNames() {
 		for _, tp := range db.Table(name).Tuples() {

@@ -11,19 +11,19 @@ import (
 )
 
 // termBinding is the index-derived binding of one query term: for each
-// relation with matches, the matching tuples (ascending tuple ID — the
+// relation with matches, the matching tuple IDs (ascending, the
 // posting-list order) and their TF·IDF weights. It depends only on the
-// term (a Binder's index never changes), which is what makes it
-// shareable across queries in the Binder's cache.
+// term, so NewBinder builds one per vocabulary term and every query
+// shares it.
 type termBinding struct {
 	rels []termRel
 }
 
-// termRel is one relation's slice of a term binding. tuples[i] weighs
+// termRel is one relation's slice of a term binding. ids[i] weighs
 // weights[i]; both are immutable once built.
 type termRel struct {
 	table   string
-	tuples  []*relstore.Tuple
+	ids     []relstore.TupleID
 	weights []float64
 }
 
@@ -50,11 +50,9 @@ type Binding struct {
 	// kw is the union of the R^Q sets as a bitset: the keyword/free
 	// partition test of the join loops.
 	kw TupleSet
-	// joins is the join table (synchronised; see joinTable), shared with
-	// the binder's other bindings or private to this one.
-	joins *joinTable
-
-	cachedTerms, builtTerms int
+	// joins is the binder's read-only join-index map, shared by every
+	// binding it makes.
+	joins map[JoinKey]*JoinIndex
 }
 
 // NormalizeTerms applies the shared tokenizer normalization and drops
@@ -75,7 +73,9 @@ func NormalizeTerms(terms []string) []string {
 // list once: resolve each document to its tuple (skipping documents that
 // are not tuples of db) and group by relation. Postings arrive in
 // ascending DocID order and relstore IDs rise with insertion, so each
-// relation's slice lands in insertion order without sorting.
+// relation's slice lands in insertion order without sorting. The binder
+// keeps the binding for its lifetime, so the slices are copied to their
+// length, without append's slack.
 func buildTermBinding(db *relstore.DB, ix *invindex.Index, term string) termBinding {
 	ps, ws := ix.TermWeights(term)
 	var tb termBinding
@@ -91,17 +91,20 @@ func buildTermBinding(db *relstore.DB, ix *invindex.Index, term string) termBind
 			idx[tp.Table] = j
 			tb.rels = append(tb.rels, termRel{table: tp.Table})
 		}
-		tb.rels[j].tuples = append(tb.rels[j].tuples, tp)
+		tb.rels[j].ids = append(tb.rels[j].ids, tp.ID)
 		tb.rels[j].weights = append(tb.rels[j].weights, ws[i])
+	}
+	for j := range tb.rels {
+		r := &tb.rels[j]
+		r.ids, r.weights = slices.Clone(r.ids), slices.Clone(r.weights)
 	}
 	return tb
 }
 
 // bindTerms builds an index-driven Binding for the (already normalized)
-// terms: per-term bindings come from binder's cache when one is given
-// (built and stored on miss), then merge into the query's R^Q sets,
+// terms: their compiled term bindings merge into the query's R^Q sets,
 // masks and scores. Work is O(total postings of the query terms), never
-// O(database size).
+// O(database size); a term outside the vocabulary binds nothing.
 //
 // The result is byte-identical to the scan path: tuple IDs rise with
 // insertion order, so the ID-sorted R^Q sets equal the scan order, and
@@ -109,48 +112,21 @@ func buildTermBinding(db *relstore.DB, ix *invindex.Index, term string) termBind
 // contributed an exact 0.0 in the scan path's Σ TFIDF, and x+0.0 == x
 // for the non-negative partial sums, so skipping them preserves every
 // bit.
-//
-// The two sub-spans of sp split the work the way traces have always
-// reported it: "postings" covers fetching per-term bindings (cache
-// probes + posting walks), "materialize" the merge into per-table sets.
-func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binder, sp *obs.Span) *Binding {
-	b := &Binding{terms: norm}
-	if binder != nil {
-		b.joins = binder.joins
-	} else {
-		b.joins = newJoinTable(db)
-	}
-
-	psp := sp.Child("postings")
+func bindTerms(bd *Binder, norm []string, sp *obs.Span) *Binding {
+	db := bd.db
+	b := &Binding{terms: norm, joins: bd.joins}
 	tbs := make([]termBinding, len(norm))
 	for i, term := range norm {
-		if binder != nil {
-			if tb, ok := binder.terms.Get(term); ok {
-				tbs[i] = tb
-				b.cachedTerms++
-				continue
-			}
-		}
-		tbs[i] = buildTermBinding(db, ix, term)
-		b.builtTerms++
-		if binder != nil {
-			binder.terms.Put(term, tbs[i])
-			binder.builds.Inc()
-		}
+		tbs[i] = bd.terms[term]
 	}
-	psp.SetAttr("terms", len(norm))
-	psp.SetAttr("cached_terms", b.cachedTerms)
-	psp.SetAttr("built_terms", b.builtTerms)
-	psp.End()
 
-	msp := sp.Child("materialize")
 	// Size the merge from the term bindings: the per-tuple maps would
 	// otherwise rehash their way up through every insert.
 	matched, perTable := 0, make(map[string]int)
 	for _, tb := range tbs {
 		for _, r := range tb.rels {
-			matched += len(r.tuples)
-			perTable[r.table] += len(r.tuples)
+			matched += len(r.ids)
+			perTable[r.table] += len(r.ids)
 		}
 	}
 	b.masks = make(map[relstore.TupleID]uint32, matched)
@@ -166,14 +142,14 @@ func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binde
 			if set == nil {
 				set = make([]*relstore.Tuple, 0, perTable[r.table])
 			}
-			for i, tp := range r.tuples {
-				m := b.masks[tp.ID]
+			for i, id := range r.ids {
+				m := b.masks[id]
 				if m == 0 {
-					set = append(set, tp)
-					b.kw.add(tp.ID)
+					set = append(set, db.TupleByID(id))
+					b.kw.add(id)
 				}
-				b.masks[tp.ID] = m | bit
-				b.scores[tp.ID] += r.weights[i]
+				b.masks[id] = m | bit
+				b.scores[id] += r.weights[i]
 			}
 			b.kwSets[r.table] = set
 		}
@@ -192,19 +168,19 @@ func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binde
 		b.kwTables = append(b.kwTables, table)
 	}
 	sort.Strings(b.kwTables)
-	msp.SetAttr("matched_tuples", len(b.masks))
-	msp.SetAttr("keyword_tables", len(b.kwTables))
-	msp.End()
+	sp.SetAttr("matched_tuples", len(b.masks))
 	return b
 }
 
 // NewScanBinding builds a Binding the pre-binder way: one full scan of
-// every table, collecting the tuples that match a term and scoring them
+// bd's tables, collecting the tuples that match a term and scoring them
 // through Index.Score. It is the reference implementation the
 // index-driven path is asserted byte-identical against (and the oracle
 // exec.TopKSerial evaluates with), deliberately kept as an independent
-// computation path.
-func NewScanBinding(db *relstore.DB, ix *invindex.Index, terms []string) *Binding {
+// computation path; only the join indexes, which both share, come from
+// bd.
+func NewScanBinding(bd *Binder, terms []string) *Binding {
+	db, ix := bd.db, bd.ix
 	norm := NormalizeTerms(terms)
 	b := &Binding{
 		terms:     norm,
@@ -213,7 +189,7 @@ func NewScanBinding(db *relstore.DB, ix *invindex.Index, terms []string) *Bindin
 		kwSets:    make(map[string][]*relstore.Tuple),
 		maxScores: make(map[string]float64),
 		kw:        newTupleSet(db),
-		joins:     newJoinTable(db),
+		joins:     bd.joins,
 	}
 	for ti, term := range norm {
 		for _, doc := range ix.Docs(term) {
@@ -248,15 +224,6 @@ func NewScanBinding(db *relstore.DB, ix *invindex.Index, terms []string) *Bindin
 // Terms returns the normalized query terms. Shared; do not mutate.
 func (b *Binding) Terms() []string { return b.terms }
 
-// TermsCached and TermsBuilt split the query's terms by whether their
-// bindings came from the shared binder cache or were built fresh from
-// posting lists (always "built" for one-shot bindings; both 0 for a
-// scan binding).
-func (b *Binding) TermsCached() int { return b.cachedTerms }
-
-// TermsBuilt reports the terms whose bindings were built on this call.
-func (b *Binding) TermsBuilt() int { return b.builtTerms }
-
 // KeywordTables returns the tables with a non-empty R^Q, sorted.
 func (b *Binding) KeywordTables() []string {
 	return append([]string(nil), b.kwTables...)
@@ -286,7 +253,13 @@ func (b *Binding) TermMask(id relstore.TupleID) uint32 { return b.masks[id] }
 // IDs: Has(id) ⇔ TermMask(id) != 0. Shared; do not mutate.
 func (b *Binding) KeywordBits() TupleSet { return b.kw }
 
-// Join returns the index of one directed schema join, built on first
-// use and shared by every binding on the same join table. The index is
-// immutable; the lookup is safe from any number of goroutines.
-func (b *Binding) Join(k JoinKey) *JoinIndex { return b.joins.get(k) }
+// Join returns the index of one directed schema join, shared by every
+// binding of the binder. A join outside the schema yields an index in
+// which nothing joins. The index is immutable; the lookup is safe from
+// any number of goroutines.
+func (b *Binding) Join(k JoinKey) *JoinIndex {
+	if ji := b.joins[k]; ji != nil {
+		return ji
+	}
+	return &noJoins
+}

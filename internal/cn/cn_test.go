@@ -325,8 +325,9 @@ func TestTopKStrategiesAgree(t *testing.T) {
 	db := dataset.DBLP(dataset.DefaultDBLPConfig())
 	ix := invindex.FromDB(db)
 	g := schemagraph.FromDB(db)
+	bd := NewBinder(db, ix)
 	for _, le := range dataset.QueryLog(db, 400, 7) {
-		ev := NewEvaluator(db, ix, le.Terms)
+		ev := NewEvaluatorFrom(db, ix, bd.BindTraced(le.Terms, nil))
 		cns := Enumerate(g, EnumerateOptions{
 			MaxSize:       4,
 			KeywordTables: ev.KeywordTables(),

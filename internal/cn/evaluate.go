@@ -19,11 +19,11 @@ type Result struct {
 // Evaluator executes candidate networks against a database. All binding
 // state — the per-relation keyword sets R^Q, the keyword/free partition,
 // term masks, tuple scores and join indexes — comes from its Binding,
-// so the same evaluation machinery runs over a one-shot index-driven
-// binding (NewEvaluator), the full-scan reference binding
-// (NewScanEvaluator) or a Binding served by the shared caching
-// Binder (NewEvaluatorFrom). A Binding is immutable, so one evaluator
-// may be used from any number of goroutines at once.
+// so the same evaluation machinery runs over an index-driven binding
+// (NewEvaluator, or NewEvaluatorFrom over a shared Binder's) or the
+// full-scan reference binding (NewScanEvaluator). A Binding is
+// immutable, so one evaluator may be used from any number of goroutines
+// at once.
 type Evaluator struct {
 	DB    *relstore.DB
 	Index *invindex.Index
@@ -33,17 +33,18 @@ type Evaluator struct {
 }
 
 // NewEvaluator prepares an evaluator for the given query terms
-// (normalized through the shared tokenizer), binding them through the
-// index in O(matched tuples) without a shared cache.
+// (normalized through the shared tokenizer) over a binder compiled for
+// this call alone; callers with more than one query share a Binder and
+// use NewEvaluatorFrom.
 func NewEvaluator(db *relstore.DB, ix *invindex.Index, terms []string) *Evaluator {
-	return NewEvaluatorFrom(db, ix, bindTerms(db, ix, NormalizeTerms(terms), nil, nil))
+	return NewEvaluatorFrom(db, ix, NewBinder(db, ix).BindTraced(terms, nil))
 }
 
 // NewScanEvaluator prepares an evaluator over the full-scan reference
 // binding (NewScanBinding) — the oracle the index-driven paths are
 // asserted byte-identical against.
-func NewScanEvaluator(db *relstore.DB, ix *invindex.Index, terms []string) *Evaluator {
-	return NewEvaluatorFrom(db, ix, NewScanBinding(db, ix, terms))
+func NewScanEvaluator(bd *Binder, terms []string) *Evaluator {
+	return NewEvaluatorFrom(bd.db, bd.ix, NewScanBinding(bd, terms))
 }
 
 // NewEvaluatorFrom wraps an existing binding — the constructor

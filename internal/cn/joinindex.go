@@ -3,7 +3,6 @@ package cn
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"kwsearch/internal/relstore"
 )
@@ -16,7 +15,7 @@ import (
 // comparison, no pointer for the collector to trace. Tuples of other
 // tables, NULL join values and values without a referent all get
 // zero-width rows. An index is immutable once built and shared by
-// reference, through its joinTable, by every Binding that table serves.
+// reference, through its Binder, by every Binding the binder makes.
 //
 // Size: 4 bytes per tuple of the database plus 4 bytes per joining
 // pair, which for a foreign key into a key column is at most the
@@ -29,6 +28,9 @@ type JoinIndex struct {
 	off []int32
 	dst []relstore.TupleID
 }
+
+// noJoins is the index of a join outside the schema: nothing joins.
+var noJoins JoinIndex
 
 // Targets returns the tuples id joins, in the target table's insertion
 // order. The slice is shared; callers must not mutate it. IDs the index
@@ -80,40 +82,6 @@ func buildJoinIndex(db *relstore.DB, k JoinKey) *JoinIndex {
 		}
 	}
 	return ji
-}
-
-// joinTable owns the join indexes of one database: built on first use,
-// then shared by reference. A Binder hands its one table to every
-// binding it makes; the one-shot and scan bindings get a private one.
-type joinTable struct {
-	db *relstore.DB
-
-	mu    sync.RWMutex
-	joins map[JoinKey]*JoinIndex
-}
-
-func newJoinTable(db *relstore.DB) *joinTable {
-	return &joinTable{db: db, joins: make(map[JoinKey]*JoinIndex)}
-}
-
-// get returns the index of the directed join k, building it on first
-// use. Concurrent first uses may build twice; the first writer wins so
-// every caller observes one canonical index.
-func (jt *joinTable) get(k JoinKey) *JoinIndex {
-	jt.mu.RLock()
-	ji, ok := jt.joins[k]
-	jt.mu.RUnlock()
-	if ok {
-		return ji
-	}
-	built := buildJoinIndex(jt.db, k)
-	jt.mu.Lock()
-	defer jt.mu.Unlock()
-	if ji, ok := jt.joins[k]; ok {
-		return ji
-	}
-	jt.joins[k] = built
-	return built
 }
 
 // TupleSet is a dense bitset over tuple IDs.

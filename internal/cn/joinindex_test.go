@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kwsearch/internal/dataset"
+	"kwsearch/internal/invindex"
 	"kwsearch/internal/relstore"
 	"kwsearch/internal/schemagraph"
 )
@@ -74,7 +75,8 @@ func TestJoinIndexMatchesBruteForceRandomCorpus(t *testing.T) {
 // TestJoinIndexHandCases covers the shapes the random schemas lack: a
 // self-referencing foreign key walked both ways, NULL and dangling
 // foreign keys, a foreign key into a non-key column with repeated
-// values, and unknown tables or columns.
+// values, unknown tables or columns, and a CN over a join outside the
+// schema.
 func TestJoinIndexHandCases(t *testing.T) {
 	db := relstore.NewDB()
 	db.MustCreateTable(&relstore.TableSchema{
@@ -153,6 +155,26 @@ func TestJoinIndexHandCases(t *testing.T) {
 			if got := ji.Targets(id); len(got) != 0 {
 				t.Fatalf("%v: Targets(%d) = %v, want none", k, id, got)
 			}
+		}
+	}
+
+	// A binder indexes only the declared foreign keys, so emp.boss is a
+	// join outside its schema: a hand-built CN over it joins nothing
+	// there and must not panic.
+	self := schemagraph.Edge{From: "emp", FromCol: "boss", To: "emp", ToCol: "id"}
+	c := &CN{
+		Nodes: []NodeSpec{{Table: "emp"}, {Table: "emp", Free: true}},
+		Edges: []EdgeSpec{{A: 0, B: 1, Via: self}},
+	}
+	ev := NewEvaluator(db, invindex.FromDB(db), []string{"boss"})
+	for _, k := range bothWays(self) {
+		if got := ev.src.Join(k).Targets(byKey(5)); len(got) != 0 {
+			t.Errorf("%v outside the schema: Targets = %v, want none", k, got)
+		}
+	}
+	for _, id := range []int64{1, 5} {
+		if rs := ev.EvaluateCNWith(c, 0, db.TupleByID(byKey(id))); len(rs) != 0 {
+			t.Errorf("CN over a join outside the schema from emp %d: %d results, want none", id, len(rs))
 		}
 	}
 

@@ -219,7 +219,10 @@ func FuzzKernelsAgree(f *testing.F) {
 		if t2%2 == 1 {
 			terms = append(terms, dataset.CorpusVocab[int(t2/2)%len(dataset.CorpusVocab)])
 		}
-		ev := NewEvaluator(db, invindex.FromDB(db), terms)
+		// The corpus declares no foreign keys (relstore cannot declare
+		// the self-reference), so the binder indexes g's edges.
+		ix := invindex.FromDB(db)
+		ev := NewEvaluatorFrom(db, ix, newBinder(db, ix, g.Edges()).BindTraced(terms, nil))
 		sizes := []int{1 << 30} // no tiling bytes: one range
 		if len(tiling) > 0 {
 			sizes = sizes[:0]

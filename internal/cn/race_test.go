@@ -14,10 +14,10 @@ import (
 // goroutines at once — depth-first (EvaluateCN) on the even ones,
 // level-wise (EvaluateLevels) on the odd — over an
 // evaluator nothing has touched since its binding was built, binder-backed
-// and scan-backed. A binding is immutable and its join table
-// synchronised, so there is no warm-up call to forget: under -race this
-// finds any lazy write left on the evaluation path, and every goroutine
-// must see the serial answer.
+// and scan-backed. A binding is immutable and its join indexes are built
+// with its binder, so there is no warm-up call to forget: under -race
+// this finds any lazy write left on the evaluation path, and every
+// goroutine must see the serial answer.
 func TestConcurrentEvaluationOnFreshBinding(t *testing.T) {
 	db := dataset.DBLP(dataset.DBLPConfig{
 		Authors: 60, Papers: 150, Conferences: 5, AuthorsPerPaper: 2,
@@ -25,7 +25,7 @@ func TestConcurrentEvaluationOnFreshBinding(t *testing.T) {
 	})
 	ix := invindex.FromDB(db)
 	terms := []string{"keyword", "search"}
-	oracle := NewScanEvaluator(db, ix, terms)
+	oracle := NewScanEvaluator(NewBinder(db, ix), terms)
 	cns := Enumerate(schemagraph.FromDB(db), EnumerateOptions{
 		MaxSize:       5,
 		KeywordTables: oracle.KeywordTables(),
@@ -42,10 +42,8 @@ func TestConcurrentEvaluationOnFreshBinding(t *testing.T) {
 	}
 
 	fresh := map[string]func() *Evaluator{
-		"binder": func() *Evaluator {
-			return NewEvaluatorFrom(db, ix, NewBinder(db, ix, BinderOptions{}).BindTraced(terms, nil))
-		},
-		"scan": func() *Evaluator { return NewScanEvaluator(db, ix, terms) },
+		"binder": func() *Evaluator { return NewEvaluator(db, ix, terms) },
+		"scan":   func() *Evaluator { return NewScanEvaluator(NewBinder(db, ix), terms) },
 	}
 	for name, build := range fresh {
 		ev := build()

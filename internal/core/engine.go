@@ -183,9 +183,9 @@ type Engine struct {
 	// CandidateNetworks search runs on. Populated by NewRelational.
 	Exec *exec.Executor
 	// Binder is the shared keyword→tuple binding layer: R^Q sets are
-	// derived from posting lists with per-term bindings and join
-	// indexes cached across queries, shared by the executor and the
-	// SPARK path. Populated by NewRelational; nil on XML engines.
+	// merged from per-term bindings and join indexes compiled once for
+	// the snapshot, shared by the executor and the SPARK path.
+	// Populated by NewRelational; nil on XML engines.
 	Binder *cn.Binder
 	// Plans is the candidate-network plan cache, shared the same way: a
 	// query's compiled CN set depends only on the schema graph and the
@@ -206,9 +206,9 @@ type Engine struct {
 func (e *Engine) Registry() *obs.Registry { return e.Metrics }
 
 // NewRelational builds an engine over a relational database, which must
-// not change afterwards: the engine indexes it once and caches results,
-// term bindings, join indexes and plans that are never recomputed. To
-// serve new data, build a new engine.
+// not change afterwards: the engine indexes it once, compiles every term
+// binding and join index once, and caches results and plans that are
+// never recomputed. To serve new data, build a new engine.
 func NewRelational(db *relstore.DB) *Engine {
 	ix := invindex.FromDB(db)
 	reg := obs.NewRegistry()
@@ -234,7 +234,7 @@ func NewRelational(db *relstore.DB) *Engine {
 		}
 	}
 	e.Plans = plan.New(plan.Options{Metrics: reg})
-	e.Binder = cn.NewBinder(db, ix, cn.BinderOptions{Metrics: reg})
+	e.Binder = cn.NewBinder(db, ix)
 	e.Exec = exec.New(db, ix, exec.Options{
 		FreeTables: e.FreeTables, Metrics: reg, Plans: e.Plans, Binder: e.Binder,
 	})

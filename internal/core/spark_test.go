@@ -18,7 +18,7 @@ import (
 func sparkOracle(t *testing.T, e *Engine, q string, k, maxCNSize int) []Result {
 	t.Helper()
 	ctx := context.Background()
-	ev := cn.NewScanEvaluator(e.DB, e.Index, e.Terms(q, false))
+	ev := cn.NewScanEvaluator(e.Binder, e.Terms(q, false))
 	ps, _, err := e.Plans.Get(ctx, e.Schema, cn.EnumerateOptions{
 		MaxSize:       maxCNSize,
 		KeywordTables: ev.KeywordTables(),

@@ -60,15 +60,15 @@ type Options struct {
 	// shares.
 	Plans *plan.Cache
 	// Binder is the shared keyword-binding layer that turns query terms
-	// into R^Q tuple sets from posting lists, caching per-term bindings
-	// and join indexes across queries. Leave nil to have the executor
-	// build a private one; core.NewRelational passes the engine's
-	// binder, which its SPARK path shares.
+	// into R^Q tuple sets from its compiled per-term bindings and join
+	// indexes. Leave nil to have the executor build a private one;
+	// core.NewRelational passes the engine's binder, which its SPARK
+	// path shares.
 	Binder *cn.Binder
 	// Metrics, when non-nil, receives the executor's lifetime counters
 	// ("exec.evaluated", "exec.skipped") and the result cache's counters
-	// ("cache.results.*"), plus those of the binder and plan cache it
-	// builds itself. Leaving it nil costs one branch per counter event.
+	// ("cache.results.*"), plus those of the plan cache it builds
+	// itself. Leaving it nil costs one branch per counter event.
 	Metrics *obs.Registry
 }
 
@@ -140,12 +140,6 @@ type Stats struct {
 	// PlanCacheHit reports that the candidate-network set came from the
 	// plan cache and enumeration was skipped entirely.
 	PlanCacheHit bool
-	// BindTermsCached and BindTermsBuilt split the query's terms by
-	// whether their posting-derived bindings came from the shared
-	// binder's cache or were built fresh (a warm binder makes the whole
-	// bind stage a merge of cached slices).
-	BindTermsCached int
-	BindTermsBuilt  int
 	// PlanKey is the plan-cache key the query compiled under (schema
 	// fingerprint + membership signature + size bounds) — the join
 	// key between a query exemplar and plan-cache churn. Empty when the
@@ -206,7 +200,7 @@ func New(db *relstore.DB, ix *invindex.Index, opts Options) *Executor {
 	}
 	x.binder = opts.Binder
 	if x.binder == nil {
-		x.binder = cn.NewBinder(db, ix, cn.BinderOptions{Metrics: opts.Metrics})
+		x.binder = cn.NewBinder(db, ix)
 	}
 	if reg := opts.Metrics; reg != nil {
 		x.evaluated = reg.Attach("exec.evaluated", x.evaluated)
@@ -276,19 +270,15 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	}
 
 	// Binding resolves each keyword to its per-relation tuple sets R^Q
-	// through the shared binder: per-term bindings come from posting
-	// lists (O(matched tuples)) and are cached across queries, so a warm
-	// binder reduces the stage to a merge of cached slices. It keeps its
-	// own span rather than hiding inside enumerate (which a warm plan
-	// reduces to a cache probe).
+	// by merging the shared binder's compiled term bindings
+	// (O(matched tuples)). It keeps its own span rather than hiding
+	// inside enumerate (which a warm plan reduces to a cache probe).
 	bsp := sp.Child("bind")
 	binding := x.binder.BindTraced(terms, bsp)
 	ev := cn.NewEvaluatorFrom(x.db, x.ix, binding)
 	kwTables := binding.KeywordTables()
 	bsp.SetAttr("keyword_tables", len(kwTables))
 	bsp.End()
-	st.BindTermsCached = binding.TermsCached()
-	st.BindTermsBuilt = binding.TermsBuilt()
 
 	// The enumerate stage goes through the plan cache: warm signatures
 	// skip enumeration entirely, cold ones compile and are cached for
@@ -354,11 +344,12 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 // TopKSerial is the reference path: full evaluation of every CN on the
 // calling goroutine, no bound pruning, no caches — binding included,
 // which comes from the full-scan reference binding rather than the
-// binder — with the level-wise cn.EvaluateLevels rather than the pool's
-// depth-first search, then SortResults and truncation rather than
-// cn.Top. The worker pool's answer is asserted byte-identical to this
-// in the package tests, making every such test a continuous
-// binder-vs-scan and search-vs-levels equivalence check as well.
+// binder's term bindings (only its join indexes are shared) — with the
+// level-wise cn.EvaluateLevels rather than the pool's depth-first
+// search, then SortResults and truncation rather than cn.Top. The
+// worker pool's answer is asserted byte-identical to this in the
+// package tests, making every such test a continuous binder-vs-scan and
+// search-vs-levels equivalence check as well.
 //
 //lint:ignore ctx-first serial reference oracle, kept signature-stable for the repository benchmark (bench/)
 func (x *Executor) TopKSerial(q Query) []cn.Result {
@@ -367,7 +358,7 @@ func (x *Executor) TopKSerial(q Query) []cn.Result {
 	if len(terms) == 0 {
 		return nil
 	}
-	ev := cn.NewScanEvaluator(x.db, x.ix, terms)
+	ev := cn.NewScanEvaluator(x.binder, terms)
 	cns := cn.Enumerate(x.sg, cn.EnumerateOptions{
 		MaxSize:       q.MaxCNSize,
 		KeywordTables: ev.KeywordTables(),

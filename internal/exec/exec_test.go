@@ -336,7 +336,7 @@ func TestHubQueryAllocBytes(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		rs, st, err := y.TopK(context.Background(), q)
 		runtime.ReadMemStats(&after)
-		if err != nil || len(rs) == 0 || st.ResultCacheHit || !st.PlanCacheHit || st.BindTermsBuilt != 0 {
+		if err != nil || len(rs) == 0 || st.ResultCacheHit || !st.PlanCacheHit {
 			t.Fatalf("workers=%d: %d results, err %v, stats %+v; want a warm evaluated answer", workers, len(rs), err, st)
 		}
 		got := after.TotalAlloc - before.TotalAlloc

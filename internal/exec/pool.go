@@ -156,9 +156,8 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, jobs []job,
 
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
-		wsp := sp.Child("worker-" + strconv.Itoa(g))
 		wg.Add(1)
-		go func(g int, wsp *obs.Span) {
+		go func(g int) {
 			defer wg.Done()
 			launched := time.Now()
 			st := &stats[g]
@@ -203,15 +202,21 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, jobs []job,
 			marks[g].Store(math.Float64bits(math.Inf(-1)))
 			tryCancel()
 			st.Wall = time.Since(launched)
-			wsp.SetAttr("jobs", st.Claimed)
-			wsp.SetAttr("evaluated", st.Evaluated)
-			wsp.SetAttr("skipped", st.Claimed-st.Evaluated)
-			wsp.SetAttr("busy", st.Busy.Round(time.Microsecond))
-			wsp.SetAttr("idle", st.Idle().Round(time.Microsecond))
-			wsp.End()
-		}(g, wsp)
+		}(g)
 	}
 	wg.Wait()
+	if sp != nil {
+		// One span per goroutine, recorded from its stats once the pool
+		// is done, so the workers touch no span.
+		for g, st := range stats {
+			sp.Record("worker-"+strconv.Itoa(g), st.Wall,
+				obs.Attr{Key: "jobs", Value: st.Claimed},
+				obs.Attr{Key: "evaluated", Value: st.Evaluated},
+				obs.Attr{Key: "skipped", Value: st.Claimed - st.Evaluated},
+				obs.Attr{Key: "busy", Value: st.Busy.Round(time.Microsecond)},
+				obs.Attr{Key: "idle", Value: st.Idle().Round(time.Microsecond)})
+		}
+	}
 
 	err := parent.Err()
 	if err == nil {

@@ -31,6 +31,7 @@ func TestRaceMetricsAndSpans(t *testing.T) {
 				sp := root.Child("op")
 				sp.SetAttr("g", g)
 				sp.End()
+				root.Record("recorded", time.Microsecond, Attr{"g", g})
 				r.Gauge("live").Add(-1)
 				if i%64 == 0 {
 					r.Snapshot()

@@ -33,18 +33,25 @@ type Attr struct {
 //	child.End()
 type Span struct {
 	name  string
-	start time.Time
+	start time.Duration // since epoch
 
 	mu       sync.Mutex
 	dur      time.Duration
 	ended    bool
 	attrs    []Attr
 	children []*Span
+	attrBuf  [6]Attr // backs attrs while they fit: one allocation a span
 }
+
+// epoch anchors span clocks: a span reads only the monotonic clock,
+// which costs about half of a time.Now.
+var epoch = time.Now()
 
 // StartSpan begins a root span.
 func StartSpan(name string) *Span {
-	return &Span{name: name, start: time.Now()}
+	s := &Span{name: name, start: time.Since(epoch)}
+	s.attrs = s.attrBuf[:0]
+	return s
 }
 
 // Child begins a child span under s. On a nil span it returns nil, so
@@ -53,11 +60,30 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, start: time.Now()}
+	c := StartSpan(name)
+	s.adopt(c)
+	return c
+}
+
+// Record adds an ended child span under s: a stage its caller has timed
+// itself, lasting d, with attrs (distinct keys), under one lock and no
+// clock read. On a nil span it does nothing.
+func (s *Span) Record(name string, d time.Duration, attrs ...Attr) {
+	if s == nil {
+		return
+	}
+	c := &Span{name: name, dur: d, ended: true}
+	c.attrs = append(c.attrBuf[:0], attrs...)
+	s.adopt(c)
+}
+
+func (s *Span) adopt(c *Span) {
 	s.mu.Lock()
+	if s.children == nil {
+		s.children = make([]*Span, 0, 8) // the query span's stages fit
+	}
 	s.children = append(s.children, c)
 	s.mu.Unlock()
-	return c
 }
 
 // End stops the span's clock. End is idempotent: only the first call
@@ -69,7 +95,7 @@ func (s *Span) End() {
 	s.mu.Lock()
 	if !s.ended {
 		s.ended = true
-		s.dur = time.Since(s.start)
+		s.dur = time.Since(epoch) - s.start
 	}
 	s.mu.Unlock()
 }
@@ -128,21 +154,6 @@ func (s *Span) Attrs() []Attr {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Attr(nil), s.attrs...)
-}
-
-// Attr returns the value set for key and whether it was set.
-func (s *Span) Attr(key string) (interface{}, bool) {
-	if s == nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, a := range s.attrs {
-		if a.Key == key {
-			return a.Value, true
-		}
-	}
-	return nil, false
 }
 
 // Children returns a copy of the child-span list in creation order.

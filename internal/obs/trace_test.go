@@ -31,8 +31,8 @@ func TestSpanTreeBasics(t *testing.T) {
 	if !strings.Contains(root.String(), "worker-0") {
 		t.Fatalf("render missing child:\n%s", root.String())
 	}
-	if v, ok := g.Attr("jobs"); !ok || v != 3 {
-		t.Fatalf("Attr(jobs) = %v,%v", v, ok)
+	if as := g.Attrs(); len(as) != 1 || as[0] != (Attr{"jobs", 3}) {
+		t.Fatalf("Attrs() = %+v", as)
 	}
 }
 
@@ -54,6 +54,38 @@ func TestSpanSetAttrOverwrites(t *testing.T) {
 	sp.End()
 	if len(sp.Attrs()) != 1 || sp.Attrs()[0].Value != 2 {
 		t.Fatalf("attrs = %+v", sp.Attrs())
+	}
+}
+
+// TestSpanRecord checks the one-call form of a caller-timed child: it
+// is ended with the given duration, keeps a copy of its attributes in
+// order (past the inline buffer too), and a nil parent ignores it.
+func TestSpanRecord(t *testing.T) {
+	root := StartSpan("evaluate")
+	attrs := []Attr{{"jobs", 2}, {"evaluated", 1}, {"skipped", 1}, {"busy", time.Millisecond},
+		{"idle", time.Microsecond}, {"a", 6}, {"b", 7}}
+	root.Record("worker-0", 5*time.Millisecond, attrs...)
+	attrs[0].Value = 99
+	for i := 0; i < 8; i++ {
+		root.SetAttr(string(rune('k'+i)), i)
+	}
+	root.End()
+	var nilSpan *Span
+	nilSpan.Record("worker-1", time.Second, Attr{"jobs", 1})
+
+	kids := root.Children()
+	if len(kids) != 1 {
+		t.Fatalf("children = %d, want 1", len(kids))
+	}
+	w := kids[0]
+	if !w.Ended() || w.Duration() != 5*time.Millisecond {
+		t.Fatalf("recorded span ended %v, duration %v; want ended, 5ms", w.Ended(), w.Duration())
+	}
+	if got := w.Attrs(); len(got) != 7 || got[0].Value != 2 || got[6].Key != "b" {
+		t.Fatalf("recorded attrs = %+v", got)
+	}
+	if got := root.Attrs(); len(got) != 8 || got[7].Value != 7 {
+		t.Fatalf("root attrs = %+v", got)
 	}
 }
 

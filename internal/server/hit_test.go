@@ -54,8 +54,8 @@ func TestServedHitAllocs(t *testing.T) {
 	}
 	serve() // warm the result cache
 	allocs := testing.AllocsPerRun(200, serve)
-	if allocs > 150 {
-		t.Errorf("served result-cache hit allocates %.0f times, want <= 150", allocs)
+	if allocs > 107 {
+		t.Errorf("served result-cache hit allocates %.0f times, want <= 107", allocs)
 	}
 	t.Logf("served result-cache hit: %.0f allocs", allocs)
 }

@@ -389,8 +389,6 @@ func TestMetricInventory(t *testing.T) {
 	inventory := map[string][]string{
 		"counter": {
 			"admission.admitted", "admission.deadline", "admission.shed",
-			"bind.builds",
-			"cache.bind.evictions", "cache.bind.hits", "cache.bind.misses",
 			"cache.results.evictions", "cache.results.hits", "cache.results.misses",
 			"exec.evaluated", "exec.skipped",
 			"invindex.intersect_gallop", "invindex.intersect_merge", "invindex.lookups", "invindex.postings_scanned",

@@ -48,6 +48,9 @@ go test -run '^$' -fuzz FuzzKernelsAgree -fuzztime 5s ./internal/cn/
 echo "==> fuzz smoke (5s): join index == Table.SelectEq on generated foreign keys"
 go test -run '^$' -fuzz FuzzJoinIndexMatchesSelectEq -fuzztime 5s ./internal/cn/
 
+echo "==> fuzz smoke (5s): compiled binder == full-scan binding on generated corpora and terms"
+go test -run '^$' -fuzz FuzzBinderMatchesScan -fuzztime 5s ./internal/cn/
+
 echo "==> fuzz smoke (5s): cn.Top == SortResults plus truncation on any batched stream"
 go test -run '^$' -fuzz FuzzTopKMatchesSort -fuzztime 5s ./internal/cn/
 
