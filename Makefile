@@ -36,10 +36,9 @@ race:
 # against the full-scan binding on generated corpora and 1–4 term
 # queries (FuzzBinderMatchesScan), batched result streams
 # through cn.Top against SortResults (FuzzTopKMatchesSort), arbitrary /query and
-# /batch bodies against the wire's status contract (FuzzServeQuery), log
-# strings against json.Marshal (FuzzAppendJSONValue), and histogram
-# observations against a brute-force tally of the lifetime row, every
-# window and BadFraction (FuzzHistogram).
+# /batch bodies against the wire's status contract (FuzzServeQuery), and
+# histogram observations against a brute-force tally of the lifetime row,
+# every window and BadFraction (FuzzHistogram).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
 	go test -run '^$$' -fuzz FuzzKernelsAgree -fuzztime 5s ./internal/cn/
@@ -47,7 +46,6 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzBinderMatchesScan -fuzztime 5s ./internal/cn/
 	go test -run '^$$' -fuzz FuzzTopKMatchesSort -fuzztime 5s ./internal/cn/
 	go test -run '^$$' -fuzz FuzzServeQuery -fuzztime 5s ./internal/server/
-	go test -run '^$$' -fuzz FuzzAppendJSONValue -fuzztime 5s ./internal/obs/
 	go test -run '^$$' -fuzz '^FuzzHistogram$$' -fuzztime 5s ./internal/obs/
 
 lint:

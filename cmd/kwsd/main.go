@@ -14,10 +14,11 @@
 //	GET  /debug/slowlog  tail-sampled slow/errored/shed query exemplars with span trees
 //	                     (also /debug/vars, /debug/pprof)
 //
-// Observability is tuned with -log-level (structured JSON lines on
-// stderr, request ids joining access log, engine lines and exemplars),
-// -slowlog-ms (capture threshold) and -slowlog-cap (exemplar ring
-// size).
+// kwsd is the process that serves the metrics registry. Observability
+// is tuned with -log-level (log/slog JSON lines on stderr at debug,
+// info, warn or error, or off; the request id joins the access log, the
+// engine lines and the exemplars), -slowlog-ms (capture threshold) and
+// -slowlog-cap (exemplar ring size).
 //
 // Status codes follow the engine's typed errors: 400 bad query, 429 shed
 // by admission control (Retry-After set), 503 deadline expired while
@@ -39,6 +40,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -50,14 +52,14 @@ import (
 	"kwsearch/internal/server"
 )
 
-// buildLogger maps the -log-level flag onto a stderr structured logger;
-// "off" disables logging entirely (a nil obs.Logger no-ops).
-func buildLogger(level string) (*obs.Logger, error) {
+// buildLogger maps the -log-level flag onto a stderr JSON logger: a
+// slog level name (debug, info, warn, error), or "off" for no logger.
+func buildLogger(level string) (*slog.Logger, error) {
 	if level == "off" || level == "none" {
 		return nil, nil
 	}
-	lv, err := obs.ParseLevel(level)
-	if err != nil {
+	var lv slog.Level
+	if err := lv.UnmarshalText([]byte(level)); err != nil {
 		return nil, err
 	}
 	return obs.NewLogger(os.Stderr, lv), nil

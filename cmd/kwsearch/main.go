@@ -9,12 +9,12 @@
 //	kwsearch -data dblp -workers 4 -trace keyword search
 //	kwsearch -data dblp -deadline 50ms keyword search
 //	kwsearch -data dblp -json keyword search | jq .stats
-//	kwsearch -data dblp -serve localhost:6060 keyword search
 //	kwsearch -data dblp -n 16 -admit 1 keyword search
 //
 // -n runs the query that many times concurrently against the shared
 // engine; combined with -admit it demonstrates load shedding from the
-// command line (the summary goes to stderr).
+// command line (the summary goes to stderr). -stats prints the metrics
+// registry; kwsearch opens no port (kwsd serves the registry over HTTP).
 //
 // Exit codes: 0 success (including partial results on deadline), 2 usage
 // error, 3 bad query, 4 shed by admission control, 5 deadline expired
@@ -28,11 +28,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
-	"os/signal"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"kwsearch/internal/core"
@@ -49,13 +48,12 @@ func main() {
 	snip := flag.Bool("snippets", false, "print snippets for XML results")
 	workers := flag.Int("workers", 1, "worker-pool size for cn/slca evaluation (answers are identical at every size)")
 	deadline := flag.Duration("deadline", 0, "per-query time budget (0 = none); an expiring deadline returns the partial answer certified so far")
-	admit := flag.Int("admit", 0, "admission-control concurrency limit (0 = off; relevant with -serve under external load)")
+	admit := flag.Int("admit", 0, "admission-control concurrency limit (0 = off; with -n it sheds the burst's excess)")
 	admitQueue := flag.Int("admit-queue", 0, "bounded admission queue depth used with -admit")
 	concurrent := flag.Int("n", 1, "run the query this many times concurrently (with -admit this demonstrates load shedding)")
 	stats := flag.Bool("stats", false, "print the engine's metrics-registry snapshot after the search")
 	trace := flag.Bool("trace", false, "print the query's span tree (pipeline stages with timings and attributes)")
 	jsonOut := flag.Bool("json", false, "emit results, stats and trace as one JSON object")
-	serve := flag.String("serve", "", "after the query, serve /metrics, /metrics/prom, /debug/vars, /debug/pprof (and /debug/slowlog with -slowlog-cap) on this address and block")
 	logLevel := flag.String("log-level", "warn", "structured-log level for engine lines on stderr: debug | info | warn | error | off")
 	slowlogMS := flag.Int("slowlog-ms", 100, "slow-query capture threshold in ms (0 disables the duration trigger)")
 	slowlogCap := flag.Int("slowlog-cap", 0, "slow-query exemplar ring capacity (0 = tail sampling off); captured exemplars are summarized on stderr")
@@ -119,26 +117,6 @@ func main() {
 		emitJSON(query, resp)
 	} else {
 		printText(engine.Registry(), resp, *snip, *trace, *stats)
-	}
-
-	if *serve != "" {
-		srv, err := obs.Serve(*serve, engine.Registry(), slowlog)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics (prom on /metrics/prom, pprof on /debug/pprof/)\n", srv.Addr())
-		// Block until interrupted, then drain in-flight scrapes
-		// gracefully (bounded) instead of dropping them mid-body.
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-		<-sig
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics server shutdown: %v\n", err)
-			os.Exit(1)
-		}
 	}
 }
 
@@ -207,14 +185,14 @@ func runQueries(ctx context.Context, engine core.Searcher, req core.Request, n i
 	return resp, nil
 }
 
-// buildLogger maps the -log-level flag onto a stderr structured logger;
-// "off" disables logging entirely (a nil obs.Logger no-ops).
-func buildLogger(level string) (*obs.Logger, error) {
+// buildLogger maps the -log-level flag onto a stderr JSON logger: a
+// slog level name (debug, info, warn, error), or "off" for no logger.
+func buildLogger(level string) (*slog.Logger, error) {
 	if level == "off" || level == "none" {
 		return nil, nil
 	}
-	lv, err := obs.ParseLevel(level)
-	if err != nil {
+	var lv slog.Level
+	if err := lv.UnmarshalText([]byte(level)); err != nil {
 		return nil, err
 	}
 	return obs.NewLogger(os.Stderr, lv), nil

@@ -3,6 +3,7 @@ package cn
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"kwsearch/internal/dataset"
@@ -197,6 +198,28 @@ func hubRows(n, mul int) []byte {
 	return data
 }
 
+// kernelCNs returns the CNs of up to five nodes over kernelCorpus's
+// schema graph g for the keyword tables kw, enumerating each table set
+// once per process (kernelCNsMemo). Only three sets occur, and with both
+// tables keyword tables enumeration takes about 17 ms for 319 CNs, six
+// times their evaluation by all three kernels: unmemoized, a fuzz
+// input's minimization (a few thousand calls) outlasts a 5 s smoke.
+func kernelCNs(g *schemagraph.Graph, kw []string) []*CN {
+	key := strings.Join(kw, ",")
+	cns, ok := kernelCNsMemo[key]
+	if !ok {
+		cns = Enumerate(g, EnumerateOptions{
+			MaxSize:       5,
+			KeywordTables: kw,
+			FreeTables:    []string{"dept", "emp"},
+		})
+		kernelCNsMemo[key] = cns
+	}
+	return cns
+}
+
+var kernelCNsMemo = map[string][]*CN{}
+
 // FuzzKernelsAgree checks the two join kernels against each other on
 // generated corpora with a self-referencing foreign key and hub joins:
 // for every enumerated CN of up to five nodes of a 1–2 term query
@@ -230,11 +253,7 @@ func FuzzKernelsAgree(f *testing.F) {
 				sizes = append(sizes, 1+int(b)%9)
 			}
 		}
-		for _, c := range Enumerate(g, EnumerateOptions{
-			MaxSize:       5,
-			KeywordTables: ev.KeywordTables(),
-			FreeTables:    []string{"dept", "emp"},
-		}) {
+		for _, c := range kernelCNs(g, ev.KeywordTables()) {
 			want := mustEvaluate(t, ev, c)
 			if got, want := sortedRender(mustEvaluateLevels(t, ev, c)), sortedRender(want); got != want {
 				t.Fatalf("%v %s: EvaluateLevels differs from EvaluateCN\ngot:\n%swant:\n%s", terms, c, got, want)

@@ -176,7 +176,7 @@ type Engine struct {
 	// Metrics is the engine's metrics registry: the inverted index, the
 	// execution layer and its caches surface their counters here, and
 	// Query records per-query histograms. Populated by the constructors;
-	// serve it with obs.Serve or internal/server for live inspection.
+	// internal/server (kwsd) serves it for live inspection.
 	Metrics *obs.Registry
 
 	// Exec is the concurrent cached execution layer every
@@ -212,7 +212,6 @@ func (e *Engine) Registry() *obs.Registry { return e.Metrics }
 func NewRelational(db *relstore.DB) *Engine {
 	ix := invindex.FromDB(db)
 	reg := obs.NewRegistry()
-	ix.Instrument(reg, "invindex")
 	e := &Engine{
 		DB:      db,
 		Schema:  schemagraph.FromDB(db),
@@ -238,6 +237,9 @@ func NewRelational(db *relstore.DB) *Engine {
 	e.Exec = exec.New(db, ix, exec.Options{
 		FreeTables: e.FreeTables, Metrics: reg, Plans: e.Plans, Binder: e.Binder,
 	})
+	// Instrumented last, so the index counters count query work only,
+	// not the binder compiling every term.
+	ix.Instrument(reg, "invindex")
 	registerQuerySLO(reg)
 	return e
 }
@@ -288,23 +290,6 @@ func (e *Engine) requireRelational() error {
 	return nil
 }
 
-// lookupSpan resolves every term's postings in the index under a
-// "lookup" child span recording the term and total posting counts. The
-// walk exists only for those attributes, so an untraced query skips it.
-func (e *Engine) lookupSpan(sp *obs.Span, terms []string) {
-	if sp == nil {
-		return
-	}
-	lsp := sp.Child("lookup")
-	total := 0
-	for _, t := range terms {
-		total += len(e.Index.Postings(t))
-	}
-	lsp.SetAttr("terms", len(terms))
-	lsp.SetAttr("postings", total)
-	lsp.End()
-}
-
 // cnResults converts evaluator results to the public shape.
 func cnResults(rs []cn.Result) []Result {
 	var out []Result
@@ -326,7 +311,6 @@ func (e *Engine) searchCN(ctx context.Context, terms []string, req Request, sp *
 	if workers < 1 {
 		workers = 1
 	}
-	e.lookupSpan(sp, terms)
 	rs, xst, err := e.Exec.TopK(ctx, exec.Query{
 		Terms: terms, K: req.TopK, MaxCNSize: req.MaxCNSize, Workers: workers, Trace: sp,
 	})
@@ -351,7 +335,6 @@ func (e *Engine) searchSpark(ctx context.Context, terms []string, req Request, s
 	if err := e.requireRelational(); err != nil {
 		return nil, err
 	}
-	e.lookupSpan(sp, terms)
 	bsp := sp.Child("bind")
 	ev := cn.NewEvaluatorFrom(e.DB, e.Index, e.Binder.BindTraced(terms, bsp))
 	kwTables := ev.KeywordTables()

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"time"
 
 	"kwsearch/internal/cn"
@@ -96,7 +97,6 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		// outcome: shed, failed, partial or complete.
 		defer e.observeElapsed(start)
 	}
-	lg := obs.FromContext(ctx)
 
 	// Tail sampling: with a slow-query log installed every query runs a
 	// cheap always-on trace, so the span tree already exists if the query
@@ -112,7 +112,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	if err := resilience.Inject(ctx, resilience.StageAdmit); err != nil {
 		terr := resilience.AsTyped(err)
 		root.End()
-		e.captureRejected(ctx, req, root, terr, time.Since(start), lg)
+		e.captureRejected(ctx, req, root, terr, time.Since(start))
 		return nil, terr
 	}
 	if e.gate != nil {
@@ -126,7 +126,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 			// admission.deadline.
 			asp.SetAttr("rejected", true)
 			root.End()
-			e.captureRejected(ctx, req, root, err, time.Since(start), lg)
+			e.captureRejected(ctx, req, root, err, time.Since(start))
 			return nil, err
 		}
 		defer release()
@@ -141,7 +141,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	if len(terms) == 0 {
 		root.End()
 		err := badQuery("core: empty query")
-		e.capture(ctx, req, root, nil, obs.OutcomeError, err.Error(), time.Since(start), lg)
+		e.capture(ctx, req, root, nil, obs.OutcomeError, err.Error(), time.Since(start))
 		return nil, err
 	}
 
@@ -150,7 +150,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	if (req.Semantics == CandidateNetworks || req.Semantics == SparkNetworks) && len(terms) > cn.MaxTerms {
 		root.End()
 		err := badQuery(fmt.Sprintf("core: %d keywords, candidate networks take at most %d", len(terms), cn.MaxTerms))
-		e.capture(ctx, req, root, nil, obs.OutcomeError, err.Error(), time.Since(start), lg)
+		e.capture(ctx, req, root, nil, obs.OutcomeError, err.Error(), time.Since(start))
 		return nil, err
 	}
 
@@ -182,7 +182,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 			root.SetAttr("ctx_done", true)
 			root.End()
 			st.Elapsed = time.Since(start)
-			e.capture(ctx, req, root, &st, obs.OutcomeError, err.Error(), st.Elapsed, lg)
+			e.capture(ctx, req, root, &st, obs.OutcomeError, err.Error(), st.Elapsed)
 			return nil, err
 		}
 	}
@@ -200,16 +200,18 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		e.Metrics.Counter("query.partial").Inc()
 	}
 	if outcome, ok := e.slowlog.Classify(st.Elapsed, false, partial); ok {
-		e.capture(ctx, req, root, &st, outcome, "", st.Elapsed, lg)
+		e.capture(ctx, req, root, &st, outcome, "", st.Elapsed)
 	}
-	if lg.Enabled(obs.LevelDebug) {
-		lg.Debug("query executed",
-			obs.F("keywords_hash", obs.KeywordsHash(req.Query)),
-			obs.F("semantics", st.Semantics.String()),
-			obs.F("results", st.Results),
-			obs.F("partial", partial),
-			obs.F("plan_signature", st.PlanSignature),
-			obs.F("elapsed", st.Elapsed))
+	if lg := obs.FromContext(ctx); lg.Enabled(ctx, obs.LevelDebug) {
+		lg.LogAttrs(ctx, obs.LevelDebug, "query executed",
+			optString("request_id", obs.RequestIDFrom(ctx)),
+			slog.String("keywords_hash", obs.KeywordsHash(req.Query)),
+			slog.String("semantics", st.Semantics.String()),
+			slog.Int("results", st.Results),
+			slog.Bool("partial", partial),
+			slog.String("plan_signature", st.PlanSignature),
+			slog.Duration("elapsed", st.Elapsed),
+			optDuration("deadline", req.Deadline))
 	}
 	var trace *Trace
 	if req.Trace {
@@ -253,13 +255,13 @@ func rejectOutcome(err error) obs.Outcome {
 
 // captureRejected retains an exemplar for a query rejected before
 // evaluation (shed by the gate, or its deadline lapsed while queued).
-func (e *Engine) captureRejected(ctx context.Context, req Request, root *obs.Span, err error, elapsed time.Duration, lg *obs.Logger) {
-	e.capture(ctx, req, root, nil, rejectOutcome(err), err.Error(), elapsed, lg)
+func (e *Engine) captureRejected(ctx context.Context, req Request, root *obs.Span, err error, elapsed time.Duration) {
+	e.capture(ctx, req, root, nil, rejectOutcome(err), err.Error(), elapsed)
 }
 
 // capture retains one query exemplar in the slow-query log and emits
 // the corresponding structured warn line. No-op without a slowlog.
-func (e *Engine) capture(ctx context.Context, req Request, root *obs.Span, st *Stats, outcome obs.Outcome, errText string, elapsed time.Duration, lg *obs.Logger) {
+func (e *Engine) capture(ctx context.Context, req Request, root *obs.Span, st *Stats, outcome obs.Outcome, errText string, elapsed time.Duration) {
 	if e.slowlog == nil {
 		return
 	}
@@ -277,22 +279,32 @@ func (e *Engine) capture(ctx context.Context, req Request, root *obs.Span, st *S
 		entry.Stats = *st
 	}
 	seq := e.slowlog.Record(entry)
-	if lg.Enabled(obs.LevelWarn) {
-		fields := []obs.Field{
-			obs.F("slowlog_seq", seq),
-			obs.F("outcome", string(outcome)),
-			obs.F("keywords_hash", entry.KeywordsHash),
-			obs.F("elapsed", elapsed),
-		}
-		if entry.RequestID != "" {
-			fields = append(fields, obs.F("request_id", entry.RequestID))
-		}
-		if entry.PlanSignature != "" {
-			fields = append(fields, obs.F("plan_signature", entry.PlanSignature))
-		}
-		if errText != "" {
-			fields = append(fields, obs.F("error", errText))
-		}
-		lg.Warn("query captured in slowlog", fields...)
+	if lg := obs.FromContext(ctx); lg.Enabled(ctx, obs.LevelWarn) {
+		lg.LogAttrs(ctx, obs.LevelWarn, "query captured in slowlog",
+			slog.Uint64("slowlog_seq", seq),
+			slog.String("outcome", string(outcome)),
+			slog.String("keywords_hash", entry.KeywordsHash),
+			slog.Duration("elapsed", elapsed),
+			optString("request_id", entry.RequestID),
+			optString("plan_signature", entry.PlanSignature),
+			optString("error", errText),
+			optDuration("deadline", req.Deadline))
 	}
+}
+
+// optString is a log attribute that is left off the line (an empty
+// slog.Attr) when v is "".
+func optString(key, v string) slog.Attr {
+	if v == "" {
+		return slog.Attr{}
+	}
+	return slog.String(key, v)
+}
+
+// optDuration is a log attribute that is left off the line when d is 0.
+func optDuration(key string, d time.Duration) slog.Attr {
+	if d == 0 {
+		return slog.Attr{}
+	}
+	return slog.Duration(key, d)
 }

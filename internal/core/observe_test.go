@@ -29,9 +29,18 @@ func TestQueryStats(t *testing.T) {
 	}
 	// Stats carries no registry delta (an engine-wide registry differenced
 	// around one query would count every concurrent query's events too);
-	// the work lands in the engine's registry.
-	if got := e.Metrics.Snapshot().Counters["invindex.lookups"]; got == 0 {
-		t.Error("engine registry missing index lookups")
+	// the work lands in the engine's registry, and only the query's: one
+	// lookup per term, none from building the engine.
+	counters := e.Metrics.Snapshot().Counters
+	postings := 0
+	for _, term := range st.Terms {
+		postings += len(e.Index.Postings(term))
+	}
+	if got, want := counters["invindex.lookups"], uint64(len(st.Terms)); got != want {
+		t.Errorf("invindex.lookups = %d, want %d", got, want)
+	}
+	if got, want := counters["invindex.postings_scanned"], uint64(postings); got != want || want == 0 {
+		t.Errorf("invindex.postings_scanned = %d, want %d (> 0)", got, want)
 	}
 	if b, err := json.Marshal(st); err != nil || strings.Contains(string(b), `"metrics"`) {
 		t.Errorf("stats JSON = %s (err %v), want no metrics key", b, err)
@@ -65,8 +74,7 @@ func TestQueryWithoutTraceHasNoTrace(t *testing.T) {
 func TestTraceShapeGoldenParallel(t *testing.T) {
 	const head = "" +
 		"query(keywords,result_cache_hit,results,semantics)\n" +
-		"  clean(cleaned,terms)\n" +
-		"  lookup(postings,terms)\n"
+		"  clean(cleaned,terms)\n"
 	const stages = "" +
 		"  bind(keyword_tables,matched_tuples)\n" +
 		"  enumerate(cns,plan_cached)\n" +

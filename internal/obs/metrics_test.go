@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
@@ -217,17 +218,15 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
+// TestServe serves Handler's mux and reads its endpoints.
 func TestServe(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("served").Add(3)
-	srv, err := Serve("127.0.0.1:0", r, nil)
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
+	srv := httptest.NewServer(Handler(r, nil))
 	defer srv.Close()
 
 	for _, path := range []string{"/metrics", "/debug/vars", "/debug/pprof/"} {
-		resp, err := http.Get("http://" + srv.Addr() + path)
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}

@@ -1,9 +1,9 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
@@ -85,6 +85,9 @@ func parsePromText(t *testing.T, text string) (map[string]float64, map[string]st
 	}
 	return samples, types
 }
+
+// fixedClock pins a histogram's window clock.
+func fixedClock(t time.Time) func() time.Time { return func() time.Time { return t } }
 
 func promFixture() *Registry {
 	reg := NewRegistry()
@@ -213,12 +216,9 @@ func TestPromLabelEscaping(t *testing.T) {
 
 func TestPromHandlerEndToEnd(t *testing.T) {
 	reg := promFixture()
-	srv, err := Serve("127.0.0.1:0", reg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := httptest.NewServer(Handler(reg, nil))
 	defer srv.Close()
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics/prom", srv.Addr()))
+	resp, err := http.Get(srv.URL + "/metrics/prom")
 	if err != nil {
 		t.Fatal(err)
 	}

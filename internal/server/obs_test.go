@@ -101,6 +101,79 @@ func TestPerRequestLoggerReachesEngine(t *testing.T) {
 	}
 }
 
+// lineKeys decodes one JSON log line token by token — a map decode would
+// keep the last of two equal keys — failing on a key it has seen.
+func lineKeys(t *testing.T, line string) map[string]interface{} {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(line))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("log line does not open an object (%v, %v): %s", tok, err, line)
+	}
+	fields := map[string]interface{}{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatalf("%v: %s", err, line)
+		}
+		key := tok.(string)
+		var v interface{}
+		if err := dec.Decode(&v); err != nil {
+			t.Fatalf("key %q: %v: %s", key, err, line)
+		}
+		if _, dup := fields[key]; dup {
+			t.Errorf("key %q appears twice: %s", key, line)
+		}
+		fields[key] = v
+	}
+	return fields
+}
+
+// TestLogLinesCarryEachKeyOnce: every line a debug-level server with a
+// slowlog writes for one /query and one /batch — access, engine debug
+// and slowlog warn lines — names each key once, and the engine lines of
+// a batch item carry the item's id, "<batch-id>#<i>".
+func TestLogLinesCarryEachKeyOnce(t *testing.T) {
+	var buf bytes.Buffer
+	_, ts := newTestServer(t, nil, Options{
+		Logger:  obs.NewLogger(&buf, obs.LevelDebug),
+		SlowLog: obs.NewSlowLog(64, time.Nanosecond),
+	})
+	_, httpResp := post(t, ts.URL, QueryRequest{Query: "keyword search", DeadlineMS: 60_000})
+	queryID := httpResp.Header.Get("X-Request-Id")
+	body, err := json.Marshal(BatchRequest{Queries: []QueryRequest{{Query: "keyword search"}, {Query: "wang database"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpResp, err = http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, httpResp.Body)
+	httpResp.Body.Close()
+	batchID := httpResp.Header.Get("X-Request-Id")
+	ts.Close() // waits for the handlers: every line is written
+
+	got := map[string][]string{} // msg -> the request ids of its lines
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		f := lineKeys(t, line)
+		msg, _ := f["msg"].(string)
+		id, _ := f["request_id"].(string)
+		got[msg] = append(got[msg], id)
+	}
+	for msg, want := range map[string][]string{
+		"request":                   {queryID, batchID},
+		"query executed":            {queryID, batchID + "#0", batchID + "#1"},
+		"query captured in slowlog": {queryID, batchID + "#0", batchID + "#1"},
+	} {
+		ids := got[msg]
+		sort.Strings(ids)
+		sort.Strings(want)
+		if strings.Join(ids, " ") != strings.Join(want, " ") {
+			t.Errorf("%q lines carry request ids %q, want %q", msg, ids, want)
+		}
+	}
+}
+
 // promCommentRe / promSampleRe are the exposition-format line shapes: a
 // line is a # HELP/# TYPE comment or a sample
 // `name{label="v",...} value`.

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"net"
 	"net/http"
@@ -54,12 +55,11 @@ type Options struct {
 	// (and so every request). Tests use it to carry a fault injector
 	// into the pipeline; production leaves it nil.
 	BaseContext func() context.Context
-	// Logger, when non-nil, is the server's structured logger. Every
-	// request gets a derived logger carrying the request id, placed in
-	// the request context so the engine's debug and slowlog-capture
-	// lines join up with the serving layer's, and one access-log info
-	// line is emitted per request.
-	Logger *obs.Logger
+	// Logger, when non-nil, is the server's structured logger. It
+	// rides in every request's context, so the engine's debug and
+	// slowlog-capture lines, stamped with the request id, go to it too,
+	// and it gets one access-log info line per request.
+	Logger *slog.Logger
 	// SlowLog, when non-nil, is installed on the engine
 	// (core.Engine.SetSlowLog) so every served query is tail-sampled,
 	// and its retained exemplars are served at /debug/slowlog.
@@ -83,7 +83,7 @@ type Server struct {
 	reg    *obs.Registry
 	opts   Options
 	mux    *http.ServeMux
-	logger *obs.Logger
+	logger *slog.Logger
 
 	// Serving-path metrics, registered in the engine's registry.
 	requests *obs.Counter
@@ -258,12 +258,12 @@ func (s *Server) newRequestID() string {
 
 // withObs wraps a handler with the serving layer's observability
 // middleware: it assigns (or adopts, from X-Request-Id) a request id,
-// echoes it on the response, derives a per-request logger carrying the
-// id into the request context — so engine debug
-// lines and slowlog exemplars join up with the access log — and emits
-// one structured access-log line per request with the route, status,
-// response size, elapsed time and the keywords hash(es) the handler
-// recorded while decoding. The elapsed time is also the request's one
+// echoes it on the response, puts the id and the server's logger in the
+// request context — so engine debug lines and slowlog exemplars join up
+// with the access log — and emits one structured access-log line per
+// request with the id, route, status, response size, elapsed time and
+// the keywords hash (a batch: its query count) the handler recorded
+// while decoding. The elapsed time is also the request's one
 // observation in server.latency_us, whatever its route and status.
 func (s *Server) withObs(route string, next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -275,35 +275,35 @@ func (s *Server) withObs(route string, next http.HandlerFunc) http.HandlerFunc {
 		ctx := obs.WithRequestID(r.Context(), id)
 		ai := &accessInfo{}
 		ctx = context.WithValue(ctx, accessInfoKey{}, ai)
-		lg := s.logger
-		if lg != nil {
-			lg = lg.With(obs.F("request_id", id))
-			ctx = obs.WithLogger(ctx, lg)
-		}
+		ctx = obs.WithLogger(ctx, s.logger)
 		w.Header().Set("X-Request-Id", id)
 		sw := &statusRecorder{ResponseWriter: w}
 		next(sw, r.WithContext(ctx))
 		elapsed := time.Since(start)
 		s.latency.Observe(float64(elapsed.Microseconds()))
-		if lg.Enabled(obs.LevelInfo) {
-			fields := []obs.Field{
-				obs.F("route", route),
-				obs.F("method", r.Method),
-				obs.F("status", sw.status),
-				obs.F("bytes", sw.bytes),
-				obs.F("elapsed", elapsed),
-			}
-			ai.mu.Lock()
-			switch len(ai.hashes) {
-			case 0:
-			case 1:
-				fields = append(fields, obs.F("keywords_hash", ai.hashes[0]))
-			default:
-				fields = append(fields, obs.F("queries", len(ai.hashes)))
-			}
-			ai.mu.Unlock()
-			lg.Info("request", fields...)
+		if s.logger == nil {
+			return
 		}
+		// The query's keywords hash, a batch's query count, or nothing
+		// (an empty Attr, which the handler skips) before a body decoded.
+		var work slog.Attr
+		ai.mu.Lock()
+		switch len(ai.hashes) {
+		case 0:
+		case 1:
+			work = slog.String("keywords_hash", ai.hashes[0])
+		default:
+			work = slog.Int("queries", len(ai.hashes))
+		}
+		ai.mu.Unlock()
+		s.logger.LogAttrs(ctx, obs.LevelInfo, "request",
+			slog.String("request_id", id),
+			slog.String("route", route),
+			slog.String("method", r.Method),
+			slog.Int("status", sw.status),
+			slog.Int("bytes", sw.bytes),
+			slog.Duration("elapsed", elapsed),
+			work)
 	}
 }
 
@@ -350,18 +350,7 @@ func (s *Server) execute(ctx context.Context, q QueryRequest) QueryResponse {
 	if err != nil {
 		return errorResponse(q.Query, err)
 	}
-	kwHash := obs.KeywordsHash(q.Query)
-	accessInfoFrom(ctx).record(kwHash)
-	if lg := obs.FromContext(ctx); lg != nil {
-		// The per-query logger adds the fields only this layer knows:
-		// the keywords hash (join key into traces and the slowlog) and
-		// the effective deadline after defaulting and clamping.
-		fields := []obs.Field{obs.F("keywords_hash", kwHash)}
-		if req.Deadline > 0 {
-			fields = append(fields, obs.F("deadline", req.Deadline))
-		}
-		ctx = obs.WithLogger(ctx, lg.With(fields...))
-	}
+	accessInfoFrom(ctx).record(obs.KeywordsHash(q.Query))
 	resp, err := s.engine.Query(ctx, req)
 	if err != nil {
 		return errorResponse(q.Query, err)
@@ -459,20 +448,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, q QueryRequest) {
 			defer wg.Done()
-			// Each batch item gets its own correlation id, "<batch-id>#<i>",
-			// threaded through the request context and a fresh per-item
-			// logger: engine debug lines and slowlog exemplars then name the
-			// item, not just the batch. The logger derives from the server's
-			// base logger rather than the context's — obs.Logger.With
-			// appends fields without dedup, so deriving from the in-context
-			// logger would emit both the batch id and the item id under the
-			// same key.
-			ctx := r.Context()
-			subID := parentID + "#" + strconv.Itoa(i)
-			ctx = obs.WithRequestID(ctx, subID)
-			if s.logger != nil {
-				ctx = obs.WithLogger(ctx, s.logger.With(obs.F("request_id", subID)))
-			}
+			// Each batch item runs under its own correlation id,
+			// "<batch-id>#<i>": engine debug lines and slowlog exemplars
+			// then name the item, not just the batch.
+			ctx := obs.WithRequestID(r.Context(), parentID+"#"+strconv.Itoa(i))
 			out.Responses[i] = s.execute(ctx, q)
 		}(i, q)
 	}

@@ -57,9 +57,6 @@ go test -run '^$' -fuzz FuzzTopKMatchesSort -fuzztime 5s ./internal/cn/
 echo "==> fuzz smoke (5s): /query and /batch decoders answer every body with a wire status"
 go test -run '^$' -fuzz FuzzServeQuery -fuzztime 5s ./internal/server/
 
-echo "==> fuzz smoke (5s): log strings encode exactly as json.Marshal"
-go test -run '^$' -fuzz FuzzAppendJSONValue -fuzztime 5s ./internal/obs/
-
 echo "==> fuzz smoke (5s): histogram lifetime row and windows == a brute-force tally"
 go test -run '^$' -fuzz '^FuzzHistogram$' -fuzztime 5s ./internal/obs/
 
