@@ -28,12 +28,6 @@
 // SIGTERM or SIGINT starts a graceful drain: the listener stops
 // accepting, in-flight queries run to completion within -drain, and the
 // process exits 0 (1 if the drain deadline forced a hard close).
-//
-// -selfcheck starts the daemon on a loopback port, drives it with the
-// built-in load generator (concurrent clients whose served answers must
-// be byte-identical to in-process Engine.Query, a deadline probe that
-// must yield a certified partial, and an overload burst that must shed
-// with 429), prints the report and exits 0 only if every check passed.
 package main
 
 import (
@@ -78,9 +72,6 @@ func run() int {
 	deadline := flag.Duration("deadline", 0, "default per-query time budget for queries that don't set one (0 = none)")
 	maxDeadline := flag.Duration("max-deadline", time.Minute, "ceiling clamped onto any requested per-query deadline (0 = no ceiling)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-drain budget after SIGTERM/SIGINT")
-	selfcheck := flag.Bool("selfcheck", false, "serve on a loopback port, drive the built-in load generator against it, report, and exit")
-	clients := flag.Int("clients", 8, "selfcheck: concurrent clients")
-	perClient := flag.Int("per-client", 10, "selfcheck: queries per client")
 	logLevel := flag.String("log-level", "info", "structured-log level: debug | info | warn | error | off")
 	slowlogMS := flag.Int("slowlog-ms", 100, "slow-query capture threshold in ms (0 disables the duration trigger; errored/shed/partial queries are always captured)")
 	slowlogCap := flag.Int("slowlog-cap", 64, "slow-query exemplar ring capacity (0 disables tail sampling entirely)")
@@ -111,10 +102,6 @@ func run() int {
 		SlowLog:         slowlog,
 	})
 
-	if *selfcheck {
-		return runSelfCheck(srv, engine, *clients, *perClient)
-	}
-
 	if err := srv.Start(*addr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -132,34 +119,6 @@ func run() int {
 		return 1
 	}
 	fmt.Fprintln(os.Stderr, "kwsd: drained cleanly")
-	return 0
-}
-
-// runSelfCheck serves on a loopback port and turns the load generator
-// loose on it. The serving engine is shared with the in-process
-// reference path on purpose: identical index, identical caches, so any
-// result divergence is the serving layer's fault.
-func runSelfCheck(srv *server.Server, engine core.Searcher, clients, perClient int) int {
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "kwsd: selfcheck against http://%s\n", srv.Addr())
-	report, err := server.SelfCheck(context.Background(), "http://"+srv.Addr(), engine, server.SelfCheckConfig{
-		Clients:   clients,
-		PerClient: perClient,
-	})
-	fmt.Println(report)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if derr := srv.Drain(ctx); derr != nil {
-		fmt.Fprintf(os.Stderr, "kwsd: post-selfcheck drain: %v\n", derr)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "kwsd: selfcheck FAILED: %v\n", err)
-		return 1
-	}
-	fmt.Fprintln(os.Stderr, "kwsd: selfcheck passed")
 	return 0
 }
 

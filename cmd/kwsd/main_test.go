@@ -2,8 +2,8 @@ package main
 
 // End-to-end tests for the daemon binary: they build kwsd with the go
 // tool, run it as a real process, and exercise the contracts only a
-// process boundary can prove — SIGTERM drains cleanly to exit 0, and
-// -selfcheck passes against a live loopback server.
+// process boundary can prove: SIGTERM drains cleanly to exit 0, and a
+// usage error exits 2.
 
 import (
 	"bytes"
@@ -21,17 +21,8 @@ import (
 	"time"
 )
 
-// buildKwsd compiles the daemon once per test binary into a temp dir.
-func buildKwsd(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "kwsd")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build kwsd: %v\n%s", err, out)
-	}
-	return bin
-}
+// kwsdBin is the daemon binary TestMain compiles once per test binary.
+var kwsdBin string
 
 // waitServing polls stderr output until the daemon prints its serving
 // line, returning the address it bound.
@@ -71,9 +62,8 @@ func (s *safeBuffer) String() string {
 // TestSIGTERMDrainsAndExitsZero starts kwsd, verifies it serves, sends
 // SIGTERM and requires a clean exit 0 with the drain messages on stderr.
 func TestSIGTERMDrainsAndExitsZero(t *testing.T) {
-	bin := buildKwsd(t)
 	var stderr safeBuffer
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0")
+	cmd := exec.Command(kwsdBin, "-addr", "127.0.0.1:0")
 	cmd.Stderr = &stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -111,28 +101,9 @@ func TestSIGTERMDrainsAndExitsZero(t *testing.T) {
 	}
 }
 
-// TestSelfCheckBinary runs `kwsd -selfcheck` as a process and requires
-// exit 0 plus a zero-mismatch report line on stdout.
-func TestSelfCheckBinary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("selfcheck drives a full load-generation run")
-	}
-	bin := buildKwsd(t)
-	cmd := exec.Command(bin, "-selfcheck", "-clients", "4", "-per-client", "4")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("kwsd -selfcheck failed: %v\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "mismatches=0") {
-		t.Fatalf("selfcheck report missing mismatches=0:\n%s", stdout.String())
-	}
-}
-
 // TestUnknownDatasetUsageError pins the usage-error exit code.
 func TestUnknownDatasetUsageError(t *testing.T) {
-	bin := buildKwsd(t)
-	err := exec.Command(bin, "-data", "nope", "-selfcheck").Run()
+	err := exec.Command(kwsdBin, "-data", "nope").Run()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 		t.Fatalf("unknown dataset: err %v, want exit code 2", err)
@@ -146,5 +117,22 @@ func TestMain(m *testing.M) {
 		fmt.Fprintln(os.Stderr, "skipping kwsd e2e tests: go tool not found")
 		os.Exit(0)
 	}
-	os.Exit(m.Run())
+	os.Exit(runTests(m))
+}
+
+// runTests compiles the daemon into a temp dir, runs the tests and
+// removes the dir.
+func runTests(m *testing.M) int {
+	dir, err := os.MkdirTemp("", "kwsd-e2e")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer os.RemoveAll(dir)
+	kwsdBin = filepath.Join(dir, "kwsd")
+	if out, err := exec.Command("go", "build", "-o", kwsdBin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build kwsd: %v\n%s", err, out)
+		return 1
+	}
+	return m.Run()
 }

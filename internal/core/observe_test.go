@@ -51,6 +51,29 @@ func TestQueryStats(t *testing.T) {
 	if err := resp.Trace.WellFormed(time.Second); err != nil {
 		t.Fatal(err)
 	}
+
+	// SPARK scores every joined tuple with TF and IDF, which read posting
+	// lists without counting a lookup: the counters stay within one
+	// posting-list read per term.
+	sp := NewRelational(dataset.WidomBib())
+	resp, err = sp.Query(context.Background(), Request{Query: "Widom XML", TopK: 5, Semantics: SparkNetworks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) == 0 {
+		t.Fatal("spark: no results")
+	}
+	counters = sp.Metrics.Snapshot().Counters
+	postings = 0
+	for _, term := range resp.Stats.Terms {
+		postings += len(sp.Index.Postings(term))
+	}
+	if got, max := counters["invindex.lookups"], uint64(len(resp.Stats.Terms)); got > max {
+		t.Errorf("spark: invindex.lookups = %d, want <= %d", got, max)
+	}
+	if got, max := counters["invindex.postings_scanned"], uint64(postings); got > max {
+		t.Errorf("spark: invindex.postings_scanned = %d, want <= %d", got, max)
+	}
 }
 
 func TestQueryWithoutTraceHasNoTrace(t *testing.T) {

@@ -4,14 +4,13 @@ import (
 	"context"
 
 	"kwsearch/internal/obs"
-	"kwsearch/internal/resilience"
 )
 
 // Searcher is the serving-layer seam over one logical engine: the
 // context-first query contract plus the operational knobs the HTTP
-// server, the load generator and the CLIs wire up. *Engine implements
-// it directly; *shard.Coordinator embeds an engine and only multiplies
-// each request's pool size, so every transport runs unchanged against
+// server and the CLIs wire up. *Engine implements it directly;
+// *shard.Coordinator embeds an engine and only multiplies each
+// request's pool size, so every transport runs unchanged against
 // either.
 type Searcher interface {
 	// Query runs one search request under ctx; see Engine.Query for the
@@ -23,13 +22,9 @@ type Searcher interface {
 	Registry() *obs.Registry
 	// Admit installs admission control (non-positive limit removes it).
 	Admit(limit, maxQueue int)
-	// Gate returns the admission gate, nil unless Admit installed one.
-	Gate() *resilience.Gate
 	// SetSlowLog installs (or with nil removes) the tail-sampling
 	// slow-query log.
 	SetSlowLog(l *obs.SlowLog)
-	// SlowLog returns the slow-query log, nil unless installed.
-	SlowLog() *obs.SlowLog
 }
 
 var _ Searcher = (*Engine)(nil)

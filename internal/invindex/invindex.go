@@ -40,10 +40,11 @@ type Index struct {
 }
 
 // Instrument surfaces the index's work counters in reg:
-// "<prefix>.lookups" (posting-list resolutions), ".postings_scanned"
-// (postings returned by those lookups), ".intersect_gallop" and
-// ".intersect_merge" (which pairwise intersection path IntersectLists
-// chose). Call before concurrent use.
+// "<prefix>.lookups" (posting-list reads through Postings or Docs),
+// ".postings_scanned" (postings those reads returned),
+// ".intersect_gallop" and ".intersect_merge" (which pairwise
+// intersection path IntersectLists chose). DF, TF, IDF, HasTerm, TFIDF
+// and TermWeights count nothing. Call before concurrent use.
 func (ix *Index) Instrument(reg *obs.Registry, prefix string) {
 	ix.lookups = reg.Counter(prefix + ".lookups")
 	ix.postingsScanned = reg.Counter(prefix + ".postings_scanned")
@@ -125,11 +126,15 @@ func (ix *Index) AvgDocLen() float64 {
 // concurrent readers need no warm-up. The slice is shared; callers must
 // not mutate it.
 func (ix *Index) Postings(term string) []Posting {
-	list := ix.postings[text.Normalize(term)]
+	list := ix.list(term)
 	ix.lookups.Inc()
 	ix.postingsScanned.Add(uint64(len(list)))
 	return list
 }
+
+// list is Postings without the counters, for the statistics that read
+// a posting list without scanning it for the caller.
+func (ix *Index) list(term string) []Posting { return ix.postings[text.Normalize(term)] }
 
 // Docs returns just the document IDs matching term, sorted.
 func (ix *Index) Docs(term string) []DocID {
@@ -142,11 +147,11 @@ func (ix *Index) Docs(term string) []DocID {
 }
 
 // DF returns the document frequency of term.
-func (ix *Index) DF(term string) int { return len(ix.Postings(term)) }
+func (ix *Index) DF(term string) int { return len(ix.list(term)) }
 
 // TF returns the term frequency of term in doc (0 if absent).
 func (ix *Index) TF(term string, doc DocID) int {
-	ps := ix.Postings(term)
+	ps := ix.list(term)
 	i := sort.Search(len(ps), func(i int) bool { return ps[i].Doc >= doc })
 	if i < len(ps) && ps[i].Doc == doc {
 		return int(ps[i].TF)
@@ -196,7 +201,7 @@ func (ix *Index) TFIDF(term string, doc DocID) float64 {
 // same float64 bits as Score. The posting slice is shared; callers must
 // not mutate it.
 func (ix *Index) TermWeights(term string) ([]Posting, []float64) {
-	ps := ix.Postings(term)
+	ps := ix.list(term)
 	if len(ps) == 0 {
 		return ps, nil
 	}

@@ -289,11 +289,8 @@ func TestSlowLogCapAndThresholdUnderLoad(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				body, _ := json.Marshal(QueryRequest{Query: fmt.Sprintf("keyword search %d", c)})
-				resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
-				if err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
+				if _, _, err := postQuery(ts.URL, QueryRequest{Query: fmt.Sprintf("keyword search %d", c)}); err != nil {
+					t.Error(err)
 				}
 			}
 		}(c)

@@ -35,6 +35,12 @@ import (
 // server's metrics honest.
 const statusClientClosedRequest = 499
 
+// maxBatch bounds the /batch fan-out, and maxBodyBytes every request body.
+const (
+	maxBatch     = 64
+	maxBodyBytes = 1 << 20
+)
+
 // Options tunes the server. The zero value is a working configuration.
 type Options struct {
 	// DefaultWorkers is the worker-pool size applied to requests that do
@@ -47,10 +53,6 @@ type Options struct {
 	// MaxDeadline caps per-request deadlines; longer asks are clamped
 	// (0 = uncapped).
 	MaxDeadline time.Duration
-	// MaxBatch bounds the /batch fan-out (default 64).
-	MaxBatch int
-	// MaxBodyBytes bounds request bodies (default 1 MiB).
-	MaxBodyBytes int64
 	// BaseContext, when non-nil, seeds the context of every connection
 	// (and so every request). Tests use it to carry a fault injector
 	// into the pipeline; production leaves it nil.
@@ -66,18 +68,8 @@ type Options struct {
 	SlowLog *obs.SlowLog
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
-	}
-	return o
-}
-
 // Server serves one engine over HTTP. Construct with New, bind with
-// Start, stop with Drain (graceful) or Close (abortive).
+// Start, stop with Drain.
 type Server struct {
 	engine core.Searcher
 	reg    *obs.Registry
@@ -116,7 +108,7 @@ func New(engine core.Searcher, opts Options) *Server {
 	s := &Server{
 		engine:   engine,
 		reg:      reg,
-		opts:     opts.withDefaults(),
+		opts:     opts,
 		mux:      http.NewServeMux(),
 		logger:   opts.Logger,
 		requests: reg.Counter("server.requests"),
@@ -151,9 +143,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Start binds addr and serves in a background goroutine. Bind errors
 // surface synchronously; the chosen port is readable from Addr when addr
 // ends in ":0". The server's lifetime is not context-scoped: it ends
-// via Drain (graceful) or Close (hard), mirroring net/http.Server.
+// via Drain, mirroring net/http.Server.
 //
-//lint:ignore ctx-first server lifetime is managed by Drain/Close, not a context
+//lint:ignore ctx-first server lifetime is managed by Drain, not a context
 func (s *Server) Start(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -190,15 +182,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	if err != nil {
 		_ = s.httpSrv.Close()
 	}
-	<-s.done
-	return err
-}
-
-// Close aborts the server without waiting for in-flight requests.
-// Prefer Drain.
-func (s *Server) Close() error {
-	s.draining.Store(true)
-	err := s.httpSrv.Close()
 	<-s.done
 	return err
 }
@@ -415,7 +398,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.writeResponse(w, resp)
 }
 
-// handleBatch is POST /batch: up to MaxBatch queries fanned out
+// handleBatch is POST /batch: up to maxBatch queries fanned out
 // concurrently, each passing individually through admission control, so
 // one oversized batch cannot monopolize the engine — the gate sheds its
 // excess exactly as it would shed independent clients.
@@ -435,9 +418,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	if len(batch.Queries) > s.opts.MaxBatch {
+	if len(batch.Queries) > maxBatch {
 		s.writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(batch.Queries), s.opts.MaxBatch))
+			fmt.Sprintf("batch of %d exceeds limit %d", len(batch.Queries), maxBatch))
 		return
 	}
 	s.requests.Add(uint64(len(batch.Queries)))
@@ -489,7 +472,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 // decodeBody strictly decodes a bounded JSON body into v, writing the
 // 400 itself (and reporting false) on malformed input.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -16,6 +16,7 @@ import (
 
 	"kwsearch/internal/core"
 	"kwsearch/internal/dataset"
+	"kwsearch/internal/obs"
 	"kwsearch/internal/resilience"
 )
 
@@ -37,23 +38,80 @@ func newTestServer(t *testing.T, in *resilience.Injector, opts Options) (*core.E
 	return e, ts
 }
 
-// post sends one query and decodes the envelope.
-func post(t *testing.T, url string, q QueryRequest) (QueryResponse, *http.Response) {
-	t.Helper()
+// postQuery sends one POST /query and decodes the envelope, whose
+// status must mirror the HTTP status. The returned response's body is
+// already closed; its header is still readable.
+func postQuery(url string, q QueryRequest) (QueryResponse, *http.Response, error) {
 	body, err := json.Marshal(q)
 	if err != nil {
-		t.Fatal(err)
+		return QueryResponse{}, nil, err
 	}
 	httpResp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /query: %v", err)
+		return QueryResponse{}, nil, fmt.Errorf("POST /query: %w", err)
 	}
 	defer httpResp.Body.Close()
 	var resp QueryResponse
 	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		t.Fatalf("decode response: %v", err)
+		return QueryResponse{}, httpResp, fmt.Errorf("status %d: decode response: %w", httpResp.StatusCode, err)
+	}
+	if resp.Status != httpResp.StatusCode {
+		return resp, httpResp, fmt.Errorf("envelope status %d != HTTP status %d", resp.Status, httpResp.StatusCode)
+	}
+	return resp, httpResp, nil
+}
+
+// post is postQuery that fails the test on error.
+func post(t *testing.T, url string, q QueryRequest) (QueryResponse, *http.Response) {
+	t.Helper()
+	resp, httpResp, err := postQuery(url, q)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return resp, httpResp
+}
+
+// reference runs q in-process (no deadline) on e and renders the
+// canonical answer a served response must reproduce byte for byte.
+func reference(e core.Searcher, q QueryRequest) (string, error) {
+	sem, err := core.ParseSemantics(q.Semantics)
+	if err != nil {
+		return "", err
+	}
+	resp, err := e.Query(context.Background(), core.Request{
+		Query: q.Query, Semantics: sem, TopK: q.TopK,
+		MaxCNSize: q.MaxCNSize, Clean: q.Clean, Workers: q.Workers,
+	})
+	if err != nil {
+		return "", fmt.Errorf("in-process reference for %q: %w", q.Query, err)
+	}
+	if resp.Partial {
+		return "", fmt.Errorf("in-process reference for %q unexpectedly partial", q.Query)
+	}
+	return RenderResults(toWireResults(resp.Results)), nil
+}
+
+// requireExemplar fails t unless sl retains an exemplar of outcome for
+// query that carries a well-formed span tree and the query's keywords
+// hash.
+func requireExemplar(t *testing.T, sl *obs.SlowLog, outcome obs.Outcome, query string) {
+	t.Helper()
+	for _, en := range sl.Entries() {
+		if en.Outcome != outcome {
+			continue
+		}
+		if en.Trace == nil {
+			t.Fatalf("%s exemplar has no trace", outcome)
+		}
+		if err := en.Trace.WellFormed(time.Minute); err != nil {
+			t.Fatalf("%s exemplar trace malformed: %v", outcome, err)
+		}
+		if en.KeywordsHash != obs.KeywordsHash(query) {
+			t.Fatalf("%s exemplar keywords hash %q, want %q", outcome, en.KeywordsHash, obs.KeywordsHash(query))
+		}
+		return
+	}
+	t.Fatalf("slowlog holds no %s exemplar", outcome)
 }
 
 func TestQueryMatchesInProcess(t *testing.T) {
@@ -195,10 +253,12 @@ func parkQuery(t *testing.T, ts *httptest.Server, in *resilience.Injector) (canc
 
 // TestOverloadSheds429 pins the load-shedding path: with the engine's
 // only slot parked on an injected delay and no queue, a second query is
-// shed with 429 + Retry-After, and the envelope carries the typed code.
+// shed with 429 + Retry-After, the envelope carries the typed code, and
+// the slow-query log keeps a shed exemplar.
 func TestOverloadSheds429(t *testing.T) {
 	in := resilience.NewInjector(1).Arm(resilience.StageEval, resilience.Fault{Delay: time.Minute})
-	e, ts := newTestServer(t, in, Options{})
+	sl := obs.NewSlowLog(8, time.Hour)
+	e, ts := newTestServer(t, in, Options{SlowLog: sl})
 	e.Admit(1, 0)
 	cancel, done := parkQuery(t, ts, in)
 	defer func() { cancel(); <-done }()
@@ -213,14 +273,17 @@ func TestOverloadSheds429(t *testing.T) {
 	if httpResp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
+	requireExemplar(t, sl, obs.OutcomeShed, "keyword search")
 }
 
 // TestDeadlineWhileQueued503 pins the queued-deadline path: a query that
 // joins the wait queue and dies there returns 503, distinct from both
-// 429 (shed instantly) and a 200 partial (deadline mid-evaluation).
+// 429 (shed instantly) and a 200 partial (deadline mid-evaluation), and
+// leaves a deadline exemplar.
 func TestDeadlineWhileQueued503(t *testing.T) {
 	in := resilience.NewInjector(1).Arm(resilience.StageEval, resilience.Fault{Delay: time.Minute})
-	e, ts := newTestServer(t, in, Options{})
+	sl := obs.NewSlowLog(8, time.Hour)
+	e, ts := newTestServer(t, in, Options{SlowLog: sl})
 	e.Admit(1, 1)
 	cancel, done := parkQuery(t, ts, in)
 	defer func() { cancel(); <-done }()
@@ -235,13 +298,16 @@ func TestDeadlineWhileQueued503(t *testing.T) {
 	if httpResp.Header.Get("Retry-After") == "" {
 		t.Error("503 without Retry-After")
 	}
+	requireExemplar(t, sl, obs.OutcomeDeadline, "keyword search")
 }
 
 // TestDeadlinePartial200 pins the certified-prefix contract on the wire:
 // an expiring per-request deadline is a success — 200, "partial": true,
-// and the results are a byte-exact prefix of the full answer.
+// and the results are a byte-exact prefix of the full answer. The
+// slow-query log keeps a partial exemplar.
 func TestDeadlinePartial200(t *testing.T) {
-	e, ts := newTestServer(t, nil, Options{})
+	sl := obs.NewSlowLog(8, time.Hour)
+	e, ts := newTestServer(t, nil, Options{SlowLog: sl})
 	heavy := QueryRequest{Query: "keyword search", TopK: 10000, MaxCNSize: 6, DeadlineMS: 1}
 	resp, httpResp := post(t, ts.URL, heavy)
 	if httpResp.StatusCode != http.StatusOK {
@@ -259,6 +325,7 @@ func TestDeadlinePartial200(t *testing.T) {
 	if got := RenderResults(resp.Results); !strings.HasPrefix(want, got) {
 		t.Fatalf("partial answer is not a prefix of the full answer\npartial:\n%s\nfull:\n%s", got, want)
 	}
+	requireExemplar(t, sl, obs.OutcomePartial, heavy.Query)
 }
 
 func TestBatch(t *testing.T) {
@@ -342,18 +409,10 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		body, _ := json.Marshal(q)
-		httpResp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
-		if err != nil {
-			reqErr = err
-			return
+		resp, _, reqErr = postQuery(url, q)
+		if reqErr == nil && resp.Status != http.StatusOK {
+			reqErr = fmt.Errorf("in-flight request status %d, want 200", resp.Status)
 		}
-		defer httpResp.Body.Close()
-		if httpResp.StatusCode != http.StatusOK {
-			reqErr = errors.New("in-flight request status not 200")
-			return
-		}
-		reqErr = json.NewDecoder(httpResp.Body).Decode(&resp)
 	}()
 
 	// Wait until the query is provably mid-evaluation, then drain.

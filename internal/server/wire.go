@@ -2,7 +2,7 @@ package server
 
 // This file is the wire schema of the serving layer: the JSON bodies of
 // POST /query and POST /batch, the typed error codes clients branch on,
-// and the canonical result rendering the selfcheck uses to prove served
+// and the canonical result rendering the tests use to prove served
 // answers byte-identical to in-process ones.
 
 import (
@@ -62,7 +62,7 @@ type QueryResponse struct {
 	Code    string      `json:"code,omitempty"`
 }
 
-// BatchRequest is the POST /batch body: up to Options.MaxBatch queries
+// BatchRequest is the POST /batch body: up to 64 queries
 // executed concurrently, each individually subject to admission control.
 type BatchRequest struct {
 	Queries []QueryRequest `json:"queries"`
