@@ -37,8 +37,8 @@ race:
 # queries (FuzzBinderMatchesScan), batched result streams
 # through cn.Top against SortResults (FuzzTopKMatchesSort), arbitrary /query and
 # /batch bodies against the wire's status contract (FuzzServeQuery), and
-# histogram observations against a brute-force tally of the lifetime row,
-# every window and BadFraction (FuzzHistogram).
+# histogram observations against a brute-force tally of the bucket row
+# and of every window between two snapshots (FuzzHistogram).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
 	go test -run '^$$' -fuzz FuzzKernelsAgree -fuzztime 5s ./internal/cn/

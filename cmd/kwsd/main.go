@@ -9,10 +9,10 @@
 //	POST /batch          up to 64 queries {"queries": [...]}
 //	GET  /healthz        200 while serving, 503 once draining
 //	GET  /readyz         readiness probe; 503 the instant a drain begins
-//	GET  /metrics        metrics-registry snapshot (JSON, windows and SLO burn included)
+//	GET  /metrics        metrics-registry snapshot (JSON, cumulative histogram buckets included)
 //	GET  /metrics/prom   Prometheus 0.0.4 text exposition of the same snapshot
 //	GET  /debug/slowlog  tail-sampled slow/errored/shed query exemplars with span trees
-//	                     (also /debug/vars, /debug/pprof)
+//	                     (also /debug/pprof)
 //
 // kwsd is the process that serves the metrics registry. Observability
 // is tuned with -log-level (log/slog JSON lines on stderr at debug,
@@ -34,7 +34,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -45,19 +44,6 @@ import (
 	"kwsearch/internal/obs"
 	"kwsearch/internal/server"
 )
-
-// buildLogger maps the -log-level flag onto a stderr JSON logger: a
-// slog level name (debug, info, warn, error), or "off" for no logger.
-func buildLogger(level string) (*slog.Logger, error) {
-	if level == "off" || level == "none" {
-		return nil, nil
-	}
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		return nil, err
-	}
-	return obs.NewLogger(os.Stderr, lv), nil
-}
 
 func main() {
 	os.Exit(run())
@@ -85,7 +71,7 @@ func run() int {
 	if *admit > 0 {
 		engine.Admit(*admit, *admitQueue)
 	}
-	logger, err := buildLogger(*logLevel)
+	logger, err := obs.ParseLogger(os.Stderr, *logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2

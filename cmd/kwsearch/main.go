@@ -28,7 +28,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"strings"
 	"sync"
@@ -82,7 +81,7 @@ func main() {
 	if *admit > 0 {
 		engine.Admit(*admit, *admitQueue)
 	}
-	logger, err := buildLogger(*logLevel)
+	logger, err := obs.ParseLogger(os.Stderr, *logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -183,19 +182,6 @@ func runQueries(ctx context.Context, engine core.Searcher, req core.Request, n i
 		return nil, worst
 	}
 	return resp, nil
-}
-
-// buildLogger maps the -log-level flag onto a stderr JSON logger: a
-// slog level name (debug, info, warn, error), or "off" for no logger.
-func buildLogger(level string) (*slog.Logger, error) {
-	if level == "off" || level == "none" {
-		return nil, nil
-	}
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		return nil, err
-	}
-	return obs.NewLogger(os.Stderr, lv), nil
 }
 
 // printSlowLog summarizes the tail-sampled exemplars on stderr, one line

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"kwsearch/internal/banks"
 	"kwsearch/internal/clean"
@@ -240,24 +239,7 @@ func NewRelational(db *relstore.DB) *Engine {
 	// Instrumented last, so the index counters count query work only,
 	// not the binder compiling every term.
 	ix.Instrument(reg, "invindex")
-	registerQuerySLO(reg)
 	return e
-}
-
-// DefaultSLOThreshold is the default query-latency objective the engine
-// registers burn-rate gauges for: 100ms, matching the serving layer's
-// default deadline scale. Re-register "query_latency" on the engine's
-// registry to tune it.
-const DefaultSLOThreshold = 100 * time.Millisecond
-
-// registerQuerySLO installs the engine-level latency SLO over the
-// query.elapsed_us histogram: 99% of queries under DefaultSLOThreshold.
-func registerQuerySLO(reg *obs.Registry) {
-	reg.RegisterSLO("query_latency", obs.SLO{
-		Series:    "query.elapsed_us",
-		Threshold: float64(DefaultSLOThreshold.Microseconds()),
-		Objective: 0.99,
-	})
 }
 
 // NewXML builds an engine over an XML tree.
@@ -271,7 +253,6 @@ func NewXML(tree *xmltree.Tree) *Engine {
 	}
 	reg := obs.NewRegistry()
 	rix.Instrument(reg, "invindex")
-	registerQuerySLO(reg)
 	return &Engine{Tree: tree, XIndex: xix, Cleaner: clean.NewCleaner(rix), Metrics: reg}
 }
 

@@ -146,12 +146,23 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	}
 
 	// Candidate-network coverage is one mask bit per term; a term past
-	// the mask's width would silently drop out of the AND.
-	if (req.Semantics == CandidateNetworks || req.Semantics == SparkNetworks) && len(terms) > cn.MaxTerms {
-		root.End()
-		err := badQuery(fmt.Sprintf("core: %d keywords, candidate networks take at most %d", len(terms), cn.MaxTerms))
-		e.capture(ctx, req, root, nil, obs.OutcomeError, err.Error(), time.Since(start))
-		return nil, err
+	// the mask's width would silently drop out of the AND. Enumeration
+	// grows ≈4.5× per unit of size, so a size past MaxCNSizeLimit is
+	// refused rather than enumerated for as long as the deadline allows.
+	if req.Semantics == CandidateNetworks || req.Semantics == SparkNetworks {
+		var msg string
+		switch {
+		case len(terms) > cn.MaxTerms:
+			msg = fmt.Sprintf("core: %d keywords, candidate networks take at most %d", len(terms), cn.MaxTerms)
+		case req.MaxCNSize > MaxCNSizeLimit:
+			msg = fmt.Sprintf("core: max_cn_size %d, candidate networks take at most %d", req.MaxCNSize, MaxCNSizeLimit)
+		}
+		if msg != "" {
+			root.End()
+			err := badQuery(msg)
+			e.capture(ctx, req, root, nil, obs.OutcomeError, err.Error(), time.Since(start))
+			return nil, err
+		}
 	}
 
 	st := Stats{Semantics: req.Semantics, Terms: terms}

@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"kwsearch/internal/dataset"
+	"kwsearch/internal/obs"
 )
 
 func TestQueryStats(t *testing.T) {
@@ -235,5 +237,55 @@ func TestResultCacheMissAllocs(t *testing.T) {
 			t.Errorf("%s: result-cache miss allocates %.0f times, want <= 183", arm.name, allocs)
 		}
 		t.Logf("%s: result-cache miss: %.0f allocs", arm.name, allocs)
+	}
+}
+
+// TestObsSuiteMissAllocs prices the observability suite by a count, the
+// deterministic partner of the timing gate (benchrunner -obs-overhead):
+// the mallocs per warm-plan result-cache miss with the full suite on —
+// the registry, an installed slow-query log (so every query builds a
+// sampled span tree) and a logger in the context — minus the same
+// queries with all three off. The slow-query threshold is an hour, so
+// no timing decides a capture. The bound is about 1.1× the measured
+// difference; like every pin it only tightens.
+func TestObsSuiteMissAllocs(t *testing.T) {
+	full := NewRelational(dataset.DBLP(dataset.DefaultDBLPConfig()))
+	log := dataset.QueryLog(full.DB, 100, 1)
+	reqs := make([]Request, len(log))
+	for i, le := range log {
+		reqs[i] = Request{Query: strings.Join(le.Terms, " "), Semantics: CandidateNetworks, Workers: 1}
+	}
+	for _, req := range reqs { // warms the shared plan cache
+		if _, err := full.Query(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	off := *full
+	off.Metrics = nil
+	freshExec(&off, full.Binder, full.Plans)
+	freshExec(full, full.Binder, full.Plans)
+	full.SetSlowLog(obs.NewSlowLog(64, time.Hour))
+	fullCtx := obs.WithLogger(context.Background(), obs.NewLogger(io.Discard, obs.LevelInfo))
+	fullCtx = obs.WithRequestID(fullCtx, "req-1")
+
+	perQuery := func(e *Engine, ctx context.Context) float64 {
+		i := 0
+		return testing.AllocsPerRun(len(reqs)-1, func() {
+			req := reqs[i]
+			i++
+			resp, err := e.Query(ctx, req)
+			if err != nil {
+				t.Fatalf("%q: %v", req.Query, err)
+			}
+			if st := resp.Stats.Exec; st.ResultCacheHit || !st.PlanCacheHit {
+				t.Fatalf("%q: result hit %v, plan hit %v; want a miss with a warm plan", req.Query, st.ResultCacheHit, st.PlanCacheHit)
+			}
+		})
+	}
+	offAllocs := perQuery(&off, context.Background())
+	fullAllocs := perQuery(full, fullCtx)
+	t.Logf("result-cache miss: %.0f allocs with the suite off, %.0f with it on", offAllocs, fullAllocs)
+	if d := fullAllocs - offAllocs; d > 14 {
+		t.Errorf("the observability suite adds %.0f allocs per miss, want <= 14", d)
 	}
 }

@@ -192,6 +192,24 @@ func TestBadQueryTyped(t *testing.T) {
 	if _, err := rel.Query(context.Background(), Request{Query: "widom", Semantics: SLCA}); !errors.Is(err, ErrBadQuery) {
 		t.Errorf("semantics mismatch err = %v, want ErrBadQuery", err)
 	}
+	// A candidate-network size past MaxCNSizeLimit; the deadline only
+	// keeps an engine without the check from enumerating for long. The
+	// limit itself runs, and banks builds no networks.
+	for _, sem := range []Semantics{CandidateNetworks, SparkNetworks} {
+		req := Request{Query: "widom xml", Semantics: sem, MaxCNSize: MaxCNSizeLimit}
+		if _, err := rel.Query(context.Background(), req); err != nil {
+			t.Errorf("%v, size %d: %v", sem, req.MaxCNSize, err)
+		}
+		for _, size := range []int{MaxCNSizeLimit + 1, 1e9} {
+			req := Request{Query: "widom xml", Semantics: sem, MaxCNSize: size, Deadline: 50 * time.Millisecond}
+			if _, err := rel.Query(context.Background(), req); !errors.Is(err, ErrBadQuery) {
+				t.Errorf("%v, size %d: err = %v, want ErrBadQuery", sem, size, err)
+			}
+		}
+	}
+	if _, err := rel.Query(context.Background(), Request{Query: "widom xml", Semantics: DistinctRoot, MaxCNSize: 64}); err != nil {
+		t.Errorf("banks with size 64: %v", err)
+	}
 }
 
 // TestTooManyKeywordsIsBadQuery pins the coverage-mask bugfix: term

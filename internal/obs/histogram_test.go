@@ -4,219 +4,8 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
-
-// tickClock is an adjustable test clock.
-type tickClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newTickClock(start time.Time) *tickClock { return &tickClock{t: start} }
-
-func (c *tickClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *tickClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func newTestHistogram(clk *tickClock) *Histogram {
-	return NewHistogram(nil).WithClock(clk.Now)
-}
-
-func TestWindowedObservationsAgeOut(t *testing.T) {
-	clk := newTickClock(time.Unix(1_000_000, 0))
-	h := newTestHistogram(clk)
-
-	for i := 0; i < 100; i++ {
-		h.Observe(100)
-	}
-	if got := h.Window(time.Minute).Count; got != 100 {
-		t.Fatalf("fresh window count = %d, want 100", got)
-	}
-	if got := h.Window(5 * time.Minute).Count; got != 100 {
-		t.Fatalf("5m window count = %d, want 100", got)
-	}
-
-	// 2 minutes later the observations left the 1m window but not 5m.
-	clk.Advance(2 * time.Minute)
-	if got := h.Window(time.Minute).Count; got != 0 {
-		t.Errorf("1m window after 2m = %d, want 0", got)
-	}
-	if got := h.Window(5 * time.Minute).Count; got != 100 {
-		t.Errorf("5m window after 2m = %d, want 100", got)
-	}
-
-	// 6 minutes later everything left the windows; the lifetime row
-	// never rotates.
-	clk.Advance(4 * time.Minute)
-	if got := h.Window(5 * time.Minute); got != (Summary{}) {
-		t.Errorf("5m window after 6m = %+v, want empty", got)
-	}
-	if h.Count() != 100 || h.Sum() != 100*100 || h.Quantile(0.99) <= 0 {
-		t.Errorf("lifetime after 6m: count %d sum %v p99 %v", h.Count(), h.Sum(), h.Quantile(0.99))
-	}
-}
-
-func TestWindowedMergesAcrossSlots(t *testing.T) {
-	clk := newTickClock(time.Unix(2_000_000, 0))
-	h := newTestHistogram(clk)
-
-	// Spread observations across 5 slots inside one minute.
-	for slot := 0; slot < 5; slot++ {
-		for i := 0; i < 10; i++ {
-			h.Observe(math.Pow(4, float64(slot))) // 1, 4, 16, 64, 256
-		}
-		clk.Advance(10 * time.Second)
-	}
-	snap := h.Window(time.Minute)
-	if snap.Count != 50 {
-		t.Fatalf("merged count = %d, want 50", snap.Count)
-	}
-	wantSum := 10.0 * (1 + 4 + 16 + 64 + 256)
-	if math.Abs(snap.Sum-wantSum) > 1e-9 {
-		t.Errorf("merged sum = %v, want %v", snap.Sum, wantSum)
-	}
-	// p50 = 25th smallest of 10×{1,4,16,64,256} = 16 → the (10,20] bucket.
-	if snap.P50 < 10 || snap.P50 > 20 {
-		t.Errorf("merged p50 = %v, want within [10,20]", snap.P50)
-	}
-}
-
-func TestWindowedRingReusesSlots(t *testing.T) {
-	clk := newTickClock(time.Unix(3_000_000, 0))
-	h := newTestHistogram(clk)
-
-	// Drive far more slots than the ring holds; counts must never
-	// accumulate across reuse.
-	for round := 0; round < 100; round++ {
-		h.Observe(1)
-		clk.Advance(10 * time.Second)
-	}
-	// The final Advance left the current slot empty; the 1m window spans
-	// 6 slots (current + 5 back), of which the 5 older ones hold one
-	// observation each. The 5m window spans 30 slots → 29 populated.
-	if got := h.Window(time.Minute).Count; got != 5 {
-		t.Errorf("1m count after long run = %d, want 5", got)
-	}
-	if got := h.Window(5 * time.Minute).Count; got != 29 {
-		t.Errorf("5m count after long run = %d, want 29", got)
-	}
-	if got := h.Count(); got != 100 {
-		t.Errorf("lifetime count after long run = %d, want 100", got)
-	}
-}
-
-func TestWindowedNaNDropped(t *testing.T) {
-	clk := newTickClock(time.Unix(4_000_000, 0))
-	h := newTestHistogram(clk)
-	h.Observe(math.NaN())
-	h.Observe(8)
-	snap := h.Window(time.Minute)
-	if snap.Count != 1 {
-		t.Errorf("NaN was counted: count = %d", snap.Count)
-	}
-	if math.IsNaN(snap.Sum) {
-		t.Error("NaN poisoned the windowed sum")
-	}
-}
-
-func TestWindowedNilSafety(t *testing.T) {
-	var h *Histogram
-	h.Observe(1)
-	if h.Window(time.Minute) != (Summary{}) {
-		t.Error("nil Window should be zero")
-	}
-	if h.BadFraction(time.Minute, 10) != 0 {
-		t.Error("nil BadFraction should be 0")
-	}
-	if h.WithClock(time.Now) != nil {
-		t.Error("WithClock on nil should stay nil")
-	}
-}
-
-func TestWindowedBadFractionAndBurnRate(t *testing.T) {
-	clk := newTickClock(time.Unix(5_000_000, 0))
-	reg := NewRegistry()
-	h := reg.Histogram("lat").WithClock(clk.Now)
-	reg.RegisterSLO("query_latency", SLO{Series: "lat", Threshold: 50, Objective: 0.9})
-
-	// 90 good (≤50), 10 bad (>50): bad fraction 0.1, budget 0.1 → burn 1.0.
-	for i := 0; i < 90; i++ {
-		h.Observe(16)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(1024)
-	}
-	if bf := h.BadFraction(time.Minute, 50); math.Abs(bf-0.1) > 1e-9 {
-		t.Errorf("bad fraction = %v, want 0.1", bf)
-	}
-	snap := reg.Snapshot()
-	slo, ok := snap.SLOs["query_latency"]
-	if !ok {
-		t.Fatal("SLO missing from snapshot")
-	}
-	if math.Abs(slo.BurnRate1m-1.0) > 1e-9 || math.Abs(slo.BurnRate5m-1.0) > 1e-9 {
-		t.Errorf("burn rates = %v / %v, want 1.0", slo.BurnRate1m, slo.BurnRate5m)
-	}
-	hs := snap.Histograms["lat"]
-	if hs.Count != 100 || hs.Last1m.Count != 100 || hs.Last5m.Count != 100 {
-		t.Errorf("snapshot lifetime/1m/5m counts = %d/%d/%d, want 100 each", hs.Count, hs.Last1m.Count, hs.Last5m.Count)
-	}
-
-	// Empty window → burn 0, not NaN.
-	clk.Advance(10 * time.Minute)
-	slo = reg.Snapshot().SLOs["query_latency"]
-	if slo.BurnRate1m != 0 || slo.BurnRate5m != 0 {
-		t.Errorf("empty-window burn = %v / %v, want 0", slo.BurnRate1m, slo.BurnRate5m)
-	}
-
-	// An SLO over a series nothing has observed yet reads burn 0.
-	reg.RegisterSLO("idle", SLO{Series: "never", Threshold: 50, Objective: 0.99})
-	if s := reg.Snapshot().SLOs["idle"]; s.BurnRate1m != 0 || s.BurnRate5m != 0 {
-		t.Errorf("unobserved series burn = %+v, want 0", s)
-	}
-
-	// Degenerate objective must not divide by zero.
-	if r := burnRate(0.5, 1.0); math.IsInf(r, 0) || math.IsNaN(r) {
-		t.Errorf("burnRate with objective 1.0 = %v", r)
-	}
-}
-
-func TestWindowedConcurrentObserveAndRead(t *testing.T) {
-	clk := newTickClock(time.Unix(6_000_000, 0))
-	h := newTestHistogram(clk)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
-				h.Observe(float64(i % 1000))
-				if i%100 == 0 {
-					clk.Advance(time.Second)
-				}
-			}
-		}()
-	}
-	for i := 0; i < 200; i++ {
-		_ = h.Window(time.Minute)
-		_ = h.BadFraction(5*time.Minute, 100)
-		_ = h.Quantile(0.99)
-	}
-	stop.Store(true)
-	wg.Wait()
-}
 
 func TestSearchBucketsMatchesSort(t *testing.T) {
 	bounds := DefaultBuckets
@@ -237,7 +26,7 @@ func TestSearchBucketsMatchesSort(t *testing.T) {
 }
 
 func TestHistogramEmptyQuantiles(t *testing.T) {
-	h := NewHistogram(nil)
+	h := newHistogram()
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
 		if got := h.Quantile(q); got != 0 {
 			t.Errorf("empty Quantile(%v) = %v, want 0", q, got)
@@ -246,50 +35,57 @@ func TestHistogramEmptyQuantiles(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Error("empty histogram count/sum nonzero")
 	}
-	// Round-trip: an empty histogram snapshot is all-zero JSON-safe.
+	// An empty histogram's snapshot is all zero, one bucket per bound.
 	reg := NewRegistry()
 	_ = reg.Histogram("empty")
-	s := reg.Snapshot()
-	if s.Histograms["empty"] != (HistogramSnapshot{}) {
-		t.Errorf("empty snapshot = %+v", s.Histograms["empty"])
+	s := reg.Snapshot().Histograms["empty"]
+	if s.Count != 0 || s.Sum != 0 || s.P50 != 0 || s.P95 != 0 || s.P99 != 0 || len(s.Buckets) != len(DefaultBuckets) {
+		t.Errorf("empty snapshot = %+v", s)
+	}
+	for i, b := range s.Buckets {
+		if b.LE != DefaultBuckets[i] || b.Count != 0 {
+			t.Errorf("empty bucket %d = %+v", i, b)
+		}
 	}
 }
 
 func TestHistogramOverflowSaturation(t *testing.T) {
-	bounds := []float64{1, 10, 100}
-	h := NewHistogram(bounds)
 	// Every observation lands past the last bound: the overflow bucket
 	// has no upper edge, so all quantiles saturate to the last bound.
-	for i := 0; i < 1000; i++ {
-		h.Observe(1e9)
-	}
+	bounds := []float64{1, 10, 100}
 	for _, q := range []float64{0.01, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 100 {
+		if got := quantileFromCounts(bounds, []uint64{0, 0, 0, 1000}, 1000, q); got != 100 {
 			t.Errorf("saturated Quantile(%v) = %v, want last bound 100", q, got)
 		}
 	}
+	h := newHistogram()
+	for i := 0; i < 1000; i++ {
+		h.Observe(1e12)
+	}
+	if last := DefaultBuckets[len(DefaultBuckets)-1]; h.Quantile(0.5) != last {
+		t.Errorf("saturated Quantile(0.5) = %v, want last bound %v", h.Quantile(0.5), last)
+	}
 	// Sum still reflects the true values even though quantiles clamp.
-	if h.Sum() != 1000*1e9 {
+	if h.Sum() != 1000*1e12 {
 		t.Errorf("saturated Sum = %v", h.Sum())
 	}
 }
 
 func TestHistogramSingleBucket(t *testing.T) {
-	h := NewHistogram([]float64{50})
-	h.Observe(7)
-	if got := h.Quantile(0.5); got != 50 {
+	bounds := []float64{50}
+	if got := quantileFromCounts(bounds, []uint64{1, 0}, 1, 0.5); got != 50 {
 		t.Errorf("single observation quantile = %v, want bucket bound 50", got)
 	}
-	h.Observe(9000) // overflow
-	if got := h.Quantile(1); got != 50 {
+	// One more observation in the overflow bucket.
+	if got := quantileFromCounts(bounds, []uint64{1, 1}, 2, 1); got != 50 {
 		t.Errorf("single-bucket overflow quantile = %v, want 50 (saturated)", got)
 	}
 }
 
 // TestHistogramNaNObserveDropped: a NaN CAS-accumulated into a running
-// sum would poison every later Sum, lifetime and windowed alike.
+// sum would poison every later Sum.
 func TestHistogramNaNObserveDropped(t *testing.T) {
-	h := NewHistogram(nil)
+	h := newHistogram()
 	h.Observe(4)
 	h.Observe(math.NaN())
 	h.Observe(16)
@@ -305,15 +101,109 @@ func TestHistogramNaNObserveDropped(t *testing.T) {
 	if math.IsNaN(h.Quantile(0.5)) {
 		t.Error("NaN observation poisoned quantiles")
 	}
-	if w := h.Window(time.Minute); w.Count != 2 || w.Sum != 20 {
-		t.Errorf("window = %+v, want count 2 sum 20 (NaN dropped)", w)
+	if s := h.snapshot(); s.Count != 2 || s.Buckets[len(s.Buckets)-1].Count != 2 {
+		t.Errorf("snapshot = %+v, want count 2 in the last bucket (NaN dropped)", s)
 	}
 }
 
-// FuzzHistogram drives one histogram through a sequence of (value,
-// clock step) pairs — NaN, ±Inf, 0, negatives, values on and beside
-// bucket bounds, steps within a slot and far beyond the ring — and
-// checks every read against a brute-force tally of the observations.
+// windowOf is the window a reader computes from two scrapes: the
+// difference of their counts, sums and cumulative buckets.
+func windowOf(a, b HistogramSnapshot) HistogramSnapshot {
+	w := HistogramSnapshot{Count: b.Count - a.Count, Sum: b.Sum - a.Sum, Buckets: make([]Bucket, len(b.Buckets))}
+	for i := range b.Buckets {
+		w.Buckets[i] = Bucket{LE: b.Buckets[i].LE, Count: b.Buckets[i].Count - a.Buckets[i].Count}
+	}
+	return w
+}
+
+func TestWindowedNaNDropped(t *testing.T) {
+	h := newHistogram()
+	h.Observe(3)
+	before := h.snapshot()
+	h.Observe(math.NaN())
+	h.Observe(8)
+	w := windowOf(before, h.snapshot())
+	if w.Count != 1 {
+		t.Errorf("NaN was counted: window count = %d", w.Count)
+	}
+	if math.IsNaN(w.Sum) || w.Sum != 8 {
+		t.Errorf("window sum = %v, want 8 (NaN dropped)", w.Sum)
+	}
+	for _, b := range w.Buckets {
+		want := uint64(0)
+		if b.LE >= 10 {
+			want = 1
+		}
+		if b.Count != want {
+			t.Errorf("window bucket le=%v = %d, want %d", b.LE, b.Count, want)
+		}
+	}
+}
+
+func TestWindowedNilSafety(t *testing.T) {
+	var h *Histogram
+	h.Observe(1)
+	h.Observe(math.NaN())
+	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.99) != 0 {
+		t.Errorf("nil histogram: count %d, sum %v, p99 %v; want zeros", h.Count(), h.Sum(), h.Quantile(0.99))
+	}
+	// A registry without the histogram hands out none, and its
+	// snapshot carries no family for a reader to difference.
+	var r *Registry
+	if r.Histogram("absent") != nil {
+		t.Error("nil registry handed out a histogram")
+	}
+	if _, ok := r.Snapshot().Histograms["absent"]; ok {
+		t.Error("nil registry snapshot carries a histogram")
+	}
+}
+
+// TestWindowedConcurrentObserveAndRead: scrapes racing Observe never see
+// a cumulative bucket fall, between scrapes or within one, and the last
+// scrape after the writers stop counts every observation.
+func TestWindowedConcurrentObserveAndRead(t *testing.T) {
+	h := newHistogram()
+	const writers, perWriter = 4, 5000
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				h.Observe(float64(i % 1000))
+			}
+		}()
+	}
+	prev := h.snapshot()
+	for i := 0; i < 200; i++ {
+		s := h.snapshot()
+		for j, b := range s.Buckets {
+			if b.Count < prev.Buckets[j].Count {
+				t.Fatalf("bucket le=%v fell between scrapes: %d -> %d", b.LE, prev.Buckets[j].Count, b.Count)
+			}
+			if j > 0 && b.Count < s.Buckets[j-1].Count {
+				t.Fatalf("cumulative bucket le=%v = %d below le=%v = %d", b.LE, b.Count, s.Buckets[j-1].LE, s.Buckets[j-1].Count)
+			}
+		}
+		if last := s.Buckets[len(s.Buckets)-1].Count; last > s.Count || s.Count < prev.Count {
+			t.Fatalf("scrape count %d (previous %d) below its last bucket %d", s.Count, prev.Count, last)
+		}
+		_ = h.Quantile(0.99)
+		prev = s
+	}
+	wg.Wait()
+	if s := h.snapshot(); s.Count != writers*perWriter || s.Buckets[len(s.Buckets)-1].Count != writers*perWriter {
+		t.Errorf("final scrape count %d, last bucket %d; want %d", s.Count, s.Buckets[len(s.Buckets)-1].Count, writers*perWriter)
+	}
+}
+
+// FuzzHistogram drives one histogram through a sequence of values —
+// NaN, ±Inf, 0, negatives, values on and beside bucket bounds — taking
+// snapshots ("scrapes") between some of them. It checks the bucket row,
+// count, sum and quantiles against a brute-force tally, and that the
+// difference of two scrapes is exactly the tally of the observations
+// made between them: the window a reader computes, including the count
+// over a bucket bound (an SLO's bad observations).
 func FuzzHistogram(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0})       // NaN, +Inf, -Inf, 0
@@ -321,24 +211,17 @@ func FuzzHistogram(f *testing.F) {
 	f.Add([]byte{6, 200, 255, 6, 10, 254, 7, 3, 250, 4, 29, 1})
 	f.Add([]byte{4, 0, 9, 4, 1, 9, 4, 2, 9, 4, 3, 9, 4, 4, 9, 4, 5, 9, 4, 6, 9, 4, 7, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		clk := newTickClock(time.Unix(1_700_000_000, 123_456_789))
-		h := newTestHistogram(clk)
-		type obsAt struct {
-			v     float64
-			epoch int64
+		h := newHistogram()
+		type scrape struct {
+			n    int // observations made before it
+			snap HistogramSnapshot
 		}
-		var seen []obsAt
+		scrapes := []scrape{{0, h.snapshot()}}
+		var seen []float64
 		lifeSum := 0.0
 		for len(data) >= 3 && len(seen) < 512 {
-			kind, a, step := data[0], data[1], data[2]
+			kind, a, flags := data[0], data[1], data[2]
 			data = data[3:]
-			// Steps up to ~62s stay inside the ring; 250+ jump minutes to
-			// an hour ahead, past every slot.
-			d := time.Duration(step) * time.Second / 4
-			if step >= 250 {
-				d = time.Duration(step-249) * 12 * time.Minute
-			}
-			clk.Advance(d)
 			var v float64
 			switch kind % 8 {
 			case 0:
@@ -361,19 +244,21 @@ func FuzzHistogram(f *testing.F) {
 			}
 			h.Observe(v)
 			if !math.IsNaN(v) {
-				seen = append(seen, obsAt{v, clk.Now().UnixNano() / int64(slotDuration)})
+				seen = append(seen, v)
 				lifeSum += v
 			}
+			if flags&1 == 1 && len(scrapes) < 8 {
+				scrapes = append(scrapes, scrape{len(seen), h.snapshot()})
+			}
 		}
+		scrapes = append(scrapes, scrape{len(seen), h.snapshot()})
 
-		// tally counts the observations whose epoch passes keep.
-		tally := func(keep func(int64) bool) (counts []uint64, vals []float64) {
+		// tally counts the observations seen[from:to] per bucket.
+		tally := func(from, to int) (counts []uint64, vals []float64) {
 			counts = make([]uint64, len(DefaultBuckets)+1)
-			for _, o := range seen {
-				if keep(o.epoch) {
-					counts[searchBuckets(DefaultBuckets, o.v)]++
-					vals = append(vals, o.v)
-				}
+			for _, v := range seen[from:to] {
+				counts[searchBuckets(DefaultBuckets, v)]++
+				vals = append(vals, v)
 			}
 			sort.Float64s(vals)
 			return counts, vals
@@ -391,72 +276,64 @@ func FuzzHistogram(f *testing.F) {
 			}
 			return est >= lo && est <= DefaultBuckets[i]
 		}
-		checkQuantiles := func(what string, counts []uint64, vals []float64) {
-			for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
-				est := quantileFromCounts(DefaultBuckets, counts, uint64(len(vals)), q)
-				if len(vals) == 0 {
-					if est != 0 {
-						t.Fatalf("%s: empty q%v = %v", what, q, est)
-					}
-					continue
-				}
-				rank := max(1, int(math.Ceil(q*float64(len(vals)))))
-				if exact := vals[rank-1]; !inBucket(est, exact) {
-					t.Fatalf("%s: q%v = %v outside the bucket of %v", what, q, est, exact)
-				}
-			}
-		}
 
-		lifeCounts, lifeVals := tally(func(int64) bool { return true })
-		gotLife, gotTotal := h.life.load()
+		lifeCounts, lifeVals := tally(0, len(seen))
+		gotLife, gotTotal := h.load()
 		for b := range lifeCounts {
 			if gotLife[b] != lifeCounts[b] {
-				t.Fatalf("lifetime bucket %d = %d, brute force %d", b, gotLife[b], lifeCounts[b])
+				t.Fatalf("bucket %d = %d, brute force %d", b, gotLife[b], lifeCounts[b])
 			}
 		}
 		if gotTotal != uint64(len(seen)) || h.Count() != uint64(len(seen)) {
-			t.Fatalf("lifetime count %d/%d, brute force %d", gotTotal, h.Count(), len(seen))
+			t.Fatalf("count %d/%d, brute force %d", gotTotal, h.Count(), len(seen))
 		}
 		if s := h.Sum(); s != lifeSum && !(math.IsNaN(s) && math.IsNaN(lifeSum)) {
-			t.Fatalf("lifetime sum %v, brute force %v", s, lifeSum)
+			t.Fatalf("sum %v, brute force %v", s, lifeSum)
 		}
-		checkQuantiles("lifetime", gotLife, lifeVals)
+		for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+			est := h.Quantile(q)
+			if len(lifeVals) == 0 {
+				if est != 0 {
+					t.Fatalf("empty q%v = %v", q, est)
+				}
+				continue
+			}
+			rank := max(1, int(math.Ceil(q*float64(len(lifeVals)))))
+			if exact := lifeVals[rank-1]; !inBucket(est, exact) {
+				t.Fatalf("q%v = %v outside the bucket of %v", q, est, exact)
+			}
+		}
 
-		now := clk.Now().UnixNano() / int64(slotDuration)
-		for _, d := range []time.Duration{0, slotDuration, window1m, window5m, time.Hour} {
-			n := max(1, min(int64((d+slotDuration-1)/slotDuration), ringSlots))
-			inWindow := func(e int64) bool { return e > now-n && e <= now }
-			want, vals := tally(inWindow)
-			got, total, _ := h.windowed(d)
-			for b := range want {
-				if got[b] != want[b] {
-					t.Fatalf("window %v bucket %d = %d, brute force %d", d, b, got[b], want[b])
+		// Every scrape's cumulative row matches the tally up to it, and
+		// every pair of scrapes differs by the tally between them.
+		for j, later := range scrapes {
+			counts, _ := tally(0, later.n)
+			var cum uint64
+			for b, bk := range later.snap.Buckets {
+				cum += counts[b]
+				if bk.LE != DefaultBuckets[b] || bk.Count != cum {
+					t.Fatalf("scrape %d bucket %d = %+v, want le %v count %d", j, b, bk, DefaultBuckets[b], cum)
 				}
 			}
-			if total > gotTotal {
-				t.Fatalf("window %v count %d exceeds lifetime %d", d, total, gotTotal)
+			if later.snap.Count != uint64(later.n) {
+				t.Fatalf("scrape %d count %d, want %d", j, later.snap.Count, later.n)
 			}
-			if covers := len(vals) == len(seen); covers {
-				for b := range got {
-					if got[b] != gotLife[b] {
-						t.Fatalf("window %v covers every observation but bucket %d = %d, lifetime %d", d, b, got[b], gotLife[b])
+			for _, earlier := range scrapes[:j] {
+				_, vals := tally(earlier.n, later.n)
+				if got := later.snap.Count - earlier.snap.Count; got != uint64(len(vals)) {
+					t.Fatalf("window count %d, brute force %d", got, len(vals))
+				}
+				for b, le := range DefaultBuckets {
+					over := 0 // observations in the window above the bound
+					for _, v := range vals {
+						if v > le {
+							over++
+						}
 					}
-				}
-			}
-			checkQuantiles("window "+d.String(), got, vals)
-			for _, thr := range []float64{DefaultBuckets[0], 100, 100_000, DefaultBuckets[len(DefaultBuckets)-1]} {
-				bad := 0
-				for _, v := range vals {
-					if v > thr {
-						bad++
+					within := later.snap.Buckets[b].Count - earlier.snap.Buckets[b].Count
+					if got := later.snap.Count - earlier.snap.Count - within; got != uint64(over) {
+						t.Fatalf("window count over %v = %d, brute force %d", le, got, over)
 					}
-				}
-				want := 0.0
-				if len(vals) > 0 {
-					want = float64(bad) / float64(len(vals))
-				}
-				if bf := h.BadFraction(d, thr); bf != want {
-					t.Fatalf("window %v threshold %v: bad fraction %v, brute force %v", d, thr, bf, want)
 				}
 			}
 		}

@@ -25,6 +25,20 @@ func NewLogger(w io.Writer, level slog.Level) *slog.Logger {
 	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level}))
 }
 
+// ParseLogger maps a -log-level flag onto NewLogger(w, level): a slog
+// level name (debug, info, warn, error), or "off" or "none" for no
+// logger (nil).
+func ParseLogger(w io.Writer, level string) (*slog.Logger, error) {
+	if level == "off" || level == "none" {
+		return nil, nil
+	}
+	var lv slog.Level
+	if err := lv.UnmarshalText([]byte(level)); err != nil {
+		return nil, err
+	}
+	return NewLogger(w, lv), nil
+}
+
 // discard is FromContext's logger for a context that carries none: no
 // level reaches its threshold (slog.DiscardHandler needs go1.24).
 var discard = slog.New(slog.NewJSONHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))

@@ -177,3 +177,26 @@ func TestLoggerContextPlumbing(t *testing.T) {
 		t.Error("WithLogger(nil) dropped the logger")
 	}
 }
+
+// TestParseLogger pins the -log-level flag: slog level names in either
+// case, "off"/"none" for no logger, anything else an error.
+func TestParseLogger(t *testing.T) {
+	ctx := context.Background()
+	for level, want := range map[string]slog.Level{"debug": LevelDebug, "INFO": LevelInfo, "warn": LevelWarn, "error": LevelError} {
+		lg, err := ParseLogger(&bytes.Buffer{}, level)
+		if err != nil || lg == nil {
+			t.Fatalf("%q: logger %v, err %v", level, lg, err)
+		}
+		if !lg.Enabled(ctx, want) || lg.Enabled(ctx, want-1) {
+			t.Errorf("%q: the logger's threshold is not %v", level, want)
+		}
+	}
+	for _, level := range []string{"off", "none"} {
+		if lg, err := ParseLogger(&bytes.Buffer{}, level); lg != nil || err != nil {
+			t.Errorf("%q: logger %v, err %v; want neither", level, lg, err)
+		}
+	}
+	if _, err := ParseLogger(&bytes.Buffer{}, "loud"); err == nil {
+		t.Error(`"loud" parsed as a level`)
+	}
+}

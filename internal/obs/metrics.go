@@ -1,8 +1,8 @@
 // Package obs is the engine's observability layer: a concurrent-safe
-// metrics registry (counters, gauges, bounded-bucket histograms with
-// lifetime and 1m/5m quantile estimates, SLO burn rates) and a
-// lightweight span tracer that records one
-// query's pipeline as a tree of timed stages with attributes.
+// metrics registry (counters, gauges, and bounded-bucket histograms
+// exported as cumulative counts) and a lightweight span tracer that
+// records one query's pipeline as a tree of timed stages with
+// attributes.
 //
 // The package is stdlib-only and designed so instrumented hot paths pay
 // roughly one atomic add per event: counters are plain atomics, every
@@ -87,7 +87,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	slos     map[string]SLO
 }
 
 // NewRegistry returns an empty registry.
@@ -96,7 +95,6 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		slos:     map[string]SLO{},
 	}
 }
 
@@ -135,13 +133,13 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return lookupOrCreate(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
-// Histogram returns the histogram registered under name with
-// DefaultBuckets, creating it on first use. Nil registries return nil.
+// Histogram returns the histogram registered under name, creating it on
+// first use. Nil registries return nil.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return lookupOrCreate(r, r.hists, name, func() *Histogram { return NewHistogram(nil) })
+	return lookupOrCreate(r, r.hists, name, newHistogram)
 }
 
 // lookupOrCreate returns m[name], read under r's read lock so concurrent
@@ -165,26 +163,12 @@ func lookupOrCreate[M any](r *Registry, m map[string]*M, name string, create fun
 	return v
 }
 
-// RegisterSLO derives burn-rate gauges named name from the histogram
-// slo.Series at every snapshot. Re-registering a name replaces
-// the SLO (operators tune thresholds live).
-func (r *Registry) RegisterSLO(name string, slo SLO) {
-	if r == nil || name == "" || slo.Series == "" {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.slos[name] = slo
-}
-
 // Snapshot is a point-in-time copy of every metric in a registry,
 // JSON-marshalable and renderable for CLIs.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	// SLOs holds the burn-rate gauges derived from the histograms.
-	SLOs map[string]SLOSnapshot `json:"slos,omitempty"`
 }
 
 // Snapshot copies the current value of every metric. Nil registries
@@ -208,19 +192,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, h := range r.hists {
 		s.Histograms[name] = h.snapshot()
-	}
-	if len(r.slos) > 0 {
-		s.SLOs = make(map[string]SLOSnapshot, len(r.slos))
-		for name, slo := range r.slos {
-			h := r.hists[slo.Series] // nil until first observed → burn 0
-			s.SLOs[name] = SLOSnapshot{
-				Series:     slo.Series,
-				Threshold:  slo.Threshold,
-				Objective:  slo.Objective,
-				BurnRate1m: burnRate(h.BadFraction(window1m, slo.Threshold), slo.Objective),
-				BurnRate5m: burnRate(h.BadFraction(window5m, slo.Threshold), slo.Objective),
-			}
-		}
 	}
 	return s
 }

@@ -86,7 +86,7 @@ func TestAttachSharesCounter(t *testing.T) {
 func TestHistogramQuantileProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
-		h := NewHistogram(nil)
+		h := newHistogram()
 		n := 1 + rng.Intn(2000)
 		vals := make([]float64, n)
 		for i := range vals {
@@ -101,7 +101,7 @@ func TestHistogramQuantileProperty(t *testing.T) {
 				rank = 1
 			}
 			exact := vals[rank-1]
-			lo, hi := bucketBounds(h, exact)
+			lo, hi := bucketBounds(exact)
 			got := h.Quantile(q)
 			if got < lo || got > hi {
 				t.Fatalf("trial %d q=%v: estimate %v outside exact value %v's bucket [%v,%v]",
@@ -122,29 +122,29 @@ func TestHistogramQuantileProperty(t *testing.T) {
 }
 
 // bucketBounds returns the [lo,hi] bounds of the bucket v lands in.
-func bucketBounds(h *Histogram, v float64) (float64, float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
+func bucketBounds(v float64) (float64, float64) {
+	i := sort.SearchFloat64s(DefaultBuckets, v)
 	lo := 0.0
 	if i > 0 {
-		lo = h.bounds[i-1]
+		lo = DefaultBuckets[i-1]
 	}
-	if i == len(h.bounds) {
+	if i == len(DefaultBuckets) {
 		return lo, math.Inf(1)
 	}
-	return lo, h.bounds[i]
+	return lo, DefaultBuckets[i]
 }
 
 func TestHistogramEdgeCases(t *testing.T) {
-	h := NewHistogram([]float64{1, 10, 100})
-	if h.Quantile(0.5) != 0 {
+	bounds := []float64{1, 10, 100}
+	if quantileFromCounts(bounds, []uint64{0, 0, 0, 0}, 0, 0.5) != 0 {
 		t.Fatal("empty histogram quantile must be 0")
 	}
-	h.Observe(5)
-	if got := h.Quantile(0.5); got < 1 || got > 10 {
+	// One observation of 5.
+	if got := quantileFromCounts(bounds, []uint64{0, 1, 0, 0}, 1, 0.5); got < 1 || got > 10 {
 		t.Fatalf("single observation p50 = %v, want within (1,10]", got)
 	}
-	h.Observe(1e9) // overflow bucket
-	if got := h.Quantile(1); got < 100 {
+	// And one in the overflow bucket.
+	if got := quantileFromCounts(bounds, []uint64{0, 1, 0, 1}, 2, 1); got < 100 {
 		t.Fatalf("overflow observation p100 = %v, want >= 100", got)
 	}
 }
@@ -225,15 +225,15 @@ func TestServe(t *testing.T) {
 	srv := httptest.NewServer(Handler(r, nil))
 	defer srv.Close()
 
-	for _, path := range []string{"/metrics", "/debug/vars", "/debug/pprof/"} {
+	for path, status := range map[string]int{"/metrics": http.StatusOK, "/debug/pprof/": http.StatusOK, "/debug/vars": http.StatusNotFound} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != status {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, status)
 		}
 		if path == "/metrics" && !strings.Contains(string(body), "served") {
 			t.Fatalf("/metrics missing counter: %s", body)

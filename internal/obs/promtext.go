@@ -10,16 +10,13 @@ package obs
 // Mapping:
 //   - counters  → "<name>_total" with TYPE counter;
 //   - gauges    → "<name>" with TYPE gauge;
-//   - histograms→ the lifetime view as a summary:
-//     "<name>{quantile="0.5|0.95|0.99"}" plus the monotonic
-//     "<name>_sum" / "<name>_count"; the 1m and 5m views as gauges,
-//     since their counts fall as slots age out:
-//     "<name>_window{window="1m|5m",quantile=...}" and
-//     "<name>_window_observations{window=...}";
-//   - SLOs      → "slo_burn_rate{slo="<name>",window=...}" gauges plus
-//     threshold/objective info gauges.
+//   - histograms→ TYPE histogram: the cumulative
+//     "<name>_bucket{le="<bound>"}" counts, one per DefaultBuckets
+//     bound plus le="+Inf" (equal to "<name>_count"), then "<name>_sum"
+//     and "<name>_count". A scraper derives windows, quantiles and the
+//     share over any bound from two scrapes.
 //
-// Every metric name gets exactly one TYPE line.
+// Every metric family gets exactly one TYPE line.
 //
 // Metric names are sanitized (dots → underscores, invalid runes → '_')
 // and prefixed "kwsearch_"; output is sorted by name so scrapes are
@@ -52,15 +49,6 @@ func promName(name string) string {
 		}
 	}
 	return b.String()
-}
-
-// promLabel escapes a label value per the exposition format (backslash,
-// double quote, newline).
-func promLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return v
 }
 
 // promFloat formats a sample value; Prometheus accepts Go's shortest
@@ -98,17 +86,6 @@ func (p *promWriter) sample(name, labels string, v string) {
 	}
 }
 
-// quantiles emits s's p50/p95/p99 under name, each labelled with its
-// quantile after labels (which may be "").
-func (p *promWriter) quantiles(name, labels string, s Summary) {
-	if labels != "" {
-		labels += ","
-	}
-	p.sample(name, labels+`quantile="0.5"`, promFloat(s.P50))
-	p.sample(name, labels+`quantile="0.95"`, promFloat(s.P95))
-	p.sample(name, labels+`quantile="0.99"`, promFloat(s.P99))
-}
-
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -135,36 +112,14 @@ func WritePromText(w io.Writer, s Snapshot) (int, error) {
 	}
 	for _, name := range sortedKeys(s.Histograms) {
 		pn, h := promName(name), s.Histograms[name]
-		p.typeLine(pn, "summary")
-		p.quantiles(pn, "", h.Summary)
+		count := strconv.FormatUint(h.Count, 10)
+		p.typeLine(pn, "histogram")
+		for _, b := range h.Buckets {
+			p.sample(pn+"_bucket", `le="`+promFloat(b.LE)+`"`, strconv.FormatUint(b.Count, 10))
+		}
+		p.sample(pn+"_bucket", `le="+Inf"`, count)
 		p.sample(pn+"_sum", "", promFloat(h.Sum))
-		p.sample(pn+"_count", "", strconv.FormatUint(h.Count, 10))
-		p.typeLine(pn+"_window", "gauge")
-		p.quantiles(pn+"_window", `window="1m"`, h.Last1m)
-		p.quantiles(pn+"_window", `window="5m"`, h.Last5m)
-		p.typeLine(pn+"_window_observations", "gauge")
-		p.sample(pn+"_window_observations", `window="1m"`, strconv.FormatUint(h.Last1m.Count, 10))
-		p.sample(pn+"_window_observations", `window="5m"`, strconv.FormatUint(h.Last5m.Count, 10))
-	}
-	if len(s.SLOs) > 0 {
-		burn := promNamePrefix + "slo_burn_rate"
-		p.typeLine(burn, "gauge")
-		for _, name := range sortedKeys(s.SLOs) {
-			slo := s.SLOs[name]
-			base := `slo="` + promLabel(name) + `"`
-			p.sample(burn, base+`,window="1m"`, promFloat(slo.BurnRate1m))
-			p.sample(burn, base+`,window="5m"`, promFloat(slo.BurnRate5m))
-		}
-		thr := promNamePrefix + "slo_threshold"
-		p.typeLine(thr, "gauge")
-		for _, name := range sortedKeys(s.SLOs) {
-			p.sample(thr, `slo="`+promLabel(name)+`"`, promFloat(s.SLOs[name].Threshold))
-		}
-		obj := promNamePrefix + "slo_objective"
-		p.typeLine(obj, "gauge")
-		for _, name := range sortedKeys(s.SLOs) {
-			p.sample(obj, `slo="`+promLabel(name)+`"`, promFloat(s.SLOs[name].Objective))
-		}
+		p.sample(pn+"_count", "", count)
 	}
 	return p.n, p.err
 }

@@ -2,13 +2,13 @@ package obs
 
 import (
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // The exposition-format grammar the tests parse against (text format
@@ -21,11 +21,15 @@ var (
 )
 
 // parsePromText validates text line-by-line against the grammar and
-// returns sample values keyed by "name{labels}".
+// returns sample values keyed by "name{labels}". A histogram's _bucket
+// lines must rise in le, never decrease, and end at le="+Inf" with the
+// value of its _count line.
 func parsePromText(t *testing.T, text string) (map[string]float64, map[string]string) {
 	t.Helper()
 	samples := map[string]float64{}
 	types := map[string]string{}
+	type bucketRun struct{ le, count float64 }
+	buckets := map[string]bucketRun{} // histogram family → its last bucket
 	for ln, line := range strings.Split(text, "\n") {
 		if line == "" {
 			continue
@@ -49,6 +53,7 @@ func parsePromText(t *testing.T, text string) (map[string]float64, map[string]st
 		if !promMetricNameRe.MatchString(name) {
 			t.Fatalf("line %d: bad metric name %q", ln+1, name)
 		}
+		le := ""
 		if labels != "" {
 			for _, pair := range strings.Split(labels, ",") {
 				eq := strings.Index(pair, "=")
@@ -61,6 +66,9 @@ func parsePromText(t *testing.T, text string) (map[string]float64, map[string]st
 				}
 				if len(lval) < 2 || lval[0] != '"' || lval[len(lval)-1] != '"' {
 					t.Fatalf("line %d: label value %q not quoted", ln+1, lval)
+				}
+				if lname == "le" {
+					le = lval[1 : len(lval)-1]
 				}
 			}
 		}
@@ -76,18 +84,37 @@ func parsePromText(t *testing.T, text string) (map[string]float64, map[string]st
 			t.Fatalf("line %d: duplicate sample %q", ln+1, key)
 		}
 		samples[key] = v
-		// Samples must follow their family's TYPE line. Only a summary's
-		// _sum/_count series share its family name.
-		family := strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")
-		if _, ok := types[name]; !ok && types[family] != "summary" {
+		// Samples must follow their family's TYPE line. Only a
+		// histogram's _bucket/_sum/_count series share its family name.
+		if _, ok := types[name]; ok {
+			continue
+		}
+		family := name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			family = strings.TrimSuffix(family, suffix)
+		}
+		if types[family] != "histogram" {
 			t.Fatalf("line %d: sample %q precedes its TYPE line", ln+1, name)
+		}
+		last, started := buckets[family]
+		switch name {
+		case family + "_bucket":
+			bound, err := strconv.ParseFloat(le, 64)
+			if err != nil {
+				t.Fatalf("line %d: bucket le %q: %v", ln+1, le, err)
+			}
+			if started && (bound <= last.le || v < last.count) {
+				t.Fatalf("line %d: bucket le=%v count %v after le=%v count %v", ln+1, bound, v, last.le, last.count)
+			}
+			buckets[family] = bucketRun{bound, v}
+		case family + "_count":
+			if !started || !math.IsInf(last.le, 1) || last.count != v {
+				t.Fatalf("line %d: %s = %v, but the last bucket is %+v (want le=+Inf with the same count)", ln+1, name, v, last)
+			}
 		}
 	}
 	return samples, types
 }
-
-// fixedClock pins a histogram's window clock.
-func fixedClock(t time.Time) func() time.Time { return func() time.Time { return t } }
 
 func promFixture() *Registry {
 	reg := NewRegistry()
@@ -97,11 +124,9 @@ func promFixture() *Registry {
 	for i := 1; i <= 100; i++ {
 		reg.Histogram("query.elapsed_us").Observe(float64(i))
 	}
-	h := reg.Histogram("server.latency_us").WithClock(fixedClock(time.Unix(9_000_000, 0)))
 	for i := 0; i < 50; i++ {
-		h.Observe(200)
+		reg.Histogram("server.latency_us").Observe(200)
 	}
-	reg.RegisterSLO("query_latency", SLO{Series: "server.latency_us", Threshold: 1024, Objective: 0.99})
 	return reg
 }
 
@@ -127,46 +152,34 @@ func TestPromTextGrammarAndContent(t *testing.T) {
 	if v := samples["kwsearch_gate_queued"]; v != -2 {
 		t.Errorf("gauge = %v, want -2", v)
 	}
-	if types["kwsearch_query_elapsed_us"] != "summary" {
-		t.Errorf("histogram TYPE = %q", types["kwsearch_query_elapsed_us"])
-	}
-	if v := samples[`kwsearch_query_elapsed_us_count`]; v != 100 {
-		t.Errorf("summary count = %v", v)
-	}
-	if v := samples[`kwsearch_query_elapsed_us{quantile="0.5"}`]; v <= 0 {
-		t.Errorf("p50 sample = %v", v)
-	}
-	// The lifetime view is the summary; the 1m/5m views, whose counts
-	// fall as slots age out, are gauges under their own names.
-	if types["kwsearch_server_latency_us"] != "summary" {
-		t.Errorf("lifetime TYPE = %q, want summary", types["kwsearch_server_latency_us"])
-	}
-	if v := samples[`kwsearch_server_latency_us_count`]; v != 50 {
-		t.Errorf("lifetime count = %v, want 50", v)
-	}
-	for _, name := range []string{"kwsearch_server_latency_us_window", "kwsearch_server_latency_us_window_observations"} {
-		if types[name] != "gauge" {
-			t.Errorf("%s TYPE = %q, want gauge", name, types[name])
+	for _, name := range []string{"kwsearch_query_elapsed_us", "kwsearch_server_latency_us"} {
+		if types[name] != "histogram" {
+			t.Errorf("%s TYPE = %q, want histogram", name, types[name])
 		}
 	}
-	if v := samples[`kwsearch_server_latency_us_window_observations{window="1m"}`]; v != 50 {
-		t.Errorf("windowed 1m count = %v, want 50", v)
-	}
-	if v := samples[`kwsearch_server_latency_us_window{window="5m",quantile="0.99"}`]; v <= 0 {
-		t.Errorf("windowed p99 = %v", v)
-	}
-	for key := range samples {
-		if strings.Contains(key, "window=") && !strings.Contains(key, "_window") && !strings.HasPrefix(key, "kwsearch_slo_") {
-			t.Errorf("windowed sample %q rendered under a summary family", key)
+	// Observations 1..100: the bounds 50 and 100 split them exactly.
+	for key, want := range map[string]float64{
+		`kwsearch_query_elapsed_us_bucket{le="1"}`:    1,
+		`kwsearch_query_elapsed_us_bucket{le="50"}`:   50,
+		`kwsearch_query_elapsed_us_bucket{le="100"}`:  100,
+		`kwsearch_query_elapsed_us_bucket{le="+Inf"}`: 100,
+		`kwsearch_query_elapsed_us_count`:             100,
+		`kwsearch_query_elapsed_us_sum`:               5050,
+		`kwsearch_server_latency_us_bucket{le="100"}`: 0,
+		`kwsearch_server_latency_us_bucket{le="200"}`: 50,
+		`kwsearch_server_latency_us_count`:            50,
+	} {
+		if v, ok := samples[key]; !ok || v != want {
+			t.Errorf("%s = %v (present %v), want %v", key, v, ok, want)
 		}
 	}
-	// Exactly one TYPE line per name: parsePromText rejects a second one
-	// and a sample without its own (bar a summary's _sum/_count).
-	if v, ok := samples[`kwsearch_slo_burn_rate{slo="query_latency",window="1m"}`]; !ok || v != 0 {
-		t.Errorf("burn rate sample = %v, ok=%v (all observations under threshold)", v, ok)
+	if got := strings.Count(text, "kwsearch_query_elapsed_us_bucket{"); got != len(DefaultBuckets)+1 {
+		t.Errorf("%d query.elapsed_us buckets, want one per bound plus +Inf (%d)", got, len(DefaultBuckets)+1)
 	}
-	if v := samples[`kwsearch_slo_objective{slo="query_latency"}`]; v != 0.99 {
-		t.Errorf("objective = %v", v)
+	for _, kind := range types {
+		if kind == "summary" {
+			t.Errorf("summary family in the exposition:\n%s", text)
+		}
 	}
 }
 
@@ -198,19 +211,6 @@ func TestPromNameSanitization(t *testing.T) {
 		if !promMetricNameRe.MatchString(promName(in)) {
 			t.Errorf("promName(%q) = %q is not a legal metric name", in, promName(in))
 		}
-	}
-}
-
-func TestPromLabelEscaping(t *testing.T) {
-	in := "a\"b\\c\nd"
-	out := promLabel(in)
-	for _, bad := range []string{"\n"} {
-		if strings.Contains(out, bad) {
-			t.Errorf("escaped label still contains %q: %q", bad, out)
-		}
-	}
-	if !strings.Contains(out, `\"`) || !strings.Contains(out, `\\`) {
-		t.Errorf("label escaping incomplete: %q", out)
 	}
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"net/http"
 	"net/http/pprof"
 )
@@ -10,10 +9,9 @@ import (
 // Handler returns the observability mux for reg, for a server that mounts
 // the endpoints beside its own (internal/server does, and kwsd serves it):
 //
-//	/metrics        — JSON Snapshot of reg (windows and SLO burn included)
+//	/metrics        — JSON Snapshot of reg (cumulative buckets included)
 //	/metrics/prom   — Prometheus text exposition of the same snapshot
 //	/debug/slowlog  — slowlog's retained exemplars, when slowlog is non-nil
-//	/debug/vars     — the standard library's expvar page
 //	/debug/pprof    — the standard pprof index, profiles included
 func Handler(reg *Registry, slowlog *SlowLog) http.Handler {
 	mux := http.NewServeMux()
@@ -30,7 +28,6 @@ func Handler(reg *Registry, slowlog *SlowLog) http.Handler {
 	if slowlog != nil {
 		mux.Handle("/debug/slowlog", slowlog.Handler())
 	}
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

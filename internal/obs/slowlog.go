@@ -51,7 +51,7 @@ type Entry struct {
 	// Seq is the capture sequence number (monotonic per SlowLog); the
 	// ring keeps the Cap most recent sequences.
 	Seq uint64 `json:"seq"`
-	// Time is the capture wall time.
+	// Time is the capture wall time, in UTC.
 	Time time.Time `json:"time"`
 	// RequestID is the serving layer's id for the request ("" for
 	// requests that never passed through the HTTP front end).
@@ -80,8 +80,8 @@ type Entry struct {
 
 // SlowLog is a bounded ring of retained query exemplars. Record is a
 // short critical section (copy one Entry into a pre-sized ring slot);
-// the capture *decision* is the caller's, via ShouldCapture, so the
-// fast path for healthy queries is two comparisons and no lock. Nil
+// the capture *decision* is the caller's, via Classify, so the fast
+// path for healthy queries is a few comparisons and no lock. Nil
 // receivers no-op, matching the rest of the package.
 type SlowLog struct {
 	mu        sync.Mutex
@@ -148,22 +148,15 @@ func (l *SlowLog) Classify(d time.Duration, failed, partial bool) (Outcome, bool
 		return OutcomeError, true
 	case partial:
 		return OutcomePartial, true
-	case l.ShouldCapture(d):
+	case l.threshold > 0 && d >= l.threshold:
 		return OutcomeSlow, true
 	}
 	return "", false
 }
 
-// ShouldCapture reports whether a healthy completed query of duration d
-// crosses the slow threshold. (Errored/shed/partial queries are always
-// captured; this is only the duration trigger.)
-func (l *SlowLog) ShouldCapture(d time.Duration) bool {
-	return l != nil && l.threshold > 0 && d >= l.threshold
-}
-
 // Record retains one exemplar, assigning its sequence number and
-// evicting the oldest entry when the ring is full. Returns the assigned
-// sequence (0 on nil).
+// capture time and evicting the oldest entry when the ring is full.
+// Returns the assigned sequence (0 on nil).
 func (l *SlowLog) Record(e Entry) uint64 {
 	if l == nil {
 		return 0
@@ -171,9 +164,7 @@ func (l *SlowLog) Record(e Entry) uint64 {
 	l.mu.Lock()
 	l.seq++
 	e.Seq = l.seq
-	if e.Time.IsZero() {
-		e.Time = time.Now()
-	}
+	e.Time = time.Now().UTC()
 	if len(l.ring) < l.cap {
 		l.ring = append(l.ring, e)
 	} else {
@@ -219,27 +210,11 @@ func (l *SlowLog) Entries() []Entry {
 
 // slowlogPage is the /debug/slowlog JSON document.
 type slowlogPage struct {
-	Cap         int           `json:"cap"`
-	ThresholdMS float64       `json:"threshold_ms"`
-	Captured    uint64        `json:"captured"`
-	Evicted     uint64        `json:"evicted"`
-	Entries     []slowlogItem `json:"entries"`
-}
-
-// slowlogItem flattens an Entry for the endpoint: durations in
-// milliseconds for human consumption, the trace inline.
-type slowlogItem struct {
-	Seq           uint64      `json:"seq"`
-	Time          string      `json:"time"`
-	RequestID     string      `json:"request_id,omitempty"`
-	Keywords      []string    `json:"keywords,omitempty"`
-	KeywordsHash  string      `json:"keywords_hash,omitempty"`
-	Outcome       Outcome     `json:"outcome"`
-	DurationMS    float64     `json:"duration_ms"`
-	Err           string      `json:"error,omitempty"`
-	PlanSignature string      `json:"plan_signature,omitempty"`
-	Trace         *Span       `json:"trace,omitempty"`
-	Stats         interface{} `json:"stats,omitempty"`
+	Cap       int           `json:"cap"`
+	Threshold time.Duration `json:"threshold_ns"`
+	Captured  uint64        `json:"captured"`
+	Evicted   uint64        `json:"evicted"`
+	Entries   []Entry       `json:"entries"`
 }
 
 // Handler serves the retained exemplars as JSON (newest first) — the
@@ -247,28 +222,13 @@ type slowlogItem struct {
 func (l *SlowLog) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		page := slowlogPage{Cap: l.Cap(), ThresholdMS: float64(l.Threshold()) / float64(time.Millisecond)}
+		page := slowlogPage{Cap: l.Cap(), Threshold: l.Threshold(), Entries: l.Entries()}
 		if l != nil {
 			page.Captured = l.captured.Value()
 			page.Evicted = l.dropped.Value()
 		}
-		for _, e := range l.Entries() {
-			page.Entries = append(page.Entries, slowlogItem{
-				Seq:           e.Seq,
-				Time:          e.Time.UTC().Format(time.RFC3339Nano),
-				RequestID:     e.RequestID,
-				Keywords:      e.Keywords,
-				KeywordsHash:  e.KeywordsHash,
-				Outcome:       e.Outcome,
-				DurationMS:    float64(e.Duration) / float64(time.Millisecond),
-				Err:           e.Err,
-				PlanSignature: e.PlanSignature,
-				Trace:         e.Trace,
-				Stats:         e.Stats,
-			})
-		}
 		if page.Entries == nil {
-			page.Entries = []slowlogItem{}
+			page.Entries = []Entry{}
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,13 +12,6 @@ import (
 func TestSlowLogCapturePolicy(t *testing.T) {
 	l := NewSlowLog(8, 50*time.Millisecond)
 
-	if l.ShouldCapture(10 * time.Millisecond) {
-		t.Error("fast query captured")
-	}
-	if !l.ShouldCapture(50 * time.Millisecond) {
-		t.Error("threshold query not captured (>= is inclusive)")
-	}
-
 	cases := []struct {
 		d               time.Duration
 		failed, partial bool
@@ -25,6 +19,7 @@ func TestSlowLogCapturePolicy(t *testing.T) {
 		capture         bool
 	}{
 		{10 * time.Millisecond, false, false, "", false},
+		{50 * time.Millisecond, false, false, OutcomeSlow, true}, // >= is inclusive
 		{80 * time.Millisecond, false, false, OutcomeSlow, true},
 		{10 * time.Millisecond, true, false, OutcomeError, true},
 		{10 * time.Millisecond, false, true, OutcomePartial, true},
@@ -40,9 +35,6 @@ func TestSlowLogCapturePolicy(t *testing.T) {
 
 	// threshold <= 0 disables the duration trigger entirely.
 	off := NewSlowLog(8, 0)
-	if off.ShouldCapture(time.Hour) {
-		t.Error("disabled threshold captured by duration")
-	}
 	if _, ok := off.Classify(time.Hour, false, false); ok {
 		t.Error("disabled threshold classified a healthy query")
 	}
@@ -155,29 +147,33 @@ func TestSlowLogHandler(t *testing.T) {
 		t.Errorf("content type = %q", ct)
 	}
 	var page struct {
-		Cap         int     `json:"cap"`
-		ThresholdMS float64 `json:"threshold_ms"`
-		Captured    uint64  `json:"captured"`
+		Cap         int    `json:"cap"`
+		ThresholdNS int64  `json:"threshold_ns"`
+		Captured    uint64 `json:"captured"`
 		Entries     []struct {
 			Seq        uint64          `json:"seq"`
+			Time       string          `json:"time"`
 			RequestID  string          `json:"request_id"`
 			Outcome    string          `json:"outcome"`
-			DurationMS float64         `json:"duration_ms"`
+			DurationNS int64           `json:"duration_ns"`
 			Trace      json.RawMessage `json:"trace"`
 		} `json:"entries"`
 	}
 	if err := json.Unmarshal(rr.Body.Bytes(), &page); err != nil {
 		t.Fatalf("slowlog page not JSON: %v\n%s", err, rr.Body.String())
 	}
-	if page.Cap != 4 || page.ThresholdMS != 25 || page.Captured != 1 {
+	if page.Cap != 4 || page.ThresholdNS != int64(25*time.Millisecond) || page.Captured != 1 {
 		t.Errorf("page header = %+v", page)
 	}
 	if len(page.Entries) != 1 {
 		t.Fatalf("entries = %d", len(page.Entries))
 	}
 	e := page.Entries[0]
-	if e.RequestID != "r-9" || e.Outcome != "slow" || e.DurationMS != 30 {
+	if e.RequestID != "r-9" || e.Outcome != "slow" || e.DurationNS != int64(30*time.Millisecond) {
 		t.Errorf("entry = %+v", e)
+	}
+	if !strings.HasSuffix(e.Time, "Z") {
+		t.Errorf("capture time %q is not UTC", e.Time)
 	}
 	if len(e.Trace) == 0 || string(e.Trace) == "null" {
 		t.Error("trace missing from slowlog entry")
@@ -199,9 +195,6 @@ func TestSlowLogNilSafety(t *testing.T) {
 	}
 	if l.Len() != 0 || l.Captured() != 0 || l.Entries() != nil {
 		t.Error("nil reads should be empty")
-	}
-	if l.ShouldCapture(time.Hour) {
-		t.Error("nil ShouldCapture should be false")
 	}
 	if _, ok := l.Classify(time.Hour, true, true); ok {
 		t.Error("nil Classify should never capture")

@@ -3,7 +3,8 @@ package server
 // Tests for the serving layer's observability surface: request ids and
 // the access log, the per-request logger reaching the engine, the
 // Prometheus exposition and slowlog endpoints, readiness during drain,
-// the server-latency SLO and the registry's instrument inventory.
+// the bucket bound behind the server-latency objective and the
+// registry's instrument inventory.
 
 import (
 	"bytes"
@@ -215,12 +216,18 @@ func TestMetricsPromServedAndGrammatical(t *testing.T) {
 	}
 	for _, want := range []string{
 		"kwsearch_server_requests_total ",
-		`kwsearch_server_latency_us_window{window="1m",quantile="0.5"}`,
-		`kwsearch_slo_burn_rate{slo="server_latency",window="1m"}`,
-		`kwsearch_slo_burn_rate{slo="query_latency",window="5m"}`,
+		"# TYPE kwsearch_server_latency_us histogram",
+		`kwsearch_server_latency_us_bucket{le="100000"} `,
+		`kwsearch_server_latency_us_bucket{le="+Inf"} 1`,
+		"# TYPE kwsearch_query_elapsed_us histogram",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
+		}
+	}
+	for _, gone := range []string{" summary", "_window", "slo_"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("exposition carries %q:\n%s", gone, text)
 		}
 	}
 }
@@ -363,20 +370,42 @@ func TestHealthReadyFlipOnDrain(t *testing.T) {
 	}
 }
 
+// TestServerLatencySLORegistered: the server-latency objective (99 % of
+// requests under 100 ms) is computed by the reader from server.latency_us,
+// so a served request registers that histogram with 100 000µs as a bucket
+// bound, and between two scrapes the count over it is exact: a 70 ms
+// observation is good, a 101 ms one is the only bad one.
 func TestServerLatencySLORegistered(t *testing.T) {
 	e, ts := newTestServer(t, nil, Options{})
 	post(t, ts.URL, QueryRequest{Query: "keyword search"})
-	s := e.Metrics.Snapshot()
-	h, ok := s.Histograms["server.latency_us"]
-	if !ok || h.Last1m.Count == 0 {
-		t.Fatalf("windowed server latency missing or empty: %+v", h)
+	const threshold = 100_000.0 // µs
+	over := func(h obs.HistogramSnapshot) uint64 {
+		t.Helper()
+		for _, b := range h.Buckets {
+			if b.LE == threshold {
+				return h.Count - b.Count
+			}
+		}
+		t.Fatalf("server.latency_us has no %vµs bucket bound: %+v", threshold, h.Buckets)
+		return 0
 	}
-	slo, ok := s.SLOs["server_latency"]
-	if !ok {
-		t.Fatal("server_latency SLO missing from snapshot")
+	before, ok := e.Metrics.Snapshot().Histograms["server.latency_us"]
+	if !ok || before.Count == 0 {
+		t.Fatalf("server latency missing or empty after a served request: %+v", before)
 	}
-	if slo.Series != "server.latency_us" || slo.Threshold != float64(core.DefaultSLOThreshold.Microseconds()) || slo.Objective != 0.99 {
-		t.Errorf("SLO = %+v", slo)
+	h := e.Metrics.Histogram("server.latency_us")
+	for i := 0; i < 100; i++ {
+		h.Observe(float64((70 * time.Millisecond).Microseconds()))
+	}
+	h.Observe(threshold)
+	mid := e.Metrics.Snapshot().Histograms["server.latency_us"]
+	if got := over(mid) - over(before); got != 0 || mid.Count-before.Count != 101 {
+		t.Errorf("101 requests at or under 100ms: %d of %d over, want 0", got, mid.Count-before.Count)
+	}
+	h.Observe(float64((101 * time.Millisecond).Microseconds()))
+	after := e.Metrics.Snapshot().Histograms["server.latency_us"]
+	if got := over(after) - over(mid); got != 1 || after.Count-mid.Count != 1 {
+		t.Errorf("one 101ms request: %d of %d over, want 1 of 1", got, after.Count-mid.Count)
 	}
 }
 
@@ -392,7 +421,7 @@ func TestMetricInventory(t *testing.T) {
 	e.Admit(1, 0)
 	s := New(e, Options{
 		Logger:  obs.NewLogger(io.Discard, obs.LevelInfo),
-		SlowLog: obs.NewSlowLog(64, core.DefaultSLOThreshold),
+		SlowLog: obs.NewSlowLog(64, 100*time.Millisecond),
 	})
 	ts := httptest.NewUnstartedServer(s.Handler())
 	ts.Config.BaseContext = func(net.Listener) context.Context {
@@ -451,8 +480,8 @@ func TestMetricInventory(t *testing.T) {
 	snap := e.Metrics.Snapshot()
 	for _, name := range []string{"query.elapsed_us", "server.latency_us"} {
 		h := snap.Histograms[name]
-		if w := uint64(n + m + 2); h.Count != w || h.Last1m.Count != w {
-			t.Errorf("%s: lifetime count %d, 1m count %d; want %d each (one per query)", name, h.Count, h.Last1m.Count, w)
+		if w := uint64(n + m + 2); h.Count != w {
+			t.Errorf("%s: count %d, want %d (one per query)", name, h.Count, w)
 		}
 	}
 
@@ -469,13 +498,11 @@ func TestMetricInventory(t *testing.T) {
 		},
 		"gauge":     {"admission.queued", "server.inflight"},
 		"histogram": {"admission.wait_us", "plan.build_us", "query.elapsed_us", "server.latency_us"},
-		"slo":       {"query_latency", "server_latency"},
 	}
 	for kind, names := range map[string][]string{
 		"counter":   sortedNames(snap.Counters),
 		"gauge":     sortedNames(snap.Gauges),
 		"histogram": sortedNames(snap.Histograms),
-		"slo":       sortedNames(snap.SLOs),
 	} {
 		if fmt.Sprint(names) != fmt.Sprint(inventory[kind]) {
 			t.Errorf("%s names:\n got %q\nwant %q", kind, names, inventory[kind])

@@ -6,9 +6,9 @@
 // ErrOverloaded → 429 with Retry-After, deadline-while-queued → 503,
 // partial results → 200 with "partial": true) — batches concurrent
 // queries through POST /batch, mounts the observability mux (/metrics,
-// /debug/vars, /debug/pprof) beside the query API, and drains gracefully:
-// Drain stops accepting, finishes in-flight requests within a bounded
-// deadline, then hard-closes whatever remains.
+// /metrics/prom, /debug/slowlog, /debug/pprof) beside the query API, and
+// drains gracefully: Drain stops accepting, finishes in-flight requests
+// within a bounded deadline, then hard-closes whatever remains.
 package server
 
 import (
@@ -117,13 +117,6 @@ func New(engine core.Searcher, opts Options) *Server {
 		latency:  reg.Histogram("server.latency_us"),
 		idPrefix: strconv.FormatInt(time.Now().UnixNano(), 36),
 	}
-	// The server-level SLO mirrors the engine's query SLO but over wall
-	// time as the client saw it (decode + admission + evaluation).
-	reg.RegisterSLO("server_latency", obs.SLO{
-		Series:    "server.latency_us",
-		Threshold: float64(core.DefaultSLOThreshold.Microseconds()),
-		Objective: 0.99,
-	})
 	s.mux.HandleFunc("/query", s.withObs("/query", s.handleQuery))
 	s.mux.HandleFunc("/batch", s.withObs("/batch", s.handleBatch))
 	s.mux.HandleFunc("/healthz", s.handleHealth)

@@ -154,6 +154,10 @@ func TestStatusMapping(t *testing.T) {
 		{"unknown semantics", QueryRequest{Query: "a", Semantics: "nope"}, http.StatusBadRequest, CodeBadQuery},
 		{"xml semantics on relational data", QueryRequest{Query: "keyword", Semantics: "slca"}, http.StatusBadRequest, CodeBadQuery},
 		{"negative deadline", QueryRequest{Query: "a", DeadlineMS: -1}, http.StatusBadRequest, CodeBadQuery},
+		// The deadlines only keep a server without the size check from
+		// enumerating for long.
+		{"oversized max_cn_size", QueryRequest{Query: "keyword search", MaxCNSize: core.MaxCNSizeLimit + 1, DeadlineMS: 50}, http.StatusBadRequest, CodeBadQuery},
+		{"oversized spark max_cn_size", QueryRequest{Query: "keyword search", Semantics: "spark", MaxCNSize: 64, DeadlineMS: 50}, http.StatusBadRequest, CodeBadQuery},
 	} {
 		resp, httpResp := post(t, ts.URL, tc.q)
 		if httpResp.StatusCode != tc.status || resp.Code != tc.code {
@@ -199,15 +203,15 @@ func TestHealthz(t *testing.T) {
 func TestObsEndpointsMounted(t *testing.T) {
 	_, ts := newTestServer(t, nil, Options{})
 	post(t, ts.URL, QueryRequest{Query: "keyword search"})
-	for _, path := range []string{"/metrics", "/debug/vars", "/debug/pprof/"} {
+	for path, status := range map[string]int{"/metrics": http.StatusOK, "/debug/pprof/": http.StatusOK, "/debug/vars": http.StatusNotFound} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != status {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, status)
 		}
 		if path == "/metrics" && !strings.Contains(string(body), "server.requests") {
 			t.Fatalf("/metrics missing serving counters:\n%s", body)

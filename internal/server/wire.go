@@ -24,7 +24,9 @@ type QueryRequest struct {
 	Semantics string `json:"semantics,omitempty"`
 	// TopK bounds the result count (default 10).
 	TopK int `json:"k,omitempty"`
-	// MaxCNSize bounds candidate-network size (default 5).
+	// MaxCNSize bounds candidate-network size (default 5, at most
+	// core.MaxCNSizeLimit, 8: a larger size is a 400 bad_query under the
+	// cn and spark semantics).
 	MaxCNSize int `json:"max_cn_size,omitempty"`
 	// Clean runs noisy-channel query cleaning before searching.
 	Clean bool `json:"clean,omitempty"`

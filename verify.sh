@@ -57,7 +57,7 @@ go test -run '^$' -fuzz FuzzTopKMatchesSort -fuzztime 5s ./internal/cn/
 echo "==> fuzz smoke (5s): /query and /batch decoders answer every body with a wire status"
 go test -run '^$' -fuzz FuzzServeQuery -fuzztime 5s ./internal/server/
 
-echo "==> fuzz smoke (5s): histogram lifetime row and windows == a brute-force tally"
+echo "==> fuzz smoke (5s): histogram bucket row and snapshot differences == a brute-force tally"
 go test -run '^$' -fuzz '^FuzzHistogram$' -fuzztime 5s ./internal/obs/
 
 echo "==> observability overhead gate (E38 budget: 5%)"
