@@ -190,7 +190,7 @@ func measureObsBuild(db *relstore.DB, seed int64) (obsOverhead, error) {
 	// A deadline-partial probe proves the tail-sampling path captures
 	// under the production threshold (the workload itself is healthy).
 	if _, err := full.Query(fullCtx, core.Request{
-		Query: "keyword search", TopK: 10000, MaxCNSize: 6, Workers: 4, Deadline: time.Millisecond,
+		Query: "keyword search www", TopK: 10000, MaxCNSize: 6, Workers: 4, Deadline: time.Millisecond,
 	}); err != nil {
 		return obsOverhead{}, err
 	}

@@ -72,11 +72,7 @@ func (c *CN) KeywordNodes() []int {
 // function runs once per Canonical call, so per-row append growth
 // showed up in the cold-plan profile.
 func (c *CN) adjacency() [][]int {
-	deg := make([]int, len(c.Nodes))
-	for _, e := range c.Edges {
-		deg[e.A]++
-		deg[e.B]++
-	}
+	deg := c.degrees()
 	adj := make([][]int, len(c.Nodes))
 	backing := make([]int, 0, 2*len(c.Edges))
 	for i, d := range deg {
@@ -91,15 +87,20 @@ func (c *CN) adjacency() [][]int {
 	return adj
 }
 
-// leaves returns the indices of degree<=1 nodes.
-func (c *CN) leaves() []int {
+// degrees returns each node's edge count.
+func (c *CN) degrees() []int {
 	deg := make([]int, len(c.Nodes))
 	for _, e := range c.Edges {
 		deg[e.A]++
 		deg[e.B]++
 	}
+	return deg
+}
+
+// leaves returns the indices of degree<=1 nodes.
+func (c *CN) leaves() []int {
 	var out []int
-	for i, d := range deg {
+	for i, d := range c.degrees() {
 		if d <= 1 {
 			out = append(out, i)
 		}

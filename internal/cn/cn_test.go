@@ -151,6 +151,96 @@ func TestKeywordNodesAndLeaves(t *testing.T) {
 	}
 }
 
+// ruleTerms computes, independently of the enumerator, the left side
+// of the m-term rule: c's keyword leaves plus 1 if a non-leaf node is a
+// keyword node.
+func ruleTerms(c *CN) int {
+	leaf := map[int]bool{}
+	for _, li := range c.leaves() {
+		leaf[li] = true
+	}
+	n, inner := 0, 0
+	for _, ki := range c.KeywordNodes() {
+		if leaf[ki] {
+			n++
+		} else {
+			inner = 1
+		}
+	}
+	return n + inner
+}
+
+// TestEnumerateMinimalRule checks the m-term rule on the DBLP schema
+// (keyword tables author and paper, then conference too, whose stars
+// through paper have keyword middles; free tables write and cite,
+// MaxSize 5) for m = 1…5: every CN generated satisfies it, and the
+// generated list is exactly the Terms 0 list filtered by it, in the
+// same order, so the growth cut-off drops nothing that could be
+// minimal. FuzzKernelsAgree's self-referencing schema, every table both
+// keyword and free, is checked the same way. One term leaves only the
+// single-node CNs. Terms 0 keeps the slide-28 count of E2 (5) and the
+// general-free-table count (7).
+func TestEnumerateMinimalRule(t *testing.T) {
+	cfg := dataset.DefaultDBLPConfig()
+	cfg.Authors, cfg.Papers, cfg.Conferences = 4, 4, 2
+	dblp := schemagraph.FromDB(dataset.DBLP(cfg))
+	_, kernel := kernelCorpus(nil)
+	for _, tc := range []struct {
+		g        *schemagraph.Graph
+		kw, free []string
+	}{
+		{dblp, []string{"author", "paper"}, []string{"write", "cite"}},
+		{dblp, []string{"author", "conference", "paper"}, []string{"write", "cite"}},
+		{kernel, []string{"dept", "emp"}, []string{"dept", "emp"}},
+	} {
+		g, kw := tc.g, tc.kw
+		opts := EnumerateOptions{MaxSize: 5, KeywordTables: kw, FreeTables: tc.free}
+		all := Enumerate(g, opts)
+		for m := 1; m <= 5; m++ {
+			opts.Terms = m
+			var got, want []string
+			for _, c := range Enumerate(g, opts) {
+				if n := ruleTerms(c); c.Size() > 1 && n > m {
+					t.Errorf("%v m=%d: %s needs %d terms", kw, m, c, n)
+				}
+				if m == 1 && c.Size() != 1 {
+					t.Errorf("%v m=1: %s has %d nodes", kw, c, c.Size())
+				}
+				got = append(got, c.Canonical())
+			}
+			for _, c := range all {
+				if c.Size() == 1 || ruleTerms(c) <= m {
+					want = append(want, c.Canonical())
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v m=%d: %d CNs, want the %d of the unpruned %d that meet the rule:\n%s",
+					kw, m, len(got), len(want), len(all), strings.Join(got, "\n"))
+			}
+			if m == 2 && len(got) == len(all) {
+				t.Errorf("%v: m=2 prunes none of the %d CNs", kw, len(all))
+			}
+			t.Logf("%v m=%d: %d of %d CNs", kw, m, len(got), len(all))
+		}
+	}
+
+	awp := awpGraph(t)
+	for _, tc := range []struct {
+		free  []string
+		terms int
+		want  int
+	}{
+		{[]string{"write"}, 0, 5},
+		{[]string{"write", "author", "paper"}, 0, 7},
+		{[]string{"write"}, 2, 3}, // the two five-node paths have a keyword middle
+	} {
+		cns := Enumerate(awp, EnumerateOptions{MaxSize: 5, KeywordTables: []string{"author", "paper"}, FreeTables: tc.free, Terms: tc.terms})
+		if len(cns) != tc.want {
+			t.Errorf("A-W-P, free %v, Terms %d: %d CNs, want %d", tc.free, tc.terms, len(cns), tc.want)
+		}
+	}
+}
+
 func TestEnumerateMaxCNs(t *testing.T) {
 	g := awpGraph(t)
 	cns := Enumerate(g, EnumerateOptions{

@@ -23,6 +23,10 @@ type EnumerateOptions struct {
 	// relations (write) as fillers; pass all tables for the general
 	// DISCOVER behaviour.
 	FreeTables []string
+	// Terms is the query's term count m, one per coverage-mask bit (a
+	// repeated word counts twice): when positive, only CNs that can yield
+	// a minimal row are generated (see Enumerate); 0 means no such rule.
+	Terms int
 }
 
 // Enumerate generates all valid candidate networks up to MaxSize,
@@ -33,6 +37,15 @@ type EnumerateOptions struct {
 // tuples that contribute neither keywords nor connectivity), and no node
 // uses the same single-valued foreign key twice (such a CN can only bind
 // both neighbours to the same tuple, duplicating a smaller CN's results).
+//
+// With Terms = m > 0 it is also non-redundant: a CN with L keyword
+// leaves is generated only if L + [a non-leaf node is a keyword node]
+// <= m. A minimal row gives each leaf a term no other node holds, a
+// different one per leaf, and a non-leaf keyword node holds some term,
+// which is then no leaf's. The rule also cuts growth: a partial CN whose
+// leaves (free ones included) plus that bracket exceed m is not
+// extended, since attaching a node never lowers the leaf count of a CN
+// of two or more nodes and a non-leaf node never becomes a leaf again.
 func Enumerate(g *schemagraph.Graph, opts EnumerateOptions) []*CN {
 	cns, _ := EnumerateCtx(context.Background(), g, opts)
 	return cns
@@ -62,7 +75,7 @@ func EnumerateCtx(ctx context.Context, g *schemagraph.Graph, opts EnumerateOptio
 	// enumeration hot spot, so it runs exactly once per grown partial).
 	var results []*CN
 	emit := func(c *CN) bool {
-		if c.valid() {
+		if c.valid(opts.Terms) {
 			results = append(results, c)
 			if opts.MaxCNs > 0 && len(results) >= opts.MaxCNs {
 				return false
@@ -107,6 +120,9 @@ func EnumerateCtx(ctx context.Context, g *schemagraph.Graph, opts EnumerateOptio
 				continue
 			}
 			for _, grown := range growCN(g, c, kw, free) {
+				if opts.Terms > 0 && grown.termsNeeded() > opts.Terms {
+					continue
+				}
 				key := grown.Canonical()
 				if frontierSeen[key] {
 					continue
@@ -183,12 +199,27 @@ func (c *CN) attach(ni int, table string, freeNode bool, e schemagraph.Edge) *CN
 	return nc
 }
 
-// valid reports whether every leaf is a keyword node.
-func (c *CN) valid() bool {
+// valid reports whether every leaf is a keyword node and, for m > 0,
+// whether c meets the m-term rule (stated and argued on Enumerate).
+func (c *CN) valid(m int) bool {
 	for _, li := range c.leaves() {
 		if c.Nodes[li].Free {
 			return false
 		}
 	}
-	return true
+	return m <= 0 || c.termsNeeded() <= m
+}
+
+// termsNeeded returns c's leaf count, free leaves included, plus 1 if a
+// non-leaf node is a keyword node: the m-term rule's left side.
+func (c *CN) termsNeeded() int {
+	n, inner := 0, 0
+	for i, d := range c.degrees() {
+		if d <= 1 {
+			n++
+		} else if !c.Nodes[i].Free {
+			inner = 1
+		}
+	}
+	return n + inner
 }

@@ -84,7 +84,8 @@ func (ev *Evaluator) allTermsMask() uint32 {
 // DISCOVER). A context that ends mid-search abandons it: the error is
 // ctx's and no results are returned.
 func (ev *Evaluator) EvaluateCN(ctx context.Context, c *CN) ([]Result, error) {
-	return ev.evaluate(ctx, c, 0, ev.rootSet(c))
+	rs, _, err := ev.evaluate(ctx, c, 0, ev.rootSet(c))
+	return rs, err
 }
 
 // EvaluateRoots produces the results of c whose node-0 tuple is one of
@@ -92,8 +93,8 @@ func (ev *Evaluator) EvaluateCN(ctx context.Context, c *CN) ([]Result, error) {
 // exec pool's unit of work. The search visits roots in set order and
 // keeps no state between them, so ranges that tile [0, RootCount(c))
 // produce, laid end to end in range order, exactly EvaluateCN's results
-// in EvaluateCN's order.
-func (ev *Evaluator) EvaluateRoots(ctx context.Context, c *CN, lo, hi int) ([]Result, error) {
+// in EvaluateCN's order. The pool sums the returned Work per job.
+func (ev *Evaluator) EvaluateRoots(ctx context.Context, c *CN, lo, hi int) ([]Result, Work, error) {
 	set := ev.rootSet(c)
 	return ev.evaluate(ctx, c, 0, set[min(lo, len(set)):min(hi, len(set))])
 }
@@ -101,9 +102,14 @@ func (ev *Evaluator) EvaluateRoots(ctx context.Context, c *CN, lo, hi int) ([]Re
 // EvaluateCNWith produces the results of c in which CN node driverIdx is
 // bound to the given tuple — the global pipeline's primitive.
 func (ev *Evaluator) EvaluateCNWith(c *CN, driverIdx int, tp *relstore.Tuple) []Result {
-	rs, _ := ev.evaluate(context.Background(), c, driverIdx, []*relstore.Tuple{tp}) // Background never ends: no error
+	rs, _, _ := ev.evaluate(context.Background(), c, driverIdx, []*relstore.Tuple{tp}) // Background never ends: no error
 	return rs
 }
+
+// Work counts one search's effort: JoinRows is the join work its ctx
+// polls are paced by (each extension's parent row plus the candidates
+// it scans), RowsFinished the complete rows it tests in finishRow.
+type Work struct{ JoinRows, RowsFinished int }
 
 // unbound marks a CN node without a tuple in a search row.
 const unbound relstore.TupleID = -1
@@ -121,7 +127,8 @@ type search struct {
 	masks  []uint32           // finish's scratch
 	out    []Result
 	ctx    context.Context
-	budget int   // join work left before the next ctx poll
+	work   Work
+	pollAt int   // work.JoinRows past which ctx is polled next
 	err    error // ctx's error once a poll saw it end
 }
 
@@ -130,15 +137,15 @@ type search struct {
 // level-wise EvaluateLevels with the partition test inline — a different
 // traversal of the same join graph, which is what lets each check the
 // other. It holds one row, however many partial bindings the CN has.
-func (ev *Evaluator) evaluate(ctx context.Context, c *CN, start int, roots []*relstore.Tuple) ([]Result, error) {
+func (ev *Evaluator) evaluate(ctx context.Context, c *CN, start int, roots []*relstore.Tuple) ([]Result, Work, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, Work{}, err
 	}
 	n := len(c.Nodes)
 	s := search{
 		ev: ev, c: c, kw: ev.src.KeywordBits(),
 		row: openRow(n), masks: make([]uint32, n),
-		ctx: ctx, budget: pollEvery,
+		ctx: ctx, pollAt: pollEvery,
 	}
 	s.order = c.program().search[start]
 	s.joins = make([]*JoinIndex, len(s.order))
@@ -147,10 +154,10 @@ func (ev *Evaluator) evaluate(ctx context.Context, c *CN, start int, roots []*re
 	}
 	for _, tp := range roots {
 		if s.bind(0, tp.ID); s.err != nil {
-			return nil, s.err
+			return nil, s.work, s.err
 		}
 	}
-	return s.out, nil
+	return s.out, s.work, nil
 }
 
 // openRow returns a search row of n nodes, none bound.
@@ -172,6 +179,7 @@ func (s *search) bind(oi int, id relstore.TupleID) {
 
 func (s *search) extend(oi int) {
 	if oi == len(s.order) {
+		s.work.RowsFinished++
 		if r, ok := s.ev.finishRow(s.c, s.row, s.kw, s.masks); ok {
 			s.out = append(s.out, r)
 		}
@@ -179,11 +187,11 @@ func (s *search) extend(oi int) {
 	}
 	st := s.order[oi]
 	cands := s.joins[oi].Targets(s.row[st.parent])
-	if s.budget -= len(cands) + 1; s.budget < 0 {
+	if s.work.JoinRows += len(cands) + 1; s.work.JoinRows > s.pollAt {
 		if s.err = s.ctx.Err(); s.err != nil {
 			return
 		}
-		s.budget = pollEvery
+		s.pollAt = s.work.JoinRows + pollEvery
 	}
 	for _, cand := range cands {
 		// Keyword nodes take matching tuples, free nodes the complement

@@ -65,7 +65,7 @@ func tileRoots(t *testing.T, ev *Evaluator, c *CN, sizes []int) []Result {
 	var got []Result
 	for lo, i := 0, 0; lo < ev.RootCount(c); i++ {
 		hi := lo + sizes[i%len(sizes)]
-		rs, err := ev.EvaluateRoots(context.Background(), c, lo, hi)
+		rs, _, err := ev.EvaluateRoots(context.Background(), c, lo, hi)
 		if err != nil {
 			t.Fatalf("EvaluateRoots(%s, %d, %d): %v", c, lo, hi, err)
 		}
@@ -160,10 +160,10 @@ func TestRootRangesTile(t *testing.T) {
 				t.Fatalf("CN %d (%s), %d roots per range: tiled results differ from EvaluateCN", ci, c, per)
 			}
 		}
-		if rs, err := ev.EvaluateRoots(ctx, c, 0, n+5); err != nil || renderResults(rs) != want {
+		if rs, _, err := ev.EvaluateRoots(ctx, c, 0, n+5); err != nil || renderResults(rs) != want {
 			t.Fatalf("CN %d (%s): EvaluateRoots past the root set = %d results, %v", ci, c, len(rs), err)
 		}
-		if rs, err := ev.EvaluateRoots(ctx, c, n, n+5); err != nil || len(rs) != 0 {
+		if rs, _, err := ev.EvaluateRoots(ctx, c, n, n+5); err != nil || len(rs) != 0 {
 			t.Fatalf("CN %d (%s): EvaluateRoots beyond the root set = %d results, %v", ci, c, len(rs), err)
 		}
 	}

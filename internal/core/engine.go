@@ -108,7 +108,7 @@ func ParseSemantics(name string) (Semantics, error) {
 	case "elca":
 		return ELCA, nil
 	}
-	return Auto, badQuery(fmt.Sprintf("core: unknown semantics %q", name))
+	return Auto, badQuery(fmt.Sprintf("unknown semantics %q", name))
 }
 
 // Result is one search answer under any semantics.
@@ -266,7 +266,7 @@ func (e *Engine) Terms(query string, doClean bool) []string {
 
 func (e *Engine) requireRelational() error {
 	if e.DB == nil {
-		return badQuery("core: semantics requires a relational engine")
+		return badQuery("semantics requires a relational engine")
 	}
 	return nil
 }
@@ -326,6 +326,7 @@ func (e *Engine) searchSpark(ctx context.Context, terms []string, req Request, s
 		MaxSize:       req.MaxCNSize,
 		KeywordTables: kwTables,
 		FreeTables:    e.FreeTables,
+		Terms:         len(ev.Terms), // SPARK keeps only total, minimal rows too
 	})
 	if err != nil {
 		esp.SetAttr("cancelled", true)
@@ -459,7 +460,7 @@ func (e *Engine) searchSteiner(ctx context.Context, terms []string, sp *obs.Span
 
 func (e *Engine) searchXML(ctx context.Context, terms []string, req Request, sp *obs.Span) ([]Result, error) {
 	if e.XIndex == nil {
-		return nil, badQuery(fmt.Sprintf("core: semantics %v requires an XML engine", req.Semantics))
+		return nil, badQuery(fmt.Sprintf("semantics %v requires an XML engine", req.Semantics))
 	}
 	// The serial LCA algorithms are not context-aware; honoring ctx at
 	// the stage boundary still stops an expired query before the scan.

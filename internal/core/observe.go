@@ -140,7 +140,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	root.SetAttr("keywords", len(terms))
 	if len(terms) == 0 {
 		root.End()
-		err := badQuery("core: empty query")
+		err := badQuery("empty query")
 		e.capture(ctx, req, root, nil, obs.OutcomeError, err.Error(), time.Since(start))
 		return nil, err
 	}
@@ -153,9 +153,9 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		var msg string
 		switch {
 		case len(terms) > cn.MaxTerms:
-			msg = fmt.Sprintf("core: %d keywords, candidate networks take at most %d", len(terms), cn.MaxTerms)
+			msg = fmt.Sprintf("%d keywords, candidate networks take at most %d", len(terms), cn.MaxTerms)
 		case req.MaxCNSize > MaxCNSizeLimit:
-			msg = fmt.Sprintf("core: max_cn_size %d, candidate networks take at most %d", req.MaxCNSize, MaxCNSizeLimit)
+			msg = fmt.Sprintf("max_cn_size %d, candidate networks take at most %d", req.MaxCNSize, MaxCNSizeLimit)
 		}
 		if msg != "" {
 			root.End()
@@ -180,7 +180,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	case SLCA, ELCA:
 		results, err = e.searchXML(ctx, terms, req, root)
 	default:
-		err = badQuery("core: unknown semantics " + req.Semantics.String())
+		err = badQuery("unknown semantics " + req.Semantics.String())
 	}
 	partial := false
 	if err != nil {

@@ -93,7 +93,9 @@ func TestQueryWithoutTraceHasNoTrace(t *testing.T) {
 // query at each pool size: the pipeline stages and their attribute keys
 // must not drift silently, Workers 0 and 1 are the same pool of one, and
 // every goroutine launched gets one worker-<g> span (the fixture query
-// has 5 jobs, so Workers 4 launches 4). Timings are excluded (Shape
+// has 5 jobs, so Workers 4 launches 4: with three terms the two
+// five-node paths of slide 28 can be minimal, and with two they are not
+// planned). Timings are excluded (Shape
 // drops them) and the goroutine count depends only on the pool size and
 // the job count, so the test is deterministic.
 func TestTraceShapeGoldenParallel(t *testing.T) {
@@ -117,10 +119,13 @@ func TestTraceShapeGoldenParallel(t *testing.T) {
 			spans += "    worker-" + strconv.Itoa(g) + worker
 		}
 		e := NewRelational(dataset.WidomBib())
-		req := Request{Query: "Widom XML", TopK: 5, Workers: tc.workers, Trace: true}
+		req := Request{Query: "Widom XML Ullman", TopK: 5, Workers: tc.workers, Trace: true}
 		resp, err := e.Query(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if st := resp.Stats.Exec; st == nil || st.Jobs != 5 {
+			t.Fatalf("workers=%d: fixture query has exec stats %+v, want 5 jobs", tc.workers, st)
 		}
 		if got, want := resp.Trace.Shape(), head+stages+spans+tail; got != want {
 			t.Errorf("workers=%d: trace shape drifted:\n got:\n%s want:\n%s", tc.workers, got, want)

@@ -114,6 +114,7 @@ func (e *Engine) Admit(limit, maxQueue int) {
 // one.
 func (e *Engine) Gate() *resilience.Gate { return e.gate }
 
+// badQuery wraps ErrBadQuery behind its one prefix: "core: bad query: msg".
 func badQuery(msg string) error {
-	return fmt.Errorf("%s: %w", msg, ErrBadQuery)
+	return fmt.Errorf("%w: %s", ErrBadQuery, msg)
 }

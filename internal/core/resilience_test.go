@@ -183,14 +183,21 @@ func TestAdmissionShedsExcessQueries(t *testing.T) {
 	t.Error("queued query never failed with ErrDeadlineExceeded")
 }
 
-// TestBadQueryTyped: malformed requests match ErrBadQuery.
+// TestBadQueryTyped: malformed requests match ErrBadQuery, and their
+// text carries its prefix once, before the cause.
 func TestBadQueryTyped(t *testing.T) {
 	rel := NewRelational(dataset.WidomBib())
-	if _, err := rel.Query(context.Background(), Request{Query: "   "}); !errors.Is(err, ErrBadQuery) {
-		t.Errorf("empty query err = %v, want ErrBadQuery", err)
-	}
-	if _, err := rel.Query(context.Background(), Request{Query: "widom", Semantics: SLCA}); !errors.Is(err, ErrBadQuery) {
-		t.Errorf("semantics mismatch err = %v, want ErrBadQuery", err)
+	for _, tc := range []struct {
+		req  Request
+		want string
+	}{
+		{Request{Query: "   "}, "core: bad query: empty query"},
+		{Request{Query: "widom", Semantics: SLCA}, "core: bad query: semantics slca requires an XML engine"},
+		{Request{Query: "widom", MaxCNSize: 12}, "core: bad query: max_cn_size 12, candidate networks take at most 8"},
+	} {
+		if _, err := rel.Query(context.Background(), tc.req); !errors.Is(err, ErrBadQuery) || err.Error() != tc.want {
+			t.Errorf("%+v: err = %v, want ErrBadQuery as %q", tc.req, err, tc.want)
+		}
 	}
 	// A candidate-network size past MaxCNSizeLimit; the deadline only
 	// keeps an engine without the check from enumerating for long. The

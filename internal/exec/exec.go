@@ -130,6 +130,9 @@ type Stats struct {
 	// after cancellation): Evaluated + Skipped == Jobs.
 	Evaluated int
 	Skipped   int
+	// JoinRows and RowsFinished sum the cn.Work of the jobs evaluated
+	// to the end.
+	JoinRows, RowsFinished int
 	// PrefixReuses always reads 0: the pool searches each job
 	// depth-first and keeps no table of evaluated prefixes. The field
 	// stays because the repository benchmark (bench/) reads it.
@@ -282,12 +285,13 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 
 	// The enumerate stage goes through the plan cache: warm signatures
 	// skip enumeration entirely, cold ones compile and are cached for
-	// every later query with the same schema + membership signature.
+	// every later query with the same schema, signature and term count.
 	esp := sp.Child("enumerate")
 	ps, planHit, err := x.plans.Get(ctx, x.sg, cn.EnumerateOptions{
 		MaxSize:       q.MaxCNSize,
 		KeywordTables: kwTables,
 		FreeTables:    x.opts.FreeTables,
+		Terms:         len(terms),
 	})
 	if err != nil {
 		// No partial answer is possible before the CN set exists.
@@ -320,6 +324,8 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	for _, ws := range perWorker {
 		st.JobsPerWorker = append(st.JobsPerWorker, ws.Claimed)
 		st.Evaluated += ws.Evaluated
+		st.JoinRows += ws.Work.JoinRows
+		st.RowsFinished += ws.Work.RowsFinished
 		st.WorkerBusy = append(st.WorkerBusy, ws.Busy)
 		st.WorkerIdle = append(st.WorkerIdle, ws.Idle())
 	}
@@ -341,15 +347,16 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	return top, st, nil
 }
 
-// TopKSerial is the reference path: full evaluation of every CN on the
-// calling goroutine, no bound pruning, no caches — binding included,
+// TopKSerial is the reference path: full evaluation of every CN of the
+// plan without TopK's minimality rule (cn.EnumerateOptions.Terms) on
+// the calling goroutine, no bound pruning, no caches — binding included,
 // which comes from the full-scan reference binding rather than the
 // binder's term bindings (only its join indexes are shared) — with the
 // level-wise cn.EvaluateLevels rather than the pool's depth-first
 // search, then SortResults and truncation rather than cn.Top. The
 // worker pool's answer is asserted byte-identical to this in the
-// package tests, making every such test a continuous binder-vs-scan and
-// search-vs-levels equivalence check as well.
+// package tests, making every such test a continuous binder-vs-scan,
+// search-vs-levels and pruned-vs-unpruned equivalence check as well.
 //
 //lint:ignore ctx-first serial reference oracle, kept signature-stable for the repository benchmark (bench/)
 func (x *Executor) TopKSerial(q Query) []cn.Result {

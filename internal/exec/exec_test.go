@@ -312,20 +312,26 @@ func TestWorkersClampedToJobs(t *testing.T) {
 	}
 }
 
-// TestHubQueryAllocBytes pins what the pool allocates on the hub query:
-// "search www" joins through the conference hub, so its CNs walk
-// millions of partial bindings to return ten results. Binder and plan
-// are warm and the executor fresh, so the measurement is the pool's:
-// the depth-first search holds one row per goroutine, and the query
-// allocates about 30 kB at Workers 1 and 2, where the level-wise pool it
-// replaced materialized every level and allocated 315 MB. The ceiling is
-// about 1.5× the measurement; like every pin it only tightens.
+// TestHubQueryAllocBytes pins what the pool allocates on a hub query,
+// one that joins through the conference hub and walks millions of
+// partial bindings to return its results. "www www www search wang" has
+// five mask bits, so at MaxCNSize 5 the minimality rule removes nothing
+// and its plan holds every conference star, up to four paper leaves: the
+// pool scans 8.6 M join rows for it (asserted, so the fixture cannot turn
+// light). The repeated term adds mask bits without adding postings, so
+// the binding, which TopK merges per query from its terms' postings,
+// stays as small as that of "search www wang". Binder and plan are warm
+// and the executor fresh, so the measurement is the pool's: the
+// depth-first search holds one row per goroutine, and the query
+// allocates about 26 kB at Workers 1 and 2, where a level-wise pool that
+// materialized every level allocated 315 MB. The ceiling is about 1.5×
+// the measurement; like every pin it only tightens.
 func TestHubQueryAllocBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("evaluates the hub query")
 	}
 	x := newTestExecutor(1)
-	q := Query{Terms: []string{"search", "www"}, K: 10, MaxCNSize: 5}
+	q := Query{Terms: []string{"www", "www", "www", "search", "wang"}, K: 10, MaxCNSize: 5}
 	if _, _, err := x.TopK(context.Background(), q); err != nil { // warm binder and plan
 		t.Fatal(err)
 	}
@@ -339,9 +345,86 @@ func TestHubQueryAllocBytes(t *testing.T) {
 		if err != nil || len(rs) == 0 || st.ResultCacheHit || !st.PlanCacheHit {
 			t.Fatalf("workers=%d: %d results, err %v, stats %+v; want a warm evaluated answer", workers, len(rs), err, st)
 		}
+		if st.JoinRows < 8_000_000 {
+			t.Errorf("workers=%d: %d join rows, want at least 8 M: the fixture no longer walks the hub", workers, st.JoinRows)
+		}
 		got := after.TotalAlloc - before.TotalAlloc
-		if limit := uint64(45 << 10); got > limit {
+		if limit := uint64(40 << 10); got > limit {
 			t.Errorf("workers=%d: the hub query allocated %d bytes, want <= %d", workers, got, limit)
+		}
+		t.Logf("workers=%d: %d bytes, %d join rows", workers, got, st.JoinRows)
+	}
+}
+
+// unprunedRun runs q through TopK's stages on one worker — bind, plan,
+// bound-ordered queue, pool — but over the plan enumerated without the
+// minimality rule (Terms 0), and returns the answer and its work.
+func unprunedRun(t *testing.T, x *Executor, q Query) ([]cn.Result, Stats) {
+	t.Helper()
+	ev := cn.NewEvaluatorFrom(x.db, x.ix, x.binder.BindTraced(q.Terms, nil))
+	cns := cn.Enumerate(x.sg, cn.EnumerateOptions{
+		MaxSize:       q.MaxCNSize,
+		KeywordTables: ev.KeywordTables(),
+		FreeTables:    x.opts.FreeTables,
+	})
+	jobs := buildQueue(ev, cns, x.jobRoots)
+	top, perWorker, err := x.runPool(context.Background(), ev, jobs, 1, q.K, nil)
+	if err != nil {
+		t.Fatalf("%v: unpruned pool: %v", q.Terms, err)
+	}
+	st := Stats{CNs: len(cns), Jobs: len(jobs)}
+	for _, ws := range perWorker {
+		st.Evaluated += ws.Evaluated
+		st.JoinRows += ws.Work.JoinRows
+		st.RowsFinished += ws.Work.RowsFinished
+	}
+	return top, st
+}
+
+// TestMinimalityCutsWork counts what planning only the CNs that can be
+// minimal saves on ×1 DBLP at Workers 1, whose claim order is the queue
+// order: per query, the answer equals TopKSerial's (which plans every
+// CN) byte for byte, the CN, job, evaluated-job, join-row and
+// finished-row counts are pinned exactly, and none exceeds the same
+// pool's count over the unpruned plan. "search www" is the hub query:
+// over the unpruned plan the pool scans 8.55 M join rows for it, nearly
+// all in conference stars that yield no result, and 118 over the
+// pruned one.
+func TestMinimalityCutsWork(t *testing.T) {
+	x := newTestExecutor(1)
+	for _, tc := range []struct {
+		terms                                        []string
+		cns, jobs, evaluated, joinRows, rowsFinished int
+	}{
+		{[]string{"keyword", "search"}, 2, 2, 1, 0, 745},
+		{[]string{"wang", "search"}, 4, 4, 4, 2881, 704},
+		{[]string{"search", "www"}, 4, 4, 2, 118, 43},
+		{[]string{"wang", "search", "www"}, 21, 21, 21, 70483, 5992},
+	} {
+		q := Query{Terms: tc.terms, K: 10, MaxCNSize: 5}
+		want := renderResults(x.TopKSerial(q))
+		rs, st, err := fresh(x, x.binder, nil).TopK(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.terms, err)
+		}
+		if got := renderResults(rs); got != want {
+			t.Errorf("%v: answer differs from TopKSerial\ngot:\n%swant:\n%s", tc.terms, got, want)
+		}
+		unRs, un := unprunedRun(t, x, q)
+		if got := renderResults(unRs); got != want {
+			t.Errorf("%v: unpruned pool's answer differs from TopKSerial\ngot:\n%swant:\n%s", tc.terms, got, want)
+		}
+		got := []int{st.CNs, st.Jobs, st.Evaluated, st.JoinRows, st.RowsFinished}
+		pin := []int{tc.cns, tc.jobs, tc.evaluated, tc.joinRows, tc.rowsFinished}
+		unpruned := []int{un.CNs, un.Jobs, un.Evaluated, un.JoinRows, un.RowsFinished}
+		t.Logf("%v: CNs, jobs, evaluated, join rows, rows finished = %v (unpruned %v)", tc.terms, got, unpruned)
+		for i, name := range []string{"CNs", "jobs", "evaluated", "join rows", "rows finished"} {
+			if got[i] != pin[i] {
+				t.Errorf("%v: %s = %d, pinned at %d", tc.terms, name, got[i], pin[i])
+			}
+			if got[i] > unpruned[i] {
+				t.Errorf("%v: %s = %d, more than the %d over the unpruned plan", tc.terms, name, got[i], unpruned[i])
+			}
 		}
 	}
 }

@@ -115,13 +115,15 @@ func TestDeadlineMidEvaluationYieldsPartial(t *testing.T) {
 	}
 }
 
-// TestDeadlineLandsInsideJoinLevel drives a deadline into one prefix
-// level, not between two: "search www" joins through the conference
-// hub, so at ×2 nearly all of its time is a single CN's level
-// extensions on one worker — with ctx checked only between levels the
-// pool returned when that level was done, deadline or not. The row
-// loops poll ctx, so the query comes back on time with the certified
-// prefix, the abandoned job's bound charged to the certificate.
+// TestDeadlineLandsInsideJoinLevel drives a deadline into one job, not
+// between two: "search www wang keyword" joins through the conference
+// hub, so at ×2 over four fifths of its time is one job, the star
+// conference^Q with three paper^Q leaves, on one worker — with ctx
+// checked only between jobs the pool returned when that job was done,
+// deadline or not. The search polls ctx, so the query comes back on
+// time with the certified prefix, the abandoned job's bound charged to
+// the certificate. (Two terms make no star a minimal CN, so a two-term
+// hub query plans none.)
 func TestDeadlineLandsInsideJoinLevel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the hub query to completion first")
@@ -130,7 +132,7 @@ func TestDeadlineLandsInsideJoinLevel(t *testing.T) {
 	cfg.Authors, cfg.Papers, cfg.Conferences = 2*cfg.Authors, 2*cfg.Papers, 2*cfg.Conferences
 	db := dataset.DBLP(cfg)
 	x := New(db, invindex.FromDB(db), Options{Workers: 2, FreeTables: []string{"write", "cite"}})
-	q := Query{Terms: []string{"search", "www"}, K: 10, MaxCNSize: 5}
+	q := Query{Terms: []string{"search", "www", "wang", "keyword"}, K: 10, MaxCNSize: 5}
 
 	start := time.Now()
 	rs, _, err := x.TopK(context.Background(), q)
@@ -142,8 +144,8 @@ func TestDeadlineLandsInsideJoinLevel(t *testing.T) {
 	x = fresh(x, x.binder, x.plans)
 
 	// Everything but the joins is warm now, so a twentieth of the full
-	// time is far more than bind + plan + prewarm need and far less than
-	// the first hub level does.
+	// time is far more than bind + plan need and far less than the hub
+	// job takes.
 	deadline := full / 20
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()

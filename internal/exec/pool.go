@@ -23,6 +23,7 @@ import (
 type runStats struct {
 	Claimed   int
 	Evaluated int
+	Work      cn.Work // summed over the jobs evaluated to the end
 	// Busy is the time spent inside evalJob; Wall is the worker's total
 	// time in the pool (launch to exit).
 	Busy time.Duration
@@ -234,11 +235,13 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, jobs []job,
 // whenever the internal cancellation fired; otherwise runPool charges
 // the job's bound to the certificate).
 func evalJob(ctx context.Context, ev *cn.Evaluator, j job, top *cn.Top, st *runStats) bool {
-	rs, err := ev.EvaluateRoots(ctx, j.c, j.lo, j.hi)
+	rs, w, err := ev.EvaluateRoots(ctx, j.c, j.lo, j.hi)
 	if err != nil {
 		return false
 	}
 	top.Add(rs...)
 	st.Evaluated++
+	st.Work.JoinRows += w.JoinRows
+	st.Work.RowsFinished += w.RowsFinished
 	return true
 }

@@ -127,30 +127,37 @@ func TestPoolMatchesSerialRandomCorpora(t *testing.T) {
 }
 
 // fuzzCase is one FuzzPoolMatchesSerial input: a RandomCorpus (seed,
-// 1–4 entity tables), 1–3 CorpusVocab picks as the query, k, the pool
-// size and the roots per job. Every field is reduced into its range, so
-// any bytes the fuzzer invents are a valid case.
+// 1–4 entity tables), 1–4 CorpusVocab picks as the query (a word may
+// repeat: the pool plans by mask bits, one per pick), k, the pool size
+// and the roots per job. Every field is reduced into its range, so any
+// bytes the fuzzer invents are a valid case.
 type fuzzCase struct {
 	seed           int64
 	nEnt, nTerms   uint8
-	t1, t2, t3     uint8
+	t1, t2, t3, t4 uint8
 	k, pool, roots uint8
 }
 
 // fuzzSeeds cover what a mutation would take long to find: a root set
 // split into one-row jobs, and a queue whose tail the k-th score
-// dominates (TestFuzzSeedsCoverTheQueue holds them to it).
+// dominates at one worker (TestFuzzSeedsCoverTheQueue holds them to
+// it), a query of four distinct words ("search stream keyword index"),
+// and a repeated word ("index index"), which the pool plans as two
+// terms.
 var fuzzSeeds = []fuzzCase{
 	{seed: 1, nEnt: 2, nTerms: 1, t1: 1, t2: 2, t3: 3, k: 0, pool: 1, roots: 0},
 	{seed: 7, nEnt: 1, nTerms: 0, t1: 3, t2: 0, t3: 0, k: 9, pool: 3, roots: 6},
 	{seed: 11, nEnt: 3, nTerms: 2, t1: 0, t2: 5, t3: 11, k: 4, pool: 7, roots: 39},
+	{seed: 11, nEnt: 3, nTerms: 1, t1: 0, t2: 6, k: 0, pool: 0, roots: 26},
+	{seed: 85, nEnt: 2, nTerms: 3, t1: 2, t2: 9, t3: 1, t4: 5, k: 4, pool: 1, roots: 2},
+	{seed: 99, nEnt: 3, nTerms: 1, t1: 5, t2: 5, k: 0, pool: 0, roots: 31},
 }
 
 // run builds the case's corpus and checks pool ≡ TopKSerial on it.
 func (fc fuzzCase) run(t *testing.T) Stats {
 	db, free := dataset.RandomCorpus(rand.New(rand.NewSource(fc.seed)), 1+int(fc.nEnt)%4)
 	x := New(db, invindex.FromDB(db), Options{FreeTables: free})
-	picks := []uint8{fc.t1, fc.t2, fc.t3}[:1+fc.nTerms%3]
+	picks := []uint8{fc.t1, fc.t2, fc.t3, fc.t4}[:1+fc.nTerms%4]
 	q := Query{K: 1 + int(fc.k)%20, MaxCNSize: 5}
 	for _, p := range picks {
 		q.Terms = append(q.Terms, dataset.CorpusVocab[int(p)%len(dataset.CorpusVocab)])
@@ -160,10 +167,10 @@ func (fc fuzzCase) run(t *testing.T) Stats {
 
 func FuzzPoolMatchesSerial(f *testing.F) {
 	for _, fc := range fuzzSeeds {
-		f.Add(fc.seed, fc.nEnt, fc.nTerms, fc.t1, fc.t2, fc.t3, fc.k, fc.pool, fc.roots)
+		f.Add(fc.seed, fc.nEnt, fc.nTerms, fc.t1, fc.t2, fc.t3, fc.t4, fc.k, fc.pool, fc.roots)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, nEnt, nTerms, t1, t2, t3, k, pool, roots uint8) {
-		fuzzCase{seed, nEnt, nTerms, t1, t2, t3, k, pool, roots}.run(t)
+	f.Fuzz(func(t *testing.T, seed int64, nEnt, nTerms, t1, t2, t3, t4, k, pool, roots uint8) {
+		fuzzCase{seed, nEnt, nTerms, t1, t2, t3, t4, k, pool, roots}.run(t)
 	})
 }
 

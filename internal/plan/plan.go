@@ -8,11 +8,11 @@
 // and both argue for compiling once and reusing.
 //
 // A compiled plan is keyed by (schema-graph fingerprint,
-// keyword→relation membership signature, MaxSize, MaxCNs) and stored in
-// the sharded LRU of internal/cache: warm queries skip enumeration
-// entirely, and since the fingerprint is part of the key a changed
-// schema can never be served another schema's plan. Cold signatures are
-// compiled by cn.EnumerateCtx.
+// keyword→relation membership signature, MaxSize, MaxCNs, term count)
+// and stored in the sharded LRU of internal/cache: warm queries skip
+// enumeration entirely, and since the fingerprint is part of the key a
+// changed schema can never be served another schema's plan. Cold
+// signatures are compiled by cn.EnumerateCtx.
 package plan
 
 import (
@@ -114,8 +114,10 @@ func normTables(g *schemagraph.Graph, tables []string) []string {
 // Key derives the cache key of an enumeration request: schema-graph
 // fingerprint, keyword→relation membership signature (the sorted
 // keyword and free table sets — enumeration never sees keyword values),
-// and the MaxSize/MaxCNs bounds, normalized the way cn.EnumerateCtx
-// normalizes them. The membership signature comes from the bind layer —
+// the MaxSize/MaxCNs bounds, normalized the way cn.EnumerateCtx
+// normalizes them, and the term count as min(m, MaxSize): from MaxSize
+// terms on, as at 0, the m-term rule prunes nothing (a CN of s nodes
+// needs at most s terms). The membership signature comes from the bind layer —
 // cn.Binding.KeywordTables() is the producer — so distinct queries
 // matching the same relations share one compiled plan.
 func Key(g *schemagraph.Graph, opts cn.EnumerateOptions) string {
@@ -127,6 +129,10 @@ func Key(g *schemagraph.Graph, opts cn.EnumerateOptions) string {
 	if maxCNs < 0 {
 		maxCNs = 0
 	}
+	terms := min(opts.Terms, maxSize)
+	if terms <= 0 {
+		terms = maxSize
+	}
 	var b strings.Builder
 	b.WriteString(g.Fingerprint())
 	b.WriteString("|kw=")
@@ -137,6 +143,8 @@ func Key(g *schemagraph.Graph, opts cn.EnumerateOptions) string {
 	b.WriteString(strconv.Itoa(maxSize))
 	b.WriteString("|mc=")
 	b.WriteString(strconv.Itoa(maxCNs))
+	b.WriteString("|m=")
+	b.WriteString(strconv.Itoa(terms))
 	return b.String()
 }
 

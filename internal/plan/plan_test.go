@@ -95,6 +95,9 @@ func TestKeyNormalization(t *testing.T) {
 		{MaxSize: 5, KeywordTables: []string{"paper", "author"}, FreeTables: []string{"write"}},
 		{MaxSize: 5, KeywordTables: []string{"author", "author", "paper"}, FreeTables: []string{"write", "nosuch"}},
 		{MaxSize: 0, KeywordTables: []string{"author", "paper"}, FreeTables: []string{"write"}},
+		// From MaxSize terms on the m-term rule prunes nothing.
+		{MaxSize: 5, KeywordTables: []string{"author", "paper"}, FreeTables: []string{"write"}, Terms: 5},
+		{MaxSize: 5, KeywordTables: []string{"author", "paper"}, FreeTables: []string{"write"}, Terms: 9},
 	}
 	for i, o := range same {
 		if got := Key(g, o); got != base {
@@ -106,6 +109,7 @@ func TestKeyNormalization(t *testing.T) {
 		{MaxSize: 5, KeywordTables: []string{"author"}, FreeTables: []string{"write"}},
 		{MaxSize: 5, KeywordTables: []string{"author", "paper"}},
 		{MaxSize: 5, MaxCNs: 3, KeywordTables: []string{"author", "paper"}, FreeTables: []string{"write"}},
+		{MaxSize: 5, KeywordTables: []string{"author", "paper"}, FreeTables: []string{"write"}, Terms: 4},
 	}
 	for i, o := range diff {
 		if got := Key(g, o); got == base {
@@ -245,13 +249,18 @@ func randomMembership(rng *rand.Rand, g *schemagraph.Graph) cn.EnumerateOptions 
 	if rng.Intn(4) == 0 {
 		opts.MaxCNs = 1 + rng.Intn(20)
 	}
+	if rng.Intn(2) == 0 {
+		opts.Terms = 1 + rng.Intn(opts.MaxSize)
+	}
 	return opts
 }
 
 // TestPropertyCachedPlanEqualsFreshEnumeration is the package's central
 // property: over randomized schema graphs and membership signatures, the
 // cached PlanSet is byte-identical to fresh EnumerateCtx output (same
-// CNs, same order), on the build and on every subsequent hit.
+// CNs, same order), on the build and on every subsequent hit, and a
+// request of MaxSize terms or more is served the plan built for Terms 0
+// (its key's m field), which equals its own fresh enumeration.
 func TestPropertyCachedPlanEqualsFreshEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := New(Options{})
@@ -279,6 +288,18 @@ func TestPropertyCachedPlanEqualsFreshEnumeration(t *testing.T) {
 		}
 		if !hit || render(warm.CNs()) != render(want) {
 			t.Fatalf("trial %d: warm plan differs (hit=%v)", trial, hit)
+		}
+		if opts.Terms == 0 {
+			more := opts
+			more.Terms = opts.MaxSize + rng.Intn(3)
+			fresh, err := cn.EnumerateCtx(context.Background(), g, more)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared, hit, err := c.Get(context.Background(), g, more)
+			if err != nil || !hit || render(shared.CNs()) != render(fresh) {
+				t.Fatalf("trial %d: %d terms (hit=%v, err %v) not served the Terms 0 plan, or it differs from its own enumeration", trial, more.Terms, hit, err)
+			}
 		}
 	}
 }

@@ -467,7 +467,7 @@ func TestMetricInventory(t *testing.T) {
 	n, m := 1+len(misses), hits // the parked query is a miss too
 
 	partial, deadline := counter("query.partial"), counter("admission.deadline")
-	if resp := want(QueryRequest{Query: "keyword search", TopK: 10000, MaxCNSize: 6, DeadlineMS: 1}, http.StatusOK); !resp.Partial {
+	if resp := want(QueryRequest{Query: "keyword search www", TopK: 10000, MaxCNSize: 6, DeadlineMS: 1}, http.StatusOK); !resp.Partial {
 		t.Fatal("deadline did not produce a partial response")
 	}
 	if got := counter("query.partial") - partial; got != 1 {

@@ -291,7 +291,7 @@ func (s *Server) toRequest(q QueryRequest) (core.Request, error) {
 		return core.Request{}, err
 	}
 	if q.DeadlineMS < 0 {
-		return core.Request{}, fmt.Errorf("server: negative deadline_ms %d: %w", q.DeadlineMS, core.ErrBadQuery)
+		return core.Request{}, fmt.Errorf("%w: negative deadline_ms %d", core.ErrBadQuery, q.DeadlineMS)
 	}
 	// Saturate rather than overflow: past ≈292 years the product wraps
 	// negative, and a negative deadline would escape MaxDeadline below.

@@ -149,19 +149,26 @@ func TestStatusMapping(t *testing.T) {
 		q      QueryRequest
 		status int
 		code   string
+		msg    string // the wire error, one prefix and the cause
 	}{
-		{"empty query", QueryRequest{Query: "   "}, http.StatusBadRequest, CodeBadQuery},
-		{"unknown semantics", QueryRequest{Query: "a", Semantics: "nope"}, http.StatusBadRequest, CodeBadQuery},
-		{"xml semantics on relational data", QueryRequest{Query: "keyword", Semantics: "slca"}, http.StatusBadRequest, CodeBadQuery},
-		{"negative deadline", QueryRequest{Query: "a", DeadlineMS: -1}, http.StatusBadRequest, CodeBadQuery},
+		{"empty query", QueryRequest{Query: "   "}, http.StatusBadRequest, CodeBadQuery,
+			"core: bad query: empty query"},
+		{"unknown semantics", QueryRequest{Query: "a", Semantics: "nope"}, http.StatusBadRequest, CodeBadQuery,
+			`core: bad query: unknown semantics "nope"`},
+		{"xml semantics on relational data", QueryRequest{Query: "keyword", Semantics: "slca"}, http.StatusBadRequest, CodeBadQuery,
+			"core: bad query: semantics slca requires an XML engine"},
+		{"negative deadline", QueryRequest{Query: "a", DeadlineMS: -1}, http.StatusBadRequest, CodeBadQuery,
+			"core: bad query: negative deadline_ms -1"},
 		// The deadlines only keep a server without the size check from
 		// enumerating for long.
-		{"oversized max_cn_size", QueryRequest{Query: "keyword search", MaxCNSize: core.MaxCNSizeLimit + 1, DeadlineMS: 50}, http.StatusBadRequest, CodeBadQuery},
-		{"oversized spark max_cn_size", QueryRequest{Query: "keyword search", Semantics: "spark", MaxCNSize: 64, DeadlineMS: 50}, http.StatusBadRequest, CodeBadQuery},
+		{"oversized max_cn_size", QueryRequest{Query: "keyword search", MaxCNSize: core.MaxCNSizeLimit + 1, DeadlineMS: 50}, http.StatusBadRequest, CodeBadQuery,
+			"core: bad query: max_cn_size 9, candidate networks take at most 8"},
+		{"oversized spark max_cn_size", QueryRequest{Query: "keyword search", Semantics: "spark", MaxCNSize: 64, DeadlineMS: 50}, http.StatusBadRequest, CodeBadQuery,
+			"core: bad query: max_cn_size 64, candidate networks take at most 8"},
 	} {
 		resp, httpResp := post(t, ts.URL, tc.q)
-		if httpResp.StatusCode != tc.status || resp.Code != tc.code {
-			t.Errorf("%s: status %d code %q, want %d %q (%s)", tc.name, httpResp.StatusCode, resp.Code, tc.status, tc.code, resp.Error)
+		if httpResp.StatusCode != tc.status || resp.Code != tc.code || resp.Error != tc.msg {
+			t.Errorf("%s: status %d code %q error %q, want %d %q %q", tc.name, httpResp.StatusCode, resp.Code, resp.Error, tc.status, tc.code, tc.msg)
 		}
 	}
 
@@ -312,7 +319,7 @@ func TestDeadlineWhileQueued503(t *testing.T) {
 func TestDeadlinePartial200(t *testing.T) {
 	sl := obs.NewSlowLog(8, time.Hour)
 	e, ts := newTestServer(t, nil, Options{SlowLog: sl})
-	heavy := QueryRequest{Query: "keyword search", TopK: 10000, MaxCNSize: 6, DeadlineMS: 1}
+	heavy := QueryRequest{Query: "keyword search www", TopK: 10000, MaxCNSize: 6, DeadlineMS: 1}
 	resp, httpResp := post(t, ts.URL, heavy)
 	if httpResp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 (%s)", httpResp.StatusCode, resp.Error)
