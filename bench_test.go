@@ -70,10 +70,10 @@ func crossRelationGroups(fx dblpFixture, terms []string) [][]datagraph.NodeID {
 	return groups
 }
 
-func cnSetup(b *testing.B, terms []string, maxSize int) (*cn.Evaluator, []*cn.CN) {
+func cnSetup(b *testing.B, terms []string, maxSize int) (*cn.Binding, []*cn.CN) {
 	b.Helper()
 	fx := dblp()
-	ev := cn.NewEvaluator(fx.db, fx.ix, terms)
+	ev := cn.NewBinder(fx.db, fx.ix).BindTraced(terms, nil)
 	cns := cn.Enumerate(fx.sg, cn.EnumerateOptions{
 		MaxSize:       maxSize,
 		KeywordTables: ev.KeywordTables(),
@@ -307,7 +307,7 @@ func BenchmarkE23Proximity(b *testing.B) {
 // (the slide-28 policy) vs all tables free (general DISCOVER).
 func BenchmarkAblationFreeTables(b *testing.B) {
 	fx := dblp()
-	ev := cn.NewEvaluator(fx.db, fx.ix, []string{"keyword", "search"})
+	ev := cn.NewBinder(fx.db, fx.ix).BindTraced([]string{"keyword", "search"}, nil)
 	b.Run("link-only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cn.Enumerate(fx.sg, cn.EnumerateOptions{
@@ -548,7 +548,7 @@ func dblpX10() (*relstore.DB, *invindex.Index) {
 // else.
 func BenchmarkEvaluateCN(b *testing.B) {
 	db, ix := dblpX10()
-	ev := cn.NewEvaluator(db, ix, []string{"keyword", "search"})
+	ev := cn.NewBinder(db, ix).BindTraced([]string{"keyword", "search"}, nil)
 	cns := cn.Enumerate(schemagraph.FromDB(db), cn.EnumerateOptions{
 		MaxSize:       5,
 		KeywordTables: ev.KeywordTables(),

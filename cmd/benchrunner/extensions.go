@@ -108,16 +108,16 @@ func runE30() error {
 	db := dataset.WidomBib()
 	ix := invindex.FromDB(db)
 	terms := []string{"widom", "xml"}
-	ev := cn.NewEvaluator(db, ix, terms)
+	b := cn.NewBinder(db, ix).BindTraced(terms, nil)
 	g := schemagraph.FromDB(db)
 	cns := cn.Enumerate(g, cn.EnumerateOptions{
 		MaxSize:       5,
-		KeywordTables: ev.KeywordTables(),
+		KeywordTables: b.KeywordTables(),
 		FreeTables:    []string{"write"},
 	})
 	batch := 0
 	for _, c := range cns {
-		rs, _ := ev.EvaluateCN(context.Background(), c) // Background never ends: no error
+		rs, _ := b.EvaluateCN(context.Background(), c) // Background never ends: no error
 		batch += len(rs)
 	}
 	m := stream.NewMesh(db, terms, cns)

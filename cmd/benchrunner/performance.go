@@ -93,22 +93,22 @@ func approxEqual(a, b float64) bool {
 func runE17() error {
 	db := dataset.DBLP(dataset.DefaultDBLPConfig())
 	ix := invindex.FromDB(db)
-	ev := cn.NewEvaluator(db, ix, []string{"keyword", "search"})
+	b := cn.NewBinder(db, ix).BindTraced([]string{"keyword", "search"}, nil)
 	g := schemagraph.FromDB(db)
 	cns := cn.Enumerate(g, cn.EnumerateOptions{
 		MaxSize:       5,
-		KeywordTables: ev.KeywordTables(),
+		KeywordTables: b.KeywordTables(),
 		FreeTables:    []string{"write", "cite"},
 	})
 	const k = 5
 	globalPipeline := func() []cn.Result {
-		rs, _ := cn.TopKGlobalPipelineCtx(context.Background(), ev, cns, k, nil) // Background never ends: no error
+		rs, _ := cn.TopKGlobalPipelineCtx(context.Background(), b, cns, k, nil) // Background never ends: no error
 		return rs
 	}
-	tN := timeIt(3, func() { cn.TopKNaive(ev, cns, k) })
-	tS := timeIt(3, func() { cn.TopKSparse(ev, cns, k) })
+	tN := timeIt(3, func() { cn.TopKNaive(b, cns, k) })
+	tS := timeIt(3, func() { cn.TopKSparse(b, cns, k) })
 	tG := timeIt(3, func() { globalPipeline() })
-	n := cn.TopKNaive(ev, cns, k)
+	n := cn.TopKNaive(b, cns, k)
 	gp := globalPipeline()
 	fmt.Printf("   %d CNs; top-%d: naive %v  sparse %v  global-pipeline %v\n", len(cns), k, tN, tS, tG)
 	return firstErr(
@@ -120,16 +120,16 @@ func runE17() error {
 func runE19() error {
 	db := dataset.DBLP(dataset.DefaultDBLPConfig())
 	ix := invindex.FromDB(db)
-	ev := cn.NewEvaluator(db, ix, []string{"keyword", "search"})
+	b := cn.NewBinder(db, ix).BindTraced([]string{"keyword", "search"}, nil)
 	g := schemagraph.FromDB(db)
 	cns := cn.Enumerate(g, cn.EnumerateOptions{
 		MaxSize:       5,
-		KeywordTables: ev.KeywordTables(),
+		KeywordTables: b.KeywordTables(),
 		FreeTables:    []string{"write", "cite"},
 	})
 	jobs := make([]parallel.Job, len(cns))
 	for i, c := range cns {
-		jobs[i] = parallel.Decompose(c, ev)
+		jobs[i] = parallel.Decompose(c, b)
 	}
 	for _, w := range []int{1, 2, 4, 8} {
 		naive := parallel.NaivePartition(jobs, w)

@@ -66,10 +66,10 @@ func main() {
 	}
 
 	// --- Streaming search ----------------------------------------------------
-	ev := cn.NewEvaluator(db, ix, []string{"widom", "xml"})
+	b := cn.NewBinder(db, ix).BindTraced([]string{"widom", "xml"}, nil)
 	cns := cn.Enumerate(g, cn.EnumerateOptions{
 		MaxSize:       5,
-		KeywordTables: ev.KeywordTables(),
+		KeywordTables: b.KeywordTables(),
 		FreeTables:    []string{"write"},
 	})
 	mesh := stream.NewMesh(db, []string{"widom", "xml"}, cns)

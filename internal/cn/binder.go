@@ -9,8 +9,8 @@ import (
 )
 
 // Binder is the shared keyword-binding layer: it turns query terms into
-// Bindings (the per-query R^Q sets, scores and join state an Evaluator
-// consumes) from structures compiled once, in NewBinder, for the one
+// Bindings (the per-query R^Q sets, scores and join state the CN
+// kernels evaluate over) from structures compiled once, in NewBinder, for the one
 // snapshot it serves —
 //
 //   - per-term bindings: each vocabulary term's matching tuples and

@@ -41,11 +41,11 @@ func assertBindingsEqual(t *testing.T, db *relstore.DB, want, got *Binding, labe
 			t.Fatalf("%s: max score (%s) = %v, want %v", label, name, gm, wm)
 		}
 		for _, tp := range db.Table(name).Tuples() {
-			if want.TermMask(tp.ID) != got.TermMask(tp.ID) {
-				t.Fatalf("%s: mask(%d) = %b, want %b", label, tp.ID, got.TermMask(tp.ID), want.TermMask(tp.ID))
+			if want.masks[tp.ID] != got.masks[tp.ID] {
+				t.Fatalf("%s: mask(%d) = %b, want %b", label, tp.ID, got.masks[tp.ID], want.masks[tp.ID])
 			}
-			if w, g := want.KeywordBits().Has(tp.ID), got.KeywordBits().Has(tp.ID); w != g || g != (got.TermMask(tp.ID) != 0) {
-				t.Fatalf("%s: KeywordBits(%d) = %v, want %v (mask %b)", label, tp.ID, g, w, got.TermMask(tp.ID))
+			if w, g := want.kw.Has(tp.ID), got.kw.Has(tp.ID); w != g || g != (got.masks[tp.ID] != 0) {
+				t.Fatalf("%s: kw.Has(%d) = %v, want %v (mask %b)", label, tp.ID, g, w, got.masks[tp.ID])
 			}
 			ws, gs := want.TupleScore(tp), got.TupleScore(tp)
 			if math.Float64bits(ws) != math.Float64bits(gs) {
@@ -99,8 +99,8 @@ func TestBindingMatchesScanRandomCorpus(t *testing.T) {
 				KeywordTables: scan.KeywordTables(),
 				FreeTables:    freeTables,
 			})
-			wantRs := renderResults(TopKNaive(NewScanEvaluator(binder, terms), cns, 10))
-			gotRs := renderResults(TopKNaive(NewEvaluatorFrom(db, binder.ix, got), cns, 10))
+			wantRs := renderResults(TopKNaive(NewScanBinding(binder, terms), cns, 10))
+			gotRs := renderResults(TopKNaive(got, cns, 10))
 			if wantRs != gotRs {
 				t.Fatalf("%s: top-k differs\ngot:\n%swant:\n%s", label, gotRs, wantRs)
 			}
@@ -110,7 +110,7 @@ func TestBindingMatchesScanRandomCorpus(t *testing.T) {
 
 // FuzzBinderMatchesScan checks the compiled binder against the full-scan
 // reference on generated corpora and 1–4 term queries, out-of-vocabulary
-// and repeated terms included: R^Q, masks, score bits and KeywordBits
+// and repeated terms included: R^Q, masks, score bits and the kw bitset
 // must agree.
 func FuzzBinderMatchesScan(f *testing.F) {
 	f.Add(int64(1), uint8(2), []byte{0})
@@ -151,7 +151,7 @@ func TestConcurrentBindsOnSharedBinder(t *testing.T) {
 		KeywordTables: scan.KeywordTables(),
 		FreeTables:    []string{"write"},
 	})
-	want := renderResults(TopKNaive(NewScanEvaluator(binder, terms), cns, 10))
+	want := renderResults(TopKNaive(NewScanBinding(binder, terms), cns, 10))
 
 	const workers, iters = 4, 50
 	var wg sync.WaitGroup
@@ -161,7 +161,7 @@ func TestConcurrentBindsOnSharedBinder(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				ev := NewEvaluatorFrom(db, ix, binder.BindTraced(terms, nil))
+				ev := binder.BindTraced(terms, nil)
 				if got := renderResults(TopKNaive(ev, cns, 10)); got != want {
 					select {
 					case errs <- got:
@@ -198,7 +198,7 @@ func TestTupleScoreZeroFastPath(t *testing.T) {
 			if math.Float64bits(want) != math.Float64bits(got) {
 				t.Fatalf("score(%s#%d) = %v, want %v", name, tp.ID, got, want)
 			}
-			if b.TermMask(tp.ID) == 0 {
+			if b.masks[tp.ID] == 0 {
 				if got != 0 {
 					t.Fatalf("free tuple %s#%d scored %v, want exact 0", name, tp.ID, got)
 				}

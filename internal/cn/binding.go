@@ -33,32 +33,40 @@ type termRel struct {
 // reject longer ones (core.Engine.Query does, as ErrBadQuery).
 const MaxTerms = 32
 
-// Binding is one query's keyword→tuple binding: the R^Q sets, term
-// masks, tuple scores and max-scores, built either from posting lists
-// (bindTerms) or by full table scans (NewScanBinding). It is immutable
-// once its constructor returns, so any number of goroutines may evaluate
-// over one binding with no warm-up step. The free sets R^{} are not
-// held: a free tuple is one outside KeywordBits.
+// Binding is one query's keyword→tuple binding and the evaluator over
+// it: the R^Q sets, term masks, tuple scores and max-scores, built
+// either from posting lists (bindTerms) or by full table scans
+// (NewScanBinding), plus the search and level-wise kernels and the top-k
+// bound that run on them. It is immutable once its constructor returns,
+// so any number of goroutines may evaluate over one binding with no
+// warm-up step. The free sets R^{} are not held: a free tuple is one
+// outside kw.
 type Binding struct {
+	db    *relstore.DB
 	terms []string
 
-	masks     map[relstore.TupleID]uint32
+	masks     map[relstore.TupleID]uint32 // bit i: the tuple matches terms[i]
 	scores    map[relstore.TupleID]float64
 	kwSets    map[string][]*relstore.Tuple
 	maxScores map[string]float64
 	kwTables  []string // sorted names of tables with a non-empty R^Q
 	// kw is the union of the R^Q sets as a bitset: the keyword/free
-	// partition test of the join loops.
+	// partition test of the join loops (kw.Has(id) ⇔ masks[id] != 0).
 	kw TupleSet
 	// joins is the binder's read-only join-index map, shared by every
 	// binding it makes.
 	joins map[JoinKey]*JoinIndex
 }
 
+// NewEvaluatorFrom returns b. It is kept, with its signature, only
+// because the repository benchmark (bench/) calls it; every other
+// caller evaluates on the Binding directly.
+func NewEvaluatorFrom(_ *relstore.DB, _ *invindex.Index, b *Binding) *Binding { return b }
+
 // NormalizeTerms applies the shared tokenizer normalization and drops
 // empty tokens, preserving order (and duplicates — coverage masks give
-// each occurrence its own bit, as the scan path always has). The binder,
-// the evaluators and internal/exec all normalize query terms with it.
+// each occurrence its own bit, as the scan path always has). The binder
+// and internal/exec both normalize query terms with it.
 func NormalizeTerms(terms []string) []string {
 	norm := make([]string, 0, len(terms))
 	for _, t := range terms {
@@ -114,7 +122,7 @@ func buildTermBinding(db *relstore.DB, ix *invindex.Index, term string) termBind
 // bit.
 func bindTerms(bd *Binder, norm []string, sp *obs.Span) *Binding {
 	db := bd.db
-	b := &Binding{terms: norm, joins: bd.joins}
+	b := &Binding{db: db, terms: norm, joins: bd.joins}
 	tbs := make([]termBinding, len(norm))
 	for i, term := range norm {
 		tbs[i] = bd.terms[term]
@@ -183,6 +191,7 @@ func NewScanBinding(bd *Binder, terms []string) *Binding {
 	db, ix := bd.db, bd.ix
 	norm := NormalizeTerms(terms)
 	b := &Binding{
+		db:        db,
 		terms:     norm,
 		masks:     make(map[relstore.TupleID]uint32),
 		scores:    make(map[relstore.TupleID]float64),
@@ -232,6 +241,11 @@ func (b *Binding) KeywordTables() []string {
 // KeywordSet returns R^Q for a table, in insertion (ascending ID) order.
 func (b *Binding) KeywordSet(table string) []*relstore.Tuple { return b.kwSets[table] }
 
+// FreeSetSize returns |R^{}| for a table: its tuples outside R^Q.
+func (b *Binding) FreeSetSize(table string) int {
+	return b.db.Table(table).Len() - len(b.kwSets[table])
+}
+
 // MaxNodeScore returns the best tuple score available in table's R^Q.
 func (b *Binding) MaxNodeScore(table string) float64 { return b.maxScores[table] }
 
@@ -245,19 +259,11 @@ func (b *Binding) TupleScore(tp *relstore.Tuple) float64 {
 	return b.scores[tp.ID] // zero value is the exact score of a free tuple
 }
 
-// TermMask returns the query-term bitmask of tuple id: bit i is set when
-// the tuple matches Terms()[i]; 0 for a free tuple.
-func (b *Binding) TermMask(id relstore.TupleID) uint32 { return b.masks[id] }
-
-// KeywordBits returns the union of every R^Q as a bitset over tuple
-// IDs: Has(id) ⇔ TermMask(id) != 0. Shared; do not mutate.
-func (b *Binding) KeywordBits() TupleSet { return b.kw }
-
-// Join returns the index of one directed schema join, shared by every
+// join returns the index of one directed schema join, shared by every
 // binding of the binder. A join outside the schema yields an index in
 // which nothing joins. The index is immutable; the lookup is safe from
 // any number of goroutines.
-func (b *Binding) Join(k JoinKey) *JoinIndex {
+func (b *Binding) join(k JoinKey) *JoinIndex {
 	if ji := b.joins[k]; ji != nil {
 		return ji
 	}

@@ -3,6 +3,14 @@
 // (Hristidis & Papakonstantinou VLDB'02, Hristidis et al. VLDB'03), their
 // evaluation into joining trees of tuples, and the Naive / Sparse /
 // Global-Pipeline top-k strategies of slide 116.
+//
+// A query's state is one immutable Binding: the keyword tuple sets R^Q
+// with their term masks and scores, which a Binder (compiled once per
+// snapshot) merges from per-term bindings, or NewScanBinding derives by
+// full table scans as the reference. Every kernel is a Binding method:
+// EvaluateCN and EvaluateRoots (the depth-first search), EvaluateLevels
+// (the level-wise reference), EvaluateCNWith (the global pipeline's
+// probe) and Bound (the top-k score cap).
 package cn
 
 import (
@@ -36,7 +44,7 @@ type EdgeSpec struct {
 }
 
 // CN is one candidate network: a tree over tuple sets. Nodes and Edges
-// must not change once String, Canonical or an Evaluator has seen the
+// must not change once String, Canonical or an evaluation has seen the
 // CN: its rendered and canonical strings and its evaluation program
 // (program.go) are derived once and memoised, which is what lets the
 // immutable CNs of a plan.PlanSet be shared by every query on every

@@ -254,11 +254,11 @@ func TestEnumerateMaxCNs(t *testing.T) {
 	}
 }
 
-func widomEvaluator(t *testing.T) (*Evaluator, []*CN) {
+func widomBinding(t *testing.T) (*Binding, []*CN) {
 	t.Helper()
 	db := dataset.WidomBib()
 	ix := invindex.FromDB(db)
-	ev := NewEvaluator(db, ix, []string{"widom", "xml"})
+	ev := NewBinder(db, ix).BindTraced([]string{"widom", "xml"}, nil)
 	g := schemagraph.FromDB(db)
 	cns := Enumerate(g, EnumerateOptions{
 		MaxSize:       5,
@@ -269,7 +269,7 @@ func widomEvaluator(t *testing.T) (*Evaluator, []*CN) {
 }
 
 func TestEvaluatorTupleSets(t *testing.T) {
-	ev, _ := widomEvaluator(t)
+	ev, _ := widomBinding(t)
 	if got := ev.KeywordTables(); !reflect.DeepEqual(got, []string{"author", "paper"}) {
 		t.Fatalf("KeywordTables = %v", got)
 	}
@@ -280,8 +280,8 @@ func TestEvaluatorTupleSets(t *testing.T) {
 		t.Errorf("paper^Q = %d, want 2 (XML papers)", len(ev.KeywordSet("paper")))
 	}
 	free := 0
-	for _, tp := range ev.DB.Table("paper").Tuples() {
-		if !ev.src.KeywordBits().Has(tp.ID) {
+	for _, tp := range ev.db.Table("paper").Tuples() {
+		if !ev.kw.Has(tp.ID) {
 			free++
 		}
 	}
@@ -294,7 +294,7 @@ func TestEvaluatorTupleSets(t *testing.T) {
 }
 
 // mustEvaluate runs EvaluateCN under a context that never ends.
-func mustEvaluate(t *testing.T, ev *Evaluator, c *CN) []Result {
+func mustEvaluate(t *testing.T, ev *Binding, c *CN) []Result {
 	t.Helper()
 	rs, err := ev.EvaluateCN(context.Background(), c)
 	if err != nil {
@@ -307,7 +307,7 @@ func mustEvaluate(t *testing.T, ev *Evaluator, c *CN) []Result {
 // checks ctx before any join work, so an already-cancelled context
 // yields ctx's error and no results even for a CN with answers.
 func TestEvaluateCNHonoursCancelledContext(t *testing.T) {
-	ev, cns := widomEvaluator(t)
+	ev, cns := widomBinding(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	answered := 0
@@ -326,7 +326,7 @@ func TestEvaluateCNHonoursCancelledContext(t *testing.T) {
 }
 
 func TestEvaluateCNProducesJoinTrees(t *testing.T) {
-	ev, cns := widomEvaluator(t)
+	ev, cns := widomBinding(t)
 	total := 0
 	for _, c := range cns {
 		rs := mustEvaluate(t, ev, c)
@@ -338,7 +338,7 @@ func TestEvaluateCNProducesJoinTrees(t *testing.T) {
 			// AND semantics: the result must cover both keywords.
 			text := ""
 			for i, tp := range r.Tuples {
-				tbl := ev.DB.Table(c.Nodes[i].Table)
+				tbl := ev.db.Table(c.Nodes[i].Table)
 				text += " " + tp.Text(tbl.Schema)
 			}
 			lower := strings.ToLower(text)
@@ -372,7 +372,7 @@ func TestEvaluateCNProducesJoinTrees(t *testing.T) {
 }
 
 func TestMinimalityRejectsRedundantLeaves(t *testing.T) {
-	ev, cns := widomEvaluator(t)
+	ev, cns := widomBinding(t)
 	// In the 5-node CN P^Q - W - A^Q - W - P^Q, valid results need the
 	// author to contribute "widom" and each paper to contribute "xml"...
 	// but any result whose two papers both match and author matches too
@@ -389,15 +389,15 @@ func TestMinimalityRejectsRedundantLeaves(t *testing.T) {
 					if i == li {
 						continue
 					}
-					tbl := ev.DB.Table(c.Nodes[i].Table)
+					tbl := ev.db.Table(c.Nodes[i].Table)
 					low := strings.ToLower(tp.Text(tbl.Schema))
-					for _, term := range ev.Terms {
+					for _, term := range ev.terms {
 						if strings.Contains(low, term) {
 							cover[term] = true
 						}
 					}
 				}
-				if len(cover) == len(ev.Terms) {
+				if len(cover) == len(ev.terms) {
 					t.Errorf("non-minimal result survived in %s", c)
 				}
 			}
@@ -417,7 +417,7 @@ func TestTopKStrategiesAgree(t *testing.T) {
 	g := schemagraph.FromDB(db)
 	bd := NewBinder(db, ix)
 	for _, le := range dataset.QueryLog(db, 400, 7) {
-		ev := NewEvaluatorFrom(db, ix, bd.BindTraced(le.Terms, nil))
+		ev := bd.BindTraced(le.Terms, nil)
 		cns := Enumerate(g, EnumerateOptions{
 			MaxSize:       4,
 			KeywordTables: ev.KeywordTables(),
@@ -441,7 +441,7 @@ func TestTopKStrategiesAgree(t *testing.T) {
 }
 
 func TestTopKWithFewerResultsThanK(t *testing.T) {
-	ev, cns := widomEvaluator(t)
+	ev, cns := widomBinding(t)
 	naive := TopKNaive(ev, cns, 50)
 	sparse := TopKSparse(ev, cns, 50)
 	gp, err := TopKGlobalPipelineCtx(context.Background(), ev, cns, 50, nil)
@@ -483,7 +483,7 @@ func TestSelfLoopEdgeOrientation(t *testing.T) {
 	db.MustInsert("cite", map[string]relstore.Value{"citing": relstore.Int(1), "cited": relstore.Int(2)})
 
 	ix := invindex.FromDB(db)
-	ev := NewEvaluator(db, ix, []string{"xml", "keyword"})
+	ev := NewBinder(db, ix).BindTraced([]string{"xml", "keyword"}, nil)
 	g := schemagraph.FromDB(db)
 	cns := Enumerate(g, EnumerateOptions{
 		MaxSize:       3,
@@ -525,7 +525,7 @@ func TestSelfLoopEdgeOrientation(t *testing.T) {
 	}
 	// No reversed citation exists: a second query direction must not
 	// invent (B cites A).
-	ev2 := NewEvaluator(db, ix, []string{"keyword", "xml"})
+	ev2 := NewBinder(db, ix).BindTraced([]string{"keyword", "xml"}, nil)
 	total := 0
 	for _, c := range cns {
 		total += len(mustEvaluate(t, ev2, c))

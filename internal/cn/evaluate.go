@@ -3,7 +3,6 @@ package cn
 import (
 	"context"
 
-	"kwsearch/internal/invindex"
 	"kwsearch/internal/relstore"
 )
 
@@ -16,66 +15,13 @@ type Result struct {
 	Score  float64
 }
 
-// Evaluator executes candidate networks against a database. All binding
-// state — the per-relation keyword sets R^Q, the keyword/free partition,
-// term masks, tuple scores and join indexes — comes from its Binding,
-// so the same evaluation machinery runs over an index-driven binding
-// (NewEvaluator, or NewEvaluatorFrom over a shared Binder's) or the
-// full-scan reference binding (NewScanEvaluator). A Binding is
-// immutable, so one evaluator may be used from any number of goroutines
-// at once.
-type Evaluator struct {
-	DB    *relstore.DB
-	Index *invindex.Index
-	Terms []string
-
-	src *Binding
-}
-
-// NewEvaluator prepares an evaluator for the given query terms
-// (normalized through the shared tokenizer) over a binder compiled for
-// this call alone; callers with more than one query share a Binder and
-// use NewEvaluatorFrom.
-func NewEvaluator(db *relstore.DB, ix *invindex.Index, terms []string) *Evaluator {
-	return NewEvaluatorFrom(db, ix, NewBinder(db, ix).BindTraced(terms, nil))
-}
-
-// NewScanEvaluator prepares an evaluator over the full-scan reference
-// binding (NewScanBinding) — the oracle the index-driven paths are
-// asserted byte-identical against.
-func NewScanEvaluator(bd *Binder, terms []string) *Evaluator {
-	return NewEvaluatorFrom(bd.db, bd.ix, NewScanBinding(bd, terms))
-}
-
-// NewEvaluatorFrom wraps an existing binding — the constructor
-// exec.TopK and core.Engine use to consume the shared Binder.
-func NewEvaluatorFrom(db *relstore.DB, ix *invindex.Index, src *Binding) *Evaluator {
-	return &Evaluator{DB: db, Index: ix, Terms: src.Terms(), src: src}
-}
-
-// KeywordTables returns the tables with a non-empty R^Q, sorted — the input
-// Enumerate needs.
-func (ev *Evaluator) KeywordTables() []string { return ev.src.KeywordTables() }
-
-// KeywordSet returns R^Q for a table.
-func (ev *Evaluator) KeywordSet(table string) []*relstore.Tuple { return ev.src.KeywordSet(table) }
-
-// TupleScore is the IR score of one tuple for the query (exactly 0 for
-// tuples matching no term; see Binding.TupleScore).
-func (ev *Evaluator) TupleScore(tp *relstore.Tuple) float64 { return ev.src.TupleScore(tp) }
-
-// MaxNodeScore returns the best tuple score available in table's R^Q.
-func (ev *Evaluator) MaxNodeScore(table string) float64 { return ev.src.MaxNodeScore(table) }
-
 // rootSet returns the tuples a search of c starts from: R^Q of node 0,
 // which enumeration always makes a keyword node (see prefix.go).
-func (ev *Evaluator) rootSet(c *CN) []*relstore.Tuple {
-	return ev.src.KeywordSet(c.Nodes[0].Table)
-}
+func (b *Binding) rootSet(c *CN) []*relstore.Tuple { return b.kwSets[c.Nodes[0].Table] }
 
 // allTermsMask is the bitmask with one bit per query term.
-func (ev *Evaluator) allTermsMask() uint32 {
-	return (uint32(1) << uint(len(ev.Terms))) - 1
+func (b *Binding) allTermsMask() uint32 {
+	return (uint32(1) << uint(len(b.terms))) - 1
 }
 
 // EvaluateCN produces every total and minimal joining tree of tuples for c:
@@ -83,8 +29,8 @@ func (ev *Evaluator) allTermsMask() uint32 {
 // removing any leaf tuple breaks coverage (the MTJNT semantics of
 // DISCOVER). A context that ends mid-search abandons it: the error is
 // ctx's and no results are returned.
-func (ev *Evaluator) EvaluateCN(ctx context.Context, c *CN) ([]Result, error) {
-	rs, _, err := ev.evaluate(ctx, c, 0, ev.rootSet(c))
+func (b *Binding) EvaluateCN(ctx context.Context, c *CN) ([]Result, error) {
+	rs, _, err := b.evaluate(ctx, c, 0, b.rootSet(c))
 	return rs, err
 }
 
@@ -94,15 +40,15 @@ func (ev *Evaluator) EvaluateCN(ctx context.Context, c *CN) ([]Result, error) {
 // keeps no state between them, so ranges that tile [0, RootCount(c))
 // produce, laid end to end in range order, exactly EvaluateCN's results
 // in EvaluateCN's order. The pool sums the returned Work per job.
-func (ev *Evaluator) EvaluateRoots(ctx context.Context, c *CN, lo, hi int) ([]Result, Work, error) {
-	set := ev.rootSet(c)
-	return ev.evaluate(ctx, c, 0, set[min(lo, len(set)):min(hi, len(set))])
+func (b *Binding) EvaluateRoots(ctx context.Context, c *CN, lo, hi int) ([]Result, Work, error) {
+	set := b.rootSet(c)
+	return b.evaluate(ctx, c, 0, set[min(lo, len(set)):min(hi, len(set))])
 }
 
 // EvaluateCNWith produces the results of c in which CN node driverIdx is
 // bound to the given tuple — the global pipeline's primitive.
-func (ev *Evaluator) EvaluateCNWith(c *CN, driverIdx int, tp *relstore.Tuple) []Result {
-	rs, _, _ := ev.evaluate(context.Background(), c, driverIdx, []*relstore.Tuple{tp}) // Background never ends: no error
+func (b *Binding) EvaluateCNWith(c *CN, driverIdx int, tp *relstore.Tuple) []Result {
+	rs, _, _ := b.evaluate(context.Background(), c, driverIdx, []*relstore.Tuple{tp}) // Background never ends: no error
 	return rs
 }
 
@@ -118,7 +64,7 @@ const unbound relstore.TupleID = -1
 // order with its join indexes resolved, the row being grown, and the
 // context it polls.
 type search struct {
-	ev     *Evaluator
+	b      *Binding
 	c      *CN
 	order  []step
 	joins  []*JoinIndex       // joins[oi] attaches order[oi].node; nil at 0
@@ -137,20 +83,20 @@ type search struct {
 // level-wise EvaluateLevels with the partition test inline — a different
 // traversal of the same join graph, which is what lets each check the
 // other. It holds one row, however many partial bindings the CN has.
-func (ev *Evaluator) evaluate(ctx context.Context, c *CN, start int, roots []*relstore.Tuple) ([]Result, Work, error) {
+func (b *Binding) evaluate(ctx context.Context, c *CN, start int, roots []*relstore.Tuple) ([]Result, Work, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, Work{}, err
 	}
 	n := len(c.Nodes)
 	s := search{
-		ev: ev, c: c, kw: ev.src.KeywordBits(),
+		b: b, c: c, kw: b.kw,
 		row: openRow(n), masks: make([]uint32, n),
 		ctx: ctx, pollAt: pollEvery,
 	}
 	s.order = c.program().search[start]
 	s.joins = make([]*JoinIndex, len(s.order))
 	for oi := 1; oi < len(s.order); oi++ {
-		s.joins[oi] = ev.src.Join(s.order[oi].join)
+		s.joins[oi] = b.join(s.order[oi].join)
 	}
 	for _, tp := range roots {
 		if s.bind(0, tp.ID); s.err != nil {
@@ -180,7 +126,7 @@ func (s *search) bind(oi int, id relstore.TupleID) {
 func (s *search) extend(oi int) {
 	if oi == len(s.order) {
 		s.work.RowsFinished++
-		if r, ok := s.ev.finishRow(s.c, s.row, s.kw, s.masks); ok {
+		if r, ok := s.b.finishRow(s.c, s.row, s.masks); ok {
 			s.out = append(s.out, r)
 		}
 		return
@@ -218,15 +164,15 @@ func containsID(row []relstore.TupleID, id relstore.TupleID) bool {
 // finishRow checks totality (all terms covered) and minimality (every
 // leaf contributes a needed term) on the tuple IDs of one complete row,
 // and only for a row that passes both resolves the tuples and scores
-// them. kw is the source's keyword bitset and masks a scratch slice of
-// len(row), both hoisted out of the callers' row loops.
-func (ev *Evaluator) finishRow(c *CN, row []relstore.TupleID, kw TupleSet, masks []uint32) (Result, bool) {
-	all := ev.allTermsMask()
+// them. masks is a scratch slice of len(row), hoisted out of the
+// callers' row loops.
+func (b *Binding) finishRow(c *CN, row []relstore.TupleID, masks []uint32) (Result, bool) {
+	all := b.allTermsMask()
 	var cover uint32
 	for i, id := range row {
 		masks[i] = 0
-		if kw.Has(id) { // free tuples have mask 0 without a probe
-			masks[i] = ev.src.TermMask(id)
+		if b.kw.Has(id) { // free tuples have mask 0 without a probe
+			masks[i] = b.masks[id]
 		}
 		cover |= masks[i]
 	}
@@ -250,11 +196,11 @@ func (ev *Evaluator) finishRow(c *CN, row []relstore.TupleID, kw TupleSet, masks
 	tuples := make([]*relstore.Tuple, len(row))
 	score := 0.0
 	for i, id := range row {
-		tuples[i] = ev.DB.TupleByID(id)
+		tuples[i] = b.db.TupleByID(id)
 		// A free tuple scores an exact 0.0, and x+0.0 == x bit for bit
 		// for these non-negative sums, so skipping it changes nothing.
-		if kw.Has(id) {
-			score += ev.src.TupleScore(tuples[i])
+		if b.kw.Has(id) {
+			score += b.scores[id]
 		}
 	}
 	score /= float64(len(c.Nodes))

@@ -166,9 +166,9 @@ func TestJoinIndexHandCases(t *testing.T) {
 		Nodes: []NodeSpec{{Table: "emp"}, {Table: "emp", Free: true}},
 		Edges: []EdgeSpec{{A: 0, B: 1, Via: self}},
 	}
-	ev := NewEvaluator(db, invindex.FromDB(db), []string{"boss"})
+	ev := NewBinder(db, invindex.FromDB(db)).BindTraced([]string{"boss"}, nil)
 	for _, k := range bothWays(self) {
-		if got := ev.src.Join(k).Targets(byKey(5)); len(got) != 0 {
+		if got := ev.join(k).Targets(byKey(5)); len(got) != 0 {
 			t.Errorf("%v outside the schema: Targets = %v, want none", k, got)
 		}
 	}

@@ -23,7 +23,7 @@ import (
 const pollEvery = 4096
 
 // RootCount returns the size of c's root set: the tuple set of node 0.
-func (ev *Evaluator) RootCount(c *CN) int { return len(ev.rootSet(c)) }
+func (b *Binding) RootCount(c *CN) int { return len(b.rootSet(c)) }
 
 // EvaluateLevels is EvaluateCN by the other traversal: every
 // join-consistent binding of c's first n nodes, for n = 1, 2, … in
@@ -35,23 +35,22 @@ func (ev *Evaluator) RootCount(c *CN) int { return len(ev.rootSet(c)) }
 // calls it: it is the reference side of exec.TopKSerial and of the
 // kernel tests. A context that ends inside a level abandons it: the
 // error is ctx's and no results are returned.
-func (ev *Evaluator) EvaluateLevels(ctx context.Context, c *CN) ([]Result, error) {
+func (b *Binding) EvaluateLevels(ctx context.Context, c *CN) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	set := ev.rootSet(c)
+	set := b.rootSet(c)
 	ids := make([]relstore.TupleID, len(set))
 	for i, tp := range set {
 		ids[i] = tp.ID
 	}
-	kw := ev.src.KeywordBits()
 	w := 1
 	for _, st := range c.program().grow {
 		if len(ids) == 0 {
 			return nil, nil
 		}
 		var err error
-		if ids, err = extendLevel(ctx, ids, w, st, ev.src.Join(st.join), kw); err != nil {
+		if ids, err = extendLevel(ctx, ids, w, st, b.join(st.join), b.kw); err != nil {
 			return nil, err
 		}
 		w++
@@ -64,7 +63,7 @@ func (ev *Evaluator) EvaluateLevels(ctx context.Context, c *CN) ([]Result, error
 				return nil, err
 			}
 		}
-		if r, ok := ev.finishRow(c, ids[lo:lo+w], kw, masks); ok {
+		if r, ok := b.finishRow(c, ids[lo:lo+w], masks); ok {
 			out = append(out, r)
 		}
 	}

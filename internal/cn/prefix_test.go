@@ -12,11 +12,11 @@ import (
 	"kwsearch/internal/schemagraph"
 )
 
-func prefixSetup(t *testing.T) (*Evaluator, []*CN) {
+func prefixSetup(t *testing.T) (*Binding, []*CN) {
 	t.Helper()
 	db := dataset.DBLP(dataset.DefaultDBLPConfig())
 	ix := invindex.FromDB(db)
-	ev := NewEvaluator(db, ix, []string{"keyword", "search"})
+	ev := NewBinder(db, ix).BindTraced([]string{"keyword", "search"}, nil)
 	cns := Enumerate(schemagraph.FromDB(db), EnumerateOptions{
 		MaxSize:       5,
 		KeywordTables: ev.KeywordTables(),
@@ -49,7 +49,7 @@ func sortedRender(rs []Result) string {
 }
 
 // mustEvaluateLevels runs EvaluateLevels under a context that never ends.
-func mustEvaluateLevels(t *testing.T, ev *Evaluator, c *CN) []Result {
+func mustEvaluateLevels(t *testing.T, ev *Binding, c *CN) []Result {
 	t.Helper()
 	rs, err := ev.EvaluateLevels(context.Background(), c)
 	if err != nil {
@@ -60,7 +60,7 @@ func mustEvaluateLevels(t *testing.T, ev *Evaluator, c *CN) []Result {
 
 // tileRoots evaluates c as consecutive root ranges whose sizes cycle
 // through sizes, and returns the ranges' results laid end to end.
-func tileRoots(t *testing.T, ev *Evaluator, c *CN, sizes []int) []Result {
+func tileRoots(t *testing.T, ev *Binding, c *CN, sizes []int) []Result {
 	t.Helper()
 	var got []Result
 	for lo, i := 0, 0; lo < ev.RootCount(c); i++ {
@@ -97,7 +97,7 @@ func TestEvaluateLevelsMatchesEvaluateCN(t *testing.T) {
 // completeRows counts the join-consistent bindings of all of c's nodes:
 // the rows the search takes to totality and minimality, survivors or
 // not.
-func completeRows(t *testing.T, ev *Evaluator, c *CN) int {
+func completeRows(t *testing.T, ev *Binding, c *CN) int {
 	t.Helper()
 	ids := make([]relstore.TupleID, ev.RootCount(c))
 	for i, tp := range ev.rootSet(c) {
@@ -106,7 +106,7 @@ func completeRows(t *testing.T, ev *Evaluator, c *CN) int {
 	w := 1
 	for _, st := range c.program().grow {
 		var err error
-		if ids, err = extendLevel(context.Background(), ids, w, st, ev.src.Join(st.join), ev.src.KeywordBits()); err != nil {
+		if ids, err = extendLevel(context.Background(), ids, w, st, ev.join(st.join), ev.kw); err != nil {
 			t.Fatal(err)
 		}
 		w++
@@ -245,7 +245,7 @@ func FuzzKernelsAgree(f *testing.F) {
 		// The corpus declares no foreign keys (relstore cannot declare
 		// the self-reference), so the binder indexes g's edges.
 		ix := invindex.FromDB(db)
-		ev := NewEvaluatorFrom(db, ix, newBinder(db, ix, g.Edges()).BindTraced(terms, nil))
+		ev := newBinder(db, ix, g.Edges()).BindTraced(terms, nil)
 		sizes := []int{1 << 30} // no tiling bytes: one range
 		if len(tiling) > 0 {
 			sizes = sizes[:0]

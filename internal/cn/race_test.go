@@ -12,9 +12,9 @@ import (
 
 // TestConcurrentEvaluationOnFreshBinding evaluates every CN from eight
 // goroutines at once — depth-first (EvaluateCN) on the even ones,
-// level-wise (EvaluateLevels) on the odd — over an
-// evaluator nothing has touched since its binding was built, binder-backed
-// and scan-backed. A binding is immutable and its join indexes are built
+// level-wise (EvaluateLevels) on the odd — over a
+// binding nothing has touched since it was built, binder-backed and
+// scan-backed. A binding is immutable and its join indexes are built
 // with its binder, so there is no warm-up call to forget: under -race
 // this finds any lazy write left on the evaluation path, and every
 // goroutine must see the serial answer.
@@ -25,7 +25,7 @@ func TestConcurrentEvaluationOnFreshBinding(t *testing.T) {
 	})
 	ix := invindex.FromDB(db)
 	terms := []string{"keyword", "search"}
-	oracle := NewScanEvaluator(NewBinder(db, ix), terms)
+	oracle := NewScanBinding(NewBinder(db, ix), terms)
 	cns := Enumerate(schemagraph.FromDB(db), EnumerateOptions{
 		MaxSize:       5,
 		KeywordTables: oracle.KeywordTables(),
@@ -41,9 +41,9 @@ func TestConcurrentEvaluationOnFreshBinding(t *testing.T) {
 		t.Fatalf("fixture lost its shape: %d CNs, %d results", len(cns), total)
 	}
 
-	fresh := map[string]func() *Evaluator{
-		"binder": func() *Evaluator { return NewEvaluator(db, ix, terms) },
-		"scan":   func() *Evaluator { return NewScanEvaluator(NewBinder(db, ix), terms) },
+	fresh := map[string]func() *Binding{
+		"binder": func() *Binding { return NewBinder(db, ix).BindTraced(terms, nil) },
+		"scan":   func() *Binding { return NewScanBinding(NewBinder(db, ix), terms) },
 	}
 	for name, build := range fresh {
 		ev := build()

@@ -121,10 +121,10 @@ func (t *Top) Results() []Result {
 // slide 116's Discover2 comparison.
 //
 //lint:ignore ctx-first serial reference baseline, kept signature-stable for the E17 comparison
-func TopKNaive(ev *Evaluator, cns []*CN, k int) []Result {
+func TopKNaive(b *Binding, cns []*CN, k int) []Result {
 	var all []Result
 	for _, c := range cns {
-		rs, _ := ev.EvaluateCN(context.Background(), c) // Background never ends: no error
+		rs, _ := b.EvaluateCN(context.Background(), c) // Background never ends: no error
 		all = append(all, rs...)
 	}
 	SortResults(all)
@@ -139,11 +139,11 @@ func TopKNaive(ev *Evaluator, cns []*CN, k int) []Result {
 // nodes contribute 0, and the sum is normalized by CN size (the score is
 // monotone, so the bound is sound). The Sparse strategy and the
 // internal/exec worker pool both prune with it.
-func (ev *Evaluator) Bound(c *CN) float64 {
+func (b *Binding) Bound(c *CN) float64 {
 	s := 0.0
 	for _, n := range c.Nodes {
 		if !n.Free {
-			s += ev.MaxNodeScore(n.Table)
+			s += b.maxScores[n.Table]
 		}
 	}
 	return s / float64(c.Size())
@@ -154,17 +154,17 @@ func (ev *Evaluator) Bound(c *CN) float64 {
 // (the Sparse strategy of Hristidis et al. VLDB'03).
 //
 //lint:ignore ctx-first serial reference baseline, kept signature-stable for the E17 comparison
-func TopKSparse(ev *Evaluator, cns []*CN, k int) []Result {
+func TopKSparse(b *Binding, cns []*CN, k int) []Result {
 	order := append([]*CN(nil), cns...)
 	sort.SliceStable(order, func(i, j int) bool {
-		return ev.Bound(order[i]) > ev.Bound(order[j])
+		return b.Bound(order[i]) > b.Bound(order[j])
 	})
 	top := &Top{K: k}
 	for _, c := range order {
-		if Dominates(top.Kth(), ev.Bound(c)) {
+		if Dominates(top.Kth(), b.Bound(c)) {
 			break
 		}
-		rs, _ := ev.EvaluateCN(context.Background(), c) // Background never ends: no error
+		rs, _ := b.EvaluateCN(context.Background(), c) // Background never ends: no error
 		top.Add(rs...)
 	}
 	return top.Results()
@@ -180,21 +180,21 @@ type gpState struct {
 	restMax float64 // sum of max scores of the other keyword nodes
 }
 
-func (s *gpState) bound(ev *Evaluator) float64 {
+func (s *gpState) bound(b *Binding) float64 {
 	if s.pos >= len(s.tuples) {
 		return -1
 	}
-	return (ev.TupleScore(s.tuples[s.pos]) + s.restMax) / float64(s.cn.Size())
+	return (b.TupleScore(s.tuples[s.pos]) + s.restMax) / float64(s.cn.Size())
 }
 
 type gpHeap struct {
-	ev     *Evaluator
+	b      *Binding
 	states []*gpState
 }
 
 func (h gpHeap) Len() int { return len(h.states) }
 func (h gpHeap) Less(i, j int) bool {
-	return h.states[i].bound(h.ev) > h.states[j].bound(h.ev)
+	return h.states[i].bound(h.b) > h.states[j].bound(h.b)
 }
 func (h gpHeap) Swap(i, j int)       { h.states[i], h.states[j] = h.states[j], h.states[i] }
 func (h *gpHeap) Push(x interface{}) { h.states = append(h.states, x.(*gpState)) }
@@ -242,9 +242,9 @@ func CertifiedPrefix(rs []Result, bound float64) []Result {
 // outright (zero bound), how many driver tuples were advanced, how many
 // candidate rows the probes produced, and whether the k-th score
 // certified the answer before the heap drained.
-func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int, sp *obs.Span) ([]Result, error) {
+func TopKGlobalPipelineCtx(ctx context.Context, b *Binding, cns []*CN, k int, sp *obs.Span) ([]Result, error) {
 	inj := resilience.From(ctx)
-	h := &gpHeap{ev: ev}
+	h := &gpHeap{b: b}
 	for _, c := range cns {
 		kwNodes := c.KeywordNodes()
 		if len(kwNodes) == 0 {
@@ -253,22 +253,22 @@ func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int,
 		// Drive from the keyword node with the fewest tuples.
 		driver := kwNodes[0]
 		for _, n := range kwNodes[1:] {
-			if len(ev.KeywordSet(c.Nodes[n].Table)) < len(ev.KeywordSet(c.Nodes[driver].Table)) {
+			if len(b.KeywordSet(c.Nodes[n].Table)) < len(b.KeywordSet(c.Nodes[driver].Table)) {
 				driver = n
 			}
 		}
-		tuples := append([]*relstore.Tuple(nil), ev.KeywordSet(c.Nodes[driver].Table)...)
+		tuples := append([]*relstore.Tuple(nil), b.KeywordSet(c.Nodes[driver].Table)...)
 		sort.SliceStable(tuples, func(i, j int) bool {
-			return ev.TupleScore(tuples[i]) > ev.TupleScore(tuples[j])
+			return b.TupleScore(tuples[i]) > b.TupleScore(tuples[j])
 		})
 		rest := 0.0
 		for _, n := range kwNodes {
 			if n != driver {
-				rest += ev.MaxNodeScore(c.Nodes[n].Table)
+				rest += b.MaxNodeScore(c.Nodes[n].Table)
 			}
 		}
 		st := &gpState{cn: c, driver: driver, tuples: tuples, restMax: rest}
-		if st.bound(ev) > 0 {
+		if st.bound(b) > 0 {
 			h.states = append(h.states, st)
 		}
 	}
@@ -281,12 +281,12 @@ func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int,
 	top := &Top{K: k}
 	for h.Len() > 0 {
 		st := h.states[0]
-		b := st.bound(ev)
-		if b < 0 {
+		bound := st.bound(b)
+		if bound < 0 {
 			heap.Pop(h)
 			continue
 		}
-		if Dominates(top.Kth(), b) {
+		if Dominates(top.Kth(), bound) {
 			certified = true
 			break
 		}
@@ -295,13 +295,13 @@ func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int,
 			err = inj.At(ctx, resilience.StagePipeline)
 		}
 		if err != nil {
-			// b is the max score any remaining work can reach, so the
-			// results strictly above it are final.
+			// bound is the max score any remaining work can reach, so
+			// the results strictly above it are final.
 			sp.SetAttr("driver_advances", advances)
 			sp.SetAttr("produced", produced)
 			sp.SetAttr("certified_early", false)
 			sp.SetAttr("partial", true)
-			return CertifiedPrefix(top.Results(), b), err
+			return CertifiedPrefix(top.Results(), bound), err
 		}
 		tp := st.tuples[st.pos]
 		st.pos++
@@ -310,7 +310,7 @@ func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int,
 		// Every state advances its own CN (plan CNs are canonically
 		// distinct) through each driver tuple once, and every result binds
 		// tp at the driver, so no result is produced twice.
-		rs := ev.EvaluateCNWith(st.cn, st.driver, tp)
+		rs := b.EvaluateCNWith(st.cn, st.driver, tp)
 		produced += len(rs)
 		top.Add(rs...)
 	}

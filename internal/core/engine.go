@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -179,14 +180,15 @@ type Engine struct {
 	Metrics *obs.Registry
 
 	// Exec is the concurrent cached execution layer every
-	// CandidateNetworks search runs on. Populated by NewRelational.
+	// CandidateNetworks search runs on; SparkNetworks searches bind and
+	// plan through its Plan step. Populated by NewRelational.
 	Exec *exec.Executor
-	// Binder is the shared keyword→tuple binding layer: R^Q sets are
-	// merged from per-term bindings and join indexes compiled once for
-	// the snapshot, shared by the executor and the SPARK path.
-	// Populated by NewRelational; nil on XML engines.
+	// Binder is the keyword→tuple binding layer Exec binds with: R^Q
+	// sets are merged from per-term bindings and join indexes compiled
+	// once for the snapshot. Populated by NewRelational; nil on XML
+	// engines.
 	Binder *cn.Binder
-	// Plans is the candidate-network plan cache, shared the same way: a
+	// Plans is the candidate-network plan cache Exec plans with: a
 	// query's compiled CN set depends only on the schema graph and the
 	// keyword→relation membership signature, so warm signatures skip
 	// enumeration entirely. Populated by NewRelational; nil on XML
@@ -288,12 +290,8 @@ func (e *Engine) searchCN(ctx context.Context, terms []string, req Request, sp *
 	if err := e.requireRelational(); err != nil {
 		return nil, err
 	}
-	workers := req.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	rs, xst, err := e.Exec.TopK(ctx, exec.Query{
-		Terms: terms, K: req.TopK, MaxCNSize: req.MaxCNSize, Workers: workers, Trace: sp,
+		Terms: terms, K: req.TopK, MaxCNSize: req.MaxCNSize, Workers: req.Workers, Trace: sp,
 	})
 	st.Exec = &xst
 	st.PlanSignature = xst.PlanKey
@@ -307,39 +305,29 @@ func (e *Engine) searchCN(ctx context.Context, terms []string, req Request, sp *
 	return out, nil
 }
 
-// searchSpark answers a SparkNetworks query: the shared binder and plan
-// cache feed spark.TopK, which evaluates every CN exactly because the
-// exec pool's bound pruning does not cover SPARK's non-monotonic score.
+// searchSpark answers a SparkNetworks query: the executor's bind and
+// plan step (exec.Executor.Plan, over the shared binder and plan cache)
+// feeds spark.TopK, which evaluates every CN exactly because the exec
+// pool's bound pruning does not cover SPARK's non-monotonic score. SPARK
+// keeps only total, minimal rows too, so it shares the CN path's plans.
 // An interrupted query has no certified prefix: it returns no results
 // and ctx's error.
 func (e *Engine) searchSpark(ctx context.Context, terms []string, req Request, sp *obs.Span, st *Stats) ([]Result, error) {
 	if err := e.requireRelational(); err != nil {
 		return nil, err
 	}
-	bsp := sp.Child("bind")
-	ev := cn.NewEvaluatorFrom(e.DB, e.Index, e.Binder.BindTraced(terms, bsp))
-	kwTables := ev.KeywordTables()
-	bsp.SetAttr("keyword_tables", len(kwTables))
-	bsp.End()
-	esp := sp.Child("enumerate")
-	ps, planHit, err := e.Plans.Get(ctx, e.Schema, cn.EnumerateOptions{
-		MaxSize:       req.MaxCNSize,
-		KeywordTables: kwTables,
-		FreeTables:    e.FreeTables,
-		Terms:         len(ev.Terms), // SPARK keeps only total, minimal rows too
-	})
+	b, ps, _, err := e.Exec.Plan(ctx, terms, req.MaxCNSize, sp)
 	if err != nil {
-		esp.SetAttr("cancelled", true)
-		esp.End()
 		return nil, err
+	}
+	if ps == nil { // a term with no postings: AND semantics answers nothing
+		rankSpan(sp, 0)
+		return nil, nil
 	}
 	cns := ps.CNs() // immutable, share-safe: evaluation is read-only
 	st.PlanSignature = ps.Key()
-	esp.SetAttr("plan_cached", planHit)
-	esp.SetAttr("cns", len(cns))
-	esp.End()
 	vsp := sp.Child("evaluate")
-	rs, err := spark.TopK(ctx, spark.NewScorer(ev, e.Index), cns, req.TopK)
+	rs, err := spark.TopK(ctx, spark.NewScorer(b, e.Index), cns, req.TopK)
 	vsp.SetAttr("cns", len(cns))
 	if err != nil {
 		vsp.SetAttr("cancelled", true)
@@ -475,8 +463,11 @@ func (e *Engine) searchXML(ctx context.Context, terms []string, req Request, sp 
 		vsp.SetAttr("algorithm", "elca-stack")
 		nodes = lca.ELCAStack(e.XIndex, terms, vsp)
 	case req.Workers > 1:
+		// Workers arrives unvalidated from outside (POST /query
+		// "workers"), and SLCAParallel starts one goroutine per range up
+		// to the anchor count: more ranges than cores buy nothing.
 		vsp.SetAttr("algorithm", "slca-parallel")
-		nodes, err = lca.SLCAParallel(ctx, e.XIndex, terms, req.Workers, vsp)
+		nodes, err = lca.SLCAParallel(ctx, e.XIndex, terms, min(req.Workers, runtime.GOMAXPROCS(0)), vsp)
 	default:
 		vsp.SetAttr("algorithm", "slca-ile")
 		nodes = lca.SLCA(e.XIndex, terms, vsp)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -135,4 +136,41 @@ func TestFreeTablesDefaultToLinkTables(t *testing.T) {
 	if len(e.FreeTables) != 1 || e.FreeTables[0] != "write" {
 		t.Errorf("FreeTables = %v, want [write]", e.FreeTables)
 	}
+}
+
+// TestServedSLCAFanOutCapped: Request.Workers arrives unvalidated from
+// outside (POST /query "workers"), and the range-split SLCA starts one
+// goroutine, with one span, per range up to the anchor count ("title
+// author" on the bibliography has hundreds of anchors). The served call
+// caps the ranges at GOMAXPROCS: a 1<<20-worker query has at most that
+// many children under evaluate and answers the same nodes as Workers 1.
+func TestServedSLCAFanOutCapped(t *testing.T) {
+	e := NewXML(dataset.BibXML(dataset.DefaultBibConfig()))
+	nodes := func(rs []Result) []string {
+		var out []string
+		for _, r := range rs {
+			out = append(out, r.Node.Dewey.String())
+		}
+		return out
+	}
+	req := Request{Query: "title author", Semantics: SLCA, TopK: 1 << 20, Trace: true}
+	want := nodes(search(t, e, req))
+	req.Workers = 1 << 20
+	resp, err := e.Query(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := nodes(resp.Results); len(want) == 0 || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("Workers 1<<20 answers %d nodes, Workers 1 %d (or they differ)", len(got), len(want))
+	}
+	for _, sp := range resp.Trace.Children() {
+		if sp.Name() != "evaluate" {
+			continue
+		}
+		if n, max := len(sp.Children()), runtime.GOMAXPROCS(0); n > max {
+			t.Errorf("Workers 1<<20: %d spans under evaluate, want <= GOMAXPROCS (%d)", n, max)
+		}
+		return
+	}
+	t.Fatal("trace has no evaluate span")
 }

@@ -202,7 +202,7 @@ func TestResultCacheHitAllocs(t *testing.T) {
 // engine that has bound none of it (only the plan cache is shared). A
 // binder compiles every term binding and join index in its constructor,
 // so a first use builds nothing. The bound is about 1.1× the measured
-// mean of 166; like every pin it only tightens.
+// mean of 160; like every pin it only tightens.
 func TestResultCacheMissAllocs(t *testing.T) {
 	e := NewRelational(dataset.DBLP(dataset.DefaultDBLPConfig()))
 	log := dataset.QueryLog(e.DB, 100, 1)
@@ -238,8 +238,8 @@ func TestResultCacheMissAllocs(t *testing.T) {
 					arm.name, req.Query, st.ResultCacheHit, st.PlanCacheHit)
 			}
 		})
-		if allocs > 183 {
-			t.Errorf("%s: result-cache miss allocates %.0f times, want <= 183", arm.name, allocs)
+		if allocs > 176 {
+			t.Errorf("%s: result-cache miss allocates %.0f times, want <= 176", arm.name, allocs)
 		}
 		t.Logf("%s: result-cache miss: %.0f allocs", arm.name, allocs)
 	}

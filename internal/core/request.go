@@ -64,8 +64,9 @@ type Request struct {
 	// Workers sets the worker-pool size for candidate-network and SLCA
 	// evaluation (0 means 1). CN searches always run on the
 	// internal/exec cached executor with that many workers; SLCA uses
-	// the range-split algorithm above 1 and indexed-lookup-eager
-	// otherwise. Answers are byte-identical at every value.
+	// the range-split algorithm above 1, with at most GOMAXPROCS
+	// ranges, and indexed-lookup-eager otherwise. Answers are
+	// byte-identical at every value.
 	Workers int
 	// Trace enables per-query span collection: Query returns the span
 	// tree in Response.Trace (kwsearch -trace prints it).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 func sparkOracle(t *testing.T, e *Engine, q string, k, maxCNSize int) []Result {
 	t.Helper()
 	ctx := context.Background()
-	ev := cn.NewScanEvaluator(e.Binder, e.Terms(q, false))
+	ev := cn.NewScanBinding(e.Binder, e.Terms(q, false))
 	ps, _, err := e.Plans.Get(ctx, e.Schema, cn.EnumerateOptions{
 		MaxSize:       maxCNSize,
 		KeywordTables: ev.KeywordTables(),
@@ -109,5 +110,34 @@ func TestSparkDeadlineLandsInsideCN(t *testing.T) {
 	}
 	if len(resp.Results) != 0 {
 		t.Errorf("interrupted SPARK query returned %d results, want an empty partial", len(resp.Results))
+	}
+}
+
+// TestSparkNoPostingsFastPath: a SPARK term absent from the index ends
+// the query in the shared plan step, as it does a CN query: no results,
+// no plan built, no bind, enumerate or evaluate span, and the term
+// recorded as the trace's empty_term.
+func TestSparkNoPostingsFastPath(t *testing.T) {
+	e := NewRelational(dataset.DBLP(dataset.DefaultDBLPConfig()))
+	resp, err := e.Query(context.Background(), Request{Query: "keyword zzzqqq", Semantics: SparkNetworks, Trace: true})
+	if err != nil || len(resp.Results) != 0 {
+		t.Fatalf("got %d results (err %v), want none", len(resp.Results), err)
+	}
+	if n := e.Plans.Builds(); n != 0 {
+		t.Errorf("%d plans built, want 0", n)
+	}
+	for _, sp := range resp.Trace.Children() {
+		if name := sp.Name(); name == "bind" || name == "enumerate" || name == "evaluate" {
+			t.Errorf("trace has a %s span:\n%s", name, resp.Trace.Shape())
+		}
+	}
+	empty := ""
+	for _, a := range resp.Trace.Attrs() {
+		if a.Key == "empty_term" {
+			empty = fmt.Sprint(a.Value)
+		}
+	}
+	if empty != "zzzqqq" {
+		t.Errorf("empty_term = %q, want zzzqqq:\n%s", empty, resp.Trace.Shape())
 	}
 }

@@ -7,8 +7,8 @@
 //     sets;
 //   - a worker pool over one queue of jobs — each candidate network cut
 //     into ranges of 1 024 node-0 tuples, in descending score-bound
-//     order — from which up to GOMAXPROCS-many goroutines claim the next
-//     job and search it depth-first (cn.Evaluator.EvaluateRoots): the
+//     order — from which up to Query.Workers goroutines claim the next
+//     job and search it depth-first (cn.Binding.EvaluateRoots): the
 //     tutorial's CN-level and data-level parallelism as one schedule,
 //     with one search row per goroutine however many partial bindings a
 //     job's joins produce;
@@ -27,7 +27,6 @@ package exec
 
 import (
 	"context"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -50,8 +49,6 @@ const (
 
 // Options configures an Executor.
 type Options struct {
-	// Workers is the default worker-pool size (0 = GOMAXPROCS).
-	Workers int
 	// FreeTables are the relations allowed as free tuple sets in CNs.
 	FreeTables []string
 	// Plans is the candidate-network plan cache consulted before
@@ -72,13 +69,6 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	return o
-}
-
 // Query is one top-k request.
 type Query struct {
 	// Terms are the raw keywords (normalized internally).
@@ -87,9 +77,9 @@ type Query struct {
 	K int
 	// MaxCNSize bounds candidate-network size (<=0 means 5).
 	MaxCNSize int
-	// Workers overrides the executor's pool size for this query (0 =
-	// executor default). TopK never runs more goroutines than the query
-	// has jobs; the answer is the same at every size.
+	// Workers is the pool size (<=0 means 1). TopK never runs more
+	// goroutines than the query has jobs; the answer is the same at
+	// every size.
 	Workers int
 	// Trace, when non-nil, receives child spans for the execution stages
 	// (enumerate, evaluate with one child per pool worker) plus attributes
@@ -98,7 +88,7 @@ type Query struct {
 	Trace *obs.Span
 }
 
-func (q Query) withDefaults(x *Executor) Query {
+func (q Query) withDefaults() Query {
 	if q.K <= 0 {
 		q.K = 10
 	}
@@ -106,7 +96,7 @@ func (q Query) withDefaults(x *Executor) Query {
 		q.MaxCNSize = 5
 	}
 	if q.Workers <= 0 {
-		q.Workers = x.opts.Workers
+		q.Workers = 1
 	}
 	return q
 }
@@ -165,7 +155,6 @@ type Stats struct {
 // database + index pair. Construct with New; methods may be called from
 // multiple goroutines.
 type Executor struct {
-	db   *relstore.DB
 	ix   *invindex.Index
 	sg   *schemagraph.Graph
 	opts Options
@@ -186,9 +175,7 @@ type Executor struct {
 // link relations when left nil (matching core.NewRelational's policy is
 // the caller's concern).
 func New(db *relstore.DB, ix *invindex.Index, opts Options) *Executor {
-	opts = opts.withDefaults()
 	x := &Executor{
-		db:        db,
 		ix:        ix,
 		sg:        schemagraph.FromDB(db),
 		opts:      opts,
@@ -246,7 +233,7 @@ func copyResults(rs []cn.Result) []cn.Result {
 // comes back with the error (Stats.Partial set) so callers can serve a
 // sound partial answer. Interrupted runs are never cached.
 func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error) {
-	q = q.withDefaults(x)
+	q = q.withDefaults()
 	sp := q.Trace
 	var st Stats
 	terms := cn.NormalizeTerms(q.Terms)
@@ -262,56 +249,25 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	}
 	sp.SetAttr("result_cache_hit", false)
 
-	// AND-semantics fast path: a term with no postings at all makes
-	// total coverage impossible, so skip binding and planning outright.
-	for _, t := range terms {
-		if len(x.ix.Postings(t)) == 0 {
-			x.results.Put(key, nil)
-			sp.SetAttr("empty_term", t)
-			return nil, st, nil
-		}
-	}
-
-	// Binding resolves each keyword to its per-relation tuple sets R^Q
-	// by merging the shared binder's compiled term bindings
-	// (O(matched tuples)). It keeps its own span rather than hiding
-	// inside enumerate (which a warm plan reduces to a cache probe).
-	bsp := sp.Child("bind")
-	binding := x.binder.BindTraced(terms, bsp)
-	ev := cn.NewEvaluatorFrom(x.db, x.ix, binding)
-	kwTables := binding.KeywordTables()
-	bsp.SetAttr("keyword_tables", len(kwTables))
-	bsp.End()
-
-	// The enumerate stage goes through the plan cache: warm signatures
-	// skip enumeration entirely, cold ones compile and are cached for
-	// every later query with the same schema, signature and term count.
-	esp := sp.Child("enumerate")
-	ps, planHit, err := x.plans.Get(ctx, x.sg, cn.EnumerateOptions{
-		MaxSize:       q.MaxCNSize,
-		KeywordTables: kwTables,
-		FreeTables:    x.opts.FreeTables,
-		Terms:         len(terms),
-	})
+	binding, ps, planHit, err := x.Plan(ctx, terms, q.MaxCNSize, sp)
 	if err != nil {
 		// No partial answer is possible before the CN set exists.
-		esp.SetAttr("cancelled", true)
-		esp.End()
 		return nil, st, err
+	}
+	if ps == nil {
+		x.results.Put(key, nil)
+		return nil, st, nil
 	}
 	cns := ps.CNs() // immutable, share-safe: evaluation is read-only
 	st.CNs = len(cns)
 	st.PlanCacheHit = planHit
 	st.PlanKey = ps.Key()
-	esp.SetAttr("cns", len(cns))
-	esp.SetAttr("plan_cached", planHit)
-	esp.End()
 	if len(cns) == 0 {
 		x.results.Put(key, nil)
 		return nil, st, nil
 	}
 
-	jobs := buildQueue(ev, cns, x.jobRoots)
+	jobs := buildQueue(binding, cns, x.jobRoots)
 	st.Jobs = len(jobs)
 	// Goroutines beyond the job count would find the queue drained, and
 	// the value arrives unvalidated from outside (POST /query "workers"):
@@ -320,7 +276,7 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 
 	vsp := sp.Child("evaluate")
 	vsp.SetAttr("workers", st.Workers)
-	top, perWorker, err := x.runPool(ctx, ev, jobs, st.Workers, q.K, vsp)
+	top, perWorker, err := x.runPool(ctx, binding, jobs, st.Workers, q.K, vsp)
 	for _, ws := range perWorker {
 		st.JobsPerWorker = append(st.JobsPerWorker, ws.Claimed)
 		st.Evaluated += ws.Evaluated
@@ -347,6 +303,49 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	return top, st, nil
 }
 
+// Plan runs the two stages every candidate-network query starts with,
+// each under its own child span of sp (nil disables tracing), after an
+// AND-semantics fast path: a term with no postings at all makes total
+// coverage impossible, so Plan records it as sp's "empty_term" and
+// returns a nil binding and plan without binding or planning. "bind"
+// merges the shared binder's compiled term bindings into the query's
+// Binding (terms are normalized internally; O(matched tuples)), and
+// "enumerate" fetches the CN set for its keyword tables from the plan
+// cache (hit reports a warm plan; a cold one is enumerated, with the
+// minimality rule cn.EnumerateOptions.Terms, and cached for every later
+// query with the same schema, signature and term count). TopK and
+// core's SPARK path both call it. A ctx that ends during enumeration
+// returns its error and no plan.
+func (x *Executor) Plan(ctx context.Context, terms []string, maxCN int, sp *obs.Span) (*cn.Binding, *plan.PlanSet, bool, error) {
+	for _, t := range terms {
+		if len(x.ix.Postings(t)) == 0 {
+			sp.SetAttr("empty_term", t)
+			return nil, nil, false, nil
+		}
+	}
+	bsp := sp.Child("bind")
+	b := x.binder.BindTraced(terms, bsp)
+	kwTables := b.KeywordTables()
+	bsp.SetAttr("keyword_tables", len(kwTables))
+	bsp.End()
+
+	esp := sp.Child("enumerate")
+	defer esp.End()
+	ps, hit, err := x.plans.Get(ctx, x.sg, cn.EnumerateOptions{
+		MaxSize:       maxCN,
+		KeywordTables: kwTables,
+		FreeTables:    x.opts.FreeTables,
+		Terms:         len(b.Terms()),
+	})
+	if err != nil {
+		esp.SetAttr("cancelled", true)
+		return nil, nil, false, err
+	}
+	esp.SetAttr("cns", ps.Len())
+	esp.SetAttr("plan_cached", hit)
+	return b, ps, hit, nil
+}
+
 // TopKSerial is the reference path: full evaluation of every CN of the
 // plan without TopK's minimality rule (cn.EnumerateOptions.Terms) on
 // the calling goroutine, no bound pruning, no caches — binding included,
@@ -360,20 +359,20 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 //
 //lint:ignore ctx-first serial reference oracle, kept signature-stable for the repository benchmark (bench/)
 func (x *Executor) TopKSerial(q Query) []cn.Result {
-	q = q.withDefaults(x)
+	q = q.withDefaults()
 	terms := cn.NormalizeTerms(q.Terms)
 	if len(terms) == 0 {
 		return nil
 	}
-	ev := cn.NewScanEvaluator(x.binder, terms)
+	b := cn.NewScanBinding(x.binder, terms)
 	cns := cn.Enumerate(x.sg, cn.EnumerateOptions{
 		MaxSize:       q.MaxCNSize,
-		KeywordTables: ev.KeywordTables(),
+		KeywordTables: b.KeywordTables(),
 		FreeTables:    x.opts.FreeTables,
 	})
 	var all []cn.Result
 	for _, c := range cns {
-		rs, _ := ev.EvaluateLevels(context.Background(), c) // Background never ends: no error
+		rs, _ := b.EvaluateLevels(context.Background(), c) // Background never ends: no error
 		all = append(all, rs...)
 	}
 	cn.SortResults(all)

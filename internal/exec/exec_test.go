@@ -33,23 +33,23 @@ func dblp() (*relstore.DB, *invindex.Index) {
 	return fixDB, fixIx
 }
 
-func newTestExecutor(workers int) *Executor {
+func newTestExecutor() *Executor {
 	db, ix := dblp()
-	return New(db, ix, Options{
-		Workers:    workers,
-		FreeTables: []string{"write", "cite"},
-	})
+	return New(db, ix, Options{FreeTables: []string{"write", "cite"}})
 }
 
-// fresh returns a new executor over x's snapshot with x's options and
-// job size, sharing the binder and plan cache given (nil builds a
-// private one). Its result cache is empty, so its next TopK evaluates.
-func fresh(x *Executor, binder *cn.Binder, plans *plan.Cache) *Executor {
-	opts := x.opts
-	opts.Binder, opts.Plans = binder, plans
-	y := New(x.db, x.ix, opts)
-	y.jobRoots = x.jobRoots
-	return y
+// fresh returns a copy of x — its snapshot, options, binder (which
+// caches nothing) and job size — with an empty result cache, so its next
+// TopK evaluates, and the plan cache given (nil gives it a private, empty
+// one).
+func fresh(x *Executor, plans *plan.Cache) *Executor {
+	y := *x
+	y.results = cache.New[[]cn.Result](resultCacheSize, cacheShards)
+	if plans == nil {
+		plans = plan.New(plan.Options{})
+	}
+	y.plans = plans
+	return &y
 }
 
 // renderResults serializes results bit-exactly: canonical CN, tuple IDs in
@@ -81,7 +81,7 @@ func TestTopKMatchesSerialByteIdentical(t *testing.T) {
 		{Terms: []string{"keyword"}, K: 3, MaxCNSize: 3},
 	}
 	for _, q := range queries {
-		x := newTestExecutor(4)
+		x := newTestExecutor()
 		want := renderResults(x.TopKSerial(q))
 		for _, workers := range []int{1, 2, 4, 8} {
 			qq := q
@@ -123,14 +123,14 @@ func TestParallelBeatsSerial(t *testing.T) {
 		return d
 	}
 
-	x := newTestExecutor(4)
+	x := newTestExecutor()
 	// Warm once outside timing so both sides measure steady-state work.
 	x.TopKSerial(q)
 
 	serial := best(func() {}, func() { x.TopKSerial(q) })
 	var y *Executor
 	parallel := best(func() {
-		y = fresh(x, nil, nil) // no cache replays in the timed region
+		y = fresh(x, nil) // no cache replays in the timed region
 	}, func() {
 		if _, _, err := y.TopK(context.Background(), q); err != nil {
 			t.Fatal(err)
@@ -147,8 +147,8 @@ func TestParallelBeatsSerial(t *testing.T) {
 // cached copy, and an executor sharing the binder and plans but not the
 // result cache re-executes to the same answer.
 func TestResultCache(t *testing.T) {
-	x := newTestExecutor(2)
-	q := Query{Terms: []string{"keyword", "search"}, K: 5, MaxCNSize: 4}
+	x := newTestExecutor()
+	q := Query{Terms: []string{"keyword", "search"}, K: 5, MaxCNSize: 4, Workers: 2}
 
 	rs1, st1, err := x.TopK(context.Background(), q)
 	if err != nil {
@@ -176,7 +176,7 @@ func TestResultCache(t *testing.T) {
 		t.Errorf("cached answer differs:\ngot:\n%swant:\n%s", got, want)
 	}
 
-	rs3, st3, err := fresh(x, x.binder, x.plans).TopK(context.Background(), q)
+	rs3, st3, err := fresh(x, x.plans).TopK(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +190,10 @@ func TestResultCache(t *testing.T) {
 }
 
 // TestNoPostingsFastPath: a term absent from the index short-circuits the
-// query (AND semantics) without building an evaluator, and the nil answer
+// query (AND semantics) without binding or planning, and the nil answer
 // is itself cached.
 func TestNoPostingsFastPath(t *testing.T) {
-	x := newTestExecutor(2)
+	x := newTestExecutor()
 	q := Query{Terms: []string{"keyword", "zzzznosuchterm"}, K: 5, MaxCNSize: 4}
 	rs, st, err := x.TopK(context.Background(), q)
 	if err != nil || rs != nil {
@@ -212,7 +212,7 @@ func TestNoPostingsFastPath(t *testing.T) {
 
 // TestEmptyTerms: queries that normalize to nothing return nothing.
 func TestEmptyTerms(t *testing.T) {
-	x := newTestExecutor(2)
+	x := newTestExecutor()
 	for _, terms := range [][]string{nil, {}, {""}, {"  ", "\t"}} {
 		rs, _, err := x.TopK(context.Background(), Query{Terms: terms})
 		if err != nil || len(rs) != 0 {
@@ -224,10 +224,10 @@ func TestEmptyTerms(t *testing.T) {
 // TestContextCancelled: a cancelled context aborts TopK with ctx.Err() and
 // no partial results.
 func TestContextCancelled(t *testing.T) {
-	x := newTestExecutor(4)
+	x := newTestExecutor()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rs, _, err := x.TopK(ctx, Query{Terms: []string{"keyword", "search"}, K: 10, MaxCNSize: 5})
+	rs, _, err := x.TopK(ctx, Query{Terms: []string{"keyword", "search"}, K: 10, MaxCNSize: 5, Workers: 4})
 	if err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -242,9 +242,9 @@ func TestContextCancelled(t *testing.T) {
 // than the CN list and a dominated bound ends it early, so some jobs are
 // claimed by nobody.
 func TestStatsShape(t *testing.T) {
-	x := newTestExecutor(4)
+	x := newTestExecutor()
 	x.jobRoots = 1
-	_, st, err := x.TopK(context.Background(), Query{Terms: []string{"keyword", "search"}, K: 10, MaxCNSize: 5})
+	_, st, err := x.TopK(context.Background(), Query{Terms: []string{"keyword", "search"}, K: 10, MaxCNSize: 5, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,12 +281,12 @@ func TestStatsShape(t *testing.T) {
 // run in ascending order and the first failure stops the test, so a
 // regression fails at 1<<20 and never reaches 1<<30.
 func TestWorkersClampedToJobs(t *testing.T) {
-	x := newTestExecutor(2)
+	x := newTestExecutor()
 	q := Query{Terms: []string{"wang", "search"}, K: 1 << 20, MaxCNSize: 5}
 	want := renderResults(x.TopKSerial(q))
 	run := func(workers int) uint64 {
 		t.Helper()
-		y := fresh(x, x.binder, x.plans) // evaluate, don't replay the result cache
+		y := fresh(x, x.plans) // evaluate, don't replay the result cache
 		q.Workers = workers
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -330,13 +330,13 @@ func TestHubQueryAllocBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("evaluates the hub query")
 	}
-	x := newTestExecutor(1)
+	x := newTestExecutor()
 	q := Query{Terms: []string{"www", "www", "www", "search", "wang"}, K: 10, MaxCNSize: 5}
 	if _, _, err := x.TopK(context.Background(), q); err != nil { // warm binder and plan
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2} {
-		y := fresh(x, x.binder, x.plans)
+		y := fresh(x, x.plans)
 		q.Workers = workers
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -361,14 +361,14 @@ func TestHubQueryAllocBytes(t *testing.T) {
 // minimality rule (Terms 0), and returns the answer and its work.
 func unprunedRun(t *testing.T, x *Executor, q Query) ([]cn.Result, Stats) {
 	t.Helper()
-	ev := cn.NewEvaluatorFrom(x.db, x.ix, x.binder.BindTraced(q.Terms, nil))
+	b := x.binder.BindTraced(q.Terms, nil)
 	cns := cn.Enumerate(x.sg, cn.EnumerateOptions{
 		MaxSize:       q.MaxCNSize,
-		KeywordTables: ev.KeywordTables(),
+		KeywordTables: b.KeywordTables(),
 		FreeTables:    x.opts.FreeTables,
 	})
-	jobs := buildQueue(ev, cns, x.jobRoots)
-	top, perWorker, err := x.runPool(context.Background(), ev, jobs, 1, q.K, nil)
+	jobs := buildQueue(b, cns, x.jobRoots)
+	top, perWorker, err := x.runPool(context.Background(), b, jobs, 1, q.K, nil)
 	if err != nil {
 		t.Fatalf("%v: unpruned pool: %v", q.Terms, err)
 	}
@@ -391,7 +391,7 @@ func unprunedRun(t *testing.T, x *Executor, q Query) ([]cn.Result, Stats) {
 // all in conference stars that yield no result, and 118 over the
 // pruned one.
 func TestMinimalityCutsWork(t *testing.T) {
-	x := newTestExecutor(1)
+	x := newTestExecutor()
 	for _, tc := range []struct {
 		terms                                        []string
 		cns, jobs, evaluated, joinRows, rowsFinished int
@@ -403,7 +403,7 @@ func TestMinimalityCutsWork(t *testing.T) {
 	} {
 		q := Query{Terms: tc.terms, K: 10, MaxCNSize: 5}
 		want := renderResults(x.TopKSerial(q))
-		rs, st, err := fresh(x, x.binder, nil).TopK(context.Background(), q)
+		rs, st, err := fresh(x, nil).TopK(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%v: %v", tc.terms, err)
 		}

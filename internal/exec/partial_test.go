@@ -26,14 +26,14 @@ func TestInjectedFaultYieldsCertifiedPrefix(t *testing.T) {
 	// K is far above the result count so the internal certification never
 	// cancels the pool first: every cut point reaches its injection site.
 	q := Query{Terms: []string{"keyword", "search"}, K: 10000, MaxCNSize: 5}
-	x := newTestExecutor(1)
+	x := newTestExecutor()
 	x.jobRoots = 64
 	serial := renderResults(x.TopKSerial(q))
 	_, full, err := x.TopK(context.Background(), q)
 	if err != nil || full.Jobs <= full.CNs {
 		t.Fatalf("fixture: %d jobs for %d CNs, err = %v", full.Jobs, full.CNs, err)
 	}
-	x = fresh(x, x.binder, x.plans) // the interrupted runs below must leave the cache empty
+	x = fresh(x, x.plans) // the interrupted runs below must leave the cache empty
 
 	for _, workers := range []int{1, 4} {
 		q.Workers = workers
@@ -78,14 +78,14 @@ func TestInjectedFaultYieldsCertifiedPrefix(t *testing.T) {
 // jobs done, and the certified prefix + typed error come back quickly.
 func TestDeadlineMidEvaluationYieldsPartial(t *testing.T) {
 	q := Query{Terms: []string{"keyword", "search"}, K: 10000, MaxCNSize: 5}
-	x := newTestExecutor(2)
+	x := newTestExecutor()
 	x.jobRoots = 512
 	serial := renderResults(x.TopKSerial(q))
 	_, full, err := x.TopK(context.Background(), q) // also warms plan and binder
 	if err != nil || full.Jobs <= full.CNs {
 		t.Fatalf("fixture: %d jobs for %d CNs, err = %v", full.Jobs, full.CNs, err)
 	}
-	x = fresh(x, x.binder, x.plans)
+	x = fresh(x, x.plans)
 	for _, workers := range []int{1, 4} {
 		q.Workers = workers
 		for after := 0; after < full.Jobs; after++ {
@@ -131,8 +131,8 @@ func TestDeadlineLandsInsideJoinLevel(t *testing.T) {
 	cfg := dataset.DefaultDBLPConfig()
 	cfg.Authors, cfg.Papers, cfg.Conferences = 2*cfg.Authors, 2*cfg.Papers, 2*cfg.Conferences
 	db := dataset.DBLP(cfg)
-	x := New(db, invindex.FromDB(db), Options{Workers: 2, FreeTables: []string{"write", "cite"}})
-	q := Query{Terms: []string{"search", "www", "wang", "keyword"}, K: 10, MaxCNSize: 5}
+	x := New(db, invindex.FromDB(db), Options{FreeTables: []string{"write", "cite"}})
+	q := Query{Terms: []string{"search", "www", "wang", "keyword"}, K: 10, MaxCNSize: 5, Workers: 2}
 
 	start := time.Now()
 	rs, _, err := x.TopK(context.Background(), q)
@@ -141,7 +141,7 @@ func TestDeadlineLandsInsideJoinLevel(t *testing.T) {
 		t.Fatalf("undeadlined run: %d results, err = %v", len(rs), err)
 	}
 	want := renderResults(rs)
-	x = fresh(x, x.binder, x.plans)
+	x = fresh(x, x.plans)
 
 	// Everything but the joins is warm now, so a twentieth of the full
 	// time is far more than bind + plan need and far less than the hub
@@ -173,7 +173,7 @@ func TestEnumerationCancellationReturnsNothing(t *testing.T) {
 	boom := errors.New("injected enumerate fault")
 	in := resilience.NewInjector(1).Arm(resilience.StageEnumerate, resilience.Fault{Err: boom})
 	ctx := resilience.WithInjector(context.Background(), in)
-	x := newTestExecutor(2)
+	x := newTestExecutor()
 	rs, st, err := x.TopK(ctx, Query{Terms: []string{"keyword", "search"}, K: 10, MaxCNSize: 5})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected fault", err)

@@ -11,7 +11,7 @@ import (
 // the compiled plan, and an executor with its own plan cache compiles
 // again.
 func TestPlanCacheHitStat(t *testing.T) {
-	x := newTestExecutor(2)
+	x := newTestExecutor()
 	q := Query{Terms: []string{"keyword", "search"}, K: 5, MaxCNSize: 5}
 
 	_, st, err := x.TopK(context.Background(), q)
@@ -22,7 +22,7 @@ func TestPlanCacheHitStat(t *testing.T) {
 		t.Fatal("cold executor claims a plan-cache hit")
 	}
 
-	x = fresh(x, nil, x.plans) // cold results and bindings, warm plans
+	x = fresh(x, x.plans) // cold results, warm plans
 	_, st, err = x.TopK(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestPlanCacheHitStat(t *testing.T) {
 		t.Fatal("same-signature query missed the plan cache")
 	}
 
-	_, st, err = fresh(x, nil, nil).TopK(context.Background(), q)
+	_, st, err = fresh(x, nil).TopK(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

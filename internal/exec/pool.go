@@ -46,30 +46,30 @@ func (s runStats) Idle() time.Duration {
 const rootsPerJob = 1024
 
 // job is one unit of pool work: the results of CN c whose node-0 tuple
-// is one of [lo, hi) of c's root set (cn.Evaluator.EvaluateRoots). The
+// is one of [lo, hi) of c's root set (cn.Binding.EvaluateRoots). The
 // ranges of one CN tile its root set, so its jobs' results are pairwise
 // disjoint and together exactly the CN's.
 type job struct {
 	c      *cn.CN
 	lo, hi int
-	bound  float64 // ev.Bound(c): caps every score the job can produce
+	bound  float64 // b.Bound(c): caps every score the job can produce
 }
 
 // buildQueue orders the plan's CNs by descending score bound
 // (deterministic tie-break by canonical CN string) and cuts each into
 // jobs of per roots. The bound is exact-compared: the queue's early end
 // needs the bounds non-increasing, not merely so within an epsilon.
-func buildQueue(ev *cn.Evaluator, cns []*cn.CN, per int) []job {
+func buildQueue(b *cn.Binding, cns []*cn.CN, per int) []job {
 	order := make([]job, len(cns))
 	for i, c := range cns {
-		order[i] = job{c: c, bound: ev.Bound(c)}
+		order[i] = job{c: c, bound: b.Bound(c)}
 	}
 	slices.SortFunc(order, func(a, b job) int {
 		return cmp.Or(cmp.Compare(b.bound, a.bound), strings.Compare(a.c.Canonical(), b.c.Canonical()))
 	})
 	jobs := make([]job, 0, len(order))
 	for _, j := range order {
-		for n := ev.RootCount(j.c); j.lo < n; j.lo = j.hi {
+		for n := b.RootCount(j.c); j.lo < n; j.lo = j.hi {
 			j.hi = j.lo + min(per, n-j.lo)
 			jobs = append(jobs, j)
 		}
@@ -102,7 +102,7 @@ func buildQueue(ev *cn.Evaluator, cns []*cn.CN, per int) []job {
 // dominating the bound of the first job neither finished nor dominated
 // survive — a provable prefix of the serial top-k, since that bound caps
 // every result the unfinished jobs could still have produced.
-func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, jobs []job, workers, k int, sp *obs.Span) ([]cn.Result, []runStats, error) {
+func (x *Executor) runPool(parent context.Context, b *cn.Binding, jobs []job, workers, k int, sp *obs.Span) ([]cn.Result, []runStats, error) {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
@@ -186,7 +186,7 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, jobs []job,
 						break
 					}
 					t0 := time.Now()
-					done := evalJob(ctx, ev, j, top, st)
+					done := evalJob(ctx, b, j, top, st)
 					st.Busy += time.Since(t0)
 					if done {
 						marks[g].Store(math.Float64bits(head()))
@@ -234,8 +234,8 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, jobs []job,
 // the results discarded (they are provably below the k-th score
 // whenever the internal cancellation fired; otherwise runPool charges
 // the job's bound to the certificate).
-func evalJob(ctx context.Context, ev *cn.Evaluator, j job, top *cn.Top, st *runStats) bool {
-	rs, w, err := ev.EvaluateRoots(ctx, j.c, j.lo, j.hi)
+func evalJob(ctx context.Context, b *cn.Binding, j job, top *cn.Top, st *runStats) bool {
+	rs, w, err := b.EvaluateRoots(ctx, j.c, j.lo, j.hi)
 	if err != nil {
 		return false
 	}

@@ -22,7 +22,7 @@ const wholeSet = math.MaxInt
 func poolMatchesSerial(t *testing.T, x *Executor, q Query, workers, per int, want string) Stats {
 	t.Helper()
 	x.jobRoots = per
-	x = fresh(x, x.binder, x.plans) // evaluate, don't replay the previous schedule's answer
+	x = fresh(x, x.plans) // evaluate, don't replay the previous schedule's answer
 	q.Workers = workers
 	rs, st, err := x.TopK(context.Background(), q)
 	if err != nil {
@@ -44,12 +44,12 @@ func poolMatchesSerial(t *testing.T, x *Executor, q Query, workers, per int, wan
 // internal/core's TestAnswerIdenticalAtEveryPoolSize draws from the same
 // seed. Conference tokens are left out as the benchmark leaves them out
 // (hub joins).
-func zipfTermPairs(x *Executor, seed int64, n int) [][]string {
+func zipfTermPairs(db *relstore.DB, ix *invindex.Index, seed int64, n int) [][]string {
 	var vocab []string
-	for _, t := range x.ix.Terms() {
+	for _, t := range ix.Terms() {
 		ok := true
-		for _, p := range x.ix.Postings(t) {
-			tb := x.db.TupleByID(relstore.TupleID(p.Doc)).Table
+		for _, p := range ix.Postings(t) {
+			tb := db.TupleByID(relstore.TupleID(p.Doc)).Table
 			ok = ok && (tb == "author" || tb == "paper")
 		}
 		if ok {
@@ -57,7 +57,7 @@ func zipfTermPairs(x *Executor, seed int64, n int) [][]string {
 		}
 	}
 	sort.Strings(vocab)
-	sort.SliceStable(vocab, func(i, j int) bool { return x.ix.DF(vocab[i]) > x.ix.DF(vocab[j]) })
+	sort.SliceStable(vocab, func(i, j int) bool { return ix.DF(vocab[i]) > ix.DF(vocab[j]) })
 	z := rand.NewZipf(rand.New(rand.NewSource(seed)), 1.2, 1, uint64(len(vocab)-1))
 	seen := map[string]bool{}
 	var out [][]string
@@ -76,12 +76,13 @@ func zipfTermPairs(x *Executor, seed int64, n int) [][]string {
 
 // TestPoolMatchesSerialZipfPairs: over 300 seeded Zipf term pairs on the
 // ×1 DBLP corpus (the benchmark's cn_pool shape) the pool's answer is
-// byte-identical to TopKSerial at Workers 0, 1, 2 and 4 crossed with 1,
+// byte-identical to TopKSerial at Workers 0, 1, 2, 3 and 4 crossed with 1,
 // 64, 1 024 and a whole root set per job. The keyword sets hold hundreds
 // of tuples, so every size but the last two splits them.
 func TestPoolMatchesSerialZipfPairs(t *testing.T) {
-	x := newTestExecutor(3)
-	pairs := zipfTermPairs(x, 1, 300)
+	x := newTestExecutor()
+	db, ix := dblp()
+	pairs := zipfTermPairs(db, ix, 1, 300)
 	if testing.Short() {
 		pairs = pairs[:40]
 	}
@@ -89,7 +90,7 @@ func TestPoolMatchesSerialZipfPairs(t *testing.T) {
 	for _, p := range pairs {
 		q := Query{Terms: p, K: 10, MaxCNSize: 5}
 		want := renderResults(x.TopKSerial(q))
-		for _, workers := range []int{0, 1, 2, 4} {
+		for _, workers := range []int{0, 1, 2, 3, 4} {
 			for _, per := range []int{1, 64, rootsPerJob, wholeSet} {
 				st := poolMatchesSerial(t, x, q, workers, per, want)
 				split = split || (per == 64 && st.Jobs > st.CNs)

@@ -16,7 +16,7 @@ func TestConcurrentTopKStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short mode")
 	}
-	x := newTestExecutor(4)
+	x := newTestExecutor()
 	queries := []Query{
 		{Terms: []string{"keyword", "search"}, K: 10, MaxCNSize: 4},
 		{Terms: []string{"wang", "search"}, K: 5, MaxCNSize: 4},
@@ -59,12 +59,12 @@ func TestCancellationMidEvaluation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short mode")
 	}
-	x := newTestExecutor(4)
-	q := Query{Terms: []string{"keyword", "search"}, K: 10, MaxCNSize: 5}
+	x := newTestExecutor()
+	q := Query{Terms: []string{"keyword", "search"}, K: 10, MaxCNSize: 5, Workers: 4}
 	want := renderResults(x.TopKSerial(q))
 
 	for trial := 0; trial < 30; trial++ {
-		x := fresh(x, nil, nil) // force real evaluation every trial
+		x := fresh(x, nil) // force real evaluation every trial
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan struct{})
 		go func() {

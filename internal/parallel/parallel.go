@@ -35,10 +35,10 @@ func (j Job) Cost() float64 {
 	return j.PrefixCosts[len(j.PrefixCosts)-1]
 }
 
-// Decompose derives a Job from a CN: prefix identities are canonical
-// strings of the induced sub-CNs; costs estimate each join step by the
-// joining tuple-set size.
-func Decompose(c *cn.CN, ev *cn.Evaluator) Job {
+// Decompose derives a Job from a CN over the query binding b: prefix
+// identities are canonical strings of the induced sub-CNs; costs
+// estimate each join step by the joining tuple-set size.
+func Decompose(c *cn.CN, b *cn.Binding) Job {
 	j := Job{CN: c}
 	cum := 0.0
 	for i := range c.Nodes {
@@ -48,10 +48,9 @@ func Decompose(c *cn.CN, ev *cn.Evaluator) Job {
 				sub.Edges = append(sub.Edges, e)
 			}
 		}
-		size := float64(len(ev.KeywordSet(c.Nodes[i].Table)))
+		size := float64(len(b.KeywordSet(c.Nodes[i].Table)))
 		if c.Nodes[i].Free {
-			// R^{} is the table without its R^Q.
-			size = float64(ev.DB.Table(c.Nodes[i].Table).Len()) - size
+			size = float64(b.FreeSetSize(c.Nodes[i].Table))
 		}
 		cum += 1 + size
 		j.Prefixes = append(j.Prefixes, sub.Canonical())

@@ -9,18 +9,18 @@ import (
 	"kwsearch/internal/schemagraph"
 )
 
-func setup(t *testing.T) (*cn.Evaluator, []Job, []*cn.CN) {
+func setup(t *testing.T) (*cn.Binding, []Job, []*cn.CN) {
 	t.Helper()
 	db := dataset.DBLP(dataset.DBLPConfig{
 		Authors: 60, Papers: 150, Conferences: 5, AuthorsPerPaper: 2,
 		CitesPerPaper: 1, TitleTermCount: 3, ExtraVocab: 30, Seed: 17,
 	})
 	ix := invindex.FromDB(db)
-	ev := cn.NewEvaluator(db, ix, []string{"keyword", "search"})
+	b := cn.NewBinder(db, ix).BindTraced([]string{"keyword", "search"}, nil)
 	g := schemagraph.FromDB(db)
 	cns := cn.Enumerate(g, cn.EnumerateOptions{
 		MaxSize:       5,
-		KeywordTables: ev.KeywordTables(),
+		KeywordTables: b.KeywordTables(),
 		FreeTables:    []string{"write", "cite"},
 	})
 	if len(cns) < 4 {
@@ -28,14 +28,13 @@ func setup(t *testing.T) (*cn.Evaluator, []Job, []*cn.CN) {
 	}
 	jobs := make([]Job, len(cns))
 	for i, c := range cns {
-		jobs[i] = Decompose(c, ev)
+		jobs[i] = Decompose(c, b)
 	}
-	return ev, jobs, cns
+	return b, jobs, cns
 }
 
 func TestDecompose(t *testing.T) {
-	ev, jobs, _ := setup(t)
-	_ = ev
+	_, jobs, _ := setup(t)
 	for _, j := range jobs {
 		if len(j.Prefixes) != j.CN.Size() {
 			t.Fatalf("prefixes = %d for CN size %d", len(j.Prefixes), j.CN.Size())

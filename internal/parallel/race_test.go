@@ -7,14 +7,14 @@ import (
 
 // TestConcurrentDecomposeDeterministic stresses the documented read-only
 // contract of Decompose and SharingAwarePartition: many goroutines
-// decompose the same CNs against one shared Evaluator and partition
+// decompose the same CNs against one shared Binding and partition
 // them, and every goroutine must observe bit-identical prefixes, costs
 // and makespans. Run with -race to catch hidden memoization writes.
 func TestConcurrentDecomposeDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; skipped in -short")
 	}
-	ev, ref, cns := setup(t)
+	b, ref, cns := setup(t)
 	refAssign := SharingAwarePartition(ref, 4)
 
 	const goroutines = 8
@@ -27,7 +27,7 @@ func TestConcurrentDecomposeDeterministic(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				jobs := make([]Job, len(cns))
 				for i, c := range cns {
-					jobs[i] = Decompose(c, ev)
+					jobs[i] = Decompose(c, b)
 				}
 				for i := range jobs {
 					if len(jobs[i].Prefixes) != len(ref[i].Prefixes) {

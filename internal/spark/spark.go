@@ -18,15 +18,15 @@ import (
 // before the doubly-logarithmic damping, so the total is NOT the sum of
 // per-tuple scores (the non-monotonicity of slide 117).
 type Scorer struct {
-	ev *cn.Evaluator
+	b  *cn.Binding
 	ix *invindex.Index
 	// SizePenalty s: results are scaled by 1/(1 + s·(size-1)).
 	SizePenalty float64
 }
 
-// NewScorer wraps a CN evaluator with SPARK scoring.
-func NewScorer(ev *cn.Evaluator, ix *invindex.Index) *Scorer {
-	return &Scorer{ev: ev, ix: ix, SizePenalty: 0.2}
+// NewScorer wraps a query's CN binding with SPARK scoring.
+func NewScorer(b *cn.Binding, ix *invindex.Index) *Scorer {
+	return &Scorer{b: b, ix: ix, SizePenalty: 0.2}
 }
 
 // damp is SPARK's w(tf) = 1 + ln(1 + ln(tf)) for tf >= 1, else 0. It is
@@ -43,7 +43,7 @@ func damp(tf int) float64 {
 // concatenates all bound tuples.
 func (s *Scorer) ScoreA(tuples []*relstore.Tuple) float64 {
 	total := 0.0
-	for _, term := range s.ev.Terms {
+	for _, term := range s.b.Terms() {
 		tf := 0
 		for _, tp := range tuples {
 			tf += s.ix.TF(term, invindex.DocID(tp.ID))
@@ -73,7 +73,7 @@ func (s *Scorer) Score(r cn.Result) float64 {
 func TopK(ctx context.Context, s *Scorer, cns []*cn.CN, k int) ([]cn.Result, error) {
 	top := &cn.Top{K: k}
 	for _, c := range cns {
-		rs, err := s.ev.EvaluateCN(ctx, c)
+		rs, err := s.b.EvaluateCN(ctx, c)
 		if err != nil {
 			return nil, err
 		}

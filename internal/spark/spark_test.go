@@ -18,7 +18,7 @@ func setup(t *testing.T, terms []string, seed int64) (*Scorer, []*cn.CN) {
 		CitesPerPaper: 1, TitleTermCount: 3, ExtraVocab: 40, Seed: seed,
 	})
 	ix := invindex.FromDB(db)
-	ev := cn.NewEvaluator(db, ix, terms)
+	ev := cn.NewBinder(db, ix).BindTraced(terms, nil)
 	g := schemagraph.FromDB(db)
 	cns := cn.Enumerate(g, cn.EnumerateOptions{
 		MaxSize:       4,
@@ -59,7 +59,7 @@ func TestScoreIsNonMonotonic(t *testing.T) {
 	// less than the sum of their individual scores (slide 117's reason
 	// monotone top-k machinery breaks for SPARK).
 	s, _ := setup(t, []string{"keyword"}, 5)
-	set := s.ev.KeywordSet("paper")
+	set := s.b.KeywordSet("paper")
 	if len(set) < 2 {
 		t.Fatalf("need two matching papers, got %d", len(set))
 	}

@@ -19,7 +19,7 @@ func setup(t *testing.T) (*relstore.DB, []*cn.CN, []string) {
 	db := dataset.WidomBib()
 	ix := invindex.FromDB(db)
 	terms := []string{"widom", "xml"}
-	ev := cn.NewEvaluator(db, ix, terms)
+	ev := cn.NewBinder(db, ix).BindTraced(terms, nil)
 	g := schemagraph.FromDB(db)
 	cns := cn.Enumerate(g, cn.EnumerateOptions{
 		MaxSize:       5,
@@ -58,7 +58,7 @@ func streamAll(db *relstore.DB, cns []*cn.CN, terms []string, order []*relstore.
 func batchResults(t *testing.T, db *relstore.DB, cns []*cn.CN, terms []string) map[string]bool {
 	t.Helper()
 	ix := invindex.FromDB(db)
-	ev := cn.NewEvaluator(db, ix, terms)
+	ev := cn.NewBinder(db, ix).BindTraced(terms, nil)
 	out := map[string]bool{}
 	for _, c := range cns {
 		rs, err := ev.EvaluateCN(context.Background(), c)
