@@ -170,10 +170,7 @@ func (b *Binding) finishRow(c *CN, row []relstore.TupleID, masks []uint32) (Resu
 	all := b.allTermsMask()
 	var cover uint32
 	for i, id := range row {
-		masks[i] = 0
-		if b.kw.Has(id) { // free tuples have mask 0 without a probe
-			masks[i] = b.masks[id]
-		}
+		masks[i] = b.mask(id)
 		cover |= masks[i]
 	}
 	if cover != all {
@@ -199,8 +196,8 @@ func (b *Binding) finishRow(c *CN, row []relstore.TupleID, masks []uint32) (Resu
 		tuples[i] = b.db.TupleByID(id)
 		// A free tuple scores an exact 0.0, and x+0.0 == x bit for bit
 		// for these non-negative sums, so skipping it changes nothing.
-		if b.kw.Has(id) {
-			score += b.scores[id]
+		if k, ok := b.rank(id); ok {
+			score += b.scores[k]
 		}
 	}
 	score /= float64(len(c.Nodes))

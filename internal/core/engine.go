@@ -340,13 +340,11 @@ func (e *Engine) searchSpark(ctx context.Context, terms []string, req Request, s
 	return cnResults(rs), nil
 }
 
-// rankSpan emits the terminal "rank" stage span: result conversion and
-// final ordering (already done by the evaluation layers, which return
-// sorted answers — the span records the merge point and result count).
+// rankSpan records the terminal "rank" stage: the evaluation layers
+// already return sorted answers, so the stage marks the merge point and
+// the result count, and is recorded with zero duration and no clock read.
 func rankSpan(sp *obs.Span, results int) {
-	rsp := sp.Child("rank")
-	rsp.SetAttr("results", results)
-	rsp.End()
+	sp.Record("rank", 0, obs.Attr{Key: "results", Value: results})
 }
 
 // keywordGroups maps terms to data-graph node groups; ok is false when a

@@ -106,7 +106,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	var root *obs.Span
 	if req.Trace || sampled {
 		root = obs.StartSpan("query")
-		root.SetAttr("semantics", req.Semantics.String())
+		root.SetAttr("semantics", req.Semantics) // renders through String; a small int boxes free
 	}
 
 	if err := resilience.Inject(ctx, resilience.StageAdmit); err != nil {
@@ -134,9 +134,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 
 	csp := root.Child("clean")
 	terms := e.Terms(req.Query, req.Clean)
-	csp.SetAttr("terms", len(terms))
-	csp.SetAttr("cleaned", req.Clean)
-	csp.End()
+	csp.End(obs.Attr{Key: "terms", Value: len(terms)}, obs.Attr{Key: "cleaned", Value: req.Clean})
 	root.SetAttr("keywords", len(terms))
 	if len(terms) == 0 {
 		root.End()
@@ -201,16 +199,17 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	st.Results = len(results)
 	st.Partial = partial
 	st.Elapsed = time.Since(start)
-	root.SetAttr("results", len(results))
 	if partial {
-		root.SetAttr("ctx_done", true)
-		root.SetAttr("partial", true)
+		root.End(obs.Attr{Key: "results", Value: len(results)},
+			obs.Attr{Key: "ctx_done", Value: true}, obs.Attr{Key: "partial", Value: true})
+	} else {
+		root.End(obs.Attr{Key: "results", Value: len(results)})
 	}
-	root.End()
 	if partial && e.Metrics != nil {
 		e.Metrics.Counter("query.partial").Inc()
 	}
-	if outcome, ok := e.slowlog.Classify(st.Elapsed, false, partial); ok {
+	outcome, captured := e.slowlog.Classify(st.Elapsed, false, partial)
+	if captured {
 		e.capture(ctx, req, root, &st, outcome, "", st.Elapsed)
 	}
 	if lg := obs.FromContext(ctx); lg.Enabled(ctx, obs.LevelDebug) {
@@ -227,6 +226,8 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	var trace *Trace
 	if req.Trace {
 		trace = root
+	} else if !captured {
+		root.Release() // sampled, not retained: nothing refers to it now
 	}
 	return &Response{Results: results, Partial: partial, Stats: st, Trace: trace}, nil
 }

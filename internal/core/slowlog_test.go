@@ -214,3 +214,59 @@ func TestPlanSignatureOnExecutorPath(t *testing.T) {
 		t.Errorf("PlanKey mismatch: %+v", resp.Stats.Exec)
 	}
 }
+
+// TestRetainedTracesOutliveReleasedTrees checks which sampled trees
+// Query hands back for reuse: only those neither returned nor captured.
+// A returned trace and the exemplars of an errored and a
+// deadline-partial query are kept; then many healthy sampled queries
+// (each tree released, so later ones reuse the storage) run on the
+// pool, and every kept tree must still render as it did.
+func TestRetainedTracesOutliveReleasedTrees(t *testing.T) {
+	e := NewRelational(dataset.DBLP(dataset.DefaultDBLPConfig()))
+	sl := obs.NewSlowLog(8, time.Hour) // only errors are captured
+	e.SetSlowLog(sl)
+	ctx := context.Background()
+
+	resp, err := e.Query(ctx, Request{Query: "keyword search", Workers: 2, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, tracedText := resp.Trace, resp.Trace.String()
+	if _, err := e.Query(ctx, Request{Query: "keyword search", MaxCNSize: MaxCNSizeLimit + 1}); !errors.Is(err, ErrBadQuery) {
+		t.Fatalf("oversized query: err %v, want ErrBadQuery", err)
+	}
+	// ≈15 ms of joins at ×1, so a 1 ms deadline leaves a partial answer.
+	resp, err = e.Query(ctx, Request{Query: "keyword search www", TopK: 10000, MaxCNSize: 6, Workers: 2, Deadline: time.Millisecond})
+	if err != nil || !resp.Partial {
+		t.Fatalf("deadline query: partial %v, err %v; want a partial answer", resp != nil && resp.Partial, err)
+	}
+	if sl.Len() != 2 {
+		t.Fatalf("slowlog holds %d entries, want the errored and the partial query's", sl.Len())
+	}
+	kept := []*Trace{traced}
+	texts := []string{tracedText}
+	for _, en := range sl.Entries() {
+		kept, texts = append(kept, en.Trace), append(texts, en.Trace.String())
+	}
+
+	for i, le := range dataset.QueryLog(e.DB, 40, 1) {
+		resp, err := e.Query(ctx, Request{Query: strings.Join(le.Terms, " "), Workers: 1 + i%3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Trace != nil {
+			t.Fatal("sampling leaked the trace into Response.Trace without Request.Trace")
+		}
+	}
+	if sl.Len() != 2 {
+		t.Fatalf("healthy queries were captured: slowlog holds %d entries", sl.Len())
+	}
+	for i, tr := range kept {
+		if got := tr.String(); got != texts[i] {
+			t.Errorf("kept trace %d changed after later queries:\n%s\nwant:\n%s", i, got, texts[i])
+		}
+		if err := tr.WellFormed(time.Second); err != nil {
+			t.Error(err)
+		}
+	}
+}

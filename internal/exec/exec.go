@@ -275,7 +275,6 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 	st.Workers = min(q.Workers, len(jobs))
 
 	vsp := sp.Child("evaluate")
-	vsp.SetAttr("workers", st.Workers)
 	top, perWorker, err := x.runPool(ctx, binding, jobs, st.Workers, q.K, vsp)
 	for _, ws := range perWorker {
 		st.JobsPerWorker = append(st.JobsPerWorker, ws.Claimed)
@@ -286,18 +285,16 @@ func (x *Executor) TopK(ctx context.Context, q Query) ([]cn.Result, Stats, error
 		st.WorkerIdle = append(st.WorkerIdle, ws.Idle())
 	}
 	st.Skipped = st.Jobs - st.Evaluated
-	vsp.SetAttr("evaluated", st.Evaluated)
-	vsp.SetAttr("skipped", st.Skipped)
 	x.evaluated.Add(uint64(st.Evaluated))
 	x.skipped.Add(uint64(st.Skipped))
+	attrs := []obs.Attr{{Key: "workers", Value: st.Workers},
+		{Key: "evaluated", Value: st.Evaluated}, {Key: "skipped", Value: st.Skipped}}
 	if err != nil {
 		st.Partial = true
-		vsp.SetAttr("partial", true)
-		vsp.SetAttr("certified", len(top))
-		vsp.End()
+		vsp.End(append(attrs, obs.Attr{Key: "partial", Value: true}, obs.Attr{Key: "certified", Value: len(top)})...)
 		return top, st, err // certified prefix; never cached
 	}
-	vsp.End()
+	vsp.End(attrs...)
 
 	x.results.Put(key, copyResults(top))
 	return top, st, nil
@@ -326,11 +323,9 @@ func (x *Executor) Plan(ctx context.Context, terms []string, maxCN int, sp *obs.
 	bsp := sp.Child("bind")
 	b := x.binder.BindTraced(terms, bsp)
 	kwTables := b.KeywordTables()
-	bsp.SetAttr("keyword_tables", len(kwTables))
-	bsp.End()
+	bsp.End(obs.Attr{Key: "keyword_tables", Value: len(kwTables)})
 
 	esp := sp.Child("enumerate")
-	defer esp.End()
 	ps, hit, err := x.plans.Get(ctx, x.sg, cn.EnumerateOptions{
 		MaxSize:       maxCN,
 		KeywordTables: kwTables,
@@ -338,11 +333,10 @@ func (x *Executor) Plan(ctx context.Context, terms []string, maxCN int, sp *obs.
 		Terms:         len(b.Terms()),
 	})
 	if err != nil {
-		esp.SetAttr("cancelled", true)
+		esp.End(obs.Attr{Key: "cancelled", Value: true})
 		return nil, nil, false, err
 	}
-	esp.SetAttr("cns", ps.Len())
-	esp.SetAttr("plan_cached", hit)
+	esp.End(obs.Attr{Key: "cns", Value: ps.Len()}, obs.Attr{Key: "plan_cached", Value: hit})
 	return b, ps, hit, nil
 }
 

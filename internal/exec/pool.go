@@ -210,7 +210,7 @@ func (x *Executor) runPool(parent context.Context, b *cn.Binding, jobs []job, wo
 		// One span per goroutine, recorded from its stats once the pool
 		// is done, so the workers touch no span.
 		for g, st := range stats {
-			sp.Record("worker-"+strconv.Itoa(g), st.Wall,
+			sp.Record(workerSpanName(g), st.Wall,
 				obs.Attr{Key: "jobs", Value: st.Claimed},
 				obs.Attr{Key: "evaluated", Value: st.Evaluated},
 				obs.Attr{Key: "skipped", Value: st.Claimed - st.Evaluated},
@@ -244,4 +244,20 @@ func evalJob(ctx context.Context, b *cn.Binding, j job, top *cn.Top, st *runStat
 	st.Work.JoinRows += w.JoinRows
 	st.Work.RowsFinished += w.RowsFinished
 	return true
+}
+
+// workerSpanNames spares a traced pool one string allocation per
+// goroutine: the overhead gate prices every sampled query's tree.
+var workerSpanNames = func() (names [16]string) {
+	for g := range names {
+		names[g] = "worker-" + strconv.Itoa(g)
+	}
+	return names
+}()
+
+func workerSpanName(g int) string {
+	if g < len(workerSpanNames) {
+		return workerSpanNames[g]
+	}
+	return "worker-" + strconv.Itoa(g)
 }

@@ -34,14 +34,32 @@ type Attr struct {
 type Span struct {
 	name  string
 	start time.Duration // since epoch
+	dur   time.Duration
+	ended bool
+	tree  *tree
 
-	mu       sync.Mutex
-	dur      time.Duration
-	ended    bool
-	attrs    []Attr
-	children []*Span
-	attrBuf  [6]Attr // backs attrs while they fit: one allocation a span
+	attrs []Attr
+	// Children in creation order, as a list: adopting one allocates
+	// nothing.
+	first, last, next *Span
+	attrBuf           [5]Attr // backs attrs while they fit (a worker span's five)
 }
+
+// treeSpans spans are stored inline in a tree: a CN query's root, its
+// five stages and up to eight worker spans. Later spans are allocated
+// one by one.
+const treeSpans = 14
+
+// tree is what every span under one root shares: one lock and the
+// spans' storage, spans[0] being the root. A released tree goes back
+// to trees, so a sampled query that is not retained allocates no span.
+type tree struct {
+	mu    sync.Mutex
+	n     int // spans handed out from spans
+	spans [treeSpans]Span
+}
+
+var trees = sync.Pool{New: func() any { return new(tree) }}
 
 // epoch anchors span clocks: a span reads only the monotonic clock,
 // which costs about half of a time.Now.
@@ -49,9 +67,48 @@ var epoch = time.Now()
 
 // StartSpan begins a root span.
 func StartSpan(name string) *Span {
-	s := &Span{name: name, start: time.Since(epoch)}
+	t := trees.Get().(*tree)
+	t.n = 1
+	s := &t.spans[0]
+	s.name, s.start, s.tree = name, time.Since(epoch), t
 	s.attrs = s.attrBuf[:0]
 	return s
+}
+
+// Release hands the tree rooted at s back for reuse by a later
+// StartSpan. Call it once on a root span when nothing will read or
+// write any span of its tree again, or not at all: an unreleased tree
+// is simply garbage collected. On a nil or non-root span, or a root
+// just released, it does nothing.
+func (s *Span) Release() {
+	if s == nil || s.tree == nil || s != &s.tree.spans[0] {
+		return
+	}
+	t := s.tree
+	clear(t.spans[:t.n]) // drops what the attributes referred to
+	trees.Put(t)
+}
+
+// newChild hands out the tree's next span and appends it to s's
+// children. The caller holds the tree lock.
+func (s *Span) newChild(name string) *Span {
+	t := s.tree
+	var c *Span
+	if t.n < treeSpans {
+		c = &t.spans[t.n]
+		t.n++
+	} else {
+		c = new(Span)
+	}
+	c.name, c.tree = name, t
+	c.attrs = c.attrBuf[:0]
+	if s.last == nil {
+		s.first = c
+	} else {
+		s.last.next = c
+	}
+	s.last = c
+	return c
 }
 
 // Child begins a child span under s. On a nil span it returns nil, so
@@ -60,8 +117,11 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := StartSpan(name)
-	s.adopt(c)
+	start := time.Since(epoch)
+	s.tree.mu.Lock()
+	c := s.newChild(name)
+	c.start = start
+	s.tree.mu.Unlock()
 	return c
 }
 
@@ -72,32 +132,29 @@ func (s *Span) Record(name string, d time.Duration, attrs ...Attr) {
 	if s == nil {
 		return
 	}
-	c := &Span{name: name, dur: d, ended: true}
-	c.attrs = append(c.attrBuf[:0], attrs...)
-	s.adopt(c)
+	s.tree.mu.Lock()
+	c := s.newChild(name)
+	c.dur, c.ended = d, true
+	c.attrs = append(c.attrs, attrs...)
+	s.tree.mu.Unlock()
 }
 
-func (s *Span) adopt(c *Span) {
-	s.mu.Lock()
-	if s.children == nil {
-		s.children = make([]*Span, 0, 8) // the query span's stages fit
-	}
-	s.children = append(s.children, c)
-	s.mu.Unlock()
-}
-
-// End stops the span's clock. End is idempotent: only the first call
-// records the duration.
-func (s *Span) End() {
+// End sets attrs as SetAttr would and stops the span's clock, under one
+// lock. Only the first call records the duration.
+func (s *Span) End(attrs ...Attr) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
+	now := time.Since(epoch)
+	s.tree.mu.Lock()
+	for _, a := range attrs {
+		s.setAttr(a.Key, a.Value)
+	}
 	if !s.ended {
 		s.ended = true
-		s.dur = time.Since(epoch) - s.start
+		s.dur = now - s.start
 	}
-	s.mu.Unlock()
+	s.tree.mu.Unlock()
 }
 
 // SetAttr sets an attribute, overwriting an earlier value for the same
@@ -106,8 +163,12 @@ func (s *Span) SetAttr(key string, value interface{}) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.tree.mu.Lock()
+	s.setAttr(key, value)
+	s.tree.mu.Unlock()
+}
+
+func (s *Span) setAttr(key string, value interface{}) {
 	for i := range s.attrs {
 		if s.attrs[i].Key == key {
 			s.attrs[i].Value = value
@@ -131,8 +192,8 @@ func (s *Span) Duration() time.Duration {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.tree.mu.Lock()
+	defer s.tree.mu.Unlock()
 	return s.dur
 }
 
@@ -141,8 +202,8 @@ func (s *Span) Ended() bool {
 	if s == nil {
 		return false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.tree.mu.Lock()
+	defer s.tree.mu.Unlock()
 	return s.ended
 }
 
@@ -151,8 +212,8 @@ func (s *Span) Attrs() []Attr {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.tree.mu.Lock()
+	defer s.tree.mu.Unlock()
 	return append([]Attr(nil), s.attrs...)
 }
 
@@ -161,9 +222,13 @@ func (s *Span) Children() []*Span {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Span(nil), s.children...)
+	s.tree.mu.Lock()
+	defer s.tree.mu.Unlock()
+	var kids []*Span
+	for c := s.first; c != nil; c = c.next {
+		kids = append(kids, c)
+	}
+	return kids
 }
 
 // Walk visits s and every descendant pre-order, passing the depth

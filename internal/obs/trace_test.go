@@ -89,6 +89,79 @@ func TestSpanRecord(t *testing.T) {
 	}
 }
 
+// TestSpanEndSetsAttrs checks End's attributes: they are set as
+// SetAttr sets them (an existing key keeps its place), and a second End
+// sets its attributes without moving the recorded duration.
+func TestSpanEndSetsAttrs(t *testing.T) {
+	sp := StartSpan("x")
+	sp.SetAttr("a", 1)
+	sp.End(Attr{"b", 2}, Attr{"a", 3})
+	d := sp.Duration()
+	time.Sleep(time.Millisecond)
+	sp.End(Attr{"c", 4})
+	if sp.Duration() != d {
+		t.Fatal("second End must not change the duration")
+	}
+	want := []Attr{{"a", 3}, {"b", 2}, {"c", 4}}
+	if got := sp.Attrs(); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("attrs = %+v, want %+v", got, want)
+	}
+}
+
+// TestSpanReleaseReuse releases trees of every size, past the inline
+// spans too, and checks that the next root starts empty: no child, no
+// attribute and no duration of the released tree shows through, while
+// a tree that was not released keeps its shape. Release on nil, on a
+// child and twice on one root does nothing.
+func TestSpanReleaseReuse(t *testing.T) {
+	build := func(children int) *Span {
+		root := StartSpan("query")
+		root.SetAttr("keywords", 2)
+		for i := 0; i < children; i++ {
+			c := root.Child("stage")
+			c.Record("worker-0", time.Millisecond, Attr{"jobs", i}, Attr{"a", 1}, Attr{"b", 2},
+				Attr{"c", 3}, Attr{"d", 4}, Attr{"e", 5}) // one past the inline attributes
+			c.End(Attr{"i", i})
+		}
+		root.End(Attr{"results", children})
+		return root
+	}
+	kept := build(3)
+	keptShape := kept.Shape()
+	var nilSpan *Span
+	nilSpan.Release()
+	for _, n := range []int{0, 1, 6, treeSpans, 3 * treeSpans} {
+		root := build(n)
+		if n > 0 {
+			root.Children()[0].Release() // a child: no effect
+		}
+		if got := len(root.Children()); got != n {
+			t.Fatalf("%d children: tree holds %d", n, got)
+		}
+		root.Release()
+		root.Release()
+
+		fresh := StartSpan("fresh")
+		if kids, attrs := fresh.Children(), fresh.Attrs(); len(kids) != 0 || len(attrs) != 0 || fresh.Ended() {
+			t.Fatalf("after releasing %d children: fresh root has %d children, attrs %+v, ended %v",
+				n, len(kids), attrs, fresh.Ended())
+		}
+		c := fresh.Child("clean")
+		c.End()
+		fresh.End()
+		if got, want := fresh.Shape(), "fresh\n  clean\n"; got != want {
+			t.Fatalf("after releasing %d children: shape %q, want %q", n, got, want)
+		}
+		if err := fresh.WellFormed(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		fresh.Release()
+	}
+	if kept.Shape() != keptShape {
+		t.Fatalf("an unreleased tree changed:\n%s\nwant:\n%s", kept.Shape(), keptShape)
+	}
+}
+
 // TestSpanTreeConcurrent grows one span tree from many goroutines —
 // the shape the exec worker pool and stream.Pipeline produce — and
 // checks well-formedness: no lost children, every span ended, children

@@ -54,8 +54,8 @@ func TestServedHitAllocs(t *testing.T) {
 	}
 	serve() // warm the result cache
 	allocs := testing.AllocsPerRun(200, serve)
-	if allocs > 83 {
-		t.Errorf("served result-cache hit allocates %.0f times, want <= 83", allocs)
+	if allocs > 74 { // reads 64, and 69–70 under -race
+		t.Errorf("served result-cache hit allocates %.0f times, want <= 74", allocs)
 	}
 	t.Logf("served result-cache hit: %.0f allocs", allocs)
 }

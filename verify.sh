@@ -39,6 +39,11 @@ go test -race $short ./internal/cn/... ./internal/invindex/... \
     ./internal/resilience/... ./internal/core/... ./internal/server/... \
     ./internal/plan/... ./internal/shard/...
 
+# The gate runs before the fuzz smokes: their leftover load inflates
+# its baseline.
+echo "==> observability overhead gate (E38 budget: 5%)"
+go run ./cmd/benchrunner -obs-overhead
+
 echo "==> fuzz smoke (10s): pool == TopKSerial on generated corpora"
 go test -run '^$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
 
@@ -59,9 +64,6 @@ go test -run '^$' -fuzz FuzzServeQuery -fuzztime 5s ./internal/server/
 
 echo "==> fuzz smoke (5s): histogram bucket row and snapshot differences == a brute-force tally"
 go test -run '^$' -fuzz '^FuzzHistogram$' -fuzztime 5s ./internal/obs/
-
-echo "==> observability overhead gate (E38 budget: 5%)"
-go run ./cmd/benchrunner -obs-overhead
 
 echo "==> kwslint ./..."
 go run ./cmd/kwslint ./...
