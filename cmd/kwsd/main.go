@@ -54,7 +54,7 @@ func run() int {
 	data := flag.String("data", "dblp", "dataset: dblp | widom | seltzer | products | events | auctions | conf | bib")
 	admit := flag.Int("admit", 8, "admission-control concurrency limit (0 = off)")
 	admitQueue := flag.Int("admit-queue", 16, "bounded admission queue depth used with -admit")
-	workers := flag.Int("workers", 1, "default worker-pool size for queries that don't set one")
+	workers := flag.Int("workers", 1, "default cn worker-pool size for queries that don't set one")
 	deadline := flag.Duration("deadline", 0, "default per-query time budget for queries that don't set one (0 = none)")
 	maxDeadline := flag.Duration("max-deadline", time.Minute, "ceiling clamped onto any requested per-query deadline (0 = no ceiling)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-drain budget after SIGTERM/SIGINT")

@@ -9,17 +9,14 @@
 //	kwsearch -data dblp -workers 4 -trace keyword search
 //	kwsearch -data dblp -deadline 50ms keyword search
 //	kwsearch -data dblp -json keyword search | jq .stats
-//	kwsearch -data dblp -n 16 -admit 1 keyword search
 //
-// -n runs the query that many times concurrently against the shared
-// engine; combined with -admit it demonstrates load shedding from the
-// command line (the summary goes to stderr). -stats prints the metrics
-// registry; kwsearch opens no port (kwsd serves the registry over HTTP).
+// kwsearch answers one query per process. -stats prints the metrics
+// registry; kwsearch opens no port (kwsd serves the registry over HTTP,
+// and its /batch and /debug/slowlog endpoints show load shedding and
+// tail sampling).
 //
 // Exit codes: 0 success (including partial results on deadline), 2 usage
-// error, 3 bad query, 4 shed by admission control, 5 deadline expired
-// before any evaluation could run, 1 any other failure. With -n > 1 the
-// exit code is the most severe outcome across runs.
+// error, 3 bad query, 1 any other failure.
 package main
 
 import (
@@ -30,8 +27,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
-	"time"
 
 	"kwsearch/internal/core"
 	"kwsearch/internal/dataset"
@@ -45,17 +40,12 @@ func main() {
 	k := flag.Int("k", 10, "number of results")
 	doClean := flag.Bool("clean", false, "run noisy-channel query cleaning first")
 	snip := flag.Bool("snippets", false, "print snippets for XML results")
-	workers := flag.Int("workers", 1, "worker-pool size for cn/slca evaluation (answers are identical at every size)")
+	workers := flag.Int("workers", 1, "worker-pool size for cn evaluation (answers are identical at every size)")
 	deadline := flag.Duration("deadline", 0, "per-query time budget (0 = none); an expiring deadline returns the partial answer certified so far")
-	admit := flag.Int("admit", 0, "admission-control concurrency limit (0 = off; with -n it sheds the burst's excess)")
-	admitQueue := flag.Int("admit-queue", 0, "bounded admission queue depth used with -admit")
-	concurrent := flag.Int("n", 1, "run the query this many times concurrently (with -admit this demonstrates load shedding)")
 	stats := flag.Bool("stats", false, "print the engine's metrics-registry snapshot after the search")
 	trace := flag.Bool("trace", false, "print the query's span tree (pipeline stages with timings and attributes)")
 	jsonOut := flag.Bool("json", false, "emit results, stats and trace as one JSON object")
 	logLevel := flag.String("log-level", "warn", "structured-log level for engine lines on stderr: debug | info | warn | error | off")
-	slowlogMS := flag.Int("slowlog-ms", 100, "slow-query capture threshold in ms (0 disables the duration trigger)")
-	slowlogCap := flag.Int("slowlog-cap", 0, "slow-query exemplar ring capacity (0 = tail sampling off); captured exemplars are summarized on stderr")
 	flag.Parse()
 	query := strings.Join(flag.Args(), " ")
 	if query == "" {
@@ -78,18 +68,10 @@ func main() {
 	if *doClean && !*jsonOut && engine.Cleaner != nil {
 		fmt.Printf("cleaned query: %s\n", engine.Cleaner.Clean(query))
 	}
-	if *admit > 0 {
-		engine.Admit(*admit, *admitQueue)
-	}
 	logger, err := obs.ParseLogger(os.Stderr, *logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	var slowlog *obs.SlowLog
-	if *slowlogCap > 0 {
-		slowlog = obs.NewSlowLog(*slowlogCap, time.Duration(*slowlogMS)*time.Millisecond)
-		engine.SetSlowLog(slowlog)
 	}
 	ctx := obs.WithLogger(context.Background(), logger)
 	req := core.Request{
@@ -97,17 +79,11 @@ func main() {
 		Workers: *workers, Deadline: *deadline,
 		Trace: *trace || *jsonOut,
 	}
-	resp, err := runQueries(ctx, engine, req, *concurrent)
-	printSlowLog(slowlog)
+	resp, err := engine.Query(ctx, req)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		switch {
-		case errors.Is(err, core.ErrBadQuery):
+		if errors.Is(err, core.ErrBadQuery) {
 			os.Exit(3)
-		case errors.Is(err, core.ErrOverloaded):
-			os.Exit(4)
-		case errors.Is(err, core.ErrDeadlineExceeded):
-			os.Exit(5)
 		}
 		os.Exit(1)
 	}
@@ -116,84 +92,6 @@ func main() {
 		emitJSON(query, resp)
 	} else {
 		printText(engine.Registry(), resp, *snip, *trace, *stats)
-	}
-}
-
-// runQueries executes req n times concurrently against the shared
-// engine (n == 1 is the plain single-query path) and returns the first
-// complete response. With an admission gate installed and n beyond its
-// capacity, some runs shed — the returned error is the most severe
-// failure across runs (bad query, then shed, then queued deadline), so
-// the exit code reflects what the burst hit even when one run won.
-func runQueries(ctx context.Context, engine core.Searcher, req core.Request, n int) (*core.Response, error) {
-	if n <= 1 {
-		return engine.Query(ctx, req)
-	}
-	responses := make([]*core.Response, n)
-	errs := make([]error, n)
-	startGun := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			//lint:ignore ctxdrop start-gun barrier: closed unconditionally right after the spawn loop, never blocks past it
-			<-startGun
-			responses[i], errs[i] = engine.Query(ctx, req)
-		}(i)
-	}
-	close(startGun)
-	wg.Wait()
-
-	var ok, shed, deadline, other int
-	var resp *core.Response
-	var worst error
-	rank := func(err error) int {
-		switch {
-		case errors.Is(err, core.ErrBadQuery):
-			return 3
-		case errors.Is(err, core.ErrOverloaded):
-			return 2
-		case errors.Is(err, core.ErrDeadlineExceeded):
-			return 1
-		}
-		return 0
-	}
-	for i := 0; i < n; i++ {
-		switch {
-		case errs[i] == nil:
-			ok++
-			if resp == nil {
-				resp = responses[i]
-			}
-		case errors.Is(errs[i], core.ErrOverloaded):
-			shed++
-		case errors.Is(errs[i], core.ErrDeadlineExceeded):
-			deadline++
-		default:
-			other++
-		}
-		if errs[i] != nil && (worst == nil || rank(errs[i]) > rank(worst)) {
-			worst = errs[i]
-		}
-	}
-	fmt.Fprintf(os.Stderr, "concurrent runs: n=%d ok=%d shed=%d deadline=%d other=%d\n", n, ok, shed, deadline, other)
-	if worst != nil {
-		return nil, worst
-	}
-	return resp, nil
-}
-
-// printSlowLog summarizes the tail-sampled exemplars on stderr, one line
-// per retained query (newest first). No-op without -slowlog-cap.
-func printSlowLog(sl *obs.SlowLog) {
-	if sl == nil || sl.Len() == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "slowlog: %d captured (cap %d, threshold %s)\n", sl.Captured(), sl.Cap(), sl.Threshold())
-	for _, en := range sl.Entries() {
-		fmt.Fprintf(os.Stderr, "slowlog: seq=%d outcome=%s duration=%s keywords_hash=%s plan=%s\n",
-			en.Seq, en.Outcome, en.Duration, en.KeywordsHash, en.PlanSignature)
 	}
 }
 

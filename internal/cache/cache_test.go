@@ -1,12 +1,9 @@
 package cache
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func TestGetPutBasics(t *testing.T) {
-	c := New[int](8, 1)
+	c := New[int](8)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -26,7 +23,7 @@ func TestGetPutBasics(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New[int](2, 1) // one shard, capacity 2
+	c := New[int](2)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Get("a")    // a is now most recent
@@ -45,28 +42,27 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCapacitySpreadAcrossShards(t *testing.T) {
-	c := New[int](64, 8)
-	if len(c.shards) != 8 {
-		t.Fatalf("shards = %d", len(c.shards))
+// TestExactLRUCapacity pins that capacity is exact and eviction drops
+// the least recently used entry of the whole cache.
+func TestExactLRUCapacity(t *testing.T) {
+	c := New[int](4)
+	for i, k := range []string{"a", "b", "c", "d"} {
+		c.Put(k, i)
 	}
-	for i := 0; i < 200; i++ {
-		c.Put(fmt.Sprintf("key-%d", i), i)
+	c.Get("a")
+	c.Put("e", 4)
+	for _, k := range []string{"a", "c", "d", "e"} {
+		if _, ok := c.Get(k); !ok {
+			t.Errorf("%s evicted, want it kept", k)
+		}
 	}
-	if n := c.Stats().Entries; n > 64 {
-		t.Fatalf("cache holds %d entries, capacity 64", n)
+	if _, ok := c.Get("b"); ok {
+		t.Error("b kept, want it evicted as the least recently used")
 	}
-	if st := c.Stats(); st.Evictions == 0 {
-		t.Fatal("expected evictions under capacity pressure")
+	if st := c.Stats(); st.Entries != 4 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 4 entries and 1 eviction", st)
 	}
-}
-
-func TestShardCountRounding(t *testing.T) {
-	c := New[int](10, 3) // rounds shards to 4
-	if len(c.shards) != 4 {
-		t.Fatalf("shards = %d, want 4", len(c.shards))
-	}
-	c = New[int](0, 0) // degenerate inputs still give a usable cache
+	c = New[int](0) // a degenerate capacity still gives a usable cache
 	c.Put("x", 1)
 	if v, ok := c.Get("x"); !ok || v != 1 {
 		t.Fatalf("degenerate cache unusable: %v,%v", v, ok)

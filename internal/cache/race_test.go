@@ -7,16 +7,16 @@ import (
 )
 
 // TestConcurrentGetPutEvict hammers one cache from many goroutines with
-// overlapping key ranges so Get, Put, LRU eviction and cross-shard access
-// all interleave. Run with -race; the assertions check the counters stay
+// overlapping key ranges so Get, Put and LRU eviction all
+// interleave. Run with -race; the assertions check the counters stay
 // coherent (every lookup is either a hit or a miss) and no entry count
 // ever exceeds capacity.
 func TestConcurrentGetPutEvict(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; skipped in -short")
 	}
-	const capacity, shards = 128, 8
-	c := New[int](capacity, shards)
+	const capacity = 128
+	c := New[int](capacity)
 
 	const goroutines = 8
 	const ops = 5000
@@ -68,8 +68,8 @@ func TestConcurrentCounterConsistency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; skipped in -short")
 	}
-	const capacity, shards, keys = 256, 8, 128 // no capacity pressure
-	c := New[int](capacity, shards)
+	const capacity, keys = 256, 128 // no capacity pressure
+	c := New[int](capacity)
 
 	const workers = 6
 	const ops = 4000

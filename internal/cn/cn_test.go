@@ -241,19 +241,6 @@ func TestEnumerateMinimalRule(t *testing.T) {
 	}
 }
 
-func TestEnumerateMaxCNs(t *testing.T) {
-	g := awpGraph(t)
-	cns := Enumerate(g, EnumerateOptions{
-		MaxSize:       7,
-		MaxCNs:        3,
-		KeywordTables: []string{"author", "paper"},
-		FreeTables:    []string{"write"},
-	})
-	if len(cns) != 3 {
-		t.Fatalf("cap not honored: %d", len(cns))
-	}
-}
-
 func widomBinding(t *testing.T) (*Binding, []*CN) {
 	t.Helper()
 	db := dataset.WidomBib()

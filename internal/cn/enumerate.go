@@ -12,9 +12,6 @@ import (
 type EnumerateOptions struct {
 	// MaxSize bounds the number of tuple sets per CN (Tmax).
 	MaxSize int
-	// MaxCNs caps how many CNs are produced (0 = unlimited); enumeration
-	// is breadth-first so the smallest CNs always survive the cap.
-	MaxCNs int
 	// KeywordTables lists the relations with a non-empty keyword tuple set
 	// R^Q for the current query; only these may appear as keyword nodes.
 	KeywordTables []string
@@ -70,18 +67,14 @@ func EnumerateCtx(ctx context.Context, g *schemagraph.Graph, opts EnumerateOptio
 		free[t] = true
 	}
 
-	// emit records a valid CN and reports whether enumeration continues.
-	// Deduplication is the frontier's job (canonicalization is the
-	// enumeration hot spot, so it runs exactly once per grown partial).
+	// emit records a valid CN. Deduplication is the frontier's job
+	// (canonicalization is the enumeration hot spot, so it runs exactly
+	// once per grown partial).
 	var results []*CN
-	emit := func(c *CN) bool {
+	emit := func(c *CN) {
 		if c.valid(opts.Terms) {
 			results = append(results, c)
-			if opts.MaxCNs > 0 && len(results) >= opts.MaxCNs {
-				return false
-			}
 		}
-		return true
 	}
 
 	// Frontier of partial CNs (not necessarily valid yet). Seed with the
@@ -101,9 +94,7 @@ func EnumerateCtx(ctx context.Context, g *schemagraph.Graph, opts EnumerateOptio
 			continue
 		}
 		frontierSeen[c.Canonical()] = true
-		if !emit(c) {
-			return results, nil
-		}
+		emit(c)
 		frontier = append(frontier, c)
 	}
 
@@ -128,9 +119,7 @@ func EnumerateCtx(ctx context.Context, g *schemagraph.Graph, opts EnumerateOptio
 					continue
 				}
 				frontierSeen[key] = true
-				if !emit(grown) {
-					return results, nil
-				}
+				emit(grown)
 				next = append(next, grown)
 			}
 		}

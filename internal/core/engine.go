@@ -448,27 +448,23 @@ func (e *Engine) searchXML(ctx context.Context, terms []string, req Request, sp 
 	if e.XIndex == nil {
 		return nil, badQuery(fmt.Sprintf("semantics %v requires an XML engine", req.Semantics))
 	}
-	// The serial LCA algorithms are not context-aware; honoring ctx at
-	// the stage boundary still stops an expired query before the scan.
+	// ELCAStack is not context-aware; honoring ctx at the stage boundary
+	// still stops an expired query before the scan.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	vsp := sp.Child("evaluate")
 	var nodes []*xmltree.Node
 	var err error
-	switch {
-	case req.Semantics == ELCA:
+	if req.Semantics == ELCA {
 		vsp.SetAttr("algorithm", "elca-stack")
 		nodes = lca.ELCAStack(e.XIndex, terms, vsp)
-	case req.Workers > 1:
-		// Workers arrives unvalidated from outside (POST /query
-		// "workers"), and SLCAParallel starts one goroutine per range up
-		// to the anchor count: more ranges than cores buy nothing.
-		vsp.SetAttr("algorithm", "slca-parallel")
-		nodes, err = lca.SLCAParallel(ctx, e.XIndex, terms, min(req.Workers, runtime.GOMAXPROCS(0)), vsp)
-	default:
+	} else {
+		// SLCA splits its anchors into one range per core (more buy
+		// nothing), scans short anchor lists as one range, and checks
+		// ctx as it scans.
 		vsp.SetAttr("algorithm", "slca-ile")
-		nodes = lca.SLCA(e.XIndex, terms, vsp)
+		nodes, err = lca.SLCAParallel(ctx, e.XIndex, terms, runtime.GOMAXPROCS(0), vsp)
 	}
 	vsp.End()
 	if err != nil {

@@ -2,11 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
 	"kwsearch/internal/dataset"
+	"kwsearch/internal/lca"
+	"kwsearch/internal/obs"
+	"kwsearch/internal/resilience"
 )
 
 // search runs a Request and returns just the results, the shape most of
@@ -138,39 +143,69 @@ func TestFreeTablesDefaultToLinkTables(t *testing.T) {
 	}
 }
 
-// TestServedSLCAFanOutCapped: Request.Workers arrives unvalidated from
-// outside (POST /query "workers"), and the range-split SLCA starts one
-// goroutine, with one span, per range up to the anchor count ("title
-// author" on the bibliography has hundreds of anchors). The served call
-// caps the ranges at GOMAXPROCS: a 1<<20-worker query has at most that
-// many children under evaluate and answers the same nodes as Workers 1.
+// TestServedSLCAFanOutCapped: the engine picks SLCA's range count from
+// GOMAXPROCS whatever Request.Workers says ("title author" on the
+// bibliography has hundreds of anchors, enough to split). At Workers 0,
+// 1, 2 and 1<<20 the answers are identical and equal to serial ILE's
+// node set, and evaluate carries at most GOMAXPROCS range spans.
 func TestServedSLCAFanOutCapped(t *testing.T) {
 	e := NewXML(dataset.BibXML(dataset.DefaultBibConfig()))
-	nodes := func(rs []Result) []string {
-		var out []string
-		for _, r := range rs {
-			out = append(out, r.Node.Dewey.String())
+	var want []string
+	for _, n := range lca.SLCA(e.XIndex, []string{"title", "author"}, nil) {
+		want = append(want, n.Dewey.String())
+	}
+	sort.Strings(want)
+	var first string
+	for _, workers := range []int{0, 1, 2, 1 << 20} {
+		req := Request{Query: "title author", Semantics: SLCA, TopK: 1 << 20, Workers: workers, Trace: true}
+		resp, err := e.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out
-	}
-	req := Request{Query: "title author", Semantics: SLCA, TopK: 1 << 20, Trace: true}
-	want := nodes(search(t, e, req))
-	req.Workers = 1 << 20
-	resp, err := e.Query(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := nodes(resp.Results); len(want) == 0 || strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("Workers 1<<20 answers %d nodes, Workers 1 %d (or they differ)", len(got), len(want))
-	}
-	for _, sp := range resp.Trace.Children() {
-		if sp.Name() != "evaluate" {
-			continue
+		var got []string
+		for _, r := range resp.Results {
+			got = append(got, r.Node.Dewey.String())
 		}
-		if n, max := len(sp.Children()), runtime.GOMAXPROCS(0); n > max {
-			t.Errorf("Workers 1<<20: %d spans under evaluate, want <= GOMAXPROCS (%d)", n, max)
+		ranked := strings.Join(got, " ")
+		if first == "" {
+			first = ranked
 		}
-		return
+		sort.Strings(got)
+		if len(want) == 0 || strings.Join(got, " ") != strings.Join(want, " ") || ranked != first {
+			t.Errorf("Workers %d: %d nodes differ from serial ILE's %d or from Workers 0's ranking", workers, len(got), len(want))
+		}
+		var evaluate *obs.Span
+		for _, sp := range resp.Trace.Children() {
+			if sp.Name() == "evaluate" {
+				evaluate = sp
+			}
+		}
+		if evaluate == nil {
+			t.Fatalf("Workers %d: trace has no evaluate span", workers)
+		}
+		if n, max := len(evaluate.Children()), runtime.GOMAXPROCS(0); n > max {
+			t.Errorf("Workers %d: %d spans under evaluate, want <= GOMAXPROCS (%d)", workers, n, max)
+		}
 	}
-	t.Fatal("trace has no evaluate span")
+}
+
+// TestServedSLCAInjectedRangeFault: an SLCA query at the default Workers
+// runs the range scan, so an armed StageSLCARange fault fails it with the
+// injected error, on a long anchor list and on a short one.
+func TestServedSLCAInjectedRangeFault(t *testing.T) {
+	boom := errors.New("injected range fault")
+	for _, tc := range []struct {
+		e     *Engine
+		query string
+	}{
+		{NewXML(dataset.BibXML(dataset.DefaultBibConfig())), "title author"},
+		{NewXML(dataset.ConfXML()), "keyword Mark"},
+	} {
+		in := resilience.NewInjector(1).Arm(resilience.StageSLCARange, resilience.Fault{Err: boom})
+		ctx := resilience.WithInjector(context.Background(), in)
+		resp, err := tc.e.Query(ctx, Request{Query: tc.query})
+		if !errors.Is(err, boom) || resp != nil {
+			t.Errorf("%q: err = %v, resp = %v; want the injected fault and no response", tc.query, err, resp)
+		}
+	}
 }

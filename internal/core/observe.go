@@ -49,8 +49,8 @@ type Stats struct {
 	PlanSignature string `json:"plan_signature,omitempty"`
 	// Merge is always zero: owner-hash slices feed the pool's one top-k,
 	// so no merge step exists. The field stays because the repo benchmark
-	// (bench/layers.go) reads it.
-	Merge time.Duration `json:"merge_ns,omitempty"`
+	// (bench/layers.go) reads it; the JSON form omits it.
+	Merge time.Duration `json:"-"`
 }
 
 // Response bundles a query's results with its observability artifacts.

@@ -61,12 +61,11 @@ type Request struct {
 	// all-or-nothing: an interrupted query of those semantics is an
 	// empty partial answer.
 	Deadline time.Duration
-	// Workers sets the worker-pool size for candidate-network and SLCA
-	// evaluation (0 means 1). CN searches always run on the
-	// internal/exec cached executor with that many workers; SLCA uses
-	// the range-split algorithm above 1, with at most GOMAXPROCS
-	// ranges, and indexed-lookup-eager otherwise. Answers are
-	// byte-identical at every value.
+	// Workers sets the worker-pool size for candidate-network
+	// evaluation (0 means 1): CN searches run on the internal/exec
+	// cached executor with that many workers. Answers are byte-identical
+	// at every value. Other semantics ignore it; SLCA picks its own
+	// range count from GOMAXPROCS and the anchor count.
 	Workers int
 	// Trace enables per-query span collection: Query returns the span
 	// tree in Response.Trace (kwsearch -trace prints it).

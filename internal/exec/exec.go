@@ -3,8 +3,7 @@
 // Sudarshan) and Mragyati (Sarda & Jain) argue a keyword-search engine
 // needs before it can serve real traffic. It combines
 //
-//   - a sharded LRU cache (internal/cache) of whole-query top-k result
-//     sets;
+//   - an LRU cache (internal/cache) of whole-query top-k result sets;
 //   - a worker pool over one queue of jobs — each candidate network cut
 //     into ranges of 1 024 node-0 tuples, in descending score-bound
 //     order — from which up to Query.Workers goroutines claim the next
@@ -40,12 +39,8 @@ import (
 	"kwsearch/internal/schemagraph"
 )
 
-// The executor's result cache holds resultCacheSize whole-query answers
-// over cacheShards lock stripes.
-const (
-	resultCacheSize = 256
-	cacheShards     = 16
-)
+// The executor's result cache holds resultCacheSize whole-query answers.
+const resultCacheSize = 256
 
 // Options configures an Executor.
 type Options struct {
@@ -106,49 +101,51 @@ type Stats struct {
 	// Workers is the number of pool goroutines launched: 0 when the
 	// pool never ran (result-cache hit, a term without postings, an
 	// empty plan).
-	Workers int
+	Workers int `json:"workers"`
 	// JobsPerWorker counts the CN jobs each pool goroutine claimed from
 	// the queue; jobs left on it when a dominated bound ended the queue
 	// or the run was interrupted were claimed by none.
-	JobsPerWorker []int
+	JobsPerWorker []int `json:"jobs_per_worker,omitempty"`
 	// CNs is the number of candidate networks enumerated.
-	CNs int
+	CNs int `json:"cns"`
 	// Jobs is the length of the queue: every CN cut into root ranges.
-	Jobs int
+	Jobs int `json:"jobs"`
 	// Evaluated and Skipped partition the CN jobs into those actually
 	// joined and those pruned by the shared top-k bound (or abandoned
 	// after cancellation): Evaluated + Skipped == Jobs.
-	Evaluated int
-	Skipped   int
+	Evaluated int `json:"evaluated"`
+	Skipped   int `json:"skipped"`
 	// JoinRows and RowsFinished sum the cn.Work of the jobs evaluated
 	// to the end.
-	JoinRows, RowsFinished int
+	JoinRows     int `json:"join_rows"`
+	RowsFinished int `json:"rows_finished"`
 	// PrefixReuses always reads 0: the pool searches each job
 	// depth-first and keeps no table of evaluated prefixes. The field
 	// stays because the repository benchmark (bench/) reads it.
-	PrefixReuses int
+	PrefixReuses int `json:"-"`
 	// ResultCacheHit reports that the whole answer came from the result
 	// cache and nothing below it ran.
-	ResultCacheHit bool
+	ResultCacheHit bool `json:"result_cache_hit"`
 	// PlanCacheHit reports that the candidate-network set came from the
 	// plan cache and enumeration was skipped entirely.
-	PlanCacheHit bool
+	PlanCacheHit bool `json:"plan_cache_hit"`
 	// PlanKey is the plan-cache key the query compiled under (schema
 	// fingerprint + membership signature + size bounds) — the join
 	// key between a query exemplar and plan-cache churn. Empty when the
-	// query never reached the enumerate stage.
-	PlanKey string
+	// query never reached the enumerate stage. The JSON form omits it:
+	// core.Stats carries the same key as plan_signature.
+	PlanKey string `json:"-"`
 	// Partial reports that the run was interrupted (deadline, cancellation
 	// or an injected fault) and the returned results are the certified
 	// prefix of the full top-k rather than the whole answer. Partial
 	// answers are never cached.
-	Partial bool
+	Partial bool `json:"partial,omitempty"`
 	// WorkerBusy is, per pool worker, the time spent inside CN evaluation;
 	// WorkerIdle is the rest of that worker's wall time in the pool
 	// (waiting on the shared top-k lock, bound checks, scheduling). Both
 	// are indexed like JobsPerWorker.
-	WorkerBusy []time.Duration
-	WorkerIdle []time.Duration
+	WorkerBusy []time.Duration `json:"worker_busy_ns,omitempty"`
+	WorkerIdle []time.Duration `json:"worker_idle_ns,omitempty"`
 }
 
 // Executor is a reusable, concurrency-safe execution layer over one
@@ -180,7 +177,7 @@ func New(db *relstore.DB, ix *invindex.Index, opts Options) *Executor {
 		sg:        schemagraph.FromDB(db),
 		opts:      opts,
 		jobRoots:  rootsPerJob,
-		results:   cache.New[[]cn.Result](resultCacheSize, cacheShards),
+		results:   cache.New[[]cn.Result](resultCacheSize),
 		evaluated: &obs.Counter{},
 		skipped:   &obs.Counter{},
 	}

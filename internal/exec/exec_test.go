@@ -44,7 +44,7 @@ func newTestExecutor() *Executor {
 // one).
 func fresh(x *Executor, plans *plan.Cache) *Executor {
 	y := *x
-	y.results = cache.New[[]cn.Result](resultCacheSize, cacheShards)
+	y.results = cache.New[[]cn.Result](resultCacheSize)
 	if plans == nil {
 		plans = plan.New(plan.Options{})
 	}

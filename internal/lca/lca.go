@@ -8,6 +8,7 @@
 package lca
 
 import (
+	"context"
 	"sort"
 
 	"kwsearch/internal/obs"
@@ -141,34 +142,14 @@ func anchorCandidate(v *xmltree.Node, lists [][]*xmltree.Node, skip int) xmltree
 
 // SLCA computes the smallest LCAs with the Indexed-Lookup-Eager strategy:
 // anchor on the shortest list, binary-search the others —
-// O(k·d·|Smin|·log|Smax|), the complexity slide 138 quotes. It records
-// its work onto sp (nil disables tracing): per-term posting-list sizes,
-// the anchor count (shortest list), and the candidate count before
-// minimalization.
+// O(k·d·|Smin|·log|Smax|), the complexity slide 138 quotes. It is
+// SLCAParallel on one range, so it records the same work onto sp (nil
+// disables tracing): per-term posting-list sizes, the anchor count
+// (shortest list), and the candidate count before minimalization.
 func SLCA(ix *xmltree.Index, terms []string, sp *obs.Span) []*xmltree.Node {
-	lists := lookupLists(ix, terms)
-	if lists == nil {
-		sp.SetAttr("anchors", 0)
-		return nil
-	}
-	recordListSizes(sp, lists)
-	min := 0
-	for i, l := range lists {
-		if len(l) < len(lists[min]) {
-			min = i
-		}
-	}
-	sp.SetAttr("anchors", len(lists[min]))
-	t := ix.Tree()
-	var cands []*xmltree.Node
-	for _, v := range lists[min] {
-		d := anchorCandidate(v, lists, min)
-		if n := t.ByDewey(d); n != nil {
-			cands = append(cands, n)
-		}
-	}
-	sp.SetAttr("candidates", len(cands))
-	return minimalize(cands)
+	// A context that never ends and carries no fault injector cannot fail.
+	nodes, _ := SLCAParallel(context.Background(), ix, terms, 1, sp)
+	return nodes
 }
 
 // recordListSizes annotates sp with the per-term posting-list sizes.

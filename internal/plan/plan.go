@@ -8,8 +8,8 @@
 // and both argue for compiling once and reusing.
 //
 // A compiled plan is keyed by (schema-graph fingerprint,
-// keyword→relation membership signature, MaxSize, MaxCNs, term count)
-// and stored in the sharded LRU of internal/cache: warm queries skip
+// keyword→relation membership signature, MaxSize, term count)
+// and stored in the LRU of internal/cache: warm queries skip
 // enumeration entirely, and since the fingerprint is part of the key a
 // changed schema can never be served another schema's plan. Cold
 // signatures are compiled by cn.EnumerateCtx.
@@ -28,11 +28,8 @@ import (
 	"kwsearch/internal/schemagraph"
 )
 
-// A plan cache holds cacheSize plans over cacheShards lock stripes.
-const (
-	cacheSize   = 128
-	cacheShards = 8
-)
+// A plan cache holds cacheSize plans.
+const cacheSize = 128
 
 // Options configures a plan cache. The zero value is a working
 // configuration.
@@ -78,7 +75,7 @@ type Cache struct {
 // New builds a plan cache.
 func New(opts Options) *Cache {
 	c := &Cache{
-		lru:    cache.New[*PlanSet](cacheSize, cacheShards),
+		lru:    cache.New[*PlanSet](cacheSize),
 		builds: &obs.Counter{},
 	}
 	if opts.Metrics != nil {
@@ -114,20 +111,16 @@ func normTables(g *schemagraph.Graph, tables []string) []string {
 // Key derives the cache key of an enumeration request: schema-graph
 // fingerprint, keyword→relation membership signature (the sorted
 // keyword and free table sets — enumeration never sees keyword values),
-// the MaxSize/MaxCNs bounds, normalized the way cn.EnumerateCtx
-// normalizes them, and the term count as min(m, MaxSize): from MaxSize
-// terms on, as at 0, the m-term rule prunes nothing (a CN of s nodes
-// needs at most s terms). The membership signature comes from the bind layer —
+// the MaxSize bound, normalized the way cn.EnumerateCtx normalizes it,
+// and the term count as min(m, MaxSize): from MaxSize terms on, as at 0,
+// the m-term rule prunes nothing (a CN of s nodes needs at most s
+// terms). The membership signature comes from the bind layer —
 // cn.Binding.KeywordTables() is the producer — so distinct queries
 // matching the same relations share one compiled plan.
 func Key(g *schemagraph.Graph, opts cn.EnumerateOptions) string {
 	maxSize := opts.MaxSize
 	if maxSize <= 0 {
 		maxSize = 5
-	}
-	maxCNs := opts.MaxCNs
-	if maxCNs < 0 {
-		maxCNs = 0
 	}
 	terms := min(opts.Terms, maxSize)
 	if terms <= 0 {
@@ -141,8 +134,6 @@ func Key(g *schemagraph.Graph, opts cn.EnumerateOptions) string {
 	b.WriteString(strings.Join(normTables(g, opts.FreeTables), ","))
 	b.WriteString("|ms=")
 	b.WriteString(strconv.Itoa(maxSize))
-	b.WriteString("|mc=")
-	b.WriteString(strconv.Itoa(maxCNs))
 	b.WriteString("|m=")
 	b.WriteString(strconv.Itoa(terms))
 	return b.String()

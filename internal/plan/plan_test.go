@@ -108,7 +108,6 @@ func TestKeyNormalization(t *testing.T) {
 		{MaxSize: 4, KeywordTables: []string{"author", "paper"}, FreeTables: []string{"write"}},
 		{MaxSize: 5, KeywordTables: []string{"author"}, FreeTables: []string{"write"}},
 		{MaxSize: 5, KeywordTables: []string{"author", "paper"}},
-		{MaxSize: 5, MaxCNs: 3, KeywordTables: []string{"author", "paper"}, FreeTables: []string{"write"}},
 		{MaxSize: 5, KeywordTables: []string{"author", "paper"}, FreeTables: []string{"write"}, Terms: 4},
 	}
 	for i, o := range diff {
@@ -245,9 +244,6 @@ func randomMembership(rng *rand.Rand, g *schemagraph.Graph) cn.EnumerateOptions 
 	}
 	if len(opts.KeywordTables) == 0 {
 		opts.KeywordTables = []string{tables[rng.Intn(len(tables))]}
-	}
-	if rng.Intn(4) == 0 {
-		opts.MaxCNs = 1 + rng.Intn(20)
 	}
 	if rng.Intn(2) == 0 {
 		opts.Terms = 1 + rng.Intn(opts.MaxSize)

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -139,6 +140,65 @@ func TestQueryMatchesInProcess(t *testing.T) {
 		if len(resp.Results) == 0 {
 			t.Fatalf("%+v: no results", q)
 		}
+	}
+}
+
+// TestStatsBlockKeys decodes a "stats": true response as raw JSON: the
+// engine block and its "exec" sub-block use snake_case keys only, carry
+// no always-zero or duplicated field, and the pool's job counts add up.
+func TestStatsBlockKeys(t *testing.T) {
+	_, ts := newTestServer(t, nil, Options{})
+	httpResp, err := http.Post(ts.URL+"/query", "application/json",
+		strings.NewReader(`{"query":"keyword search","workers":2,"stats":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	var resp struct {
+		Stats map[string]json.RawMessage `json:"stats"`
+	}
+	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	var ex map[string]json.RawMessage
+	if err := json.Unmarshal(resp.Stats["exec"], &ex); err != nil {
+		t.Fatalf("stats.exec: %v", err)
+	}
+	snake := regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+	for block, keys := range map[string]map[string]json.RawMessage{"stats": resp.Stats, "stats.exec": ex} {
+		for k := range keys {
+			if !snake.MatchString(k) {
+				t.Errorf("%s key %q is not snake_case", block, k)
+			}
+		}
+	}
+	for _, k := range []string{"semantics", "terms", "results", "elapsed_ns", "plan_signature", "exec"} {
+		if _, ok := resp.Stats[k]; !ok {
+			t.Errorf("stats lacks %q", k)
+		}
+	}
+	for _, k := range []string{"workers", "jobs_per_worker", "cns", "jobs", "evaluated", "skipped",
+		"join_rows", "rows_finished", "result_cache_hit", "plan_cache_hit", "worker_busy_ns", "worker_idle_ns"} {
+		if _, ok := ex[k]; !ok {
+			t.Errorf("stats.exec lacks %q", k)
+		}
+	}
+	for _, k := range []string{"merge_ns", "prefix_reuses", "plan_key"} {
+		if _, ok := resp.Stats[k]; ok {
+			t.Errorf("stats carries %q", k)
+		}
+		if _, ok := ex[k]; ok {
+			t.Errorf("stats.exec carries %q", k)
+		}
+	}
+	var jobs, evaluated, skipped int
+	for k, v := range map[string]*int{"jobs": &jobs, "evaluated": &evaluated, "skipped": &skipped} {
+		if err := json.Unmarshal(ex[k], v); err != nil {
+			t.Fatalf("stats.exec.%s: %v", k, err)
+		}
+	}
+	if jobs == 0 || evaluated+skipped != jobs {
+		t.Errorf("evaluated %d + skipped %d != jobs %d (or no jobs)", evaluated, skipped, jobs)
 	}
 }
 

@@ -30,7 +30,8 @@ type QueryRequest struct {
 	MaxCNSize int `json:"max_cn_size,omitempty"`
 	// Clean runs noisy-channel query cleaning before searching.
 	Clean bool `json:"clean,omitempty"`
-	// Workers sets the worker-pool size for cn/slca evaluation.
+	// Workers sets the worker-pool size for cn evaluation; other
+	// semantics ignore it.
 	Workers int `json:"workers,omitempty"`
 	// DeadlineMS is the per-request time budget in milliseconds (0 =
 	// server default). An expiring deadline yields a 200 response with

@@ -20,13 +20,14 @@ import (
 type Scorer struct {
 	b  *cn.Binding
 	ix *invindex.Index
-	// SizePenalty s: results are scaled by 1/(1 + s·(size-1)).
-	SizePenalty float64
 }
+
+// sizePenalty s: results are scaled by 1/(1 + s·(size-1)).
+const sizePenalty = 0.2
 
 // NewScorer wraps a query's CN binding with SPARK scoring.
 func NewScorer(b *cn.Binding, ix *invindex.Index) *Scorer {
-	return &Scorer{b: b, ix: ix, SizePenalty: 0.2}
+	return &Scorer{b: b, ix: ix}
 }
 
 // damp is SPARK's w(tf) = 1 + ln(1 + ln(tf)) for tf >= 1, else 0. It is
@@ -55,7 +56,7 @@ func (s *Scorer) ScoreA(tuples []*relstore.Tuple) float64 {
 
 // SizeNorm is the size-normalization factor score_c.
 func (s *Scorer) SizeNorm(size int) float64 {
-	return 1 / (1 + s.SizePenalty*float64(size-1))
+	return 1 / (1 + sizePenalty*float64(size-1))
 }
 
 // Score is the full result score: ScoreA · SizeNorm. (The completeness

@@ -24,6 +24,9 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> kwslint ./..."
+go run ./cmd/kwslint ./...
+
 echo "==> go build ./..."
 go build ./...
 
@@ -64,8 +67,5 @@ go test -run '^$' -fuzz FuzzServeQuery -fuzztime 5s ./internal/server/
 
 echo "==> fuzz smoke (5s): histogram bucket row and snapshot differences == a brute-force tally"
 go test -run '^$' -fuzz '^FuzzHistogram$' -fuzztime 5s ./internal/obs/
-
-echo "==> kwslint ./..."
-go run ./cmd/kwslint ./...
 
 echo "verify: OK"
