@@ -41,9 +41,9 @@ func runE15() error {
 		ix := xmltree.NewIndex(tr)
 		terms := []string{"k0", "k1"}
 		a := lca.ELCA(ix, terms)
-		b := lca.ELCAStack(ix, terms, nil)
+		b, _ := lca.ELCAStack(context.Background(), ix, terms, nil) // Background never ends: no error
 		tIndexed := timeIt(5, func() { lca.ELCA(ix, terms) })
-		tScan := timeIt(5, func() { lca.ELCAStack(ix, terms, nil) })
+		tScan := timeIt(5, func() { lca.ELCAStack(context.Background(), ix, terms, nil) })
 		fmt.Printf("   |Smin|=%-4d |Smax|=2000: indexed %-10v scan %-10v (results %d=%d)\n",
 			smin, tIndexed, tScan, len(a), len(b))
 		if len(a) != len(b) {

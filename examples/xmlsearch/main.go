@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"kwsearch/internal/cluster"
@@ -26,7 +27,8 @@ func main() {
 		fmt.Printf("  %s (%s)\n", n.LabelPath(), n.Dewey)
 	}
 	fmt.Println("ELCA results:")
-	for _, n := range lca.ELCAStack(ix, terms, nil) {
+	elcas, _ := lca.ELCAStack(context.Background(), ix, terms, nil) // Background never ends: no error
+	for _, n := range elcas {
 		fmt.Printf("  %s (%s)\n", n.LabelPath(), n.Dewey)
 	}
 

@@ -20,6 +20,16 @@ type termBinding struct {
 	rels []termRel
 }
 
+// ids returns the term's matching tuples of table, in ascending ID order.
+func (tb termBinding) ids(table string) []relstore.TupleID {
+	for _, r := range tb.rels {
+		if r.table == table {
+			return r.ids
+		}
+	}
+	return nil
+}
+
 // termRel is one relation's slice of a term binding. ids[i] weighs
 // weights[i]; both are immutable once built.
 type termRel struct {
@@ -56,7 +66,8 @@ type Binding struct {
 
 	kwSets    map[string][]*relstore.Tuple
 	maxScores map[string]float64
-	kwTables  []string // sorted names of tables with a non-empty R^Q
+	kwTables  []string      // sorted names of tables with a non-empty R^Q
+	postings  []termBinding // terms[i]'s binding, for anchor; nil in a scan binding
 	// joins is the binder's read-only join-index map, shared by every
 	// binding it makes.
 	joins map[JoinKey]*JoinIndex
@@ -127,8 +138,8 @@ func buildTermBinding(db *relstore.DB, ix *invindex.Index, term string) termBind
 // them preserves every bit.
 func bindTerms(bd *Binder, norm []string, sp *obs.Span) *Binding {
 	db := bd.db
-	b := &Binding{db: db, terms: norm, joins: bd.joins, kw: newTupleSet(db)}
 	tbs := make([]termBinding, len(norm))
+	b := &Binding{db: db, terms: norm, joins: bd.joins, kw: newTupleSet(db), postings: tbs}
 	perTable := make(map[string]int) // an upper bound on each R^Q set's size
 	for i, term := range norm {
 		tbs[i] = bd.terms[term]

@@ -194,7 +194,9 @@ func TestJoinIndexHandCases(t *testing.T) {
 // many reference no existing key. emp.boss references emp.id (a
 // self-reference), emp.dept a key and emp.floor a non-key column. Each
 // row's txt is the CorpusVocab word the first byte picks, so the
-// kernel fuzz has keywords to query.
+// kernel fuzz has keywords to query; a first byte of 144 or more adds
+// the next word, so two tuples can share one query term while each
+// holds another.
 func fkCorpus(data []byte) *relstore.DB {
 	db := relstore.NewDB()
 	db.MustCreateTable(&relstore.TableSchema{
@@ -225,7 +227,11 @@ func fkCorpus(data []byte) *relstore.DB {
 	}
 	var depts, emps int64
 	for ; len(data) >= 4; data = data[4:] {
-		txt := relstore.String(dataset.CorpusVocab[int(data[0]/3)%len(dataset.CorpusVocab)])
+		words := dataset.CorpusVocab[int(data[0]/3)%len(dataset.CorpusVocab)]
+		if data[0] >= 144 {
+			words += " " + dataset.CorpusVocab[int(data[0]/3+1)%len(dataset.CorpusVocab)]
+		}
+		txt := relstore.String(words)
 		if data[0]%3 == 0 {
 			depts++
 			db.MustInsert("dept", map[string]relstore.Value{"id": relstore.Int(depts), "floor": val(data[1]), "txt": txt})

@@ -11,10 +11,11 @@ import (
 // of a CN always form a connected sub-tree, and node 0 is always a
 // keyword node, because enumeration seeds every CN with one and grows it
 // by attaching (see EnumerateCtx). The served kernel is the depth-first
-// search of evaluate.go, which starts from node 0's tuple set — the
-// root set — so a root range is a unit of work; the level-wise
-// EvaluateLevels below follows the growth order instead and is kept as
-// the reference the depth-first search is checked against.
+// search of evaluate.go, which starts from its root set — node 0's
+// tuple set, or the anchor term's tuples at each keyword node — so a
+// root range is a unit of work; the level-wise EvaluateLevels below
+// follows the growth order from node 0 instead and is kept as the
+// reference the depth-first search is checked against.
 
 // pollEvery is how much join work (parent rows plus candidates scanned)
 // a row loop or a search does between two looks at its context: a few
@@ -22,8 +23,9 @@ import (
 // microseconds of work, and ctx.Err's lock is paid once per slice.
 const pollEvery = 4096
 
-// RootCount returns the size of c's root set: the tuple set of node 0.
-func (b *Binding) RootCount(c *CN) int { return len(b.rootSet(c)) }
+// RootCount returns the size of c's root set: R^Q of node 0, or the
+// anchor term's segments (see EvaluateRoots).
+func (b *Binding) RootCount(c *CN) int { _, n := b.anchor(c); return n }
 
 // EvaluateLevels is EvaluateCN by the other traversal: every
 // join-consistent binding of c's first n nodes, for n = 1, 2, … in

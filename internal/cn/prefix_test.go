@@ -95,11 +95,11 @@ func TestEvaluateLevelsMatchesEvaluateCN(t *testing.T) {
 }
 
 // completeRows counts the join-consistent bindings of all of c's nodes:
-// the rows the search takes to totality and minimality, survivors or
-// not.
+// the rows an unanchored search without its cuts would test for
+// totality and minimality, survivors or not.
 func completeRows(t *testing.T, ev *Binding, c *CN) int {
 	t.Helper()
-	ids := make([]relstore.TupleID, ev.RootCount(c))
+	ids := make([]relstore.TupleID, len(ev.rootSet(c)))
 	for i, tp := range ev.rootSet(c) {
 		ids[i] = tp.ID
 	}
@@ -220,32 +220,45 @@ func kernelCNs(g *schemagraph.Graph, kw []string) []*CN {
 
 var kernelCNsMemo = map[string][]*CN{}
 
-// FuzzKernelsAgree checks the two join kernels against each other on
+// FuzzKernelsAgree checks the join kernels against each other on
 // generated corpora with a self-referencing foreign key and hub joins:
-// for every enumerated CN of up to five nodes of a 1–2 term query
-// (five, because no shorter CN here can bind one tuple twice),
-// EvaluateLevels equals EvaluateCN after SortResults, and EvaluateRoots
-// over a fuzzed tiling of the root set equals EvaluateCN in order —
-// score bits, CN and tuple IDs.
+// for every enumerated CN of up to five nodes of a 1–3 term query
+// (five, because no shorter CN here can bind one tuple twice; three
+// terms plan CNs with an inner keyword node, and two or more anchor the
+// binder binding's search on a term's segments), EvaluateLevels equals
+// EvaluateCN after SortResults, so does EvaluateCN on the scan binding,
+// which never anchors, and EvaluateRoots over a fuzzed tiling of the
+// root set equals EvaluateCN in order — score bits, CN and tuple IDs.
 func FuzzKernelsAgree(f *testing.F) {
-	f.Add(hubRows(16, 1), uint8(0), uint8(5), []byte{0})       // "query search", one-root ranges
-	f.Add(hubRows(16, 5), uint8(2), uint8(9), []byte{2, 0, 5}) // "search join", ranges of 3, 1, 6
-	f.Add(hubRows(16, 7), uint8(1), uint8(0), []byte{})        // "keyword", one range
+	f.Add(hubRows(16, 1), uint8(0), uint8(5), uint8(0), []byte{0})        // "query search", one-root ranges
+	f.Add(hubRows(16, 5), uint8(2), uint8(9), uint8(13), []byte{2, 0, 5}) // "search join graph", ranges of 3, 1, 6
+	f.Add(hubRows(16, 7), uint8(1), uint8(0), uint8(0), []byte{})         // "keyword", one range
+	f.Add(hubRows(16, 3), uint8(4), uint8(1), uint8(5), []byte{4})        // "join query search", ranges of 5
 	// Emps 2 ("search") and 3 ("join") report to emp 1 ("query"), which
 	// is on the floor of dept 1: emp^Q -> emp^{} -> dept^{} <- emp^{} <-
 	// emp^Q binds emp 1 twice unless the joining-tree check drops the
 	// row.
-	f.Add(append([]byte{1, 2, 3, 1, 0, 1, 0, 0, 7, 1, 2, 2, 13, 1, 2, 2}, hubRows(12, 5)...), uint8(2), uint8(9), []byte{1, 4})
-	f.Fuzz(func(t *testing.T, data []byte, t1, t2 uint8, tiling []byte) {
+	f.Add(append([]byte{1, 2, 3, 1, 0, 1, 0, 0, 7, 1, 2, 2, 13, 1, 2, 2}, hubRows(12, 5)...), uint8(2), uint8(9), uint8(0), []byte{1, 4})
+	// Emp 1 holds "query keyword" and emp 2, its report, "keyword
+	// search"; three emps hold "query" and three "search", so "keyword"
+	// is the rarest term and anchors emp^Q -> emp^Q, whose one result
+	// holds it at both nodes: only the anchor's lower-node rule keeps
+	// the second segment from finding it again.
+	f.Add([]byte{145, 0, 0, 0, 148, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0, 7, 0, 0, 0, 7, 0, 0, 0},
+		uint8(0), uint8(3), uint8(5), []byte{1})
+	f.Fuzz(func(t *testing.T, data []byte, t1, t2, t3 uint8, tiling []byte) {
 		db, g := kernelCorpus(data)
 		terms := []string{dataset.CorpusVocab[int(t1)%len(dataset.CorpusVocab)]}
-		if t2%2 == 1 {
-			terms = append(terms, dataset.CorpusVocab[int(t2/2)%len(dataset.CorpusVocab)])
+		for _, tn := range []uint8{t2, t3} {
+			if tn%2 == 1 {
+				terms = append(terms, dataset.CorpusVocab[int(tn/2)%len(dataset.CorpusVocab)])
+			}
 		}
 		// The corpus declares no foreign keys (relstore cannot declare
 		// the self-reference), so the binder indexes g's edges.
 		ix := invindex.FromDB(db)
-		ev := newBinder(db, ix, g.Edges()).BindTraced(terms, nil)
+		bd := newBinder(db, ix, g.Edges())
+		ev, scan := bd.BindTraced(terms, nil), NewScanBinding(bd, terms)
 		sizes := []int{1 << 30} // no tiling bytes: one range
 		if len(tiling) > 0 {
 			sizes = sizes[:0]
@@ -257,6 +270,9 @@ func FuzzKernelsAgree(f *testing.F) {
 			want := mustEvaluate(t, ev, c)
 			if got, want := sortedRender(mustEvaluateLevels(t, ev, c)), sortedRender(want); got != want {
 				t.Fatalf("%v %s: EvaluateLevels differs from EvaluateCN\ngot:\n%swant:\n%s", terms, c, got, want)
+			}
+			if got, want := sortedRender(mustEvaluate(t, scan, c)), sortedRender(want); got != want {
+				t.Fatalf("%v %s: EvaluateCN on the scan binding differs from the binder's\ngot:\n%swant:\n%s", terms, c, got, want)
 			}
 			if got, want := renderResults(tileRoots(t, ev, c, sizes)), renderResults(want); got != want {
 				t.Fatalf("%v %s: EvaluateRoots over ranges of %v differs from EvaluateCN\ngot:\n%swant:\n%s", terms, c, sizes, got, want)

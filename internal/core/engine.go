@@ -10,11 +10,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -448,8 +449,8 @@ func (e *Engine) searchXML(ctx context.Context, terms []string, req Request, sp 
 	if e.XIndex == nil {
 		return nil, badQuery(fmt.Sprintf("semantics %v requires an XML engine", req.Semantics))
 	}
-	// ELCAStack is not context-aware; honoring ctx at the stage boundary
-	// still stops an expired query before the scan.
+	// An expired query stops here, before the lookups; both scans then
+	// check ctx as they go.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -458,7 +459,7 @@ func (e *Engine) searchXML(ctx context.Context, terms []string, req Request, sp 
 	var err error
 	if req.Semantics == ELCA {
 		vsp.SetAttr("algorithm", "elca-stack")
-		nodes = lca.ELCAStack(e.XIndex, terms, vsp)
+		nodes, err = lca.ELCAStack(ctx, e.XIndex, terms, vsp)
 	} else {
 		// SLCA splits its anchors into one range per core (more buy
 		// nothing), scans short anchor lists as one range, and checks
@@ -468,23 +469,24 @@ func (e *Engine) searchXML(ctx context.Context, terms []string, req Request, sp 
 	}
 	vsp.End()
 	if err != nil {
-		return nil, err // SLCA has no sound partial answer (see lca docs)
+		return nil, err // neither SLCA nor ELCA has a sound partial answer (see lca docs)
 	}
 	// Rank results by subtree compactness (smaller, deeper subtrees
-	// first), the default XML ranking heuristic.
-	sort.SliceStable(nodes, func(i, j int) bool {
-		si, sj := len(xmltree.Subtree(nodes[i])), len(xmltree.Subtree(nodes[j]))
-		if si != sj {
-			return si < sj
-		}
-		return nodes[i].ID < nodes[j].ID
+	// first, each sized once), the default XML ranking heuristic.
+	type sized struct {
+		n    *xmltree.Node
+		size int
+	}
+	ranked := make([]sized, len(nodes))
+	for i, n := range nodes {
+		ranked[i] = sized{n, len(xmltree.Subtree(n))}
+	}
+	slices.SortFunc(ranked, func(a, b sized) int {
+		return cmp.Or(cmp.Compare(a.size, b.size), cmp.Compare(a.n.ID, b.n.ID))
 	})
 	var out []Result
-	for i, n := range nodes {
-		if i >= req.TopK {
-			break
-		}
-		out = append(out, Result{Score: 1 / float64(1+len(xmltree.Subtree(n))), Node: n})
+	for _, r := range ranked[:min(req.TopK, len(ranked))] {
+		out = append(out, Result{Score: 1 / float64(1+r.size), Node: r.n})
 	}
 	rankSpan(sp, len(out))
 	return out, nil

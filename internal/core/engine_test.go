@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"kwsearch/internal/dataset"
 	"kwsearch/internal/lca"
@@ -207,5 +208,47 @@ func TestServedSLCAInjectedRangeFault(t *testing.T) {
 		if !errors.Is(err, boom) || resp != nil {
 			t.Errorf("%q: err = %v, resp = %v; want the injected fault and no response", tc.query, err, resp)
 		}
+	}
+}
+
+// TestServedELCAHonoursDeadline: "title author" on the bibliography
+// under ELCA stops at its deadline: a 50 µs budget comes back as an
+// empty partial answer (ELCA has no sound partial top-k) with the
+// evaluate span cancelled, sooner than the full run, and an armed
+// StageELCA fault fails the query with the injected error.
+func TestServedELCAHonoursDeadline(t *testing.T) {
+	e := NewXML(dataset.BibXML(dataset.DefaultBibConfig()))
+	req := Request{Query: "title author", Semantics: ELCA, Trace: true}
+	start := time.Now()
+	resp, err := e.Query(context.Background(), req)
+	full := time.Since(start)
+	if err != nil || resp.Partial || len(resp.Results) == 0 {
+		t.Fatalf("undeadlined run: %d results, partial %v, err %v", len(resp.Results), resp.Partial, err)
+	}
+
+	req.Deadline = 50 * time.Microsecond
+	start = time.Now()
+	resp, err = e.Query(context.Background(), req)
+	returned := time.Since(start)
+	if err != nil || !resp.Partial || len(resp.Results) != 0 {
+		t.Fatalf("deadlined run: %d results, partial %v, err %v; want an empty partial answer", len(resp.Results), resp.Partial, err)
+	}
+	if returned >= full {
+		t.Errorf("deadlined run took %v, the full run %v", returned, full)
+	}
+	cancelled := false
+	for _, sp := range resp.Trace.Children() {
+		if sp.Name() == "evaluate" {
+			cancelled = strings.Contains(sp.Shape(), "cancelled")
+		}
+	}
+	if !cancelled {
+		t.Errorf("evaluate span not marked cancelled:\n%s", resp.Trace.Shape())
+	}
+
+	boom := errors.New("injected elca fault")
+	in := resilience.NewInjector(1).Arm(resilience.StageELCA, resilience.Fault{Err: boom})
+	if resp, err := e.Query(resilience.WithInjector(context.Background(), in), Request{Query: "title author", Semantics: ELCA}); !errors.Is(err, boom) || resp != nil {
+		t.Errorf("armed fault: err = %v, resp = %v; want the injected fault and no response", err, resp)
 	}
 }

@@ -92,10 +92,10 @@ func TestQueryWithoutTraceHasNoTrace(t *testing.T) {
 // TestTraceShapeGoldenParallel pins the exact span-tree shape of a seeded CN
 // query at each pool size: the pipeline stages and their attribute keys
 // must not drift silently, Workers 0 and 1 are the same pool of one, and
-// every goroutine launched gets one worker-<g> span (the fixture query
-// has 5 jobs, so Workers 4 launches 4: with three terms the two
-// five-node paths of slide 28 can be minimal, and with two they are not
-// planned). Timings are excluded (Shape
+// every goroutine launched gets one worker-<g> span (the fixture query,
+// "wang search keyword" on ×1 DBLP, has 5 jobs, so Workers 4 launches
+// 4; a query over the Widom bibliography has at most 3 once each CN's
+// search is anchored on its rarest term). Timings are excluded (Shape
 // drops them) and the goroutine count depends only on the pool size and
 // the job count, so the test is deterministic.
 func TestTraceShapeGoldenParallel(t *testing.T) {
@@ -108,6 +108,7 @@ func TestTraceShapeGoldenParallel(t *testing.T) {
 		"  evaluate(evaluated,skipped,workers)\n"
 	const worker = "(busy,evaluated,idle,jobs,skipped)\n"
 	const tail = "  rank(results)\n"
+	db := dataset.DBLP(dataset.DefaultDBLPConfig())
 	for _, tc := range []struct{ workers, goroutines int }{
 		{0, 1},
 		{1, 1},
@@ -118,8 +119,8 @@ func TestTraceShapeGoldenParallel(t *testing.T) {
 		for g := 0; g < tc.goroutines; g++ {
 			spans += "    worker-" + strconv.Itoa(g) + worker
 		}
-		e := NewRelational(dataset.WidomBib())
-		req := Request{Query: "Widom XML Ullman", TopK: 5, Workers: tc.workers, Trace: true}
+		e := NewRelational(db)
+		req := Request{Query: "wang search keyword", TopK: 5, Workers: tc.workers, Trace: true}
 		resp, err := e.Query(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)

@@ -95,10 +95,12 @@ func TestQueryCancellationIsPromptAndLeakFree(t *testing.T) {
 
 // TestDeadlinePartialIsPrefixOfFullAnswer is acceptance criterion (b): a
 // deadline that expires mid-CN-evaluation yields Partial=true with a
-// byte-exact prefix of the undeadlined answer, and a nil error.
+// byte-exact prefix of the undeadlined answer, and a nil error. The
+// fault stalls the third job claimed, so the query has three jobs: "XML
+// Widom Datalog" has two results over three CNs, one job each.
 func TestDeadlinePartialIsPrefixOfFullAnswer(t *testing.T) {
 	e := NewRelational(dataset.WidomBib())
-	req := Request{Query: "Widom XML", TopK: 10000, Workers: 2}
+	req := Request{Query: "XML Widom Datalog", TopK: 10000, Workers: 2}
 
 	// Partial run first so the full run cannot seed the result cache.
 	in := resilience.NewInjector(1).Arm(resilience.StageEval, resilience.Fault{Delay: 2 * time.Second, After: 2})

@@ -70,13 +70,13 @@ func TestSparkMatchesLevelKernelOracle(t *testing.T) {
 	}
 }
 
-// TestSparkDeadlineLandsInsideCN: "search www wang keyword" at ×2
-// spends most of its SPARK time inside the depth-first search of one
-// hub CN, the star conference^Q with three paper^Q leaves, so a
-// deadline only lands on time if that search polls ctx. (Two terms make
-// no star a minimal CN, so a two-term hub query plans none.) SPARK has
-// no certified prefix: the query comes back on time as an empty partial
-// answer with no error.
+// TestSparkDeadlineLandsInsideCN: "www sigmod xml graph tree" at ×2
+// spends nearly all of its SPARK time (≈20 ms) inside the depth-first
+// search of one hub CN, the star conference^Q with four paper^Q leaves,
+// so a deadline only lands on time if that search polls ctx. (Fewer
+// than five terms plan no star with four leaves, and its one result
+// keeps SPARK's scoring cheap.) SPARK has no certified prefix: the
+// query comes back on time as an empty partial answer with no error.
 func TestSparkDeadlineLandsInsideCN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the hub query to completion first")
@@ -84,7 +84,7 @@ func TestSparkDeadlineLandsInsideCN(t *testing.T) {
 	cfg := dataset.DefaultDBLPConfig()
 	cfg.Authors, cfg.Papers, cfg.Conferences = 2*cfg.Authors, 2*cfg.Papers, 2*cfg.Conferences
 	e := NewRelational(dataset.DBLP(cfg))
-	req := Request{Query: "search www wang keyword", Semantics: SparkNetworks}
+	req := Request{Query: "www sigmod xml graph tree", Semantics: SparkNetworks}
 
 	start := time.Now()
 	resp, err := e.Query(context.Background(), req)

@@ -72,7 +72,9 @@ func renderResults(rs []cn.Result) string {
 
 // TestTopKMatchesSerialByteIdentical is the acceptance-criteria check: the
 // worker pool's answer must be byte-identical to full serial evaluation,
-// for every worker count, including the result-cache replay.
+// for every worker count, including the result-cache replay; and every
+// CN with a non-empty root set is queued (an anchored search may leave
+// a CN none, and then it gets no job).
 func TestTopKMatchesSerialByteIdentical(t *testing.T) {
 	queries := []Query{
 		{Terms: []string{"keyword", "search"}, K: 10, MaxCNSize: 5},
@@ -83,6 +85,16 @@ func TestTopKMatchesSerialByteIdentical(t *testing.T) {
 	for _, q := range queries {
 		x := newTestExecutor()
 		want := renderResults(x.TopKSerial(q))
+		b, ps, _, err := x.Plan(context.Background(), cn.NormalizeTerms(q.Terms), q.MaxCNSize, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rooted := 0
+		for _, c := range ps.CNs() {
+			if b.RootCount(c) > 0 {
+				rooted++
+			}
+		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			qq := q
 			qq.Workers = workers
@@ -94,9 +106,9 @@ func TestTopKMatchesSerialByteIdentical(t *testing.T) {
 				t.Errorf("%v workers=%d: parallel answer differs from serial\ngot:\n%swant:\n%s",
 					q.Terms, workers, got, want)
 			}
-			if st.Evaluated+st.Skipped != st.Jobs || (!st.ResultCacheHit && st.Jobs < st.CNs) {
-				t.Errorf("%v workers=%d: evaluated %d + skipped %d, %d jobs, %d CNs",
-					q.Terms, workers, st.Evaluated, st.Skipped, st.Jobs, st.CNs)
+			if st.Evaluated+st.Skipped != st.Jobs || (!st.ResultCacheHit && st.Jobs < rooted) {
+				t.Errorf("%v workers=%d: evaluated %d + skipped %d, %d jobs, %d CNs with roots",
+					q.Terms, workers, st.Evaluated, st.Skipped, st.Jobs, rooted)
 			}
 		}
 	}
@@ -314,26 +326,23 @@ func TestWorkersClampedToJobs(t *testing.T) {
 
 // TestHubQueryAllocBytes pins what the pool allocates on a hub query,
 // one that joins through the conference hub and walks millions of
-// partial bindings to return its results. "www www www search wang" has
-// five mask bits, so at MaxCNSize 5 the minimality rule removes nothing
-// and its plan holds every conference star, up to four paper leaves: the
-// pool scans 8.6 M join rows for it (asserted, so the fixture cannot turn
-// light). The repeated term adds mask bits without adding postings, so
-// the binding, which TopK merges per query from its terms' postings,
-// stays as small as that of "search www wang". Binder and plan are warm
-// and the executor fresh, so the measurement is the pool's: the
-// depth-first search holds one row per goroutine, and the query
-// allocates about 17 kB at Workers 1 and 2, where a level-wise pool that
-// materialized every level allocated 315 MB. About one run in a
-// hundred reads ≈5.5 kB more over the same join rows, at either worker
-// count, so the ceiling is about 1.4× the usual reading rather than
-// 1.15×; like every pin it only tightens.
+// partial bindings to return its one result. "www sigmod xml graph
+// tree" has five terms, so at MaxCNSize 5 its plan holds the conference
+// star with four paper leaves; anchored on the one "www" conference, the
+// search of that star walks 9.6 M join rows, although no paper holds
+// "sigmod" and so no row can finish, and the query 9.9 M (asserted, so
+// the fixture cannot turn light). Binder and plan are warm and the
+// executor fresh, so the measurement is the pool's: the depth-first
+// search holds one row per goroutine, and the query allocates about
+// 12 kB at Workers 1 and 2, where a level-wise pool that materialized
+// every level allocated hundreds of MB. The 24 kB ceiling is the one
+// the earlier, 17 kB fixture had; like every pin it only tightens.
 func TestHubQueryAllocBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("evaluates the hub query")
 	}
 	x := newTestExecutor()
-	q := Query{Terms: []string{"www", "www", "www", "search", "wang"}, K: 10, MaxCNSize: 5}
+	q := Query{Terms: []string{"www", "sigmod", "xml", "graph", "tree"}, K: 10, MaxCNSize: 5}
 	if _, _, err := x.TopK(context.Background(), q); err != nil { // warm binder and plan
 		t.Fatal(err)
 	}
@@ -391,17 +400,20 @@ func unprunedRun(t *testing.T, x *Executor, q Query) ([]cn.Result, Stats) {
 // pool's count over the unpruned plan. "search www" is the hub query:
 // over the unpruned plan the pool scans 8.55 M join rows for it, nearly
 // all in conference stars that yield no result, and 118 over the
-// pruned one.
+// pruned one. The pins fell when the search began anchoring on a
+// query's rarest term and cutting rows that cannot finish (jobs for
+// CNs whose anchored root set is empty, and join rows and rows
+// finished, dropped); they only fall.
 func TestMinimalityCutsWork(t *testing.T) {
 	x := newTestExecutor()
 	for _, tc := range []struct {
 		terms                                        []string
 		cns, jobs, evaluated, joinRows, rowsFinished int
 	}{
-		{[]string{"keyword", "search"}, 2, 2, 1, 0, 745},
-		{[]string{"wang", "search"}, 4, 4, 4, 2881, 704},
-		{[]string{"search", "www"}, 4, 4, 2, 118, 43},
-		{[]string{"wang", "search", "www"}, 21, 21, 21, 70483, 5992},
+		{[]string{"keyword", "search"}, 2, 2, 1, 0, 162},
+		{[]string{"wang", "search"}, 4, 1, 1, 309, 41},
+		{[]string{"search", "www"}, 4, 1, 1, 118, 42},
+		{[]string{"wang", "search", "www"}, 21, 2, 2, 17414, 210},
 	} {
 		q := Query{Terms: tc.terms, K: 10, MaxCNSize: 5}
 		want := renderResults(x.TopKSerial(q))
@@ -427,6 +439,75 @@ func TestMinimalityCutsWork(t *testing.T) {
 			if got[i] > unpruned[i] {
 				t.Errorf("%v: %s = %d, more than the %d over the unpruned plan", tc.terms, name, got[i], unpruned[i])
 			}
+		}
+	}
+}
+
+// anchorWork is one query set's summed work in TestAnchorCutsWork.
+type anchorWork struct{ joinRows, rowsFinished int }
+
+// TestAnchorCutsWork counts what anchoring each CN's search on its
+// rarest query term saves on ×1 DBLP at Workers 1, over every pair of
+// ten popular terms and over a set of three- and four-term queries. Each
+// answer equals byte for byte that of the same pool over the scan
+// binding, which never anchors but makes the same cuts (TopKSerial, its
+// level-wise oracle, takes seconds on the hub queries here); the summed
+// join rows and rows finished are pinned at their measured values and
+// at or below the unanchored pool's. The cuts, not the anchor, decide
+// which rows finish, so both pools finish the same rows.
+func TestAnchorCutsWork(t *testing.T) {
+	x := newTestExecutor()
+	vocab := []string{"keyword", "search", "database", "query", "xml", "graph", "wang", "chen", "www", "sigmod"}
+	var pairs []string
+	for i, a := range vocab {
+		for _, b := range vocab[i+1:] {
+			pairs = append(pairs, a+" "+b)
+		}
+	}
+	multi := []string{"www sigmod search keyword", "search www wang keyword", "keyword search wang",
+		"search keyword database query", "wang search keyword", "www search keyword"}
+	for _, set := range []struct {
+		name       string
+		queries    []string
+		pin, unpin anchorWork
+	}{
+		{"pairs", pairs, anchorWork{6217, 1435}, anchorWork{28704, 1435}},
+		{"3-4 terms", multi, anchorWork{1015623, 7714}, anchorWork{2558624, 7714}},
+	} {
+		var got, scan anchorWork
+		for _, qs := range set.queries {
+			q := Query{Terms: strings.Fields(qs), K: 10, MaxCNSize: 5, Workers: 1}
+			rs, st, err := fresh(x, x.plans).TopK(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%q: %v", qs, err)
+			}
+			got.joinRows += st.JoinRows
+			got.rowsFinished += st.RowsFinished
+
+			_, ps, _, err := x.Plan(context.Background(), cn.NormalizeTerms(q.Terms), q.MaxCNSize, nil)
+			if err != nil || ps == nil {
+				t.Fatalf("%q: no plan (%v)", qs, err)
+			}
+			sb := cn.NewScanBinding(x.binder, q.Terms)
+			want, ws, err := x.runPool(context.Background(), sb, buildQueue(sb, ps.CNs(), x.jobRoots), 1, q.K, nil)
+			if err != nil {
+				t.Fatalf("%q: scan-binding pool: %v", qs, err)
+			}
+			if got, want := renderResults(rs), renderResults(want); got != want {
+				t.Errorf("%q: anchored answer differs from the unanchored pool's\ngot:\n%swant:\n%s", qs, got, want)
+			}
+			scan.joinRows += ws[0].Work.JoinRows
+			scan.rowsFinished += ws[0].Work.RowsFinished
+		}
+		t.Logf("%s: join rows %d, rows finished %d (unanchored %d, %d)", set.name, got.joinRows, got.rowsFinished, scan.joinRows, scan.rowsFinished)
+		if scan != set.unpin {
+			t.Errorf("%s: the unanchored pool's work is %+v, measured at %+v: the fixture changed", set.name, scan, set.unpin)
+		}
+		if got.joinRows > set.pin.joinRows || got.rowsFinished > set.pin.rowsFinished {
+			t.Errorf("%s: %d join rows and %d rows finished, pinned at %d and %d", set.name, got.joinRows, got.rowsFinished, set.pin.joinRows, set.pin.rowsFinished)
+		}
+		if got.joinRows > scan.joinRows || got.rowsFinished > scan.rowsFinished {
+			t.Errorf("%s: the anchored search did more work than the unanchored one", set.name)
 		}
 	}
 }

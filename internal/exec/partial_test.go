@@ -116,14 +116,15 @@ func TestDeadlineMidEvaluationYieldsPartial(t *testing.T) {
 }
 
 // TestDeadlineLandsInsideJoinLevel drives a deadline into one job, not
-// between two: "search www wang keyword" joins through the conference
+// between two: "www sigmod xml graph tree" joins through the conference
 // hub, so at ×2 over four fifths of its time is one job, the star
-// conference^Q with three paper^Q leaves, on one worker — with ctx
-// checked only between jobs the pool returned when that job was done,
-// deadline or not. The search polls ctx, so the query comes back on
-// time with the certified prefix, the abandoned job's bound charged to
-// the certificate. (Two terms make no star a minimal CN, so a two-term
-// hub query plans none.)
+// conference^Q with four paper^Q leaves searched from a "www"
+// conference, on one worker — with ctx checked only between jobs the
+// pool returned when that job was done, deadline or not. The search
+// polls ctx, so the query comes back on time with the certified prefix,
+// the abandoned job's bound charged to the certificate. (Fewer than
+// five terms plan no star with four leaves, and a four-term hub query
+// runs in a few milliseconds, too close to timer latency.)
 func TestDeadlineLandsInsideJoinLevel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the hub query to completion first")
@@ -132,7 +133,7 @@ func TestDeadlineLandsInsideJoinLevel(t *testing.T) {
 	cfg.Authors, cfg.Papers, cfg.Conferences = 2*cfg.Authors, 2*cfg.Papers, 2*cfg.Conferences
 	db := dataset.DBLP(cfg)
 	x := New(db, invindex.FromDB(db), Options{FreeTables: []string{"write", "cite"}})
-	q := Query{Terms: []string{"search", "www", "wang", "keyword"}, K: 10, MaxCNSize: 5, Workers: 2}
+	q := Query{Terms: []string{"www", "sigmod", "xml", "graph", "tree"}, K: 10, MaxCNSize: 5, Workers: 2}
 
 	start := time.Now()
 	rs, _, err := x.TopK(context.Background(), q)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"kwsearch/internal/dataset"
 	"kwsearch/internal/resilience"
@@ -67,5 +68,43 @@ func TestSLCAParallelCtxMatchesSerialWhenUninterrupted(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("node %d differs", i)
 		}
+	}
+}
+
+// pastDeadline is a context whose deadline has passed but whose Err is
+// still nil, as a context's is between its deadline and its timer
+// firing.
+type pastDeadline struct{ context.Context }
+
+func (pastDeadline) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestELCAStackCtx: the ELCA stack scan returns ctx's error and no nodes
+// under a cancelled context, the injected error under an armed
+// StageELCA fault, DeadlineExceeded once the deadline has passed even
+// before the context's timer fires, and the indexed ELCA's answer
+// under a live context.
+func TestELCAStackCtx(t *testing.T) {
+	ix := xmltree.NewIndex(dataset.KeywordTree(4, 5, map[string]int{"k0": 300, "k1": 2000}, 3))
+	terms := []string{"k0", "k1"}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	boom := errors.New("injected elca fault")
+	faulted := resilience.WithInjector(context.Background(), resilience.NewInjector(1).Arm(resilience.StageELCA, resilience.Fault{Err: boom}))
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want error
+	}{
+		{"cancelled", cancelled, context.Canceled},
+		{"fault", faulted, boom},
+		{"past deadline", pastDeadline{context.Background()}, context.DeadlineExceeded},
+	} {
+		if ns, err := ELCAStack(tc.ctx, ix, terms, nil); !errors.Is(err, tc.want) || ns != nil {
+			t.Errorf("%s: %d nodes, err = %v; want none and %v", tc.name, len(ns), err, tc.want)
+		}
+	}
+	got, err := ELCAStack(context.Background(), ix, terms, nil)
+	if want := ELCA(ix, terms); err != nil || len(want) == 0 || !sameNodes(got, want) {
+		t.Fatalf("live context: %d nodes, err = %v; want the indexed ELCA's %d", len(got), err, len(want))
 	}
 }

@@ -1,9 +1,12 @@
 package lca
 
 import (
+	"context"
 	"sort"
+	"time"
 
 	"kwsearch/internal/obs"
+	"kwsearch/internal/resilience"
 	"kwsearch/internal/xmltree"
 )
 
@@ -13,36 +16,47 @@ import (
 // only witnesses that are not inside an all-keyword descendant.
 // O(d·Σ|Sᵢ|) after the merge. It records its work onto sp (nil disables
 // tracing): per-term posting-list sizes and the result count.
-func ELCAStack(ix *xmltree.Index, terms []string, sp *obs.Span) []*xmltree.Node {
+// It consults resilience.StageELCA once and ctx every
+// slcaCtxCheckStride matches; an interrupted scan returns ctx's error
+// and no nodes. There is no sound partial top-k: the ELCAs popped so
+// far are true ones, but a document-order prefix, not the smallest
+// subtrees the served ranking puts first.
+func ELCAStack(ctx context.Context, ix *xmltree.Index, terms []string, sp *obs.Span) ([]*xmltree.Node, error) {
+	if err := resilience.From(ctx).At(ctx, resilience.StageELCA); err != nil {
+		return nil, err
+	}
 	lists := lookupLists(ix, terms)
 	recordListSizes(sp, lists)
 	if lists == nil {
 		sp.SetAttr("elcas", 0)
-		return nil
+		return nil, nil
 	}
 	full := (uint32(1) << uint(len(terms))) - 1
 
-	// Merge matches in document order, collecting each node's keyword mask.
+	// Merge the lists, which are in document (ID) order without
+	// repeats, into one match stream, OR-ing each node's keyword mask.
 	type match struct {
 		node *xmltree.Node
 		mask uint32
 	}
-	maskOf := map[xmltree.NodeID]uint32{}
-	var order []xmltree.NodeID
-	nodeOf := map[xmltree.NodeID]*xmltree.Node{}
-	for i, list := range lists {
-		for _, n := range list {
-			if _, seen := maskOf[n.ID]; !seen {
-				order = append(order, n.ID)
-				nodeOf[n.ID] = n
+	var matches []match
+	for pos := make([]int, len(lists)); ; {
+		var m match
+		for i, l := range lists {
+			if pos[i] < len(l) && (m.node == nil || l[pos[i]].ID < m.node.ID) {
+				m.node = l[pos[i]]
 			}
-			maskOf[n.ID] |= 1 << uint(i)
 		}
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a] < order[b] })
-	matches := make([]match, len(order))
-	for i, id := range order {
-		matches[i] = match{node: nodeOf[id], mask: maskOf[id]}
+		if m.node == nil {
+			break
+		}
+		for i, l := range lists {
+			if pos[i] < len(l) && l[pos[i]] == m.node {
+				m.mask |= 1 << uint(i)
+				pos[i]++
+			}
+		}
+		matches = append(matches, m)
 	}
 
 	// Path stack: each frame is an ancestor of the current match carrying
@@ -72,7 +86,19 @@ func ELCAStack(ix *xmltree.Index, terms []string, sp *obs.Span) []*xmltree.Node 
 			}
 		}
 	}
-	for _, m := range matches {
+	for i, m := range matches {
+		if i%slcaCtxCheckStride == 0 {
+			// On a goroutine that never blocks, a sub-millisecond timer
+			// can fire a millisecond late, so the deadline is read too.
+			err := ctx.Err()
+			if d, ok := ctx.Deadline(); err == nil && ok && !time.Now().Before(d) {
+				err = context.DeadlineExceeded
+			}
+			if err != nil {
+				sp.SetAttr("cancelled", true)
+				return nil, err
+			}
+		}
 		// Pop frames that are not ancestors of this match.
 		for len(stack) > 0 && !stack[len(stack)-1].node.Dewey.IsAncestorOrSelf(m.node.Dewey) {
 			pop()
@@ -96,7 +122,7 @@ func ELCAStack(ix *xmltree.Index, terms []string, sp *obs.Span) []*xmltree.Node 
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	sp.SetAttr("elcas", len(out))
-	return out
+	return out, nil
 }
 
 // ELCA computes Exclusive LCAs by candidate generation and verification,

@@ -1,6 +1,7 @@
 package lca
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -100,7 +101,7 @@ func TestELCAIncludesAncestorWithOwnWitness(t *testing.T) {
 	if len(slca) != 1 || slca[0].Label != "paper" {
 		t.Fatalf("SLCA = %v", ids(slca))
 	}
-	elca := ELCAStack(ix, terms, nil)
+	elca := elcaStack(ix, terms)
 	if len(elca) != 2 {
 		t.Fatalf("ELCA = %v, want paper and conf", ids(elca))
 	}
@@ -138,7 +139,10 @@ func TestELCAExclusionSemantics(t *testing.T) {
 }
 
 // elcaStack is untraced ELCAStack in the candidates-function shape.
-func elcaStack(ix *xmltree.Index, terms []string) []*xmltree.Node { return ELCAStack(ix, terms, nil) }
+func elcaStack(ix *xmltree.Index, terms []string) []*xmltree.Node {
+	ns, _ := ELCAStack(context.Background(), ix, terms, nil) // Background never ends: no error
+	return ns
+}
 
 func randomTreeIndex(seed int64) *xmltree.Index {
 	rng := rand.New(rand.NewSource(seed))
@@ -190,7 +194,7 @@ func TestELCAAlgorithmsAgree(t *testing.T) {
 		ix := randomTreeIndex(seed)
 		for _, terms := range [][]string{{"k0", "k1"}, {"k0", "k1", "k2"}} {
 			want := ELCABrute(ix, terms)
-			if !sameNodes(ELCAStack(ix, terms, nil), want) {
+			if !sameNodes(elcaStack(ix, terms), want) {
 				return false
 			}
 			if !sameNodes(ELCA(ix, terms), want) {
@@ -229,7 +233,7 @@ func TestAlgorithmsAgreeOnKeywordTree(t *testing.T) {
 		t.Fatal("SLCA variants disagree on benchmark tree")
 	}
 	wantE := ELCABrute(ix, terms)
-	if !sameNodes(ELCAStack(ix, terms, nil), wantE) || !sameNodes(ELCA(ix, terms), wantE) {
+	if !sameNodes(elcaStack(ix, terms), wantE) || !sameNodes(ELCA(ix, terms), wantE) {
 		t.Fatal("ELCA variants disagree on benchmark tree")
 	}
 }

@@ -23,6 +23,8 @@ const (
 	StagePipeline = "cn.pipeline"
 	// StageSLCARange fires periodically inside each SLCA range worker.
 	StageSLCARange = "lca.range"
+	// StageELCA fires once at the start of the ELCA stack scan.
+	StageELCA = "lca.elca"
 	// StageBanksExpand fires periodically inside the BANKS expansion loop.
 	StageBanksExpand = "banks.expand"
 	// StageSteinerPop fires periodically inside the DPBF heap loop.

@@ -50,7 +50,7 @@ go run ./cmd/benchrunner -obs-overhead
 echo "==> fuzz smoke (10s): pool == TopKSerial on generated corpora"
 go test -run '^$' -fuzz FuzzPoolMatchesSerial -fuzztime 10s ./internal/exec/
 
-echo "==> fuzz smoke (5s): EvaluateLevels and tiled EvaluateRoots == EvaluateCN on generated self-referencing corpora"
+echo "==> fuzz smoke (5s): levels, the unanchored scan-binding search and tiled EvaluateRoots == anchored EvaluateCN on generated self-referencing corpora, 1-3 terms"
 go test -run '^$' -fuzz FuzzKernelsAgree -fuzztime 5s ./internal/cn/
 
 echo "==> fuzz smoke (5s): join index == Table.SelectEq on generated foreign keys"
